@@ -147,6 +147,28 @@ let bench_persist tech =
          Pmem.write pmem ~off block;
          Pmem.persist pmem ~off ~len:4096))
 
+(* The fence's host cost with a large unflushed volatile layer, as paging's
+   unflushed read-miss fills leave it: 64k lines stored but never flushed
+   sit in the line table while one line is persisted.  [sfence] walks only
+   the lines flushed since the last fence, so the fence itself is flat in
+   the number of unflushed lines; what still grows with them here is the
+   GC work on the larger live heap that Bechamel's per-sample
+   stabilization charges to each run. *)
+let bench_persist_behind_unflushed =
+  let clock = Clock.create () in
+  let metrics = Metrics.create () in
+  let pmem = Pmem.create ~clock ~metrics ~tech:Latency.Pcm ~size:(8 * 1024 * 1024) () in
+  let unflushed = 65536 in
+  Pmem.fill pmem ~off:0 ~len:(unflushed * Pmem.line_size) 'u';
+  let line = Bytes.make Pmem.line_size 'p' in
+  let n = ref 0 in
+  Test.make ~name:"pmem: persist 1 line behind 64k unflushed lines"
+    (Staged.stage (fun () ->
+         incr n;
+         let off = (unflushed + (!n land 1023)) * Pmem.line_size in
+         Pmem.write pmem ~off line;
+         Pmem.persist pmem ~off ~len:Pmem.line_size))
+
 (* fig13: transaction-size accounting (multi-block commit). *)
 let bench_big_commit =
   let pmem, disk, clock, metrics = mk_env () in
@@ -204,6 +226,7 @@ let run_benchmarks () =
       bench_persist Latency.Pcm;
       bench_persist Latency.Nvdimm;
       bench_persist Latency.Stt_ram;
+      bench_persist_behind_unflushed;
       bench_big_commit;
       bench_recovery;
       bench_entry_codec;

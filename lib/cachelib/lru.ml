@@ -33,15 +33,16 @@ let remove t node =
 
 let touch t node =
   if not node.linked then invalid_arg "Lru.touch: node not linked";
-  if t.tail != Some node then begin
-    remove t node;
-    node.linked <- true;
-    node.prev <- t.tail;
-    node.next <- None;
-    (match t.tail with Some old -> old.next <- Some node | None -> t.head <- Some node);
-    t.tail <- Some node;
-    t.len <- t.len + 1
-  end
+  match t.tail with
+  | Some mru when mru == node -> ()
+  | _ ->
+      remove t node;
+      node.linked <- true;
+      node.prev <- t.tail;
+      node.next <- None;
+      (match t.tail with Some old -> old.next <- Some node | None -> t.head <- Some node);
+      t.tail <- Some node;
+      t.len <- t.len + 1
 
 let value node = node.v
 let lru t = t.head

@@ -16,6 +16,10 @@ type event =
 type t = {
   media : Bytes.t;
   lines : (int, line) Hashtbl.t;
+  (* Lines made flush-pending since the last fence, newest first: the
+     only lines the next [sfence] can retire.  May hold duplicates and
+     lines a later store re-dirtied; [sfence] skips both. *)
+  mutable flushed : int list;
   clock : Clock.t;
   metrics : Metrics.t;
   tech : Latency.nvm_tech;
@@ -35,6 +39,7 @@ let create ?(seed = 42) ?(flush_instr = Latency.Clflush) ~clock ~metrics ~tech ~
   {
     media = Bytes.make size '\000';
     lines = Hashtbl.create 4096;
+    flushed = [];
     clock;
     metrics;
     tech;
@@ -92,6 +97,10 @@ let lines_of_range off len =
   let last = (off + len - 1) / line_size in
   (first, last)
 
+(* Whether anyone consumes the event stream.  When nobody does, the hot
+   paths do not even build the event records. *)
+let observed t = Option.is_some t.observer || Tinca_obs.Trace.enabled ()
+
 (* Every hardware event fans out to the attached observer (the
    persistence sanitizer keeps sole ownership of [set_observer]) and,
    when span tracing is on, to the tracer as per-span counters.
@@ -130,7 +139,7 @@ let write_sub t ~off src ~pos ~len =
     invalid_arg "Pmem.write_sub: bad source range";
   store_range t off len;
   Bytes.blit src pos t.media off len;
-  if len > 0 then emit t (Store { off; len })
+  if len > 0 && observed t then emit t (Store { off; len })
 
 let write t ~off src = write_sub t ~off src ~pos:0 ~len:(Bytes.length src)
 
@@ -144,7 +153,7 @@ let fill t ~off ~len c =
   check_range t off len;
   store_range t off len;
   Bytes.fill t.media off len c;
-  if len > 0 then emit t (Store { off; len })
+  if len > 0 && observed t then emit t (Store { off; len })
 
 let atomic_write8 t ~off v =
   check_range t off 8;
@@ -152,7 +161,7 @@ let atomic_write8 t ~off v =
   store_range t off 8;
   Metrics.incr t.metrics "pmem.atomic_writes" ~by:1;
   Bytes.set_int64_le t.media off v;
-  emit t (Atomic_write { off; len = 8 })
+  if observed t then emit t (Atomic_write { off; len = 8 })
 
 let atomic_write8_int t ~off v =
   if v < 0 then invalid_arg "Pmem.atomic_write8_int: negative value";
@@ -165,7 +174,7 @@ let atomic_write16 t ~off v =
   store_range t off 16;
   Metrics.incr t.metrics "pmem.atomic_writes" ~by:1;
   Bytes.blit v 0 t.media off 16;
-  emit t (Atomic_write { off; len = 16 })
+  if observed t then emit t (Atomic_write { off; len = 16 })
 
 let charge_read t off len =
   if len > 0 then begin
@@ -203,6 +212,18 @@ let read_u64_int t ~off =
     invalid_arg "Pmem.read_u64_int: out of int range";
   Int64.to_int v
 
+(* One line's flush: start the write-back of a dirty line that is not
+   already in flight and queue it for the next fence.  Returns whether a
+   write-back started; flushing a clean or already flush-pending line is
+   issued but is a no-op. *)
+let flush_line t idx =
+  match Hashtbl.find_opt t.lines idx with
+  | Some line when not line.pending ->
+      line.pending <- true;
+      t.flushed <- idx :: t.flushed;
+      true
+  | Some _ | None -> false
+
 let clflush t ~off ~len =
   check_range t off len;
   event t;
@@ -214,13 +235,7 @@ let clflush t ~off ~len =
        this flush actually starts pay [write_ns]. *)
     let dirtied = ref 0 in
     for idx = first to last do
-      match Hashtbl.find_opt t.lines idx with
-      | Some line ->
-          if not line.pending then begin
-            line.pending <- true;
-            incr dirtied
-          end
-      | None -> () (* clean line: the flush is issued but is a no-op *)
+      if flush_line t idx then incr dirtied
     done;
     let nlines = last - first + 1 in
     Metrics.incr t.metrics "pmem.clflush" ~by:nlines;
@@ -231,7 +246,7 @@ let clflush t ~off ~len =
       (Latency.flush_batch_ns t.flush_instr nlines
       +. (t.lat.write_ns *. float_of_int !dirtied));
     if !dirtied > 0 then Tinca_obs.Trace.note "pmem.clflush_writebacks" ~by:!dirtied;
-    emit t (Clflush { off; len })
+    if observed t then emit t (Clflush { off; len })
   end
 
 (* Scatter-gather flush: one back-to-back burst of per-line flushes over
@@ -252,14 +267,8 @@ let flush_lines t lines =
     (fun idx ->
       event t;
       incr issued;
-      (match Hashtbl.find_opt t.lines idx with
-      | Some line ->
-          if not line.pending then begin
-            line.pending <- true;
-            incr dirtied
-          end
-      | None -> () (* clean line: the flush is issued but is a no-op *));
-      emit t (Clflush { off = idx * line_size; len = line_size }))
+      if flush_line t idx then incr dirtied;
+      if observed t then emit t (Clflush { off = idx * line_size; len = line_size }))
     lines;
   if !issued > 0 then begin
     Metrics.incr t.metrics "pmem.clflush" ~by:!issued;
@@ -270,18 +279,27 @@ let flush_lines t lines =
     if !dirtied > 0 then Tinca_obs.Trace.note "pmem.clflush_writebacks" ~by:!dirtied
   end
 
+(* Retires exactly the lines flushed since the last fence, walking only
+   [t.flushed] — not the whole line table, which also holds every line
+   stored but never flushed.  Removing a key keeps the rest of its bucket
+   in order, so the order lines are retired in cannot change the table's
+   later iteration order, which [crash] draws its per-line outcomes in. *)
 let sfence t =
   event t;
   Metrics.incr t.metrics "pmem.sfence" ~by:1;
   Clock.advance t.clock t.lat.sfence_ns;
-  let persisted = ref [] in
-  Hashtbl.iter (fun idx line -> if line.pending then persisted := idx :: !persisted) t.lines;
+  let persisted = ref 0 in
   List.iter
     (fun idx ->
-      Hashtbl.remove t.lines idx;
-      t.wear.(idx) <- t.wear.(idx) + 1;
-      Metrics.incr t.metrics "pmem.lines_persisted" ~by:1)
-    !persisted;
+      match Hashtbl.find_opt t.lines idx with
+      | Some line when line.pending ->
+          Hashtbl.remove t.lines idx;
+          t.wear.(idx) <- t.wear.(idx) + 1;
+          incr persisted
+      | Some _ | None -> () (* re-dirtied by a later store, or a duplicate already retired *))
+    t.flushed;
+  t.flushed <- [];
+  if !persisted > 0 then Metrics.incr t.metrics "pmem.lines_persisted" ~by:!persisted;
   emit t Sfence
 
 let persist t ~off ~len =
@@ -300,6 +318,7 @@ let crash ?seed ?(survival = 0.5) t =
       else Bytes.blit line.backup 0 t.media (idx * line_size) line_size)
     entries;
   Hashtbl.reset t.lines;
+  t.flushed <- [];
   t.countdown <- None;
   emit t Crash
 
@@ -330,6 +349,7 @@ let crash_select t ~survive =
       else Bytes.blit line.backup 0 t.media (idx * line_size) line_size)
     entries;
   Hashtbl.reset t.lines;
+  t.flushed <- [];
   t.countdown <- None;
   emit t Crash
 
@@ -360,6 +380,8 @@ let restore t s =
     (fun (idx, backup, pending) ->
       Hashtbl.add t.lines idx { backup = Bytes.copy backup; pending })
     s.snap_lines;
+  t.flushed <-
+    List.filter_map (fun (idx, _, pending) -> if pending then Some idx else None) s.snap_lines;
   Array.blit s.snap_wear 0 t.wear 0 (Array.length t.wear);
   t.countdown <- None
 

@@ -115,7 +115,12 @@ val clflush : t -> off:int -> len:int -> unit
     line index (before issuing anything). *)
 val flush_lines : t -> int list -> unit
 
-(** Ordering + durability point: all flush-pending lines reach the medium. *)
+(** Ordering + durability point: all flush-pending lines reach the medium.
+    It retires exactly the lines flushed (by {!clflush} or {!flush_lines})
+    since the last fence and not re-dirtied by a later store, and its host
+    cost is proportional to that count — not to the number of lines that
+    are stored but never flushed.  ["pmem.lines_persisted"] rises by the
+    number of lines retired. *)
 val sfence : t -> unit
 
 (** [persist t ~off ~len] = [clflush]; [sfence] — the paper's write idiom. *)

@@ -56,6 +56,25 @@ let test_lru_touch_singleton () =
   Lru.touch t a;
   Alcotest.(check (list string)) "unchanged" [ "a" ] (Lru.to_list_lru_first t)
 
+(* Touching the MRU node is a no-op: order and length unchanged, and no
+   unlink/relink (which allocates fresh [Some] cells) on the hot path.
+   The budget of 8 words absorbs the boxed float of [Gc.minor_words]. *)
+let test_lru_touch_mru () =
+  let t = Lru.create () in
+  let _a = Lru.push_mru t "a" in
+  let _b = Lru.push_mru t "b" in
+  let c = Lru.push_mru t "c" in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Lru.touch t c
+  done;
+  let allocated = Gc.minor_words () -. before in
+  Alcotest.(check (list string)) "order unchanged" [ "a"; "b"; "c" ] (Lru.to_list_lru_first t);
+  Alcotest.(check int) "length unchanged" 3 (Lru.length t);
+  Alcotest.(check bool)
+    (Printf.sprintf "1000 MRU touches allocate %.0f words" allocated)
+    true (allocated <= 8.0)
+
 (* Model-based property: a random sequence of push/touch/remove agrees
    with a naive list model. *)
 let prop_lru_model =
@@ -186,6 +205,7 @@ let suite =
         Alcotest.test_case "endpoints" `Quick test_lru_endpoints;
         Alcotest.test_case "find_from_lru" `Quick test_lru_find_from_lru;
         Alcotest.test_case "touch singleton" `Quick test_lru_touch_singleton;
+        Alcotest.test_case "touch MRU is a no-op" `Quick test_lru_touch_mru;
         q prop_lru_model;
       ] );
     ( "cachelib.free_monitor",

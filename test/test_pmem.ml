@@ -344,6 +344,193 @@ let prop_crash_no_invention =
       let c = Bytes.get (Pmem.read p ~off:(line * 64) ~len:1) 0 in
       c = Char.chr v1 || c = Char.chr v2)
 
+(* --- the volatile line layer against a two-set model -------------------- *)
+
+(* T = lines stored since they were last persisted, P ⊆ T = the
+   flush-pending ones.  A store adds its lines to T and removes them from
+   P; a flush moves T-lines into P; a fence retires exactly P — one wear
+   tick and one [pmem.lines_persisted] per P-line, nothing elsewhere. *)
+module IS = Set.Make (Int)
+
+type op =
+  | Write of int * int (* off, len *)
+  | Fill of int * int
+  | Atomic8 of int (* 8 B slot *)
+  | Atomic16 of int (* 16 B slot *)
+  | Clflush of int * int
+  | Flush_lines of int list
+  | Sfence
+  | Persist of int * int
+  | Snap_restore (* snapshot, diverge (crash + store), restore *)
+  | Crash_select of int (* lines with [idx mod 3 = k] survive *)
+
+let model_lines = 16
+let model_size = model_lines * 64
+
+let show_lines l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]"
+
+let show_op = function
+  | Write (o, l) -> Printf.sprintf "Write(%d,%d)" o l
+  | Fill (o, l) -> Printf.sprintf "Fill(%d,%d)" o l
+  | Atomic8 s -> Printf.sprintf "Atomic8 %d" s
+  | Atomic16 s -> Printf.sprintf "Atomic16 %d" s
+  | Clflush (o, l) -> Printf.sprintf "Clflush(%d,%d)" o l
+  | Flush_lines l -> "Flush_lines" ^ show_lines l
+  | Sfence -> "Sfence"
+  | Persist (o, l) -> Printf.sprintf "Persist(%d,%d)" o l
+  | Snap_restore -> "Snap_restore"
+  | Crash_select k -> Printf.sprintf "Crash_select %d" k
+
+let gen_op =
+  let open QCheck.Gen in
+  let range =
+    map2
+      (fun off len -> (off, min len (model_size - off)))
+      (int_bound (model_size - 1)) (int_range 1 160)
+  in
+  frequency
+    [
+      (4, map (fun (o, l) -> Write (o, l)) range);
+      (1, map (fun (o, l) -> Fill (o, l)) range);
+      (1, map (fun s -> Atomic8 s) (int_bound ((model_size / 8) - 1)));
+      (1, map (fun s -> Atomic16 s) (int_bound ((model_size / 16) - 1)));
+      (3, map (fun (o, l) -> Clflush (o, l)) range);
+      (2, map (fun l -> Flush_lines l) (list_size (int_range 0 5) (int_bound (model_lines - 1))));
+      (2, return Sfence);
+      (1, map (fun (o, l) -> Persist (o, l)) range);
+      (1, return Snap_restore);
+      (1, map (fun k -> Crash_select k) (int_bound 2));
+    ]
+
+let range_lines off len =
+  let first = off / 64 and last = (off + len - 1) / 64 in
+  IS.of_list (List.init (last - first + 1) (fun i -> first + i))
+
+let expect what show exp got =
+  if exp <> got then failwith (Printf.sprintf "%s: expected %s, got %s" what (show exp) (show got))
+
+(* Runs [ops] on a fresh device and the model side by side, failing at
+   the first step where they disagree. *)
+let run_against_model ops =
+  let p, _, m = mk ~size:model_size () in
+  let t = ref IS.empty and pend = ref IS.empty in
+  let store lines =
+    t := IS.union !t lines;
+    pend := IS.diff !pend lines
+  in
+  let flush lines = pend := IS.union !pend (IS.inter lines !t) in
+  let wear () = Array.init model_lines (fun i -> Pmem.wear_sum_in p ~off:(i * 64) ~len:64) in
+  (* [fence] is an operation ending in one sfence, after any flushes the
+     model has already applied. *)
+  let fenced what fence =
+    let w0 = wear () and n0 = Metrics.get m "pmem.lines_persisted" in
+    fence ();
+    let w1 = wear () in
+    for i = 0 to model_lines - 1 do
+      expect
+        (Printf.sprintf "%s: wear of line %d" what i)
+        string_of_int
+        (w0.(i) + if IS.mem i !pend then 1 else 0)
+        w1.(i)
+    done;
+    expect (what ^ ": lines_persisted delta") string_of_int (IS.cardinal !pend)
+      (Metrics.get m "pmem.lines_persisted" - n0);
+    t := IS.diff !t !pend;
+    pend := IS.empty
+  in
+  List.iteri
+    (fun step op ->
+      let what = Printf.sprintf "step %d %s" step (show_op op) in
+      (match op with
+      | Write (off, len) ->
+          Pmem.write p ~off (Bytes.make len 'w');
+          store (range_lines off len)
+      | Fill (off, len) ->
+          Pmem.fill p ~off ~len 'f';
+          store (range_lines off len)
+      | Atomic8 s ->
+          Pmem.atomic_write8 p ~off:(s * 8) (Int64.of_int step);
+          store (range_lines (s * 8) 8)
+      | Atomic16 s ->
+          Pmem.atomic_write16 p ~off:(s * 16) (Bytes.make 16 'a');
+          store (range_lines (s * 16) 16)
+      | Clflush (off, len) ->
+          Pmem.clflush p ~off ~len;
+          flush (range_lines off len)
+      | Flush_lines l ->
+          Pmem.flush_lines p l;
+          flush (IS.of_list l)
+      | Sfence -> fenced what (fun () -> Pmem.sfence p)
+      | Persist (off, len) ->
+          flush (range_lines off len);
+          fenced what (fun () -> Pmem.persist p ~off ~len)
+      | Snap_restore ->
+          let snap = Pmem.snapshot p in
+          Pmem.crash_select p ~survive:(fun _ -> false);
+          Pmem.write p ~off:0 (Bytes.make 64 'z');
+          Pmem.restore p snap
+      | Crash_select k ->
+          Pmem.crash_select p ~survive:(fun idx -> idx mod 3 = k);
+          t := IS.empty;
+          pend := IS.empty);
+      expect (what ^ ": unfenced_lines") show_lines (IS.elements !t) (Pmem.unfenced_lines p);
+      expect (what ^ ": dirty_line_count") string_of_int (IS.cardinal !t) (Pmem.dirty_line_count p))
+    ops
+
+(* The two sequences the fence's pending list must get right: a store
+   into a flush-pending line that is then flushed again (the line is
+   listed twice but retired once), a store into a pending line that is
+   NOT flushed again (listed but no longer pending: not retired), and a
+   restore of a snapshot taken with pending lines, followed by a fence. *)
+let test_model_edge_cases () =
+  run_against_model
+    [
+      Write (0, 256);
+      Clflush (0, 128);
+      Write (64, 8);
+      Flush_lines [ 1; 2 ];
+      Write (128, 8);
+      Sfence;
+      Write (640, 100);
+      Clflush (640, 100);
+      Write (800, 8);
+      Snap_restore;
+      Sfence;
+      Persist (800, 8);
+    ]
+
+let prop_model =
+  QCheck.Test.make ~name:"line layer agrees with the two-set model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_op))
+    (fun ops ->
+      run_against_model ops;
+      true)
+
+(* Pins [crash]'s per-line draw order, which is the line table's
+   iteration order after every earlier fence's removals: with thousands
+   of unfenced lines left, any change to that order (or to which lines a
+   fence retired) changes the post-crash medium. *)
+let test_crash_digest_pinned () =
+  let size = 1 lsl 20 in
+  let p, _, m = mk ~size ~seed:5 () in
+  let nlines = size / 64 in
+  for i = 0 to 5999 do
+    let line = i * 7919 mod nlines in
+    Pmem.write p ~off:(line * 64) (Bytes.make 64 (Char.chr (i land 255)));
+    if i mod 3 = 0 then Pmem.clflush p ~off:(line * 64) ~len:64;
+    if i mod 5 = 0 then Pmem.write p ~off:((line * 64) + 8) (Bytes.make 8 'x');
+    if i mod 7 = 0 then Pmem.flush_lines p [ line; (line + 1) mod nlines ];
+    if i mod 97 = 0 then Pmem.sfence p
+  done;
+  Alcotest.(check int) "unfenced lines" 3801 (List.length (Pmem.unfenced_lines p));
+  Alcotest.(check int) "lines persisted" 2199 (Metrics.get m "pmem.lines_persisted");
+  Pmem.crash ~seed:7 p;
+  Alcotest.(check string) "post-crash media digest" "1790df5c2b39b0d62df54686fe1652c1"
+    (Digest.to_hex (Pmem.media_digest p));
+  Alcotest.(check int) "wear after crash" 4057 (Pmem.wear_total p)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -384,6 +571,12 @@ let suite =
         Alcotest.test_case "crash_select verdicts" `Quick test_crash_select_verdicts;
         Alcotest.test_case "snapshot/restore roundtrip" `Quick test_snapshot_restore_roundtrip;
         Alcotest.test_case "wear_max_in ranges" `Quick test_wear_max_in_ranges;
+      ] );
+    ( "pmem.model",
+      [
+        Alcotest.test_case "pending-list edge cases" `Quick test_model_edge_cases;
+        q prop_model;
+        Alcotest.test_case "seeded crash digest pinned" `Quick test_crash_digest_pinned;
       ] );
     ( "pmem.observer",
       [
