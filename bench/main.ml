@@ -169,6 +169,30 @@ let bench_persist_behind_unflushed =
          Pmem.write pmem ~off line;
          Pmem.persist pmem ~off ~len:Pmem.line_size))
 
+(* The line layer under one logging commit, as
+   [pmem.store_lines_per_commit] counts it: 538 lines stored — eight 4 KiB
+   blocks and 26 scattered single lines — then flushed in one
+   [flush_ranges] burst and retired by one fence.  Offsets rotate over
+   the device so every line leaves clean afresh. *)
+let bench_commit_burst =
+  let clock = Clock.create () in
+  let metrics = Metrics.create () in
+  let pmem = Pmem.create ~clock ~metrics ~tech:Latency.Pcm ~size:(8 * 1024 * 1024) () in
+  let line = Bytes.make Pmem.line_size 'l' in
+  let n = ref 0 in
+  Test.make ~name:"pmem: commit burst (538 lines store + flush_ranges + sfence)"
+    (Staged.stage (fun () ->
+         incr n;
+         let base = !n land 31 * 65536 in
+         let blocks = List.init 8 (fun i -> (base + (i * 4096), 4096)) in
+         let lines =
+           List.init 26 (fun i -> (base + 32768 + (i * 2 * Pmem.line_size), Pmem.line_size))
+         in
+         List.iter (fun (off, _) -> Pmem.write pmem ~off block) blocks;
+         List.iter (fun (off, _) -> Pmem.write pmem ~off line) lines;
+         Pmem.flush_ranges pmem (blocks @ lines);
+         Pmem.sfence pmem))
+
 (* fig13: transaction-size accounting (multi-block commit). *)
 let bench_big_commit =
   let pmem, disk, clock, metrics = mk_env () in
@@ -202,6 +226,10 @@ let bench_entry_codec =
   Test.make ~name:"core: entry encode+decode"
     (Staged.stage (fun () -> ignore (Entry.decode (Entry.encode e))))
 
+let bench_crc32 =
+  Test.make ~name:"codec: crc32 4 KiB"
+    (Staged.stage (fun () -> ignore (Tinca_util.Codec.crc32 block ~pos:0 ~len:4096)))
+
 let bench_lru =
   let lru = Lru.create () in
   let nodes = Array.init 1024 (fun i -> Lru.push_mru lru i) in
@@ -211,11 +239,20 @@ let bench_lru =
          incr n;
          Lru.touch lru nodes.(!n land 1023)))
 
-let run_benchmarks () =
+(* [only]: when non-empty, run just the cases whose name contains one of
+   these substrings. *)
+let run_benchmarks ~only =
   print_endline "==============================================================";
   print_endline " Part 2: Bechamel wall-clock micro-benchmarks (host machine)";
   print_endline "==============================================================";
+  let contains name sub =
+    let n = String.length name and k = String.length sub in
+    let rec at i = i + k <= n && (String.sub name i k = sub || at (i + 1)) in
+    at 0
+  in
+  let selected test = only = [] || List.exists (contains (Test.name test)) only in
   let tests =
+    List.filter selected
     [
       bench_tables;
       bench_classic_commit;
@@ -227,9 +264,11 @@ let run_benchmarks () =
       bench_persist Latency.Nvdimm;
       bench_persist Latency.Stt_ram;
       bench_persist_behind_unflushed;
+      bench_commit_burst;
       bench_big_commit;
       bench_recovery;
       bench_entry_codec;
+      bench_crc32;
       bench_lru;
     ]
   in
@@ -247,7 +286,10 @@ let run_benchmarks () =
       | Some _ | None -> Printf.printf "  %-55s (no estimate)\n" name)
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
 
+(* [main.exe] runs both parts; [main.exe NAME...] runs only the
+   micro-benchmarks whose name contains one of the given substrings. *)
 let () =
-  run_experiments ();
-  run_benchmarks ();
+  let only = List.tl (Array.to_list Sys.argv) in
+  if only = [] then run_experiments ();
+  run_benchmarks ~only;
   print_endline "\nbench: done."

@@ -306,9 +306,7 @@ let explore ?(progress = fun (_ : int) (_ : int) -> ()) ?driver cfg =
         incr crash_points;
         (* Only lines whose volatile content differs from their durable
            backup span distinct media images; everything else is fixed. *)
-        let torn =
-          List.filter (fun idx -> Pmem.line_torn env.pmem idx) (Pmem.unfenced_lines env.pmem)
-        in
+        let torn = Pmem.torn_lines env.pmem in
         let d = List.length torn in
         if d > !max_torn then max_torn := d;
         let torn = Array.of_list torn in

@@ -269,9 +269,7 @@ let sweep ?(progress = fun (_ : int) (_ : int) -> ()) cfg =
           (Printf.sprintf "Flight_check: countdown %d did not fire within span %d" crash_at span)
     | exception Pmem.Crash_point ->
         incr crash_points;
-        let torn =
-          List.filter (fun idx -> Pmem.line_torn env.pmem idx) (Pmem.unfenced_lines env.pmem)
-        in
+        let torn = Pmem.torn_lines env.pmem in
         let torn = Array.of_list torn in
         let d = Array.length torn in
         let snap = Pmem.snapshot env.pmem in

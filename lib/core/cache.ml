@@ -1154,13 +1154,10 @@ module Txn = struct
        acked-vs-survived probe. *)
     (match blocks with
     | first :: _ ->
+        let data = Hashtbl.find h.staged first in
+        let crc = Tinca_util.Codec.crc32 data ~pos:0 ~len:(Bytes.length data) in
         flight_note t Flight.Txn_seal ~a:(h.flight_ticket + 1) ~b:n ~c:first
-          ~d:
-            (Int32.to_int
-               (Tinca_util.Codec.crc32 (Hashtbl.find h.staged first) ~pos:0
-                  ~len:(Bytes.length (Hashtbl.find h.staged first)))
-            land 0xFFFF_FFFF)
-          ~batch:t.flight_batch
+          ~d:(Int32.to_int crc land 0xFFFF_FFFF) ~batch:t.flight_batch
     | [] -> ());
     Trace.end_span "tinca.commit.seal"
 

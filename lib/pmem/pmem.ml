@@ -9,6 +9,19 @@ let clean = '\000' (* durable: the medium holds the newest content *)
 let dirty = '\001' (* stored since it was last durable *)
 let pending = '\002' (* flushed; durable at the next fence *)
 
+(* The undo log: fixed-size chunks of [chunk_entries] entries, each a
+   line index and that line's 64 B pre-image.  Entry [p] lives in chunk
+   [p lsr chunk_bits], slot [p land chunk_mask]. *)
+let chunk_bits = 10
+let chunk_entries = 1 lsl chunk_bits
+let chunk_mask = chunk_entries - 1
+
+type chunk = { lines : int array; pre : Bytes.t }
+
+(* The bucket count of [Hashtbl.create 4096], the table whose fold order
+   [crash] draws in (see [fold_order]). *)
+let initial_buckets = 4096
+
 type event =
   | Store of { off : int; len : int }
   | Atomic_write of { off : int; len : int }
@@ -21,11 +34,18 @@ type t = {
   (* The only record of each line's state: [clean], [dirty] or
      [pending]. *)
   state : Bytes.t;
-  (* Each non-clean line's last durable content, what a crash may revert
-     it to.  One add when a line leaves [clean], one remove when it
-     returns: [crash] draws in this table's fold order, so that sequence
-     fixes every seeded crash outcome. *)
-  backups : (int, Bytes.t) Hashtbl.t;
+  (* Append-only undo log: one entry each time a line leaves [clean],
+     holding the durable content a crash may revert it to.  An entry is
+     live while it is its line's newest and the line is not clean; a
+     fence only flips state bytes, leaving dead entries behind until the
+     log is truncated or compacted. *)
+  mutable chunks : chunk array;
+  mutable len : int; (* entries in the log *)
+  mutable live : int; (* non-clean lines, one live entry each *)
+  (* The bucket count a [Hashtbl.create 4096] would have after this
+     history of inserts: it doubles when an insert leaves more than twice
+     as many entries as buckets, and only [clear_lines] resets it. *)
+  mutable nbuckets : int;
   (* Lines made flush-pending since the last fence, newest first: the
      only lines the next [sfence] can retire.  May hold duplicates and
      lines a later store re-dirtied; [sfence] skips both. *)
@@ -49,7 +69,10 @@ let create ?(seed = 42) ?(flush_instr = Latency.Clflush) ~clock ~metrics ~tech ~
   {
     media = Bytes.make size '\000';
     state = Bytes.make (size / line_size) clean;
-    backups = Hashtbl.create 4096;
+    chunks = [||];
+    len = 0;
+    live = 0;
+    nbuckets = initial_buckets;
     flushed = [];
     clock;
     metrics;
@@ -86,21 +109,93 @@ let check_range t off len =
       (Printf.sprintf "Pmem: range [%d, %d) out of bounds (size %d)" off (off + len)
          (Bytes.length t.media))
 
-(* Before a store mutates line [idx], keep its durable content as
+(* --- the undo log ------------------------------------------------------ *)
+
+let entry_line t p = t.chunks.(p lsr chunk_bits).lines.(p land chunk_mask)
+
+(* Copies entry [p]'s pre-image into [dst] at [dst_off]. *)
+let blit_pre t p dst dst_off =
+  Bytes.blit t.chunks.(p lsr chunk_bits).pre ((p land chunk_mask) * line_size) dst dst_off line_size
+
+(* Drops the chunks past the end of the log, so a log that once grew
+   long does not keep its peak footprint. *)
+let trim t =
+  let keep = max 1 ((t.len + chunk_mask) lsr chunk_bits) in
+  if Array.length t.chunks > keep then t.chunks <- Array.sub t.chunks 0 keep
+
+(* Or-ed into a state byte by [live_positions] while it runs. *)
+let seen = 4
+
+(* Log positions of the live entries — each non-clean line's newest —
+   oldest first.  A backward pass takes the first entry it meets for
+   each non-clean line, marking the line's state byte so older entries
+   for it are skipped; the marks are cleared before returning. *)
+let live_positions t =
+  let acc = ref [] in
+  for p = t.len - 1 downto 0 do
+    let idx = entry_line t p in
+    let s = Bytes.get t.state idx in
+    if s = dirty || s = pending then begin
+      Bytes.set t.state idx (Char.unsafe_chr (Char.code s lor seen));
+      acc := p :: !acc
+    end
+  done;
+  List.iter
+    (fun p ->
+      let idx = entry_line t p in
+      Bytes.set t.state idx (Char.unsafe_chr (Char.code (Bytes.get t.state idx) land lnot seen)))
+    !acc;
+  !acc
+
+(* Keeps only the live entries, in log order. *)
+let compact t =
+  List.iteri
+    (fun w p ->
+      if w <> p then begin
+        let c = t.chunks.(w lsr chunk_bits) and slot = w land chunk_mask in
+        c.lines.(slot) <- entry_line t p;
+        blit_pre t p c.pre (slot * line_size)
+      end)
+    (live_positions t);
+  t.len <- t.live;
+  trim t
+
+(* Logs line [idx] leaving [clean], with the pre-image at [src_off] in
+   [src].  A log longer than about 1.25x its live entries plus one chunk
+   is compacted first, so dead entries cost bounded space. *)
+let append t idx src src_off =
+  if t.len > t.live + (t.live lsr 2) + chunk_entries then compact t;
+  let p = t.len in
+  if p lsr chunk_bits = Array.length t.chunks then
+    t.chunks <-
+      Array.append t.chunks
+        [| { lines = Array.make chunk_entries 0; pre = Bytes.create (chunk_entries * line_size) } |];
+  let c = t.chunks.(p lsr chunk_bits) and slot = p land chunk_mask in
+  c.lines.(slot) <- idx;
+  Bytes.blit src src_off c.pre (slot * line_size) line_size;
+  t.len <- p + 1;
+  t.live <- t.live + 1;
+  if t.live > 2 * t.nbuckets then t.nbuckets <- 2 * t.nbuckets
+
+(* Position of line [idx]'s newest entry, which must exist. *)
+let rec newest_entry t idx p = if entry_line t p = idx then p else newest_entry t idx (p - 1)
+
+(* Before a store mutates line [idx], log its durable content as
    rollback state.  A store into a flush-pending line resolves the
    in-flight write-back adversarially: it may or may not have reached the
-   medium (the only store that looks its backup up). *)
+   medium (the only store that looks its entry up, by a backward scan). *)
 let dirty_line t idx =
   let s = Bytes.get t.state idx in
   if s = clean then begin
-    let backup = Bytes.create line_size in
-    Bytes.blit t.media (idx * line_size) backup 0 line_size;
-    Hashtbl.add t.backups idx backup;
+    append t idx t.media (idx * line_size);
     Bytes.set t.state idx dirty
   end
   else if s = pending then begin
-    if Tinca_util.Rng.bool t.rng then
-      Bytes.blit t.media (idx * line_size) (Hashtbl.find t.backups idx) 0 line_size;
+    if Tinca_util.Rng.bool t.rng then begin
+      let p = newest_entry t idx (t.len - 1) in
+      Bytes.blit t.media (idx * line_size) t.chunks.(p lsr chunk_bits).pre
+        ((p land chunk_mask) * line_size) line_size
+    end;
     Bytes.set t.state idx dirty
   end
 
@@ -299,10 +394,10 @@ let flush_ranges t ranges =
 
 (* Retires exactly the lines flushed since the last fence, walking only
    [t.flushed] — not every non-durable line, which includes every line
-   stored but never flushed.  Removing a key keeps the rest of its bucket
-   in order, so the order lines are retired in cannot change the backup
-   table's later iteration order, which [crash] draws its per-line
-   outcomes in. *)
+   stored but never flushed.  Retiring a line only flips its state byte:
+   its log entry goes dead in place, so the order lines are retired in
+   cannot change the order [crash] draws in.  Once no line is live the
+   whole log is dropped. *)
 let sfence t =
   event t;
   Metrics.incr t.metrics "pmem.sfence" ~by:1;
@@ -314,13 +409,19 @@ let sfence t =
          already retired. *)
       if Bytes.get t.state idx = pending then begin
         Bytes.set t.state idx clean;
-        Hashtbl.remove t.backups idx;
         t.wear.(idx) <- t.wear.(idx) + 1;
         incr persisted
       end)
     t.flushed;
   t.flushed <- [];
-  if !persisted > 0 then Metrics.incr t.metrics "pmem.lines_persisted" ~by:!persisted;
+  if !persisted > 0 then begin
+    Metrics.incr t.metrics "pmem.lines_persisted" ~by:!persisted;
+    t.live <- t.live - !persisted;
+    if t.live = 0 then begin
+      t.len <- 0;
+      trim t
+    end
+  end;
   emit t Sfence
 
 let persist t ~off ~len =
@@ -332,32 +433,53 @@ let persist t ~off ~len =
 (* Cache lines dirtied since the last fence, ascending.  At a crash each
    of these may independently reach the medium or be lost, so they span
    the survival-subset space the model checker enumerates. *)
-let unfenced_lines t =
-  List.sort compare (Hashtbl.fold (fun idx _ acc -> idx :: acc) t.backups [])
+let unfenced_lines t = List.sort Int.compare (List.map (entry_line t) (live_positions t))
 
-(* Whether losing/keeping [idx] changes the medium: a line whose volatile
-   content equals its durable backup is unaffected by the crash outcome. *)
-let line_torn t idx =
-  match Hashtbl.find_opt t.backups idx with
-  | None -> false
-  | Some backup -> not (Bytes.equal backup (Bytes.sub t.media (idx * line_size) line_size))
+(* The unfenced lines whose loss changes the medium, ascending: a line
+   whose volatile content equals its logged pre-image is unaffected by
+   the crash outcome. *)
+let torn_lines t =
+  let cur = Bytes.create line_size in
+  List.sort Int.compare
+    (List.filter_map
+       (fun p ->
+         let idx = entry_line t p in
+         blit_pre t p cur 0;
+         if Bytes.equal cur (Bytes.sub t.media (idx * line_size) line_size) then None else Some idx)
+       (live_positions t))
 
-(* Empties the volatile line layer: every line is clean again. *)
+(* Empties the volatile line layer: every line is clean again, and the
+   emulated table is back to its initial bucket count. *)
 let clear_lines t =
-  Hashtbl.iter (fun idx _ -> Bytes.set t.state idx clean) t.backups;
-  Hashtbl.reset t.backups;
-  t.flushed <- []
+  for p = 0 to t.len - 1 do
+    Bytes.set t.state (entry_line t p) clean
+  done;
+  t.len <- 0;
+  t.live <- 0;
+  t.nbuckets <- initial_buckets;
+  t.flushed <- [];
+  trim t
+
+(* The live entries as [(line, position)] pairs, in the reverse of the
+   order a stdlib [Hashtbl.create 4096] would fold them in had it seen one
+   [add] per log append and one [remove] per retirement.  Such a table
+   holds each bucket's keys newest first, and neither a removal nor a
+   resize reorders the rest, so a fresh table with the same bucket count,
+   fed only the live entries oldest first, folds in the same order. *)
+let fold_order t =
+  let h = Hashtbl.create t.nbuckets in
+  List.iter (fun p -> Hashtbl.add h (entry_line t p) p) (live_positions t);
+  Hashtbl.fold (fun idx p acc -> (idx, p) :: acc) h []
 
 (* Resolve a crash with an explicit survival verdict per unfenced line
    ([survive idx] = the line's newest content reached the medium), asked
-   in the backup table's fold order.  Leaves the device quiescent. *)
+   in [fold_order].  Leaves the device quiescent. *)
 let crash_select t ~survive =
-  let entries = Hashtbl.fold (fun idx backup acc -> (idx, backup) :: acc) t.backups [] in
   List.iter
-    (fun (idx, backup) ->
+    (fun (idx, p) ->
       if survive idx then t.wear.(idx) <- t.wear.(idx) + 1
-      else Bytes.blit backup 0 t.media (idx * line_size) line_size)
-    entries;
+      else blit_pre t p t.media (idx * line_size))
+    (fold_order t);
   clear_lines t;
   t.countdown <- None;
   emit t Crash
@@ -369,21 +491,25 @@ let crash ?seed ?(survival = 0.5) t =
 
 type snapshot = {
   snap_media : Bytes.t;
-  snap_lines : (int * Bytes.t * bool) list; (* line idx, backup, pending *)
+  snap_lines : (int * Bytes.t * bool) list; (* line idx, pre-image, pending *)
   snap_wear : int array;
 }
 
 (* Capture / reinstate the full device state (medium + volatile line
    layer), so the checker can re-enter the same pre-crash state once per
-   survival subset without replaying the workload.  [restore] disarms any
-   crash countdown; simulated time and metrics are left untouched. *)
+   survival subset without replaying the workload.  [restore] re-logs the
+   lines in the snapshot's order and disarms any crash countdown;
+   simulated time and metrics are left untouched. *)
 let snapshot t =
   {
     snap_media = Bytes.copy t.media;
     snap_lines =
-      Hashtbl.fold
-        (fun idx backup acc -> (idx, Bytes.copy backup, Bytes.get t.state idx = pending) :: acc)
-        t.backups [];
+      List.map
+        (fun (idx, p) ->
+          let pre = Bytes.create line_size in
+          blit_pre t p pre 0;
+          (idx, pre, Bytes.get t.state idx = pending))
+        (fold_order t);
     snap_wear = Array.copy t.wear;
   }
 
@@ -393,8 +519,8 @@ let restore t s =
   Bytes.blit s.snap_media 0 t.media 0 (Bytes.length t.media);
   clear_lines t;
   List.iter
-    (fun (idx, backup, is_pending) ->
-      Hashtbl.add t.backups idx (Bytes.copy backup);
+    (fun (idx, pre, is_pending) ->
+      append t idx pre 0;
       Bytes.set t.state idx (if is_pending then pending else dirty))
     s.snap_lines;
   t.flushed <-
@@ -412,7 +538,7 @@ let set_crash_countdown t c =
   t.countdown <- c
 
 let event_count t = t.events
-let dirty_line_count t = Hashtbl.length t.backups
+let dirty_line_count t = t.live
 
 let is_dirty t ~off =
   off >= 0 && off < Bytes.length t.media && Bytes.get t.state (off / line_size) <> clean

@@ -20,12 +20,17 @@
     Line state is stored densely: one byte per line records whether it is
     clean (durable), dirty (stored since it was last durable) or
     flush-pending (durable at the next fence), so a store, flush or
-    fence reads and writes that byte without hashing.  A hash table keyed
-    by line index holds only each non-clean line's 64 B durable backup:
-    a line pays one insertion when it leaves the clean state and one
-    removal when a fence retires it.  A crash walks that table, so its
-    per-line outcomes are drawn in an order that depends only on the
-    history of operations.
+    fence reads and writes that byte without hashing.  Rollback state
+    lives in an append-only undo log of fixed-size chunks: a line that
+    leaves the clean state appends its index and 64 B durable content,
+    and a fence that retires it only flips its state byte.  The log is
+    dropped once no line is left non-clean, and compacted in place when
+    dead entries outgrow the live ones.  A crash draws its per-line
+    outcomes in the order a stdlib hash table keyed by line index would
+    fold them in, had it seen one insertion per line leaving clean and
+    one removal per retirement, so every seeded outcome depends only on
+    the history of operations.  That order is computed only at crash
+    and snapshot time.
 
     Every operation charges simulated time to the owning {!Tinca_sim.Clock}
     and bumps counters in the owning {!Tinca_sim.Metrics}:
@@ -166,16 +171,19 @@ val set_crash_countdown : t -> int option -> unit
     At a crash, each may independently reach the medium or be lost. *)
 val unfenced_lines : t -> int list
 
-(** [line_torn t idx] — does losing vs. keeping line [idx] change the
-    medium?  [false] when the line's volatile content equals its durable
-    backup (such lines need not be enumerated). *)
-val line_torn : t -> int -> bool
+(** The unfenced lines whose loss changes the medium, ascending: a line
+    whose volatile content equals its durable content is left out (such
+    lines need not be enumerated).  One pass over the undo log. *)
+val torn_lines : t -> int list
 
 (** [crash_select t ~survive] resolves a crash with an explicit verdict
     per unfenced line: [survive idx] means the line's newest content
     reached the medium.  Empties the volatile layer and disarms any
     crash countdown.  [survive] is asked once per unfenced line, in the
-    order {!crash} draws in. *)
+    order {!crash} draws in: the reverse of the fold order of a
+    [Hashtbl.create 4096] that saw one [add] per line leaving the clean
+    state (or per line re-logged by {!restore}) and one [remove] per line
+    a fence retired, since the device was created or last emptied. *)
 val crash_select : t -> survive:(int -> bool) -> unit
 
 type snapshot

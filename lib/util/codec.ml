@@ -32,25 +32,47 @@ let set_u64_int b off v =
   assert (v >= 0);
   set_u64 b off (Int64.of_int v)
 
-let crc_table =
+(* Slicing-by-8 tables for the reflected IEEE polynomial, as native ints:
+   [crc_tables.(k * 256 + n)] is the CRC of byte [n] followed by [k] zero
+   bytes, so one step folds eight input bytes with eight lookups. *)
+let crc_tables =
   lazy
-    (let table = Array.make 256 0l in
+    (let t = Array.make (8 * 256) 0 in
      for n = 0 to 255 do
-       let c = ref (Int32.of_int n) in
+       let c = ref n in
        for _ = 0 to 7 do
-         if Int32.logand !c 1l <> 0l then
-           c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-         else c := Int32.shift_right_logical !c 1
+         c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
        done;
-       table.(n) <- !c
+       t.(n) <- !c
      done;
-     table)
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+       done
+     done;
+     t)
 
 let crc32 b ~pos ~len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  for i = pos to pos + len - 1 do
-    let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i)))) 0xffl) in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Codec.crc32: bad range";
+  let t = Lazy.force crc_tables in
+  let c = ref 0xFFFFFFFF and i = ref pos in
+  let stop8 = pos + (len land lnot 7) and stop = pos + len in
+  while !i < stop8 do
+    let lo = !c lxor get_u32 b !i and hi = get_u32 b (!i + 4) in
+    c :=
+      Array.unsafe_get t ((7 * 256) + (lo land 0xff))
+      lxor Array.unsafe_get t ((6 * 256) + ((lo lsr 8) land 0xff))
+      lxor Array.unsafe_get t ((5 * 256) + ((lo lsr 16) land 0xff))
+      lxor Array.unsafe_get t ((4 * 256) + (lo lsr 24))
+      lxor Array.unsafe_get t ((3 * 256) + (hi land 0xff))
+      lxor Array.unsafe_get t ((2 * 256) + ((hi lsr 8) land 0xff))
+      lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xff))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  while !i < stop do
+    c := Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get b !i)) land 0xff) lxor (!c lsr 8);
+    incr i
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)

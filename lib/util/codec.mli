@@ -30,5 +30,6 @@ val get_u64_int : bytes -> int -> int
 val set_u64_int : bytes -> int -> int -> unit
 
 (** [crc32 b ~pos ~len] — CRC-32 (IEEE polynomial) used to checksum
-    persistent superblocks and journal blocks. *)
+    persistent superblocks and journal blocks.  Raises [Invalid_argument]
+    when the range is not within [b]. *)
 val crc32 : bytes -> pos:int -> len:int -> int32

@@ -199,7 +199,7 @@ let test_unfenced_lines_ordering () =
   (* The fence persisted line 3 only; 1 and 5 were never flushed. *)
   Alcotest.(check (list int)) "fence clears pending only" [ 1; 5 ] (Pmem.unfenced_lines p)
 
-let test_line_torn () =
+let test_torn_lines () =
   let p, _, _ = mk ~size:4096 () in
   Pmem.write p ~off:0 (bytes_of "version1");
   Pmem.persist p ~off:0 ~len:8;
@@ -207,10 +207,19 @@ let test_line_torn () =
      losing vs. keeping it is indistinguishable, so it is not torn. *)
   Pmem.write p ~off:0 (bytes_of "version1");
   Alcotest.(check (list int)) "line is unfenced" [ 0 ] (Pmem.unfenced_lines p);
-  Alcotest.(check bool) "identical rewrite is not torn" false (Pmem.line_torn p 0);
+  Alcotest.(check (list int)) "identical rewrite is not torn" [] (Pmem.torn_lines p);
   (* A genuine change is torn. *)
   Pmem.write p ~off:0 (bytes_of "version2");
-  Alcotest.(check bool) "changed line is torn" true (Pmem.line_torn p 0)
+  Alcotest.(check (list int)) "changed line is torn" [ 0 ] (Pmem.torn_lines p);
+  (* Listed ascending, whatever the store order; a line whose pre-image
+     was logged twice (fenced in between) is judged by its newest one. *)
+  Pmem.write p ~off:(5 * 64) (bytes_of "e");
+  Pmem.write p ~off:(3 * 64) (bytes_of "\000");
+  Pmem.write p ~off:(2 * 64) (bytes_of "c");
+  Pmem.persist p ~off:(2 * 64) ~len:1;
+  Pmem.write p ~off:(2 * 64) (bytes_of "c");
+  Alcotest.(check (list int)) "unfenced" [ 0; 2; 3; 5 ] (Pmem.unfenced_lines p);
+  Alcotest.(check (list int)) "torn, ascending" [ 0; 5 ] (Pmem.torn_lines p)
 
 let test_crash_select_verdicts () =
   let p, _, _ = mk ~size:4096 () in
@@ -515,6 +524,237 @@ let prop_model =
       run_against_model ops;
       true)
 
+(* --- crash draw order against a stdlib hash table ----------------------- *)
+
+(* The line layer as it was when a [(int, Bytes.t) Hashtbl.create 4096]
+   held every non-clean line's backup: one [add] when a line leaves
+   clean, one [remove] when a fence retires it, [reset] when the layer
+   is emptied.  [crash_select] asks in the reverse of that table's fold
+   order and [restore] re-adds in the snapshot's order; [Pmem] must give
+   the same order from its undo log. *)
+module Ref = struct
+  type t = {
+    media : Bytes.t;
+    state : Bytes.t; (* 'c'lean, 'd'irty, 'p'ending *)
+    backups : (int, Bytes.t) Hashtbl.t;
+    mutable flushed : int list;
+    rng : Tinca_util.Rng.t;
+  }
+
+  let create ~seed ~size =
+    {
+      media = Bytes.make size '\000';
+      state = Bytes.make (size / 64) 'c';
+      backups = Hashtbl.create 4096;
+      flushed = [];
+      rng = Tinca_util.Rng.create seed;
+    }
+
+  let store t off len =
+    for idx = off / 64 to (off + len - 1) / 64 do
+      match Bytes.get t.state idx with
+      | 'c' ->
+          Hashtbl.add t.backups idx (Bytes.sub t.media (idx * 64) 64);
+          Bytes.set t.state idx 'd'
+      | 'p' ->
+          if Tinca_util.Rng.bool t.rng then
+            Bytes.blit t.media (idx * 64) (Hashtbl.find t.backups idx) 0 64;
+          Bytes.set t.state idx 'd'
+      | _ -> ()
+    done
+
+  let flush t off len =
+    for idx = off / 64 to (off + len - 1) / 64 do
+      if Bytes.get t.state idx = 'd' then begin
+        Bytes.set t.state idx 'p';
+        t.flushed <- idx :: t.flushed
+      end
+    done
+
+  let sfence t =
+    List.iter
+      (fun idx ->
+        if Bytes.get t.state idx = 'p' then begin
+          Bytes.set t.state idx 'c';
+          Hashtbl.remove t.backups idx
+        end)
+      t.flushed;
+    t.flushed <- []
+
+  let clear t =
+    Hashtbl.iter (fun idx _ -> Bytes.set t.state idx 'c') t.backups;
+    Hashtbl.reset t.backups;
+    t.flushed <- []
+
+  let crash_select t ~survive =
+    List.iter
+      (fun (idx, backup) -> if not (survive idx) then Bytes.blit backup 0 t.media (idx * 64) 64)
+      (Hashtbl.fold (fun idx backup acc -> (idx, backup) :: acc) t.backups []);
+    clear t
+
+  let snapshot t =
+    ( Bytes.copy t.media,
+      Hashtbl.fold
+        (fun idx backup acc -> (idx, Bytes.copy backup, Bytes.get t.state idx = 'p') :: acc)
+        t.backups [] )
+
+  let restore t (media, lines) =
+    Bytes.blit media 0 t.media 0 (Bytes.length media);
+    clear t;
+    List.iter
+      (fun (idx, backup, pending) ->
+        Hashtbl.add t.backups idx (Bytes.copy backup);
+        Bytes.set t.state idx (if pending then 'p' else 'd'))
+      lines;
+    t.flushed <- List.filter_map (fun (idx, _, p) -> if p then Some idx else None) lines
+end
+
+type order_op =
+  | O_write of int * int (* off, len *)
+  | O_fill of int * int
+  | O_burst of int (* fill lines [0, n) *)
+  | O_atomic8 of int (* 8 B slot *)
+  | O_atomic16 of int (* 16 B slot *)
+  | O_flush_ranges of (int * int) list
+  | O_sfence
+  | O_snap_restore (* snapshot, diverge (crash + store), restore *)
+  | O_crash of int (* verdicts drawn from this seed *)
+
+let show_order_op = function
+  | O_write (o, l) -> Printf.sprintf "Write(%d,%d)" o l
+  | O_fill (o, l) -> Printf.sprintf "Fill(%d,%d)" o l
+  | O_burst n -> Printf.sprintf "Burst %d" n
+  | O_atomic8 s -> Printf.sprintf "Atomic8 %d" s
+  | O_atomic16 s -> Printf.sprintf "Atomic16 %d" s
+  | O_flush_ranges r ->
+      "Flush_ranges ["
+      ^ String.concat ";" (List.map (fun (o, l) -> Printf.sprintf "(%d,%d)" o l) r)
+      ^ "]"
+  | O_sfence -> "Sfence"
+  | O_snap_restore -> "Snap_restore"
+  | O_crash k -> Printf.sprintf "Crash %d" k
+
+(* Big enough for more than 8 192 live lines, the second bucket-count
+   doubling of a 4 096-bucket table. *)
+let order_lines = 20_000
+let order_size = order_lines * 64
+
+(* Runs [ops] on a fresh device and on [Ref], failing at the first crash
+   whose verdicts are asked in a different order or which leaves a
+   different medium.  Every store writes a value unique to its step, so
+   each verdict shows in the medium.  A final crash resolves what is
+   left. *)
+let run_against_order ops =
+  let p, _, _ = mk ~size:order_size ~seed:3 () in
+  let r = Ref.create ~seed:3 ~size:order_size in
+  let crash what k =
+    let asked rng order idx =
+      order := idx :: !order;
+      Tinca_util.Rng.bool rng
+    in
+    let got = ref [] and want = ref [] in
+    Pmem.crash_select p ~survive:(asked (Tinca_util.Rng.create k) got);
+    Ref.crash_select r ~survive:(asked (Tinca_util.Rng.create k) want);
+    if !got <> !want then
+      failwith
+        (Printf.sprintf "%s: survive asked in a different order (%d vs %d lines)" what
+           (List.length !got) (List.length !want));
+    if not (Bytes.equal (Pmem.read p ~off:0 ~len:order_size) r.Ref.media) then
+      failwith (what ^ ": media differ after the crash")
+  in
+  (* [pmem_store] stores [len] bytes [v] at [off] on the device. *)
+  let store off len v pmem_store =
+    pmem_store ();
+    Ref.store r off len;
+    Bytes.fill r.Ref.media off len v
+  in
+  let flush ranges =
+    Pmem.flush_ranges p ranges;
+    List.iter (fun (off, len) -> if len > 0 then Ref.flush r off len) ranges
+  in
+  List.iteri
+    (fun step op ->
+      let what = Printf.sprintf "step %d %s" step (show_order_op op) in
+      let v = Char.chr (1 + (step mod 255)) in
+      (match op with
+      | O_write (off, len) -> store off len v (fun () -> Pmem.write p ~off (Bytes.make len v))
+      | O_fill (off, len) -> store off len v (fun () -> Pmem.fill p ~off ~len v)
+      | O_burst n -> store 0 (n * 64) v (fun () -> Pmem.fill p ~off:0 ~len:(n * 64) v)
+      | O_atomic8 s ->
+          let word = Int64.mul 0x0101010101010101L (Int64.of_int (Char.code v)) in
+          store (s * 8) 8 v (fun () -> Pmem.atomic_write8 p ~off:(s * 8) word)
+      | O_atomic16 s ->
+          store (s * 16) 16 v (fun () -> Pmem.atomic_write16 p ~off:(s * 16) (Bytes.make 16 v))
+      | O_flush_ranges ranges -> flush ranges
+      | O_sfence ->
+          Pmem.sfence p;
+          Ref.sfence r
+      | O_snap_restore ->
+          let snap = Pmem.snapshot p and rsnap = Ref.snapshot r in
+          Pmem.crash_select p ~survive:(fun _ -> false);
+          Pmem.write p ~off:0 (Bytes.make 64 'z');
+          Pmem.restore p snap;
+          Ref.restore r rsnap
+      | O_crash k -> crash what k);
+      if Pmem.dirty_line_count p <> Hashtbl.length r.Ref.backups then
+        failwith (what ^ ": different number of unfenced lines"))
+    ops;
+  crash "final crash" 0
+
+let gen_order_op =
+  let open QCheck.Gen in
+  let off = int_bound (order_size - 1) in
+  let range max_len = map2 (fun o l -> (o, min l (order_size - o))) off (int_range 1 max_len) in
+  frequency
+    [
+      (4, map (fun (o, l) -> O_write (o, l)) (range 200));
+      (1, map (fun (o, l) -> O_fill (o, l)) (range (order_size / 2)));
+      (1, map (fun n -> O_burst n) (oneofl [ 4096; 4097; 8192; 8193; 16_384; order_lines ]));
+      (1, map (fun s -> O_atomic8 s) (int_bound ((order_size / 8) - 1)));
+      (1, map (fun s -> O_atomic16 s) (int_bound ((order_size / 16) - 1)));
+      (3, map (fun r -> O_flush_ranges r) (list_size (int_range 1 4) (range (order_size / 4))));
+      (2, return O_sfence);
+      (1, return O_snap_restore);
+      (1, map (fun k -> O_crash k) small_nat);
+    ]
+
+(* The resize boundaries exactly: a table that has grown past 4 096 or
+   8 192 buckets folds in a different order than a fresh one, and an
+   emptied one is back to 4 096.  Each [O_burst] after a crash leaves
+   exactly that many live lines. *)
+let test_order_boundaries () =
+  List.iter
+    (fun n ->
+      run_against_order
+        [ O_burst n; O_crash 1; O_write (64, 8); O_burst 100; O_crash 2; O_burst n; O_snap_restore ])
+    [ 8192; 8193; 16_384; 16_385 ];
+  (* Pending stores, a fence that empties the log, and dead entries
+     enough to compact it. *)
+  run_against_order
+    [
+      O_burst 3000;
+      O_flush_ranges [ (0, 3000 * 64) ];
+      O_write (128, 100);
+      O_sfence;
+      O_burst 3000;
+      O_flush_ranges [ (0, 2000 * 64) ];
+      O_sfence;
+      O_burst 2500;
+      O_snap_restore;
+      O_flush_ranges [ (0, 3000 * 64) ];
+      O_sfence;
+      O_write (0, 64);
+    ]
+
+let prop_crash_order =
+  QCheck.Test.make ~name:"crash draw order matches a stdlib hash table" ~count:100
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_order_op ops))
+       QCheck.Gen.(list_size (int_range 1 30) gen_order_op))
+    (fun ops ->
+      run_against_order ops;
+      true)
+
 (* Pins [crash]'s per-line draw order, which is the backup table's
    iteration order after every earlier fence's removals: with thousands
    of unfenced lines left, any change to that order (or to which lines a
@@ -574,7 +814,7 @@ let suite =
     ( "pmem.exploration",
       [
         Alcotest.test_case "unfenced_lines ascending" `Quick test_unfenced_lines_ordering;
-        Alcotest.test_case "line_torn clean vs torn" `Quick test_line_torn;
+        Alcotest.test_case "torn_lines clean vs torn" `Quick test_torn_lines;
         Alcotest.test_case "crash_select verdicts" `Quick test_crash_select_verdicts;
         Alcotest.test_case "snapshot/restore roundtrip" `Quick test_snapshot_restore_roundtrip;
         Alcotest.test_case "wear_max_in ranges" `Quick test_wear_max_in_ranges;
@@ -584,6 +824,8 @@ let suite =
         Alcotest.test_case "pending-list edge cases" `Quick test_model_edge_cases;
         q prop_model;
         Alcotest.test_case "seeded crash digest pinned" `Quick test_crash_digest_pinned;
+        Alcotest.test_case "crash order at resize boundaries" `Quick test_order_boundaries;
+        q prop_crash_order;
       ] );
     ( "pmem.observer",
       [

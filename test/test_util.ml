@@ -107,6 +107,38 @@ let test_crc32_detects_change () =
   let c2 = Codec.crc32 b ~pos:0 ~len:(Bytes.length b) in
   Alcotest.(check bool) "crc changed" false (Int32.equal c1 c2)
 
+(* Bit-at-a-time CRC-32, the definition the table-driven kernel must
+   agree with on every range. *)
+let crc32_bitwise b ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let prop_crc32_matches_bitwise =
+  QCheck.Test.make ~name:"crc32 matches bitwise definition" ~count:300
+    QCheck.(triple (string_of_size Gen.(int_range 0 300)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let buf = Bytes.of_string s in
+      let n = Bytes.length buf in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      Int32.equal (crc32_bitwise buf ~pos ~len) (Codec.crc32 buf ~pos ~len))
+
+let test_crc32_bad_range () =
+  let b = Bytes.make 16 'x' in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d len %d" pos len)
+        (Invalid_argument "Codec.crc32: bad range")
+        (fun () -> ignore (Codec.crc32 b ~pos ~len)))
+    [ (-1, 4); (0, 17); (9, 8); (0, -1) ]
+
 let test_histogram_basic () =
   let h = Histogram.create () in
   List.iter (Histogram.add h) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
@@ -201,6 +233,8 @@ let suite =
         Alcotest.test_case "u64 int guard" `Quick test_codec_u64_int;
         Alcotest.test_case "crc32 known value" `Quick test_crc32_known;
         Alcotest.test_case "crc32 detects change" `Quick test_crc32_detects_change;
+        Alcotest.test_case "crc32 bad range" `Quick test_crc32_bad_range;
+        q prop_crc32_matches_bitwise;
         q prop_codec_u56_roundtrip;
         q prop_codec_u32_roundtrip;
       ] );
