@@ -172,22 +172,16 @@ let bench_persist_behind_unflushed =
 (* The line layer under one logging commit, as
    [pmem.store_lines_per_commit] counts it: 538 lines stored — eight 4 KiB
    blocks and 26 scattered single lines — then flushed in one
-   [flush_ranges] burst and retired by one fence.  Offsets rotate over
-   the device so every line leaves clean afresh. *)
+   [flush_ranges] burst and retired by one fence. *)
 let bench_commit_burst =
   let clock = Clock.create () in
   let metrics = Metrics.create () in
   let pmem = Pmem.create ~clock ~metrics ~tech:Latency.Pcm ~size:(8 * 1024 * 1024) () in
   let line = Bytes.make Pmem.line_size 'l' in
-  let n = ref 0 in
+  let blocks = List.init 8 (fun i -> (i * 4096, 4096)) in
+  let lines = List.init 26 (fun i -> (32768 + (i * 2 * Pmem.line_size), Pmem.line_size)) in
   Test.make ~name:"pmem: commit burst (538 lines store + flush_ranges + sfence)"
     (Staged.stage (fun () ->
-         incr n;
-         let base = !n land 31 * 65536 in
-         let blocks = List.init 8 (fun i -> (base + (i * 4096), 4096)) in
-         let lines =
-           List.init 26 (fun i -> (base + 32768 + (i * 2 * Pmem.line_size), Pmem.line_size))
-         in
          List.iter (fun (off, _) -> Pmem.write pmem ~off block) blocks;
          List.iter (fun (off, _) -> Pmem.write pmem ~off line) lines;
          Pmem.flush_ranges pmem (blocks @ lines);
@@ -239,20 +233,11 @@ let bench_lru =
          incr n;
          Lru.touch lru nodes.(!n land 1023)))
 
-(* [only]: when non-empty, run just the cases whose name contains one of
-   these substrings. *)
-let run_benchmarks ~only =
+let run_benchmarks () =
   print_endline "==============================================================";
   print_endline " Part 2: Bechamel wall-clock micro-benchmarks (host machine)";
   print_endline "==============================================================";
-  let contains name sub =
-    let n = String.length name and k = String.length sub in
-    let rec at i = i + k <= n && (String.sub name i k = sub || at (i + 1)) in
-    at 0
-  in
-  let selected test = only = [] || List.exists (contains (Test.name test)) only in
   let tests =
-    List.filter selected
     [
       bench_tables;
       bench_classic_commit;
@@ -286,10 +271,7 @@ let run_benchmarks ~only =
       | Some _ | None -> Printf.printf "  %-55s (no estimate)\n" name)
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
 
-(* [main.exe] runs both parts; [main.exe NAME...] runs only the
-   micro-benchmarks whose name contains one of the given substrings. *)
 let () =
-  let only = List.tl (Array.to_list Sys.argv) in
-  if only = [] then run_experiments ();
-  run_benchmarks ~only;
+  run_experiments ();
+  run_benchmarks ();
   print_endline "\nbench: done."
