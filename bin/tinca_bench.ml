@@ -438,9 +438,8 @@ let check_group_cmd =
   in
   Cmd.v (Cmd.info "check-group" ~doc) Term.(const run_check_group $ window $ streams)
 
-(* `check-page` subcommand: the commit-scheme ablation CI gate
-   (ISSUE 10) — paging's fence budget flat in transaction size, the
-   commit_scheme/commit_pipeline shim identity, a budgeted paging
+(* `check-page` subcommand: the commit-scheme ablation CI gate —
+   paging's fence budget flat in transaction size, a budgeted paging
    crash-space sweep and lockstep refinement at N=1/4, psan-clean
    paging workload. *)
 let run_check_page () =
@@ -460,8 +459,8 @@ let run_check_page () =
 
 let check_page_cmd =
   let doc =
-    "Validate the commit-scheme ablation (paging fence budget, scheme-config shim identity, \
-     budgeted paging crash sweep + lockstep refinement, psan)."
+    "Validate the commit-scheme ablation (paging fence budget, budgeted paging crash sweep + \
+     lockstep refinement, psan)."
   in
   Cmd.v (Cmd.info "check-page" ~doc) Term.(const run_check_page $ const ())
 

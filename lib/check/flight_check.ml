@@ -150,26 +150,26 @@ let total_events cfg =
 
 (* --- post-crash evaluation ---------------------------------------------- *)
 
-let logical_block shard disk blk =
-  match Shard.peek shard blk with Some data -> data | None -> Disk.read_block disk blk
+let logical_block peek disk blk =
+  match peek blk with Some data -> data | None -> Disk.read_block disk blk
 
 (* One digest over every block's recovered logical content — the value
    the recorder on/off pin compares. *)
-let logical_digest shard env universe =
+let logical_digest peek env universe =
   let buf = Buffer.create (universe * 4096) in
   for blk = 0 to universe - 1 do
-    Buffer.add_bytes buf (logical_block shard env.disk blk)
+    Buffer.add_bytes buf (logical_block peek env.disk blk)
   done;
   Digest.string (Buffer.contents buf)
 
 (* [] when every block carries its table fill byte, else the mismatches
    as [(blk, expected, got)] — got is the block's first byte ('?' for a
    mixed block, which the fill-byte workload never legitimately makes). *)
-let mismatches shard env universe table =
+let mismatches peek env universe table =
   let out = ref [] in
   for blk = universe - 1 downto 0 do
     let expect = match Hashtbl.find_opt table blk with Some v -> v | None -> '\000' in
-    let data = logical_block shard env.disk blk in
+    let data = logical_block peek env.disk blk in
     let first = Bytes.get data 0 in
     let uniform = ref true in
     Bytes.iter (fun c -> if c <> first then uniform := false) data;
@@ -190,19 +190,20 @@ let check_state cfg env ~durable ~sealed ~current =
   | Ok t_on -> (
       let errs = ref [] in
       let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
-      (try Shard.check_invariants (Tinca.shard t_on)
+      (try Tinca.check_invariants t_on
        with e -> err "invariant audit (replay on) raised %s" (Printexc.to_string e));
-      let d_on = logical_digest (Tinca.shard t_on) env cfg.universe in
+      let peek_on = Tinca.peek t_on in
+      let d_on = logical_digest peek_on env cfg.universe in
       (* Judge: recovered state must be the acked image or the acked
          image plus the whole standing batch. *)
-      let m_durable = mismatches (Tinca.shard t_on) env cfg.universe durable in
-      let m_sealed = mismatches (Tinca.shard t_on) env cfg.universe sealed in
+      let m_durable = mismatches peek_on env cfg.universe durable in
+      let m_sealed = mismatches peek_on env cfg.universe sealed in
       (if m_durable <> [] && m_sealed <> [] then
          (* Third candidate: the transaction whose commit_async the
             crash interrupted was sealed AND drained inside the call. *)
          let with_current = Hashtbl.copy sealed in
          List.iter (fun (b, v) -> Hashtbl.replace with_current b v) current;
-         let m_current = mismatches (Tinca.shard t_on) env cfg.universe with_current in
+         let m_current = mismatches peek_on env cfg.universe with_current in
          if m_current <> [] then
            let show (b, e, g) =
              Printf.sprintf "blk %d exp %d got %d" b (Char.code e) (Char.code g)
@@ -239,7 +240,7 @@ let check_state cfg env ~durable ~sealed ~current =
           err "recovery (replay off) raised %s" (Printexc.to_string e);
           (List.rev !errs, dossier))
       | shard_off ->
-          let d_off = logical_digest shard_off env cfg.universe in
+          let d_off = logical_digest (Shard.peek shard_off) env cfg.universe in
           if d_on <> d_off then
             err "replay on/off recovered DIFFERENT logical states (recorder is not a pure observer)";
           (List.rev !errs, dossier))

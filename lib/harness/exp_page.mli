@@ -27,9 +27,7 @@ val crossover : sample list -> int option
 val fig_log_vs_page : unit -> Tinca_util.Tabular.t list
 
 (** The [tinca_bench check-page] CI gate: paging's fence budget is flat
-    in transaction size, the [commit_scheme] and deprecated
-    [commit_pipeline] spellings of the logging pipeline are media- and
-    cost-identical, a budgeted crash-space sweep and lockstep spec
+    in transaction size, a budgeted crash-space sweep and lockstep spec
     refinement hold for paging at N=1 and N=4 (logging N=4 rides
     along), and a psan-observed paging workload (N=2, with recovery) is
     violation-free.  Returns the result tables and the verdict. *)

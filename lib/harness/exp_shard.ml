@@ -43,7 +43,7 @@ let micro_facade ~nshards ~pipeline ~instr ~n =
       Tinca.Config.default with
       Tinca.Config.nvm_bytes;
       ring_slots = 4096;
-      commit_pipeline = pipeline;
+      commit_scheme = Tinca.Config.Logging pipeline;
       flush_instr = instr;
       nshards;
     }

@@ -6,11 +6,12 @@
     This is the single entry point the stacks, the harness and [bin/]
     program against; {!Tinca_core.Cache} keeps its exception-based
     interface underneath (the {!to_exn} bridge maps each [error]
-    constructor to exactly one of the old exceptions).  The handle is a
-    {!Tinca_core.Commit_scheme.engine} (ISSUE 10): the logging scheme's
-    {!Tinca_core.Shard} — one cache for [nshards = 1], the striped
-    multi-ring layer otherwise — or the paging scheme's
-    {!Tinca_core.Paging} indirection-table engine. *)
+    constructor to exactly one of the old exceptions).  The handle wraps
+    one of the two commit engines and every entry point dispatches on
+    it directly: the logging scheme's {!Tinca_core.Shard}
+    — one cache for [nshards = 1], the striped multi-ring layer
+    otherwise — or the paging scheme's {!Tinca_core.Paging}
+    indirection-table engine. *)
 
 (** Re-exported from {!Tinca_core.Cache} with a type equation, so both
     APIs share constructors. *)
@@ -47,11 +48,6 @@ module Config : sig
     ring_slots : int;  (** ring slots {e per shard} (logging); default 131072 *)
     nshards : int;  (** 1 (default) .. {!Tinca_core.Shard.max_shards} *)
     commit_scheme : scheme;  (** default [Logging Batched] *)
-    commit_pipeline : pipeline;
-        (** DEPRECATED pre-ISSUE-10 spelling of [Logging pipeline]; still
-            honoured when [commit_scheme] is left at its default, and
-            normalized by {!validate} so the two fields agree.  New code
-            sets [commit_scheme]. *)
     flush_instr : Tinca_sim.Latency.flush_instr;  (** default [Clflush] *)
     write_policy : write_policy;  (** default [Write_back]; paging is write-back only *)
     clean_threshold : float;  (** in (0, 1]; default 0.7 *)
@@ -75,23 +71,18 @@ module Config : sig
 
   val default : t
 
-  (** The scheme {!validate} will resolve [c] to: the deprecation shim
-      defers an untouched [commit_scheme] to [commit_pipeline]. *)
-  val effective_scheme : t -> scheme
-
   val scheme_name : scheme -> string
 
   (** Full validation, subsuming the ad-hoc geometry checks: block size
       and ring shape, shard count bounds, threshold range, that the
       per-shard span actually hosts a layout, and the scheme-specific
       combination rules (paging rejects a group window and
-      write-through).  Returns the config with [commit_scheme] /
-      [commit_pipeline] normalized to agree. *)
+      write-through).  Returns the config unchanged when valid. *)
   val validate : t -> (t, string) result
 
-  (** The per-shard cache configuration this facade config induces
-      (logging scheme). *)
-  val to_cache_config : t -> Tinca_core.Cache.config
+  (** The per-shard cache configuration this facade config induces for
+      the logging scheme with the given pipeline. *)
+  val to_cache_config : t -> pipeline -> Tinca_core.Cache.config
 
   (** The paging-engine configuration this facade config induces. *)
   val to_page_config : t -> page_cfg -> Tinca_core.Paging.config
@@ -307,10 +298,6 @@ val sync : t -> unit
 val nshards : t -> int
 val block_size : t -> int
 
-(** The commit scheme this handle runs (constructor only — the payload
-    carries defaults, not the formatted values). *)
-val scheme : t -> Config.scheme
-
 (** ["logging"] or ["paging"]. *)
 val scheme_name : t -> string
 
@@ -322,13 +309,8 @@ val peek : t -> int -> bytes option
 val contains : t -> int -> bool
 
 (** The underlying sharded logging layer — escape hatch for the
-    harness, the checkers and tests.  Raises [Invalid_argument] on a
-    paging handle. *)
+    harness.  Raises [Invalid_argument] on a paging handle. *)
 val shard : t -> Tinca_core.Shard.t
-
-(** The underlying paging engine.  Raises [Invalid_argument] on a
-    logging handle. *)
-val paging : t -> Tinca_core.Paging.t
 
 (** One layout per shard, for the persistence sanitizer's region
     classifier.  Logging scheme only (raises [Invalid_argument] on a

@@ -1,17 +1,16 @@
-(* Commit-scheme ablation (ISSUE 10): the Commit_scheme interface and
-   the COW paging engine behind it.
+(* Commit-scheme ablation: the facade's two commit engines, the
+   logging ring and the COW paging engine.
 
-   - the logging scheme through the new interface is media- and
-     cost-identical to driving Shard directly (digest, fence count and
-     simulated time pinned at every tested transaction size, both
-     pipelines, N=1 and N=4);
+   - each scheme through the facade is media- and cost-identical to
+     driving its engine (Shard or Paging) directly (digest, fence count
+     and simulated time pinned at every tested transaction size, both
+     logging pipelines and paging, N=1 and N=4);
    - paging round-trips and survives recovery, with the scheme sniffed
      from the media magic;
    - scheme-aware stats: logging-only rows are absent (not zero) under
      paging and vice versa;
    - config: scheme spellings parse, validate rejects paging + group
-     window and paging + write-through, the deprecated commit_pipeline
-     shim still works, of_args funnels CLI arguments;
+     window and paging + write-through, of_args funnels CLI arguments;
    - paging's fence budget: 2 sfences per single-shard commit of any
      size, 4 per multi-shard commit;
    - lockstep refinement of the paging engine at N=1 and N=4; a
@@ -63,17 +62,30 @@ let commit_blocks tc blocks v =
   List.iter (fun b -> Tinca.ok_exn (Tinca.write h b (payload v))) blocks;
   Tinca.ok_exn (Tinca.commit h)
 
-(* --- the logging scheme is the old pipeline, byte for byte --------------- *)
+(* --- the facade costs nothing over either engine ------------------------ *)
 
 (* The same mixed-size commit stream (Exp_commit.measured_size, the
-   stream every figure uses) through Shard directly and through the
-   facade's Commit_scheme indirection: media digest, sfence count and
-   simulated end time must all agree — the interface extraction cost
-   nothing, at every transaction size, on both pipelines, sharded and
-   not. *)
+   stream every figure uses) through each engine directly (Shard or
+   Paging) and through the facade's scheme dispatch: media digest,
+   sfence count and simulated end time must all agree — the facade
+   costs nothing, at every transaction size, on both logging pipelines
+   and on paging, sharded and not. *)
 let test_media_cost_identity () =
   let universe = 48 in
-  let run_direct ~pipeline ~nshards ~n =
+  (* [begin_txn ()] opens a transaction and returns its add and commit. *)
+  let run_stream env ~n begin_txn =
+    let next = ref 0 in
+    for c = 0 to 11 do
+      let add, commit = begin_txn () in
+      for _ = 1 to Tinca_harness.Exp_commit.measured_size ~n c do
+        add (!next mod universe) (payload (Char.chr (0x20 + (c land 0x5f))));
+        incr next
+      done;
+      commit ()
+    done;
+    (Pmem.media_digest env.pmem, Metrics.get env.metrics "pmem.sfence", Clock.now_ns env.clock)
+  in
+  let run_direct ~scheme ~nshards ~n =
     let env = mk_env () in
     let fc =
       match
@@ -83,60 +95,59 @@ let test_media_cost_identity () =
             Tinca.Config.nvm_bytes = 512 * 1024;
             ring_slots = 128;
             nshards;
-            commit_scheme = Tinca.Config.Logging pipeline;
+            commit_scheme = scheme;
           }
       with
       | Ok c -> c
       | Error m -> Alcotest.fail m
     in
-    let s =
-      Shard.format ~nshards ~config:(Tinca.Config.to_cache_config fc) ~pmem:env.pmem
-        ~disk:env.disk ~clock:env.clock ~metrics:env.metrics
+    let begin_txn =
+      match scheme with
+      | Tinca.Config.Logging pipeline ->
+          let s =
+            Shard.format ~nshards ~config:(Tinca.Config.to_cache_config fc pipeline)
+              ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics
+          in
+          fun () ->
+            let h = Shard.Txn.init s in
+            (Shard.Txn.add h, fun () -> Shard.Txn.commit h)
+      | Tinca.Config.Paging pcfg ->
+          let pg =
+            Paging.format ~nshards ~config:(Tinca.Config.to_page_config fc pcfg) ~pmem:env.pmem
+              ~disk:env.disk ~clock:env.clock ~metrics:env.metrics
+          in
+          fun () ->
+            let h = Paging.Txn.init pg in
+            (Paging.Txn.add h, fun () -> Paging.Txn.commit h)
     in
-    let next = ref 0 in
-    for c = 0 to 11 do
-      let h = Shard.Txn.init s in
-      for _ = 1 to Tinca_harness.Exp_commit.measured_size ~n c do
-        Shard.Txn.add h (!next mod universe) (payload (Char.chr (0x20 + (c land 0x5f))));
-        incr next
-      done;
-      Shard.Txn.commit h
-    done;
-    (Pmem.media_digest env.pmem, Metrics.get env.metrics "pmem.sfence", Clock.now_ns env.clock)
+    run_stream env ~n begin_txn
   in
-  let run_facade ~pipeline ~nshards ~n =
+  let run_facade ~scheme ~nshards ~n =
     let env = mk_env () in
-    let tc = facade ~nshards ~scheme:(Tinca.Config.Logging pipeline) env in
-    let next = ref 0 in
-    for c = 0 to 11 do
-      let h = Tinca.init_txn tc in
-      for _ = 1 to Tinca_harness.Exp_commit.measured_size ~n c do
-        Tinca.ok_exn (Tinca.write h (!next mod universe) (payload (Char.chr (0x20 + (c land 0x5f)))));
-        incr next
-      done;
-      Tinca.ok_exn (Tinca.commit h)
-    done;
-    (Pmem.media_digest env.pmem, Metrics.get env.metrics "pmem.sfence", Clock.now_ns env.clock)
+    let tc = facade ~nshards ~scheme env in
+    run_stream env ~n (fun () ->
+        let h = Tinca.init_txn tc in
+        ((fun b d -> Tinca.ok_exn (Tinca.write h b d)), fun () -> Tinca.ok_exn (Tinca.commit h)))
   in
   List.iter
-    (fun pipeline ->
+    (fun (name, scheme) ->
       List.iter
         (fun nshards ->
           List.iter
             (fun n ->
-              let label =
-                Printf.sprintf "%s N=%d n=%d"
-                  (match pipeline with Tinca.Per_block -> "per-block" | Tinca.Batched -> "batched")
-                  nshards n
-              in
-              let d1, sf1, ns1 = run_direct ~pipeline ~nshards ~n in
-              let d2, sf2, ns2 = run_facade ~pipeline ~nshards ~n in
+              let label = Printf.sprintf "%s N=%d n=%d" name nshards n in
+              let d1, sf1, ns1 = run_direct ~scheme ~nshards ~n in
+              let d2, sf2, ns2 = run_facade ~scheme ~nshards ~n in
               Alcotest.(check bool) (label ^ ": identical media") true (Digest.equal d1 d2);
               Alcotest.(check int) (label ^ ": identical sfences") sf1 sf2;
               Alcotest.(check (float 0.0)) (label ^ ": identical sim time") ns1 ns2)
             [ 1; 2; 8 ])
         [ 1; 4 ])
-    [ Tinca.Per_block; Tinca.Batched ]
+    [
+      ("per-block", Tinca.Config.Logging Tinca.Per_block);
+      ("batched", Tinca.Config.Logging Tinca.Batched);
+      ("paging", Tinca.Config.Paging Tinca.Config.default_page_cfg);
+    ]
 
 (* --- paging round-trip, recovery, scheme sniffing ------------------------ *)
 
@@ -217,7 +228,7 @@ let test_stats_rows () =
   ignore (Tinca.region_wear tc_p);
   Alcotest.(check bool) "page_layouts nonempty" true (Tinca.page_layouts tc_p <> [])
 
-(* --- config: spellings, rejections, the deprecation shim ----------------- *)
+(* --- config: spellings and rejections ------------------------------------ *)
 
 let test_config_validation () =
   (match Tinca.Config.scheme_of_string "paging" with
@@ -256,35 +267,10 @@ let test_config_validation () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "paging + write-through validated");
-  (* The deprecated commit_pipeline spelling still steers an untouched
-     commit_scheme, and validate normalizes the two fields to agree. *)
-  (match
-     Tinca.Config.validate
-       { Tinca.Config.default with Tinca.Config.commit_pipeline = Tinca.Per_block }
-   with
-  | Ok c -> (
-      match Tinca.Config.effective_scheme c with
-      | Tinca.Config.Logging Tinca.Per_block -> ()
-      | _ -> Alcotest.fail "commit_pipeline shim ignored")
-  | Error m -> Alcotest.fail m);
-  (* An explicit commit_scheme wins over the deprecated field. *)
-  (match
-     Tinca.Config.validate
-       {
-         Tinca.Config.default with
-         Tinca.Config.commit_scheme = paging;
-         commit_pipeline = Tinca.Per_block;
-       }
-   with
-  | Ok c -> (
-      match Tinca.Config.effective_scheme c with
-      | Tinca.Config.Paging _ -> ()
-      | _ -> Alcotest.fail "explicit commit_scheme lost to the shim")
-  | Error m -> Alcotest.fail m);
   (* The CLI funnel: parses, validates, rejects the same combinations. *)
   (match Tinca.Config.of_args ~scheme:"paging" ~shards:2 () with
   | Ok c -> (
-      match Tinca.Config.effective_scheme c with
+      match c.Tinca.Config.commit_scheme with
       | Tinca.Config.Paging _ -> Alcotest.(check int) "of_args shards" 2 c.Tinca.Config.nshards
       | _ -> Alcotest.fail "of_args scheme lost")
   | Error m -> Alcotest.fail m);
@@ -492,11 +478,11 @@ let suite =
   [
     ( "page",
       [
-        Alcotest.test_case "logging scheme media+cost identical via Commit_scheme" `Quick
+        Alcotest.test_case "logging+paging media+cost identical to their engines" `Quick
           test_media_cost_identity;
         Alcotest.test_case "paging round-trip + recovery" `Quick test_paging_roundtrip;
         Alcotest.test_case "scheme-aware stats rows" `Quick test_stats_rows;
-        Alcotest.test_case "config spellings, rejections, shim" `Quick test_config_validation;
+        Alcotest.test_case "config spellings, rejections" `Quick test_config_validation;
         Alcotest.test_case "paging fence budget (2 single-shard, 4 multi)" `Quick
           test_paging_fence_budget;
         Alcotest.test_case "lockstep refinement paging N=1/4" `Quick test_lockstep_equiv_paging;
