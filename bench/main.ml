@@ -187,6 +187,25 @@ let bench_commit_burst =
          Pmem.flush_ranges pmem (blocks @ lines);
          Pmem.sfence pmem))
 
+(* The same fence behind paging's unflushed read-miss fills: every line
+   of the device but the last nine 4 KiB blocks is stored and never
+   flushed, then those nine blocks (576 lines) are stored, flushed in one
+   [flush_ranges] burst and retired by one fence.  Each fence retires a
+   few lines out of 130k non-clean ones, so it gives their pre-image
+   slots back one by one and the next iteration takes them again. *)
+let bench_commit_under_paging_pressure =
+  let clock = Clock.create () in
+  let metrics = Metrics.create () in
+  let size = 8 * 1024 * 1024 in
+  let pmem = Pmem.create ~clock ~metrics ~tech:Latency.Pcm ~size () in
+  let blocks = List.init 9 (fun i -> (size - ((i + 1) * 4096), 4096)) in
+  Pmem.fill pmem ~off:0 ~len:(size - (9 * 4096)) 'u';
+  Test.make ~name:"pmem: commit under paging pressure (9 blocks behind 130k unflushed lines)"
+    (Staged.stage (fun () ->
+         List.iter (fun (off, _) -> Pmem.write pmem ~off block) blocks;
+         Pmem.flush_ranges pmem blocks;
+         Pmem.sfence pmem))
+
 (* fig13: transaction-size accounting (multi-block commit). *)
 let bench_big_commit =
   let pmem, disk, clock, metrics = mk_env () in
@@ -250,6 +269,7 @@ let run_benchmarks () =
       bench_persist Latency.Stt_ram;
       bench_persist_behind_unflushed;
       bench_commit_burst;
+      bench_commit_under_paging_pressure;
       bench_big_commit;
       bench_recovery;
       bench_entry_codec;

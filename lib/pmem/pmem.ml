@@ -4,19 +4,36 @@ exception Crash_point
 
 let line_size = 64
 
-(* Per-line states in [t.state], one byte per line. *)
-let clean = '\000' (* durable: the medium holds the newest content *)
-let dirty = '\001' (* stored since it was last durable *)
-let pending = '\002' (* flushed; durable at the next fence *)
+(* Per-line metadata in [t.lines]: one 4-byte word per line, its state in
+   the low [state_bits] bits and, while the line is not clean, the index
+   of the pre-image slot it owns in the rest. *)
+let clean = 0 (* durable: the medium holds the newest content *)
+let dirty = 1 (* stored since it was last durable *)
+let pending = 2 (* flushed; durable at the next fence *)
+let state_bits = 2
+let state_mask = 3
 
-(* The undo log: fixed-size chunks of [chunk_entries] entries, each a
-   line index and that line's 64 B pre-image.  Entry [p] lives in chunk
-   [p lsr chunk_bits], slot [p land chunk_mask]. *)
+(* A slot index is below the line count, so capping that at 2^29 keeps
+   every word a non-negative int32. *)
+let max_lines = 1 lsl 29
+
+(* 32-bit cells of [t.lines] and [t.wear], unchecked: every line index
+   that reaches them comes from a range [check_range] accepted, from
+   [is_dirty]'s own bounds test, or from a slot's owner, which was such
+   an index when the slot was taken.  The checked primitives measurably
+   slow the store, flush and fence paths. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+(* Pre-image slots: fixed-size chunks of [chunk_slots] slots, each the
+   line that owns it, the stamp it was taken with and that line's 64 B
+   pre-image.  Slot [s] lives in chunk [s lsr chunk_bits], index
+   [s land chunk_mask]. *)
 let chunk_bits = 10
-let chunk_entries = 1 lsl chunk_bits
-let chunk_mask = chunk_entries - 1
+let chunk_slots = 1 lsl chunk_bits
+let chunk_mask = chunk_slots - 1
 
-type chunk = { lines : int array; pre : Bytes.t }
+type chunk = { owner : int array; stamp : int array; pre : Bytes.t }
 
 (* The bucket count of [Hashtbl.create 4096], the table whose fold order
    [crash] draws in (see [fold_order]). *)
@@ -31,17 +48,18 @@ type event =
 
 type t = {
   media : Bytes.t;
-  (* The only record of each line's state: [clean], [dirty] or
-     [pending]. *)
-  state : Bytes.t;
-  (* Append-only undo log: one entry each time a line leaves [clean],
-     holding the durable content a crash may revert it to.  An entry is
-     live while it is its line's newest and the line is not clean; a
-     fence only flips state bytes, leaving dead entries behind until the
-     log is truncated or compacted. *)
+  (* The only record of each line's state and slot (see [clean]). *)
+  lines : Bytes.t;
+  (* Every non-clean line owns one slot, holding the durable content a
+     crash may revert it to.  A line takes a slot when it leaves [clean]
+     and gives it back when a fence retires it. *)
   mutable chunks : chunk array;
-  mutable len : int; (* entries in the log *)
-  mutable live : int; (* non-clean lines, one live entry each *)
+  mutable next : int; (* slots [0, next) have been handed out since the layer was last empty *)
+  mutable free : int array; (* stack of given-back slots below [next] *)
+  mutable nfree : int;
+  mutable seq : int; (* the next stamp: slots taken later get larger stamps *)
+  mutable live : int; (* non-clean lines, one owned slot each *)
+  mutable npending : int; (* flush-pending lines *)
   (* The bucket count a [Hashtbl.create 4096] would have after this
      history of inserts: it doubles when an insert leaves more than twice
      as many entries as buckets, and only [clear_lines] resets it. *)
@@ -56,7 +74,8 @@ type t = {
   flush_instr : Latency.flush_instr;
   lat : Latency.nvm;
   rng : Tinca_util.Rng.t;
-  wear : int array;
+  (* Write-backs per line, one 32-bit cell each. *)
+  wear : Bytes.t;
   mutable countdown : int option;
   mutable events : int;
   mutable observer : (event -> unit) option;
@@ -66,12 +85,18 @@ type t = {
 let create ?(seed = 42) ?(flush_instr = Latency.Clflush) ~clock ~metrics ~tech ~size () =
   if size <= 0 || size mod line_size <> 0 then
     invalid_arg "Pmem.create: size must be a positive multiple of 64";
+  let nlines = size / line_size in
+  if nlines > max_lines then invalid_arg "Pmem.create: more than 2^29 lines";
   {
     media = Bytes.make size '\000';
-    state = Bytes.make (size / line_size) clean;
+    lines = Bytes.make (4 * nlines) '\000';
     chunks = [||];
-    len = 0;
+    next = 0;
+    free = [||];
+    nfree = 0;
+    seq = 0;
     live = 0;
+    npending = 0;
     nbuckets = initial_buckets;
     flushed = [];
     clock;
@@ -80,7 +105,7 @@ let create ?(seed = 42) ?(flush_instr = Latency.Clflush) ~clock ~metrics ~tech ~
     flush_instr;
     lat = Latency.nvm_of_tech ~flush_instr tech;
     rng = Tinca_util.Rng.create seed;
-    wear = Array.make (size / line_size) 0;
+    wear = Bytes.make (4 * nlines) '\000';
     countdown = None;
     events = 0;
     observer = None;
@@ -109,94 +134,98 @@ let check_range t off len =
       (Printf.sprintf "Pmem: range [%d, %d) out of bounds (size %d)" off (off + len)
          (Bytes.length t.media))
 
-(* --- the undo log ------------------------------------------------------ *)
+(* --- line words and pre-image slots -------------------------------------- *)
 
-let entry_line t p = t.chunks.(p lsr chunk_bits).lines.(p land chunk_mask)
+let word t idx = Int32.to_int (get32 t.lines (idx lsl 2))
+let set_word t idx w = set32 t.lines (idx lsl 2) (Int32.of_int w)
+let slot_of w = w lsr state_bits
+let with_state w state = w land lnot state_mask lor state
+let owner t s = t.chunks.(s lsr chunk_bits).owner.(s land chunk_mask)
+let stamp t s = t.chunks.(s lsr chunk_bits).stamp.(s land chunk_mask)
+let wear t idx = Int32.to_int (get32 t.wear (idx lsl 2)) land 0xFFFF_FFFF
+let bump_wear t idx = set32 t.wear (idx lsl 2) (Int32.succ (get32 t.wear (idx lsl 2)))
 
-(* Copies entry [p]'s pre-image into [dst] at [dst_off]. *)
-let blit_pre t p dst dst_off =
-  Bytes.blit t.chunks.(p lsr chunk_bits).pre ((p land chunk_mask) * line_size) dst dst_off line_size
+(* Copies slot [s]'s pre-image into [dst] at [dst_off]. *)
+let blit_pre t s dst dst_off =
+  Bytes.blit t.chunks.(s lsr chunk_bits).pre ((s land chunk_mask) * line_size) dst dst_off line_size
 
-(* Drops the chunks past the end of the log, so a log that once grew
-   long does not keep its peak footprint. *)
+(* Overwrites slot [s]'s pre-image with [line_size] bytes of [src] at
+   [src_off]. *)
+let set_pre t s src src_off =
+  Bytes.blit src src_off t.chunks.(s lsr chunk_bits).pre ((s land chunk_mask) * line_size) line_size
+
+(* Drops the chunks past the last slot handed out, so a layer that once
+   held many lines does not keep its peak footprint once emptied. *)
 let trim t =
-  let keep = max 1 ((t.len + chunk_mask) lsr chunk_bits) in
+  let keep = max 1 ((t.next + chunk_mask) lsr chunk_bits) in
   if Array.length t.chunks > keep then t.chunks <- Array.sub t.chunks 0 keep
 
-(* Or-ed into a state byte by [live_positions] while it runs. *)
-let seen = 4
-
-(* Log positions of the live entries — each non-clean line's newest —
-   oldest first.  A backward pass takes the first entry it meets for
-   each non-clean line, marking the line's state byte so older entries
-   for it are skipped; the marks are cleared before returning. *)
-let live_positions t =
-  let acc = ref [] in
-  for p = t.len - 1 downto 0 do
-    let idx = entry_line t p in
-    let s = Bytes.get t.state idx in
-    if s = dirty || s = pending then begin
-      Bytes.set t.state idx (Char.unsafe_chr (Char.code s lor seen));
-      acc := p :: !acc
+(* Line [idx] leaves [clean] as [state] with the pre-image at [src_off]
+   in [src]: it takes the most recently given-back slot, or else the
+   next one never handed out, stamped with the next sequence number. *)
+let take_slot t idx state src src_off =
+  let s =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      t.free.(t.nfree)
     end
-  done;
-  List.iter
-    (fun p ->
-      let idx = entry_line t p in
-      Bytes.set t.state idx (Char.unsafe_chr (Char.code (Bytes.get t.state idx) land lnot seen)))
-    !acc;
-  !acc
-
-(* Keeps only the live entries, in log order. *)
-let compact t =
-  List.iteri
-    (fun w p ->
-      if w <> p then begin
-        let c = t.chunks.(w lsr chunk_bits) and slot = w land chunk_mask in
-        c.lines.(slot) <- entry_line t p;
-        blit_pre t p c.pre (slot * line_size)
-      end)
-    (live_positions t);
-  t.len <- t.live;
-  trim t
-
-(* Logs line [idx] leaving [clean], with the pre-image at [src_off] in
-   [src].  A log longer than about 1.25x its live entries plus one chunk
-   is compacted first, so dead entries cost bounded space. *)
-let append t idx src src_off =
-  if t.len > t.live + (t.live lsr 2) + chunk_entries then compact t;
-  let p = t.len in
-  if p lsr chunk_bits = Array.length t.chunks then
-    t.chunks <-
-      Array.append t.chunks
-        [| { lines = Array.make chunk_entries 0; pre = Bytes.create (chunk_entries * line_size) } |];
-  let c = t.chunks.(p lsr chunk_bits) and slot = p land chunk_mask in
-  c.lines.(slot) <- idx;
-  Bytes.blit src src_off c.pre (slot * line_size) line_size;
-  t.len <- p + 1;
+    else begin
+      let s = t.next in
+      if s lsr chunk_bits = Array.length t.chunks then
+        t.chunks <-
+          Array.append t.chunks
+            [|
+              {
+                owner = Array.make chunk_slots 0;
+                stamp = Array.make chunk_slots 0;
+                pre = Bytes.create (chunk_slots * line_size);
+              };
+            |];
+      t.next <- s + 1;
+      s
+    end
+  in
+  let c = t.chunks.(s lsr chunk_bits) and i = s land chunk_mask in
+  c.owner.(i) <- idx;
+  c.stamp.(i) <- t.seq;
+  t.seq <- t.seq + 1;
+  Bytes.blit src src_off c.pre (i * line_size) line_size;
+  set_word t idx ((s lsl state_bits) lor state);
   t.live <- t.live + 1;
   if t.live > 2 * t.nbuckets then t.nbuckets <- 2 * t.nbuckets
 
-(* Position of line [idx]'s newest entry, which must exist. *)
-let rec newest_entry t idx p = if entry_line t p = idx then p else newest_entry t idx (p - 1)
+let give_back t s =
+  if t.nfree = Array.length t.free then begin
+    let grown = Array.make (max 64 (2 * t.nfree)) 0 in
+    Array.blit t.free 0 grown 0 t.nfree;
+    t.free <- grown
+  end;
+  t.free.(t.nfree) <- s;
+  t.nfree <- t.nfree + 1
 
-(* Before a store mutates line [idx], log its durable content as
+(* The slots owned by a non-clean line, ascending.  A given-back slot
+   still names its last owner, but that line is now clean or owns
+   another slot. *)
+let owned_slots t =
+  let acc = ref [] in
+  for s = t.next - 1 downto 0 do
+    let w = word t (owner t s) in
+    if w land state_mask <> clean && slot_of w = s then acc := s :: !acc
+  done;
+  !acc
+
+(* Before a store mutates line [idx], keep its durable content as
    rollback state.  A store into a flush-pending line resolves the
    in-flight write-back adversarially: it may or may not have reached the
-   medium (the only store that looks its entry up, by a backward scan). *)
+   medium. *)
 let dirty_line t idx =
-  let s = Bytes.get t.state idx in
-  if s = clean then begin
-    append t idx t.media (idx * line_size);
-    Bytes.set t.state idx dirty
-  end
+  let w = word t idx in
+  let s = w land state_mask in
+  if s = clean then take_slot t idx dirty t.media (idx * line_size)
   else if s = pending then begin
-    if Tinca_util.Rng.bool t.rng then begin
-      let p = newest_entry t idx (t.len - 1) in
-      Bytes.blit t.media (idx * line_size) t.chunks.(p lsr chunk_bits).pre
-        ((p land chunk_mask) * line_size) line_size
-    end;
-    Bytes.set t.state idx dirty
+    if Tinca_util.Rng.bool t.rng then set_pre t (slot_of w) t.media (idx * line_size);
+    set_word t idx (with_state w dirty);
+    t.npending <- t.npending - 1
   end
 
 let lines_of_range off len =
@@ -227,9 +256,10 @@ let emit t ev =
     | Sfence -> Tinca_obs.Trace.note "pmem.sfence" ~by:1
     | Crash -> ()
 
+(* A zero-length store stores nothing: no event, no charge. *)
 let store_range t off len =
-  event t;
   if len > 0 then begin
+    event t;
     let first, last = lines_of_range off len in
     for idx = first to last do
       dirty_line t idx
@@ -324,8 +354,10 @@ let read_u64_int t ~off =
    write-back started; flushing a clean or already flush-pending line is
    issued but is a no-op. *)
 let flush_line t idx =
-  if Bytes.get t.state idx = dirty then begin
-    Bytes.set t.state idx pending;
+  let w = word t idx in
+  if w land state_mask = dirty then begin
+    set_word t idx (with_state w pending);
+    t.npending <- t.npending + 1;
     t.flushed <- idx :: t.flushed;
     true
   end
@@ -333,8 +365,8 @@ let flush_line t idx =
 
 let clflush t ~off ~len =
   check_range t off len;
-  event t;
   if len > 0 then begin
+    event t;
     let first, last = lines_of_range off len in
     (* A flush of a clean (or already flush-pending) line is issued but
        initiates no medium write-back, so it must not be charged the
@@ -394,31 +426,37 @@ let flush_ranges t ranges =
 
 (* Retires exactly the lines flushed since the last fence, walking only
    [t.flushed] — not every non-durable line, which includes every line
-   stored but never flushed.  Retiring a line only flips its state byte:
-   its log entry goes dead in place, so the order lines are retired in
-   cannot change the order [crash] draws in.  Once no line is live the
-   whole log is dropped. *)
+   stored but never flushed.  A retired line gives its slot back; a fence
+   that retires every non-clean line instead forgets all slots at once.
+   Slots keep their stamps, so the order lines are retired in cannot
+   change the order [crash] draws in. *)
 let sfence t =
   event t;
   Metrics.incr t.metrics "pmem.sfence" ~by:1;
   Clock.advance t.clock t.lat.sfence_ns;
-  let persisted = ref 0 in
+  (* Every flush-pending line is in [t.flushed], so this fence retires
+     all [npending] of them. *)
+  let persisted = t.npending in
+  let all = persisted = t.live in
   List.iter
     (fun idx ->
       (* Skips a line re-dirtied by a later store, and a duplicate entry
          already retired. *)
-      if Bytes.get t.state idx = pending then begin
-        Bytes.set t.state idx clean;
-        t.wear.(idx) <- t.wear.(idx) + 1;
-        incr persisted
+      let w = word t idx in
+      if w land state_mask = pending then begin
+        set_word t idx clean;
+        bump_wear t idx;
+        if not all then give_back t (slot_of w)
       end)
     t.flushed;
   t.flushed <- [];
-  if !persisted > 0 then begin
-    Metrics.incr t.metrics "pmem.lines_persisted" ~by:!persisted;
-    t.live <- t.live - !persisted;
-    if t.live = 0 then begin
-      t.len <- 0;
+  t.npending <- 0;
+  if persisted > 0 then begin
+    Metrics.incr t.metrics "pmem.lines_persisted" ~by:persisted;
+    t.live <- t.live - persisted;
+    if all then begin
+      t.next <- 0;
+      t.nfree <- 0;
       trim t
     end
   end;
@@ -433,52 +471,57 @@ let persist t ~off ~len =
 (* Cache lines dirtied since the last fence, ascending.  At a crash each
    of these may independently reach the medium or be lost, so they span
    the survival-subset space the model checker enumerates. *)
-let unfenced_lines t = List.sort Int.compare (List.map (entry_line t) (live_positions t))
+let unfenced_lines t = List.sort Int.compare (List.map (owner t) (owned_slots t))
 
 (* The unfenced lines whose loss changes the medium, ascending: a line
-   whose volatile content equals its logged pre-image is unaffected by
+   whose volatile content equals its slot's pre-image is unaffected by
    the crash outcome. *)
 let torn_lines t =
   let cur = Bytes.create line_size in
   List.sort Int.compare
     (List.filter_map
-       (fun p ->
-         let idx = entry_line t p in
-         blit_pre t p cur 0;
+       (fun s ->
+         let idx = owner t s in
+         blit_pre t s cur 0;
          if Bytes.equal cur (Bytes.sub t.media (idx * line_size) line_size) then None else Some idx)
-       (live_positions t))
+       (owned_slots t))
 
 (* Empties the volatile line layer: every line is clean again, and the
-   emulated table is back to its initial bucket count. *)
+   emulated table is back to its initial bucket count.  Every non-clean
+   line owns a slot below [next], so cleaning each slot's last owner
+   cleans them all. *)
 let clear_lines t =
-  for p = 0 to t.len - 1 do
-    Bytes.set t.state (entry_line t p) clean
+  for s = 0 to t.next - 1 do
+    set_word t (owner t s) clean
   done;
-  t.len <- 0;
+  t.next <- 0;
+  t.nfree <- 0;
   t.live <- 0;
+  t.npending <- 0;
   t.nbuckets <- initial_buckets;
   t.flushed <- [];
   trim t
 
-(* The live entries as [(line, position)] pairs, in the reverse of the
-   order a stdlib [Hashtbl.create 4096] would fold them in had it seen one
-   [add] per log append and one [remove] per retirement.  Such a table
+(* The owned slots as [(line, slot)] pairs, in the reverse of the order a
+   stdlib [Hashtbl.create 4096] would fold them in had it seen one [add]
+   per line leaving clean and one [remove] per retirement.  Such a table
    holds each bucket's keys newest first, and neither a removal nor a
    resize reorders the rest, so a fresh table with the same bucket count,
-   fed only the live entries oldest first, folds in the same order. *)
+   fed only the owned slots oldest stamp first, folds in the same
+   order. *)
 let fold_order t =
   let h = Hashtbl.create t.nbuckets in
-  List.iter (fun p -> Hashtbl.add h (entry_line t p) p) (live_positions t);
-  Hashtbl.fold (fun idx p acc -> (idx, p) :: acc) h []
+  List.iter
+    (fun s -> Hashtbl.add h (owner t s) s)
+    (List.sort (fun a b -> Int.compare (stamp t a) (stamp t b)) (owned_slots t));
+  Hashtbl.fold (fun idx s acc -> (idx, s) :: acc) h []
 
 (* Resolve a crash with an explicit survival verdict per unfenced line
    ([survive idx] = the line's newest content reached the medium), asked
    in [fold_order].  Leaves the device quiescent. *)
 let crash_select t ~survive =
   List.iter
-    (fun (idx, p) ->
-      if survive idx then t.wear.(idx) <- t.wear.(idx) + 1
-      else blit_pre t p t.media (idx * line_size))
+    (fun (idx, s) -> if survive idx then bump_wear t idx else blit_pre t s t.media (idx * line_size))
     (fold_order t);
   clear_lines t;
   t.countdown <- None;
@@ -492,25 +535,25 @@ let crash ?seed ?(survival = 0.5) t =
 type snapshot = {
   snap_media : Bytes.t;
   snap_lines : (int * Bytes.t * bool) list; (* line idx, pre-image, pending *)
-  snap_wear : int array;
+  snap_wear : Bytes.t;
 }
 
 (* Capture / reinstate the full device state (medium + volatile line
    layer), so the checker can re-enter the same pre-crash state once per
-   survival subset without replaying the workload.  [restore] re-logs the
-   lines in the snapshot's order and disarms any crash countdown;
+   survival subset without replaying the workload.  [restore] gives the
+   lines slots in the snapshot's order and disarms any crash countdown;
    simulated time and metrics are left untouched. *)
 let snapshot t =
   {
     snap_media = Bytes.copy t.media;
     snap_lines =
       List.map
-        (fun (idx, p) ->
+        (fun (idx, s) ->
           let pre = Bytes.create line_size in
-          blit_pre t p pre 0;
-          (idx, pre, Bytes.get t.state idx = pending))
+          blit_pre t s pre 0;
+          (idx, pre, word t idx land state_mask = pending))
         (fold_order t);
-    snap_wear = Array.copy t.wear;
+    snap_wear = Bytes.copy t.wear;
   }
 
 let restore t s =
@@ -520,12 +563,12 @@ let restore t s =
   clear_lines t;
   List.iter
     (fun (idx, pre, is_pending) ->
-      append t idx pre 0;
-      Bytes.set t.state idx (if is_pending then pending else dirty))
+      take_slot t idx (if is_pending then pending else dirty) pre 0;
+      if is_pending then t.npending <- t.npending + 1)
     s.snap_lines;
   t.flushed <-
     List.filter_map (fun (idx, _, is_pending) -> if is_pending then Some idx else None) s.snap_lines;
-  Array.blit s.snap_wear 0 t.wear 0 (Array.length t.wear);
+  Bytes.blit s.snap_wear 0 t.wear 0 (Bytes.length t.wear);
   t.countdown <- None
 
 (* Digest of the durable medium, for deduplicating post-crash images. *)
@@ -541,30 +584,24 @@ let event_count t = t.events
 let dirty_line_count t = t.live
 
 let is_dirty t ~off =
-  off >= 0 && off < Bytes.length t.media && Bytes.get t.state (off / line_size) <> clean
+  off >= 0 && off < Bytes.length t.media && word t (off / line_size) land state_mask <> clean
 
-let wear_total t = Array.fold_left ( + ) 0 t.wear
-let wear_max t = Array.fold_left max 0 t.wear
+(* Folds [f] over the wear of lines [first, last]. *)
+let fold_wear t first last f =
+  let acc = ref 0 in
+  for i = first to last do
+    acc := f !acc (wear t i)
+  done;
+  !acc
 
-let wear_histogram t =
-  let h = Tinca_util.Histogram.create () in
-  Array.iter (fun w -> Tinca_util.Histogram.add h (float_of_int w)) t.wear;
-  h
+let last_line t = (Bytes.length t.media / line_size) - 1
+let wear_total t = fold_wear t 0 (last_line t) ( + )
+let wear_max t = fold_wear t 0 (last_line t) Int.max
 
 let wear_max_in t ~off ~len =
   check_range t off len;
-  let first = off / line_size and last = (off + len - 1) / line_size in
-  let m = ref 0 in
-  for i = first to last do
-    if t.wear.(i) > !m then m := t.wear.(i)
-  done;
-  !m
+  fold_wear t (off / line_size) ((off + len - 1) / line_size) Int.max
 
 let wear_sum_in t ~off ~len =
   check_range t off len;
-  let first = off / line_size and last = (off + len - 1) / line_size in
-  let s = ref 0 in
-  for i = first to last do
-    s := !s + t.wear.(i)
-  done;
-  !s
+  fold_wear t (off / line_size) ((off + len - 1) / line_size) ( + )

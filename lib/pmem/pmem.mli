@@ -17,20 +17,21 @@
 
     Reads always observe the newest stores (CPU reads hit its own cache).
 
-    Line state is stored densely: one byte per line records whether it is
-    clean (durable), dirty (stored since it was last durable) or
-    flush-pending (durable at the next fence), so a store, flush or
-    fence reads and writes that byte without hashing.  Rollback state
-    lives in an append-only undo log of fixed-size chunks: a line that
-    leaves the clean state appends its index and 64 B durable content,
-    and a fence that retires it only flips its state byte.  The log is
-    dropped once no line is left non-clean, and compacted in place when
-    dead entries outgrow the live ones.  A crash draws its per-line
-    outcomes in the order a stdlib hash table keyed by line index would
-    fold them in, had it seen one insertion per line leaving clean and
-    one removal per retirement, so every seeded outcome depends only on
-    the history of operations.  That order is computed only at crash
-    and snapshot time.
+    Line state is stored densely: one 4-byte word per line records
+    whether it is clean (durable), dirty (stored since it was last
+    durable) or flush-pending (durable at the next fence), and, while it
+    is not clean, which pre-image slot holds its 64 B durable content.
+    A line leaving the clean state takes a slot (the most recently freed
+    one, or a fresh one) stamped with a global sequence number; a store
+    into a flush-pending line finds its slot from the word; a fence frees
+    the slots of the lines it retires, or forgets every slot at once when
+    it retires every non-clean line.  No store, flush or fence hashes,
+    scans or sorts.  A crash draws its per-line outcomes in the order a
+    stdlib hash table keyed by line index would fold them in, had it seen
+    one insertion per line leaving clean and one removal per retirement,
+    so every seeded outcome depends only on the history of operations.
+    That order is rebuilt from the slots sorted by stamp, only at crash
+    and snapshot time.  Per-line wear is a 32-bit counter.
 
     Every operation charges simulated time to the owning {!Tinca_sim.Clock}
     and bumps counters in the owning {!Tinca_sim.Metrics}:
@@ -48,7 +49,7 @@ exception Crash_point
 val line_size : int
 
 (** [create ~clock ~metrics ~tech ~size ()] — [size] must be a multiple of
-    [line_size].  [seed] drives crash-time nondeterminism resolution;
+    [line_size], of at most 2^29 lines.  [seed] drives crash-time nondeterminism resolution;
     [flush_instr] selects the modelled cache-line flush instruction
     (default [Clflush], the only one the paper's testbed supports). *)
 val create :
@@ -156,7 +157,8 @@ val crash : ?seed:int -> ?survival:float -> t -> unit
 
 (** [set_crash_countdown t (Some k)] raises {!Crash_point} out of the
     [k]-th subsequent mutation/persistence event (store, atomic write,
-    clflush or sfence), leaving that event not performed.  [None] disables
+    clflush or sfence), leaving that event not performed.  A zero-length
+    store or flush stores nothing and is no event.  [None] disables
     the hook.  Used by systematic crash-sweep tests. *)
 val set_crash_countdown : t -> int option -> unit
 
@@ -173,7 +175,8 @@ val unfenced_lines : t -> int list
 
 (** The unfenced lines whose loss changes the medium, ascending: a line
     whose volatile content equals its durable content is left out (such
-    lines need not be enumerated).  One pass over the undo log. *)
+    lines need not be enumerated).  One pass over the owned pre-image
+    slots. *)
 val torn_lines : t -> int list
 
 (** [crash_select t ~survive] resolves a crash with an explicit verdict
@@ -182,8 +185,11 @@ val torn_lines : t -> int list
     crash countdown.  [survive] is asked once per unfenced line, in the
     order {!crash} draws in: the reverse of the fold order of a
     [Hashtbl.create 4096] that saw one [add] per line leaving the clean
-    state (or per line re-logged by {!restore}) and one [remove] per line
-    a fence retired, since the device was created or last emptied. *)
+    state (or per line re-slotted by {!restore}) and one [remove] per line
+    a fence retired, since the device was created or last emptied.  The
+    order is rebuilt by sorting the owned slots by stamp, so its host cost
+    grows with the number of unfenced lines and of freed slots awaiting
+    reuse. *)
 val crash_select : t -> survive:(int -> bool) -> unit
 
 type snapshot
@@ -241,7 +247,8 @@ val set_site : t -> string -> unit
 (** The most recently set call-site label ([""] initially). *)
 val site : t -> string
 
-(** Number of mutation/persistence events so far (for sizing sweeps). *)
+(** Number of mutation/persistence events so far (for sizing sweeps);
+    zero-length stores and flushes are not counted. *)
 val event_count : t -> int
 
 (** Lines currently not durable. *)
@@ -257,9 +264,6 @@ val wear_total : t -> int
 
 (** Maximum write-backs over any single line. *)
 val wear_max : t -> int
-
-(** [wear_histogram t] folds per-line wear into a histogram. *)
-val wear_histogram : t -> Tinca_util.Histogram.t
 
 (** [wear_max_in t ~off ~len] — maximum per-line write-backs within a
     byte range (e.g. just the data region, excluding hot pointer lines). *)

@@ -1,7 +1,7 @@
 (** Streaming histogram for latency / size distributions.
 
     Used by the harness to report transaction-size distributions (paper
-    Fig 13) and by the wear model to summarize per-line flush counts. *)
+    Fig 13). *)
 
 type t
 

@@ -119,6 +119,13 @@ let test_out_of_bounds_rejected () =
     (try
        Pmem.write p ~off:120 (bytes_of "too-long!");
        false
+     with Invalid_argument _ -> true);
+  (* A line's 32-bit word must hold its slot index; the size is checked
+     before anything is allocated. *)
+  Alcotest.(check bool) "more than 2^29 lines rejected" true
+    (try
+       ignore (mk ~size:(((1 lsl 29) + 1) * 64) ());
+       false
      with Invalid_argument _ -> true)
 
 let test_counters () =
@@ -164,6 +171,23 @@ let test_crash_countdown () =
   Pmem.crash ~seed:1 ~survival:0.0 p;
   (* Disabled after crash: no raise. *)
   Pmem.write p ~off:0 (bytes_of "b")
+
+(* A zero-length store or flush stores nothing: it is no event, so it
+   neither spends an armed countdown nor counts in [event_count]. *)
+let test_zero_length_ops_are_no_events () =
+  let p, _, m = mk () in
+  Pmem.write p ~off:0 (bytes_of "x");
+  let n0 = Pmem.event_count p in
+  Pmem.set_crash_countdown p (Some 1);
+  Pmem.write p ~off:64 Bytes.empty;
+  Pmem.write_sub p ~off:64 (bytes_of "abc") ~pos:1 ~len:0;
+  Pmem.fill p ~off:64 ~len:0 'f';
+  Pmem.clflush p ~off:0 ~len:0;
+  Alcotest.(check int) "event_count unchanged" n0 (Pmem.event_count p);
+  Alcotest.(check int) "no store counted" 1 (Metrics.get m "pmem.stores");
+  Alcotest.(check int) "no flush counted" 0 (Metrics.get m "pmem.clflush");
+  Alcotest.check_raises "the next real op is the armed event" Pmem.Crash_point (fun () ->
+      Pmem.sfence p)
 
 let test_wear_accounting () =
   let p, _, _ = mk () in
@@ -531,7 +555,7 @@ let prop_model =
    clean, one [remove] when a fence retires it, [reset] when the layer
    is emptied.  [crash_select] asks in the reverse of that table's fold
    order and [restore] re-adds in the snapshot's order; [Pmem] must give
-   the same order from its undo log. *)
+   the same order from its stamped pre-image slots. *)
 module Ref = struct
   type t = {
     media : Bytes.t;
@@ -728,8 +752,8 @@ let test_order_boundaries () =
       run_against_order
         [ O_burst n; O_crash 1; O_write (64, 8); O_burst 100; O_crash 2; O_burst n; O_snap_restore ])
     [ 8192; 8193; 16_384; 16_385 ];
-  (* Pending stores, a fence that empties the log, and dead entries
-     enough to compact it. *)
+  (* Pending stores, a fence that empties the layer, and partial fences
+     that give slots back. *)
   run_against_order
     [
       O_burst 3000;
@@ -744,6 +768,41 @@ let test_order_boundaries () =
       O_flush_ranges [ (0, 3000 * 64) ];
       O_sfence;
       O_write (0, 64);
+    ]
+
+(* Slot reuse.  A partial fence frees slots in the middle of the stamp
+   order and later stores take them back; stores hit flush-pending lines
+   while thousands of lines stay dirty and unflushed; snapshots are taken
+   and restored after reuse. *)
+let test_order_slot_reuse () =
+  let line n = n * 64 in
+  run_against_order
+    [
+      O_burst 3000;
+      O_flush_ranges [ (line 1000, line 500) ];
+      O_sfence;
+      O_write (line 10_000, line 200);
+      O_write (line 1200, 64);
+      O_crash 3;
+    ];
+  run_against_order
+    [
+      O_burst 6000;
+      O_flush_ranges [ (line 2000, line 100); (line 4000, 64) ];
+      (* Re-dirties 2050-2099; 2100-2149 were dirty already. *)
+      O_write (line 2050, line 100);
+      O_fill (line 4000, 8);
+      O_sfence;
+      O_write (line 12_000, line 300);
+      O_flush_ranges [ (line 2040, line 20) ];
+      O_sfence;
+      O_snap_restore;
+      O_write (line 12_100, 64);
+      O_flush_ranges [ (0, line 6000) ];
+      O_write (line 5, 8);
+      O_snap_restore;
+      O_sfence;
+      O_burst 100;
     ]
 
 let prop_crash_order =
@@ -808,6 +867,7 @@ let suite =
         Alcotest.test_case "clock charges" `Quick test_clock_charges;
         Alcotest.test_case "technology cost ordering" `Quick test_tech_affects_cost;
         Alcotest.test_case "crash countdown hook" `Quick test_crash_countdown;
+        Alcotest.test_case "zero-length ops no events" `Quick test_zero_length_ops_are_no_events;
         Alcotest.test_case "wear accounting" `Quick test_wear_accounting;
         Alcotest.test_case "dirty tracking" `Quick test_dirty_tracking;
       ] );
@@ -825,6 +885,7 @@ let suite =
         q prop_model;
         Alcotest.test_case "seeded crash digest pinned" `Quick test_crash_digest_pinned;
         Alcotest.test_case "crash order at resize boundaries" `Quick test_order_boundaries;
+        Alcotest.test_case "crash order under slot reuse" `Quick test_order_slot_reuse;
         q prop_crash_order;
       ] );
     ( "pmem.observer",

@@ -143,7 +143,7 @@ let test_large_txn_spanning_descriptor_limit_through_fs () =
     (Bytes.get (Fs.pread fs "wide" ~off:((600 * 4096) - 1) ~len:1) 0);
   Fs.fsck fs
 
-let test_pmem_wear_histogram () =
+let test_pmem_hot_line_wear () =
   let clock = Clock.create () in
   let metrics = Metrics.create () in
   let pmem = Pmem.create ~clock ~metrics ~tech:Latency.Pcm ~size:4096 () in
@@ -151,9 +151,9 @@ let test_pmem_wear_histogram () =
     Pmem.write pmem ~off:0 (Bytes.make 64 'x');
     Pmem.persist pmem ~off:0 ~len:64
   done;
-  let h = Pmem.wear_histogram pmem in
-  Alcotest.(check int) "one bucket per line" 64 (Tinca_util.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "max is the hot line" 5.0 (Tinca_util.Histogram.max_value h)
+  Alcotest.(check int) "max is the hot line" 5 (Pmem.wear_max pmem);
+  Alcotest.(check int) "hot line holds it all" 5 (Pmem.wear_sum_in pmem ~off:0 ~len:64);
+  Alcotest.(check int) "other lines untouched" 0 (Pmem.wear_sum_in pmem ~off:64 ~len:(4096 - 64))
 
 let suite =
   [
@@ -167,6 +167,6 @@ let suite =
         Alcotest.test_case "cluster determinism" `Quick test_cluster_determinism;
         Alcotest.test_case "multi-descriptor txn via fs" `Quick
           test_large_txn_spanning_descriptor_limit_through_fs;
-        Alcotest.test_case "pmem wear histogram" `Quick test_pmem_wear_histogram;
+        Alcotest.test_case "pmem hot-line wear" `Quick test_pmem_hot_line_wear;
       ] );
   ]
