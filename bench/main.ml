@@ -19,6 +19,7 @@ module Journal = Tinca_jbd2.Journal
 module Pmem = Tinca_pmem.Pmem
 module Disk = Tinca_blockdev.Disk
 module Lru = Tinca_cachelib.Lru
+module Paging = Tinca_core.Paging
 open Tinca_sim
 
 (* --- part 1: the paper's tables and figures --- *)
@@ -252,6 +253,36 @@ let bench_lru =
          incr n;
          Lru.touch lru nodes.(!n land 1023)))
 
+(* One read miss on a full cache, per engine: the LRU victim (clean,
+   every block was filled by a read) is evicted and the missed block
+   filled into its frame.  Logging persists the fill and writes two
+   entries (the victim's invalidation and the new block's); paging only
+   stores the frame.  Blocks cycle over 8 192, far beyond the 1 MiB
+   cache, so every read misses. *)
+let bench_read_miss_fill engine =
+  let pmem, disk, clock, metrics = mk_env ~nvm:(1024 * 1024) () in
+  let read =
+    match engine with
+    | `Logging ->
+        let config = { Cache.default_config with Cache.ring_slots = 64 } in
+        Cache.read (Cache.format ~config ~pmem ~disk ~clock ~metrics)
+    | `Paging ->
+        Paging.read (Paging.format ~nshards:1 ~config:Paging.default_config ~pmem ~disk ~clock ~metrics)
+  in
+  let n = ref 0 in
+  let next () =
+    incr n;
+    ignore (read (!n mod 8192))
+  in
+  for _ = 1 to 512 do
+    next ()
+  done;
+  Test.make
+    ~name:
+      (Printf.sprintf "cache: read-miss fill with eviction (%s)"
+         (match engine with `Logging -> "logging" | `Paging -> "paging"))
+    (Staged.stage next)
+
 let run_benchmarks () =
   print_endline "==============================================================";
   print_endline " Part 2: Bechamel wall-clock micro-benchmarks (host machine)";
@@ -275,6 +306,8 @@ let run_benchmarks () =
       bench_entry_codec;
       bench_crc32;
       bench_lru;
+      bench_read_miss_fill `Logging;
+      bench_read_miss_fill `Paging;
     ]
   in
   let grouped = Test.make_grouped ~name:"tinca" ~fmt:"%s %s" tests in

@@ -1,0 +1,175 @@
+type 'a block = {
+  key : int;
+  mutable frame : int;
+  mutable slot : int;
+  mutable pinned : bool;
+  mutable dirty : bool;
+  mutable node : 'a block Lru.node option;
+  ext : 'a;
+}
+
+type 'a hooks = { evict : 'a block -> unit }
+
+type 'a t = {
+  index : (int, 'a block) Hashtbl.t;
+  lru : 'a block Lru.t;
+  frames : Free_monitor.t;
+  slots : Free_monitor.t;
+  mutable ndirty : int;
+  mutable read_hits : int;
+  mutable read_misses : int;
+  mutable write_hits : int;
+  mutable write_misses : int;
+  mutable evictions : int;
+}
+
+let create ?policy ~frames ~slots ~index_size () =
+  {
+    index = Hashtbl.create index_size;
+    lru = Lru.create ();
+    frames = Free_monitor.create ?policy ~n:frames ();
+    slots = Free_monitor.create ~n:slots ();
+    ndirty = 0;
+    read_hits = 0;
+    read_misses = 0;
+    write_hits = 0;
+    write_misses = 0;
+    evictions = 0;
+  }
+
+let length t = Hashtbl.length t.index
+let find t key = Hashtbl.find_opt t.index key
+let mem t key = Hashtbl.mem t.index key
+let touch t b = match b.node with Some n -> Lru.touch t.lru n | None -> ()
+
+let lookup_read t key =
+  let r = Hashtbl.find_opt t.index key in
+  (match r with
+  | Some b ->
+      t.read_hits <- t.read_hits + 1;
+      touch t b
+  | None -> t.read_misses <- t.read_misses + 1);
+  r
+
+let set_dirty t b v =
+  if b.dirty <> v then begin
+    b.dirty <- v;
+    t.ndirty <- (t.ndirty + if v then 1 else -1)
+  end
+
+let insert t ~key ~frame ~slot ~dirty ~pinned ext =
+  let b = { key; frame; slot; pinned; dirty = false; node = None; ext } in
+  set_dirty t b dirty;
+  b.node <- Some (Lru.push_mru t.lru b);
+  Hashtbl.replace t.index key b;
+  b
+
+let remove t b =
+  (match b.node with Some n -> Lru.remove t.lru n | None -> ());
+  b.node <- None;
+  Hashtbl.remove t.index b.key;
+  set_dirty t b false;
+  Free_monitor.free t.frames b.frame;
+  if b.slot >= 0 then Free_monitor.free t.slots b.slot
+
+let set_frame b f = b.frame <- f
+let set_slot b s = b.slot <- s
+let set_pinned b v = b.pinned <- v
+let dirty_count t = t.ndirty
+let free_frames t = Free_monitor.free_count t.frames
+let free_slots t = Free_monitor.free_count t.slots
+let alloc_frame t = Free_monitor.alloc t.frames
+let alloc_slot t = Free_monitor.alloc t.slots
+let free_frame t f = Free_monitor.free t.frames f
+let free_slot t s = Free_monitor.free t.slots s
+let claim_frame t f = Free_monitor.mark_used t.frames f
+let claim_slot t s = Free_monitor.mark_used t.slots s
+let victim t = Option.map Lru.value (Lru.find_from_lru t.lru ~f:(fun b -> not b.pinned))
+
+let evict t hooks =
+  match victim t with
+  | None -> false
+  | Some b ->
+      hooks.evict b;
+      remove t b;
+      t.evictions <- t.evictions + 1;
+      true
+
+(* Every eviction frees a frame, so the slot loop never undoes the
+   frame loop: [ok] is the whole verdict. *)
+let make_room t hooks ~frames ~slots =
+  let ok = ref true in
+  while !ok && free_frames t < frames do
+    ok := evict t hooks
+  done;
+  (* Victims without a slot free none; keep evicting until one does. *)
+  while !ok && free_slots t < slots do
+    ok := evict t hooks
+  done;
+  !ok
+
+(* [alloc] fails only on an empty pool, so trying it first is the same
+   as making room for one and skips the loop on the common path. *)
+let take pool t hooks ~frames ~slots =
+  match Free_monitor.alloc pool with
+  | Some _ as r -> r
+  | None -> if make_room t hooks ~frames ~slots then Free_monitor.alloc pool else None
+
+let take_frame t hooks = take t.frames t hooks ~frames:1 ~slots:0
+let take_slot t hooks = take t.slots t hooks ~frames:0 ~slots:1
+let iter_lru f t = Lru.iter f t.lru
+
+let iter_lru_while t f = ignore (Lru.find_from_lru t.lru ~f:(fun b -> not (f b)))
+
+let fold f t acc = Hashtbl.fold (fun _ b acc -> f b acc) t.index acc
+let read_hits t = t.read_hits
+let read_misses t = t.read_misses
+let write_hits t = t.write_hits
+let write_misses t = t.write_misses
+let evictions t = t.evictions
+
+let note_write t ~hit =
+  if hit then t.write_hits <- t.write_hits + 1 else t.write_misses <- t.write_misses + 1
+
+exception Bad of string
+
+let audit ?(also_holds = fun _ -> -1) t =
+  let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+  (* Claim every referenced index of [pool] once, then compare the
+     number claimed with the number the pool has handed out. *)
+  let claims pool what =
+    let owner = Array.make (Free_monitor.capacity pool) (-1) in
+    let claimed = ref 0 in
+    let claim key i =
+      if i < 0 || i >= Array.length owner then fail "%s %d of block %d out of range" what i key;
+      if owner.(i) >= 0 then fail "%s %d referenced by blocks %d and %d" what i owner.(i) key;
+      if Free_monitor.is_free pool i then fail "%s %d of block %d both free and referenced" what i key;
+      owner.(i) <- key;
+      incr claimed
+    in
+    let settle () =
+      let used = Free_monitor.capacity pool - Free_monitor.free_count pool in
+      if used <> !claimed then fail "%d %ss in use, %d referenced" used what !claimed
+    in
+    (claim, settle)
+  in
+  let claim_frame, settle_frames = claims t.frames "frame" in
+  let claim_slot, settle_slots = claims t.slots "slot" in
+  let dirty = ref 0 in
+  match
+    if Lru.length t.lru <> length t then
+      fail "LRU length %d <> index size %d" (Lru.length t.lru) (length t);
+    Hashtbl.iter
+      (fun key b ->
+        if b.key <> key then fail "index key %d holds block %d" key b.key;
+        claim_frame key b.frame;
+        if also_holds b >= 0 then claim_frame key (also_holds b);
+        if b.slot >= 0 then claim_slot key b.slot;
+        if b.dirty then incr dirty)
+      t.index;
+    settle_frames ();
+    settle_slots ();
+    if !dirty <> t.ndirty then fail "dirty count %d, counted %d" t.ndirty !dirty
+  with
+  | () -> Ok ()
+  | exception Bad m -> Error m

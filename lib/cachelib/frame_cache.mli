@@ -1,0 +1,108 @@
+(** One region's volatile block cache (paper §4.6): write-back LRU in
+    which the blocks a transaction involves are pinned.
+
+    Both commit engines keep one per region (a logging [Cache.t], a
+    paging shard) and differ only in what they do to NVM.  This module
+    owns the block → frame index, the LRU, the free-frame and free-slot
+    pools (a {e slot} is the persistent record naming a block: a logging
+    entry, a paging table slot), pins, the dirty count, hit/miss/eviction
+    counters, victim selection and a structural audit.  It never touches
+    NVM: the NVM side of an eviction is the caller's {!hooks}. *)
+
+type 'a t
+
+(** One cached block.  Fields are read directly; changes go through the
+    setters below so the counts stay exact. *)
+type 'a block = private {
+  key : int;  (** disk block number *)
+  mutable frame : int;  (** frame holding the current version *)
+  mutable slot : int;  (** metadata slot, or -1 for none *)
+  mutable pinned : bool;  (** never a victim while set *)
+  mutable dirty : bool;
+  mutable node : 'a block Lru.node option;
+  ext : 'a;  (** engine-specific state *)
+}
+
+(** [evict b] writes a dirty victim back and retires its persistent
+    metadata; it runs once per victim, before the victim is unlinked and
+    its frame and slot are freed. *)
+type 'a hooks = { evict : 'a block -> unit }
+
+(** Empty cache over [frames] frames and [slots] slots.  [policy] orders
+    the frame pool; [index_size] is the index's initial hash-table size,
+    which fixes its iteration order ({!fold}). *)
+val create :
+  ?policy:Free_monitor.policy -> frames:int -> slots:int -> index_size:int -> unit -> 'a t
+
+val length : 'a t -> int
+val find : 'a t -> int -> 'a block option
+val mem : 'a t -> int -> bool
+
+(** Count a read hit (and promote the block to MRU) or a read miss. *)
+val lookup_read : 'a t -> int -> 'a block option
+
+(** Promote to MRU. *)
+val touch : 'a t -> 'a block -> unit
+
+(** Insert as MRU, holding a [frame] and [slot] the caller allocated. *)
+val insert :
+  'a t -> key:int -> frame:int -> slot:int -> dirty:bool -> pinned:bool -> 'a -> 'a block
+
+(** Unlink from the index and the LRU, and free the frame and slot. *)
+val remove : 'a t -> 'a block -> unit
+
+val set_frame : 'a block -> int -> unit
+val set_slot : 'a block -> int -> unit
+val set_pinned : 'a block -> bool -> unit
+val set_dirty : 'a t -> 'a block -> bool -> unit
+val dirty_count : 'a t -> int
+val free_frames : 'a t -> int
+val free_slots : 'a t -> int
+
+(** Pool access without eviction; [alloc_*] is [None] when empty. *)
+val alloc_frame : 'a t -> int option
+
+val alloc_slot : 'a t -> int option
+val free_frame : 'a t -> int -> unit
+val free_slot : 'a t -> int -> unit
+
+(** Mark a frame or slot used (recovery rebuild); [Invalid_argument] if
+    it already is. *)
+val claim_frame : 'a t -> int -> unit
+
+val claim_slot : 'a t -> int -> unit
+
+(** The least-recently-used unpinned block. *)
+val victim : 'a t -> 'a block option
+
+(** Evict victims (hook, then {!remove}) until [frames] frames and
+    [slots] slots are free; [false] when the victims run out first. *)
+val make_room : 'a t -> 'a hooks -> frames:int -> slots:int -> bool
+
+(** [make_room] for one frame (resp. slot), then allocate it; [None]
+    when no victim is left. *)
+val take_frame : 'a t -> 'a hooks -> int option
+
+val take_slot : 'a t -> 'a hooks -> int option
+
+(** LRU to MRU; [iter_lru_while] stops after [f] returns [false]. *)
+val iter_lru : ('a block -> unit) -> 'a t -> unit
+
+val iter_lru_while : 'a t -> ('a block -> bool) -> unit
+
+(** In index (hash table) order. *)
+val fold : ('a block -> 'b -> 'b) -> 'a t -> 'b -> 'b
+
+val read_hits : 'a t -> int
+val read_misses : 'a t -> int
+val write_hits : 'a t -> int
+val write_misses : 'a t -> int
+val evictions : 'a t -> int
+val note_write : 'a t -> hit:bool -> unit
+
+(** Structural check: the LRU and the index hold the same blocks; every
+    referenced frame and slot is in range, not free and referenced once;
+    as many frames and slots are used as are referenced; the dirty count
+    equals a recount.  [also_holds b] is one more frame [b] references
+    (a logging block's previous version), or -1. *)
+val audit : ?also_holds:('a block -> int) -> 'a t -> (unit, string) result

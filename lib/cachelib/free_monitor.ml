@@ -14,7 +14,7 @@ type t = {
 }
 
 let create ?(policy = Lifo) ~n () =
-  if n <= 0 then invalid_arg "Free_monitor.create";
+  if n < 0 then invalid_arg "Free_monitor.create";
   let ring = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     ring.(i) <- i

@@ -13,7 +13,6 @@ type 'a t = {
 
 let create () = { head = None; tail = None; len = 0 }
 let length t = t.len
-let is_empty t = t.len = 0
 
 let push_mru t v =
   let node = { v; prev = t.tail; next = None; linked = true } in
@@ -69,6 +68,3 @@ let to_list_lru_first t =
   let acc = ref [] in
   iter (fun v -> acc := v :: !acc) t;
   List.rev !acc
-
-let next node = node.next
-let prev node = node.prev

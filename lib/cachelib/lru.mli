@@ -9,7 +9,6 @@ type 'a node
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 (** Insert as most-recently-used; returns the handle. *)
 val push_mru : 'a t -> 'a -> 'a node
@@ -37,9 +36,3 @@ val find_from_lru : 'a t -> f:('a -> bool) -> 'a node option
 val iter : ('a -> unit) -> 'a t -> unit
 
 val to_list_lru_first : 'a t -> 'a list
-
-(** [next node] — the neighbour towards the MRU end, if any. *)
-val next : 'a node -> 'a node option
-
-(** [prev node] — the neighbour towards the LRU end, if any. *)
-val prev : 'a node -> 'a node option

@@ -5,8 +5,7 @@ let log_src = Logs.Src.create "tinca.cache" ~doc:"Tinca transactional NVM cache"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 module Disk = Tinca_blockdev.Disk
-module Lru = Tinca_cachelib.Lru
-module Free_monitor = Tinca_cachelib.Free_monitor
+module Fc = Tinca_cachelib.Frame_cache
 module Trace = Tinca_obs.Trace
 module Flight = Tinca_obs.Flight
 
@@ -22,7 +21,7 @@ type config = {
       (* dirty fraction of the cache beyond which the background flusher
          pre-cleans oldest dirty buffer blocks (keeping them cached), so
          replacement usually finds clean victims.  1.0 disables it. *)
-  alloc_policy : Free_monitor.policy;
+  alloc_policy : Tinca_cachelib.Free_monitor.policy;
   commit_pipeline : pipeline;
       (* Batched (default): the staged group commit — all COW data and
          entry lines under one fence, all ring slots under one more, one
@@ -37,7 +36,7 @@ type config = {
 
 let default_config =
   { block_size = 4096; ring_slots = 131072; mode = Write_back; clean_threshold = 0.7;
-    alloc_policy = Free_monitor.Lifo; commit_pipeline = Batched; flight_slots = 0 }
+    alloc_policy = Tinca_cachelib.Free_monitor.Lifo; commit_pipeline = Batched; flight_slots = 0 }
 
 exception Transaction_too_large
 
@@ -66,15 +65,15 @@ let () =
     | Invariant_violation m -> Some (Printf.sprintf "Tinca_core.Cache.Invariant_violation(%S)" m)
     | _ -> None)
 
-(* DRAM-side bookkeeping for one cached disk block (§4.6: hash table +
-   LRU list, reconstructible from the persistent entry table). *)
-type info = {
-  disk_blkno : int;
-  entry_idx : int;
-  mutable cur : int;
+(* The logging side of one cached block (§4.6: reconstructible from the
+   persistent entry table).  The frame cache holds the rest: [key] is
+   the disk block, [frame] the current NVM data block, [slot] the entry
+   index.  A block is pinned while it is in log role, and from the group
+   commit's allocation pass on (before [role_log] starts protecting
+   it). *)
+type ext = {
   mutable prev : int option;
   mutable role_log : bool;
-  mutable dirty : bool;
   mutable pre_dirty : bool;
       (* dirty bit as of just before the in-flight COW update; meaningful
          only while [role_log].  In-process revocation restores it, so
@@ -82,12 +81,9 @@ type info = {
          the block spuriously dirty.  Post-crash recovery cannot read it
          back from media (the entry's M bit was overwritten by the COW
          update), so recovered infos conservatively set it to [true]. *)
-  mutable txn_pinned : bool;
-      (* DRAM-only: block is staged in the in-flight group commit, so
-         replacement must not victimize it during the commit's own
-         allocation pass (before [role_log] starts protecting it). *)
-  mutable node : info Lru.node option;
 }
+
+type info = ext Fc.block
 
 type t = {
   cfg : config;
@@ -98,19 +94,11 @@ type t = {
   metrics : Metrics.t;
   cpu : Latency.cpu;
   ring : Ring.t;
-  index : (int, info) Hashtbl.t;
-  lru : info Lru.t;
-  free_data : Free_monitor.t;
-  free_entries : Free_monitor.t;
+  fc : ext Fc.t;
   mutable pinned : int; (* infos currently in log role *)
-  mutable dirty_count : int;
   mutable cow_pinned : int; (* NVM blocks held as previous versions *)
   mutable peak_cow : int;
   mutable committing : bool;
-  mutable read_hits : int;
-  mutable read_misses : int;
-  mutable write_hits : int;
-  mutable write_misses : int;
   (* Flight recorder (ISSUE 9): volatile cursor over the NVM record
      ring, the record lines written since the last commit-path fence
      (folded into that fence, never fenced on their own), the drain
@@ -129,13 +117,8 @@ let config t = t.cfg
 
 (* --- flight recorder (ISSUE 9) ----------------------------------------- *)
 
-let flight_enabled t = t.flight <> None
 let set_flight_shard t s = t.flight_shard <- s
 let flight_scan_result t = t.flight_scan
-
-(* The batch id the NEXT drain of this cache will carry — the standing
-   batch facade-level seal records must point at. *)
-let flight_next_batch t = t.flight_batch
 
 (* Volatile store of one 64 B record (exactly one line): no flush, no
    fence — the dirtied line waits in [flight_dirty] for the commit
@@ -260,78 +243,58 @@ let write_entries_batched t updates =
 
 let entry_at t idx = Entry.decode (Pmem.read t.pmem ~off:(Layout.entry_off t.layout idx) ~len:Entry.size)
 
-let entry_of_info ~role info =
+let entry_of_info ~role (info : info) =
   {
     Entry.valid = true;
     role;
     modified = info.dirty;
-    disk_blkno = info.disk_blkno;
-    prev = info.prev;
-    cur = info.cur;
+    disk_blkno = info.key;
+    prev = info.ext.prev;
+    cur = info.frame;
   }
 
+let invalid_entry () =
+  { Entry.valid = false; role = Buffer; modified = false; disk_blkno = 0; prev = None; cur = 0 }
+
 (* --- allocation & replacement (§4.6) ----------------------------------- *)
-
-let node_exn info =
-  match info.node with
-  | Some n -> n
-  | None -> raise (Invariant_violation "Tinca.Cache: info without LRU node")
-
-(* All dirty-bit transitions go through here so the background flusher
-   can watch the dirty population. *)
-let note_dirty t info v =
-  if info.dirty <> v then begin
-    info.dirty <- v;
-    t.dirty_count <- t.dirty_count + (if v then 1 else -1)
-  end
 
 let read_data_block t nvm_blk =
   Pmem.read t.pmem ~off:(Layout.data_block_off t.layout nvm_blk) ~len:t.cfg.block_size
 
-let writeback ?(background = false) t info =
-  let data = read_data_block t info.cur in
-  Disk.write_block ~background t.disk info.disk_blkno data;
-  Metrics.incr t.metrics "tinca.writebacks" ~by:1
+(* Write a dirty block back to disk and mark it clean; returns the
+   buffer-role entry update that persists the clean mark. *)
+let writeback ?(background = false) t (info : info) =
+  let data = read_data_block t info.frame in
+  Disk.write_block ~background t.disk info.key data;
+  Metrics.incr t.metrics "tinca.writebacks" ~by:1;
+  Fc.set_dirty t.fc info false;
+  (info.slot, entry_of_info ~role:Entry.Buffer info)
 
-(* Victim selection: LRU order, skipping every block involved in the
-   committing transaction: log role pins both its current and previous
-   NVM blocks (because [prev] is only non-None while the role is log),
-   and [txn_pinned] protects staged blocks during the group commit's
-   allocation pass, before their role has switched to log. *)
-let evict_one t =
-  match Lru.find_from_lru t.lru ~f:(fun info -> not (info.role_log || info.txn_pinned)) with
-  | None -> raise Cache_exhausted
-  | Some node ->
-      let info = Lru.value node in
-      if info.dirty then begin
-        writeback t info;
-        note_dirty t info false
-      end;
-      (* Persistently invalidate the entry so recovery cannot resurrect
-         a block whose NVM space is about to be reused. *)
-      Pmem.set_site t.pmem "cache.evict";
-      write_entry t info.entry_idx
-        { Entry.valid = false; role = Buffer; modified = false; disk_blkno = 0; prev = None; cur = 0 };
-      Lru.remove t.lru node;
-      info.node <- None;
-      Hashtbl.remove t.index info.disk_blkno;
-      Free_monitor.free t.free_data info.cur;
-      Free_monitor.free t.free_entries info.entry_idx;
-      Metrics.incr t.metrics "tinca.evictions" ~by:1
+(* The NVM side of evicting a victim: write it back if dirty, then
+   persistently invalidate its entry so recovery cannot resurrect a
+   block whose NVM space is about to be reused.  Victims are unpinned,
+   so never in log role: a log-role block pins both its current and
+   previous NVM blocks. *)
+let evict_hooks t =
+  {
+    Fc.evict =
+      (fun info ->
+        if info.dirty then ignore (writeback t info);
+        Pmem.set_site t.pmem "cache.evict";
+        write_entry t info.slot (invalid_entry ());
+        Metrics.incr t.metrics "tinca.evictions" ~by:1);
+  }
 
-let rec alloc_data t =
-  match Free_monitor.alloc t.free_data with
-  | Some i -> i
-  | None ->
-      evict_one t;
-      alloc_data t
+let alloc_data t =
+  match Fc.take_frame t.fc (evict_hooks t) with Some i -> i | None -> raise Cache_exhausted
 
-let rec alloc_entry t =
-  match Free_monitor.alloc t.free_entries with
-  | Some i -> i
-  | None ->
-      evict_one t;
-      alloc_entry t
+let alloc_entry t =
+  match Fc.take_slot t.fc (evict_hooks t) with Some i -> i | None -> raise Cache_exhausted
+
+let find_exn t blkno =
+  match Fc.find t.fc blkno with
+  | Some info -> info
+  | None -> raise (Invariant_violation (Printf.sprintf "Tinca.Cache: block %d not cached" blkno))
 
 (* Background flusher: when the dirty fraction exceeds the threshold,
    write the oldest dirty buffer blocks back using background device time
@@ -341,33 +304,26 @@ let maybe_clean t =
   let high =
     int_of_float (t.cfg.clean_threshold *. float_of_int t.layout.Layout.nblocks)
   in
-  if t.dirty_count > high then begin
+  let dirty = Fc.dirty_count t.fc in
+  if dirty > high then begin
     Trace.begin_span ~clock:t.clock "tinca.bg_clean";
     let low = max 0 (high * 7 / 8) in
-    let budget = ref (t.dirty_count - low) in
+    let budget = ref (dirty - low) in
     let victims = ref [] in
-    let rec collect node_opt =
-      if !budget > 0 then
-        match node_opt with
-        | None -> ()
-        | Some node ->
-            let info = Lru.value node in
-            if info.dirty && not info.role_log then begin
-              victims := info :: !victims;
-              decr budget
-            end;
-            collect (Lru.next node)
-    in
-    collect (Lru.lru t.lru);
+    Fc.iter_lru_while t.fc (fun info ->
+        if info.dirty && not info.ext.role_log then begin
+          victims := info :: !victims;
+          decr budget
+        end;
+        !budget > 0);
     Pmem.set_site t.pmem "cache.bg_clean";
-    let sorted = List.sort (fun a b -> compare a.disk_blkno b.disk_blkno) !victims in
+    let sorted = List.sort (fun (a : info) (b : info) -> compare a.key b.key) !victims in
     let updates =
       List.map
         (fun info ->
-          writeback ~background:true t info;
-          note_dirty t info false;
+          let update = writeback ~background:true t info in
           Metrics.incr t.metrics "tinca.cleaned" ~by:1;
-          (info.entry_idx, entry_of_info ~role:Entry.Buffer info))
+          update)
         sorted
     in
     write_entries_batched t updates;
@@ -386,19 +342,13 @@ let make_t ~config:cfg ~layout ~pmem ~disk ~clock ~metrics =
     metrics;
     cpu = Latency.default_cpu;
     ring = Ring.attach ~pmem ~layout;
-    index = Hashtbl.create 4096;
-    lru = Lru.create ();
-    free_data = Free_monitor.create ~policy:cfg.alloc_policy ~n:layout.Layout.nblocks ();
-    free_entries = Free_monitor.create ~n:layout.Layout.nblocks ();
+    fc =
+      Fc.create ~policy:cfg.alloc_policy ~frames:layout.Layout.nblocks
+        ~slots:layout.Layout.nblocks ~index_size:4096 ();
     pinned = 0;
-    dirty_count = 0;
     cow_pinned = 0;
     peak_cow = 0;
     committing = false;
-    read_hits = 0;
-    read_misses = 0;
-    write_hits = 0;
-    write_misses = 0;
     flight =
       (if layout.Layout.flight_slots > 0 then Some (Flight.cursor ~slots:layout.Layout.flight_slots)
        else None);
@@ -451,13 +401,14 @@ let format ~config ~pmem ~disk ~clock ~metrics =
    transaction's version.  Blocks found only by the full entry scan are
    revoked when still in log role. *)
 let revoke_block ?(force = false) t blkno =
-  match Hashtbl.find_opt t.index blkno with
+  match Fc.find t.fc blkno with
   | None -> () (* entry write never became durable: nothing to undo *)
   | Some info ->
-      if force || info.role_log then begin
-        info.txn_pinned <- false;
+      let x = info.ext in
+      if force || x.role_log then begin
+        Fc.set_pinned info false;
         Pmem.set_site t.pmem "cache.revoke";
-        (match info.prev with
+        (match x.prev with
         | Some p ->
             (* Roll back to the previous version, restoring the dirty bit
                the block had before the COW update.  For in-process aborts
@@ -465,28 +416,23 @@ let revoke_block ?(force = false) t blkno =
                block does not schedule a spurious disk writeback; recovered
                infos carry the conservative [pre_dirty = true] because the
                pre-transaction M bit is unrecoverable from media. *)
-            Free_monitor.free t.free_data info.cur;
-            info.cur <- p;
-            info.prev <- None;
+            Fc.free_frame t.fc info.frame;
+            Fc.set_frame info p;
+            x.prev <- None;
             t.cow_pinned <- t.cow_pinned - 1;
-            note_dirty t info info.pre_dirty;
-            if info.role_log then begin
-              info.role_log <- false;
+            Fc.set_dirty t.fc info x.pre_dirty;
+            if x.role_log then begin
+              x.role_log <- false;
               t.pinned <- t.pinned - 1
             end;
-            write_entry t info.entry_idx (entry_of_info ~role:Entry.Buffer info)
+            write_entry t info.slot (entry_of_info ~role:Entry.Buffer info)
         | None ->
             (* Write miss with no prior version: delete block and entry. *)
-            note_dirty t info false;
-            write_entry t info.entry_idx
-              { Entry.valid = false; role = Buffer; modified = false; disk_blkno = 0; prev = None; cur = 0 };
-            (match info.node with Some node -> Lru.remove t.lru node | None -> ());
-            info.node <- None;
-            Hashtbl.remove t.index blkno;
-            Free_monitor.free t.free_data info.cur;
-            Free_monitor.free t.free_entries info.entry_idx;
-            if info.role_log then begin
-              info.role_log <- false;
+            Fc.set_dirty t.fc info false;
+            write_entry t info.slot (invalid_entry ());
+            Fc.remove t.fc info;
+            if x.role_log then begin
+              x.role_log <- false;
               t.pinned <- t.pinned - 1
             end);
         Metrics.incr t.metrics "tinca.revoked" ~by:1
@@ -509,30 +455,23 @@ let recover_region ?(flight_replay = true) ~base ~mem_bytes ~pmem ~disk ~clock ~
      changes nothing else — the recovery-semantics-unchanged pin in
      check-flight holds recovery byte-identical either way. *)
   (match t.flight with
-  | Some cur when flight_replay ->
-      Trace.begin_span ~clock "tinca.recover.flight_scan";
+  | Some cur ->
+      if flight_replay then Trace.begin_span ~clock "tinca.recover.flight_scan";
       let records, torn =
         Flight.scan ~slots:layout.Layout.flight_slots ~read:(fun i ->
             Pmem.read pmem
               ~off:(layout.Layout.flight_off + (i * Layout.flight_record_size))
               ~len:Layout.flight_record_size)
       in
-      t.flight_scan <- Some (records, torn);
-      cur.Flight.seq <-
-        (match List.rev records with (seq, _) :: _ -> seq + 1 | [] -> 0);
-      Trace.end_span "tinca.recover.flight_scan";
-      flight_note t Flight.Recovery_start ~a:(Ring.head t.ring) ~b:(Ring.tail t.ring)
-        ~c:(List.length records)
-  | Some cur ->
-      (* Recorder present but replay disabled: still continue the
-         sequence so later records never collide with survivors. *)
-      let records, _ =
-        Flight.scan ~slots:layout.Layout.flight_slots ~read:(fun i ->
-            Pmem.read pmem
-              ~off:(layout.Layout.flight_off + (i * Layout.flight_record_size))
-              ~len:Layout.flight_record_size)
-      in
-      cur.Flight.seq <- (match List.rev records with (seq, _) :: _ -> seq + 1 | [] -> 0)
+      (* Without replay too: later records must never collide with
+         survivors. *)
+      cur.Flight.seq <- (match List.rev records with (seq, _) :: _ -> seq + 1 | [] -> 0);
+      if flight_replay then begin
+        t.flight_scan <- Some (records, torn);
+        Trace.end_span "tinca.recover.flight_scan";
+        flight_note t Flight.Recovery_start ~a:(Ring.head t.ring) ~b:(Ring.tail t.ring)
+          ~c:(List.length records)
+      end
   | None -> ());
   (* Blocks named by the ring range are the in-flight transaction's; their
      entries must be interpreted as in-flight even when a role-switch
@@ -546,33 +485,21 @@ let recover_region ?(flight_replay = true) ~base ~mem_bytes ~pmem ~disk ~clock ~
   for i = 0 to layout.Layout.nblocks - 1 do
     let e = entry_at t i in
     if e.Entry.valid then begin
-      if Hashtbl.mem t.index e.Entry.disk_blkno then
+      if Fc.mem t.fc e.Entry.disk_blkno then
         raise (Corrupt "Tinca.Cache.recover: duplicate valid entry for a disk block");
       let role_log = e.Entry.role = Entry.Log in
       let in_flight = role_log || Hashtbl.mem in_ring e.Entry.disk_blkno in
-      let info =
-        {
-          disk_blkno = e.Entry.disk_blkno;
-          entry_idx = i;
-          cur = e.Entry.cur;
-          (* prev is meaningful (and pins NVM space) only for in-flight
-             blocks; other buffer-role entries carry a stale prev. *)
-          prev = (if in_flight then e.Entry.prev else None);
-          role_log;
-          dirty = e.Entry.modified;
-          pre_dirty = true;
-          txn_pinned = false;
-          node = None;
-        }
-      in
-      info.node <- Some (Lru.push_mru t.lru info);
-      Hashtbl.replace t.index info.disk_blkno info;
-      Free_monitor.mark_used t.free_entries i;
-      Free_monitor.mark_used t.free_data info.cur;
-      (match info.prev with Some p -> Free_monitor.mark_used t.free_data p | None -> ());
+      (* prev is meaningful (and pins NVM space) only for in-flight
+         blocks; other buffer-role entries carry a stale prev. *)
+      let prev = if in_flight then e.Entry.prev else None in
+      Fc.claim_slot t.fc i;
+      Fc.claim_frame t.fc e.Entry.cur;
+      (match prev with Some p -> Fc.claim_frame t.fc p | None -> ());
+      ignore
+        (Fc.insert t.fc ~key:e.Entry.disk_blkno ~frame:e.Entry.cur ~slot:i ~dirty:e.Entry.modified
+           ~pinned:role_log { prev; role_log; pre_dirty = true });
       if role_log then t.pinned <- t.pinned + 1;
-      if info.dirty then t.dirty_count <- t.dirty_count + 1;
-      if info.prev <> None then t.cow_pinned <- t.cow_pinned + 1
+      if prev <> None then t.cow_pinned <- t.cow_pinned + 1
     end
   done;
   Trace.end_span "tinca.recover.entry_scan";
@@ -591,9 +518,9 @@ let recover_region ?(flight_replay = true) ~base ~mem_bytes ~pmem ~disk ~clock ~
       flight_note t Flight.Recovery_decision ~a:1 ~b:blkno
   in
   Hashtbl.iter (fun blkno () -> revoke_logged blkno) in_ring;
-  Hashtbl.iter
-    (fun blkno info -> if info.role_log then revoke_logged blkno)
-    (Hashtbl.copy t.index);
+  List.iter
+    (fun (info : info) -> if info.ext.role_log then revoke_logged info.key)
+    (List.rev (Fc.fold List.cons t.fc []));
   flight_flush_into_fence t;
   Ring.commit_point t.ring;
   Trace.end_span "tinca.recover.revoke";
@@ -601,7 +528,7 @@ let recover_region ?(flight_replay = true) ~base ~mem_bytes ~pmem ~disk ~clock ~
   Metrics.incr t.metrics "tinca.recoveries" ~by:1;
   Log.info (fun m ->
       m "recovered: %d cached blocks, %d in-flight blocks revoked (%d named by ring)"
-        (Hashtbl.length t.index)
+        (Fc.length t.fc)
         (Metrics.get t.metrics "tinca.revoked" - before)
         (Hashtbl.length in_ring));
   t
@@ -616,36 +543,39 @@ let read_layout ~base ~mem_bytes pmem = read_super ~base ~mem_bytes pmem
 let charge_op t = Clock.advance t.clock t.cpu.Latency.op_overhead_ns
 let charge_lookup t = Clock.advance t.clock t.cpu.Latency.hash_lookup_ns
 
+let fresh_ext ~role_log = { prev = None; role_log; pre_dirty = false }
+
+(* Read-miss fill.  When every cached block is pinned there is no
+   victim: the block is served from disk and stays uncached. *)
 let insert_clean t blkno data =
-  let nvm_blk = alloc_data t in
-  let entry_idx = alloc_entry t in
-  Pmem.set_site t.pmem "cache.read_fill";
-  let off = Layout.data_block_off t.layout nvm_blk in
-  Pmem.write t.pmem ~off data;
-  Pmem.persist t.pmem ~off ~len:t.cfg.block_size;
-  let info =
-    { disk_blkno = blkno; entry_idx; cur = nvm_blk; prev = None; role_log = false;
-      dirty = false; pre_dirty = false; txn_pinned = false; node = None }
-  in
-  write_entry t entry_idx (entry_of_info ~role:Entry.Buffer info);
-  info.node <- Some (Lru.push_mru t.lru info);
-  Hashtbl.replace t.index blkno info;
-  info
+  let hooks = evict_hooks t in
+  match Fc.take_frame t.fc hooks with
+  | None -> ()
+  | Some nvm_blk -> (
+      match Fc.take_slot t.fc hooks with
+      | None -> Fc.free_frame t.fc nvm_blk
+      | Some entry_idx ->
+          Pmem.set_site t.pmem "cache.read_fill";
+          let off = Layout.data_block_off t.layout nvm_blk in
+          Pmem.write t.pmem ~off data;
+          Pmem.persist t.pmem ~off ~len:t.cfg.block_size;
+          let info =
+            Fc.insert t.fc ~key:blkno ~frame:nvm_blk ~slot:entry_idx ~dirty:false ~pinned:false
+              (fresh_ext ~role_log:false)
+          in
+          write_entry t entry_idx (entry_of_info ~role:Entry.Buffer info))
 
 let read t blkno =
   charge_op t;
   charge_lookup t;
-  match Hashtbl.find_opt t.index blkno with
+  match Fc.lookup_read t.fc blkno with
   | Some info ->
-      t.read_hits <- t.read_hits + 1;
       Metrics.incr t.metrics "tinca.read_hits" ~by:1;
-      Lru.touch t.lru (node_exn info);
-      read_data_block t info.cur
+      read_data_block t info.frame
   | None ->
-      t.read_misses <- t.read_misses + 1;
       Metrics.incr t.metrics "tinca.read_misses" ~by:1;
       let data = Disk.read_block t.disk blkno in
-      let _info = insert_clean t blkno data in
+      insert_clean t blkno data;
       data
 
 (* --- transactions (§4.3–§4.4) ------------------------------------------ *)
@@ -686,6 +616,31 @@ module Txn = struct
 
   let block_count h = Hashtbl.length h.staged
 
+  (* Point a cached block at its COW copy [new_blk], keeping the old
+     version as [prev] and pinning the block in log role (§4.3). *)
+  let cow_hit t (info : info) new_blk =
+    let x = info.ext in
+    Fc.note_write t.fc ~hit:true;
+    Metrics.incr t.metrics "tinca.write_hits" ~by:1;
+    x.pre_dirty <- info.dirty;
+    x.prev <- Some info.frame;
+    Fc.set_frame info new_blk;
+    x.role_log <- true;
+    Fc.set_pinned info true;
+    Fc.set_dirty t.fc info true;
+    t.pinned <- t.pinned + 1;
+    t.cow_pinned <- t.cow_pinned + 1;
+    if t.cow_pinned > t.peak_cow then t.peak_cow <- t.cow_pinned
+
+  (* Cache a write miss at its COW block [new_blk] and fresh entry slot,
+     dirty and pinned in log role with no previous version. *)
+  let cow_miss t blkno new_blk entry_idx =
+    Fc.note_write t.fc ~hit:false;
+    Metrics.incr t.metrics "tinca.write_misses" ~by:1;
+    t.pinned <- t.pinned + 1;
+    Fc.insert t.fc ~key:blkno ~frame:new_blk ~slot:entry_idx ~dirty:true ~pinned:true
+      (fresh_ext ~role_log:true)
+
   (* Commit one block: paper §4.4 steps 1–3 (write data COW; swing the
      entry atomically; record the block number in the ring and advance
      Head). *)
@@ -696,44 +651,26 @@ module Txn = struct
     Pmem.write t.pmem ~off data;
     Pmem.persist t.pmem ~off ~len:t.cfg.block_size;
     Pmem.set_site t.pmem "commit.entry";
-    (match Hashtbl.find_opt t.index blkno with
+    (match Fc.find t.fc blkno with
     | Some info ->
         (* Write hit: COW block write (§4.3). *)
-        t.write_hits <- t.write_hits + 1;
-        Metrics.incr t.metrics "tinca.write_hits" ~by:1;
-        info.pre_dirty <- info.dirty;
-        info.prev <- Some info.cur;
-        info.cur <- new_blk;
-        info.role_log <- true;
-        note_dirty t info true;
-        t.pinned <- t.pinned + 1;
-        t.cow_pinned <- t.cow_pinned + 1;
-        if t.cow_pinned > t.peak_cow then t.peak_cow <- t.cow_pinned;
-        write_entry t info.entry_idx (entry_of_info ~role:Entry.Log info)
+        cow_hit t info new_blk;
+        write_entry t info.slot (entry_of_info ~role:Entry.Log info)
     | None ->
-        (* Write miss: fresh entry, previous version = FRESH. *)
-        t.write_misses <- t.write_misses + 1;
-        Metrics.incr t.metrics "tinca.write_misses" ~by:1;
-        (* If the entry allocation fails, the COW data block allocated
-           above must be returned to the pool before the exception
-           escapes: the block never reached the index, so neither
+        (* Write miss: fresh entry, previous version = FRESH.  If the
+           entry allocation fails, the COW data block allocated above
+           must be returned to the pool before the exception escapes:
+           the block never reached the index, so neither
            [revoke_partial] nor recovery can ever reclaim it, and
            [check_invariants] would flag the leak. *)
         let entry_idx =
           try alloc_entry t
           with e ->
-            Free_monitor.free t.free_data new_blk;
+            Fc.free_frame t.fc new_blk;
             raise e
         in
-        let info =
-          { disk_blkno = blkno; entry_idx; cur = new_blk; prev = None; role_log = true;
-            dirty = false; pre_dirty = false; txn_pinned = false; node = None }
-        in
-        note_dirty t info true;
-        t.pinned <- t.pinned + 1;
-        write_entry t entry_idx (entry_of_info ~role:Entry.Log info);
-        info.node <- Some (Lru.push_mru t.lru info);
-        Hashtbl.replace t.index blkno info);
+        let info = cow_miss t blkno new_blk entry_idx in
+        write_entry t entry_idx (entry_of_info ~role:Entry.Log info));
     Ring.record t.ring blkno;
     Metrics.incr t.metrics "tinca.head_advance" ~by:1
 
@@ -766,9 +703,7 @@ module Txn = struct
   let alloc_group t blocks =
     List.iter
       (fun blkno ->
-        match Hashtbl.find_opt t.index blkno with
-        | Some info -> info.txn_pinned <- true
-        | None -> ())
+        match Fc.find t.fc blkno with Some info -> Fc.set_pinned info true | None -> ())
       blocks;
     (* (disk blkno, COW data block, classification), reversed *)
     let allocs = ref [] in
@@ -777,13 +712,13 @@ module Txn = struct
        List.iter
          (fun blkno ->
            let new_blk = alloc_data t in
-           match Hashtbl.find_opt t.index blkno with
+           match Fc.find t.fc blkno with
            | Some info -> allocs := (blkno, new_blk, Hit info) :: !allocs
            | None ->
                let entry_idx =
                  try alloc_entry t
                  with e ->
-                   Free_monitor.free t.free_data new_blk;
+                   Fc.free_frame t.fc new_blk;
                    raise e
                in
                allocs := (blkno, new_blk, Miss entry_idx) :: !allocs)
@@ -791,15 +726,15 @@ module Txn = struct
      with e ->
        List.iter
          (fun (_, data_blk, kind) ->
-           Free_monitor.free t.free_data data_blk;
+           Fc.free_frame t.fc data_blk;
            match kind with
-           | Miss i -> Free_monitor.free t.free_entries i
+           | Miss i -> Fc.free_slot t.fc i
            | Hit _ -> ())
          !allocs;
        List.iter
          (fun blkno ->
-           match Hashtbl.find_opt t.index blkno with
-           | Some info -> info.txn_pinned <- false
+           match Fc.find t.fc blkno with
+           | Some info -> Fc.set_pinned info info.ext.role_log
            | None -> ())
          blocks;
        Trace.end_span "tinca.commit.alloc";
@@ -829,34 +764,16 @@ module Txn = struct
         match kind with
         | Hit info ->
             (* Write hit: COW block write (§4.3). *)
-            t.write_hits <- t.write_hits + 1;
-            Metrics.incr t.metrics "tinca.write_hits" ~by:1;
-            info.pre_dirty <- info.dirty;
-            info.prev <- Some info.cur;
-            info.cur <- new_blk;
-            info.role_log <- true;
-            note_dirty t info true;
-            t.pinned <- t.pinned + 1;
-            t.cow_pinned <- t.cow_pinned + 1;
-            if t.cow_pinned > t.peak_cow then t.peak_cow <- t.cow_pinned;
-            let off = Layout.entry_off t.layout info.entry_idx in
+            cow_hit t info new_blk;
+            let off = Layout.entry_off t.layout info.slot in
             Pmem.atomic_write16 t.pmem ~off (Entry.encode (entry_of_info ~role:Entry.Log info));
             note_range off Entry.size
         | Miss entry_idx ->
             (* Write miss: fresh entry, previous version = FRESH. *)
-            t.write_misses <- t.write_misses + 1;
-            Metrics.incr t.metrics "tinca.write_misses" ~by:1;
-            let info =
-              { disk_blkno = blkno; entry_idx; cur = new_blk; prev = None; role_log = true;
-                dirty = false; pre_dirty = false; txn_pinned = true; node = None }
-            in
-            note_dirty t info true;
-            t.pinned <- t.pinned + 1;
+            let info = cow_miss t blkno new_blk entry_idx in
             let off = Layout.entry_off t.layout entry_idx in
             Pmem.atomic_write16 t.pmem ~off (Entry.encode (entry_of_info ~role:Entry.Log info));
-            note_range off Entry.size;
-            info.node <- Some (Lru.push_mru t.lru info);
-            Hashtbl.replace t.index blkno info)
+            note_range off Entry.size)
       allocs;
     !ranges
   [@@pmem.defer
@@ -906,11 +823,11 @@ module Txn = struct
       raise Transaction_too_large
     in
     if n > t.cfg.ring_slots then reject ();
-    let hits = List.fold_left (fun acc b -> if Hashtbl.mem t.index b then acc + 1 else acc) 0 blocks in
+    let hits = List.fold_left (fun acc b -> if Fc.mem t.fc b then acc + 1 else acc) 0 blocks in
     let misses = n - hits in
-    let evictable = Lru.length t.lru - t.pinned - hits in
-    if n > Free_monitor.free_count t.free_data + evictable then reject ();
-    if misses > Free_monitor.free_count t.free_entries + evictable then reject ()
+    let evictable = Fc.length t.fc - t.pinned - hits in
+    if n > Fc.free_frames t.fc + evictable then reject ();
+    if misses > Fc.free_slots t.fc + evictable then reject ()
 
   (* §4.4 steps 1–2 (+ slot staging) in the pipeline's shape.  Batched:
      stages A–B under two fences, Head unmoved.  Per_block: the paper's
@@ -974,7 +891,7 @@ module Txn = struct
            crash cannot surface a half-switched committed transaction. *)
         let per_txn =
           List.map
-            (fun (h, blocks, n) -> (h, List.map (fun blkno -> Hashtbl.find t.index blkno) blocks, n))
+            (fun (h, blocks, n) -> (h, List.map (find_exn t) blocks, n))
             pairs
         in
         let all_infos = List.concat_map (fun (_, infos, _) -> infos) per_txn in
@@ -984,11 +901,11 @@ module Txn = struct
         flight_flush_into_fence t;
         write_entries_batched t
           (List.map
-             (fun info ->
-               info.role_log <- false;
-               info.txn_pinned <- false;
+             (fun (info : info) ->
+               info.ext.role_log <- false;
+               Fc.set_pinned info false;
                t.pinned <- t.pinned - 1;
-               (info.entry_idx, entry_of_info ~role:Entry.Buffer info))
+               (info.slot, entry_of_info ~role:Entry.Buffer info))
              all_infos);
         Trace.end_span "tinca.commit.role_switch";
         (* §4.4 step 5: Tail := Head — the durable commit point.  The
@@ -1002,14 +919,14 @@ module Txn = struct
         Trace.end_span "tinca.commit.tail";
         (* Reclaim previous versions and promote to MRU (§4.6 rule 2b). *)
         List.iter
-          (fun info ->
-            (match info.prev with
+          (fun (info : info) ->
+            (match info.ext.prev with
             | Some p ->
-                Free_monitor.free t.free_data p;
-                info.prev <- None;
+                Fc.free_frame t.fc p;
+                info.ext.prev <- None;
                 t.cow_pinned <- t.cow_pinned - 1
             | None -> ());
-            Lru.touch t.lru (node_exn info))
+            Fc.touch t.fc info)
           all_infos;
         t.committing <- false;
         List.iter
@@ -1027,14 +944,7 @@ module Txn = struct
         if t.cfg.mode = Write_through then begin
           Pmem.set_site t.pmem "cache.writeback";
           Trace.begin_span ~clock:t.clock "tinca.commit.writeback";
-          write_entries_batched t
-            (List.map
-               (fun info ->
-                 writeback t info;
-                 note_dirty t info false;
-                 (info.entry_idx, entry_of_info ~role:Entry.Buffer info))
-               all_infos)
-          ;
+          write_entries_batched t (List.map (writeback t) all_infos);
           Trace.end_span "tinca.commit.writeback"
         end
 
@@ -1299,30 +1209,23 @@ let flush_all t =
   (* All clean marks under one batched entry update (one fence), instead
      of a flush + fence per dirty block. *)
   let updates =
-    Hashtbl.fold
-      (fun _ info acc ->
-        if info.dirty && not info.role_log then begin
-          writeback t info;
-          note_dirty t info false;
-          (info.entry_idx, entry_of_info ~role:Entry.Buffer info) :: acc
-        end
-        else acc)
-      t.index []
+    Fc.fold
+      (fun info acc -> if info.dirty && not info.ext.role_log then writeback t info :: acc else acc)
+      t.fc []
   in
   write_entries_batched t updates
 
-let cached_blocks t = Hashtbl.length t.index
-let free_blocks t = Free_monitor.free_count t.free_data
-let contains t blkno = Hashtbl.mem t.index blkno
+let cached_blocks t = Fc.length t.fc
+let free_blocks t = Fc.free_frames t.fc
+let contains t blkno = Fc.mem t.fc blkno
 
 let ratio a b = if a + b = 0 then 0.0 else float_of_int a /. float_of_int (a + b)
-let write_hit_rate t = ratio t.write_hits t.write_misses
-let read_hit_rate t = ratio t.read_hits t.read_misses
+let write_hit_rate t = ratio (Fc.write_hits t.fc) (Fc.write_misses t.fc)
 let peak_cow_blocks t = t.peak_cow
 
 let peek t blkno =
-  match Hashtbl.find_opt t.index blkno with
-  | Some info -> Some (read_data_block t info.cur)
+  match Fc.find t.fc blkno with
+  | Some info -> Some (read_data_block t info.frame)
   | None -> None
 
 (* --- /proc-style stats snapshot ---------------------------------------- *)
@@ -1354,38 +1257,49 @@ type stats = {
   wear_mean : float;
 }
 
-let stats t =
-  let nblocks = t.layout.Layout.nblocks in
+(* Structural fields are summed over [caches]; metric-derived totals
+   (commits, aborts, revoked, recoveries) come from the shared registry
+   and wear from the shared device; ring_high_water is the MAX — per-ring
+   peaks do not add up to a meaningful global peak. *)
+let stats_of caches =
+  let t = caches.(0) in
+  let sum f = Array.fold_left (fun a c -> a + f c) 0 caches in
+  let nblocks = sum (fun c -> c.layout.Layout.nblocks) in
   let nlines = Pmem.size t.pmem / Pmem.line_size in
+  let dirty = sum (fun c -> Fc.dirty_count c.fc) in
+  let read_hits = sum (fun c -> Fc.read_hits c.fc) and read_misses = sum (fun c -> Fc.read_misses c.fc) in
+  let write_hits = sum (fun c -> Fc.write_hits c.fc)
+  and write_misses = sum (fun c -> Fc.write_misses c.fc) in
   {
     capacity_blocks = nblocks;
-    cached = Hashtbl.length t.index;
-    free_data = Free_monitor.free_count t.free_data;
-    free_entries = Free_monitor.free_count t.free_entries;
-    dirty = t.dirty_count;
-    dirty_ratio =
-      (if nblocks = 0 then 0.0 else float_of_int t.dirty_count /. float_of_int nblocks);
-    pinned = t.pinned;
-    cow_pinned = t.cow_pinned;
-    peak_cow = t.peak_cow;
-    read_hits = t.read_hits;
-    read_misses = t.read_misses;
-    read_hit_ratio = ratio t.read_hits t.read_misses;
-    write_hits = t.write_hits;
-    write_misses = t.write_misses;
-    write_hit_ratio = ratio t.write_hits t.write_misses;
+    cached = sum (fun c -> Fc.length c.fc);
+    free_data = sum (fun c -> Fc.free_frames c.fc);
+    free_entries = sum (fun c -> Fc.free_slots c.fc);
+    dirty;
+    dirty_ratio = (if nblocks = 0 then 0.0 else float_of_int dirty /. float_of_int nblocks);
+    pinned = sum (fun c -> c.pinned);
+    cow_pinned = sum (fun c -> c.cow_pinned);
+    peak_cow = sum (fun c -> c.peak_cow);
+    read_hits;
+    read_misses;
+    read_hit_ratio = ratio read_hits read_misses;
+    write_hits;
+    write_misses;
+    write_hit_ratio = ratio write_hits write_misses;
     commits = Metrics.get t.metrics "tinca.commits";
     aborts = Metrics.get t.metrics "tinca.aborts";
     revoked = Metrics.get t.metrics "tinca.revoked";
     recoveries = Metrics.get t.metrics "tinca.recoveries";
-    ring_slots = Ring.slots t.ring;
-    ring_in_flight = Ring.in_flight t.ring;
-    ring_high_water = Ring.high_water t.ring;
+    ring_slots = sum (fun c -> Ring.slots c.ring);
+    ring_in_flight = sum (fun c -> Ring.in_flight c.ring);
+    ring_high_water = Array.fold_left (fun a c -> max a (Ring.high_water c.ring)) 0 caches;
     wear_max = Pmem.wear_max t.pmem;
     wear_mean =
       (if nlines = 0 then 0.0
        else float_of_int (Pmem.wear_total t.pmem) /. float_of_int nlines);
   }
+
+let stats t = stats_of [| t |]
 
 let stats_kv s =
   let i = string_of_int and f = Printf.sprintf "%.3f" in
@@ -1441,46 +1355,29 @@ let check_invariants t =
   let fail fmt =
     Printf.ksprintf (fun m -> raise (Invariant_violation m)) ("Tinca.Cache invariant: " ^^ fmt)
   in
-  if Lru.length t.lru <> Hashtbl.length t.index then
-    fail "LRU length %d <> index size %d" (Lru.length t.lru) (Hashtbl.length t.index);
+  (match Fc.audit ~also_holds:(fun info -> Option.value ~default:(-1) info.ext.prev) t.fc with
+  | Ok () -> ()
+  | Error m -> fail "%s" m);
   if (not t.committing) && Ring.head t.ring <> Ring.tail t.ring then
     fail "ring not quiescent outside commit (head=%d tail=%d)" (Ring.head t.ring)
       (Ring.tail t.ring);
-  let data_refs = Hashtbl.create 64 in
-  let claim blk who =
-    if blk < 0 || blk >= t.layout.Layout.nblocks then fail "NVM block %d out of range" blk;
-    (match Hashtbl.find_opt data_refs blk with
-    | Some other -> fail "NVM block %d referenced by both %s and %s" blk other who
-    | None -> ());
-    Hashtbl.replace data_refs blk who;
-    if Free_monitor.is_free t.free_data blk then fail "NVM block %d both free and referenced" blk
+  let pinned =
+    Fc.fold
+      (fun info n ->
+        let blkno = info.key and x = info.ext in
+        if x.prev <> None && not x.role_log then fail "block %d has prev but buffer role" blkno;
+        if x.role_log && not info.pinned then fail "log-role block %d not pinned" blkno;
+        let e = entry_at t info.slot in
+        (* Buffer-role media entries legitimately keep a stale prev field
+           after the role switch (it is only dead weight until the next COW
+           update overwrites it), so normalize prev before comparing. *)
+        let e = if e.Entry.role = Entry.Buffer then { e with Entry.prev = x.prev } else e in
+        if not (Entry.equal e (entry_of_info ~role:(if x.role_log then Entry.Log else Entry.Buffer) info))
+        then
+          fail "media entry %s disagrees with DRAM info for block %d"
+            (Format.asprintf "%a" Entry.pp e)
+            blkno;
+        if x.role_log then n + 1 else n)
+      t.fc 0
   in
-  let pinned = ref 0 in
-  Hashtbl.iter
-    (fun blkno info ->
-      if info.disk_blkno <> blkno then fail "index key %d <> info disk_blkno %d" blkno info.disk_blkno;
-      claim info.cur (Printf.sprintf "cur of %d" blkno);
-      (match info.prev with
-      | Some p ->
-          if not info.role_log then fail "block %d has prev but buffer role" blkno;
-          claim p (Printf.sprintf "prev of %d" blkno)
-      | None -> ());
-      if info.role_log then incr pinned;
-      if Free_monitor.is_free t.free_entries info.entry_idx then
-        fail "entry slot %d of block %d marked free" info.entry_idx blkno;
-      let e = entry_at t info.entry_idx in
-      (* Buffer-role media entries legitimately keep a stale prev field
-         after the role switch (it is only dead weight until the next COW
-         update overwrites it), so normalize prev before comparing. *)
-      let e = if e.Entry.role = Entry.Buffer then { e with Entry.prev = info.prev } else e in
-      if not (Entry.equal e (entry_of_info ~role:(if info.role_log then Entry.Log else Entry.Buffer) info))
-      then
-        fail "media entry %s disagrees with DRAM info for block %d"
-          (Format.asprintf "%a" Entry.pp e)
-          blkno)
-    t.index;
-  if !pinned <> t.pinned then fail "pinned count %d <> recomputed %d" t.pinned !pinned;
-  let used_data = t.layout.Layout.nblocks - Free_monitor.free_count t.free_data in
-  if used_data <> Hashtbl.length data_refs then
-    fail "free monitor says %d used data blocks, references say %d" used_data
-      (Hashtbl.length data_refs)
+  if pinned <> t.pinned then fail "pinned count %d <> recomputed %d" t.pinned pinned

@@ -65,11 +65,11 @@ val default_config : config
 
 exception Transaction_too_large
 
-(** Raised by replacement when every cached block is pinned by the
-    in-flight transaction, i.e. there is no eviction victim.  Inside
-    {!Txn.commit} this is mapped to {!Transaction_too_large} after the
-    partial commit has been rolled back, so transaction callers only ever
-    see one exception type for capacity problems. *)
+(** Raised by the commit path's replacement when every cached block is
+    pinned by the in-flight transaction, i.e. there is no eviction
+    victim.  Inside {!Txn.commit} this is mapped to
+    {!Transaction_too_large} after the partial commit has been rolled
+    back; a read miss never raises it (see {!read}). *)
 exception Cache_exhausted
 
 (** Recovery rejected the media: unformatted NVM, corrupt superblock
@@ -158,7 +158,9 @@ val read_layout : base:int -> mem_bytes:int -> Tinca_pmem.Pmem.t -> Layout.t
 (** {1 Block I/O} *)
 
 (** [read t blkno] returns the newest version of the block, from NVM on a
-    hit or from disk (filling the cache) on a miss. *)
+    hit or from disk (filling the cache) on a miss.  When every cached
+    block is pinned there is no victim: the miss is served from disk and
+    the block stays uncached. *)
 val read : t -> int -> bytes
 
 (** [write_direct t blkno data] — single-block atomic write outside any
@@ -320,7 +322,6 @@ val contains : t -> int -> bool
 (** Write hit rate so far (paper Fig 12c). *)
 val write_hit_rate : t -> float
 
-val read_hit_rate : t -> float
 
 (** Peak number of NVM blocks simultaneously pinned by COW previous
     versions (paper §5.4.3 spatial overhead). *)
@@ -362,6 +363,12 @@ type stats = {
 
 val stats : t -> stats
 
+(** One snapshot over several caches on one device (the shards of a
+    {!Shard.t}): structural fields and counters summed, metric-derived
+    totals and wear as for any one of them, [ring_high_water] the
+    maximum.  [stats t = stats_of [|t|]]. *)
+val stats_of : t array -> stats
+
 (** Render as ordered [(key, value)] strings, ready for
     {!Tinca_obs.Procfs.render}. *)
 val stats_kv : stats -> (string * string) list
@@ -384,15 +391,9 @@ val region_wear : t -> (string * int * int) list
     protocol already pays — the recorder never adds an sfence, pinned by
     [test_budget] with the recorder enabled. *)
 
-(** Is the recorder on for this cache? *)
-val flight_enabled : t -> bool
-
 (** Label this cache's records with a shard index ({!Shard} sets it at
     construction; defaults to 0). *)
 val set_flight_shard : t -> int -> unit
-
-(** The batch id the next group drain will take (the drain counter). *)
-val flight_next_batch : t -> int
 
 (** Append one record (no-op when the recorder is off).  The commit and
     recovery paths call this at protocol milestones; tests may inject
@@ -415,9 +416,6 @@ val flight_note :
 val flight_scan_result : t -> ((int * Tinca_obs.Flight.event) list * int) option
 
 (** {1 Introspection for tests} *)
-
-(** Decode entry slot [i] from media. *)
-val entry_at : t -> int -> Entry.t
 
 (** Newest cached data for [blkno], if cached. *)
 val peek : t -> int -> bytes option

@@ -37,8 +37,7 @@
 open Tinca_sim
 module Pmem = Tinca_pmem.Pmem
 module Disk = Tinca_blockdev.Disk
-module Lru = Tinca_cachelib.Lru
-module Free_monitor = Tinca_cachelib.Free_monitor
+module Fc = Tinca_cachelib.Frame_cache
 module Codec = Tinca_util.Codec
 module Flight = Tinca_obs.Flight
 
@@ -196,30 +195,22 @@ let committed_entry ~blkno ~frame ~epoch =
 
 (* --- volatile state ------------------------------------------------------ *)
 
-(* DRAM bookkeeping for one cached disk block.  [p_slot >= 0] iff the
-   block is dirty (has a table entry); clean cached blocks are volatile
-   only. *)
-type pinfo = {
-  p_blkno : int;
-  mutable p_frame : int;
-  mutable p_slot : int;
-  mutable p_pinned : bool;  (* staged in the in-flight publish *)
-  mutable p_node : pinfo Lru.node option;
-}
+(* DRAM bookkeeping for one cached disk block lives in the shard's
+   frame cache: [slot >= 0] iff the block is dirty (has a table entry);
+   clean cached blocks are volatile only.  A block is pinned while it is
+   staged in the in-flight publish. *)
+type pinfo = unit Fc.block
 
 type shard_state = {
+  id : int;
   geom : geom;
   mutable epoch : int;  (* DRAM mirror of the durable epoch word *)
-  index : (int, pinfo) Hashtbl.t;
-  lru : pinfo Lru.t;
-  free_frames : Free_monitor.t;
-  free_slots : Free_monitor.t;
+  fc : unit Fc.t;
   flight : Flight.cursor option;
   mutable flight_dirty : (int * int) list;  (* record ranges awaiting a fence *)
   mutable flight_scan : ((int * Flight.event) list * int) option;
   mutable swings : int;  (* table-entry atomic swings *)
   mutable epoch_bumps : int;
-  mutable dirty_count : int;
 }
 
 type t = {
@@ -230,11 +221,6 @@ type t = {
   metrics : Metrics.t;
   nshards : int;
   shards : shard_state array;
-  mutable read_hits : int;
-  mutable read_misses : int;
-  mutable write_hits : int;
-  mutable write_misses : int;
-  mutable evictions : int;
   mutable writebacks : int;
   mutable multi_commits : int;
   mutable seals : int;
@@ -270,12 +256,8 @@ let flight_note t s ?(batch = -1) ?(cause = Flight.Sync) ?(a = 0) ?(b = 0) ?(c =
   | Some cur ->
       let site = Pmem.site t.pmem in
       Pmem.set_site t.pmem "flight.record";
-      let shard_id =
-        let rec find i = if t.shards.(i) == s then i else find (i + 1) in
-        find 0
-      in
       let ev =
-        { Flight.kind; shard = shard_id; cause; a; b; c; d; batch;
+        { Flight.kind; shard = s.id; cause; a; b; c; d; batch;
           t_ns = int_of_float (Clock.now_ns t.clock) }
       in
       let off = flight_slot_off s.geom (Flight.slot_of cur) in
@@ -293,8 +275,6 @@ let flight_take s =
   let ranges = s.flight_dirty in
   s.flight_dirty <- [];
   ranges
-
-let flight_enabled t = Array.exists (fun s -> s.flight <> None) t.shards
 
 let flight_scans t =
   Array.map (fun s -> match s.flight_scan with Some r -> r | None -> ([], 0)) t.shards
@@ -314,20 +294,17 @@ let write_super t g =
    table lines into ONE flush_ranges + sfence before returning the handle, so the media is \
    fully durable before any commit can run"]
 
-let mk_shard_state (cfg : config) (g : geom) =
+let mk_shard_state (cfg : config) id (g : geom) =
   {
+    id;
     geom = g;
     epoch = 0;
-    index = Hashtbl.create 256;
-    lru = Lru.create ();
-    free_frames = Free_monitor.create ~n:g.nframes ();
-    free_slots = Free_monitor.create ~n:g.nframes ();
+    fc = Fc.create ~frames:g.nframes ~slots:g.nframes ~index_size:256 ();
     flight = (if cfg.flight_slots > 0 then Some (Flight.cursor ~slots:cfg.flight_slots) else None);
     flight_dirty = [];
     flight_scan = None;
     swings = 0;
     epoch_bumps = 0;
-    dirty_count = 0;
   }
 
 let mk_t ~cfg ~pmem ~disk ~clock ~metrics ~nshards shards =
@@ -339,11 +316,6 @@ let mk_t ~cfg ~pmem ~disk ~clock ~metrics ~nshards shards =
     metrics;
     nshards;
     shards;
-    read_hits = 0;
-    read_misses = 0;
-    write_hits = 0;
-    write_misses = 0;
-    evictions = 0;
     writebacks = 0;
     multi_commits = 0;
     seals = 0;
@@ -373,7 +345,7 @@ let format ~nshards ~config:cfg ~pmem ~disk ~clock ~metrics =
     shard_geoms ~nshards ~pmem_bytes:(Pmem.size pmem) ~block_size:cfg.block_size
       ~flight_slots:cfg.flight_slots
   in
-  let shards = Array.map (mk_shard_state cfg) geoms in
+  let shards = Array.mapi (mk_shard_state cfg) geoms in
   let t = mk_t ~cfg ~pmem ~disk ~clock ~metrics ~nshards shards in
   Pmem.set_site pmem "paging.format";
   let ranges = ref [] in
@@ -402,87 +374,56 @@ let format ~nshards ~config:cfg ~pmem ~disk ~clock ~metrics =
 
 (* --- replacement --------------------------------------------------------- *)
 
-let remove_pinfo s p =
-  (match p.p_node with Some n -> Lru.remove s.lru n | None -> ());
-  p.p_node <- None;
-  Hashtbl.remove s.index p.p_blkno
-
 (* Durably drop a dirty block's table entry (one atomic zero swing +
    persist), then free its slot and frame.  The write-back itself went
    to disk first, so a crash on either side of the swing is consistent:
    entry present = the (now clean) NVM copy still wins, entry absent =
    reads fall through to the identical disk copy. *)
-let drop_entry t s p =
+let drop_entry t s (p : pinfo) =
   Pmem.set_site t.pmem "paging.evict";
-  Pmem.atomic_write16 t.pmem ~off:(entry_off s.geom p.p_slot) (Bytes.make entry_size '\000');
+  Pmem.atomic_write16 t.pmem ~off:(entry_off s.geom p.slot) (Bytes.make entry_size '\000');
   s.swings <- s.swings + 1;
-  Pmem.persist t.pmem ~off:(entry_off s.geom p.p_slot) ~len:entry_size;
-  Free_monitor.free s.free_slots p.p_slot;
-  s.dirty_count <- s.dirty_count - 1;
-  p.p_slot <- -1
+  Pmem.persist t.pmem ~off:(entry_off s.geom p.slot) ~len:entry_size;
+  Fc.free_slot s.fc p.slot;
+  Fc.set_dirty s.fc p false;
+  Fc.set_slot p (-1)
 
-let writeback t s p =
-  let data = Pmem.read t.pmem ~off:(frame_off s.geom p.p_frame) ~len:s.geom.block_size in
-  Disk.write_block t.disk p.p_blkno data;
+let writeback t s (p : pinfo) =
+  let data = Pmem.read t.pmem ~off:(frame_off s.geom p.frame) ~len:s.geom.block_size in
+  Disk.write_block t.disk p.key data;
   t.writebacks <- t.writebacks + 1;
   drop_entry t s p
 
-(* Evict one unpinned block; clean victims are free (purely volatile),
-   dirty ones are written back and their entry dropped.  Returns false
-   when every cached block is pinned. *)
-let evict_one t s =
-  match Lru.find_from_lru s.lru ~f:(fun p -> not p.p_pinned) with
-  | None -> false
-  | Some node ->
-      let p = Lru.value node in
-      if p.p_slot >= 0 then writeback t s p;
-      Free_monitor.free s.free_frames p.p_frame;
-      remove_pinfo s p;
-      t.evictions <- t.evictions + 1;
-      true
+(* The NVM side of an eviction: clean victims are free (purely
+   volatile), dirty ones are written back and their entry dropped. *)
+let evict_hooks t s = { Fc.evict = (fun p -> if p.slot >= 0 then writeback t s p) }
 
 (* Make [n] frames (plus the configured headroom) and [nslots] table
    slots available, evicting as needed.  Returns false if the demand
    cannot be met (everything else pinned, or the pool is too small). *)
 let make_room t s ~frames ~slots =
-  let need_frames = frames + t.cfg.headroom in
-  let ok = ref true in
-  while !ok && Free_monitor.free_count s.free_frames < need_frames do
-    ok := evict_one t s
-  done;
-  while !ok && Free_monitor.free_count s.free_slots < slots do
-    (* Only dirty victims return slots; evict until one does. *)
-    ok := evict_one t s
-  done;
-  !ok && Free_monitor.free_count s.free_frames >= need_frames
-  && Free_monitor.free_count s.free_slots >= slots
+  Fc.make_room s.fc (evict_hooks t s) ~frames:(frames + t.cfg.headroom) ~slots
 
 (* --- reads --------------------------------------------------------------- *)
 
-let read_frame t s p = Pmem.read t.pmem ~off:(frame_off s.geom p.p_frame) ~len:s.geom.block_size
+let read_frame t s (p : pinfo) = Pmem.read t.pmem ~off:(frame_off s.geom p.frame) ~len:s.geom.block_size
 
 let read t blkno =
   let s = t.shards.(shard_of t blkno) in
-  match Hashtbl.find_opt s.index blkno with
-  | Some p ->
-      t.read_hits <- t.read_hits + 1;
-      (match p.p_node with Some n -> Lru.touch s.lru n | None -> ());
-      read_frame t s p
+  match Fc.lookup_read s.fc blkno with
+  | Some p -> read_frame t s p
   | None ->
-      t.read_misses <- t.read_misses + 1;
       let data = Disk.read_block t.disk blkno in
       (* Clean fill: volatile only — no table entry, no flush, no fence.
          The frame's content is not durable; a crash simply un-caches the
          block (recovery rebuilds from the table, which never saw it). *)
       if make_room t s ~frames:1 ~slots:0 then begin
-        match Free_monitor.alloc s.free_frames with
+        match Fc.alloc_frame s.fc with
         | None -> ()
         | Some frame ->
             Pmem.set_site t.pmem "paging.fill";
             Pmem.write t.pmem ~off:(frame_off s.geom frame) data;
-            let p = { p_blkno = blkno; p_frame = frame; p_slot = -1; p_pinned = false; p_node = None } in
-            p.p_node <- Some (Lru.push_mru s.lru p);
-            Hashtbl.replace s.index blkno p
+            ignore (Fc.insert s.fc ~key:blkno ~frame ~slot:(-1) ~dirty:false ~pinned:false ())
       end;
       data
 [@@pmem.defer
@@ -492,11 +433,11 @@ let read t blkno =
 
 let peek t blkno =
   let s = t.shards.(shard_of t blkno) in
-  match Hashtbl.find_opt s.index blkno with
+  match Fc.find s.fc blkno with
   | Some p -> Some (read_frame t s p)
   | None -> None
 
-let contains t blkno = Hashtbl.mem t.shards.(shard_of t blkno).index blkno
+let contains t blkno = Fc.mem t.shards.(shard_of t blkno).fc blkno
 
 (* --- the commit protocol ------------------------------------------------- *)
 
@@ -537,20 +478,19 @@ let unstage t staged =
   List.iter
     (fun st ->
       let s = t.shards.(st.st_shard) in
-      Free_monitor.free s.free_frames st.st_frame;
+      Fc.free_frame s.fc st.st_frame;
       (match st.st_old with
-      | Some p when p.p_slot >= 0 ->
-          write_entry t s ~slot:p.p_slot
-            (committed_entry ~blkno:p.p_blkno ~frame:p.p_frame ~epoch:s.epoch);
-          ranges := (entry_off s.geom p.p_slot, entry_size) :: !ranges
+      | Some p when p.slot >= 0 ->
+          write_entry t s ~slot:p.slot (committed_entry ~blkno:p.key ~frame:p.frame ~epoch:s.epoch);
+          ranges := (entry_off s.geom p.slot, entry_size) :: !ranges
       | Some _ -> ()
       | None ->
           Pmem.atomic_write16 t.pmem ~off:(entry_off s.geom st.st_slot)
             (Bytes.make entry_size '\000');
           s.swings <- s.swings + 1;
-          Free_monitor.free s.free_slots st.st_slot;
+          Fc.free_slot s.fc st.st_slot;
           ranges := (entry_off s.geom st.st_slot, entry_size) :: !ranges);
-      match st.st_old with Some p -> p.p_pinned <- false | None -> ())
+      match st.st_old with Some p -> Fc.set_pinned p false | None -> ())
     staged;
   if !ranges <> [] then (
     Pmem.flush_ranges t.pmem !ranges;
@@ -580,22 +520,15 @@ let publish t writes ~cause =
       let shard_ids = Hashtbl.fold (fun k _ acc -> k :: acc) by_shard [] |> List.sort compare in
       (* Pin existing versions first so admission cannot evict a block
          the transaction itself is about to remap. *)
-      List.iter
-        (fun (blkno, _) ->
-          let s = t.shards.(shard_of t blkno) in
-          match Hashtbl.find_opt s.index blkno with
-          | Some p -> p.p_pinned <- true
-          | None -> ())
-        writes;
-      let unpin () =
+      let set_pins v =
         List.iter
           (fun (blkno, _) ->
-            let s = t.shards.(shard_of t blkno) in
-            match Hashtbl.find_opt s.index blkno with
-            | Some p -> p.p_pinned <- false
+            match Fc.find t.shards.(shard_of t blkno).fc blkno with
+            | Some p -> Fc.set_pinned p v
             | None -> ())
           writes
       in
+      set_pins true;
       (* Admission: every shard must be able to host its sub-set. *)
       let admitted =
         List.for_all
@@ -606,16 +539,14 @@ let publish t writes ~cause =
               List.length
                 (List.filter
                    (fun (blkno, _) ->
-                     match Hashtbl.find_opt s.index blkno with
-                     | Some p -> p.p_slot < 0
-                     | None -> true)
+                     match Fc.find s.fc blkno with Some p -> p.slot < 0 | None -> true)
                    sub)
             in
             make_room t s ~frames:(List.length sub) ~slots:slots_needed)
           shard_ids
       in
       if not admitted then begin
-        unpin ();
+        set_pins false;
         raise Transaction_too_large
       end;
       (* Stage: COW data into fresh frames, swing entries under E+1. *)
@@ -627,26 +558,24 @@ let publish t writes ~cause =
              let sh = shard_of t blkno in
              let s = t.shards.(sh) in
              let frame =
-               match Free_monitor.alloc s.free_frames with
-               | Some f -> f
-               | None -> raise Transaction_too_large
+               match Fc.alloc_frame s.fc with Some f -> f | None -> raise Transaction_too_large
              in
-             let old = Hashtbl.find_opt s.index blkno in
+             let old = Fc.find s.fc blkno in
              let slot =
                match old with
-               | Some p when p.p_slot >= 0 -> p.p_slot
+               | Some p when p.slot >= 0 -> p.slot
                | _ -> (
-                   match Free_monitor.alloc s.free_slots with
+                   match Fc.alloc_slot s.fc with
                    | Some sl -> sl
                    | None ->
-                       Free_monitor.free s.free_frames frame;
+                       Fc.free_frame s.fc frame;
                        raise Transaction_too_large)
              in
              Pmem.set_site t.pmem "paging.cow";
              Pmem.write t.pmem ~off:(frame_off s.geom frame) data;
              ranges := (frame_off s.geom frame, s.geom.block_size) :: !ranges;
-             let has_old = match old with Some p when p.p_slot >= 0 -> true | _ -> false in
-             let frame_a = match old with Some p when p.p_slot >= 0 -> p.p_frame | _ -> 0 in
+             let has_old = match old with Some p when p.slot >= 0 -> true | _ -> false in
+             let frame_a = match old with Some p when p.slot >= 0 -> p.frame | _ -> 0 in
              Pmem.set_site t.pmem "paging.swing";
              write_entry t s ~slot
                {
@@ -662,7 +591,7 @@ let publish t writes ~cause =
            writes
        with Transaction_too_large ->
          unstage t !staged;
-         unpin ();
+         set_pins false;
          raise Transaction_too_large);
       let staged = !staged in
       let multi = List.length shard_ids > 1 in
@@ -714,26 +643,19 @@ let publish t writes ~cause =
           let s = t.shards.(st.st_shard) in
           match st.st_old with
           | Some p ->
-              if p.p_slot >= 0 then t.write_hits <- t.write_hits + 1
-              else begin
-                (* A clean cached block turned dirty: it now owns a slot. *)
-                t.write_hits <- t.write_hits + 1;
-                s.dirty_count <- s.dirty_count + 1
-              end;
-              Free_monitor.free s.free_frames p.p_frame;
-              p.p_frame <- st.st_frame;
-              p.p_slot <- st.st_slot;
-              p.p_pinned <- false;
-              (match p.p_node with Some n -> Lru.touch s.lru n | None -> ())
+              Fc.note_write s.fc ~hit:true;
+              (* A clean cached block turns dirty: it now owns a slot. *)
+              Fc.set_dirty s.fc p true;
+              Fc.free_frame s.fc p.frame;
+              Fc.set_frame p st.st_frame;
+              Fc.set_slot p st.st_slot;
+              Fc.set_pinned p false;
+              Fc.touch s.fc p
           | None ->
-              t.write_misses <- t.write_misses + 1;
-              s.dirty_count <- s.dirty_count + 1;
-              let p =
-                { p_blkno = st.st_blkno; p_frame = st.st_frame; p_slot = st.st_slot;
-                  p_pinned = false; p_node = None }
-              in
-              p.p_node <- Some (Lru.push_mru s.lru p);
-              Hashtbl.replace s.index st.st_blkno p)
+              Fc.note_write s.fc ~hit:false;
+              ignore
+                (Fc.insert s.fc ~key:st.st_blkno ~frame:st.st_frame ~slot:st.st_slot ~dirty:true
+                   ~pinned:false ()))
         (List.rev staged)
 
 (* --- transactions -------------------------------------------------------- *)
@@ -786,8 +708,7 @@ let write_direct t blkno data =
    (decommissioning, like the logging scheme's flush_all). *)
 let flush_all t =
   Array.iter
-    (fun s ->
-      Lru.iter (fun p -> if p.p_slot >= 0 then writeback t s p) s.lru)
+    (fun s -> Fc.iter_lru (fun p -> if p.slot >= 0 then writeback t s p) s.fc)
     t.shards
 
 (* --- recovery ------------------------------------------------------------ *)
@@ -884,12 +805,9 @@ let recover_shard t ~shard_id ~roll_forward =
   (* Rebuild the volatile index and free monitors from the live sides. *)
   List.iter
     (fun (slot, e) ->
-      let p = { p_blkno = e.e_blkno; p_frame = e.e_frame_b; p_slot = slot; p_pinned = false; p_node = None } in
-      p.p_node <- Some (Lru.push_mru s.lru p);
-      Hashtbl.replace s.index e.e_blkno p;
-      Free_monitor.mark_used s.free_frames e.e_frame_b;
-      Free_monitor.mark_used s.free_slots slot;
-      s.dirty_count <- s.dirty_count + 1)
+      Fc.claim_frame s.fc e.e_frame_b;
+      Fc.claim_slot s.fc slot;
+      ignore (Fc.insert s.fc ~key:e.e_blkno ~frame:e.e_frame_b ~slot ~dirty:true ~pinned:false ()))
     !live;
   ranges := List.rev_append (flight_take s) !ranges;
   if !ranges <> [] then begin
@@ -909,7 +827,7 @@ let recover ~pmem ~disk ~clock ~metrics () =
     let g = compute_geom ~base:0 ~span:(Pmem.size pmem) ~block_size ~flight_slots in
     if g.nframes <> nframes then corrupt "paging: superblock frame count %d contradicts the geometry %d" nframes g.nframes;
     let cfg = { default_config with block_size; flight_slots } in
-    let t = mk_t ~cfg ~pmem ~disk ~clock ~metrics:metrics_ ~nshards:1 [| mk_shard_state cfg g |] in
+    let t = mk_t ~cfg ~pmem ~disk ~clock ~metrics:metrics_ ~nshards:1 [| mk_shard_state cfg 0 g |] in
     recover_shard t ~shard_id:0 ~roll_forward:false;
     t
   end
@@ -935,7 +853,7 @@ let recover ~pmem ~disk ~clock ~metrics () =
     in
     let t =
       mk_t ~cfg ~pmem ~disk ~clock ~metrics:metrics_ ~nshards
-        (Array.map (mk_shard_state cfg) geoms)
+        (Array.mapi (mk_shard_state cfg) geoms)
     in
     for i = 0 to nshards - 1 do
       recover_shard t ~shard_id:i ~roll_forward:(mask land (1 lsl i) <> 0)
@@ -952,21 +870,13 @@ let recover ~pmem ~disk ~clock ~metrics () =
 
 (* --- stats / wear / invariants ------------------------------------------ *)
 
-let clean_cached t =
-  Array.fold_left
-    (fun acc s ->
-      acc + Hashtbl.fold (fun _ p n -> if p.p_slot < 0 then n + 1 else n) s.index 0)
-    0 t.shards
-
-let total_frames t = Array.fold_left (fun acc s -> acc + s.geom.nframes) 0 t.shards
-let free_frames t = Array.fold_left (fun acc s -> acc + Free_monitor.free_count s.free_frames) 0 t.shards
-let dirty_slots t = Array.fold_left (fun acc s -> acc + s.dirty_count) 0 t.shards
-let table_swings t = Array.fold_left (fun acc s -> acc + s.swings) 0 t.shards
-let epoch_bumps t = Array.fold_left (fun acc s -> acc + s.epoch_bumps) 0 t.shards
-
+let sum f t = Array.fold_left (fun acc s -> acc + f s) 0 t.shards
+let total_frames = sum (fun s -> s.geom.nframes)
+let free_frames = sum (fun s -> Fc.free_frames s.fc)
 let write_hit_rate t =
-  let total = t.write_hits + t.write_misses in
-  if total = 0 then 0.0 else float_of_int t.write_hits /. float_of_int total
+  let hits = sum (fun s -> Fc.write_hits s.fc) t in
+  let total = hits + sum (fun s -> Fc.write_misses s.fc) t in
+  if total = 0 then 0.0 else float_of_int hits /. float_of_int total
 
 (* Paging-native stats surface.  Deliberately NO ring_high_water, no
    role-switch and no ring rows: those are logging-only concepts and
@@ -985,15 +895,17 @@ let stats_kv t =
     ("pool_frames_free", string_of_int (free_frames t));
     ("pool_occupancy_pct", Printf.sprintf "%.1f" occupancy);
     ("table_slots", string_of_int (total_frames t));
-    ("table_swings", string_of_int (table_swings t));
-    ("epoch_swings", string_of_int (epoch_bumps t));
-    ("dirty_pages", string_of_int (dirty_slots t));
-    ("clean_cached", string_of_int (clean_cached t));
-    ("read_hits", string_of_int t.read_hits);
-    ("read_misses", string_of_int t.read_misses);
-    ("write_hits", string_of_int t.write_hits);
-    ("write_misses", string_of_int t.write_misses);
-    ("evictions", string_of_int t.evictions);
+    ("table_swings", string_of_int (sum (fun s -> s.swings) t));
+    ("epoch_swings", string_of_int (sum (fun s -> s.epoch_bumps) t));
+    ("dirty_pages", string_of_int (sum (fun s -> Fc.dirty_count s.fc) t));
+    (* Cached blocks are dirty (holding a slot) or clean; the audit pins
+       the dirty count to a recount. *)
+    ("clean_cached", string_of_int (sum (fun s -> Fc.length s.fc - Fc.dirty_count s.fc) t));
+    ("read_hits", string_of_int (sum (fun s -> Fc.read_hits s.fc) t));
+    ("read_misses", string_of_int (sum (fun s -> Fc.read_misses s.fc) t));
+    ("write_hits", string_of_int (sum (fun s -> Fc.write_hits s.fc) t));
+    ("write_misses", string_of_int (sum (fun s -> Fc.write_misses s.fc) t));
+    ("evictions", string_of_int (sum (fun s -> Fc.evictions s.fc) t));
     ("writebacks", string_of_int t.writebacks);
     ("multi_shard_commits", string_of_int t.multi_commits);
     ("cross_shard_seals", string_of_int t.seals);
@@ -1018,16 +930,7 @@ let shard_region_wear t s =
   ]
 
 let region_wear t =
-  if t.nshards = 1 then shard_region_wear t t.shards.(0)
-  else
-    ( "header",
-      Pmem.wear_sum_in t.pmem ~off:0 ~len:header_bytes,
-      Pmem.wear_max_in t.pmem ~off:0 ~len:header_bytes )
-    :: List.concat
-         (List.mapi
-            (fun i s ->
-              List.map (fun (n, a, b) -> (Printf.sprintf "s%d.%s" i n, a, b)) (shard_region_wear t s))
-            (Array.to_list t.shards))
+  Shard.sharded_wear t.pmem (List.map (shard_region_wear t) (Array.to_list t.shards))
 
 let fail_inv fmt = Printf.ksprintf (fun m -> raise (Invariant_violation m)) fmt
 
@@ -1042,30 +945,21 @@ let check_invariants t =
       let durable_epoch = Pmem.read_u64_int t.pmem ~off:(g.base + g.epoch_off) in
       if durable_epoch <> s.epoch then
         fail_inv "paging shard %d: volatile epoch %d != durable %d" i s.epoch durable_epoch;
-      if Lru.length s.lru <> Hashtbl.length s.index then
-        fail_inv "paging shard %d: LRU %d != index %d" i (Lru.length s.lru) (Hashtbl.length s.index);
-      let dirty = ref 0 in
-      Hashtbl.iter
-        (fun blkno p ->
-          if p.p_blkno <> blkno then fail_inv "paging shard %d: index key %d holds blkno %d" i blkno p.p_blkno;
-          if p.p_frame < 0 || p.p_frame >= g.nframes then
-            fail_inv "paging shard %d: blkno %d frame %d out of range" i blkno p.p_frame;
-          if Free_monitor.is_free s.free_frames p.p_frame then
-            fail_inv "paging shard %d: blkno %d frame %d marked free" i blkno p.p_frame;
-          if p.p_slot >= 0 then begin
-            incr dirty;
-            if Free_monitor.is_free s.free_slots p.p_slot then
-              fail_inv "paging shard %d: blkno %d slot %d marked free" i blkno p.p_slot;
-            let e = read_entry t g p.p_slot in
-            if not e.e_valid then fail_inv "paging shard %d: blkno %d slot %d invalid on media" i blkno p.p_slot;
+      (match Fc.audit s.fc with Ok () -> () | Error m -> fail_inv "paging shard %d: %s" i m);
+      Fc.fold
+        (fun (p : pinfo) () ->
+          let blkno = p.key in
+          if p.dirty <> (p.slot >= 0) then
+            fail_inv "paging shard %d: blkno %d dirty %b but slot %d" i blkno p.dirty p.slot;
+          if p.slot >= 0 then begin
+            let e = read_entry t g p.slot in
+            if not e.e_valid then fail_inv "paging shard %d: blkno %d slot %d invalid on media" i blkno p.slot;
             if e.e_blkno <> blkno then
-              fail_inv "paging shard %d: slot %d maps blkno %d, index says %d" i p.p_slot e.e_blkno blkno;
+              fail_inv "paging shard %d: slot %d maps blkno %d, index says %d" i p.slot e.e_blkno blkno;
             if e.e_epoch > s.epoch then
-              fail_inv "paging shard %d: slot %d staged (epoch %d > %d) outside a commit" i p.p_slot e.e_epoch s.epoch;
-            if e.e_frame_b <> p.p_frame then
-              fail_inv "paging shard %d: slot %d live frame %d, index says %d" i p.p_slot e.e_frame_b p.p_frame
+              fail_inv "paging shard %d: slot %d staged (epoch %d > %d) outside a commit" i p.slot e.e_epoch s.epoch;
+            if e.e_frame_b <> p.frame then
+              fail_inv "paging shard %d: slot %d live frame %d, index says %d" i p.slot e.e_frame_b p.frame
           end)
-        s.index;
-      if !dirty <> s.dirty_count then
-        fail_inv "paging shard %d: dirty_count %d, counted %d" i s.dirty_count !dirty)
+        s.fc ())
     t.shards

@@ -138,8 +138,6 @@ val region_layouts : t -> region_layout list
     shaped for {!Tinca_obs.Forensics.build}. *)
 val flight_scans : t -> ((int * Tinca_obs.Flight.event) list * int) array
 
-val flight_enabled : t -> bool
-
 (** Test-only: [`Torn_swing] splits the 16 B table swing into two 8 B
     halves with the first made durable alone — the planted bug class the
     crash checker and psan must detect.  Global; reset to [None]. *)

@@ -587,11 +587,7 @@ let commit_group ?(cause = Flight.Barrier) s handles =
 
 type stats = {
   nshards : int;
-  agg : Cache.stats;
-      (* structural fields summed across shards; metric-derived totals
-         (commits, aborts, revoked, recoveries) are registry-global;
-         ring_high_water is the MAX across shards — per-ring peaks do
-         not add up to a meaningful global peak. *)
+  agg : Cache.stats;  (* see [Cache.stats_of] *)
   ring_high_water_per_shard : int array;
   multi_commits : int;
   seals : int;
@@ -599,43 +595,10 @@ type stats = {
 }
 
 let stats t =
-  let per = Array.map Cache.stats t.caches in
-  let sum f = Array.fold_left (fun a s -> a + f s) 0 per in
-  let ratio a b = if a + b = 0 then 0.0 else float_of_int a /. float_of_int (a + b) in
-  let capacity = sum (fun s -> s.Cache.capacity_blocks) in
-  let dirty = sum (fun s -> s.Cache.dirty) in
-  let read_hits = sum (fun s -> s.Cache.read_hits) in
-  let read_misses = sum (fun s -> s.Cache.read_misses) in
-  let write_hits = sum (fun s -> s.Cache.write_hits) in
-  let write_misses = sum (fun s -> s.Cache.write_misses) in
-  let agg =
-    {
-      per.(0) with
-      Cache.capacity_blocks = capacity;
-      cached = sum (fun s -> s.Cache.cached);
-      free_data = sum (fun s -> s.Cache.free_data);
-      free_entries = sum (fun s -> s.Cache.free_entries);
-      dirty;
-      dirty_ratio = (if capacity = 0 then 0.0 else float_of_int dirty /. float_of_int capacity);
-      pinned = sum (fun s -> s.Cache.pinned);
-      cow_pinned = sum (fun s -> s.Cache.cow_pinned);
-      peak_cow = sum (fun s -> s.Cache.peak_cow);
-      read_hits;
-      read_misses;
-      read_hit_ratio = ratio read_hits read_misses;
-      write_hits;
-      write_misses;
-      write_hit_ratio = ratio write_hits write_misses;
-      ring_slots = sum (fun s -> s.Cache.ring_slots);
-      ring_in_flight = sum (fun s -> s.Cache.ring_in_flight);
-      ring_high_water =
-        Array.fold_left (fun a s -> max a s.Cache.ring_high_water) 0 per;
-    }
-  in
   {
     nshards = nshards t;
-    agg;
-    ring_high_water_per_shard = Array.map (fun s -> s.Cache.ring_high_water) per;
+    agg = Cache.stats_of t.caches;
+    ring_high_water_per_shard = Array.map (fun c -> (Cache.stats c).Cache.ring_high_water) t.caches;
     multi_commits = Metrics.get t.metrics "tinca.shard.multi_commits";
     seals = Metrics.get t.metrics "tinca.shard.seals";
     roll_forwards = Metrics.get t.metrics "tinca.shard.roll_forwards";
@@ -660,8 +623,6 @@ let stats_kv st =
 
 (* --- flight recorder / forensics surface --------------------------------- *)
 
-let flight_enabled t = Array.exists Cache.flight_enabled t.caches
-
 (* Per-shard survivor scans from the last recovery, shaped for
    [Tinca_obs.Forensics.build].  Shards recovered without a flight ring
    (or before any recovery) contribute an empty track. *)
@@ -673,17 +634,18 @@ let flight_scans t =
 (* Region-attributed NVM wear.  N=1: the plain per-region table.  N>1:
    the shard header (directory + seal lines) plus every shard's regions,
    names prefixed "s<i>.". *)
-let region_wear t =
-  if Array.length t.caches = 1 then Cache.region_wear t.caches.(0)
-  else
-    ( "header",
-      Pmem.wear_sum_in t.pmem ~off:0 ~len:header_bytes,
-      Pmem.wear_max_in t.pmem ~off:0 ~len:header_bytes )
-    :: List.concat
-         (List.mapi
-            (fun i c ->
-              List.map (fun (n, s, m) -> (Printf.sprintf "s%d.%s" i n, s, m)) (Cache.region_wear c))
-            (Array.to_list t.caches))
+let sharded_wear pmem = function
+  | [ rows ] -> rows
+  | per_shard ->
+      ( "header",
+        Pmem.wear_sum_in pmem ~off:0 ~len:header_bytes,
+        Pmem.wear_max_in pmem ~off:0 ~len:header_bytes )
+      :: List.concat
+           (List.mapi
+              (fun i rows -> List.map (fun (n, s, m) -> (Printf.sprintf "s%d.%s" i n, s, m)) rows)
+              per_shard)
+
+let region_wear t = sharded_wear t.pmem (List.map Cache.region_wear (Array.to_list t.caches))
 
 (* --- invariant audit ----------------------------------------------------- *)
 

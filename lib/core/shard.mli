@@ -188,9 +188,6 @@ val stats_kv : stats -> (string * string) list
 
     See {!Cache.flight_note} and {!Tinca_obs.Forensics}. *)
 
-(** Does any shard carry a flight ring? *)
-val flight_enabled : t -> bool
-
 (** Per-shard survivor scans from the last recovery — [(records, torn)]
     per shard, shaped for [Tinca_obs.Forensics.build].  Shards without a
     ring (or attached by [format]) contribute [([], 0)]. *)
@@ -201,6 +198,11 @@ val flight_scans : t -> ((int * Tinca_obs.Flight.event) list * int) array
     a ["header"] row (shard directory + seal lines) followed by every
     shard's regions as ["s<i>.<region>"]. *)
 val region_wear : t -> (string * int * int) list
+
+(** The same shape from one row list per shard (the paging engine's
+    regions included): the single list verbatim, or the header row then
+    every shard's rows prefixed ["s<i>."]. *)
+val sharded_wear : Tinca_pmem.Pmem.t -> (string * int * int) list list -> (string * int * int) list
 
 (** Per-shard {!Cache.check_invariants} plus: the seal must be clear
     outside a commit. *)

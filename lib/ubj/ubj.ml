@@ -1,19 +1,11 @@
 open Tinca_sim
 module Pmem = Tinca_pmem.Pmem
 module Disk = Tinca_blockdev.Disk
-module Lru = Tinca_cachelib.Lru
-module Free_monitor = Tinca_cachelib.Free_monitor
+module Fc = Tinca_cachelib.Frame_cache
 
 type config = { block_size : int; checkpoint_low_water : float }
 
 let default_config = { block_size = 4096; checkpoint_low_water = 0.25 }
-
-type info = {
-  disk_blkno : int;
-  mutable active : int; (* NVM block holding the newest version *)
-  mutable frozen : bool; (* newest version is committed-in-place *)
-  mutable node : info Lru.node option;
-}
 
 type txn_record = { blocks : (int * int) list (* disk blkno, frozen NVM block *) }
 
@@ -27,9 +19,9 @@ type t = {
   nblocks : int;
   data_off : int;
   record_off : int; (* commit-record area, written circularly *)
-  index : (int, info) Hashtbl.t;
-  lru : info Lru.t;
-  free : Free_monitor.t;
+  fc : unit Fc.t;
+      (* cached blocks: [frame] holds the newest version, [pinned] means
+         frozen (committed in place, not yet checkpointed); no slots *)
   queue : txn_record Queue.t; (* committed, not yet checkpointed; oldest first *)
   mutable record_cursor : int;
 }
@@ -49,15 +41,12 @@ let create ~config:cfg ~pmem ~disk ~clock ~metrics =
     nblocks;
     data_off;
     record_off = 0;
-    index = Hashtbl.create 4096;
-    lru = Lru.create ();
-    free = Free_monitor.create ~n:nblocks ();
+    fc = Fc.create ~frames:nblocks ~slots:0 ~index_size:4096 ();
     queue = Queue.create ();
     record_cursor = 0;
   }
 
 let block_off t nvm_blk = t.data_off + (nvm_blk * t.cfg.block_size)
-let node_exn info = Option.get info.node
 
 let read_block t nvm_blk = Pmem.read t.pmem ~off:(block_off t nvm_blk) ~len:t.cfg.block_size
 
@@ -72,39 +61,29 @@ let checkpoint_oldest t =
         (fun (disk_blkno, nvm_blk) ->
           Disk.write_block t.disk disk_blkno (read_block t nvm_blk);
           Metrics.incr t.metrics "ubj.checkpoint_writes" ~by:1;
-          match Hashtbl.find_opt t.index disk_blkno with
-          | Some info when info.active = nvm_blk ->
+          match Fc.find t.fc disk_blkno with
+          | Some info when info.frame = nvm_blk ->
               (* Not updated since the freeze: becomes a clean cached
                  block. *)
-              info.frozen <- false
+              Fc.set_pinned info false
           | Some _ | None ->
               (* Superseded (or evicted): the frozen copy is dead weight
                  now that it is on disk. *)
-              Free_monitor.free t.free nvm_blk)
+              Fc.free_frame t.fc nvm_blk)
         txn.blocks;
       Metrics.incr t.metrics "ubj.checkpoints" ~by:1;
       true
 
-let evict_clean t =
-  match Lru.find_from_lru t.lru ~f:(fun info -> not info.frozen) with
-  | None -> false
-  | Some node ->
-      let info = Lru.value node in
-      (* Clean by construction: unfrozen means checkpointed. *)
-      Lru.remove t.lru node;
-      info.node <- None;
-      Hashtbl.remove t.index info.disk_blkno;
-      Free_monitor.free t.free info.active;
-      Metrics.incr t.metrics "ubj.evictions" ~by:1;
-      true
+(* Victims are clean by construction: unfrozen means checkpointed. *)
+let evict_hooks t = { Fc.evict = (fun _ -> Metrics.incr t.metrics "ubj.evictions" ~by:1) }
 
 let rec alloc t =
-  match Free_monitor.alloc t.free with
+  match Fc.take_frame t.fc (evict_hooks t) with
   | Some i -> i
   | None ->
       (* Prefer dropping a clean block; otherwise a whole transaction
          must be checkpointed to make room — UBJ's coarse unit. *)
-      if evict_clean t || checkpoint_oldest t then alloc t
+      if checkpoint_oldest t then alloc t
       else failwith "Ubj: NVM exhausted with nothing checkpointable"
 
 let charge_op t =
@@ -112,19 +91,16 @@ let charge_op t =
 
 let read t blkno =
   charge_op t;
-  match Hashtbl.find_opt t.index blkno with
+  match Fc.lookup_read t.fc blkno with
   | Some info ->
       Metrics.incr t.metrics "ubj.read_hits" ~by:1;
-      Lru.touch t.lru (node_exn info);
-      read_block t info.active
+      read_block t info.frame
   | None ->
       Metrics.incr t.metrics "ubj.read_misses" ~by:1;
       let data = Disk.read_block t.disk blkno in
       let nvm = alloc t in
       Pmem.write t.pmem ~off:(block_off t nvm) data;
-      let info = { disk_blkno = blkno; active = nvm; frozen = false; node = None } in
-      info.node <- Some (Lru.push_mru t.lru info);
-      Hashtbl.replace t.index blkno info;
+      ignore (Fc.insert t.fc ~key:blkno ~frame:nvm ~slot:(-1) ~dirty:false ~pinned:false ());
       data
 [@@pmem.defer
   "read-miss fill of a clean block: its durable home is the disk, so the NVM copy carries no \
@@ -144,7 +120,7 @@ let persist_commit_record t =
   Pmem.persist t.pmem ~off ~len:64
 
 let low_water t =
-  float_of_int (Free_monitor.free_count t.free) /. float_of_int t.nblocks
+  float_of_int (Fc.free_frames t.fc) /. float_of_int t.nblocks
   < t.cfg.checkpoint_low_water
 
 module Txn = struct
@@ -176,31 +152,31 @@ module Txn = struct
       List.iter
         (fun blkno ->
           let data = Hashtbl.find h.staged blkno in
-          (match Hashtbl.find_opt t.index blkno with
-          | Some info when not info.frozen ->
-              (* Commit-in-place: overwrite the cached version. *)
-              write_nvm_block t info.active data;
-              Lru.touch t.lru (node_exn info)
-          | Some info ->
-              (* Frozen by an earlier uncheckpointed transaction: the
-                 update must go out of place via a memcpy — UBJ's
-                 critical-path cost. *)
-              Clock.advance t.clock t.cpu.Latency.memcpy_4k_ns;
-              Metrics.incr t.metrics "ubj.frozen_copies" ~by:1;
-              let fresh = alloc t in
-              write_nvm_block t fresh data;
-              info.active <- fresh;
-              info.frozen <- false;
-              Lru.touch t.lru (node_exn info)
-          | None ->
-              let fresh = alloc t in
-              write_nvm_block t fresh data;
-              let info = { disk_blkno = blkno; active = fresh; frozen = false; node = None } in
-              info.node <- Some (Lru.push_mru t.lru info);
-              Hashtbl.replace t.index blkno info);
-          let info = Hashtbl.find t.index blkno in
-          info.frozen <- true;
-          frozen_list := (blkno, info.active) :: !frozen_list)
+          let info =
+            match Fc.find t.fc blkno with
+            | Some info when not info.pinned ->
+                (* Commit-in-place: overwrite the cached version. *)
+                write_nvm_block t info.frame data;
+                Fc.touch t.fc info;
+                info
+            | Some info ->
+                (* Frozen by an earlier uncheckpointed transaction: the
+                   update must go out of place via a memcpy — UBJ's
+                   critical-path cost. *)
+                Clock.advance t.clock t.cpu.Latency.memcpy_4k_ns;
+                Metrics.incr t.metrics "ubj.frozen_copies" ~by:1;
+                let fresh = alloc t in
+                write_nvm_block t fresh data;
+                Fc.set_frame info fresh;
+                Fc.touch t.fc info;
+                info
+            | None ->
+                let fresh = alloc t in
+                write_nvm_block t fresh data;
+                Fc.insert t.fc ~key:blkno ~frame:fresh ~slot:(-1) ~dirty:false ~pinned:false ()
+          in
+          Fc.set_pinned info true;
+          frozen_list := (blkno, info.frame) :: !frozen_list)
         ids;
       persist_commit_record t;
       Queue.add { blocks = List.rev !frozen_list } t.queue;
@@ -218,9 +194,6 @@ let flush_all t =
     ()
   done
 
-let cached_blocks t = Hashtbl.length t.index
-
-let frozen_blocks t =
-  Hashtbl.fold (fun _ info acc -> if info.frozen then acc + 1 else acc) t.index 0
-
-let free_blocks t = Free_monitor.free_count t.free
+let cached_blocks t = Fc.length t.fc
+let frozen_blocks t = Fc.fold (fun info n -> if info.pinned then n + 1 else n) t.fc 0
+let free_blocks t = Fc.free_frames t.fc

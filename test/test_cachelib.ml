@@ -364,3 +364,172 @@ let policy_suite =
         Alcotest.test_case "cache fifo spreads wear" `Quick test_cache_fifo_policy_spreads_wear;
       ] );
   ]
+
+(* --- the frame cache shared by both commit engines --- *)
+
+module Fc = Tinca_cachelib.Frame_cache
+
+(* Reference model: cached blocks in LRU-first order as (key, pinned,
+   holds_slot), plus the free frame and slot counts.  Victim selection
+   is "first unpinned from the LRU end", evaluated on the list. *)
+type model = {
+  mutable lru : (int * bool * bool) list;
+  mutable free_frames : int;
+  mutable free_slots : int;
+  mutable victims : int list;  (* newest first *)
+}
+
+let model_evict m =
+  match List.find_opt (fun (_, pinned, _) -> not pinned) m.lru with
+  | None -> false
+  | Some ((k, _, has_slot) as v) ->
+      m.lru <- List.filter (fun e -> e != v) m.lru;
+      m.free_frames <- m.free_frames + 1;
+      if has_slot then m.free_slots <- m.free_slots + 1;
+      m.victims <- k :: m.victims;
+      true
+
+let model_make_room m ~frames ~slots =
+  let ok = ref true in
+  while !ok && m.free_frames < frames do
+    ok := model_evict m
+  done;
+  while !ok && m.free_slots < slots do
+    ok := model_evict m
+  done;
+  !ok && m.free_frames >= frames && m.free_slots >= slots
+
+let model_update m k f = m.lru <- List.map (fun ((k', _, _) as e) -> if k' = k then f e else e) m.lru
+
+(* Random insert / touch / pin / unpin / read / make_room sequences over
+   a small cache, checked after every step against the model: the same
+   victims in the same order, the hook run exactly once per victim,
+   frames and slots conserved (free + referenced = capacity), and the
+   structural audit clean. *)
+let prop_frame_cache_model =
+  QCheck.Test.make ~name:"frame cache agrees with list model" ~count:300
+    QCheck.(triple (int_range 1 8) (int_range 1 8) (list (pair (int_bound 5) (int_bound 11))))
+    (fun (nframes, nslots, ops) ->
+      let fc = Fc.create ~frames:nframes ~slots:nslots ~index_size:16 () in
+      let hooked = ref [] in
+      let hooks = { Fc.evict = (fun b -> hooked := b.Fc.key :: !hooked) } in
+      let m = { lru = []; free_frames = nframes; free_slots = nslots; victims = [] } in
+      let next_key = ref 0 in
+      let pick arg = match m.lru with [] -> None | l -> Some (List.nth l (arg mod List.length l)) in
+      let block k = Option.get (Fc.find fc k) in
+      let step (op, arg) =
+        match op with
+        | 0 ->
+            (* insert a fresh block, with a slot when [arg] is odd *)
+            let want_slot = arg land 1 = 1 in
+            let slots = if want_slot then 1 else 0 in
+            let ok = Fc.make_room fc hooks ~frames:1 ~slots in
+            if ok <> model_make_room m ~frames:1 ~slots then failwith "make_room verdict differs";
+            if ok then begin
+              let frame = Option.get (Fc.alloc_frame fc) in
+              let slot = if want_slot then Option.get (Fc.alloc_slot fc) else -1 in
+              let k = !next_key in
+              incr next_key;
+              ignore (Fc.insert fc ~key:k ~frame ~slot ~dirty:(arg land 2 = 2) ~pinned:false ());
+              m.lru <- m.lru @ [ (k, false, want_slot) ];
+              m.free_frames <- m.free_frames - 1;
+              if want_slot then m.free_slots <- m.free_slots - 1
+            end
+        | 1 -> (
+            match pick arg with
+            | None -> ()
+            | Some ((k, _, _) as e) ->
+                Fc.touch fc (block k);
+                m.lru <- List.filter (fun e' -> e' != e) m.lru @ [ e ])
+        | 2 | 3 -> (
+            match pick arg with
+            | None -> ()
+            | Some (k, _, _) ->
+                let v = op = 2 in
+                Fc.set_pinned (block k) v;
+                model_update m k (fun (k, _, s) -> (k, v, s)))
+        | 4 -> (
+            match pick arg with
+            | None -> ignore (Fc.lookup_read fc (-1))
+            | Some ((k, _, _) as e) ->
+                ignore (Fc.lookup_read fc k);
+                m.lru <- List.filter (fun e' -> e' != e) m.lru @ [ e ])
+        | _ ->
+            let frames = arg mod 4 and slots = arg / 4 in
+            if Fc.make_room fc hooks ~frames ~slots <> model_make_room m ~frames ~slots then
+              failwith "make_room verdict differs"
+      in
+      let check () =
+        let keys = ref [] in
+        Fc.iter_lru (fun b -> keys := b.Fc.key :: !keys) fc;
+        let referenced_frames = Fc.length fc in
+        let referenced_slots = Fc.fold (fun b n -> if b.Fc.slot >= 0 then n + 1 else n) fc 0 in
+        List.rev !keys = List.map (fun (k, _, _) -> k) m.lru
+        && !hooked = m.victims
+        && Fc.evictions fc = List.length m.victims
+        && Option.map (fun b -> b.Fc.key) (Fc.victim fc)
+           = Option.map (fun (k, _, _) -> k) (List.find_opt (fun (_, p, _) -> not p) m.lru)
+        && Fc.free_frames fc + referenced_frames = nframes
+        && Fc.free_slots fc + referenced_slots = nslots
+        && Fc.free_frames fc = m.free_frames
+        && Fc.free_slots fc = m.free_slots
+        && Fc.audit fc = Ok ()
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          check ())
+        ops)
+
+let audit_error fc =
+  match Fc.audit fc with Ok () -> Alcotest.fail "audit passed a corrupt cache" | Error m -> m
+
+let mentions msg sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+  go 0
+
+let test_audit_free_and_referenced () =
+  let fc = Fc.create ~frames:4 ~slots:4 ~index_size:4 () in
+  let frame = Option.get (Fc.alloc_frame fc) in
+  ignore (Fc.insert fc ~key:7 ~frame ~slot:(-1) ~dirty:false ~pinned:false ());
+  Alcotest.(check bool) "clean before" true (Fc.audit fc = Ok ());
+  Fc.free_frame fc frame;
+  let msg = audit_error fc in
+  Alcotest.(check bool) ("names the frame: " ^ msg) true (mentions msg "both free and referenced")
+
+let test_audit_lru_index_mismatch () =
+  let fc = Fc.create ~frames:4 ~slots:4 ~index_size:4 () in
+  let insert () =
+    let frame = Option.get (Fc.alloc_frame fc) in
+    ignore (Fc.insert fc ~key:3 ~frame ~slot:(-1) ~dirty:false ~pinned:false ())
+  in
+  insert ();
+  (* A second block under the same key replaces the index entry but
+     leaves both on the LRU. *)
+  insert ();
+  let msg = audit_error fc in
+  Alcotest.(check bool) ("names the sizes: " ^ msg) true (mentions msg "LRU length 2 <> index size 1")
+
+let test_audit_dirty_recount () =
+  let fc = Fc.create ~frames:2 ~slots:2 ~index_size:4 () in
+  let frame = Option.get (Fc.alloc_frame fc) in
+  let b = Fc.insert fc ~key:1 ~frame ~slot:(-1) ~dirty:true ~pinned:false () in
+  Alcotest.(check int) "dirty counted" 1 (Fc.dirty_count fc);
+  Fc.set_dirty fc b false;
+  Alcotest.(check int) "dirty uncounted" 0 (Fc.dirty_count fc);
+  Alcotest.(check bool) "clean" true (Fc.audit fc = Ok ());
+  Fc.remove fc b;
+  Alcotest.(check int) "frame returned" 2 (Fc.free_frames fc);
+  Alcotest.(check bool) "empty and clean" true (Fc.audit fc = Ok ())
+
+let frame_cache_suite =
+  [
+    ( "cachelib.frame_cache",
+      [
+        QCheck_alcotest.to_alcotest prop_frame_cache_model;
+        Alcotest.test_case "audit: frame free and referenced" `Quick test_audit_free_and_referenced;
+        Alcotest.test_case "audit: LRU/index size mismatch" `Quick test_audit_lru_index_mismatch;
+        Alcotest.test_case "dirty count and remove" `Quick test_audit_dirty_recount;
+      ] );
+  ]

@@ -211,6 +211,66 @@ let test_round_trip () =
   expect2 0 'a'; expect2 3 'd'; expect2 9 'd';
   Tinca.check_invariants tc2
 
+(* --- a read miss with every cached block pinned ----------------------------- *)
+
+(* 160 KiB of NVM caches 39 blocks under either engine.  Fill the cache
+   with reads, then one-block write hits over the cached blocks until
+   the engine refuses one.  Under logging the accepted ones stay sealed
+   in a pending group batch, so every cached block is pinned and a read
+   miss finds no victim: it must be served from disk, uncached, and
+   leave the batch intact.  Paging has no group committer (validate
+   rejects a window), so no pin outlives a commit and the same miss
+   evicts an unpinned victim. *)
+let test_pinned_read_miss scheme () =
+  let env = mk_env () in
+  let on_disk = payload 'D' in
+  Disk.write_block env.disk 49 on_disk;
+  let logging = match scheme with Tinca.Config.Logging _ -> true | Paging _ -> false in
+  let config =
+    {
+      Tinca.Config.default with
+      Tinca.Config.nvm_bytes = 160 * 1024;
+      ring_slots = 64;
+      commit_scheme = scheme;
+      group_window_ns = (if logging then 1_000_000_000 else 0);
+      group_max_batch = 1000;
+    }
+  in
+  let tc =
+    Tinca.ok_exn
+      (Tinca.format ~config ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics)
+  in
+  for b = 0 to 38 do
+    ignore (Tinca.ok_exn (Tinca.read tc b))
+  done;
+  let rec seal b acc =
+    if b > 38 then List.rev acc
+    else begin
+      let txn = Tinca.init_txn tc in
+      Tinca.ok_exn (Tinca.write txn b (payload 'w'));
+      match Tinca.commit_async txn with
+      | Ok tk -> seal (b + 1) (tk :: acc)
+      | Error Tinca.Transaction_too_large -> List.rev acc
+      | Error e -> Alcotest.failf "commit_async %d: %s" b (Tinca.error_message e)
+    end
+  in
+  let tickets = seal 0 [] in
+  let sealed = List.length tickets in
+  Alcotest.(check int) "write hits accepted" (if logging then 38 else 39) sealed;
+  (match Tinca.read tc 49 with
+  | Ok data -> Alcotest.(check bool) "read returns the disk bytes" true (Bytes.equal data on_disk)
+  | Error e -> Alcotest.failf "read 49: %s" (Tinca.error_message e));
+  Alcotest.(check bool) "block cached only if a victim existed" (not logging) (Tinca.contains tc 49);
+  Tinca.check_invariants tc;
+  Alcotest.(check int) "batch still pending" (if logging then sealed else 0) (Tinca.group_pending tc);
+  Tinca.group_flush tc;
+  List.iter (fun tk -> Alcotest.(check bool) "ticket durable" true (Tinca.ticket_durable tk)) tickets;
+  for b = 0 to sealed - 1 do
+    Alcotest.(check char) (Printf.sprintf "block %d committed" b) 'w'
+      (Bytes.get (Tinca.ok_exn (Tinca.read tc b)) 0)
+  done;
+  Tinca.check_invariants tc
+
 let suite =
   [
     ( "facade",
@@ -220,5 +280,9 @@ let suite =
         Alcotest.test_case "of_exn round-trips I/O-shaped errors" `Quick test_of_exn_round_trip;
         Alcotest.test_case "Config.validate rejection table" `Quick test_config_validate;
         Alcotest.test_case "round-trip incl. recovery" `Quick test_round_trip;
+        Alcotest.test_case "pinned read miss served uncached (logging)" `Quick
+          (test_pinned_read_miss (Tinca.Config.Logging Tinca.Batched));
+        Alcotest.test_case "read miss under write pressure (paging)" `Quick
+          (test_pinned_read_miss (Tinca.Config.Paging Tinca.Config.default_page_cfg));
       ] );
   ]
