@@ -22,95 +22,68 @@ lint:
 lint-update:
 	dune exec bin/tinca_lint.exe -- --root . --baseline lint.baseline --update
 
+# Every check-* target is one gate of the gate table (lib/harness/gates.ml):
+# its properties run in order, one verdict table is printed per gate, and
+# the exit status is 1 if any property failed.  `tinca_check gate list`
+# names them; `tinca_check --help` has the ad-hoc sweep flags.
+
 # Exhaustive crash-space model check of the commit protocol: every pmem
 # event of the default 6-commit workload is a crash point; at each one,
-# every survival subset of the torn cache lines is recovered and audited
-# (see `tinca_check --help` for budget/seed/workload flags).
+# every survival subset of the torn cache lines is recovered and audited.
 check-crash:
-	dune exec bin/tinca_check.exe
+	dune exec bin/tinca_check.exe -- gate crash
 
-# The budgeted flavour of check-crash that gates ci: a 3-commit workload
-# with a 64-subset cap (any cap shortfall is reported, never silent).
+# The budgeted sweep that gates ci: a 3-commit workload with a 64-subset
+# cap (any cap shortfall is reported as capped points, never silent).
 check-crash-budget:
-	dune exec bin/tinca_check.exe -- -q --commits 3 --cap 64
+	dune exec bin/tinca_check.exe -- gate crash-budget
 
-# Executable-spec refinement gate: drive the pure journal spec and a
-# real Tinca in lockstep at 1, 2 and 4 shards (observational equivalence
-# after every command), judge every crash-recovered state by spec
-# refinement, and self-validate by planting commit-path mutations that
-# must be caught with small shrunk reproducers.  Budgeted by seed count
-# and the crash-state cap/stride; coverage is printed per shard count.
+# Executable-spec refinement: the pure journal spec and a real Tinca in
+# lockstep at 1, 2 and 4 shards, every crash-recovered state judged by
+# spec refinement, and planted commit-path mutations that must be caught
+# with small shrunk reproducers.
 check-spec:
-	dune exec bin/tinca_check.exe -- --lockstep --lockstep-seeds 3 --lockstep-len 80 --cap 16 --stride 5 -q
+	dune exec bin/tinca_check.exe -- gate spec
 
-# Persistence sanitizer: run the Tinca (incl. crash + recovery), Classic
-# (JBD2 + Flashcache) and raw-Flashcache stacks with the flush/fence
-# sanitizer attached; reports ordering violations and per-call-site
-# redundant-flush counts.
+# Persistence sanitizer over the Tinca (incl. crash + recovery), Classic
+# (JBD2 + Flashcache) and raw-Flashcache stacks.
 check-psan:
-	dune exec bin/tinca_check.exe -- --psan --commits 200 --universe 160
+	dune exec bin/tinca_check.exe -- gate psan
 
-# Observability gate: export a span trace of an 8-block-commit workload,
-# validate the Chrome trace_event JSON (monotonic timestamps, balanced
-# B/E nesting), pin the per-span fence attribution to the persistence
-# budget (stage B = 1 sfence, commit <= 6) and bound the disabled-mode
-# tracing overhead at 2% of commit wall time.
+# Span-trace export validated as Chrome trace_event JSON, per-span fence
+# attribution pinned to the persistence budget, disabled-mode overhead
+# bounded at 2% of commit wall time.
 check-obs:
-	dune exec bin/tinca_bench.exe -- check-obs
+	dune exec bin/tinca_check.exe -- gate obs
 
-# Sharding gate: a budgeted crash-space sweep and a sanitizer pass on a
-# 4-shard cache (covering crashes between per-shard Head advances and on
-# either side of the cross-shard seal), then the N=1 equivalence pin
-# against BENCH_commit.json plus the scaling sanity check.
+# A budgeted 4-shard crash sweep and sanitizer pass, the N=1 equivalence
+# pin against BENCH_commit.json and the scaling sanity check.
 check-shard:
-	dune exec bin/tinca_check.exe -- -q --commits 2 --cap 48 --shards 4 --pmem-kb 256
-	dune exec bin/tinca_check.exe -- --psan --commits 100 --universe 160 --shards 4
-	dune exec bin/tinca_bench.exe -- check-shard
+	dune exec bin/tinca_check.exe -- gate shard
 
-# Group-commit gate (ISSUE 8): the sanitizer pass with an async
-# batch-scoped phase (commit_async streams drained under one fence
-# sequence per batch), then tinca_bench's three-property verdict — the
-# window=0 async path is media-, cost- and fence-identical to the
-# synchronous pipeline, sfences/commit < 1 at >= 8 streams, and p99
-# ack-to-durable latency stays within the configured window.  (The
-# lockstep side — gen_async equivalence, grouped crash refinement and
-# the planted Drop_durable_notify fault — already runs in check-spec.)
+# The sanitizer with a batch-scoped group-commit phase, the window=0
+# equivalence pin, sfences/commit < 1 at >= 8 streams and p99
+# ack-to-durable latency within the window.
 check-group:
-	dune exec bin/tinca_check.exe -- --psan --commits 120 --universe 160 --group-window 400000
-	dune exec bin/tinca_bench.exe -- check-group
+	dune exec bin/tinca_check.exe -- gate group
 
-# Commit-scheme gate: tinca_bench's four-property verdict —
-# paging's fence budget flat in transaction size (2 sfences/commit at
-# any size), a budgeted paging crash-space sweep and lockstep spec
-# refinement at N=1 and N=4, and a psan-clean paging workload — then a
-# sanitizer pass and a denser standalone paging sweep through
-# tinca_check.
+# The paging scheme: fence budget flat in transaction size, budgeted
+# crash sweeps, lockstep refinement and psan.
 check-page:
-	dune exec bin/tinca_bench.exe -- check-page
-	dune exec bin/tinca_check.exe -- --psan --scheme paging --commits 150 --universe 160 --shards 2
-	dune exec bin/tinca_check.exe -- -q --scheme paging --commits 3 --cap 32 --stride 3
+	dune exec bin/tinca_check.exe -- gate page
 
-# Flight-recorder gate (ISSUE 9): tinca_bench's five-property verdict —
-# zero added fences and <= 2% aggregate commit overhead on
-# fig_commit_batch's stream, a recorder-on group workload psan-clean at
-# N=1 and N=4, the crash sweep's recovery-semantics pin (flight replay
-# on/off recovers identical logical state) with the dossier agreeing
-# with the acked-durability oracle at every explored state, and the
-# planted Drop_durable_notify fault convicted by the dossier alone —
-# then a denser standalone sweep at N=1 and N=4.
+# The flight recorder: zero added fences, <= 2% commit overhead, psan,
+# crash sweeps with the replay on/off pin and dossier agreement, and the
+# planted Drop_durable_notify convicted by the dossier alone.
 check-flight:
-	dune exec bin/tinca_bench.exe -- check-flight
-	dune exec bin/tinca_check.exe -- --flight --stride 9 -q
-	dune exec bin/tinca_check.exe -- --flight --stride 13 --shards 4 -q
+	dune exec bin/tinca_check.exe -- gate flight
 
-# Everything a gate should run: build, unit tests, the lint, the budgeted
-# crash-space sweep, the spec-refinement gate, the sanitizer pass, the
-# observability gate, the commit-protocol benchmark artifact, the
-# sharding gate, the group-commit gate and the commit-scheme gate.  (The crash sweep used to
-# hide as an unnamed recipe line here — as a prerequisite it is now
-# visible in `make -n ci`, runnable on its own, and not silently
-# skipped when a prerequisite fails earlier in the recipe.)
-ci: build test lint check-crash-budget check-spec check-psan check-obs bench-json check-shard check-group check-page check-flight
+# Everything a gate should run: build, unit tests, the lint, the
+# commit-protocol benchmark artifact (check-shard pins against it), then
+# every gate in one run that does not stop at the first failing gate and
+# ends with a per-gate wall-time summary.
+ci: build test lint bench-json
+	dune exec bin/tinca_check.exe -- gate all
 
 # Full paper reproduction + Bechamel micro-benchmarks.
 bench:

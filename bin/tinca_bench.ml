@@ -359,241 +359,6 @@ let fio_cmd =
   Cmd.v (Cmd.info "fio" ~doc)
     Term.(const run_fio $ stack $ shards_arg $ scheme_arg $ ops $ read_pct)
 
-(* `check-shard` subcommand: the sharding CI gate — the N=1 equivalence
-   pin against BENCH_commit.json plus the scaling sanity check. *)
-let run_check_shard json_path =
-  let module Exp_shard = Tinca_harness.Exp_shard in
-  let module Tabular = Tinca_util.Tabular in
-  if not (Sys.file_exists json_path) then begin
-    Printf.eprintf "check-shard: %s not found (run `tinca_bench bench-json` first)\n" json_path;
-    exit 1
-  end;
-  let tables, pin_ok, scaling_ok = Exp_shard.check ~json_path in
-  List.iter (fun t -> print_string (Tabular.render t); print_newline ()) tables;
-  Printf.printf "%-50s %s\n" "N=1 equivalence pin vs single-ring artifact"
-    (if pin_ok then "ok" else "FAIL");
-  Printf.printf "%-50s %s\n" "scaling sanity (N=4 makespan < N=1)"
-    (if scaling_ok then "ok" else "FAIL");
-  if not (pin_ok && scaling_ok) then begin
-    Printf.printf "check-shard: FAILED\n";
-    exit 1
-  end;
-  Printf.printf "check-shard: all checks passed\n"
-
-let check_shard_cmd =
-  let doc = "Validate the sharding layer (N=1 equivalence pin + scaling sanity)." in
-  let json =
-    Arg.(value & opt string "BENCH_commit.json"
-         & info [ "json" ] ~docv:"FILE" ~doc:"Single-ring commit-point artifact to pin against.")
-  in
-  Cmd.v (Cmd.info "check-shard" ~doc) Term.(const run_check_shard $ json)
-
-(* `check-group` subcommand: the async group-commit CI gate (ISSUE 8) —
-   window=0 media/cost equivalence with the synchronous pipeline,
-   sfences/commit < 1 at >= 8 streams, p99 ack latency bounded by the
-   window. *)
-let run_check_group window streams =
-  let module Exp_group = Tinca_harness.Exp_group in
-  let module Tabular = Tinca_util.Tabular in
-  if window <= 0 then begin
-    Printf.eprintf "check-group: --group-window must be > 0\n";
-    exit 1
-  end;
-  (if streams > 0 then
-     let s = Exp_group.run_point ~streams ~window in
-     Printf.printf
-       "streams=%d window=%d ns: %.2f sfences/commit, %d batches (%.1f txns/batch), ack \
-        p50/p99 = %.0f/%.0f ns\n\n"
-       s.Exp_group.streams s.Exp_group.window_ns s.Exp_group.sfences_per_commit
-       s.Exp_group.batches s.Exp_group.txns_per_batch s.Exp_group.ack_p50_ns
-       s.Exp_group.ack_p99_ns);
-  let tables, ok = Exp_group.check ~window () in
-  List.iter
-    (fun t ->
-      print_string (Tabular.render t);
-      print_newline ())
-    tables;
-  if not ok then begin
-    Printf.printf "check-group: FAILED\n";
-    exit 1
-  end;
-  Printf.printf "check-group: all checks passed\n"
-
-let check_group_cmd =
-  let doc =
-    "Validate the async group-commit path (window=0 equivalence pin, amortized fences, ack \
-     latency bound)."
-  in
-  let window =
-    Arg.(value & opt int Tinca_harness.Exp_group.default_window_ns
-         & info [ "group-window" ] ~docv:"NS"
-             ~doc:"Group-commit window in simulated nanoseconds for the sweep and the gate.")
-  in
-  let streams =
-    Arg.(value & opt int 0
-         & info [ "streams" ] ~docv:"K"
-             ~doc:
-               "Additionally run and print one (K streams, window) point before the gate \
-                (0 = sweep only).")
-  in
-  Cmd.v (Cmd.info "check-group" ~doc) Term.(const run_check_group $ window $ streams)
-
-(* `check-page` subcommand: the commit-scheme ablation CI gate —
-   paging's fence budget flat in transaction size, a budgeted paging
-   crash-space sweep and lockstep refinement at N=1/4, psan-clean
-   paging workload. *)
-let run_check_page () =
-  let module Exp_page = Tinca_harness.Exp_page in
-  let module Tabular = Tinca_util.Tabular in
-  let tables, ok = Exp_page.check () in
-  List.iter
-    (fun t ->
-      print_string (Tabular.render t);
-      print_newline ())
-    tables;
-  if not ok then begin
-    Printf.printf "check-page: FAILED\n";
-    exit 1
-  end;
-  Printf.printf "check-page: all checks passed\n"
-
-let check_page_cmd =
-  let doc =
-    "Validate the commit-scheme ablation (paging fence budget, budgeted paging crash sweep + \
-     lockstep refinement, psan)."
-  in
-  Cmd.v (Cmd.info "check-page" ~doc) Term.(const run_check_page $ const ())
-
-(* `check-obs` subcommand: CI gate for the observability layer.  Runs a
-   traced 8-block-commit workload, validates the exported Chrome JSON
-   against the trace_event schema, pins the per-span fence attribution
-   to the persistence budget (stage B = 1 sfence, whole commit <= 6),
-   checks that tracing does not perturb the simulation (identical
-   simulated end time), and bounds the disabled-mode overhead at 2% of
-   commit wall time. *)
-let run_check_obs out =
-  let module Cache = Tinca_core.Cache in
-  let module Pmem = Tinca_pmem.Pmem in
-  let module Disk = Tinca_blockdev.Disk in
-  let module Trace = Tinca_obs.Trace in
-  let module Jsonv = Tinca_obs.Jsonv in
-  let open Tinca_sim in
-  let failures = ref [] in
-  let check name ok detail =
-    if ok then Printf.printf "ok    %-42s %s\n" name detail
-    else begin
-      Printf.printf "FAIL  %-42s %s\n" name detail;
-      failures := name :: !failures
-    end
-  in
-  let commits = 16 and blocks = 8 in
-  (* The test_budget environment: 1 MB device keeps 16 x 8-block commits
-     free of evictions, so the budget is the pipeline's own fences. *)
-  let run_commits ~traced =
-    let clock = Clock.create () in
-    let metrics = Metrics.create () in
-    let pmem = Pmem.create ~clock ~metrics ~tech:Latency.Pcm ~size:(1024 * 1024) () in
-    let disk = Disk.create ~clock ~metrics ~kind:Latency.Ssd ~nblocks:256 ~block_size:4096 in
-    if traced then begin
-      Trace.enable ();
-      Trace.name_track clock "tinca"
-    end;
-    let cache =
-      Cache.format
-        ~config:{ Cache.default_config with ring_slots = 128 }
-        ~pmem ~disk ~clock ~metrics
-    in
-    let payload = Bytes.make 4096 'o' in
-    for c = 0 to commits - 1 do
-      let h = Cache.Txn.init cache in
-      for b = 0 to blocks - 1 do
-        Cache.Txn.add h ((c * blocks) + b) payload
-      done;
-      Cache.Txn.commit h
-    done;
-    (clock, Clock.now_ns clock)
-  in
-  (* 1. Simulated time must be identical with and without tracing. *)
-  let _, ns_disabled = run_commits ~traced:false in
-  let clock, ns_traced = run_commits ~traced:true in
-  check "tracing preserves simulated time"
-    (ns_traced = ns_disabled)
-    (Printf.sprintf "%.0f ns vs %.0f ns" ns_traced ns_disabled);
-  (* 2. Per-span fence attribution matches the persistence budget. *)
-  let stage_b = Trace.find_spans "tinca.commit.stage_b" in
-  check "stage-B spans recorded" (List.length stage_b = commits)
-    (Printf.sprintf "%d spans" (List.length stage_b));
-  check "stage B pays exactly 1 sfence"
-    (stage_b <> [] && List.for_all (fun s -> Trace.counter s "pmem.sfence" = 1) stage_b)
-    (String.concat " "
-       (List.map (fun s -> string_of_int (Trace.counter s "pmem.sfence")) stage_b));
-  let commits_spans = Trace.find_spans "tinca.commit" in
-  check "whole commit within 6-sfence budget"
-    (commits_spans <> []
-    && List.for_all (fun s -> Trace.counter s "pmem.sfence" <= 6) commits_spans)
-    (String.concat " "
-       (List.map (fun s -> string_of_int (Trace.counter s "pmem.sfence")) commits_spans));
-  check "all spans closed, none unbalanced"
-    (Trace.open_spans () = 0 && Trace.unbalanced () = 0)
-    (Printf.sprintf "open=%d unbalanced=%d" (Trace.open_spans ()) (Trace.unbalanced ()));
-  let spans_per_commit =
-    float_of_int (List.length (Trace.completed ())) /. float_of_int commits
-  in
-  (* 3. The export is well-formed Chrome trace JSON. *)
-  Trace.export_to_file out;
-  (match Jsonv.validate_trace_file out with
-  | Ok st ->
-      check "exported trace validates" true
-        (Printf.sprintf "%s: %d events, %d track(s), depth %d" out st.Jsonv.events
-           st.Jsonv.tracks st.Jsonv.max_depth)
-  | Error errs ->
-      check "exported trace validates" false
-        (String.concat "; " (if List.length errs > 3 then [ List.nth errs 0; "..." ] else errs)));
-  Trace.disable ();
-  (* 4. Disabled-mode overhead gate.  Wall-clock benchmarks are flaky in
-     CI, so the gate is derived: (measured cost of a disabled
-     begin/end pair) x (pairs a commit executes) must be <= 2% of the
-     measured wall time of one untraced commit.  Both sides are medians
-     of repeated runs of tight loops, which is as deterministic as
-     wall-clock gets. *)
-  let median l = List.nth (List.sort compare l) (List.length l / 2) in
-  let pair_cost_ns =
-    let iters = 200_000 in
-    median
-      (List.init 5 (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           for _ = 1 to iters do
-             Trace.begin_span ~clock "x";
-             Trace.end_span "x"
-           done;
-           (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters))
-  in
-  let commit_wall_ns =
-    median
-      (List.init 5 (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           let _, _ = run_commits ~traced:false in
-           (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int commits))
-  in
-  let overhead = pair_cost_ns *. spans_per_commit /. commit_wall_ns in
-  check "disabled overhead <= 2% of commit cost"
-    (overhead <= 0.02)
-    (Printf.sprintf "pair %.1f ns x %.1f spans/commit / %.0f ns/commit = %.3f%%" pair_cost_ns
-       spans_per_commit commit_wall_ns (100.0 *. overhead));
-  if !failures <> [] then begin
-    Printf.printf "check-obs: %d check(s) FAILED\n" (List.length !failures);
-    exit 1
-  end;
-  Printf.printf "check-obs: all checks passed\n"
-
-let check_obs_cmd =
-  let doc = "Validate the observability layer (trace export, fence attribution, overhead)." in
-  let out =
-    Arg.(value & opt string "/tmp/tinca_check_obs.json"
-         & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the validated trace export.")
-  in
-  Cmd.v (Cmd.info "check-obs" ~doc) Term.(const run_check_obs $ out)
-
 (* `forensics` subcommand: the flight recorder's quick-start story —
    run a group-commit workload with the recorder on, pull the plug
    mid-flight (random cache-line survival), recover, and print the
@@ -695,38 +460,10 @@ let forensics_cmd =
   Cmd.v (Cmd.info "forensics" ~doc)
     Term.(const run_forensics $ shards_arg $ commits $ seed $ crash_frac $ timeline)
 
-(* `check-flight` subcommand: the flight-recorder CI gate (ISSUE 9). *)
-let run_check_flight () =
-  let module Tabular = Tinca_util.Tabular in
-  let t0 = Unix.gettimeofday () in
-  let tables, errs, ok = Tinca_harness.Exp_flight.check () in
-  List.iter
-    (fun t ->
-      print_string (Tabular.render t);
-      print_newline ())
-    tables;
-  List.iter (fun e -> Printf.printf "  %s\n" e) errs;
-  Printf.printf "(wall time %.1fs)\n" (Unix.gettimeofday () -. t0);
-  if not ok then begin
-    Printf.printf "check-flight: FAILED\n";
-    exit 1
-  end;
-  Printf.printf "check-flight: all checks passed\n"
-
-let check_flight_cmd =
-  let doc =
-    "Validate the flight recorder: zero added fences and <= 2% commit overhead \
-     (fig_commit_batch's stream), recorder-on workload psan-clean, crash-sweep recovery pin \
-     (replay on/off identical), dossier agrees with the oracle, and the planted \
-     Drop_durable_notify is convicted by the dossier alone."
-  in
-  Cmd.v (Cmd.info "check-flight" ~doc) Term.(const run_check_flight $ const ())
-
 let () =
   let doc = "Tinca (SC'17) reproduction: regenerate the paper's tables and figures." in
   let info = Cmd.info "tinca_bench" ~doc in
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; trace_cmd; fio_cmd; bench_json_cmd; stats_cmd; check_obs_cmd;
-            check_shard_cmd; check_group_cmd; check_page_cmd; check_flight_cmd; forensics_cmd ]))
+          [ list_cmd; run_cmd; trace_cmd; fio_cmd; bench_json_cmd; stats_cmd; forensics_cmd ]))

@@ -20,7 +20,9 @@
    4 KB data-block store, d = 64), the checker falls back to a *seeded
    sample* of the subset space that always includes the all-lost and
    all-survive corners, and reports "explored X of Y" via Logs and the
-   final report instead of truncating silently.
+   final report instead of truncating silently.  A sweep that wants
+   breadth across protocol stages rather than depth per crash (the
+   flight recorder's) asks for the corners plus a few samples instead.
 
    Every explored state must pass three gates:
    1. Tinca.recover succeeds — the facade discriminates the commit
@@ -50,14 +52,16 @@ let log_src = Logs.Src.create "tinca.check" ~doc:"Tinca crash-space model checke
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+type masks = Capped of int | Corners_plus of int
+
 type config = {
   seed : int;  (** workload RNG seed *)
   ncommits : int;  (** transactions in the workload *)
   universe : int;  (** disk blocks the workload touches *)
   pmem_bytes : int;  (** NVM size; small enough to force evictions *)
   ring_slots : int;
-  mask_cap : int;  (** max survival subsets explored per crash point *)
-  sample_seed : int;  (** seed for the capped-sampling fallback *)
+  masks : masks;  (** which survival subsets each crash point explores *)
+  sample_seed : int;  (** seed for the sampled subsets *)
   first_event : int;  (** first crash point (1-based), for sub-range sweeps *)
   stride : int;  (** explore every [stride]-th crash point *)
   nshards : int;  (** shards the device is partitioned into *)
@@ -71,7 +75,7 @@ let default_config =
     universe = 48;
     pmem_bytes = 160 * 1024 (* ~30 data blocks: forces evictions *);
     ring_slots = 64;
-    mask_cap = 256;
+    masks = Capped 256;
     sample_seed = 1;
     first_event = 1;
     stride = 1;
@@ -103,11 +107,16 @@ type env = { pmem : Pmem.t; disk : Disk.t; clock : Clock.t; metrics : Metrics.t 
 
 (* A pluggable workload + oracle.  [fresh env] formats the media and
    returns the workload thunk (run until it finishes or the armed crash
-   countdown fires) and the judge applied to every recovered shard.
-   The default driver below is the original fill-byte workload with the
-   prefix-consistency oracle; Lockstep supplies a command-sequence
-   workload whose judge is full spec refinement. *)
-type driver = { fresh : env -> (unit -> unit) * (Tinca.t -> (unit, string) result) }
+   countdown fires) and the judge applied to every recovered facade.
+   [recrash ()] puts the same crashed medium back, for a judge that
+   recovers it a second way.  The default driver below is the original
+   fill-byte workload with the prefix-consistency oracle; Lockstep
+   supplies a command-sequence workload whose judge is full spec
+   refinement, Flight_check a group-commit workload whose judge also
+   reads the forensic dossier. *)
+type driver = {
+  fresh : env -> (unit -> unit) * (recrash:(unit -> unit) -> Tinca.t -> (unit, string) result);
+}
 
 let mk_env cfg =
   let clock = Clock.create () in
@@ -174,25 +183,23 @@ let total_events driver cfg =
 (* Logical content of [blk] after recovery: cache version if cached, else
    the disk's.  Full 4 KB compared, so a torn data block that recovery
    wrongly exposes is caught even when its first byte happens to match. *)
-let logical_block tc disk blk =
-  match Tinca.peek tc blk with Some data -> data | None -> Disk.read_block disk blk
+let logical_block peek disk blk =
+  match peek blk with Some data -> data | None -> Disk.read_block disk blk
 
-let first_mismatch tc disk universe expect_of_blk =
+let first_mismatch peek disk universe expect_of_blk =
   let bad = ref None in
   let blk = ref 0 in
   while !bad = None && !blk < universe do
     let expect = expect_of_blk !blk in
-    let data = logical_block tc disk !blk in
+    let data = logical_block peek disk !blk in
     (try Bytes.iter (fun c -> if c <> expect then raise Exit) data
      with Exit -> bad := Some (!blk, expect, data));
     incr blk
   done;
   !bad
 
-let matches tc disk universe table =
-  first_mismatch tc disk universe (fun blk ->
-      match Hashtbl.find_opt table blk with Some v -> v | None -> '\000')
-  = None
+let fill_of table blk = match Hashtbl.find_opt table blk with Some v -> v | None -> '\000'
+let matches peek disk universe table = first_mismatch peek disk universe (fill_of table) = None
 
 let with_pending oracle pending =
   let o = Hashtbl.copy oracle in
@@ -201,19 +208,17 @@ let with_pending oracle pending =
 
 (* The default judge: prefix consistency over the fill-byte oracle
    tables the default workload maintains. *)
-let prefix_judge env cfg oracle pending recovered =
-  let ok_old = matches recovered env.disk cfg.universe oracle in
+let prefix_judge env cfg oracle pending ~recrash:_ recovered =
+  let peek = Tinca.peek recovered in
+  let ok_old = matches peek env.disk cfg.universe oracle in
   let ok_new =
     (not (Hashtbl.length pending = 0))
-    && matches recovered env.disk cfg.universe (with_pending oracle pending)
+    && matches peek env.disk cfg.universe (with_pending oracle pending)
   in
   if ok_old || ok_new then Ok ()
   else
     Error
-      (match
-         first_mismatch recovered env.disk cfg.universe (fun blk ->
-             match Hashtbl.find_opt oracle blk with Some v -> v | None -> '\000')
-       with
+      (match first_mismatch peek env.disk cfg.universe (fill_of oracle) with
       | Some (blk, expect, data) ->
           Printf.sprintf
             "prefix consistency: block %d is %C (expected %C pre-txn%s) — recovered \
@@ -248,25 +253,33 @@ let check_state env judge =
 
 (* --- survival-subset enumeration --------------------------------------- *)
 
-(* All 2^d subsets when that fits the cap; otherwise a seeded sample of
-   [mask_cap] subsets always containing the two corners (all lost / all
-   survive).  Subsets are bit masks over [torn] (bit j = torn line j
-   survives). *)
-let subset_masks ~d ~cap ~rng =
+(* The subsets [policy] explores at a crash point with [d] torn lines, as
+   masks over [torn] (bit j = torn line j survives).  [Capped cap]: all
+   2^d when that fits the cap, otherwise [cap] subsets — the two corners
+   (all lost / all survive) plus seeded samples.  [Corners_plus n]: the
+   corners plus [n] seeded samples.  Every sample draws one bit per torn
+   line from [rng], and all are drawn before any is explored. *)
+let subset_masks ~d ~policy ~rng =
   let full = 2.0 ** float_of_int d in
-  if d <= 29 && (1 lsl d) <= cap then
-    (`Exhaustive, List.init (1 lsl d) (fun m -> `Bits m), full)
-  else begin
-    let masks = ref [] in
-    for _ = 1 to max 0 (cap - 2) do
-      let tbl = Hashtbl.create 16 in
-      for j = 0 to d - 1 do
-        if Tinca_util.Rng.bool rng then Hashtbl.replace tbl j ()
-      done;
-      masks := `Table tbl :: !masks
+  let sample _ =
+    let tbl = Hashtbl.create 16 in
+    for j = 0 to d - 1 do
+      if Tinca_util.Rng.bool rng then Hashtbl.replace tbl j ()
     done;
-    (`Sampled, `Bits 0 :: `All :: !masks, full)
-  end
+    `Table tbl
+  in
+  match policy with
+  | Capped cap when d <= 29 && 1 lsl d <= cap ->
+      (`Exhaustive, List.init (1 lsl d) (fun m -> `Bits m), full)
+  | Capped cap ->
+      let masks = ref [] in
+      for i = 1 to max 0 (cap - 2) do
+        masks := sample i :: !masks
+      done;
+      (`Sampled, `Bits 0 :: `All :: !masks, full)
+  | Corners_plus n ->
+      let samples = List.init (min n (max 0 ((1 lsl min d 20) - 2))) sample in
+      ((if d <= 1 then `Exhaustive else `Sampled), `Bits 0 :: `All :: samples, full)
 
 let mask_mem mask j =
   match mask with
@@ -281,6 +294,10 @@ let explore ?(progress = fun (_ : int) (_ : int) -> ()) ?driver cfg =
   if cfg.first_event < 1 then invalid_arg "Crash_check.explore: first_event must be >= 1";
   let driver = match driver with Some d -> d | None -> default_driver cfg in
   let span = total_events driver cfg in
+  if cfg.first_event > span then
+    invalid_arg
+      (Printf.sprintf "Crash_check.explore: first_event %d is past the workload's %d pmem events"
+         cfg.first_event span);
   let sample_rng = Tinca_util.Rng.create cfg.sample_seed in
   let crash_points = ref 0 in
   let states_checked = ref 0 in
@@ -306,22 +323,22 @@ let explore ?(progress = fun (_ : int) (_ : int) -> ()) ?driver cfg =
         incr crash_points;
         (* Only lines whose volatile content differs from their durable
            backup span distinct media images; everything else is fixed. *)
-        let torn = Pmem.torn_lines env.pmem in
-        let d = List.length torn in
+        let torn_list = Pmem.torn_lines env.pmem in
+        let d = List.length torn_list in
         if d > !max_torn then max_torn := d;
-        let torn = Array.of_list torn in
+        let torn = Array.of_list torn_list in
         let torn_bit = Hashtbl.create 16 in
         Array.iteri (fun j idx -> Hashtbl.replace torn_bit idx j) torn;
         let snap = Pmem.snapshot env.pmem in
-        let kind, masks, full = subset_masks ~d ~cap:cfg.mask_cap ~rng:sample_rng in
+        let kind, masks, full = subset_masks ~d ~policy:cfg.masks ~rng:sample_rng in
         subsets_total := !subsets_total +. full;
         let explored = List.length masks in
         (if kind = `Sampled then begin
            incr capped_points;
            Log.info (fun m ->
                m "crash point %d/%d: %d torn lines; exploring %d of %.0f survival subsets \
-                  (seeded sample, cap %d)"
-                 crash_at span d explored full cfg.mask_cap)
+                  (seeded sample)"
+                 crash_at span d explored full)
          end
          else
            Log.debug (fun m ->
@@ -330,19 +347,24 @@ let explore ?(progress = fun (_ : int) (_ : int) -> ()) ?driver cfg =
         let seen = Hashtbl.create 64 in
         List.iter
           (fun mask ->
-            Pmem.restore env.pmem snap;
-            Pmem.crash_select env.pmem ~survive:(fun idx ->
-                (* Verdicts for untorn lines are irrelevant to the medium;
-                   resolve them as survived. *)
-                match Hashtbl.find_opt torn_bit idx with
-                | Some j -> mask_mem mask j
-                | None -> true);
-            let digest = Pmem.media_digest env.pmem in
+            let recrash () =
+              Pmem.restore env.pmem snap;
+              Pmem.crash_select env.pmem ~survive:(fun idx ->
+                  (* Verdicts for untorn lines are irrelevant to the medium;
+                     resolve them as survived. *)
+                  match Hashtbl.find_opt torn_bit idx with
+                  | Some j -> mask_mem mask j
+                  | None -> true)
+            in
+            recrash ();
+            (* Every subset starts from [snap], so the media can differ
+               only in the torn lines. *)
+            let digest = Pmem.lines_digest env.pmem torn_list in
             if Hashtbl.mem seen digest then incr states_deduped
             else begin
               Hashtbl.add seen digest ();
               incr states_checked;
-              match check_state env judge with
+              match check_state env (judge ~recrash) with
               | Ok () -> ()
               | Error message ->
                   let surviving = ref [] and lost = ref [] in
@@ -377,6 +399,12 @@ let pp_violation ppf v =
   let lines l = String.concat "," (List.map string_of_int l) in
   Format.fprintf ppf "crash@@event %d survived=[%s] lost=[%s]: %s" v.crash_event
     (lines v.surviving) (lines v.lost) v.message
+
+let summary r =
+  Printf.sprintf "span %d, %d crash points, %d states (%d deduped), %d capped, max %d torn, %d violations%s"
+    r.span r.crash_points r.states_checked r.states_deduped r.capped_points r.max_torn_lines
+    (List.length r.violations)
+    (match r.violations with v :: _ -> Format.asprintf " (first: %a)" pp_violation v | [] -> "")
 
 let report_table r =
   let t = Tinca_util.Tabular.create ~title:"Crash-space exploration" [ "metric"; "value" ] in

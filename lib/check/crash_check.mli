@@ -28,11 +28,26 @@
     media magic — so setting {!config.scheme} to [Paging] sweeps the
     paging engine's indirection-table protocol with the same oracles.
 
-    When the subset count 2^d at a crash point exceeds [mask_cap], the
-    checker falls back to a seeded sample (always containing the
-    all-lost and all-survive corners) and reports the shortfall both via
-    [Logs] and in {!report.capped_points} — coverage loss is never
-    silent. *)
+    When the subset count 2^d at a crash point exceeds the {!masks}
+    cap, the checker falls back to a seeded sample (always containing
+    the all-lost and all-survive corners) and reports the shortfall both
+    via [Logs] and in {!report.capped_points} — coverage loss is never
+    silent.
+
+    This is the only crash-exploration loop: {!Lockstep} and
+    {!Flight_check} plug their workloads and judges in as a {!driver}. *)
+
+(** Which survival subsets a crash point with [d] torn lines explores.
+    Every sampled subset draws one bit per torn line from
+    {!config.sample_seed}'s generator. *)
+type masks =
+  | Capped of int
+      (** all 2^d subsets while that fits the cap; past it, that many
+          subsets: the all-lost and all-survive corners plus seeded
+          samples *)
+  | Corners_plus of int
+      (** the two corners plus [n] seeded samples (at most 2^d - 2):
+          breadth across protocol stages rather than depth per crash *)
 
 type config = {
   seed : int;  (** workload RNG seed *)
@@ -40,8 +55,8 @@ type config = {
   universe : int;  (** disk blocks the workload touches *)
   pmem_bytes : int;  (** NVM size; small enough to force evictions *)
   ring_slots : int;
-  mask_cap : int;  (** max survival subsets explored per crash point *)
-  sample_seed : int;  (** seed for the capped-sampling fallback *)
+  masks : masks;  (** which survival subsets each crash point explores *)
+  sample_seed : int;  (** seed for the sampled subsets *)
   first_event : int;  (** first crash point (1-based), for sub-range sweeps *)
   stride : int;  (** explore every [stride]-th crash point *)
   nshards : int;  (** shards the device is partitioned into *)
@@ -49,7 +64,7 @@ type config = {
 }
 
 (** seed 2024, 6 commits, universe 48, 160 KB NVM, 64 ring slots,
-    mask cap 256, full sweep (first_event 1, stride 1), 1 shard,
+    [Capped 256] from sample seed 1, full sweep (first_event 1, stride 1), 1 shard,
     logging scheme. *)
 val default_config : config
 
@@ -62,13 +77,28 @@ type env = {
   metrics : Tinca_sim.Metrics.t;
 }
 
+(** A fresh world for [config]: PCM NVM of [pmem_bytes] seeded
+    [seed + 1], an SSD of [universe] blocks. *)
+val mk_env : config -> env
+
+(** The facade configuration a sweep formats: [pmem_bytes],
+    [ring_slots], [nshards] and [scheme] over {!Tinca.Config.default}. *)
+val tinca_config : config -> Tinca.Config.t
+
+(** [logical_block peek disk blk]: the cached copy of [blk] if [peek]
+    has one, else the disk's. *)
+val logical_block : (int -> bytes option) -> Tinca_blockdev.Disk.t -> int -> bytes
+
 (** A pluggable workload + oracle pair.  [fresh env] formats the media
     (so crash points fall inside the workload only) and returns the
     workload thunk together with the judge run on every recovered
-    facade (after {!Tinca.check_invariants}).  The judge's [Error]
-    message becomes the violation text. *)
+    facade (after {!Tinca.check_invariants}).  [recrash ()] puts the
+    same crashed medium back (restore the pre-crash snapshot, apply the
+    same survival subset), for a judge that recovers it a second way.
+    The judge's [Error] message becomes the violation text. *)
 type driver = {
-  fresh : env -> (unit -> unit) * (Tinca.t -> (unit, string) result);
+  fresh :
+    env -> (unit -> unit) * (recrash:(unit -> unit) -> Tinca.t -> (unit, string) result);
 }
 
 (** The original deterministic fill-byte workload with the
@@ -98,11 +128,18 @@ type report = {
     (default {!default_driver}) supplies the workload and the oracle —
     {!Lockstep} passes a command-sequence driver whose judge is full
     spec refinement.  Raises only on misconfiguration
-    ([Invalid_argument]) or an internal checker error; protocol bugs are
-    returned as {!report.violations}. *)
+    ([Invalid_argument]: [stride < 1], [first_event < 1], or
+    [first_event] past the workload's span, so a sweep never passes
+    having checked nothing) or an internal checker error; protocol bugs
+    are returned as {!report.violations}. *)
 val explore : ?progress:(int -> int -> unit) -> ?driver:driver -> config -> report
 
 val pp_violation : Format.formatter -> violation -> unit
+
+(** One line: span, crash points, states checked and deduped, capped
+    points, max torn lines, and the violation count with the first
+    violation. *)
+val summary : report -> string
 
 (** Render the report's headline numbers for the experiment harness. *)
 val report_table : report -> Tinca_util.Tabular.t

@@ -1,7 +1,7 @@
-(** Budgeted crash sweep for the flight recorder (ISSUE 9).
+(** Crash-sweep driver for the flight recorder.
 
-    Complements {!Crash_check} (which proves the commit protocol) with
-    the two properties only the recorder can violate:
+    Complements {!Crash_check}'s default driver (which proves the commit
+    protocol) with the two properties only the recorder can violate:
 
     + {b recovery-semantics pin}: recovering the same crashed medium
       with flight replay on and off must produce bit-identical
@@ -13,48 +13,30 @@
       acked tickets when {!drop_notify_scenario} plants the
       [`Drop_durable_notify] fault.
 
-    The sweep runs a deterministic group-commit workload through the
-    {!Tinca} facade with the recorder on, crashes it at every
-    [stride]-th pmem event, resolves each crash into a few survival
-    subsets of the torn lines (corners + seeded samples), and applies
-    both gates plus {!Tinca_core.Shard.check_invariants} to every
-    deduplicated post-crash medium. *)
+    {!driver} runs a deterministic group-commit workload through the
+    {!Tinca} facade with the recorder on; {!Crash_check.explore} crashes
+    it and hands every deduplicated post-crash medium to the judge. *)
 
-type config = {
-  seed : int;
-  ncommits : int;
-  universe : int;  (** disk blocks the workload touches *)
-  pmem_bytes : int;
-  ring_slots : int;
-  flight_slots : int;  (** per shard; must be positive *)
-  nshards : int;
-  window_ns : int;  (** group-commit window (large: drains come from triggers) *)
-  max_batch : int;
-  samples : int;  (** random survival subsets per crash point beyond the corners *)
-  first_event : int;  (** first crash point (1-based), for sub-range sweeps *)
-  stride : int;  (** explore every [stride]-th crash point *)
+(** [budget cfg] is the flight sweep's budget over [cfg]: 384 KB of NVM
+    and [Corners_plus 2] survival subsets drawn from [cfg.seed + 17]. *)
+val budget : Crash_check.config -> Crash_check.config
+
+(** [budget] over seed 77 and a 24-block universe. *)
+val default_config : Crash_check.config
+
+(** Counted by the judge across every state it is handed. *)
+type counts = {
+  mutable dossiers_built : int;  (** crash states whose recovery produced a dossier *)
+  mutable records_replayed : int;  (** surviving flight records across all dossiers *)
 }
 
-val default_config : config
-
-type report = {
-  span : int;  (** pmem events in the crash-free workload run *)
-  crash_points : int;
-  states_checked : int;  (** recoveries after media dedup *)
-  dossiers_built : int;  (** crash states whose recovery produced a dossier *)
-  records_replayed : int;  (** surviving flight records across all dossiers *)
-  violations : string list;  (** pin breaks, oracle misses, false convictions *)
-}
-
-(** Run the sweep.  [progress crash_at span] is called before each
-    crash point.  Raises [Invalid_argument] on a nonsensical config
-    ([stride < 1] or [flight_slots <= 0]). *)
-val sweep : ?progress:(int -> int -> unit) -> config -> report
+(** The workload (64 flight slots per shard, a 1 s group-commit window,
+    batches of at most 3) and its judge, plus the counts the judge
+    accumulates.  Pass the same [cfg] to {!Crash_check.explore}. *)
+val driver : Crash_check.config -> Crash_check.driver * counts
 
 (** Plant [`Drop_durable_notify], run two full batches, crash with
     full survival, recover — and require the dossier {e alone} to
     convict every acked ticket of the first (provably dead) batch.
     [Ok dossier] when it does; [Error] describes what it missed. *)
-val drop_notify_scenario : config -> (Tinca_obs.Forensics.t, string) result
-
-val report_table : report -> Tinca_util.Tabular.t
+val drop_notify_scenario : Crash_check.config -> (Tinca_obs.Forensics.t, string) result

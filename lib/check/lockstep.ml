@@ -520,12 +520,8 @@ let crash_driver g cmds =
           reconcile ()
         in
         let workload () = Array.iter exec cmds in
-        let judge recovered =
-          let logical blk =
-            match Tinca.peek recovered blk with
-            | Some data -> data
-            | None -> Disk.read_block env.Check.disk blk
-          in
+        let judge ~recrash:_ recovered =
+          let logical = Check.logical_block (Tinca.peek recovered) env.Check.disk in
           let matches spec =
             let rec go blk =
               blk >= g.universe
@@ -572,7 +568,7 @@ let crash_refine ?mutate ?(cap = 48) ?(stride = 1) ?progress g cmds =
       pmem_bytes = g.nvm_kb * 1024;
       ring_slots = g.ring_slots;
       nshards = g.nshards;
-      mask_cap = cap;
+      masks = Check.Capped cap;
       stride;
       scheme = g.scheme;
     }

@@ -130,9 +130,10 @@ val run : ?mutate:mutation -> geometry -> cmd array -> (run_stats, divergence) r
 val shrink : fails:(cmd array -> bool) -> cmd array -> cmd array
 
 (** The crash-space integration: sweep every crash point (subject to
-    the usual [mask_cap]/[stride] budget) of the command sequence and
+    the usual [Capped cap]/[stride] budget) of the command sequence and
     judge every recovered state by spec refinement.  Violations come
-    back in the {!Crash_check.report}. *)
+    back in the {!Crash_check.report}.  Raises [Invalid_argument] when
+    the sequence makes no pmem event (there is nothing to crash). *)
 val crash_refine :
   ?mutate:mutation ->
   ?cap:int ->

@@ -448,24 +448,16 @@ let pp_violation ppf v =
     (if v.site = "" then "" else ", site " ^ v.site)
     v.message
 
-let report_table (r : report) =
-  let t = Tinca_util.Tabular.create ~title:"Persistence sanitizer (psan)" [ "metric"; "value" ] in
-  let add k v = Tinca_util.Tabular.add_row t [ k; v ] in
-  add "pmem events observed" (string_of_int r.events);
-  add "stores / atomic writes" (Printf.sprintf "%d / %d" r.stores r.atomic_writes);
-  add "clflush calls (line flushes)" (Printf.sprintf "%d (%d)" r.flush_calls r.line_flushes);
-  add "sfences" (string_of_int r.fences);
-  add "redundant line flushes"
-    (Printf.sprintf "%d (%.1f%% of line flushes)" r.redundant_flushes
-       (if r.line_flushes = 0 then 0.0
-        else 100.0 *. float_of_int r.redundant_flushes /. float_of_int r.line_flushes));
-  List.iter
-    (fun (site, n) ->
-      add (Printf.sprintf "  redundant @ %s" (if site = "" then "<unlabelled>" else site))
-        (string_of_int n))
-    r.redundant_by_site;
-  add "violations"
-    (string_of_int (List.length r.violations + r.violations_dropped)
-    ^ if r.violations_dropped > 0 then Printf.sprintf " (%d dropped)" r.violations_dropped
-      else "");
-  t
+let summary (r : report) =
+  let sites =
+    List.map
+      (fun (site, n) -> Printf.sprintf ", %d @ %s" n (if site = "" then "<unlabelled>" else site))
+      r.redundant_by_site
+  in
+  Printf.sprintf
+    "%d events, %d stores / %d atomic, %d clflush (%d lines), %d sfences, %d redundant line \
+     flushes%s, %d violations%s"
+    r.events r.stores r.atomic_writes r.flush_calls r.line_flushes r.fences r.redundant_flushes
+    (String.concat "" sites)
+    (List.length r.violations + r.violations_dropped)
+    (match r.violations with v :: _ -> Format.asprintf " (first: %a)" pp_violation v | [] -> "")

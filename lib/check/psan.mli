@@ -134,5 +134,6 @@ val pp_violation : Format.formatter -> violation -> unit
 val rule_name : rule -> string
 val region_name : region -> string
 
-(** Render the report for the experiment harness / CLI. *)
-val report_table : report -> Tinca_util.Tabular.t
+(** One line: event, flush and fence counts, redundant line flushes per
+    call site, and the violation count with the first violation. *)
+val summary : report -> string

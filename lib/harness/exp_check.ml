@@ -8,8 +8,13 @@
 module Check = Tinca_checker.Crash_check
 module Tabular = Tinca_util.Tabular
 
+let sweep_property name cfg =
+  Gate.property name (fun () ->
+      let r = Check.explore cfg in
+      (Check.summary r, r.Check.violations = []))
+
 let run () =
-  let report = Check.explore { Check.default_config with Check.mask_cap = 128 } in
+  let report = Check.explore { Check.default_config with Check.masks = Check.Capped 128 } in
   let t = Check.report_table report in
   (match report.Check.violations with
   | [] -> ()

@@ -4,3 +4,8 @@
     consistency violations. *)
 
 val run : unit -> Tinca_util.Tabular.t list
+
+(** A {!Tinca_checker.Crash_check.explore} sweep of [cfg] (default
+    driver) as a gate property: {!Tinca_checker.Crash_check.summary} in
+    the detail, ok when no explored state violated an oracle. *)
+val sweep_property : string -> Tinca_checker.Crash_check.config -> Gate.property

@@ -10,7 +10,7 @@
    be bit-identical), flush write-backs/commit (the folded record
    lines) and simulated ns/commit (the gate: <= 2% aggregate overhead).
 
-   `tinca_bench check-flight` additionally runs the persistence
+   The flight gate ([properties]) additionally runs the persistence
    sanitizer over a recorder-on group-commit workload (the recorder's
    own flush discipline must be psan-clean) and the Flight_check crash
    sweep at N=1 and N=4 (recovery-semantics pin + dossier-vs-judge
@@ -22,6 +22,7 @@ module Disk = Tinca_blockdev.Disk
 module Tabular = Tinca_util.Tabular
 module Psan = Tinca_checker.Psan
 module FCheck = Tinca_checker.Flight_check
+module Check = Tinca_checker.Crash_check
 open Tinca_sim
 
 let flight_slots = 256
@@ -119,12 +120,12 @@ let table samples =
 
 let fig_flight () = [ table (sweep ()) ]
 
-(* --- the CI gate behind `tinca_bench check-flight` ----------------------- *)
+(* --- the flight gate's properties ------------------------------------------ *)
 
 (* The recorder's flush discipline audited live: a recorder-on async
    group-commit workload under the persistence sanitizer (full region
    classification, Flight region rules included) must stay
-   violation-free.  Returns (violations, events observed). *)
+   violation-free. *)
 let psan_clean ~nshards =
   let module Stacks = Tinca_stacks.Stacks in
   let module Rng = Tinca_util.Rng in
@@ -163,77 +164,48 @@ let psan_clean ~nshards =
     Psan.txn_end psan
   done;
   Tinca.sync tc;
-  let r = Psan.report psan in
   Psan.detach psan;
-  (r.Psan.violations, r.Psan.events)
+  Psan.report psan
 
-let check () =
-  let samples = sweep () in
-  let fences_ok = List.for_all (fun s -> s.sfences_on = s.sfences_off) samples in
-  let tot_off = List.fold_left (fun a s -> a +. s.ns_off) 0.0 samples in
-  let tot_on = List.fold_left (fun a s -> a +. s.ns_on) 0.0 samples in
-  let overhead = (tot_on /. tot_off) -. 1.0 in
-  let overhead_ok = overhead <= 0.02 in
-  let psan_v1, ev1 = psan_clean ~nshards:1 in
-  let psan_v4, ev4 = psan_clean ~nshards:4 in
-  let psan_ok = psan_v1 = [] && psan_v4 = [] in
-  let sweep_of nshards stride =
-    FCheck.sweep { FCheck.default_config with FCheck.nshards; stride; universe = 48 }
-  in
-  let s1 = sweep_of 1 17 and s4 = sweep_of 4 29 in
-  let pin_ok = s1.FCheck.violations = [] && s4.FCheck.violations = [] in
-  let drop_of nshards =
-    FCheck.drop_notify_scenario { FCheck.default_config with FCheck.nshards; universe = 48 }
-  in
-  let drop1 = drop_of 1 and drop4 = drop_of 4 in
-  let drop_ok = Result.is_ok drop1 && Result.is_ok drop4 in
-  let verdict = Tabular.create ~title:"check-flight verdict" [ "property"; "value"; "ok" ] in
-  Tabular.add_row verdict
-    [
-      "recorder adds zero fences (sfences/commit identical)";
-      String.concat ", "
-        (List.map
-           (fun s -> Printf.sprintf "n=%d: %.2f vs %.2f" s.txn_blocks s.sfences_off s.sfences_on)
-           samples);
-      (if fences_ok then "ok" else "FAIL");
-    ];
-  Tabular.add_row verdict
-    [
-      "aggregate ns overhead <= 2% on fig_commit_batch's stream";
-      Printf.sprintf "%.2f%%" (100.0 *. overhead);
-      (if overhead_ok then "ok" else "FAIL");
-    ];
-  Tabular.add_row verdict
-    [
-      "recorder-on group workload psan-clean (N=1, N=4)";
-      Printf.sprintf "%d + %d events, %d + %d violations" ev1 ev4 (List.length psan_v1)
-        (List.length psan_v4);
-      (if psan_ok then "ok" else "FAIL");
-    ];
-  Tabular.add_row verdict
-    [
-      "crash sweep: replay on/off pin + dossier agrees with judge";
-      Printf.sprintf "N=1: %d states, N=4: %d states, %d violations" s1.FCheck.states_checked
-        s4.FCheck.states_checked
-        (List.length s1.FCheck.violations + List.length s4.FCheck.violations);
-      (if pin_ok then "ok" else "FAIL");
-    ];
-  Tabular.add_row verdict
-    [
-      "planted Drop_durable_notify convicted by dossier alone";
-      (match (drop1, drop4) with
-      | Ok _, Ok _ -> "N=1 and N=4 convicted"
-      | Error e, _ | _, Error e -> e);
-      (if drop_ok then "ok" else "FAIL");
-    ];
-  let errs =
-    List.map (Printf.sprintf "psan N=1: %s")
-      (List.map (fun v -> Format.asprintf "%a" Psan.pp_violation v) psan_v1)
-    @ List.map (Printf.sprintf "psan N=4: %s")
-        (List.map (fun v -> Format.asprintf "%a" Psan.pp_violation v) psan_v4)
-    @ List.map (Printf.sprintf "sweep N=1: %s") s1.FCheck.violations
-    @ List.map (Printf.sprintf "sweep N=4: %s") s4.FCheck.violations
-  in
-  ( [ table samples; verdict ],
-    errs,
-    fences_ok && overhead_ok && psan_ok && pin_ok && drop_ok )
+(* One flight-recorder sweep as a gate property: the exploration and
+   dossier counts in the detail, ok when no state broke the pin or the
+   dossier agreement. *)
+let sweep_property name cfg =
+  Gate.property name (fun () ->
+      let driver, counts = FCheck.driver cfg in
+      let r = Check.explore ~driver cfg in
+      ( Printf.sprintf "%s; %d dossiers, %d records replayed" (Check.summary r)
+          counts.FCheck.dossiers_built counts.FCheck.records_replayed,
+        r.Check.violations = [] ))
+
+let drop_notify_property name cfg =
+  Gate.property name (fun () ->
+      match FCheck.drop_notify_scenario cfg with
+      | Ok _ -> ("dossier convicted every acked ticket of the dead batch", true)
+      | Error e -> (e, false))
+
+let properties () =
+  let samples = lazy (sweep ()) in
+  let cfg nshards stride = { FCheck.default_config with Check.nshards; stride; universe = 48 } in
+  [
+    Gate.property "recorder adds zero fences (sfences/commit identical)" (fun () ->
+        let samples = Lazy.force samples in
+        ( String.concat ", "
+            (List.map
+               (fun s -> Printf.sprintf "n=%d: %.2f vs %.2f" s.txn_blocks s.sfences_off s.sfences_on)
+               samples),
+          List.for_all (fun s -> s.sfences_on = s.sfences_off) samples ));
+    Gate.property "aggregate ns overhead <= 2% on fig_commit_batch's stream" (fun () ->
+        let samples = Lazy.force samples in
+        let total f = List.fold_left (fun a s -> a +. f s) 0.0 samples in
+        let overhead = (total (fun s -> s.ns_on) /. total (fun s -> s.ns_off)) -. 1.0 in
+        (Printf.sprintf "%.2f%%" (100.0 *. overhead), overhead <= 0.02));
+    Gate.property "recorder-on group workload psan-clean (N=1, N=4)" (fun () ->
+        let r1 = psan_clean ~nshards:1 and r4 = psan_clean ~nshards:4 in
+        (Printf.sprintf "N=1: %s; N=4: %s" (Psan.summary r1) (Psan.summary r4),
+         r1.Psan.violations = [] && r4.Psan.violations = []));
+    sweep_property "crash sweep N=1 (stride 17): replay on/off pin + dossier agrees" (cfg 1 17);
+    sweep_property "crash sweep N=4 (stride 29): replay on/off pin + dossier agrees" (cfg 4 29);
+    drop_notify_property "planted Drop_durable_notify convicted by dossier alone (N=1)" (cfg 1 1);
+    drop_notify_property "planted Drop_durable_notify convicted by dossier alone (N=4)" (cfg 4 1);
+  ]

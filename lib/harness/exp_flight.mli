@@ -4,28 +4,21 @@
     identical), flush write-backs (the folded record lines) and
     simulated ns per commit. *)
 
-type sample = {
-  txn_blocks : int;
-  sfences_off : float;
-  sfences_on : float;  (** must equal [sfences_off] — the recorder adds no fences *)
-  writebacks_off : float;
-  writebacks_on : float;
-  ns_off : float;
-  ns_on : float;
-  overhead_pct : float;
-}
-
-(** Recorder ring capacity used for the "on" runs (records per shard). *)
-val flight_slots : int
-
-val overhead_point : n:int -> sample
-val sweep : unit -> sample list
 val fig_flight : unit -> Tinca_util.Tabular.t list
 
-(** The CI gate behind [tinca_bench check-flight]: zero added fences,
-    <= 2% aggregate ns overhead, a recorder-on group-commit workload
-    psan-clean at N=1 and N=4, the Flight_check crash sweep clean
-    (recovery-semantics pin + dossier-vs-judge agreement) and the
-    planted [Drop_durable_notify] convicted by the dossier alone.
-    Returns (report tables, failure detail lines, verdict). *)
-val check : unit -> Tinca_util.Tabular.t list * string list * bool
+(** A {!Tinca_checker.Flight_check} sweep of [cfg] as a gate property:
+    span, crash points, states, dossiers and records replayed in the
+    detail; ok when no explored state broke the replay on/off pin or the
+    dossier agreement. *)
+val sweep_property : string -> Tinca_checker.Crash_check.config -> Gate.property
+
+(** {!Tinca_checker.Flight_check.drop_notify_scenario} of [cfg] as a gate
+    property. *)
+val drop_notify_property : string -> Tinca_checker.Crash_check.config -> Gate.property
+
+(** The flight gate's recorder properties: zero added fences, <= 2%
+    aggregate ns overhead, a recorder-on group-commit workload
+    psan-clean at N=1 and N=4, the flight crash sweep clean at N=1 and
+    N=4 (recovery-semantics pin + dossier-vs-judge agreement) and the
+    planted [Drop_durable_notify] convicted by the dossier alone. *)
+val properties : unit -> Gate.property list

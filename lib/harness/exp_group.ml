@@ -11,7 +11,7 @@
    reports p50/p99 sealed-to-durable latency next to the fence counts
    (acceptance: p99 bounded by the configured window).
 
-   `tinca_bench check-group` gates CI on three properties: the window=0
+   The group gate ([properties]) checks three properties: the window=0
    async path is media- and cost-identical to the synchronous pipeline,
    sfences/commit < 1 at >= 8 streams, and p99 ack latency <= window. *)
 
@@ -171,43 +171,25 @@ let window0_pin ~streams =
   let d_async, ns_async, sf_async = run ~async:true in
   (d_sync = d_async && ns_sync = ns_async && sf_sync = sf_async, ns_sync, ns_async)
 
-let check ?(window = default_window_ns) () =
-  let samples = sweep ~window () in
-  let pin_ok, ns_sync, ns_async = window0_pin ~streams:8 in
-  let grouped = List.filter (fun s -> s.window_ns > 0 && s.streams >= 8) samples in
-  let fences_ok = grouped <> [] && List.for_all (fun s -> s.sfences_per_commit < 1.0) grouped in
-  let latency_ok =
-    List.for_all (fun s -> s.ack_p99_ns <= float_of_int s.window_ns)
-      (List.filter (fun s -> s.window_ns > 0) samples)
-  in
-  let verdict =
-    Tabular.create ~title:"check-group verdict" [ "property"; "value"; "ok" ]
-  in
-  Tabular.add_row verdict
-    [
-      "window=0 media + cost equivalence (8 streams)";
-      Printf.sprintf "sync %.0f ns vs async %.0f ns" ns_sync ns_async;
-      (if pin_ok then "ok" else "MISMATCH");
-    ];
-  Tabular.add_row verdict
-    [
-      "sfences/commit < 1 at >= 8 streams";
-      String.concat ", "
-        (List.map (fun s -> Printf.sprintf "K=%d: %.2f" s.streams s.sfences_per_commit) grouped);
-      (if fences_ok then "ok" else "FAIL");
-    ];
-  Tabular.add_row verdict
-    [
-      "p99 ack latency <= window";
-      String.concat ", "
-        (List.filter_map
-           (fun s ->
-             if s.window_ns = 0 then None
-             else Some (Printf.sprintf "K=%d: %.0f" s.streams s.ack_p99_ns))
-           samples);
-      (if latency_ok then "ok" else "FAIL");
-    ];
-  ([ table samples; verdict ], pin_ok && fences_ok && latency_ok)
+let properties () =
+  let window = default_window_ns in
+  let samples = lazy (sweep ~window ()) in
+  let timed () = List.filter (fun s -> s.window_ns > 0) (Lazy.force samples) in
+  let grouped () = List.filter (fun s -> s.streams >= 8) (timed ()) in
+  [
+    Gate.property "window=0 media + cost equivalence (8 streams)" (fun () ->
+        let pin_ok, ns_sync, ns_async = window0_pin ~streams:8 in
+        (Printf.sprintf "sync %.0f ns vs async %.0f ns" ns_sync ns_async, pin_ok));
+    Gate.property "sfences/commit < 1 at >= 8 streams" (fun () ->
+        let g = grouped () in
+        ( String.concat ", "
+            (List.map (fun s -> Printf.sprintf "K=%d: %.2f" s.streams s.sfences_per_commit) g),
+          g <> [] && List.for_all (fun s -> s.sfences_per_commit < 1.0) g ));
+    Gate.property "p99 ack latency <= window" (fun () ->
+        ( String.concat ", "
+            (List.map (fun s -> Printf.sprintf "K=%d: %.0f" s.streams s.ack_p99_ns) (timed ())),
+          List.for_all (fun s -> s.ack_p99_ns <= float_of_int s.window_ns) (timed ()) ));
+  ]
 
 (* --- machine-readable dump (the fig_group block of BENCH_commit.json) ---- *)
 

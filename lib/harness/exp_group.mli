@@ -5,39 +5,13 @@
     latency, for window 0 (synchronous baseline) and a nonzero window
     at each stream count. *)
 
-(** One (streams, window) point of the sweep. *)
-type sample = {
-  streams : int;
-  window_ns : int;
-  commits : int;
-  sfences_per_commit : float;
-  batches : int;  (** group drains (tinca.shard.group_commits) *)
-  txns_per_batch : float;
-  head_advances : int;  (** one per batch per touched shard *)
-  ns_per_commit : float;
-  ack_p50_ns : float;  (** sealed-to-durable latency percentiles *)
-  ack_p99_ns : float;
-  pending_high_water : int;  (** peak standing-batch population *)
-  drains : (string * int) list;  (** batch drains split by cause *)
-}
-
-val stream_counts : int list
-val default_window_ns : int
-
-val run_point : streams:int -> window:int -> sample
-
-(** The full sweep: every stream count, window 0 and [window]
-    (default {!default_window_ns}). *)
-val sweep : ?window:int -> unit -> sample list
-
 val fig_group : unit -> Tinca_util.Tabular.t list
 
-(** The CI gate behind [tinca_bench check-group]: window=0 async is
-    media- and cost-identical to the synchronous pipeline, sfences per
-    commit < 1 at >= 8 streams under the window, and p99 ack latency
-    is bounded by the window.  Returns the report tables and the
-    verdict. *)
-val check : ?window:int -> unit -> Tinca_util.Tabular.t list * bool
+(** The group gate's properties: window=0 async is media- and
+    cost-identical to the synchronous pipeline, sfences per commit < 1
+    at >= 8 streams under the default window, and p99 ack latency is
+    bounded by the window.  The sweep runs once, on first use. *)
+val properties : unit -> Gate.property list
 
 (** The ["group"] block of [BENCH_commit.json] (no surrounding
     braces/comma), emitted by [make bench-json]. *)

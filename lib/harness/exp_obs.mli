@@ -4,3 +4,11 @@
     traced run with per-span fence attribution. *)
 
 val run : unit -> Tinca_util.Tabular.t list
+
+(** The obs gate's properties: a traced 8-block-commit workload exports
+    valid Chrome trace JSON (written to a private temp file, removed
+    afterwards), its per-span fence attribution meets the persistence
+    budget (stage B = 1 sfence, whole commit <= 6), tracing leaves
+    simulated time unchanged, and disabled-mode tracing costs <= 2% of
+    commit wall time. *)
+val properties : unit -> Gate.property list

@@ -20,7 +20,7 @@
    paging's constant fence budget beats batched logging's — is computed
    from the sweep and reported in both the table and the JSON block.
 
-   `tinca_bench check-page` gates CI on the scheme contract: paging's
+   The page gate ([properties]) checks the scheme contract: paging's
    fence budget is flat in transaction size, a budgeted crash-space
    sweep and the lockstep spec hold for paging at N=1 and N=4, and a
    psan-observed paging run is violation-free.  That the facade's
@@ -164,7 +164,7 @@ let table samples =
 
 let fig_log_vs_page () = [ table (sweep ()) ]
 
-(* --- the CI gate (tinca_bench check-page) -------------------------------- *)
+(* --- the page gate's properties ------------------------------------------- *)
 
 (* A paging workload observed end to end by psan (with the paging region
    classes attached): commits, overwrites, then recovery — zero
@@ -207,69 +207,50 @@ let paging_geom n =
     scheme = Tinca.Config.Paging Tinca.Config.default_page_cfg;
   }
 
-let check () =
-  let samples = sweep () in
-  let paging = List.filter (fun s -> s.scheme = "paging") samples in
-  let fences = List.map (fun s -> s.sfences_per_commit) paging in
-  let fmax = List.fold_left max neg_infinity fences in
-  let fmin = List.fold_left min infinity fences in
-  let flat_ok = paging <> [] && fmax -. fmin <= 0.10 && fmax <= 4.0 in
+let properties () =
   (* Budgeted crash-space sweep of the paging protocol: every stride-th
-     crash point, capped survival subsets, at N=1 and N=4. *)
-  let crash_report n stride =
-    Check.explore
+     crash point, capped survival subsets. *)
+  let crash_sweep n stride =
+    Exp_check.sweep_property
+      (Printf.sprintf "paging crash-space sweep clean (N=%d, stride %d)" n stride)
       {
         Check.default_config with
         Check.nshards = n;
         scheme = Tinca.Config.Paging Tinca.Config.default_page_cfg;
         pmem_bytes = 512 * 1024;
         ncommits = 4;
-        mask_cap = 32;
+        masks = Check.Capped 32;
         stride;
       }
   in
-  let r1 = crash_report 1 3 and r4 = crash_report 4 5 in
-  let crash_ok = r1.Check.violations = [] && r4.Check.violations = [] in
-  (* Lockstep spec refinement (no crash injection here — the sweep above
-     covers crashes): both schemes, N=1 and N=4, a pinned seed each. *)
+  (* Lockstep spec refinement (no crash injection here — the sweep
+     covers crashes): a pinned seed per geometry. *)
   let lockstep_ok g =
     let cmds = Lockstep.gen ~seed:11 ~len:64 ~universe:g.Lockstep.universe in
     match Lockstep.run g cmds with Ok _ -> true | Error _ -> false
   in
-  let refine_ok =
-    lockstep_ok (paging_geom 1) && lockstep_ok (paging_geom 4)
-    && lockstep_ok { Lockstep.default_geometry with Lockstep.nshards = 4 }
-  in
-  let psan_violations = psan_paging_clean () in
-  let psan_ok = psan_violations = 0 in
-  let verdict = Tabular.create ~title:"check-page verdict" [ "property"; "value"; "ok" ] in
-  Tabular.add_row verdict
-    [
-      "paging fence budget flat in txn size";
-      Printf.sprintf "sfences/commit in [%.2f, %.2f] over %s blocks" fmin fmax
-        (String.concat "," (List.map string_of_int txn_sizes));
-      (if flat_ok then "ok" else "FAIL");
-    ];
-  Tabular.add_row verdict
-    [
-      "paging crash-space sweep clean (N=1, N=4)";
-      Printf.sprintf "%d + %d states checked" r1.Check.states_checked r4.Check.states_checked;
-      (if crash_ok then "ok" else "FAIL");
-    ];
-  Tabular.add_row verdict
-    [
-      "lockstep refinement (paging N=1/4, logging N=4)";
-      "seed 11, 64 commands";
-      (if refine_ok then "ok" else "FAIL");
-    ];
-  Tabular.add_row verdict
-    [
-      "psan clean on paging workload (N=2 + recovery)";
-      Printf.sprintf "%d violations" psan_violations;
-      (if psan_ok then "ok" else "FAIL");
-    ];
-  ( [ table samples; verdict ],
-    flat_ok && crash_ok && refine_ok && psan_ok )
+  [
+    Gate.property "paging fence budget flat in txn size" (fun () ->
+        let fences =
+          List.filter_map
+            (fun s -> if s.scheme = "paging" then Some s.sfences_per_commit else None)
+            (sweep ())
+        in
+        let fmax = List.fold_left max neg_infinity fences in
+        let fmin = List.fold_left min infinity fences in
+        ( Printf.sprintf "sfences/commit in [%.2f, %.2f] over %s blocks" fmin fmax
+            (String.concat "," (List.map string_of_int txn_sizes)),
+          fences <> [] && fmax -. fmin <= 0.10 && fmax <= 4.0 ));
+    crash_sweep 1 3;
+    crash_sweep 4 5;
+    Gate.property "lockstep refinement (paging N=1/4, logging N=4)" (fun () ->
+        ( "seed 11, 64 commands",
+          lockstep_ok (paging_geom 1) && lockstep_ok (paging_geom 4)
+          && lockstep_ok { Lockstep.default_geometry with Lockstep.nshards = 4 } ));
+    Gate.property "psan clean on paging workload (N=2 + recovery)" (fun () ->
+        let n = psan_paging_clean () in
+        (Printf.sprintf "%d violations" n, n = 0));
+  ]
 
 (* --- machine-readable dump (the log_vs_page block of BENCH_commit.json) -- *)
 

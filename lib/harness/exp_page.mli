@@ -26,12 +26,12 @@ val crossover : sample list -> int option
 (** The registry entry. *)
 val fig_log_vs_page : unit -> Tinca_util.Tabular.t list
 
-(** The [tinca_bench check-page] CI gate: paging's fence budget is flat
-    in transaction size, a budgeted crash-space sweep and lockstep spec
-    refinement hold for paging at N=1 and N=4 (logging N=4 rides
+(** The page gate's commit-scheme properties: paging's fence budget is
+    flat in transaction size, a budgeted crash-space sweep (N=1 and N=4)
+    and lockstep spec refinement hold for paging (logging N=4 rides
     along), and a psan-observed paging workload (N=2, with recovery) is
-    violation-free.  Returns the result tables and the verdict. *)
-val check : unit -> Tinca_util.Tabular.t list * bool
+    violation-free. *)
+val properties : unit -> Gate.property list
 
 (** The ["log_vs_page"] block of BENCH_commit.json (injected into
     {!Exp_commit.bench_json} via its [page_block] argument). *)

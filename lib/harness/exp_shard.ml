@@ -17,9 +17,8 @@
       the plain Cache commit (no seal, no extra fences), so any drift
       here is a regression in the sharding layer's fast path.
 
-   `tinca_bench check-shard` runs the pin (plus a scaling sanity gate)
-   as CI; `make check-shard` chains it after the sharded crash-space
-   sweep and psan. *)
+   `tinca_check gate shard` runs the pin (plus a scaling sanity check)
+   after the sharded crash-space sweep and psan. *)
 
 module Cache = Tinca_core.Cache
 module Pmem = Tinca_pmem.Pmem
@@ -180,7 +179,7 @@ let pin ~json_path =
            json_path)
       [ "pipeline"; "flush instr"; "txn blocks"; "ns/commit"; "sfences"; "flush WB"; "match" ]
   in
-  let ok = ref true in
+  let bad = ref [] in
   List.iter
     (fun e ->
       let s = micro_facade ~nshards:1 ~pipeline:e.pipeline ~instr:e.instr ~n:e.n in
@@ -190,7 +189,10 @@ let pin ~json_path =
         && close 0.005 s.Exp_commit.sfences_per_commit e.sfences
         && close 0.005 s.Exp_commit.writebacks_per_commit e.writebacks
       in
-      if not here then ok := false;
+      if not here then
+        bad :=
+          Printf.sprintf "%s/%s/%d" (pipeline_name e.pipeline) (Latency.flush_instr_name e.instr) e.n
+          :: !bad;
       Tabular.add_row table
         [
           pipeline_name e.pipeline;
@@ -202,7 +204,7 @@ let pin ~json_path =
           (if here then "ok" else "MISMATCH");
         ])
     expected;
-  (table, !ok)
+  (table, List.rev !bad)
 
 (* --- throughput / fence-count scaling ----------------------------------- *)
 
@@ -267,13 +269,17 @@ let fig_shard () =
     tables @ [ pin_table ]
   else tables
 
-(* The CI gate behind `tinca_bench check-shard`: the pin must hold
-   exactly, and sharding must actually buy parallel wall-clock (the
-   makespan at N=4 strictly below N=1 — deterministic in the
-   simulation). *)
-let check ~json_path =
-  let pin_table, pin_ok = pin ~json_path in
-  let results = scale_all () in
-  let mk n = (List.assoc n results).Mq_driver.makespan_ns in
-  let scaling_ok = mk 4 < mk 1 in
-  ([ scaling_table results; pin_table ], pin_ok, scaling_ok)
+(* The shard gate's artifact properties: the pin must hold exactly, and
+   sharding must actually buy parallel wall-clock (the makespan at N=4
+   strictly below N=1 — deterministic in the simulation). *)
+let properties ~json_path =
+  [
+    Gate.property "N=1 equivalence pin vs single-ring artifact" (fun () ->
+        match pin ~json_path with
+        | _, [] -> (Printf.sprintf "every commit point of %s matches" json_path, true)
+        | _, bad -> ("MISMATCH at " ^ String.concat ", " bad, false));
+    Gate.property "scaling sanity (N=4 makespan < N=1)" (fun () ->
+        let mk n = (run_scale ~nshards:n).Mq_driver.makespan_ns in
+        let m1 = mk 1 and m4 = mk 4 in
+        (Printf.sprintf "%.0f ns vs %.0f ns" m4 m1, m4 < m1));
+  ]

@@ -15,15 +15,15 @@ val micro_facade :
 (** [pin ~json_path] replays every commit point of the artifact at
     [json_path] through the one-shard facade and compares sfences, flush
     write-backs and ns per commit to the artifact's printed precision.
-    Returns the comparison table and whether every point matched. *)
-val pin : json_path:string -> Tinca_util.Tabular.t * bool
+    Returns the comparison table and the mismatched points, as
+    [pipeline/flush instr/txn blocks]. *)
+val pin : json_path:string -> Tinca_util.Tabular.t * string list
 
 (** The registry experiment: the scaling table (and, when
     [BENCH_commit.json] exists in the working directory, the pin
     table). *)
 val fig_shard : unit -> Tinca_util.Tabular.t list
 
-(** The `tinca_bench check-shard` gate: (tables, pin_ok, scaling_ok)
-    where [scaling_ok] requires the N=4 makespan to be strictly below
-    N=1. *)
-val check : json_path:string -> Tinca_util.Tabular.t list * bool * bool
+(** The shard gate's artifact properties: the N=1 pin against
+    [json_path], and the N=4 makespan strictly below N=1's. *)
+val properties : json_path:string -> Gate.property list

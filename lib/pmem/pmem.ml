@@ -571,8 +571,13 @@ let restore t s =
   Bytes.blit s.snap_wear 0 t.wear 0 (Bytes.length t.wear);
   t.countdown <- None
 
-(* Digest of the durable medium, for deduplicating post-crash images. *)
+(* Digest of the whole durable medium, for comparing media images. *)
 let media_digest t = Digest.bytes t.media
+
+let lines_digest t lines =
+  let buf = Bytes.create (List.length lines * line_size) in
+  List.iteri (fun i idx -> Bytes.blit t.media (idx * line_size) buf (i * line_size) line_size) lines;
+  Digest.bytes buf
 
 let set_crash_countdown t c =
   (match c with

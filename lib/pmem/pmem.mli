@@ -203,8 +203,14 @@ val snapshot : t -> snapshot
     and metrics are left untouched. *)
 val restore : t -> snapshot -> unit
 
-(** Digest of the durable medium, for deduplicating post-crash images. *)
+(** Digest of the whole durable medium, for comparing media images. *)
 val media_digest : t -> Digest.t
+
+(** Digest of the durable medium's bytes at the given line indices
+    only.  Crashes resolved from one {!snapshot} differ only in their
+    {!torn_lines}, so this keys their deduplication at the cost of
+    those lines rather than the whole medium.  Charges nothing. *)
+val lines_digest : t -> int list -> Digest.t
 
 (** {1 Event observation (lib/check's persistence sanitizer)}
 

@@ -175,7 +175,7 @@ let test_clean_clflush_charges_no_writeback () =
    of a 2-commit workload, every survival subset of the torn lines up to
    the cap.  The full 6-commit sweep is `make check-crash`. *)
 let test_crash_space_quick () =
-  let cfg = { Check.default_config with Check.ncommits = 2; Check.mask_cap = 48 } in
+  let cfg = { Check.default_config with Check.ncommits = 2; Check.masks = Check.Capped 48 } in
   let r = Check.explore cfg in
   Alcotest.(check bool) "workload produced events" true (r.Check.span > 0);
   Alcotest.(check int) "every crash point explored" r.Check.span r.Check.crash_points;
@@ -211,6 +211,55 @@ let test_skip_seal_caught_by_refinement () =
   Alcotest.(check bool) "skipped seal caught as a refinement violation" true
     (mutated.Check.violations <> [])
 
+(* A sweep whose first crash point lies past the workload's span used to
+   explore 0 crash points and still pass (and the CLI printed "coverage:
+   exhaustive").  Both drivers must now refuse it as misconfiguration. *)
+let test_sweep_past_span_rejected () =
+  let module FCheck = Tinca_checker.Flight_check in
+  let rejects name driver cfg =
+    match Check.explore ?driver { cfg with Check.first_event = 100_000 } with
+    | r -> Alcotest.failf "%s: sweep past the span passed after %d crash points" name r.Check.crash_points
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "default driver" None { Check.default_config with Check.ncommits = 1 };
+  let cfg = FCheck.default_config in
+  rejects "flight driver" (Some (fst (FCheck.driver cfg))) cfg
+
+(* Exact reports of three small sweeps, recorded before the flight sweep
+   became a Crash_check driver: merging the loops must not change what
+   any sweep explores. *)
+let check_counts name r ~span ~points ~states ~deduped ~capped ~torn =
+  let pin what = Alcotest.(check int) (Printf.sprintf "%s: %s" name what) in
+  pin "span" span r.Check.span;
+  pin "crash points" points r.Check.crash_points;
+  pin "states checked" states r.Check.states_checked;
+  pin "states deduped" deduped r.Check.states_deduped;
+  pin "capped points" capped r.Check.capped_points;
+  pin "max torn lines" torn r.Check.max_torn_lines;
+  pin "violations" 0 (List.length r.Check.violations)
+
+let test_default_sweep_counts_pinned () =
+  let r =
+    Check.explore
+      { Check.default_config with Check.ncommits = 2; masks = Check.Capped 8; stride = 7 }
+  in
+  check_counts "default driver" r ~span:372 ~points:54 ~states:389 ~deduped:0 ~capped:47 ~torn:194
+
+let test_flight_sweep_counts_pinned () =
+  let module FCheck = Tinca_checker.Flight_check in
+  let cfg = { FCheck.default_config with Check.stride = 23 } in
+  let driver, counts = FCheck.driver cfg in
+  let r = Check.explore ~driver cfg in
+  check_counts "flight driver" r ~span:877 ~points:39 ~states:145 ~deduped:3 ~capped:35 ~torn:456;
+  Alcotest.(check int) "dossiers built" 121 counts.FCheck.dossiers_built;
+  Alcotest.(check int) "records replayed" 734 counts.FCheck.records_replayed
+
+let test_crash_refine_counts_pinned () =
+  let module L = Tinca_checker.Lockstep in
+  let g = { L.default_geometry with L.nshards = 2 } in
+  let r = L.crash_refine ~cap:16 ~stride:3 g (L.gen ~seed:2 ~len:14 ~universe:g.L.universe) in
+  check_counts "lockstep driver" r ~span:202 ~points:68 ~states:752 ~deduped:0 ~capped:45 ~torn:65
+
 let suite =
   [
     ( "core.commit_path_fixes",
@@ -234,5 +283,12 @@ let suite =
       [
         Alcotest.test_case "skipped seal caught by spec refinement" `Quick
           test_skip_seal_caught_by_refinement;
+      ] );
+    ( "check.exploration_pins",
+      [
+        Alcotest.test_case "sweep past the span is rejected" `Quick test_sweep_past_span_rejected;
+        Alcotest.test_case "default driver counts pinned" `Quick test_default_sweep_counts_pinned;
+        Alcotest.test_case "flight driver counts pinned" `Quick test_flight_sweep_counts_pinned;
+        Alcotest.test_case "crash refinement counts pinned" `Quick test_crash_refine_counts_pinned;
       ] );
   ]

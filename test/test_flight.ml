@@ -19,6 +19,7 @@ module Disk = Tinca_blockdev.Disk
 module Flight = Tinca_obs.Flight
 module Forensics = Tinca_obs.Forensics
 module FCheck = Tinca_checker.Flight_check
+module Check = Tinca_checker.Crash_check
 open Tinca_sim
 
 (* --- codec: torn records are detected, not trusted ----------------------- *)
@@ -179,14 +180,16 @@ let test_fence_budget_recorder_on () =
 
 (* --- crash sweeps (recorder on) ------------------------------------------- *)
 
-let sweep_cfg nshards stride = { FCheck.default_config with FCheck.nshards; stride }
+let sweep_cfg nshards stride = { FCheck.default_config with Check.nshards; stride }
 
 let run_sweep name cfg =
-  let r = FCheck.sweep cfg in
+  let driver, _ = FCheck.driver cfg in
+  let r = Check.explore ~driver cfg in
   Alcotest.(check bool)
     (Printf.sprintf "%s: states were explored" name)
-    true (r.FCheck.states_checked > 0);
-  Alcotest.(check (list string)) (Printf.sprintf "%s: no violations" name) [] r.FCheck.violations
+    true (r.Check.states_checked > 0);
+  Alcotest.(check (list string)) (Printf.sprintf "%s: no violations" name) []
+    (List.map (Format.asprintf "%a" Check.pp_violation) r.Check.violations)
 
 let test_crash_sweep_n1 () = run_sweep "N=1" (sweep_cfg 1 23)
 let test_crash_sweep_n4 () = run_sweep "N=4" (sweep_cfg 4 41)
@@ -196,7 +199,7 @@ let test_crash_sweep_n4 () = run_sweep "N=4" (sweep_cfg 4 41)
 let test_drop_notify_convicted () =
   List.iter
     (fun nshards ->
-      match FCheck.drop_notify_scenario { FCheck.default_config with FCheck.nshards } with
+      match FCheck.drop_notify_scenario { FCheck.default_config with Check.nshards } with
       | Ok dossier -> (
           match Forensics.verdict dossier with
           | `Dead_acked dead ->

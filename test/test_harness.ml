@@ -92,6 +92,47 @@ let test_filebench_commit_cadence () =
   Alcotest.(check bool) "about ops/cadence commits" true
     (Tinca_util.Histogram.count hist >= 400 / 20)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The gate runner: a raising property and a false one are both FAIL
+   rows (the raise naming its exception), the properties after them
+   still run, and the gate fails. *)
+let test_gate_runner_isolates_failures () =
+  let module Gate = Tinca_harness.Gate in
+  let ran_after = ref false in
+  let g =
+    {
+      Gate.name = "fake";
+      doc = "";
+      properties =
+        [
+          Gate.property "passes" (fun () -> ("fine", true));
+          Gate.property "raises" (fun () -> failwith "boom");
+          Gate.property "returns false" (fun () -> ("nope", false));
+          Gate.property "after" (fun () ->
+              ran_after := true;
+              ("ran", true));
+        ];
+    }
+  in
+  let r = Gate.run g in
+  Alcotest.(check (list bool)) "row verdicts" [ true; false; false; true ]
+    (List.map (fun row -> row.Gate.ok) r.Gate.rows);
+  Alcotest.(check bool) "raise names its exception" true
+    (let d = (List.nth r.Gate.rows 1).Gate.detail in
+     contains d "raised" && contains d "Failure");
+  Alcotest.(check bool) "later properties still run" true !ran_after;
+  Alcotest.(check bool) "gate fails" false r.Gate.passed;
+  let fail_rows =
+    List.filter
+      (fun line -> contains line "FAIL" && not (contains line "gate fake"))
+      (String.split_on_char '\n' (Gate.render r))
+  in
+  Alcotest.(check int) "both failing rows render as FAIL" 2 (List.length fail_rows)
+
 let suite =
   [
     ( "harness",
@@ -103,5 +144,7 @@ let suite =
         Alcotest.test_case "static tables render" `Quick test_static_tables_render;
         Alcotest.test_case "ops.compute charges clock" `Quick test_ops_compute_charges_clock;
         Alcotest.test_case "filebench commit cadence" `Quick test_filebench_commit_cadence;
+        Alcotest.test_case "gate runner isolates failures" `Quick
+          test_gate_runner_isolates_failures;
       ] );
   ]

@@ -348,7 +348,7 @@ let crash_sweep nshards stride =
         scheme = Tinca.Config.Paging Tinca.Config.default_page_cfg;
         pmem_bytes = 512 * 1024;
         ncommits = 3;
-        mask_cap = 16;
+        masks = Check.Capped 16;
         stride;
       }
   in
