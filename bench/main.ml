@@ -207,6 +207,50 @@ let bench_commit_under_paging_pressure =
          Pmem.flush_ranges pmem blocks;
          Pmem.sfence pmem))
 
+(* One 4 KiB block stored, flushed in one [flush_ranges] burst and
+   fenced.  Unobserved, the burst counts its 64 line events at once;
+   an attached observer (here a no-op) makes it build one [Clflush]
+   event per line. *)
+let bench_flush_burst ~observed =
+  let clock = Clock.create () in
+  let metrics = Metrics.create () in
+  let pmem = Pmem.create ~clock ~metrics ~tech:Latency.Pcm ~size:(1024 * 1024) () in
+  if observed then Pmem.set_observer pmem (Some ignore);
+  Test.make
+    ~name:
+      (Printf.sprintf "pmem: flush_ranges 64 lines + sfence (%s)"
+         (if observed then "observed" else "unobserved"))
+    (Staged.stage (fun () ->
+         Pmem.write pmem ~off:0 block;
+         Pmem.flush_ranges pmem [ (0, 4096) ];
+         Pmem.sfence pmem))
+
+(* Group commit's seal of a 1-block transaction, with and without a
+   flight ring; every 32nd seal also drains the batch, as group-32's
+   full batches do.  With the ring on, the seal checksums the block for
+   its Txn_seal record. *)
+let bench_group_seal ~flight_slots =
+  let pmem, disk, clock, metrics = mk_env () in
+  let cache =
+    Cache.format ~config:{ Cache.default_config with flight_slots } ~pmem ~disk ~clock ~metrics
+  in
+  let n = ref 0 and sealed = ref [] in
+  Test.make
+    ~name:
+      (Printf.sprintf "group: seal 1-block txn (flight %s)" (if flight_slots > 0 then "on" else "off"))
+    (Staged.stage (fun () ->
+         incr n;
+         let h = Cache.Txn.init cache in
+         Cache.Txn.add h (!n mod 512) block;
+         Cache.Txn.seal h;
+         sealed := h :: !sealed;
+         if !n mod 32 = 0 then begin
+           let batch = List.rev !sealed in
+           sealed := [];
+           Cache.Txn.flush_sealed batch;
+           Cache.Txn.finalize_sealed batch
+         end))
+
 (* fig13: transaction-size accounting (multi-block commit). *)
 let bench_big_commit =
   let pmem, disk, clock, metrics = mk_env () in
@@ -301,6 +345,10 @@ let run_benchmarks () =
       bench_persist_behind_unflushed;
       bench_commit_burst;
       bench_commit_under_paging_pressure;
+      bench_flush_burst ~observed:false;
+      bench_flush_burst ~observed:true;
+      bench_group_seal ~flight_slots:0;
+      bench_group_seal ~flight_slots:64;
       bench_big_commit;
       bench_recovery;
       bench_entry_codec;

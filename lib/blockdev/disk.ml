@@ -2,7 +2,9 @@ open Tinca_sim
 
 type t = {
   clock : Clock.t;
-  metrics : Metrics.t;
+  c_reads : Metrics.counter;
+  c_writes : Metrics.counter;
+  c_seq_writes : Metrics.counter;
   lat : Latency.disk;
   nblocks : int;
   block_size : int;
@@ -17,7 +19,9 @@ let create ~clock ~metrics ~kind ~nblocks ~block_size =
   if nblocks <= 0 || block_size <= 0 then invalid_arg "Disk.create: bad geometry";
   {
     clock;
-    metrics;
+    c_reads = Metrics.counter metrics "disk.reads";
+    c_writes = Metrics.counter metrics "disk.writes";
+    c_seq_writes = Metrics.counter metrics "disk.seq_writes";
     lat = Latency.disk_of_kind kind;
     nblocks;
     block_size;
@@ -71,7 +75,7 @@ let read_block t blkno =
   in
   access t ~background:false (pos_cost +. xfer);
   t.reads <- t.reads + 1;
-  Metrics.incr t.metrics "disk.reads" ~by:1;
+  Metrics.add t.c_reads 1;
   match Hashtbl.find_opt t.store blkno with
   | Some b -> Bytes.copy b
   | None -> Bytes.make t.block_size '\000'
@@ -86,8 +90,8 @@ let write_block ?(background = false) t blkno data =
   in
   access t ~background (pos_cost +. xfer);
   t.writes <- t.writes + 1;
-  Metrics.incr t.metrics "disk.writes" ~by:1;
-  if sequential then Metrics.incr t.metrics "disk.seq_writes" ~by:1;
+  Metrics.add t.c_writes 1;
+  if sequential then Metrics.add t.c_seq_writes 1;
   Hashtbl.replace t.store blkno (Bytes.copy data)
 
 let written_blocks t = Hashtbl.length t.store

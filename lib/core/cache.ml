@@ -85,6 +85,41 @@ type ext = {
 
 type info = ext Fc.block
 
+(* The per-operation counters, resolved once at construction. *)
+type counters = {
+  c_flight_records : Metrics.counter;
+  c_writebacks : Metrics.counter;
+  c_evictions : Metrics.counter;
+  c_cleaned : Metrics.counter;
+  c_revoked : Metrics.counter;
+  c_read_hits : Metrics.counter;
+  c_read_misses : Metrics.counter;
+  c_write_hits : Metrics.counter;
+  c_write_misses : Metrics.counter;
+  c_head_advance : Metrics.counter;
+  c_commits : Metrics.counter;
+  c_commit_blocks : Metrics.counter;
+  c_aborts : Metrics.counter;
+}
+
+let counters metrics =
+  let c = Metrics.counter metrics in
+  {
+    c_flight_records = c "tinca.flight.records";
+    c_writebacks = c "tinca.writebacks";
+    c_evictions = c "tinca.evictions";
+    c_cleaned = c "tinca.cleaned";
+    c_revoked = c "tinca.revoked";
+    c_read_hits = c "tinca.read_hits";
+    c_read_misses = c "tinca.read_misses";
+    c_write_hits = c "tinca.write_hits";
+    c_write_misses = c "tinca.write_misses";
+    c_head_advance = c "tinca.head_advance";
+    c_commits = c "tinca.commits";
+    c_commit_blocks = c "tinca.commit.blocks";
+    c_aborts = c "tinca.aborts";
+  }
+
 type t = {
   cfg : config;
   layout : Layout.t;
@@ -92,6 +127,7 @@ type t = {
   disk : Disk.t;
   clock : Clock.t;
   metrics : Metrics.t;
+  ctr : counters;
   cpu : Latency.cpu;
   ring : Ring.t;
   fc : ext Fc.t;
@@ -138,7 +174,7 @@ let flight_note t ?(batch = -1) ?(cause = Flight.Sync) ?(a = 0) ?(b = 0) ?(c = 0
       Pmem.write t.pmem ~off (Flight.encode ~seq:cur.Flight.seq ev);
       cur.Flight.seq <- cur.Flight.seq + 1;
       t.flight_dirty <- (off, Layout.flight_record_size) :: t.flight_dirty;
-      Metrics.incr t.metrics "tinca.flight.records" ~by:1;
+      Metrics.add t.ctr.c_flight_records 1;
       Pmem.set_site t.pmem site
 [@@pmem.defer
   "a flight record is deliberately left unflushed: the dirtied line is parked in flight_dirty \
@@ -266,7 +302,7 @@ let read_data_block t nvm_blk =
 let writeback ?(background = false) t (info : info) =
   let data = read_data_block t info.frame in
   Disk.write_block ~background t.disk info.key data;
-  Metrics.incr t.metrics "tinca.writebacks" ~by:1;
+  Metrics.add t.ctr.c_writebacks 1;
   Fc.set_dirty t.fc info false;
   (info.slot, entry_of_info ~role:Entry.Buffer info)
 
@@ -282,7 +318,7 @@ let evict_hooks t =
         if info.dirty then ignore (writeback t info);
         Pmem.set_site t.pmem "cache.evict";
         write_entry t info.slot (invalid_entry ());
-        Metrics.incr t.metrics "tinca.evictions" ~by:1);
+        Metrics.add t.ctr.c_evictions 1);
   }
 
 let alloc_data t =
@@ -322,7 +358,7 @@ let maybe_clean t =
       List.map
         (fun info ->
           let update = writeback ~background:true t info in
-          Metrics.incr t.metrics "tinca.cleaned" ~by:1;
+          Metrics.add t.ctr.c_cleaned 1;
           update)
         sorted
     in
@@ -340,6 +376,7 @@ let make_t ~config:cfg ~layout ~pmem ~disk ~clock ~metrics =
     disk;
     clock;
     metrics;
+    ctr = counters metrics;
     cpu = Latency.default_cpu;
     ring = Ring.attach ~pmem ~layout;
     fc =
@@ -435,7 +472,7 @@ let revoke_block ?(force = false) t blkno =
               x.role_log <- false;
               t.pinned <- t.pinned - 1
             end);
-        Metrics.incr t.metrics "tinca.revoked" ~by:1
+        Metrics.add t.ctr.c_revoked 1
       end
 
 let recover_region ?(flight_replay = true) ~base ~mem_bytes ~pmem ~disk ~clock ~metrics () =
@@ -570,10 +607,10 @@ let read t blkno =
   charge_lookup t;
   match Fc.lookup_read t.fc blkno with
   | Some info ->
-      Metrics.incr t.metrics "tinca.read_hits" ~by:1;
+      Metrics.add t.ctr.c_read_hits 1;
       read_data_block t info.frame
   | None ->
-      Metrics.incr t.metrics "tinca.read_misses" ~by:1;
+      Metrics.add t.ctr.c_read_misses 1;
       let data = Disk.read_block t.disk blkno in
       insert_clean t blkno data;
       data
@@ -621,7 +658,7 @@ module Txn = struct
   let cow_hit t (info : info) new_blk =
     let x = info.ext in
     Fc.note_write t.fc ~hit:true;
-    Metrics.incr t.metrics "tinca.write_hits" ~by:1;
+    Metrics.add t.ctr.c_write_hits 1;
     x.pre_dirty <- info.dirty;
     x.prev <- Some info.frame;
     Fc.set_frame info new_blk;
@@ -636,7 +673,7 @@ module Txn = struct
      dirty and pinned in log role with no previous version. *)
   let cow_miss t blkno new_blk entry_idx =
     Fc.note_write t.fc ~hit:false;
-    Metrics.incr t.metrics "tinca.write_misses" ~by:1;
+    Metrics.add t.ctr.c_write_misses 1;
     t.pinned <- t.pinned + 1;
     Fc.insert t.fc ~key:blkno ~frame:new_blk ~slot:entry_idx ~dirty:true ~pinned:true
       (fresh_ext ~role_log:true)
@@ -672,7 +709,7 @@ module Txn = struct
         let info = cow_miss t blkno new_blk entry_idx in
         write_entry t entry_idx (entry_of_info ~role:Entry.Log info));
     Ring.record t.ring blkno;
-    Metrics.incr t.metrics "tinca.head_advance" ~by:1
+    Metrics.add t.ctr.c_head_advance 1
 
   (* Group commit, stages A–B (§4.4 steps 1–3, fence-coalesced), built
      from two passes shared with the volatile [seal] path below.
@@ -871,7 +908,7 @@ module Txn = struct
         flight_note t Flight.Head_advance ~a:(List.length blocks) ~batch:t.flight_cur_batch;
         flight_flush_into_fence t;
         Ring.publish t.ring (List.length blocks);
-        Metrics.incr t.metrics "tinca.head_advance" ~by:1;
+        Metrics.add t.ctr.c_head_advance 1;
         Trace.end_span "tinca.commit.head"
     | Per_block -> ()
 
@@ -934,8 +971,8 @@ module Txn = struct
             h.state <- Finished;
             Log.debug (fun m ->
                 m "committed transaction of %d blocks (ring head %d)" n (Ring.head t.ring));
-            Metrics.incr t.metrics "tinca.commits" ~by:1;
-            Metrics.incr t.metrics "tinca.commit.blocks" ~by:n)
+            Metrics.add t.ctr.c_commits 1;
+            Metrics.add t.ctr.c_commit_blocks n)
           per_txn;
         (* Write-through: propagate to disk immediately (kept for the
            ablation study; write-back is the paper's default).  The clean
@@ -957,7 +994,7 @@ module Txn = struct
     let n = List.length blocks in
     if n = 0 then begin
       h.state <- Finished;
-      Metrics.incr t.metrics "tinca.commits" ~by:1
+      Metrics.add t.ctr.c_commits 1
     end
     else begin
       admit h blocks n;
@@ -1061,14 +1098,15 @@ module Txn = struct
     (* Seal record: volatile like the seal itself — it becomes durable
        with the batch's stage-A flush, naming the ticket, the footprint
        and the first block's payload checksum for the dossier's
-       acked-vs-survived probe. *)
-    (match blocks with
-    | first :: _ ->
+       acked-vs-survived probe.  Without a flight ring nobody reads the
+       checksum, so it is not computed. *)
+    (match (t.flight, blocks) with
+    | Some _, first :: _ ->
         let data = Hashtbl.find h.staged first in
         let crc = Tinca_util.Codec.crc32 data ~pos:0 ~len:(Bytes.length data) in
         flight_note t Flight.Txn_seal ~a:(h.flight_ticket + 1) ~b:n ~c:first
           ~d:(Int32.to_int crc land 0xFFFF_FFFF) ~batch:t.flight_batch
-    | [] -> ());
+    | _ -> ());
     Trace.end_span "tinca.commit.seal"
 
   (* Drop a sealed-but-unflushed transaction: revoke its blocks (all in
@@ -1087,7 +1125,7 @@ module Txn = struct
     h.sealed_slots <- 0;
     if Ring.staged t.ring = 0 && Ring.in_flight t.ring = 0 then t.committing <- false;
     h.state <- Finished;
-    Metrics.incr t.metrics "tinca.aborts" ~by:1
+    Metrics.add t.ctr.c_aborts 1
 
   (* Stages A–B + Head advance for a whole batch of sealed transactions
      on one cache.  All-or-nothing under crash: until the single Head
@@ -1130,7 +1168,7 @@ module Txn = struct
           ~batch:t.flight_cur_batch;
         flight_flush_into_fence t;
         Ring.publish t.ring (List.fold_left (fun acc h -> acc + h.sealed_slots) 0 handles);
-        Metrics.incr t.metrics "tinca.head_advance" ~by:1;
+        Metrics.add t.ctr.c_head_advance 1;
         Trace.end_span "tinca.commit.head"
 
   (* Steps 4–5 for the whole batch: one batched role switch, one Tail
@@ -1170,7 +1208,7 @@ module Txn = struct
         stage_group t h.staged prefix;
         if prefix <> [] then begin
           Ring.publish t.ring (List.length prefix);
-          Metrics.incr t.metrics "tinca.head_advance" ~by:1
+          Metrics.add t.ctr.c_head_advance 1
         end
     | Per_block ->
         List.iter (fun blkno -> commit_block t blkno (Hashtbl.find h.staged blkno)) prefix
@@ -1181,7 +1219,7 @@ module Txn = struct
     | Finished -> invalid_arg "Tinca.Txn.abort: transaction already finished"
     | Running ->
         h.state <- Finished;
-        Metrics.incr t.metrics "tinca.aborts" ~by:1
+        Metrics.add t.ctr.c_aborts 1
     | Committing ->
         (* Mid-commit abort: revoke what the ring has recorded, plus any
            staged-but-unpublished blocks (a [stage]d sub-commit whose Head
@@ -1194,7 +1232,7 @@ module Txn = struct
         Ring.rewind_head t.ring;
         t.committing <- false;
         h.state <- Finished;
-        Metrics.incr t.metrics "tinca.aborts" ~by:1
+        Metrics.add t.ctr.c_aborts 1
 end
 
 let write_direct t blkno data =

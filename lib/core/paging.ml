@@ -218,7 +218,7 @@ type t = {
   pmem : Pmem.t;
   disk : Disk.t;
   clock : Clock.t;
-  metrics : Metrics.t;
+  c_flight_records : Metrics.counter;
   nshards : int;
   shards : shard_state array;
   mutable writebacks : int;
@@ -264,7 +264,7 @@ let flight_note t s ?(batch = -1) ?(cause = Flight.Sync) ?(a = 0) ?(b = 0) ?(c =
       Pmem.write t.pmem ~off (Flight.encode ~seq:cur.Flight.seq ev);
       cur.Flight.seq <- cur.Flight.seq + 1;
       s.flight_dirty <- (off, Flight.record_size) :: s.flight_dirty;
-      Metrics.incr t.metrics "tinca.flight.records" ~by:1;
+      Metrics.add t.c_flight_records 1;
       Pmem.set_site t.pmem site
 [@@pmem.defer
   "a flight record is deliberately left unflushed: the dirtied line is parked in flight_dirty \
@@ -313,7 +313,7 @@ let mk_t ~cfg ~pmem ~disk ~clock ~metrics ~nshards shards =
     pmem;
     disk;
     clock;
-    metrics;
+    c_flight_records = Metrics.counter metrics "tinca.flight.records";
     nshards;
     shards;
     writebacks = 0;

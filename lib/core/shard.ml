@@ -43,10 +43,21 @@ let max_shards = 30
 let span_of ~pmem ~nshards = (Pmem.size pmem - header_bytes) / nshards / 64 * 64
 let base_of ~span i = header_bytes + (i * span)
 
+(* The per-operation counters, resolved once at construction. *)
+type counters = {
+  c_seals : Metrics.counter;
+  c_multi_commits : Metrics.counter;
+  c_multi_commit_shards : Metrics.counter;
+  c_commits : Metrics.counter;
+  c_group_commits : Metrics.counter;
+  c_group_commit_txns : Metrics.counter;
+}
+
 type t = {
   pmem : Pmem.t;
   clock : Clock.t;
   metrics : Metrics.t;
+  ctr : counters;
   caches : Cache.t array;
   lanes : float array;
       (* Per-shard virtual completion times for the parallel-throughput
@@ -58,6 +69,27 @@ type t = {
 }
 
 let nshards t = Array.length t.caches
+
+let make ~pmem ~clock ~metrics caches =
+  let c = Metrics.counter metrics in
+  {
+    pmem;
+    clock;
+    metrics;
+    ctr =
+      {
+        c_seals = c "tinca.shard.seals";
+        c_multi_commits = c "tinca.shard.multi_commits";
+        c_multi_commit_shards = c "tinca.shard.multi_commit.shards";
+        c_commits = c "tinca.commits";
+        c_group_commits = c "tinca.shard.group_commits";
+        c_group_commit_txns = c "tinca.shard.group_commit.txns";
+      };
+    caches;
+    lanes = Array.make (Array.length caches) 0.0;
+    epoch = 0;
+  }
+
 let cache t i = t.caches.(i)
 let caches t = Array.copy t.caches
 
@@ -148,7 +180,7 @@ let write_seal t mask =
      if mask <> 0 then
        Cache.flight_note t.caches.(lowest 0) Flight.Seal_epoch ~a:t.epoch ~b:mask);
     persist_seal t.pmem (seal_value ~mask ~epoch:t.epoch);
-    Metrics.incr t.metrics "tinca.shard.seals" ~by:1
+    Metrics.add t.ctr.c_seals 1
   end
 
 let clear_seal t = persist_seal t.pmem 0
@@ -163,7 +195,7 @@ let format ~nshards ~config ~pmem ~disk ~clock ~metrics =
     (* Plain unsharded layout, no header: byte-identical media and
        commit path to the pre-sharding cache. *)
     let c = Cache.format ~config ~pmem ~disk ~clock ~metrics in
-    { pmem; clock; metrics; caches = [| c |]; lanes = [| 0.0 |]; epoch = 0 }
+    make ~pmem ~clock ~metrics [| c |]
   else begin
     let span = span_of ~pmem ~nshards in
     if span < 64 then invalid_arg "Tinca.Shard.format: pmem too small for this shard count";
@@ -185,7 +217,7 @@ let format ~nshards ~config ~pmem ~disk ~clock ~metrics =
           Cache.set_flight_shard c i;
           c)
     in
-    { pmem; clock; metrics; caches; lanes = Array.make nshards 0.0; epoch = 0 }
+    make ~pmem ~clock ~metrics caches
   end
 
 (* Seal-directed roll-forward (recovery's all-or-nothing rule, forward
@@ -310,13 +342,13 @@ let recover_sharded ~flight_replay ~pmem ~disk ~clock ~metrics =
         c)
   in
   Trace.end_span "tinca.shard.recover";
-  { pmem; clock; metrics; caches; lanes = Array.make nshards 0.0; epoch = 0 }
+  make ~pmem ~clock ~metrics caches
 
 let recover ?(flight_replay = true) ~pmem ~disk ~clock ~metrics () =
   if is_sharded_media pmem then recover_sharded ~flight_replay ~pmem ~disk ~clock ~metrics
   else
     let c = Cache.recover ~flight_replay ~pmem ~disk ~clock ~metrics () in
-    { pmem; clock; metrics; caches = [| c |]; lanes = [| 0.0 |]; epoch = 0 }
+    make ~pmem ~clock ~metrics [| c |]
 
 (* --- block I/O ---------------------------------------------------------- *)
 
@@ -435,8 +467,8 @@ module Txn = struct
     exec_global s (fun () -> clear_seal s);
     Trace.end_span "tinca.xcommit.retire";
     h.state <- Finished;
-    Metrics.incr s.metrics "tinca.shard.multi_commits" ~by:1;
-    Metrics.incr s.metrics "tinca.shard.multi_commit.shards" ~by:(List.length subs);
+    Metrics.add s.ctr.c_multi_commits 1;
+    Metrics.add s.ctr.c_multi_commit_shards (List.length subs);
     Trace.end_span "tinca.xcommit"
 
   let commit h =
@@ -445,7 +477,7 @@ module Txn = struct
     match subs with
     | [] ->
         h.state <- Finished;
-        Metrics.incr h.s.metrics "tinca.commits" ~by:1
+        Metrics.add h.s.ctr.c_commits 1
     | [ (i, sub) ] -> (
         (* Single-shard fast path: the plain §4.4 commit, operation for
            operation the unsharded cache — no seal, no extra fences.
@@ -579,8 +611,8 @@ let commit_group ?(cause = Flight.Barrier) s handles =
           Trace.end_span "tinca.gcommit.retire"
         end;
         List.iter (fun h -> h.Txn.state <- Txn.Finished) handles;
-        Metrics.incr s.metrics "tinca.shard.group_commits" ~by:1;
-        Metrics.incr s.metrics "tinca.shard.group_commit.txns" ~by:(List.length handles)
+        Metrics.add s.ctr.c_group_commits 1;
+        Metrics.add s.ctr.c_group_commit_txns (List.length handles)
       end
 
 (* --- stats -------------------------------------------------------------- *)

@@ -46,6 +46,18 @@ type event =
   | Sfence
   | Crash
 
+(* The device's counters, resolved once at [create]. *)
+type counters = {
+  c_stores : Metrics.counter;
+  c_store_lines : Metrics.counter;
+  c_atomic_writes : Metrics.counter;
+  c_read_lines : Metrics.counter;
+  c_clflush : Metrics.counter;
+  c_clflush_writebacks : Metrics.counter;
+  c_sfence : Metrics.counter;
+  c_lines_persisted : Metrics.counter;
+}
+
 type t = {
   media : Bytes.t;
   (* The only record of each line's state and slot (see [clean]). *)
@@ -64,12 +76,14 @@ type t = {
      history of inserts: it doubles when an insert leaves more than twice
      as many entries as buckets, and only [clear_lines] resets it. *)
   mutable nbuckets : int;
-  (* Lines made flush-pending since the last fence, newest first: the
-     only lines the next [sfence] can retire.  May hold duplicates and
-     lines a later store re-dirtied; [sfence] skips both. *)
-  mutable flushed : int list;
+  (* Stack of the lines made flush-pending since the last fence, the
+     newest in [flushed.(nflushed - 1)]: the only lines the next
+     [sfence] can retire.  May hold duplicates and lines a later store
+     re-dirtied; [sfence] skips both. *)
+  mutable flushed : int array;
+  mutable nflushed : int;
   clock : Clock.t;
-  metrics : Metrics.t;
+  ctr : counters;
   tech : Latency.nvm_tech;
   flush_instr : Latency.flush_instr;
   lat : Latency.nvm;
@@ -98,9 +112,21 @@ let create ?(seed = 42) ?(flush_instr = Latency.Clflush) ~clock ~metrics ~tech ~
     live = 0;
     npending = 0;
     nbuckets = initial_buckets;
-    flushed = [];
+    flushed = [||];
+    nflushed = 0;
     clock;
-    metrics;
+    ctr =
+      (let c = Metrics.counter metrics in
+       {
+         c_stores = c "pmem.stores";
+         c_store_lines = c "pmem.store_lines";
+         c_atomic_writes = c "pmem.atomic_writes";
+         c_read_lines = c "pmem.read_lines";
+         c_clflush = c "pmem.clflush";
+         c_clflush_writebacks = c "pmem.clflush_writebacks";
+         c_sfence = c "pmem.sfence";
+         c_lines_persisted = c "pmem.lines_persisted";
+       });
     tech;
     flush_instr;
     lat = Latency.nvm_of_tech ~flush_instr tech;
@@ -194,14 +220,21 @@ let take_slot t idx state src src_off =
   t.live <- t.live + 1;
   if t.live > 2 * t.nbuckets then t.nbuckets <- 2 * t.nbuckets
 
+(* A full stack of [n] elements, copied into one with room to grow. *)
+let grow stack n =
+  let grown = Array.make (max 64 (2 * n)) 0 in
+  Array.blit stack 0 grown 0 n;
+  grown
+
 let give_back t s =
-  if t.nfree = Array.length t.free then begin
-    let grown = Array.make (max 64 (2 * t.nfree)) 0 in
-    Array.blit t.free 0 grown 0 t.nfree;
-    t.free <- grown
-  end;
+  if t.nfree = Array.length t.free then t.free <- grow t.free t.nfree;
   t.free.(t.nfree) <- s;
   t.nfree <- t.nfree + 1
+
+let push_flushed t idx =
+  if t.nflushed = Array.length t.flushed then t.flushed <- grow t.flushed t.nflushed;
+  t.flushed.(t.nflushed) <- idx;
+  t.nflushed <- t.nflushed + 1
 
 (* The slots owned by a non-clean line, ascending.  A given-back slot
    still names its last owner, but that line is now clean or owns
@@ -266,8 +299,8 @@ let store_range t off len =
     done;
     let nlines = last - first + 1 in
     Clock.advance t.clock (t.lat.store_ns *. float_of_int nlines);
-    Metrics.incr t.metrics "pmem.stores" ~by:1;
-    Metrics.incr t.metrics "pmem.store_lines" ~by:nlines
+    Metrics.add t.ctr.c_stores 1;
+    Metrics.add t.ctr.c_store_lines nlines
   end
 
 let write_sub t ~off src ~pos ~len =
@@ -296,7 +329,7 @@ let atomic_write8 t ~off v =
   check_range t off 8;
   if off mod 8 <> 0 then invalid_arg "Pmem.atomic_write8: misaligned";
   store_range t off 8;
-  Metrics.incr t.metrics "pmem.atomic_writes" ~by:1;
+  Metrics.add t.ctr.c_atomic_writes 1;
   Bytes.set_int64_le t.media off v;
   if observed t then emit t (Atomic_write { off; len = 8 })
 
@@ -309,7 +342,7 @@ let atomic_write16 t ~off v =
   if off mod 16 <> 0 then invalid_arg "Pmem.atomic_write16: misaligned";
   if Bytes.length v <> 16 then invalid_arg "Pmem.atomic_write16: value must be 16 bytes";
   store_range t off 16;
-  Metrics.incr t.metrics "pmem.atomic_writes" ~by:1;
+  Metrics.add t.ctr.c_atomic_writes 1;
   Bytes.blit v 0 t.media off 16;
   if observed t then emit t (Atomic_write { off; len = 16 })
 
@@ -318,7 +351,7 @@ let charge_read t off len =
     let first, last = lines_of_range off len in
     let nlines = last - first + 1 in
     Clock.advance t.clock (t.lat.read_ns *. float_of_int nlines);
-    Metrics.incr t.metrics "pmem.read_lines" ~by:nlines
+    Metrics.add t.ctr.c_read_lines nlines
   end
 
 let read t ~off ~len =
@@ -358,7 +391,7 @@ let flush_line t idx =
   if w land state_mask = dirty then begin
     set_word t idx (with_state w pending);
     t.npending <- t.npending + 1;
-    t.flushed <- idx :: t.flushed;
+    push_flushed t idx;
     true
   end
   else false
@@ -377,8 +410,8 @@ let clflush t ~off ~len =
       if flush_line t idx then incr dirtied
     done;
     let nlines = last - first + 1 in
-    Metrics.incr t.metrics "pmem.clflush" ~by:nlines;
-    Metrics.incr t.metrics "pmem.clflush_writebacks" ~by:!dirtied;
+    Metrics.add t.ctr.c_clflush nlines;
+    Metrics.add t.ctr.c_clflush_writebacks !dirtied;
     (* One call = one back-to-back flush burst over the range: clflush
        serializes (full latency per line), clflushopt/clwb pipeline. *)
     Clock.advance t.clock
@@ -394,7 +427,11 @@ let clflush t ~off ~len =
    line.  Each line is its own instruction — its own crash-countdown
    event and observer event — but the burst is charged with the
    pipelined batch cost.  The ranges are sorted by first line and swept
-   once: a line shared by several ranges is issued the first time only. *)
+   once: a line shared by several ranges is issued the first time only.
+   Per-line events are built only for a listener that can tell one line
+   from the next: an armed crash countdown or an attached observer.
+   Otherwise the burst counts its events at once, and the span tracer,
+   when on, gets one counter delta for the whole call. *)
 let flush_ranges t ranges =
   List.iter (fun (off, len) -> check_range t off len) ranges;
   let spans =
@@ -404,20 +441,26 @@ let flush_ranges t ranges =
          (fun (off, len) -> if len > 0 then Some (lines_of_range off len) else None)
          ranges)
   in
+  let per_line = Option.is_some t.countdown || Option.is_some t.observer in
+  let emits = per_line && observed t in
   let next = ref 0 and issued = ref 0 and dirtied = ref 0 in
   List.iter
     (fun (first, last) ->
       for idx = max first !next to last do
-        event t;
+        if per_line then event t;
         incr issued;
         if flush_line t idx then incr dirtied;
-        if observed t then emit t (Clflush { off = idx * line_size; len = line_size })
+        if emits then emit t (Clflush { off = idx * line_size; len = line_size })
       done;
       next := max !next (last + 1))
     spans;
   if !issued > 0 then begin
-    Metrics.incr t.metrics "pmem.clflush" ~by:!issued;
-    Metrics.incr t.metrics "pmem.clflush_writebacks" ~by:!dirtied;
+    if not per_line then begin
+      t.events <- t.events + !issued;
+      Tinca_obs.Trace.note "pmem.clflush" ~by:!issued
+    end;
+    Metrics.add t.ctr.c_clflush !issued;
+    Metrics.add t.ctr.c_clflush_writebacks !dirtied;
     Clock.advance t.clock
       (Latency.flush_batch_ns t.flush_instr !issued
       +. (t.lat.write_ns *. float_of_int !dirtied));
@@ -432,27 +475,27 @@ let flush_ranges t ranges =
    change the order [crash] draws in. *)
 let sfence t =
   event t;
-  Metrics.incr t.metrics "pmem.sfence" ~by:1;
+  Metrics.add t.ctr.c_sfence 1;
   Clock.advance t.clock t.lat.sfence_ns;
   (* Every flush-pending line is in [t.flushed], so this fence retires
      all [npending] of them. *)
   let persisted = t.npending in
   let all = persisted = t.live in
-  List.iter
-    (fun idx ->
-      (* Skips a line re-dirtied by a later store, and a duplicate entry
-         already retired. *)
-      let w = word t idx in
-      if w land state_mask = pending then begin
-        set_word t idx clean;
-        bump_wear t idx;
-        if not all then give_back t (slot_of w)
-      end)
-    t.flushed;
-  t.flushed <- [];
+  for i = t.nflushed - 1 downto 0 do
+    let idx = t.flushed.(i) in
+    (* Skips a line re-dirtied by a later store, and a duplicate entry
+       already retired. *)
+    let w = word t idx in
+    if w land state_mask = pending then begin
+      set_word t idx clean;
+      bump_wear t idx;
+      if not all then give_back t (slot_of w)
+    end
+  done;
+  t.nflushed <- 0;
   t.npending <- 0;
   if persisted > 0 then begin
-    Metrics.incr t.metrics "pmem.lines_persisted" ~by:persisted;
+    Metrics.add t.ctr.c_lines_persisted persisted;
     t.live <- t.live - persisted;
     if all then begin
       t.next <- 0;
@@ -499,7 +542,7 @@ let clear_lines t =
   t.live <- 0;
   t.npending <- 0;
   t.nbuckets <- initial_buckets;
-  t.flushed <- [];
+  t.nflushed <- 0;
   trim t
 
 (* The owned slots as [(line, slot)] pairs, in the reverse of the order a
@@ -566,8 +609,10 @@ let restore t s =
       take_slot t idx (if is_pending then pending else dirty) pre 0;
       if is_pending then t.npending <- t.npending + 1)
     s.snap_lines;
-  t.flushed <-
-    List.filter_map (fun (idx, _, is_pending) -> if is_pending then Some idx else None) s.snap_lines;
+  (* The first pending line in the snapshot ends on top of the stack. *)
+  List.iter
+    (fun (idx, _, is_pending) -> if is_pending then push_flushed t idx)
+    (List.rev s.snap_lines);
   Bytes.blit s.snap_wear 0 t.wear 0 (Bytes.length t.wear);
   t.countdown <- None
 

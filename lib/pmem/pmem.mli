@@ -130,7 +130,10 @@ val clflush : t -> off:int -> len:int -> unit
     to one [clflush] per line — each line is its own instruction,
     crash-countdown event and observer [Clflush] event — but the burst is
     charged with the batch cost, so [Clflushopt]/[Clwb] callers stop
-    paying the serialized per-call latency.  Every range is validated
+    paying the serialized per-call latency.  With no countdown armed and
+    no observer attached, the per-line events are only counted (in
+    {!event_count}) and the span tracer gets one [pmem.clflush] delta for
+    the call.  Every range is validated
     before anything is issued: an out-of-bounds range raises
     [Invalid_argument] and flushes no line. *)
 val flush_ranges : t -> (int * int) list -> unit
@@ -226,7 +229,9 @@ val lines_digest : t -> int list -> Digest.t
     {!Tinca_obs.Trace} is enabled, every Store/Clflush/Sfence lands as a
     counter on the enclosing span ([pmem.store_lines], [pmem.clflush],
     [pmem.clflush_writebacks], [pmem.sfence]), giving per-span
-    fence/write-back attribution without disturbing the observer. *)
+    fence/write-back attribution without disturbing the observer.  When
+    the tracer is the only listener, {!flush_ranges} notes its whole
+    burst as one counter delta instead of building one event per line. *)
 
 type event =
   | Store of { off : int; len : int }  (** non-atomic store: [write]/[write_sub]/[fill] *)

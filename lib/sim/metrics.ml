@@ -1,19 +1,35 @@
+(* One counter's cell.  A cell outlives [reset], which zeroes it and
+   takes it out of the listing, so a handle resolved before a reset
+   keeps counting into the registry.  A cell is listed once it has been
+   bumped, even by 0, so resolving a handle alone lists nothing. *)
+type counter = { mutable n : int; mutable live : bool }
+
 type t = {
-  counters : (string, int ref) Hashtbl.t;
+  counters : (string, counter) Hashtbl.t;
   hists : (string, Hist.t) Hashtbl.t;
 }
 
 let create () = { counters = Hashtbl.create 64; hists = Hashtbl.create 16 }
 
-let incr t name ~by =
+let counter t name =
   match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.add t.counters name (ref by)
+  | Some c -> c
+  | None ->
+      let c = { n = 0; live = false } in
+      Hashtbl.add t.counters name c;
+      c
 
-let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+let add c by =
+  c.n <- c.n + by;
+  c.live <- true
+
+let incr t name ~by = add (counter t name) by
+
+(* An unlisted cell holds 0. *)
+let get t name = match Hashtbl.find_opt t.counters name with Some c -> c.n | None -> 0
 
 let to_list t =
-  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.counters []
+  Hashtbl.fold (fun k c acc -> if c.live then (k, c.n) :: acc else acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* A snapshot is a hashtable copy of the counters, so [since] is one
@@ -24,7 +40,7 @@ type snapshot = (string, int) Hashtbl.t
 
 let snapshot t : snapshot =
   let s = Hashtbl.create (Hashtbl.length t.counters) in
-  Hashtbl.iter (fun k v -> Hashtbl.replace s k !v) t.counters;
+  Hashtbl.iter (fun k c -> if c.live then Hashtbl.replace s k c.n) t.counters;
   s
 
 let diff t (snap : snapshot) =
@@ -54,7 +70,11 @@ let hists t =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset t =
-  Hashtbl.reset t.counters;
+  Hashtbl.iter
+    (fun _ c ->
+      c.n <- 0;
+      c.live <- false)
+    t.counters;
   Hashtbl.reset t.hists
 
 let pp ppf t =

@@ -15,6 +15,24 @@ val incr : t -> string -> by:int -> unit
 
 val get : t -> string -> int
 
+(** {1 Counter handles}
+
+    A hot path resolves its counters once and bumps them without
+    hashing a name.  A handle and {!incr} by the same name share one
+    cell. *)
+
+type counter
+
+(** [counter t name] — the handle of [name]'s counter.  Resolving a
+    handle does not create the counter: it is absent from {!to_list}
+    until its first {!add}. *)
+val counter : t -> string -> counter
+
+(** [add c by] bumps the counter, creating it at 0 if missing (an [add]
+    of 0 creates it too, exactly as [incr ~by:0] does).  A handle
+    survives {!reset}: it counts from 0 again. *)
+val add : counter -> int -> unit
+
 (** All counters, sorted by name. *)
 val to_list : t -> (string * int) list
 
@@ -46,6 +64,8 @@ val hist : t -> string -> Hist.t option
 (** All histograms, sorted by name. *)
 val hists : t -> (string * Hist.t) list
 
+(** Zeroes and unlists every counter (resolved handles stay valid) and
+    drops every histogram. *)
 val reset : t -> unit
 val pp : Format.formatter -> t -> unit
 

@@ -260,6 +260,37 @@ let test_region_wear () =
     (List.exists (fun (n, _, _) -> n = "s0.ring") wear2
     && List.exists (fun (n, _, _) -> n = "s1.ring") wear2)
 
+(* A sealed transaction's surviving Txn_seal record names its first
+   block and carries that block's payload CRC; with no flight ring the
+   seal writes no record (and computes no CRC). *)
+let test_seal_crc () =
+  let env = mk_env () in
+  let tc = facade env in
+  ignore (commit_async_blocks tc [ 3; 7 ] 'q');
+  Tinca.group_flush tc;
+  Pmem.crash ~seed:1 env.pmem;
+  let seals =
+    match Tinca.recover ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics with
+    | Error e -> Alcotest.fail (Tinca.error_message e)
+    | Ok t2 -> (
+        match Tinca.last_crash_report t2 with
+        | None -> Alcotest.fail "no dossier with the recorder on"
+        | Some d ->
+            List.filter_map
+              (fun (_, _, e) ->
+                if e.Flight.kind = Flight.Txn_seal then Some (e.Flight.c, e.Flight.d) else None)
+              d.Forensics.records)
+  in
+  let data = Bytes.make 4096 'q' in
+  let crc = Int32.to_int (Tinca_util.Codec.crc32 data ~pos:0 ~len:4096) land 0xFFFF_FFFF in
+  Alcotest.(check (list (pair int int))) "seal record: first block and its CRC" [ (3, crc) ] seals;
+  let env0 = mk_env () in
+  let tc0 = facade ~flight_slots:0 env0 in
+  ignore (commit_async_blocks tc0 [ 3; 7 ] 'q');
+  Tinca.group_flush tc0;
+  Alcotest.(check bool) "no flight records counted with the ring off" false
+    (List.mem_assoc "tinca.flight.records" (Metrics.to_list env0.metrics))
+
 let test_group_stats () =
   let env = mk_env () in
   let tc = facade ~max_batch:2 env in
@@ -300,5 +331,6 @@ let suite =
           test_drop_notify_convicted;
         Alcotest.test_case "region-attributed wear" `Quick test_region_wear;
         Alcotest.test_case "group-committer runtime stats" `Quick test_group_stats;
+        Alcotest.test_case "seal record CRC only with a ring" `Quick test_seal_crc;
       ] );
   ]

@@ -443,6 +443,23 @@ let range_lines off len =
 let expect what show exp got =
   if exp <> got then failwith (Printf.sprintf "%s: expected %s, got %s" what (show exp) (show got))
 
+(* Step [step] of a sequence, on the device alone. *)
+let apply p step = function
+  | Write (off, len) -> Pmem.write p ~off (Bytes.make len 'w')
+  | Fill (off, len) -> Pmem.fill p ~off ~len 'f'
+  | Atomic8 s -> Pmem.atomic_write8 p ~off:(s * 8) (Int64.of_int step)
+  | Atomic16 s -> Pmem.atomic_write16 p ~off:(s * 16) (Bytes.make 16 'a')
+  | Clflush (off, len) -> Pmem.clflush p ~off ~len
+  | Flush_ranges r -> Pmem.flush_ranges p r
+  | Sfence -> Pmem.sfence p
+  | Persist (off, len) -> Pmem.persist p ~off ~len
+  | Snap_restore ->
+      let snap = Pmem.snapshot p in
+      Pmem.crash_select p ~survive:(fun _ -> false);
+      Pmem.write p ~off:0 (Bytes.make 64 'z');
+      Pmem.restore p snap
+  | Crash_select k -> Pmem.crash_select p ~survive:(fun idx -> idx mod 3 = k)
+
 (* Runs [ops] on a fresh device and the model side by side, failing at
    the first step where they disagree. *)
 let run_against_model ops =
@@ -475,36 +492,30 @@ let run_against_model ops =
   List.iteri
     (fun step op ->
       let what = Printf.sprintf "step %d %s" step (show_op op) in
+      let device () = apply p step op in
       (match op with
-      | Write (off, len) ->
-          Pmem.write p ~off (Bytes.make len 'w');
-          store (range_lines off len)
-      | Fill (off, len) ->
-          Pmem.fill p ~off ~len 'f';
+      | Write (off, len) | Fill (off, len) ->
+          device ();
           store (range_lines off len)
       | Atomic8 s ->
-          Pmem.atomic_write8 p ~off:(s * 8) (Int64.of_int step);
+          device ();
           store (range_lines (s * 8) 8)
       | Atomic16 s ->
-          Pmem.atomic_write16 p ~off:(s * 16) (Bytes.make 16 'a');
+          device ();
           store (range_lines (s * 16) 16)
       | Clflush (off, len) ->
-          Pmem.clflush p ~off ~len;
+          device ();
           flush (range_lines off len)
       | Flush_ranges r ->
-          Pmem.flush_ranges p r;
+          device ();
           List.iter (fun (off, len) -> flush (range_lines off len)) r
-      | Sfence -> fenced what (fun () -> Pmem.sfence p)
+      | Sfence -> fenced what device
       | Persist (off, len) ->
           flush (range_lines off len);
-          fenced what (fun () -> Pmem.persist p ~off ~len)
-      | Snap_restore ->
-          let snap = Pmem.snapshot p in
-          Pmem.crash_select p ~survive:(fun _ -> false);
-          Pmem.write p ~off:0 (Bytes.make 64 'z');
-          Pmem.restore p snap
-      | Crash_select k ->
-          Pmem.crash_select p ~survive:(fun idx -> idx mod 3 = k);
+          fenced what device
+      | Snap_restore -> device ()
+      | Crash_select _ ->
+          device ();
           t := IS.empty;
           pend := IS.empty);
       expect (what ^ ": unfenced_lines") show_lines (IS.elements !t) (Pmem.unfenced_lines p);
@@ -547,6 +558,95 @@ let prop_model =
     (fun ops ->
       run_against_model ops;
       true)
+
+(* --- per-line events against counted events ------------------------------ *)
+
+(* [flush_ranges] builds one event per line only for an armed crash
+   countdown or an attached observer; otherwise it counts the burst's
+   events at once.  A no-op observer must change nothing else: the same
+   events counted, counters, line layer and post-crash medium. *)
+let run_counted_and_per_line ops =
+  let counted, _, mc = mk ~size:model_size () in
+  let per_line, _, mp = mk ~size:model_size () in
+  Pmem.set_observer per_line (Some ignore);
+  let same what show f = expect what show (f per_line) (f counted) in
+  let show_counters l = String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) l) in
+  List.iteri
+    (fun step op ->
+      apply counted step op;
+      apply per_line step op;
+      same (Printf.sprintf "step %d %s: event_count" step (show_op op)) string_of_int
+        Pmem.event_count)
+    ops;
+  expect "counters" show_counters (Metrics.to_list mp) (Metrics.to_list mc);
+  same "dirty_line_count" string_of_int Pmem.dirty_line_count;
+  same "unfenced_lines" show_lines Pmem.unfenced_lines;
+  same "torn_lines" show_lines Pmem.torn_lines;
+  Pmem.crash ~seed:7 counted;
+  Pmem.crash ~seed:7 per_line;
+  same "post-crash media" Digest.to_hex Pmem.media_digest
+
+let prop_counted_events =
+  QCheck.Test.make ~name:"counted flush events match per-line events" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_op))
+    (fun ops ->
+      run_counted_and_per_line ops;
+      true)
+
+(* A countdown armed inside a multi-line burst lands on the same line
+   with or without an observer, and as it would across one [clflush]
+   per line: the fifth line's event fires, four lines were flushed. *)
+let test_countdown_inside_flush_ranges () =
+  let run what flush ~observer =
+    let p, _, m = mk ~size:model_size () in
+    if observer then Pmem.set_observer p (Some ignore);
+    Pmem.write p ~off:0 (Bytes.make 512 'x');
+    let e0 = Pmem.event_count p in
+    Pmem.set_crash_countdown p (Some 5);
+    Alcotest.check_raises (what ^ ": crash inside the burst") Pmem.Crash_point (fun () -> flush p);
+    let fired = Pmem.event_count p - e0 in
+    Pmem.set_crash_countdown p None;
+    Pmem.sfence p;
+    Alcotest.(check (triple int int int))
+      (what ^ ": event fired, lines retired, lines left")
+      (5, 4, 4)
+      (fired, Metrics.get m "pmem.lines_persisted", Pmem.dirty_line_count p)
+  in
+  let burst p = Pmem.flush_ranges p [ (256, 256); (0, 256) ] in
+  let per_call p =
+    for i = 0 to 7 do
+      Pmem.clflush p ~off:(i * 64) ~len:64
+    done
+  in
+  run "flush_ranges" burst ~observer:false;
+  run "flush_ranges, observed" burst ~observer:true;
+  run "clflush per line" per_call ~observer:false
+
+(* With the span tracer as the only listener, a burst lands as one
+   counter delta; the span's counters equal the per-line events'. *)
+let test_traced_burst_counters () =
+  let module Trace = Tinca_obs.Trace in
+  let span ~observer =
+    let p, clock, _ = mk ~size:model_size () in
+    if observer then Pmem.set_observer p (Some ignore);
+    Trace.reset ();
+    Trace.begin_span ~clock "test.burst";
+    Pmem.write p ~off:0 (Bytes.make 640 'x');
+    Pmem.flush_ranges p [ (512, 64); (0, 100); (64, 300) ];
+    Pmem.flush_ranges p [ (0, 64) ];
+    Pmem.sfence p;
+    Trace.end_span "test.burst";
+    match Trace.find_spans "test.burst" with
+    | [ s ] -> s.Trace.counters
+    | l -> Alcotest.failf "expected one span, got %d" (List.length l)
+  in
+  Fun.protect ~finally:Trace.disable (fun () ->
+      Trace.enable ();
+      let counted = span ~observer:false in
+      Alcotest.(check (list (pair string int))) "same span counters" (span ~observer:true) counted;
+      Alcotest.(check int) "issued flushes" 8 (List.assoc "pmem.clflush" counted))
 
 (* --- crash draw order against a stdlib hash table ----------------------- *)
 
@@ -883,6 +983,10 @@ let suite =
       [
         Alcotest.test_case "pending-list edge cases" `Quick test_model_edge_cases;
         q prop_model;
+        q prop_counted_events;
+        Alcotest.test_case "countdown inside a flush burst" `Quick
+          test_countdown_inside_flush_ranges;
+        Alcotest.test_case "traced burst counters" `Quick test_traced_burst_counters;
         Alcotest.test_case "seeded crash digest pinned" `Quick test_crash_digest_pinned;
         Alcotest.test_case "crash order at resize boundaries" `Quick test_order_boundaries;
         Alcotest.test_case "crash order under slot reuse" `Quick test_order_slot_reuse;

@@ -86,6 +86,32 @@ let test_metrics_diff_after_reset () =
   Metrics.reset m;
   Alcotest.(check bool) "histograms cleared too" true (Metrics.hists m = [])
 
+let test_metrics_handles () =
+  let m = Metrics.create () in
+  let x = Metrics.counter m "h.x" in
+  Alcotest.(check (list (pair string int))) "resolved but unbumped: unlisted" []
+    (Metrics.to_list m);
+  Metrics.add x 0;
+  Alcotest.(check (list (pair string int))) "an add of 0 lists it" [ ("h.x", 0) ] (Metrics.to_list m);
+  Metrics.add x 3;
+  Metrics.incr m "h.x" ~by:4;
+  Alcotest.(check int) "handle and name share one cell" 7 (Metrics.get m "h.x");
+  Alcotest.(check bool) "a second handle is the same cell" true (Metrics.counter m "h.x" == x);
+  let snap = Metrics.snapshot m in
+  Metrics.add x 5;
+  Metrics.add (Metrics.counter m "h.y") 2;
+  Alcotest.(check int) "since sees handle increments" 5 (Metrics.since m snap "h.x");
+  Alcotest.(check (list (pair string int))) "diff sees handle increments"
+    [ ("h.x", 5); ("h.y", 2) ]
+    (Metrics.diff m snap);
+  Metrics.reset m;
+  Alcotest.(check (list (pair string int))) "reset unlists" [] (Metrics.to_list m);
+  Metrics.add x 1;
+  Alcotest.(check (list (pair string int))) "add after reset counts from 0" [ ("h.x", 1) ]
+    (Metrics.to_list m);
+  Metrics.incr m "h.x" ~by:1;
+  Alcotest.(check int) "still one cell after reset" 2 (Metrics.get m "h.x")
+
 let test_metrics_pp () =
   let m = Metrics.create () in
   Metrics.incr m "pmem.sfence" ~by:3;
@@ -201,6 +227,7 @@ let suite =
         Alcotest.test_case "snapshot/diff" `Quick test_metrics_snapshot_diff;
         Alcotest.test_case "reset" `Quick test_metrics_reset;
         Alcotest.test_case "diff after reset" `Quick test_metrics_diff_after_reset;
+        Alcotest.test_case "counter handles" `Quick test_metrics_handles;
         Alcotest.test_case "pp renders counters + hists" `Quick test_metrics_pp;
         Alcotest.test_case "observe/hist" `Quick test_metrics_observe_hist;
         Alcotest.test_case "snapshot scales to 10k counters" `Quick test_metrics_snapshot_scale;
