@@ -148,9 +148,9 @@ let bench_persist tech =
          Pmem.write pmem ~off block;
          Pmem.persist pmem ~off ~len:4096))
 
-(* The fence's host cost with a large unflushed volatile layer, as paging's
-   unflushed read-miss fills leave it: 64k lines stored but never flushed
-   sit in the line table while one line is persisted.  [sfence] walks only
+(* The fence's host cost with a large unflushed volatile layer, as both
+   engines' unflushed read-miss fills leave it: 64k lines stored but
+   never flushed sit in the line table while one line is persisted.  [sfence] walks only
    the lines flushed since the last fence, so the fence itself is flat in
    the number of unflushed lines; what still grows with them here is the
    GC work on the larger live heap that Bechamel's per-sample
@@ -188,8 +188,8 @@ let bench_commit_burst =
          Pmem.flush_ranges pmem (blocks @ lines);
          Pmem.sfence pmem))
 
-(* The same fence behind paging's unflushed read-miss fills: every line
-   of the device but the last nine 4 KiB blocks is stored and never
+(* The same fence behind the engines' unflushed read-miss fills: every
+   line of the device but the last nine 4 KiB blocks is stored and never
    flushed, then those nine blocks (576 lines) are stored, flushed in one
    [flush_ranges] burst and retired by one fence.  Each fence retires a
    few lines out of 130k non-clean ones, so it gives their pre-image

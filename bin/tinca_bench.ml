@@ -111,8 +111,8 @@ let scheme_arg =
 
 (* `trace` subcommand: replay a block trace (from a file, or synthesized)
    over a chosen stack and report the evaluation metrics. *)
-let run_trace stack_name shards scheme trace_file synth_ops read_pct tech flush_instr trace_out
-    verbose =
+let run_trace stack_name shards scheme trace_file synth_ops read_pct nblocks crash_at tech
+    flush_instr trace_out verbose =
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Info)
@@ -132,22 +132,33 @@ let run_trace stack_name shards scheme trace_file synth_ops read_pct tech flush_
         close_in ic;
         Trace.parse text
     | None ->
-        Trace.synthesize ~seed:7 ~nblocks:4096 ~ops:synth_ops ~read_pct ~zipf_theta:0.9
+        Trace.synthesize ~seed:7 ~nblocks ~ops:synth_ops ~read_pct ~zipf_theta:0.9
           ~fsync_every:8
+  in
+  (match crash_at with
+  | Some _ when stack_name <> "tinca" -> invalid_arg "trace: --crash-at needs the tinca stack"
+  | _ -> ());
+  let before_crash, after_crash =
+    match crash_at with
+    | None -> (trace, [])
+    | Some n ->
+        let rw = ref 0 in
+        List.partition
+          (fun op ->
+            if op <> Trace.Fsync then incr rw;
+            !rw <= n)
+          trace
   in
   let env = Stacks.make_env ~tech ~flush_instr ~nvm_bytes:(8 * 1024 * 1024) ~disk_blocks:65536 () in
   let stack = stack_with_shards ~scheme ~stack_name ~shards env in
-  let fs =
-    Fs.format
-      ~config:{ Fs.default_config with journaled = stack_name <> "nojournal" }
-      stack.Stacks.backend
-  in
+  let fs_config = { Fs.default_config with journaled = stack_name <> "nojournal" } in
+  let fs = Fs.format ~config:fs_config stack.Stacks.backend in
   let ops = Ops.of_fs ~compute:(Clock.advance env.Stacks.clock) fs in
   Trace.prealloc ~block_size:4096 trace ops;
   Fs.fsync fs;
   let t0 = Clock.now_ns env.Stacks.clock in
   let snap = Metrics.snapshot env.Stacks.metrics in
-  let stats = Trace.run ~block_size:4096 trace ops in
+  let stats = Trace.run ~block_size:4096 before_crash ops in
   let seconds = (Clock.now_ns env.Stacks.clock -. t0) /. 1e9 in
   let per_op name =
     float_of_int (Metrics.since env.Stacks.metrics snap name) /. float_of_int stats.Ops.ops
@@ -155,9 +166,26 @@ let run_trace stack_name shards scheme trace_file synth_ops read_pct tech flush_
   Printf.printf "stack=%s ops=%d sim_seconds=%.4f\n" stack.Stacks.label stats.Ops.ops seconds;
   Printf.printf "throughput        %10.0f ops/s\n" (float_of_int stats.Ops.ops /. seconds);
   Printf.printf "clflush/op        %10.1f\n" (per_op "pmem.clflush");
+  (* Medium writes: the lines flushes wrote back, and the lines stores
+     dirtied, each of which owes one write whether or not it is flushed. *)
+  Printf.printf "lines flushed/op  %10.1f\n" (per_op "pmem.clflush_writebacks");
+  Printf.printf "lines dirtied/op  %10.1f\n" (per_op "pmem.lines_dirtied");
   Printf.printf "disk writes/op    %10.2f\n" (per_op "disk.writes");
   Printf.printf "disk reads/op     %10.2f\n" (per_op "disk.reads");
   Printf.printf "cache write hit   %10.1f%%\n" (100.0 *. stack.Stacks.cache_write_hit_rate ());
+  (* Power fails after [crash_at] ops; the rest of the trace runs on the
+     recovered stack, whose counters start from zero. *)
+  if crash_at <> None then begin
+    Tinca_pmem.Pmem.crash env.Stacks.pmem;
+    let stack = Stacks.tinca_recover env in
+    let fs = Fs.mount ~config:fs_config stack.Stacks.backend in
+    let stats = Trace.run ~block_size:4096 after_crash (Ops.of_fs ~compute:(Clock.advance env.Stacks.clock) fs) in
+    let kv = stack.Stacks.proc_stats () in
+    let count k = float_of_string (List.assoc k kv) in
+    let hits = count "read_hits" and misses = count "read_misses" in
+    Printf.printf "after recovery: ops=%d read hit ratio %.3f\n" stats.Ops.ops
+      (hits /. Float.max 1.0 (hits +. misses))
+  end;
   match trace_out with
   | None -> ()
   | Some path ->
@@ -211,11 +239,20 @@ let trace_cmd =
            ~doc:"Record a transaction-lifecycle span trace of the replay and write it as Chrome \
                  trace_event JSON to $(docv).")
   in
+  let nblocks =
+    Arg.(value & opt int 4096 & info [ "blocks" ] ~docv:"N"
+           ~doc:"File size of the synthesized trace, in 4 KiB blocks.")
+  in
+  let crash_at =
+    Arg.(value & opt (some int) None & info [ "crash-at" ] ~docv:"N"
+           ~doc:"Crash after the first $(docv) reads and writes, recover, replay the rest of the \
+                 trace and report its read hit ratio (tinca stack only).")
+  in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log recovery/commit activity.") in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run_trace $ stack $ shards_arg $ scheme_arg $ file $ ops $ read_pct $ tech
-      $ flush_instr $ trace_out $ verbose)
+      const run_trace $ stack $ shards_arg $ scheme_arg $ file $ ops $ read_pct $ nblocks
+      $ crash_at $ tech $ flush_instr $ trace_out $ verbose)
 
 (* `bench-json` subcommand: emit the commit-protocol micro-benchmark and
    trace-replay throughput as a machine-readable artifact for CI. *)
@@ -253,11 +290,8 @@ let run_stats stack_name shards scheme flight_slots synth_ops read_pct =
   let stack, psan =
     Stacks.instrument (stack_with_shards ~flight_slots ~scheme ~stack_name ~shards env)
   in
-  let fs =
-    Fs.format
-      ~config:{ Fs.default_config with journaled = stack_name <> "nojournal" }
-      stack.Stacks.backend
-  in
+  let fs_config = { Fs.default_config with journaled = stack_name <> "nojournal" } in
+  let fs = Fs.format ~config:fs_config stack.Stacks.backend in
   let trace =
     Workload.synthesize ~seed:7 ~nblocks:4096 ~ops:synth_ops ~read_pct ~zipf_theta:0.9
       ~fsync_every:8

@@ -138,6 +138,21 @@ let tinca_config cfg =
     commit_scheme = cfg.scheme;
   }
 
+(* One transaction writing [(blk, fill byte)] pairs, in order.  Its
+   writes wait in [pending] until commit returns, then fold into
+   [oracle]. *)
+let commit_fills tc oracle pending writes =
+  let h = Tinca.init_txn tc in
+  Hashtbl.reset pending;
+  List.iter
+    (fun (blk, v) ->
+      Tinca.ok_exn (Tinca.write h blk (Bytes.make 4096 v));
+      Hashtbl.replace pending blk v)
+    writes;
+  Tinca.ok_exn (Tinca.commit h);
+  Hashtbl.iter (fun blk v -> Hashtbl.replace oracle blk v) pending;
+  Hashtbl.reset pending
+
 (* The workload of test_crash.ml: [ncommits] transactions of 1..4 blocks
    with repeated block choices (exercising COW write hits) and occasional
    reads mixed in.  [oracle] maps a disk block to the fill byte of its
@@ -148,19 +163,15 @@ let run_workload cfg tc oracle pending =
   let rng = Tinca_util.Rng.create cfg.seed in
   for _txn = 1 to cfg.ncommits do
     let n = 1 + Tinca_util.Rng.int rng 4 in
-    let h = Tinca.init_txn tc in
-    Hashtbl.reset pending;
-    for _ = 1 to n do
-      let blk = Tinca_util.Rng.int rng cfg.universe in
-      let v = Char.chr (Tinca_util.Rng.int rng 256) in
-      Tinca.ok_exn (Tinca.write h blk (Bytes.make 4096 v));
-      Hashtbl.replace pending blk v
-    done;
+    let writes =
+      List.init n (fun _ ->
+          let blk = Tinca_util.Rng.int rng cfg.universe in
+          (blk, Char.chr (Tinca_util.Rng.int rng 256)))
+    in
+    (* Staging a write touches no NVM, so this read may come first. *)
     if Tinca_util.Rng.chance rng 0.3 then
       ignore (Tinca.read tc (Tinca_util.Rng.int rng cfg.universe));
-    Tinca.ok_exn (Tinca.commit h);
-    Hashtbl.iter (fun blk v -> Hashtbl.replace oracle blk v) pending;
-    Hashtbl.reset pending
+    commit_fills tc oracle pending writes
   done
 
 let mk_tinca cfg env =
@@ -237,6 +248,46 @@ let default_driver cfg =
         let tc = mk_tinca cfg env in
         let oracle = Hashtbl.create 64 and pending = Hashtbl.create 8 in
         ( (fun () -> run_workload cfg tc oracle pending),
+          prefix_judge env cfg oracle pending ));
+  }
+
+(* Read fills are volatile: a fill stores its frame and writes no entry,
+   a crash un-caches it, and a write to a filled block takes the miss
+   path.  Every disk block starts with its own fill byte, so a recovered
+   block that exposes an unflushed frame cannot match the oracle.
+   Reads fill blocks; read pressure then evicts fills and committed
+   blocks alike; transactions then write blocks cached only as fills,
+   and finally a COW hit beside a fill.  [ncommits] is ignored. *)
+let read_miss_workload cfg tc oracle pending =
+  let read blk = ignore (Tinca.read tc blk) and last = cfg.universe - 1 in
+  for blk = 0 to 5 do
+    read blk
+  done;
+  commit_fills tc oracle pending [ (0, 'a'); (6, 'a') ];
+  for blk = 8 to last do
+    read blk
+  done;
+  read 1;
+  read 2;
+  commit_fills tc oracle pending [ (1, 'b'); (2, 'b'); (last, 'b') ];
+  read 3;
+  commit_fills tc oracle pending [ (last, 'c'); (3, 'c') ]
+
+let read_miss_config =
+  { default_config with masks = Capped 4; pmem_bytes = 64 * 1024; universe = 24 }
+
+let read_miss_driver cfg =
+  {
+    fresh =
+      (fun env ->
+        let oracle = Hashtbl.create 64 and pending = Hashtbl.create 8 in
+        for blk = 0 to cfg.universe - 1 do
+          let v = Char.chr (blk + 1) in
+          Disk.write_block env.disk blk (Bytes.make 4096 v);
+          Hashtbl.replace oracle blk v
+        done;
+        let tc = mk_tinca cfg env in
+        ( (fun () -> read_miss_workload cfg tc oracle pending),
           prefix_judge env cfg oracle pending ));
   }
 

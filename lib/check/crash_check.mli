@@ -105,6 +105,18 @@ type driver = {
     prefix-consistency oracle. *)
 val default_driver : config -> driver
 
+(** The read-miss path under the same oracle: every disk block starts
+    with its own fill byte; reads fill blocks, read pressure evicts
+    fills and committed blocks, and transactions write blocks cached
+    only as volatile fills.  Needs [universe] of at least 9 blocks and
+    below 256; ignores [ncommits]. *)
+val read_miss_driver : config -> driver
+
+(** {!default_config} with 64 KB of NVM (about a dozen frames) over 24
+    disk blocks, so the read pressure evicts, and [Capped 4]: every
+    crash point holds the unflushed lines of every cached fill. *)
+val read_miss_config : config
+
 type violation = {
   crash_event : int;  (** the pmem event the crash replaced *)
   surviving : int list;  (** torn lines whose new content reached the medium *)

@@ -11,8 +11,12 @@
      Clean -> Dirty -> Flush_pending -> Persisted
 
    (implemented sparsely: a hash table holds only the not-yet-durable
-   lines), plus a {!Tinca_core.Layout}-driven region classifier, and
-   flags protocol violations as they happen — on any workload, at a cost
+   lines), with one more not-durable state, Fill, for a line whose
+   latest store came from a clean read-fill site: a volatile fill's
+   durable home is the disk, so it is the one unflushed line a commit
+   point or an acknowledgement may leave behind.  Plus a
+   {!Tinca_core.Layout}-driven region classifier, and it flags protocol
+   violations as they happen — on any workload, at a cost
    linear in the number of pmem events.
 
    Rules (see DESIGN.md §6.2):
@@ -104,7 +108,9 @@ type report = {
   violations_dropped : int;
 }
 
-type state = Dirty | Flush_pending
+(* [Fill]: stored but never flushed, by a clean read fill (see
+   [is_fill_site]); any other store makes the line [Dirty] again. *)
+type state = Dirty | Flush_pending | Fill
 
 type t = {
   pmem : Pmem.t;
@@ -218,8 +224,13 @@ let violate t rule line fmt =
 
 (* --- the shadow state machine ------------------------------------------- *)
 
+(* The read-miss fill sites of the two engines.  Neither writes an entry
+   or table slot naming the frame, so recovery never reads it. *)
+let is_fill_site = function "cache.read_fill" | "paging.fill" -> true | _ -> false
+
 let note_store t ~off ~len ~atomic =
   let first, last = lines_of_range off len in
+  let stored = if is_fill_site (Pmem.site t.pmem) then Fill else Dirty in
   for idx = first to last do
     let region = region_of_line t idx in
     if (not atomic) && is_metadata region then
@@ -241,9 +252,8 @@ let note_store t ~off ~len ~atomic =
             "store into a flush-pending %s line: the in-flight write-back's outcome becomes \
              adversarial"
             (region_name region);
-        Hashtbl.replace t.volatile idx Dirty
-    | Some Dirty -> ()
-    | None -> Hashtbl.replace t.volatile idx Dirty);
+        Hashtbl.replace t.volatile idx stored
+    | Some _ | None -> Hashtbl.replace t.volatile idx stored);
     if t.in_txn then Hashtbl.replace t.txn_lines idx ()
   done
 
@@ -253,7 +263,7 @@ let note_clflush t ~off ~len =
   for idx = first to last do
     t.line_flushes <- t.line_flushes + 1;
     match Hashtbl.find_opt t.volatile idx with
-    | Some Dirty -> Hashtbl.replace t.volatile idx Flush_pending
+    | Some (Dirty | Fill) -> Hashtbl.replace t.volatile idx Flush_pending
     | Some Flush_pending | None ->
         (* Clean, persisted or already pending: the flush is issued but
            starts no write-back — pure overhead on the hot path. *)
@@ -275,7 +285,8 @@ let note_sfence t =
   (* The check is per shard layout: a Tail fence commits only its own
      shard's sub-transaction, whose dependencies all live inside that
      shard's span (cross-shard ordering is the seal's job, checked by
-     the sharded crash sweep). *)
+     the sharded crash sweep).  A [Fill] line is no dependency: no entry
+     names a clean fill's frame. *)
   List.iter
     (fun (l : Layout.t) ->
       let tail_line = l.Layout.tail_off / Pmem.line_size in
@@ -283,13 +294,16 @@ let note_sfence t =
         Hashtbl.iter
           (fun idx state ->
             let off = idx * Pmem.line_size in
-            if idx <> tail_line && off >= l.Layout.super_off && off < l.Layout.total_bytes then
+            if
+              idx <> tail_line && state <> Fill && off >= l.Layout.super_off
+              && off < l.Layout.total_bytes
+            then
               match region_in l off with
               | (Data | Entries | Ring | Head) as region ->
                   violate t Missing_flush idx
                     "commit-point (Tail) fence while %s line is still %s" (region_name region)
-                    (match state with Dirty -> "dirty (never flushed)"
-                    | Flush_pending -> "flush-pending (same fence as Tail)")
+                    (if state = Dirty then "dirty (never flushed)"
+                     else "flush-pending (same fence as Tail)")
               | Flight ->
                   (* Recorder discipline: every flight record written
                      during the commit must have been flushed by the
@@ -307,10 +321,9 @@ let note_sfence t =
   (* Paging analogue: an epoch-word fence is the commit point of a
      paging shard.  Every staged table swing and COW page the epoch bump
      publishes must have been made durable by the earlier stage fence —
-     a table line still volatile here (or a pool line sharing this
-     fence) means the commit point can surface without its mapping or
-     its data.  A {e dirty} pool line is exempt: clean fills are
-     legitimately volatile (they map nothing). *)
+     a table or pool line still volatile here means the commit point
+     can surface without its mapping or its data.  A [Fill] line is
+     exempt, as under logging: a clean fill maps nothing. *)
   List.iter
     (fun (r : Paging.region_layout) ->
       let epoch_line = r.Paging.r_epoch_off / Pmem.line_size in
@@ -318,20 +331,16 @@ let note_sfence t =
         Hashtbl.iter
           (fun idx state ->
             let off = idx * Pmem.line_size in
-            if idx <> epoch_line && off >= r.Paging.r_base && off < r.Paging.r_base + r.Paging.r_total
+            if
+              idx <> epoch_line && state <> Fill && off >= r.Paging.r_base
+              && off < r.Paging.r_base + r.Paging.r_total
             then
               match page_region_in r off with
-              | Table ->
+              | (Table | Pool) as region ->
                   violate t Missing_flush idx
-                    "commit-point (epoch) fence while a table line is still %s"
-                    (match state with
-                    | Dirty -> "dirty (never flushed)"
-                    | Flush_pending -> "flush-pending (same fence as the epoch word)")
-              | Pool ->
-                  if state = Flush_pending then
-                    violate t Missing_flush idx
-                      "commit-point (epoch) fence while a pool line is flush-pending (staged page \
-                       shares the commit fence)"
+                    "commit-point (epoch) fence while a %s line is still %s" (region_name region)
+                    (if state = Dirty then "dirty (never flushed)"
+                     else "flush-pending (same fence as the epoch word)")
               | Flight ->
                   if state = Dirty then
                     violate t Missing_flush idx
@@ -411,12 +420,12 @@ let txn_end t =
   Hashtbl.iter
     (fun idx () ->
       match Hashtbl.find_opt t.volatile idx with
-      | None -> ()
+      | None | Some Fill -> ()
       | Some state ->
           violate t Unfenced_ack idx
             "transaction acknowledged while %s line written inside it is still %s"
             (region_name (region_of_line t idx))
-            (match state with Dirty -> "dirty" | Flush_pending -> "flush-pending"))
+            (if state = Dirty then "dirty" else "flush-pending"))
     t.txn_lines;
   txn_abort t
 

@@ -308,16 +308,19 @@ let writeback ?(background = false) t (info : info) =
 
 (* The NVM side of evicting a victim: write it back if dirty, then
    persistently invalidate its entry so recovery cannot resurrect a
-   block whose NVM space is about to be reused.  Victims are unpinned,
-   so never in log role: a log-role block pins both its current and
-   previous NVM blocks. *)
+   block whose NVM space is about to be reused.  A victim without an
+   entry slot is a volatile clean fill: no entry names it, so it costs
+   nothing.  Victims are unpinned, so never in log role: a log-role
+   block pins both its current and previous NVM blocks. *)
 let evict_hooks t =
   {
     Fc.evict =
       (fun info ->
-        if info.dirty then ignore (writeback t info);
-        Pmem.set_site t.pmem "cache.evict";
-        write_entry t info.slot (invalid_entry ());
+        if info.slot >= 0 then begin
+          if info.dirty then ignore (writeback t info);
+          Pmem.set_site t.pmem "cache.evict";
+          write_entry t info.slot (invalid_entry ())
+        end;
         Metrics.add t.ctr.c_evictions 1);
   }
 
@@ -582,25 +585,22 @@ let charge_lookup t = Clock.advance t.clock t.cpu.Latency.hash_lookup_ns
 
 let fresh_ext ~role_log = { prev = None; role_log; pre_dirty = false }
 
-(* Read-miss fill.  When every cached block is pinned there is no
-   victim: the block is served from disk and stays uncached. *)
+(* Read-miss fill: a frame but no entry slot, no flush, no fence.  When
+   every cached block is pinned there is no victim: the block is served
+   from disk and stays uncached. *)
 let insert_clean t blkno data =
-  let hooks = evict_hooks t in
-  match Fc.take_frame t.fc hooks with
+  match Fc.take_frame t.fc (evict_hooks t) with
   | None -> ()
-  | Some nvm_blk -> (
-      match Fc.take_slot t.fc hooks with
-      | None -> Fc.free_frame t.fc nvm_blk
-      | Some entry_idx ->
-          Pmem.set_site t.pmem "cache.read_fill";
-          let off = Layout.data_block_off t.layout nvm_blk in
-          Pmem.write t.pmem ~off data;
-          Pmem.persist t.pmem ~off ~len:t.cfg.block_size;
-          let info =
-            Fc.insert t.fc ~key:blkno ~frame:nvm_blk ~slot:entry_idx ~dirty:false ~pinned:false
-              (fresh_ext ~role_log:false)
-          in
-          write_entry t entry_idx (entry_of_info ~role:Entry.Buffer info))
+  | Some nvm_blk ->
+      Pmem.set_site t.pmem "cache.read_fill";
+      Pmem.write t.pmem ~off:(Layout.data_block_off t.layout nvm_blk) data;
+      ignore
+        (Fc.insert t.fc ~key:blkno ~frame:nvm_blk ~slot:(-1) ~dirty:false ~pinned:false
+           (fresh_ext ~role_log:false))
+[@@pmem.defer
+  "read-miss fill of a clean block: no entry is written, so the block's durable home stays \
+   the disk — a crash simply un-caches it (recovery rebuilds from the entry table, which never \
+   saw it); flushing the fill would buy nothing"]
 
 let read t blkno =
   charge_op t;
@@ -678,10 +678,21 @@ module Txn = struct
     Fc.insert t.fc ~key:blkno ~frame:new_blk ~slot:entry_idx ~dirty:true ~pinned:true
       (fresh_ext ~role_log:true)
 
+  (* Run before a write to [blkno] allocates anything.  A cached block
+     without an entry slot is a volatile clean fill whose frame was never
+     made durable, so it must never become [prev]: it is dropped, and the
+     write takes the miss path (fresh frame and slot, no [prev]), so
+     revoking it invalidates the entry and the disk keeps the pre-image. *)
+  let drop_fill t blkno =
+    match Fc.find t.fc blkno with
+    | Some info when info.slot < 0 -> Fc.remove t.fc info
+    | _ -> ()
+
   (* Commit one block: paper §4.4 steps 1–3 (write data COW; swing the
      entry atomically; record the block number in the ring and advance
      Head). *)
   let commit_block t blkno data =
+    drop_fill t blkno;
     let new_blk = alloc_data t in
     Pmem.set_site t.pmem "commit.data";
     let off = Layout.data_block_off t.layout new_blk in
@@ -740,6 +751,7 @@ module Txn = struct
   let alloc_group t blocks =
     List.iter
       (fun blkno ->
+        drop_fill t blkno;
         match Fc.find t.fc blkno with Some info -> Fc.set_pinned info true | None -> ())
       blocks;
     (* (disk blkno, COW data block, classification), reversed *)
@@ -860,7 +872,13 @@ module Txn = struct
       raise Transaction_too_large
     in
     if n > t.cfg.ring_slots then reject ();
-    let hits = List.fold_left (fun acc b -> if Fc.mem t.fc b then acc + 1 else acc) 0 blocks in
+    (* A cached block without an entry slot needs one: a miss. *)
+    let hits =
+      List.fold_left
+        (fun acc b ->
+          match Fc.find t.fc b with Some info when info.slot >= 0 -> acc + 1 | _ -> acc)
+        0 blocks
+    in
     let misses = n - hits in
     let evictable = Fc.length t.fc - t.pinned - hits in
     if n > Fc.free_frames t.fc + evictable then reject ();
@@ -1399,23 +1417,42 @@ let check_invariants t =
   if (not t.committing) && Ring.head t.ring <> Ring.tail t.ring then
     fail "ring not quiescent outside commit (head=%d tail=%d)" (Ring.head t.ring)
       (Ring.tail t.ring);
+  let fills = Hashtbl.create 16 in
   let pinned =
     Fc.fold
       (fun info n ->
         let blkno = info.key and x = info.ext in
         if x.prev <> None && not x.role_log then fail "block %d has prev but buffer role" blkno;
         if x.role_log && not info.pinned then fail "log-role block %d not pinned" blkno;
-        let e = entry_at t info.slot in
-        (* Buffer-role media entries legitimately keep a stale prev field
-           after the role switch (it is only dead weight until the next COW
-           update overwrites it), so normalize prev before comparing. *)
-        let e = if e.Entry.role = Entry.Buffer then { e with Entry.prev = x.prev } else e in
-        if not (Entry.equal e (entry_of_info ~role:(if x.role_log then Entry.Log else Entry.Buffer) info))
-        then
-          fail "media entry %s disagrees with DRAM info for block %d"
-            (Format.asprintf "%a" Entry.pp e)
-            blkno;
-        if x.role_log then n + 1 else n)
+        if info.slot < 0 then begin
+          (* A volatile clean fill: nothing on media may depend on it. *)
+          if info.dirty || info.pinned || x.role_log || x.prev <> None then
+            fail "slot-less block %d is not a clean unpinned buffer block" blkno;
+          Hashtbl.replace fills blkno ();
+          n
+        end
+        else begin
+          let e = entry_at t info.slot in
+          (* Buffer-role media entries legitimately keep a stale prev field
+             after the role switch (it is only dead weight until the next COW
+             update overwrites it), so normalize prev before comparing. *)
+          let e = if e.Entry.role = Entry.Buffer then { e with Entry.prev = x.prev } else e in
+          if
+            not
+              (Entry.equal e
+                 (entry_of_info ~role:(if x.role_log then Entry.Log else Entry.Buffer) info))
+          then
+            fail "media entry %s disagrees with DRAM info for block %d"
+              (Format.asprintf "%a" Entry.pp e)
+              blkno;
+          if x.role_log then n + 1 else n
+        end)
       t.fc 0
   in
-  if pinned <> t.pinned then fail "pinned count %d <> recomputed %d" t.pinned pinned
+  if pinned <> t.pinned then fail "pinned count %d <> recomputed %d" t.pinned pinned;
+  if Hashtbl.length fills > 0 then
+    for i = 0 to t.layout.Layout.nblocks - 1 do
+      let e = entry_at t i in
+      if e.Entry.valid && Hashtbl.mem fills e.Entry.disk_blkno then
+        fail "valid entry %d names slot-less block %d" i e.Entry.disk_blkno
+    done

@@ -8,9 +8,9 @@
 module Check = Tinca_checker.Crash_check
 module Tabular = Tinca_util.Tabular
 
-let sweep_property name cfg =
+let sweep_property ?driver name cfg =
   Gate.property name (fun () ->
-      let r = Check.explore cfg in
+      let r = Check.explore ?driver cfg in
       (Check.summary r, r.Check.violations = []))
 
 let run () =

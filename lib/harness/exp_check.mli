@@ -8,4 +8,8 @@ val run : unit -> Tinca_util.Tabular.t list
 (** A {!Tinca_checker.Crash_check.explore} sweep of [cfg] (default
     driver) as a gate property: {!Tinca_checker.Crash_check.summary} in
     the detail, ok when no explored state violated an oracle. *)
-val sweep_property : string -> Tinca_checker.Crash_check.config -> Gate.property
+val sweep_property :
+  ?driver:Tinca_checker.Crash_check.driver ->
+  string ->
+  Tinca_checker.Crash_check.config ->
+  Gate.property

@@ -308,11 +308,21 @@ let spec_properties () =
 
 let gate name doc properties = { Gate.name; doc; properties }
 
+(* The read-miss workload under each way a write can meet a fill. *)
+let read_miss_sweep label scheme =
+  let cfg = { Check.read_miss_config with Check.scheme } in
+  sweep ~driver:(Check.read_miss_driver cfg) ("read-miss sweep (" ^ label ^ ", cap 4)") cfg
+
 let crash_budget =
-  gate "crash-budget" "budgeted crash-space sweep: 3 commits, 64-subset cap"
+  gate "crash-budget"
+    "budgeted crash-space sweep: 3 commits, 64-subset cap; read fills, eviction and writes to \
+     fills under all three commit paths"
     [
       sweep "crash sweep (3 commits, cap 64)"
         { Check.default_config with Check.ncommits = 3; masks = Check.Capped 64 };
+      read_miss_sweep "batched" (Tinca.Config.Logging Tinca.Batched);
+      read_miss_sweep "per-block" (Tinca.Config.Logging Tinca.Per_block);
+      read_miss_sweep "paging" (Tinca.Config.Paging Tinca.Config.default_page_cfg);
     ]
 
 let spec =

@@ -15,7 +15,8 @@ let state_mask = 3
 
 (* A slot index is below the line count, so capping that at 2^29 keeps
    every word a non-negative int32. *)
-let max_lines = 1 lsl 29
+let owner_bits = 29
+let max_lines = 1 lsl owner_bits
 
 (* 32-bit cells of [t.lines] and [t.wear], unchecked: every line index
    that reaches them comes from a range [check_range] accepted, from
@@ -25,15 +26,19 @@ let max_lines = 1 lsl 29
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
-(* Pre-image slots: fixed-size chunks of [chunk_slots] slots, each the
-   line that owns it, the stamp it was taken with and that line's 64 B
-   pre-image.  Slot [s] lives in chunk [s lsr chunk_bits], index
-   [s land chunk_mask]. *)
+(* Pre-image slots: fixed-size chunks of [chunk_slots] slots, each one
+   int cell (the stamp it was taken with, above the [owner_bits] of the
+   line that owns it) and that line's 64 B pre-image: 72 B a slot, which
+   matters because every stored but never flushed line keeps one.  Slot
+   [s] lives in chunk [s lsr chunk_bits], index [s land chunk_mask]. *)
 let chunk_bits = 10
 let chunk_slots = 1 lsl chunk_bits
 let chunk_mask = chunk_slots - 1
 
-type chunk = { owner : int array; stamp : int array; pre : Bytes.t }
+type chunk = { cell : int array; pre : Bytes.t }
+
+(* The largest stamp a cell holds (2^33 - 1). *)
+let max_stamp = max_int lsr owner_bits
 
 (* The bucket count of [Hashtbl.create 4096], the table whose fold order
    [crash] draws in (see [fold_order]). *)
@@ -56,6 +61,7 @@ type counters = {
   c_clflush_writebacks : Metrics.counter;
   c_sfence : Metrics.counter;
   c_lines_persisted : Metrics.counter;
+  c_lines_dirtied : Metrics.counter;
 }
 
 type t = {
@@ -126,6 +132,7 @@ let create ?(seed = 42) ?(flush_instr = Latency.Clflush) ~clock ~metrics ~tech ~
          c_clflush_writebacks = c "pmem.clflush_writebacks";
          c_sfence = c "pmem.sfence";
          c_lines_persisted = c "pmem.lines_persisted";
+         c_lines_dirtied = c "pmem.lines_dirtied";
        });
     tech;
     flush_instr;
@@ -166,8 +173,12 @@ let word t idx = Int32.to_int (get32 t.lines (idx lsl 2))
 let set_word t idx w = set32 t.lines (idx lsl 2) (Int32.of_int w)
 let slot_of w = w lsr state_bits
 let with_state w state = w land lnot state_mask lor state
-let owner t s = t.chunks.(s lsr chunk_bits).owner.(s land chunk_mask)
-let stamp t s = t.chunks.(s lsr chunk_bits).stamp.(s land chunk_mask)
+let owner t s = t.chunks.(s lsr chunk_bits).cell.(s land chunk_mask) land (max_lines - 1)
+let stamp t s = t.chunks.(s lsr chunk_bits).cell.(s land chunk_mask) lsr owner_bits
+
+let set_cell t s ~stamp idx =
+  t.chunks.(s lsr chunk_bits).cell.(s land chunk_mask) <- (stamp lsl owner_bits) lor idx
+
 let wear t idx = Int32.to_int (get32 t.wear (idx lsl 2)) land 0xFFFF_FFFF
 let bump_wear t idx = set32 t.wear (idx lsl 2) (Int32.succ (get32 t.wear (idx lsl 2)))
 
@@ -186,6 +197,25 @@ let trim t =
   let keep = max 1 ((t.next + chunk_mask) lsr chunk_bits) in
   if Array.length t.chunks > keep then t.chunks <- Array.sub t.chunks 0 keep
 
+(* The slots owned by a non-clean line, ascending.  A given-back slot
+   still names its last owner, but that line is now clean or owns
+   another slot. *)
+let owned_slots t =
+  let acc = ref [] in
+  for s = t.next - 1 downto 0 do
+    let w = word t (owner t s) in
+    if w land state_mask <> clean && slot_of w = s then acc := s :: !acc
+  done;
+  !acc
+
+(* Past [max_stamp] the owned slots are renumbered 0, 1, ... in stamp
+   order: [fold_order] reads only the order of the owned slots' stamps,
+   and a given-back slot's stamp is overwritten when it is taken. *)
+let renumber t =
+  let owned = List.sort (fun a b -> Int.compare (stamp t a) (stamp t b)) (owned_slots t) in
+  List.iteri (fun i s -> set_cell t s ~stamp:i (owner t s)) owned;
+  t.seq <- List.length owned
+
 (* Line [idx] leaves [clean] as [state] with the pre-image at [src_off]
    in [src]: it takes the most recently given-back slot, or else the
    next one never handed out, stamped with the next sequence number. *)
@@ -201,21 +231,16 @@ let take_slot t idx state src src_off =
         t.chunks <-
           Array.append t.chunks
             [|
-              {
-                owner = Array.make chunk_slots 0;
-                stamp = Array.make chunk_slots 0;
-                pre = Bytes.create (chunk_slots * line_size);
-              };
+              { cell = Array.make chunk_slots 0; pre = Bytes.create (chunk_slots * line_size) };
             |];
       t.next <- s + 1;
       s
     end
   in
-  let c = t.chunks.(s lsr chunk_bits) and i = s land chunk_mask in
-  c.owner.(i) <- idx;
-  c.stamp.(i) <- t.seq;
+  if t.seq > max_stamp then renumber t;
+  set_cell t s ~stamp:t.seq idx;
   t.seq <- t.seq + 1;
-  Bytes.blit src src_off c.pre (i * line_size) line_size;
+  Bytes.blit src src_off t.chunks.(s lsr chunk_bits).pre ((s land chunk_mask) * line_size) line_size;
   set_word t idx ((s lsl state_bits) lor state);
   t.live <- t.live + 1;
   if t.live > 2 * t.nbuckets then t.nbuckets <- 2 * t.nbuckets
@@ -236,30 +261,25 @@ let push_flushed t idx =
   t.flushed.(t.nflushed) <- idx;
   t.nflushed <- t.nflushed + 1
 
-(* The slots owned by a non-clean line, ascending.  A given-back slot
-   still names its last owner, but that line is now clean or owns
-   another slot. *)
-let owned_slots t =
-  let acc = ref [] in
-  for s = t.next - 1 downto 0 do
-    let w = word t (owner t s) in
-    if w land state_mask <> clean && slot_of w = s then acc := s :: !acc
-  done;
-  !acc
-
 (* Before a store mutates line [idx], keep its durable content as
    rollback state.  A store into a flush-pending line resolves the
    in-flight write-back adversarially: it may or may not have reached the
-   medium. *)
+   medium.  Returns whether the line entered [dirty] (from clean or
+   flush-pending): each such entry owes the medium one more write. *)
 let dirty_line t idx =
   let w = word t idx in
   let s = w land state_mask in
-  if s = clean then take_slot t idx dirty t.media (idx * line_size)
+  if s = clean then begin
+    take_slot t idx dirty t.media (idx * line_size);
+    true
+  end
   else if s = pending then begin
     if Tinca_util.Rng.bool t.rng then set_pre t (slot_of w) t.media (idx * line_size);
     set_word t idx (with_state w dirty);
-    t.npending <- t.npending - 1
+    t.npending <- t.npending - 1;
+    true
   end
+  else false
 
 let lines_of_range off len =
   let first = off / line_size in
@@ -294,13 +314,15 @@ let store_range t off len =
   if len > 0 then begin
     event t;
     let first, last = lines_of_range off len in
+    let entered = ref 0 in
     for idx = first to last do
-      dirty_line t idx
+      if dirty_line t idx then incr entered
     done;
     let nlines = last - first + 1 in
     Clock.advance t.clock (t.lat.store_ns *. float_of_int nlines);
     Metrics.add t.ctr.c_stores 1;
-    Metrics.add t.ctr.c_store_lines nlines
+    Metrics.add t.ctr.c_store_lines nlines;
+    Metrics.add t.ctr.c_lines_dirtied !entered
   end
 
 let write_sub t ~off src ~pos ~len =

@@ -37,7 +37,10 @@
     and bumps counters in the owning {!Tinca_sim.Metrics}:
     ["pmem.stores"], ["pmem.store_lines"], ["pmem.clflush"],
     ["pmem.sfence"], ["pmem.lines_persisted"], ["pmem.read_lines"],
-    ["pmem.atomic_writes"]. *)
+    ["pmem.atomic_writes"], and ["pmem.lines_dirtied"]: the times a line
+    entered the dirty state from clean or flush-pending, each one medium
+    write owed, whether or not a flush ever starts it
+    (["pmem.clflush_writebacks"] counts only the ones that did). *)
 
 type t
 

@@ -153,7 +153,9 @@ let test_flush_all_single_fence () =
    — must return to the free pools.  Pre-fix, the leaked references made
    [check_invariants] fail on the free-monitor accounting.
 
-   Setup: fill the cache completely with clean blocks, then stage a
+   Setup: fill the cache completely with persisted blocks (committed:
+   a read fill holds no entry and would be a write miss, not a hit),
+   then stage a
    transaction of 4 misses followed by every cached block as a hit.
    Admission control would reject it, so drive it through
    [commit_prefix]: pass 1 pins all hits, the misses consume the only 4
@@ -163,11 +165,12 @@ let test_flush_all_single_fence () =
 let test_group_alloc_rollback () =
   let env = mk_env ~nblocks:128 () in
   let cache = mk_cache ~config:{ Cache.default_config with ring_slots = 64 } env in
-  (* Fill the cache: read distinct blocks until the data pool is empty. *)
+  (* Fill the cache: commit distinct zero blocks until the data pool is
+     empty. *)
   let cached = ref [] in
   let next = ref 0 in
   while Cache.free_blocks cache > 0 do
-    ignore (Cache.read cache !next);
+    Cache.write_direct cache !next (Bytes.make 4096 '\000');
     cached := !next :: !cached;
     incr next
   done;

@@ -214,7 +214,9 @@ let test_round_trip () =
 (* --- a read miss with every cached block pinned ----------------------------- *)
 
 (* 160 KiB of NVM caches 39 blocks under either engine.  Fill the cache
-   with reads, then one-block write hits over the cached blocks until
+   with committed blocks (a read fill holds no entry, so a write over it
+   is a miss that reuses its frame and pins nothing more), then
+   one-block write hits over the cached blocks until
    the engine refuses one.  Under logging the accepted ones stay sealed
    in a pending group batch, so every cached block is pinned and a read
    miss finds no victim: it must be served from disk, uncached, and
@@ -241,7 +243,9 @@ let test_pinned_read_miss scheme () =
       (Tinca.format ~config ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics)
   in
   for b = 0 to 38 do
-    ignore (Tinca.ok_exn (Tinca.read tc b))
+    let txn = Tinca.init_txn tc in
+    Tinca.ok_exn (Tinca.write txn b (payload 'c'));
+    Tinca.ok_exn (Tinca.commit txn)
   done;
   let rec seal b acc =
     if b > 38 then List.rev acc

@@ -63,12 +63,14 @@ let test_too_large_rejection_is_terminal () =
 
 (* Revoking a COW write hit on a clean cached block must restore the
    clean modified bit: the block's content rolls back AND no spurious
-   disk write-back is scheduled for it. *)
+   disk write-back is scheduled for it.  The block is made a persisted
+   clean block (committed, then written back): a read fill has no entry
+   and is not a COW write hit. *)
 let test_revocation_restores_clean_bit () =
   let env = mk_env () in
   let cache = mk_cache env in
-  Disk.write_block env.disk 7 (Bytes.make 4096 'a');
-  ignore (Cache.read cache 7);
+  Cache.write_direct cache 7 (Bytes.make 4096 'a');
+  Cache.flush_all cache;
   (* Injected mid-commit failure after the block's COW step, then the
      production revocation path. *)
   let h = Cache.Txn.init cache in
@@ -83,6 +85,26 @@ let test_revocation_restores_clean_bit () =
   Cache.flush_all cache;
   Alcotest.(check int) "no spurious write-back of the clean block" writes_before
     (Disk.writes env.disk)
+
+(* A write to a read-filled block (cached, no entry) is a write miss:
+   revoking it drops the block, whose pre-image is the disk copy, and
+   writes nothing to disk. *)
+let test_revocation_uncaches_fill () =
+  let env = mk_env () in
+  let cache = mk_cache env in
+  Disk.write_block env.disk 7 (Bytes.make 4096 'a');
+  ignore (Cache.read cache 7);
+  Alcotest.(check bool) "fill cached" true (Cache.contains cache 7);
+  let writes_before = Disk.writes env.disk in
+  let h = Cache.Txn.init cache in
+  Cache.Txn.add h 7 (Bytes.make 4096 'b');
+  Cache.Txn.commit_prefix h 1;
+  Cache.Txn.abort h;
+  Cache.check_invariants cache;
+  Alcotest.(check bool) "revoked fill is uncached" false (Cache.contains cache 7);
+  Alcotest.(check bytes) "read returns the disk bytes" (Bytes.make 4096 'a') (Cache.read cache 7);
+  Cache.flush_all cache;
+  Alcotest.(check int) "no disk write" writes_before (Disk.writes env.disk)
 
 (* A dirty pre-state must stay dirty through revocation: the revoked
    block's committed-but-unflushed data still needs its write-back. *)
@@ -225,9 +247,11 @@ let test_sweep_past_span_rejected () =
   let cfg = FCheck.default_config in
   rejects "flight driver" (Some (fst (FCheck.driver cfg))) cfg
 
-(* Exact reports of three small sweeps, recorded before the flight sweep
-   became a Crash_check driver: merging the loops must not change what
-   any sweep explores. *)
+(* Exact reports of small sweeps: a change to what any sweep explores
+   must show here.  The default and lockstep spans count 5 events fewer
+   per read fill than when a fill persisted its data and entry (1 store
+   instead of store, flush, fence, entry write, flush, fence): 1 fill in
+   the default workload, 7 in the lockstep sequence. *)
 let check_counts name r ~span ~points ~states ~deduped ~capped ~torn =
   let pin what = Alcotest.(check int) (Printf.sprintf "%s: %s" name what) in
   pin "span" span r.Check.span;
@@ -243,7 +267,7 @@ let test_default_sweep_counts_pinned () =
     Check.explore
       { Check.default_config with Check.ncommits = 2; masks = Check.Capped 8; stride = 7 }
   in
-  check_counts "default driver" r ~span:372 ~points:54 ~states:389 ~deduped:0 ~capped:47 ~torn:194
+  check_counts "default driver" r ~span:367 ~points:53 ~states:385 ~deduped:0 ~capped:47 ~torn:194
 
 let test_flight_sweep_counts_pinned () =
   let module FCheck = Tinca_checker.Flight_check in
@@ -254,11 +278,19 @@ let test_flight_sweep_counts_pinned () =
   Alcotest.(check int) "dossiers built" 121 counts.FCheck.dossiers_built;
   Alcotest.(check int) "records replayed" 734 counts.FCheck.records_replayed
 
+(* Fills, evictions under read pressure, then writes to filled blocks,
+   judged by the prefix oracle at every crash point. *)
+let test_read_miss_sweep_counts_pinned () =
+  let cfg = Check.read_miss_config in
+  let r = Check.explore ~driver:(Check.read_miss_driver cfg) cfg in
+  check_counts "read-miss driver" r ~span:545 ~points:545 ~states:2177 ~deduped:0 ~capped:544
+    ~torn:961
+
 let test_crash_refine_counts_pinned () =
   let module L = Tinca_checker.Lockstep in
   let g = { L.default_geometry with L.nshards = 2 } in
   let r = L.crash_refine ~cap:16 ~stride:3 g (L.gen ~seed:2 ~len:14 ~universe:g.L.universe) in
-  check_counts "lockstep driver" r ~span:202 ~points:68 ~states:752 ~deduped:0 ~capped:45 ~torn:65
+  check_counts "lockstep driver" r ~span:167 ~points:56 ~states:739 ~deduped:0 ~capped:45 ~torn:65
 
 let suite =
   [
@@ -268,6 +300,7 @@ let suite =
           test_too_large_rejection_is_terminal;
         Alcotest.test_case "revocation restores clean bit" `Quick
           test_revocation_restores_clean_bit;
+        Alcotest.test_case "revocation uncaches a read fill" `Quick test_revocation_uncaches_fill;
         Alcotest.test_case "revocation keeps dirty bit" `Quick test_revocation_keeps_dirty_bit;
         Alcotest.test_case "corrupt superblock: zero block size" `Quick
           test_corrupt_superblock_block_size;
@@ -290,5 +323,7 @@ let suite =
         Alcotest.test_case "default driver counts pinned" `Quick test_default_sweep_counts_pinned;
         Alcotest.test_case "flight driver counts pinned" `Quick test_flight_sweep_counts_pinned;
         Alcotest.test_case "crash refinement counts pinned" `Quick test_crash_refine_counts_pinned;
+        Alcotest.test_case "read-miss driver counts pinned" `Quick
+          test_read_miss_sweep_counts_pinned;
       ] );
   ]

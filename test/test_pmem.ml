@@ -139,6 +139,35 @@ let test_counters () =
   Alcotest.(check int) "sfence count" 1 (Metrics.get m "pmem.sfence");
   Alcotest.(check int) "lines persisted" 4 (Metrics.get m "pmem.lines_persisted")
 
+(* A line entering dirty owes the medium one write: once every store is
+   flushed and fenced, the entries equal the write-backs; a store nobody
+   flushes owes its lines and has started none. *)
+let test_lines_dirtied () =
+  let p, _, m = mk () in
+  let check_equal what =
+    Alcotest.(check int) what
+      (Metrics.get m "pmem.clflush_writebacks")
+      (Metrics.get m "pmem.lines_dirtied")
+  in
+  Pmem.write p ~off:0 (Bytes.make 256 'x');
+  Pmem.clflush p ~off:0 ~len:256;
+  (* Re-dirties a flush-pending line: one more write owed. *)
+  Pmem.write p ~off:64 (Bytes.make 8 'y');
+  Pmem.atomic_write8 p ~off:512 7L;
+  (* A store into a line that is already dirty owes nothing new. *)
+  Pmem.atomic_write8 p ~off:520 8L;
+  Pmem.flush_ranges p [ (0, 256); (512, 16) ];
+  Pmem.sfence p;
+  Alcotest.(check int) "lines dirtied" 6 (Metrics.get m "pmem.lines_dirtied");
+  check_equal "flushed sequence: dirtied = write-backs";
+  Pmem.persist p ~off:0 ~len:1024;
+  check_equal "clean lines flushed again owe nothing";
+  let p, _, m = mk () in
+  Pmem.write p ~off:0 (Bytes.make 4096 'z');
+  Alcotest.(check int) "4 KiB unflushed store: dirtied" 64 (Metrics.get m "pmem.lines_dirtied");
+  Alcotest.(check int) "4 KiB unflushed store: write-backs" 0
+    (Metrics.get m "pmem.clflush_writebacks")
+
 let test_clock_charges () =
   let p, clock, _ = mk ~tech:Latency.Pcm () in
   let t0 = Clock.now_ns clock in
@@ -964,6 +993,7 @@ let suite =
     ( "pmem.accounting",
       [
         Alcotest.test_case "counters" `Quick test_counters;
+        Alcotest.test_case "lines dirtied" `Quick test_lines_dirtied;
         Alcotest.test_case "clock charges" `Quick test_clock_charges;
         Alcotest.test_case "technology cost ordering" `Quick test_tech_affects_cost;
         Alcotest.test_case "crash countdown hook" `Quick test_crash_countdown;

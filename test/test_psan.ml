@@ -146,6 +146,28 @@ let test_missing_flush_unflushed_entry () =
       Alcotest.(check string) "region" "entries" (Psan.region_name v.Psan.region)
   | vs -> Alcotest.failf "expected exactly one violation, got %d" (List.length vs))
 
+(* A read fill's lines are the one unflushed data a commit point and an
+   acknowledgement may leave behind; once any other site stores over
+   them they are dirty data again and the Tail fence flags them. *)
+let test_fill_exempt_until_overwritten () =
+  let pmem, layout, psan = mk_harness () in
+  let fill_off = Layout.data_block_off layout 1 in
+  Psan.txn_begin psan;
+  Pmem.set_site pmem "cache.read_fill";
+  Pmem.write pmem ~off:fill_off (Bytes.make layout.Layout.block_size 'f');
+  Psan.txn_end psan;
+  replay_commit pmem layout;
+  Alcotest.(check int) "unflushed fill exempt at txn_end and the Tail fence" 0
+    (Psan.violation_count psan);
+  Pmem.set_site pmem "commit.data";
+  Pmem.write pmem ~off:fill_off (Bytes.make 64 'd');
+  replay_commit pmem layout;
+  match Psan.violations psan with
+  | [ v ] ->
+      Alcotest.(check string) "rule" "missing-flush" (Psan.rule_name v.Psan.rule);
+      Alcotest.(check int) "the overwritten line" (fill_off / Pmem.line_size) v.Psan.line
+  | vs -> Alcotest.failf "expected exactly one violation, got %d" (List.length vs)
+
 let test_unfenced_ack () =
   let pmem, layout, psan = mk_harness () in
   Psan.txn_begin psan;
@@ -236,6 +258,8 @@ let suite =
           test_missing_flush_dropped_data_flush;
         Alcotest.test_case "missing-flush: unflushed entry" `Quick
           test_missing_flush_unflushed_entry;
+        Alcotest.test_case "missing-flush: fill exempt until overwritten" `Quick
+          test_fill_exempt_until_overwritten;
         Alcotest.test_case "unfenced-ack: commit without persist" `Quick test_unfenced_ack;
         Alcotest.test_case "torn-metadata: non-atomic entry write" `Quick test_torn_metadata;
         Alcotest.test_case "persist-race: store into pending head" `Quick test_persist_race;
