@@ -171,6 +171,10 @@ let run_trace stack_name shards scheme trace_file synth_ops read_pct nblocks cra
   Printf.printf "lines flushed/op  %10.1f\n" (per_op "pmem.clflush_writebacks");
   Printf.printf "lines dirtied/op  %10.1f\n" (per_op "pmem.lines_dirtied");
   Printf.printf "disk writes/op    %10.2f\n" (per_op "disk.writes");
+  (* Dirty blocks the cleaner wrote, and the ones replacement
+     had to write back on the foreground path (both engines). *)
+  Printf.printf "cleaned/op        %10.2f\n" (per_op "tinca.cleaned");
+  Printf.printf "fg write-backs/op %10.2f\n" (per_op "tinca.writebacks" -. per_op "tinca.cleaned");
   Printf.printf "disk reads/op     %10.2f\n" (per_op "disk.reads");
   Printf.printf "cache write hit   %10.1f%%\n" (100.0 *. stack.Stacks.cache_write_hit_rate ());
   (* Power fails after [crash_at] ops; the rest of the trace runs on the

@@ -42,7 +42,8 @@ let check t blkno =
 
 (* Positioning cost: nothing when the access is sequential; otherwise for
    an HDD a distance-scaled seek plus average half-rotation folded into
-   [seek_ns]; SSDs have no positioning cost beyond the per-block figure. *)
+   [seek_ns]; SSDs have no positioning cost beyond the per-block figure.
+   Pure: the caller moves the head once the access is issued. *)
 let position_cost t blkno =
   let sequential = blkno = t.head + 1 || blkno = t.head in
   let cost =
@@ -54,8 +55,14 @@ let position_cost t blkno =
           let dist = float_of_int (abs (blkno - t.head)) /. float_of_int t.nblocks in
           t.lat.Latency.seek_ns *. (0.25 +. (0.75 *. sqrt dist))
   in
-  t.head <- blkno;
   (cost, sequential)
+
+(* Device time of a write of [blkno] issued now, and whether it is
+   sequential. *)
+let write_cost t blkno =
+  let pos_cost, sequential = position_cost t blkno in
+  let xfer = if sequential then t.lat.Latency.seq_block_ns else t.lat.Latency.write_block_ns in
+  (pos_cost +. xfer, sequential)
 
 (* One queued device access: it starts when both the caller issues it and
    the device is free, and occupies the device for [cost].  Foreground
@@ -70,6 +77,7 @@ let access t ~background cost =
 let read_block t blkno =
   check t blkno;
   let pos_cost, sequential = position_cost t blkno in
+  t.head <- blkno;
   let xfer =
     if sequential then t.lat.Latency.seq_block_ns else t.lat.Latency.read_block_ns
   in
@@ -80,19 +88,50 @@ let read_block t blkno =
   | Some b -> Bytes.copy b
   | None -> Bytes.make t.block_size '\000'
 
-let write_block ?(background = false) t blkno data =
-  check t blkno;
-  if Bytes.length data <> t.block_size then
-    invalid_arg "Disk.write_block: wrong block size";
-  let pos_cost, sequential = position_cost t blkno in
-  let xfer =
-    if sequential then t.lat.Latency.seq_block_ns else t.lat.Latency.write_block_ns
-  in
-  access t ~background (pos_cost +. xfer);
+let store_write t blkno data ~sequential =
   t.writes <- t.writes + 1;
   Metrics.add t.c_writes 1;
   if sequential then Metrics.add t.c_seq_writes 1;
   Hashtbl.replace t.store blkno (Bytes.copy data)
+
+let check_size t data what =
+  if Bytes.length data <> t.block_size then invalid_arg (what ^ ": wrong block size")
+
+let write_block ?(background = false) t blkno data =
+  check t blkno;
+  check_size t data "Disk.write_block";
+  let cost, sequential = write_cost t blkno in
+  t.head <- blkno;
+  access t ~background cost;
+  store_write t blkno data ~sequential
+
+(* Background write-back in idle time that has already passed (foreground
+   I/O pre-empts it, as NAND program suspend lets reads do): the write
+   occupies [busy_until, + cost] — the start of the gap — and happens
+   only when its data existed by then and the whole write ends by now.
+   [busy_until] then stays at or before now, so a later foreground
+   access starts exactly when it would have.  SSD only: an HDD cannot
+   suspend a seek, so it has no idle writes. *)
+let write_idle t ~not_before blkno data =
+  check t blkno;
+  let cost, sequential = write_cost t blkno in
+  let finish = t.busy_until +. cost in
+  if t.lat.Latency.kind <> Latency.Ssd || not_before > t.busy_until
+     || finish > Clock.now_ns t.clock
+  then false
+  else begin
+    let data = data () in
+    check_size t data "Disk.write_idle";
+    t.busy_until <- finish;
+    store_write t blkno data ~sequential;
+    true
+  end
+
+(* An SSD has no positioning cost, so a random write is the dearest
+   write the gap must fit. *)
+let idle_fits t =
+  t.lat.Latency.kind = Latency.Ssd
+  && Clock.now_ns t.clock -. t.busy_until >= t.lat.Latency.write_block_ns
 
 let written_blocks t = Hashtbl.length t.store
 let reads t = t.reads

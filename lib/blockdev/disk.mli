@@ -34,6 +34,23 @@ val read_block : t -> int -> bytes
     clock. *)
 val write_block : ?background:bool -> t -> int -> bytes -> unit
 
+(** [write_idle t ~not_before blkno data] places a write of [blkno] at
+    the start of the device's current idle gap — when its last access
+    completed — if the data existed by then ([not_before], simulated ns)
+    and the whole write ends by now.  Returns whether it was written;
+    [data ()] is called only then.  It never advances the clock, moves
+    the head or delays a later access: the model is that foreground I/O
+    pre-empts background write-back, as NAND program suspend lets reads
+    do (Wu & He, FAST '12), and it uses only gaps a whole write fits.
+    An HDD cannot suspend a seek, so on an HDD it always returns
+    [false]. *)
+val write_idle : t -> not_before:float -> int -> (unit -> bytes) -> bool
+
+(** Whether {!write_idle} can succeed now: the device is an SSD and has
+    been idle, since its last access completed, for at least one random
+    block write (an SSD's dearest write; it has no positioning cost). *)
+val idle_fits : t -> bool
+
 (** Number of distinct blocks ever written (sparse footprint). *)
 val written_blocks : t -> int
 

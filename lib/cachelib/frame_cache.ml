@@ -4,6 +4,7 @@ type 'a block = {
   mutable slot : int;
   mutable pinned : bool;
   mutable dirty : bool;
+  mutable durable_at : int;
   mutable node : 'a block Lru.node option;
   ext : 'a;
 }
@@ -58,7 +59,7 @@ let set_dirty t b v =
   end
 
 let insert t ~key ~frame ~slot ~dirty ~pinned ext =
-  let b = { key; frame; slot; pinned; dirty = false; node = None; ext } in
+  let b = { key; frame; slot; pinned; dirty = false; durable_at = 0; node = None; ext } in
   set_dirty t b dirty;
   b.node <- Some (Lru.push_mru t.lru b);
   Hashtbl.replace t.index key b;
@@ -75,6 +76,7 @@ let remove t b =
 let set_frame b f = b.frame <- f
 let set_slot b s = b.slot <- s
 let set_pinned b v = b.pinned <- v
+let stamp_durable b now = b.durable_at <- int_of_float (Float.ceil now)
 let dirty_count t = t.ndirty
 let free_frames t = Free_monitor.free_count t.frames
 let free_slots t = Free_monitor.free_count t.slots
@@ -120,6 +122,77 @@ let take_slot t hooks = take t.slots t hooks ~frames:0 ~slots:1
 let iter_lru f t = Lru.iter f t.lru
 
 let iter_lru_while t f = ignore (Lru.find_from_lru t.lru ~f:(fun b -> not (f b)))
+
+module Disk = Tinca_blockdev.Disk
+
+type 'a cleaner = {
+  disk : Disk.t;
+  dma_read : 'a block -> bytes;
+  read : 'a block -> bytes;
+  cleaned : 'a block list -> unit;
+}
+
+let frontier = 64
+let pressure_dirty = 0.7
+
+(* The walk is bounded by [frontier] unpinned blocks and stops as soon as
+   the idle gap is used up; dirty blocks whose version became durable too
+   late for the gap are skipped, not waited for.  Returns the written
+   blocks, oldest write first. *)
+let clean_idle t c =
+  if free_frames t >= frontier || not (Disk.idle_fits c.disk) then []
+  else begin
+    let seen = ref 0 and written = ref [] in
+    iter_lru_while t (fun b ->
+        if not b.pinned then begin
+          incr seen;
+          if
+            b.dirty
+            && Disk.write_idle c.disk ~not_before:(float_of_int b.durable_at) b.key (fun () ->
+                   c.dma_read b)
+          then begin
+            set_dirty t b false;
+            written := b :: !written
+          end
+        end;
+        !seen < frontier && Disk.idle_fits c.disk);
+    List.rev !written
+  end
+
+(* Above [pressure_dirty] of the frames dirty, the LRU-most unpinned
+   dirty blocks down to 7/8 of that level go to disk as one batch in
+   queued background device time, elevator-sorted by home block so a run
+   of neighbours transfers at the sequential rate. *)
+let clean_pressure t c =
+  let high = int_of_float (pressure_dirty *. float_of_int (Free_monitor.capacity t.frames)) in
+  if t.ndirty <= high then []
+  else begin
+    let budget = ref (t.ndirty - (high * 7 / 8)) and victims = ref [] in
+    iter_lru_while t (fun b ->
+        if b.dirty && not b.pinned then begin
+          victims := b :: !victims;
+          decr budget
+        end;
+        !budget > 0);
+    let sorted = List.sort (fun a b -> compare a.key b.key) !victims in
+    List.iter
+      (fun b ->
+        let data = c.read b in
+        Disk.write_block ~background:true c.disk b.key data;
+        set_dirty t b false)
+      sorted;
+    sorted
+  end
+
+(* The pressure batch goes first: once it has queued, the disk has no
+   idle gap left, so the idle pass only runs when no batch was due. *)
+let clean t c ~after_commit =
+  let batch = if after_commit then clean_pressure t c else [] in
+  match batch @ clean_idle t c with
+  | [] -> 0
+  | written ->
+      c.cleaned written;
+      List.length written
 
 let fold f t acc = Hashtbl.fold (fun _ b acc -> f b acc) t.index acc
 let read_hits t = t.read_hits

@@ -6,8 +6,9 @@
     owns the block → frame index, the LRU, the free-frame and free-slot
     pools (a {e slot} is the persistent record naming a block: a logging
     entry, a paging table slot), pins, the dirty count, hit/miss/eviction
-    counters, victim selection and a structural audit.  It never touches
-    NVM: the NVM side of an eviction is the caller's {!hooks}. *)
+    counters, victim selection, the cleaner ({!clean}) and a
+    structural audit.  It never touches NVM: the NVM side of an eviction
+    or a cleaning is the caller's. *)
 
 type 'a t
 
@@ -19,6 +20,9 @@ type 'a block = private {
   mutable slot : int;  (** metadata slot, or -1 for none *)
   mutable pinned : bool;  (** never a victim while set *)
   mutable dirty : bool;
+  mutable durable_at : int;
+      (** simulated ns by which the current version was durable; 0 for a
+          version that was durable before the cache was built *)
   mutable node : 'a block Lru.node option;
   ext : 'a;  (** engine-specific state *)
 }
@@ -54,6 +58,10 @@ val remove : 'a t -> 'a block -> unit
 val set_frame : 'a block -> int -> unit
 val set_slot : 'a block -> int -> unit
 val set_pinned : 'a block -> bool -> unit
+
+(** [stamp_durable b now]: the current version became durable at [now]
+    (the engine's commit point), rounded up to whole ns. *)
+val stamp_durable : 'a block -> float -> unit
 val set_dirty : 'a t -> 'a block -> bool -> unit
 val dirty_count : 'a t -> int
 val free_frames : 'a t -> int
@@ -89,6 +97,65 @@ val take_slot : 'a t -> 'a hooks -> int option
 val iter_lru : ('a block -> unit) -> 'a t -> unit
 
 val iter_lru_while : 'a t -> ('a block -> bool) -> unit
+
+(** {1 The cleaner}
+
+    Both engines' background write-back (paper §4.6's write-back LRU):
+    dirty blocks near the LRU end are written to disk off the caller's
+    path, so that replacement finds clean victims instead of stalling
+    on a synchronous disk write.  Two passes share one walk order and
+    one NVM hook:
+
+    - the {e idle} pass writes into device time that has already gone
+      idle ({!Tinca_blockdev.Disk.write_idle}), delaying no access;
+    - the {e pressure} pass, after a commit only (the one operation that
+      dirties blocks), runs when the dirty share exceeds
+      {!pressure_dirty} and the idle pass could not hold it down: a
+      streaming writer leaves the disk no idle gap. *)
+
+(** The engine side of a cleaning. *)
+type 'a cleaner = {
+  disk : Tinca_blockdev.Disk.t;
+  dma_read : 'a block -> bytes;
+      (** an idle write's data: the frame, read by the device (DMA) and
+          charged to nobody *)
+  read : 'a block -> bytes;
+      (** a pressure write's data: the frame, read on the caller's clock
+          like a foreground write-back's *)
+  cleaned : 'a block list -> unit;
+      (** the NVM side for every block just written, in write order:
+          persist their clean marks, or drop their metadata slots *)
+}
+
+(** How many unpinned LRU-most blocks one idle pass considers (64), and
+    the free-frame level below which it runs at all. *)
+val frontier : int
+
+(** Dirty share of the frames (0.7) above which the pressure pass
+    runs. *)
+val pressure_dirty : float
+
+(** [clean t c ~after_commit] runs the pressure pass if [after_commit],
+    then the idle pass (which finds no gap once a batch has queued), and
+    hands every block written to [c.cleaned] in one call.  A written block is marked clean and stays
+    cached.  Returns how many blocks were written.
+
+    The idle pass runs only when fewer than {!frontier} frames are free
+    and the disk has an idle gap that fits a write
+    ({!Tinca_blockdev.Disk.idle_fits}).  It walks the {!frontier}
+    LRU-most unpinned blocks and writes each dirty one whose version was
+    durable ([durable_at]) before the gap began — so a version reaches
+    the disk only after it became durable — stopping once the gap is
+    used up.
+
+    The pressure pass runs when more than {!pressure_dirty} of the
+    frames are dirty.  It takes the LRU-most unpinned dirty blocks
+    until 7/8 of that level would remain, and writes them in home-block
+    order with queued background writes
+    ([Disk.write_block ~background:true]): the caller does not wait,
+    but later accesses queue behind them.  Every unpinned dirty block is
+    committed when a commit ends, so no durability stamp is needed. *)
+val clean : 'a t -> 'a cleaner -> after_commit:bool -> int
 
 (** In index (hash table) order. *)
 val fold : ('a block -> 'b -> 'b) -> 'a t -> 'b -> 'b

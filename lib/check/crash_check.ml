@@ -174,20 +174,28 @@ let run_workload cfg tc oracle pending =
     commit_fills tc oracle pending writes
   done
 
-let mk_tinca cfg env =
+let mk_tinca ?(group_window_ns = 0) cfg env =
   Tinca.ok_exn
-    (Tinca.format ~config:(tinca_config cfg) ~pmem:env.pmem ~disk:env.disk ~clock:env.clock
-       ~metrics:env.metrics)
+    (Tinca.format
+       ~config:{ (tinca_config cfg) with Tinca.Config.group_window_ns }
+       ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics)
+
+(* A crash-free run; [before] sees the world once the media is
+   formatted, before the workload starts. *)
+let run_crash_free ?(before = fun (_ : env) -> ()) driver cfg =
+  let env = mk_env cfg in
+  let workload, _judge = driver.fresh env in
+  before env;
+  workload ();
+  env
 
 (* Events of a crash-free run, so the sweep covers the whole span.
    [fresh] formats the media before we start counting, matching the
    sweep loop (crash points fall inside the workload only). *)
 let total_events driver cfg =
-  let env = mk_env cfg in
-  let workload, _judge = driver.fresh env in
-  let before = Pmem.event_count env.pmem in
-  workload ();
-  Pmem.event_count env.pmem - before
+  let before = ref 0 in
+  let env = run_crash_free ~before:(fun env -> before := Pmem.event_count env.pmem) driver cfg in
+  Pmem.event_count env.pmem - !before
 
 (* --- the prefix-consistency oracle ------------------------------------- *)
 
@@ -258,7 +266,7 @@ let default_driver cfg =
    Reads fill blocks; read pressure then evicts fills and committed
    blocks alike; transactions then write blocks cached only as fills,
    and finally a COW hit beside a fill.  [ncommits] is ignored. *)
-let read_miss_workload cfg tc oracle pending =
+let read_miss_workload cfg _env tc oracle pending =
   let read blk = ignore (Tinca.read tc blk) and last = cfg.universe - 1 in
   for blk = 0 to 5 do
     read blk
@@ -276,7 +284,9 @@ let read_miss_workload cfg tc oracle pending =
 let read_miss_config =
   { default_config with masks = Capped 4; pmem_bytes = 64 * 1024; universe = 24 }
 
-let read_miss_driver cfg =
+(* A driver whose disk blocks start with their own fill bytes, judged
+   by the prefix oracle. *)
+let own_fills_driver ?group_window_ns workload cfg =
   {
     fresh =
       (fun env ->
@@ -286,10 +296,83 @@ let read_miss_driver cfg =
           Disk.write_block env.disk blk (Bytes.make 4096 v);
           Hashtbl.replace oracle blk v
         done;
-        let tc = mk_tinca cfg env in
-        ( (fun () -> read_miss_workload cfg tc oracle pending),
-          prefix_judge env cfg oracle pending ));
+        let tc = mk_tinca ?group_window_ns cfg env in
+        ((fun () -> workload cfg env tc oracle pending), prefix_judge env cfg oracle pending));
   }
+
+let read_miss_driver = own_fills_driver read_miss_workload
+
+(* The cleaner under the same oracle.  Its idle pass runs when fewer
+   frames are free than its frontier (always, on this device) and the
+   disk has been idle since after a version became durable, so the
+   workload reads a missing block after its commits (a disk access) and
+   then idles.  The idle pass runs at the next read's start, a cleaned
+   block is overwritten, read pressure evicts the oldest blocks, and
+   after more idle time it runs after a commit.  Two 6-block commits
+   with no idle time in between then leave more than 70 % of the 15
+   frames dirty, so the pressure pass writes a batch, and reads evict
+   the batch's blocks, whose next version is then read from disk.
+   [ncommits] is ignored. *)
+let cleaner_workload cfg env tc oracle pending =
+  let read blk = ignore (Tinca.read tc blk) and last = cfg.universe - 1 in
+  let idle () = Clock.advance env.clock 1e6 in
+  commit_fills tc oracle pending [ (0, 'a'); (1, 'a') ];
+  commit_fills tc oracle pending [ (2, 'a') ];
+  read 8;
+  idle ();
+  read 9;
+  commit_fills tc oracle pending [ (1, 'b'); (3, 'b') ];
+  for blk = 10 to 15 do
+    read blk
+  done;
+  idle ();
+  commit_fills tc oracle pending [ (2, 'c'); (4, 'c') ];
+  for blk = 16 to last do
+    read blk
+  done;
+  commit_fills tc oracle pending [ (0, 'd'); (3, 'd') ];
+  commit_fills tc oracle pending (List.init 6 (fun i -> (9 + i, 'e')));
+  commit_fills tc oracle pending (List.init 6 (fun i -> (15 + i, 'f')));
+  for blk = 0 to 8 do
+    read blk
+  done
+
+let cleaner_driver = own_fills_driver cleaner_workload
+
+(* The cleaner inside a group-commit window: a transaction is sealed
+   (its writes staged, nothing flushed) and left standing while a read
+   runs the cleaner, which writes committed blocks back and persists
+   their clean marks; the batch then drains, and after a disk access
+   and idle time the next commit's cleaner writes the drained blocks
+   back.  The window never expires on its own. *)
+let group_cleaner_workload cfg env tc oracle pending =
+  let read blk = ignore (Tinca.read tc blk) and last = cfg.universe - 1 in
+  let idle () = Clock.advance env.clock 1e6 in
+  commit_fills tc oracle pending [ (0, 'a'); (1, 'a') ];
+  commit_fills tc oracle pending [ (2, 'a') ];
+  read 8;
+  idle ();
+  let h = Tinca.init_txn tc in
+  List.iter
+    (fun (blk, v) ->
+      Tinca.ok_exn (Tinca.write h blk (Bytes.make 4096 v));
+      Hashtbl.replace pending blk v)
+    [ (3, 'b'); (4, 'b') ];
+  ignore (Tinca.ok_exn (Tinca.commit_async h));
+  idle ();
+  read 9;
+  Tinca.group_flush tc;
+  Hashtbl.iter (fun blk v -> Hashtbl.replace oracle blk v) pending;
+  Hashtbl.reset pending;
+  read 10;
+  idle ();
+  commit_fills tc oracle pending [ (1, 'c'); (5, 'c') ];
+  for blk = 11 to last do
+    read blk
+  done;
+  commit_fills tc oracle pending [ (3, 'd'); (0, 'd') ]
+
+let group_cleaner_driver = own_fills_driver ~group_window_ns:1_000_000_000 group_cleaner_workload
 
 (* Run the three gates on the current (post-crash) medium.  Recovery goes
    through the facade, which sniffs the scheme from the media magic. *)

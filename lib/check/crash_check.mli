@@ -117,6 +117,29 @@ val read_miss_driver : config -> driver
     crash point holds the unflushed lines of every cached fill. *)
 val read_miss_config : config
 
+(** The cleaner under the same oracle, on the same geometry as
+    {!read_miss_config}: commits, a disk access, idle time, then a read
+    at whose start the idle pass writes the committed blocks back; a
+    cleaned block is overwritten, read pressure evicts the oldest
+    blocks, and after more idle time the idle pass runs after a commit.
+    Two 6-block commits without idle time then make the pressure pass
+    write a batch, and reads evict its blocks.  Needs [universe] of at least 21 blocks and below
+    256; ignores [ncommits]. *)
+val cleaner_driver : config -> driver
+
+(** {!cleaner_driver}'s group-commit counterpart (logging, Batched
+    only): a transaction is sealed and left standing while a read runs
+    the cleaner, then the batch drains and, after idle time, the next
+    commit's cleaner writes the drained blocks back.  Same geometry as
+    {!cleaner_driver}; needs [universe] of at least 12 blocks and below
+    256. *)
+val group_cleaner_driver : config -> driver
+
+(** Run [driver]'s workload once without a crash and return its world,
+    whose counters the caller can read.  [before] (default: nothing)
+    sees the world after formatting, before the workload starts. *)
+val run_crash_free : ?before:(env -> unit) -> driver -> config -> env
+
 type violation = {
   crash_event : int;  (** the pmem event the crash replaced *)
   surviving : int list;  (** torn lines whose new content reached the medium *)

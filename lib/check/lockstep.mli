@@ -1,6 +1,6 @@
 (** Lockstep refinement harness: drive the executable {!Spec} and a real
     {!Tinca.t} through the same generated command sequence and fail on
-    the first observable difference (ROADMAP item 5).
+    the first observable difference (DESIGN.md §8).
 
     Three layers:
 

@@ -1,4 +1,4 @@
-(** Executable specification of the transactional cache (ROADMAP item 5).
+(** Executable specification of the transactional cache (DESIGN.md §8).
 
     The dafny-jrnl journal spec is a [map<Addr, Object>] with read/write
     obligations; this is the same idea for Tinca, in ~100 lines of pure

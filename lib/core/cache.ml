@@ -17,10 +17,6 @@ type config = {
   block_size : int;
   ring_slots : int;
   mode : mode;
-  clean_threshold : float;
-      (* dirty fraction of the cache beyond which the background flusher
-         pre-cleans oldest dirty buffer blocks (keeping them cached), so
-         replacement usually finds clean victims.  1.0 disables it. *)
   alloc_policy : Tinca_cachelib.Free_monitor.policy;
   commit_pipeline : pipeline;
       (* Batched (default): the staged group commit — all COW data and
@@ -35,7 +31,7 @@ type config = {
 }
 
 let default_config =
-  { block_size = 4096; ring_slots = 131072; mode = Write_back; clean_threshold = 0.7;
+  { block_size = 4096; ring_slots = 131072; mode = Write_back;
     alloc_policy = Tinca_cachelib.Free_monitor.Lifo; commit_pipeline = Batched; flight_slots = 0 }
 
 exception Transaction_too_large
@@ -45,12 +41,12 @@ exception Cache_exhausted
     in-flight transaction.  [Txn.commit] maps this to
     {!Transaction_too_large} after rolling the partial commit back. *)
 
-exception Corrupt of string
+exception Corrupt = Ring.Corrupt
 (** Recovery rejected the media: unformatted NVM, corrupt superblock
-    geometry, or an entry table that contradicts itself.  Typed (not
-    [Failure]) so callers can tell "the medium is bad" from an
-    arbitrary internal error; the facade maps it to
-    [Tinca.Unformatted]. *)
+    geometry, ring pointers out of bounds, or an entry table that
+    contradicts itself.  Typed (not [Failure]) so callers can tell "the
+    medium is bad" from an arbitrary internal error; the facade maps it
+    to [Tinca.Unformatted]. *)
 
 exception Invariant_violation of string
 (** An internal-invariant audit failed ([check_invariants], or a
@@ -299,9 +295,8 @@ let read_data_block t nvm_blk =
 
 (* Write a dirty block back to disk and mark it clean; returns the
    buffer-role entry update that persists the clean mark. *)
-let writeback ?(background = false) t (info : info) =
-  let data = read_data_block t info.frame in
-  Disk.write_block ~background t.disk info.key data;
+let writeback t (info : info) =
+  Disk.write_block t.disk info.key (read_data_block t info.frame);
   Metrics.add t.ctr.c_writebacks 1;
   Fc.set_dirty t.fc info false;
   (info.slot, entry_of_info ~role:Entry.Buffer info)
@@ -335,39 +330,33 @@ let find_exn t blkno =
   | Some info -> info
   | None -> raise (Invariant_violation (Printf.sprintf "Tinca.Cache: block %d not cached" blkno))
 
-(* Background flusher: when the dirty fraction exceeds the threshold,
-   write the oldest dirty buffer blocks back using background device time
-   (they stay cached, marked clean persistently), elevator-sorted by home
-   block number.  Keeps replacement from stalling on dirty victims. *)
-let maybe_clean t =
-  let high =
-    int_of_float (t.cfg.clean_threshold *. float_of_int t.layout.Layout.nblocks)
+(* The cleaner (Frame_cache.clean): an idle write's frame goes to disk by
+   DMA, uncharged, a pressure write's is read like a foreground
+   write-back's; the clean marks of every block written ride one batched
+   entry update on the caller's clock. *)
+let clean ~after_commit t =
+  let cleaner =
+    {
+      Fc.disk = t.disk;
+      dma_read =
+        (fun (info : info) ->
+          Pmem.dma_read t.pmem
+            ~off:(Layout.data_block_off t.layout info.frame)
+            ~len:t.cfg.block_size);
+      read = (fun info -> read_data_block t info.frame);
+      cleaned =
+        (fun written ->
+          Trace.begin_span ~clock:t.clock "tinca.bg_clean";
+          Pmem.set_site t.pmem "cache.bg_clean";
+          write_entries_batched t
+            (List.map (fun (info : info) -> (info.slot, entry_of_info ~role:Entry.Buffer info)) written);
+          let n = List.length written in
+          Metrics.add t.ctr.c_writebacks n;
+          Metrics.add t.ctr.c_cleaned n;
+          Trace.end_span "tinca.bg_clean");
+    }
   in
-  let dirty = Fc.dirty_count t.fc in
-  if dirty > high then begin
-    Trace.begin_span ~clock:t.clock "tinca.bg_clean";
-    let low = max 0 (high * 7 / 8) in
-    let budget = ref (dirty - low) in
-    let victims = ref [] in
-    Fc.iter_lru_while t.fc (fun info ->
-        if info.dirty && not info.ext.role_log then begin
-          victims := info :: !victims;
-          decr budget
-        end;
-        !budget > 0);
-    Pmem.set_site t.pmem "cache.bg_clean";
-    let sorted = List.sort (fun (a : info) (b : info) -> compare a.key b.key) !victims in
-    let updates =
-      List.map
-        (fun info ->
-          let update = writeback ~background:true t info in
-          Metrics.add t.ctr.c_cleaned 1;
-          update)
-        sorted
-    in
-    write_entries_batched t updates;
-    Trace.end_span "tinca.bg_clean"
-  end
+  ignore (Fc.clean t.fc cleaner ~after_commit)
 
 (* --- construction ------------------------------------------------------ *)
 
@@ -603,6 +592,7 @@ let insert_clean t blkno data =
    saw it); flushing the fill would buy nothing"]
 
 let read t blkno =
+  clean ~after_commit:false t;
   charge_op t;
   charge_lookup t;
   match Fc.lookup_read t.fc blkno with
@@ -972,9 +962,12 @@ module Txn = struct
         flight_flush_into_fence t;
         Ring.commit_point t.ring;
         Trace.end_span "tinca.commit.tail";
-        (* Reclaim previous versions and promote to MRU (§4.6 rule 2b). *)
+        (* Reclaim previous versions, stamp the versions just made
+           durable for the cleaner, and promote to MRU (§4.6 rule 2b). *)
+        let now = Clock.now_ns t.clock in
         List.iter
           (fun (info : info) ->
+            Fc.stamp_durable info now;
             (match info.ext.prev with
             | Some p ->
                 Fc.free_frame t.fc p;
@@ -1034,9 +1027,9 @@ module Txn = struct
          raise e);
       finish_commit h blocks n;
       Trace.end_span "tinca.commit";
-      (* Background pre-cleaning runs outside the commit span: it is
-         deferred maintenance the commit merely triggers. *)
-      maybe_clean t
+      (* The cleaner runs outside the commit span: it is deferred
+         maintenance the commit merely triggers. *)
+      clean ~after_commit:true t
     end
 
   (* --- split commit for the sharded scheduler (see Shard) --------------
@@ -1068,7 +1061,7 @@ module Txn = struct
     if h.state <> Committing then invalid_arg "Tinca.Txn.finalize: transaction not staged";
     let blocks = List.rev h.order in
     finish_commit h blocks (List.length blocks);
-    maybe_clean h.cache
+    clean ~after_commit:true h.cache
 
   (* --- group commit across transactions (async commit, ISSUE 8) --------
      [seal] volatilely applies a whole transaction — admission, pass-1
@@ -1207,7 +1200,7 @@ module Txn = struct
             h.slot_ranges <- [];
             h.sealed_slots <- 0)
           handles;
-        maybe_clean h0.cache
+        clean ~after_commit:true h0.cache
 
   (* Failure injection for tests and the crash-space checker: run the
      commit protocol for the first [k] staged blocks and stop, as an

@@ -41,12 +41,6 @@ type config = {
   block_size : int;   (** default 4096 *)
   ring_slots : int;   (** default 131072 = 1 MB of 8 B slots *)
   mode : mode;
-  clean_threshold : float;
-      (** dirty fraction of the cache beyond which a background flusher
-          pre-cleans the oldest dirty buffer blocks (elevator-sorted,
-          background device time, blocks stay cached and are marked clean
-          persistently), so replacement usually finds clean victims.
-          Default 0.7; 1.0 disables pre-cleaning. *)
   alloc_policy : Tinca_cachelib.Free_monitor.policy;
       (** NVM data-block allocation order.  [Lifo] (default) reuses the
           most recently freed block; [Fifo] rotates through the whole
@@ -73,7 +67,8 @@ exception Transaction_too_large
 exception Cache_exhausted
 
 (** Recovery rejected the media: unformatted NVM, corrupt superblock
-    geometry, or an entry table that contradicts itself.  Typed (not a
+    geometry, ring pointers out of bounds ([Ring.Corrupt] is this
+    exception), or an entry table that contradicts itself.  Typed (not a
     bare [Failure]) so callers can distinguish "the medium is bad" from
     an arbitrary internal error; the [Tinca] facade maps it to
     [Tinca.Unformatted]. *)
@@ -160,7 +155,7 @@ val read_layout : base:int -> mem_bytes:int -> Tinca_pmem.Pmem.t -> Layout.t
 (** [read t blkno] returns the newest version of the block, from NVM on a
     hit or from disk (filling the cache) on a miss.  When every cached
     block is pinned there is no victim: the miss is served from disk and
-    the block stays uncached. *)
+    the block stays uncached.  The cleaner's idle pass runs first. *)
 val read : t -> int -> bytes
 
 (** [write_direct t blkno data] — single-block atomic write outside any
@@ -232,7 +227,8 @@ module Txn : sig
 
   (** §4.4 steps 4–5 and post-commit bookkeeping: batched role switch
       (fenced before Tail), Tail := Head, previous-version reclamation,
-      stats, optional write-through propagation, background cleaning. *)
+      stats, optional write-through propagation, then the cleaner
+      ([Frame_cache.clean]). *)
   val finalize : handle -> unit
 
   (** {2 Group commit across transactions (async commit)}
@@ -287,7 +283,7 @@ module Txn : sig
 
   (** One batched role switch and one Tail persist retiring the whole
       flushed batch, then per-transaction post-commit bookkeeping and
-      background cleaning. *)
+      the cleaner. *)
   val finalize_sealed : handle list -> unit
 
   (** {2 Failure injection (tests and the crash-space checker)} *)

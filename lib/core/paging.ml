@@ -40,6 +40,7 @@ module Disk = Tinca_blockdev.Disk
 module Fc = Tinca_cachelib.Frame_cache
 module Codec = Tinca_util.Codec
 module Flight = Tinca_obs.Flight
+module Trace = Tinca_obs.Trace
 
 type config = {
   block_size : int;  (** page size; positive multiple of 64 *)
@@ -218,10 +219,15 @@ type t = {
   pmem : Pmem.t;
   disk : Disk.t;
   clock : Clock.t;
+  metrics : Metrics.t;
   c_flight_records : Metrics.counter;
+  (* The logging engine's counters, bumped for the same events; stats_kv
+     reads write-backs and evictions back from them. *)
+  c_writebacks : Metrics.counter;
+  c_cleaned : Metrics.counter;
+  c_evictions : Metrics.counter;
   nshards : int;
   shards : shard_state array;
-  mutable writebacks : int;
   mutable multi_commits : int;
   mutable seals : int;
   mutable roll_forwards : int;
@@ -313,10 +319,13 @@ let mk_t ~cfg ~pmem ~disk ~clock ~metrics ~nshards shards =
     pmem;
     disk;
     clock;
+    metrics;
     c_flight_records = Metrics.counter metrics "tinca.flight.records";
+    c_writebacks = Metrics.counter metrics "tinca.writebacks";
+    c_cleaned = Metrics.counter metrics "tinca.cleaned";
+    c_evictions = Metrics.counter metrics "tinca.evictions";
     nshards;
     shards;
-    writebacks = 0;
     multi_commits = 0;
     seals = 0;
     roll_forwards = 0;
@@ -374,29 +383,73 @@ let format ~nshards ~config:cfg ~pmem ~disk ~clock ~metrics =
 
 (* --- replacement --------------------------------------------------------- *)
 
-(* Durably drop a dirty block's table entry (one atomic zero swing +
-   persist), then free its slot and frame.  The write-back itself went
+(* Drop a dirty block's table entry (one atomic zero swing), then free
+   its slot; the caller persists the swing.  The write-back itself went
    to disk first, so a crash on either side of the swing is consistent:
    entry present = the (now clean) NVM copy still wins, entry absent =
    reads fall through to the identical disk copy. *)
-let drop_entry t s (p : pinfo) =
-  Pmem.set_site t.pmem "paging.evict";
+let zero_entry t s (p : pinfo) =
   Pmem.atomic_write16 t.pmem ~off:(entry_off s.geom p.slot) (Bytes.make entry_size '\000');
   s.swings <- s.swings + 1;
-  Pmem.persist t.pmem ~off:(entry_off s.geom p.slot) ~len:entry_size;
   Fc.free_slot s.fc p.slot;
   Fc.set_dirty s.fc p false;
   Fc.set_slot p (-1)
+[@@pmem.defer
+  "both callers persist the swing before anything else runs: an eviction right after it, the \
+   cleaner after zeroing every cleaned page's entry (one flush_ranges + sfence for the batch)"]
 
 let writeback t s (p : pinfo) =
   let data = Pmem.read t.pmem ~off:(frame_off s.geom p.frame) ~len:s.geom.block_size in
   Disk.write_block t.disk p.key data;
-  t.writebacks <- t.writebacks + 1;
-  drop_entry t s p
+  Metrics.add t.c_writebacks 1;
+  Pmem.set_site t.pmem "paging.evict";
+  let off = entry_off s.geom p.slot in
+  zero_entry t s p;
+  Pmem.persist t.pmem ~off ~len:entry_size
 
 (* The NVM side of an eviction: clean victims are free (purely
    volatile), dirty ones are written back and their entry dropped. *)
-let evict_hooks t s = { Fc.evict = (fun p -> if p.slot >= 0 then writeback t s p) }
+let evict_hooks t s =
+  {
+    Fc.evict =
+      (fun p ->
+        if p.slot >= 0 then writeback t s p;
+        Metrics.add t.c_evictions 1);
+  }
+
+(* The cleaner (Frame_cache.clean): an idle write's frame goes to disk by
+   DMA, uncharged, a pressure write's is read like a foreground
+   write-back's.  Every written page's entry is then zeroed and the
+   swings persisted under one fence on the caller's clock; the pages
+   stay cached as clean volatile fills. *)
+let clean ~after_commit t s =
+  let frame p = frame_off s.geom p.Fc.frame in
+  let cleaner =
+    {
+      Fc.disk = t.disk;
+      dma_read = (fun p -> Pmem.dma_read t.pmem ~off:(frame p) ~len:s.geom.block_size);
+      read = (fun p -> Pmem.read t.pmem ~off:(frame p) ~len:s.geom.block_size);
+      cleaned =
+        (fun written ->
+          Trace.begin_span ~clock:t.clock "tinca.bg_clean";
+          Pmem.set_site t.pmem "paging.bg_clean";
+          let ranges =
+            List.map
+              (fun (p : pinfo) ->
+                let off = entry_off s.geom p.slot in
+                zero_entry t s p;
+                (off, entry_size))
+              written
+          in
+          Pmem.flush_ranges t.pmem ranges;
+          Pmem.sfence t.pmem;
+          let n = List.length written in
+          Metrics.add t.c_writebacks n;
+          Metrics.add t.c_cleaned n;
+          Trace.end_span "tinca.bg_clean");
+    }
+  in
+  ignore (Fc.clean s.fc cleaner ~after_commit)
 
 (* Make [n] frames (plus the configured headroom) and [nslots] table
    slots available, evicting as needed.  Returns false if the demand
@@ -410,6 +463,7 @@ let read_frame t s (p : pinfo) = Pmem.read t.pmem ~off:(frame_off s.geom p.frame
 
 let read t blkno =
   let s = t.shards.(shard_of t blkno) in
+  clean ~after_commit:false t s;
   match Fc.lookup_read s.fc blkno with
   | Some p -> read_frame t s p
   | None ->
@@ -636,27 +690,33 @@ let publish t writes ~cause =
         Pmem.persist t.pmem ~off:dir_seal_off ~len:8;
         t.multi_commits <- t.multi_commits + 1
       end;
-      (* Durable: fold the new mapping into the volatile state. *)
+      (* Durable: fold the new mapping into the volatile state, stamped
+         for the cleaner, then run the cleaner on every shard touched. *)
       List.iter (fun sh -> (t.shards.(sh)).epoch <- t.shards.(sh).epoch + 1) shard_ids;
+      let now = Clock.now_ns t.clock in
       List.iter
         (fun st ->
           let s = t.shards.(st.st_shard) in
-          match st.st_old with
-          | Some p ->
-              Fc.note_write s.fc ~hit:true;
-              (* A clean cached block turns dirty: it now owns a slot. *)
-              Fc.set_dirty s.fc p true;
-              Fc.free_frame s.fc p.frame;
-              Fc.set_frame p st.st_frame;
-              Fc.set_slot p st.st_slot;
-              Fc.set_pinned p false;
-              Fc.touch s.fc p
-          | None ->
-              Fc.note_write s.fc ~hit:false;
-              ignore
-                (Fc.insert s.fc ~key:st.st_blkno ~frame:st.st_frame ~slot:st.st_slot ~dirty:true
-                   ~pinned:false ()))
-        (List.rev staged)
+          let p =
+            match st.st_old with
+            | Some p ->
+                Fc.note_write s.fc ~hit:true;
+                (* A clean cached block turns dirty: it now owns a slot. *)
+                Fc.set_dirty s.fc p true;
+                Fc.free_frame s.fc p.frame;
+                Fc.set_frame p st.st_frame;
+                Fc.set_slot p st.st_slot;
+                Fc.set_pinned p false;
+                Fc.touch s.fc p;
+                p
+            | None ->
+                Fc.note_write s.fc ~hit:false;
+                Fc.insert s.fc ~key:st.st_blkno ~frame:st.st_frame ~slot:st.st_slot ~dirty:true
+                  ~pinned:false ()
+          in
+          Fc.stamp_durable p now)
+        (List.rev staged);
+      List.iter (fun sh -> clean ~after_commit:true t t.shards.(sh)) shard_ids
 
 (* --- transactions -------------------------------------------------------- *)
 
@@ -905,8 +965,8 @@ let stats_kv t =
     ("read_misses", string_of_int (sum (fun s -> Fc.read_misses s.fc) t));
     ("write_hits", string_of_int (sum (fun s -> Fc.write_hits s.fc) t));
     ("write_misses", string_of_int (sum (fun s -> Fc.write_misses s.fc) t));
-    ("evictions", string_of_int (sum (fun s -> Fc.evictions s.fc) t));
-    ("writebacks", string_of_int t.writebacks);
+    ("evictions", string_of_int (Metrics.get t.metrics "tinca.evictions"));
+    ("writebacks", string_of_int (Metrics.get t.metrics "tinca.writebacks"));
     ("multi_shard_commits", string_of_int t.multi_commits);
     ("cross_shard_seals", string_of_int t.seals);
     ("seal_roll_forwards", string_of_int t.roll_forwards);

@@ -1,5 +1,7 @@
 module Pmem = Tinca_pmem.Pmem
 
+exception Corrupt of string
+
 type t = {
   pmem : Pmem.t;
   layout : Layout.t;
@@ -13,9 +15,16 @@ type t = {
   mutable staged : int;
 }
 
+(* A pointer word beyond OCaml's int range reads as -1, which the
+   bounds check before any scan rejects. *)
+let read_ptr pmem ~off =
+  let v = Pmem.read_u64 pmem ~off in
+  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then -1
+  else Int64.to_int v
+
 let attach ~pmem ~layout =
-  let head = Pmem.read_u64_int pmem ~off:layout.Layout.head_off in
-  let tail = Pmem.read_u64_int pmem ~off:layout.Layout.tail_off in
+  let head = read_ptr pmem ~off:layout.Layout.head_off in
+  let tail = read_ptr pmem ~off:layout.Layout.tail_off in
   { pmem; layout; head; tail; hwm = head - tail; staged = 0 }
 
 let slots t = t.layout.Layout.ring_slots
@@ -131,7 +140,14 @@ let rewind_head t =
   t.staged <- 0;
   write_ptr t ~off:t.layout.Layout.head_off t.head
 
+(* Head and Tail come from media: bound them before the scan allocates
+   one list cell per slot in between. *)
 let pending_blknos t =
+  if not (0 <= t.tail && t.tail <= t.head && t.head <= t.tail + slots t) then
+    raise
+      (Corrupt
+         (Printf.sprintf "Tinca.Ring: Head %d and Tail %d are not 0 <= Tail <= Head <= Tail + %d"
+            t.head t.tail (slots t)));
   let acc = ref [] in
   for c = t.head - 1 downto t.tail do
     let off = Layout.ring_slot_off t.layout c in
@@ -140,8 +156,8 @@ let pending_blknos t =
   !acc
 
 let reload t =
-  t.head <- Pmem.read_u64_int t.pmem ~off:t.layout.Layout.head_off;
-  t.tail <- Pmem.read_u64_int t.pmem ~off:t.layout.Layout.tail_off;
+  t.head <- read_ptr t.pmem ~off:t.layout.Layout.head_off;
+  t.tail <- read_ptr t.pmem ~off:t.layout.Layout.tail_off;
   t.staged <- 0
 
 let format t =

@@ -10,6 +10,10 @@
 
 type t
 
+(** The persistent pointers are out of bounds (see {!pending_blknos}).
+    [Cache.Corrupt] is this exception. *)
+exception Corrupt of string
+
 (** Attach to (already formatted or zeroed) media. *)
 val attach : pmem:Tinca_pmem.Pmem.t -> layout:Layout.t -> t
 
@@ -69,7 +73,9 @@ val commit_point : t -> unit
 (** Persistently set Head := Tail (after an abort's revocations). *)
 val rewind_head : t -> unit
 
-(** Disk block numbers in [Tail, Head), oldest first (recovery scan). *)
+(** Disk block numbers in [Tail, Head), oldest first (recovery scan).
+    Raises {!Corrupt} unless [0 <= Tail <= Head <= Tail + slots], checked
+    before anything is read or allocated. *)
 val pending_blknos : t -> int list
 
 (** Re-read Head/Tail from media (after a crash). *)

@@ -309,21 +309,47 @@ let spec_properties () =
 let gate name doc properties = { Gate.name; doc; properties }
 
 (* The read-miss workload under each way a write can meet a fill. *)
-let read_miss_sweep label scheme =
+let read_miss_sweep (label, scheme) =
   let cfg = { Check.read_miss_config with Check.scheme } in
   sweep ~driver:(Check.read_miss_driver cfg) ("read-miss sweep (" ^ label ^ ", cap 4)") cfg
 
+let commit_paths =
+  [
+    ("batched", Tinca.Config.Logging Tinca.Batched);
+    ("per-block", Tinca.Config.Logging Tinca.Per_block);
+    ("paging", Tinca.Config.Paging Tinca.Config.default_page_cfg);
+  ]
+
+(* A cleaner workload; its crash-free run must clean something, or the
+   sweep would say nothing about the cleaner. *)
+let cleaner_property label cfg driver =
+  Gate.property ("cleaner sweep (" ^ label ^ ", cap 4)") (fun () ->
+      let env = Check.run_crash_free driver cfg in
+      let cleaned = Tinca_sim.Metrics.get env.Check.metrics "tinca.cleaned" in
+      let r = Check.explore ~driver cfg in
+      ( Printf.sprintf "%d blocks cleaned; %s" cleaned (Check.summary r),
+        cleaned > 0 && r.Check.violations = [] ))
+
+let cleaner_sweep (label, scheme) =
+  let cfg = { Check.read_miss_config with Check.scheme } in
+  cleaner_property label cfg (Check.cleaner_driver cfg)
+
+(* The cleaner with a sealed transaction standing in a group window. *)
+let group_cleaner_sweep =
+  let cfg = Check.read_miss_config in
+  cleaner_property "group window" cfg (Check.group_cleaner_driver cfg)
+
 let crash_budget =
   gate "crash-budget"
-    "budgeted crash-space sweep: 3 commits, 64-subset cap; read fills, eviction and writes to \
-     fills under all three commit paths"
-    [
-      sweep "crash sweep (3 commits, cap 64)"
-        { Check.default_config with Check.ncommits = 3; masks = Check.Capped 64 };
-      read_miss_sweep "batched" (Tinca.Config.Logging Tinca.Batched);
-      read_miss_sweep "per-block" (Tinca.Config.Logging Tinca.Per_block);
-      read_miss_sweep "paging" (Tinca.Config.Paging Tinca.Config.default_page_cfg);
-    ]
+    "budgeted crash-space sweep: 3 commits, 64-subset cap; read fills, eviction, writes to \
+     fills and the cleaner under all three commit paths and in a group-commit window"
+    ([
+       sweep "crash sweep (3 commits, cap 64)"
+         { Check.default_config with Check.ncommits = 3; masks = Check.Capped 64 };
+     ]
+    @ List.map read_miss_sweep commit_paths
+    @ List.map cleaner_sweep commit_paths
+    @ [ group_cleaner_sweep ])
 
 let spec =
   gate "spec"

@@ -23,7 +23,8 @@ val check_string :
 val run : root:string -> report
 
 (** The R1 subset of the findings: the module-toplevel shared-mutable-
-    state inventory the domains migration (ROADMAP item 1) starts from. *)
+    state inventory a migration of shards onto OCaml 5 domains (parked
+    on the ROADMAP) would start from. *)
 val inventory : report -> Rules.finding list
 
 val pp_finding : Rules.finding -> string

@@ -7,7 +7,8 @@
       ([ref], [Hashtbl.create], [Buffer.create], arrays/bytes, literals
       of in-file mutable record types) is shared state once shards run
       on real domains; the full finding list {e is} the shared-state
-      inventory ROADMAP item 1 starts from.
+      inventory a migration of shards onto OCaml 5 domains (parked on
+      the ROADMAP) would start from.
     - {b R2 pmem encapsulation} — [Pmem] mutation/persistence calls
       ([write*], [atomic_write*], [fill], [clflush], [flush_ranges],
       [sfence], [persist]) are allowed only under {!pmem_allowlist};

@@ -381,6 +381,10 @@ let read t ~off ~len =
   charge_read t off len;
   Bytes.sub t.media off len
 
+let dma_read t ~off ~len =
+  check_range t off len;
+  Bytes.sub t.media off len
+
 let read_into t ~off ~buf ~pos ~len =
   check_range t off len;
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then

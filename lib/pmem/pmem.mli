@@ -103,6 +103,12 @@ val atomic_write16 : t -> off:int -> bytes -> unit
 (** {1 Reads} *)
 
 val read : t -> off:int -> len:int -> bytes
+
+(** A device-side read (DMA from NVM into a disk write): same bytes as
+    {!read}, but it charges no clock and counts no read lines — the
+    transfer is part of the disk write that consumes it. *)
+val dma_read : t -> off:int -> len:int -> bytes
+
 val read_into : t -> off:int -> buf:bytes -> pos:int -> len:int -> unit
 val read_u8 : t -> off:int -> int
 val read_u64 : t -> off:int -> int64

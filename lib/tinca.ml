@@ -38,7 +38,6 @@ module Config = struct
     commit_scheme : scheme;
     flush_instr : Latency.flush_instr;
     write_policy : write_policy;
-    clean_threshold : float;
     alloc_policy : Tinca_cachelib.Free_monitor.policy;
     group_window_ns : int;
     group_max_batch : int;
@@ -54,7 +53,6 @@ module Config = struct
       commit_scheme = Logging Cache.default_config.Cache.commit_pipeline;
       flush_instr = Latency.Clflush;
       write_policy = Cache.default_config.Cache.mode;
-      clean_threshold = Cache.default_config.Cache.clean_threshold;
       alloc_policy = Cache.default_config.Cache.alloc_policy;
       group_window_ns = 0;
       group_max_batch = 32;
@@ -70,8 +68,6 @@ module Config = struct
     else if c.ring_slots <= 0 then err "ring_slots %d must be positive" c.ring_slots
     else if c.nshards < 1 || c.nshards > Shard.max_shards then
       err "nshards %d not in [1, %d]" c.nshards Shard.max_shards
-    else if not (c.clean_threshold > 0.0 && c.clean_threshold <= 1.0) then
-      err "clean_threshold %g not in (0, 1]" c.clean_threshold
     else if c.nvm_bytes <= 0 then err "nvm_bytes %d must be positive" c.nvm_bytes
     else if c.group_window_ns < 0 then
       err "group_window_ns %d must be non-negative" c.group_window_ns
@@ -118,7 +114,6 @@ module Config = struct
       Cache.block_size = c.block_size;
       ring_slots = c.ring_slots;
       mode = c.write_policy;
-      clean_threshold = c.clean_threshold;
       alloc_policy = c.alloc_policy;
       commit_pipeline = pipeline;
       flight_slots = c.flight_slots;

@@ -50,7 +50,6 @@ module Config : sig
     commit_scheme : scheme;  (** default [Logging Batched] *)
     flush_instr : Tinca_sim.Latency.flush_instr;  (** default [Clflush] *)
     write_policy : write_policy;  (** default [Write_back]; paging is write-back only *)
-    clean_threshold : float;  (** in (0, 1]; default 0.7 *)
     alloc_policy : Tinca_cachelib.Free_monitor.policy;  (** default [Lifo] *)
     group_window_ns : int;
         (** async group-commit window: transactions sealed by
@@ -74,8 +73,8 @@ module Config : sig
   val scheme_name : scheme -> string
 
   (** Full validation, subsuming the ad-hoc geometry checks: block size
-      and ring shape, shard count bounds, threshold range, that the
-      per-shard span actually hosts a layout, and the scheme-specific
+      and ring shape, shard count bounds, the group-commit window, that
+      the per-shard span actually hosts a layout, and the scheme-specific
       combination rules (paging rejects a group window and
       write-through).  Returns the config unchanged when valid. *)
   val validate : t -> (t, string) result

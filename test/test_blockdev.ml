@@ -170,6 +170,83 @@ let test_background_write_occupies_device () =
   in
   Alcotest.(check bool) "queued behind cleaner" true (with_burst > 10.0 *. without)
 
+(* --- idle-time write-back --- *)
+
+let ssd_write_ns = (Latency.disk_of_kind Latency.Ssd).Latency.write_block_ns
+
+(* Idle for [idle_ns] after one foreground read at block 900, then the
+   clock reads [t_idle]. *)
+let idle_disk idle_ns =
+  let d, clock, _ = mk_disk () in
+  ignore (Disk.read_block d 900);
+  let t_idle = Clock.now_ns clock in
+  Clock.advance clock idle_ns;
+  (d, clock, t_idle)
+
+(* A foreground read after an idle write finishes exactly when it does
+   without one: the write used time that had already passed. *)
+let test_idle_write_delays_nothing () =
+  let finish ~idle_write =
+    let d, clock, _ = idle_disk (3.0 *. ssd_write_ns) in
+    if idle_write then begin
+      let t0 = Clock.now_ns clock in
+      Alcotest.(check bool) "written" true
+        (Disk.write_idle d ~not_before:0.0 100 (fun () -> block 'i'));
+      Alcotest.(check (float 1e-9)) "clock unchanged" t0 (Clock.now_ns clock)
+    end;
+    ignore (Disk.read_block d 500);
+    Clock.now_ns clock
+  in
+  Alcotest.(check (float 1e-9)) "same finish" (finish ~idle_write:false) (finish ~idle_write:true);
+  let d, _, _ = idle_disk (3.0 *. ssd_write_ns) in
+  ignore (Disk.write_idle d ~not_before:0.0 100 (fun () -> block 'i'));
+  Alcotest.(check char) "data stored" 'i' (Bytes.get (Disk.read_block d 100) 0);
+  Alcotest.(check int) "write counted" 1 (Disk.writes d)
+
+let test_idle_write_refuses_short_gap () =
+  let d, _, _ = idle_disk (ssd_write_ns -. 1.0) in
+  Alcotest.(check bool) "no gap for a write" false (Disk.idle_fits d);
+  let asked = ref false in
+  Alcotest.(check bool) "refused" false
+    (Disk.write_idle d ~not_before:0.0 100 (fun () ->
+         asked := true;
+         block 'x'));
+  Alcotest.(check bool) "data never read" false !asked;
+  Alcotest.(check int) "nothing written" 0 (Disk.writes d);
+  (* Two writes' worth of idle time holds two writes, not three. *)
+  let d, _, _ = idle_disk ((2.0 *. ssd_write_ns) +. 1.0) in
+  Alcotest.(check bool) "gap fits" true (Disk.idle_fits d);
+  let write blk = Disk.write_idle d ~not_before:0.0 blk (fun () -> block 'y') in
+  Alcotest.(check bool) "first" true (write 100);
+  Alcotest.(check bool) "second" true (write 300);
+  Alcotest.(check bool) "gap used up" false (Disk.idle_fits d);
+  Alcotest.(check bool) "third refused" false (write 500)
+
+(* Data that became durable after the gap began waits for the next gap. *)
+let test_idle_write_honours_not_before () =
+  let d, clock, t_idle = idle_disk (2.0 *. ssd_write_ns) in
+  let write ~not_before = Disk.write_idle d ~not_before 100 (fun () -> block 'n') in
+  Alcotest.(check bool) "durable after the gap began" false (write ~not_before:(t_idle +. 1.0));
+  Alcotest.(check int) "nothing written" 0 (Disk.writes d);
+  Alcotest.(check bool) "durable when the gap began" true (write ~not_before:t_idle);
+  (* The next gap begins where that write ended. *)
+  let t_next = t_idle +. ssd_write_ns in
+  Alcotest.(check bool) "durable during the first write" true
+    (Disk.write_idle d ~not_before:t_next 300 (fun () -> block 'm'));
+  Alcotest.(check (float 1e-9)) "clock unchanged" (t_idle +. (2.0 *. ssd_write_ns))
+    (Clock.now_ns clock)
+
+(* An HDD cannot suspend a seek for a foreground access, so however
+   long it idles it takes no idle writes. *)
+let test_idle_write_ssd_only () =
+  let d, clock, _ = mk_disk ~kind:Latency.Hdd () in
+  ignore (Disk.read_block d 900);
+  Clock.advance clock 1e9;
+  Alcotest.(check bool) "no idle gap on an HDD" false (Disk.idle_fits d);
+  Alcotest.(check bool) "refused" false
+    (Disk.write_idle d ~not_before:0.0 100 (fun () -> block 'h'));
+  Alcotest.(check int) "nothing written" 0 (Disk.writes d)
+
 let queue_suite =
   [
     ( "blockdev.queue",
@@ -177,5 +254,10 @@ let queue_suite =
         Alcotest.test_case "background write non-blocking" `Quick test_background_write_does_not_block;
         Alcotest.test_case "background write occupies device" `Quick
           test_background_write_occupies_device;
+        Alcotest.test_case "idle write delays no later read" `Quick test_idle_write_delays_nothing;
+        Alcotest.test_case "idle write refuses a short gap" `Quick test_idle_write_refuses_short_gap;
+        Alcotest.test_case "idle write honours not_before" `Quick
+          test_idle_write_honours_not_before;
+        Alcotest.test_case "idle write is SSD only" `Quick test_idle_write_ssd_only;
       ] );
   ]

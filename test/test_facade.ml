@@ -153,8 +153,6 @@ let test_config_validate () =
       ("nshards 0", { base with Tinca.Config.nshards = 0 });
       ( "nshards above max",
         { base with Tinca.Config.nshards = Tinca_core.Shard.max_shards + 1 } );
-      ("clean_threshold 0", { base with Tinca.Config.clean_threshold = 0.0 });
-      ("clean_threshold > 1", { base with Tinca.Config.clean_threshold = 1.5 });
       ("nvm_bytes 0", { base with Tinca.Config.nvm_bytes = 0 });
       ("nvm_bytes below one layout", { base with Tinca.Config.nvm_bytes = 4096 });
       ( "span cannot host the ring",

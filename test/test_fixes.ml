@@ -166,6 +166,26 @@ let test_corrupt_superblock_geometry () =
   Pmem.persist env.pmem ~off:0 ~len:64;
   recover_fails_with env "corrupt superblock"
 
+(* One flipped bit in bytes 4-7 of the persistent Head word used to send
+   recovery's ring scan over billions of slots until the process ran out
+   of memory; the pointers are now bounded first. *)
+let test_head_bit_flip_is_corrupt () =
+  for byte = 4 to 7 do
+    for bit = 0 to 7 do
+      let env = mk_env () in
+      let cache = mk_cache env in
+      for i = 1 to 3 do
+        Cache.write_direct cache i (Bytes.make 4096 'h')
+      done;
+      let off = (Cache.layout cache).Tinca_core.Layout.head_off + byte in
+      let b = Pmem.read env.pmem ~off ~len:1 in
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor (1 lsl bit)));
+      Pmem.write env.pmem ~off b;
+      Pmem.persist env.pmem ~off ~len:1;
+      recover_fails_with env "Head"
+    done
+  done
+
 let test_unformatted_media () =
   let env = mk_env () in
   recover_fails_with env "unformatted"
@@ -286,6 +306,28 @@ let test_read_miss_sweep_counts_pinned () =
   check_counts "read-miss driver" r ~span:545 ~points:545 ~states:2177 ~deduped:0 ~capped:544
     ~torn:961
 
+(* Both cleaner passes fire in the driver's crash-free run, and the
+   sweep over it is pinned like the others. *)
+let test_cleaner_sweep_counts_pinned () =
+  let cfg = Check.read_miss_config in
+  let driver = Check.cleaner_driver cfg in
+  let env = Check.run_crash_free driver cfg in
+  Alcotest.(check int) "blocks cleaned" 11 (Metrics.get env.Check.metrics "tinca.cleaned");
+  let r = Check.explore ~driver cfg in
+  check_counts "cleaner driver" r ~span:1607 ~points:1607 ~states:6358 ~deduped:0 ~capped:1578
+    ~torn:835
+
+(* The same with a sealed transaction standing in a group window while
+   a read runs the cleaner. *)
+let test_group_cleaner_sweep_counts_pinned () =
+  let cfg = Check.read_miss_config in
+  let driver = Check.group_cleaner_driver cfg in
+  let env = Check.run_crash_free driver cfg in
+  Alcotest.(check int) "blocks cleaned" 5 (Metrics.get env.Check.metrics "tinca.cleaned");
+  let r = Check.explore ~driver cfg in
+  check_counts "group cleaner driver" r ~span:720 ~points:720 ~states:2819 ~deduped:0 ~capped:694
+    ~torn:963
+
 let test_crash_refine_counts_pinned () =
   let module L = Tinca_checker.Lockstep in
   let g = { L.default_geometry with L.nshards = 2 } in
@@ -307,6 +349,8 @@ let suite =
         Alcotest.test_case "corrupt superblock: oversized ring" `Quick
           test_corrupt_superblock_geometry;
         Alcotest.test_case "unformatted media" `Quick test_unformatted_media;
+        Alcotest.test_case "Head bit flip is typed corruption" `Quick
+          test_head_bit_flip_is_corrupt;
         Alcotest.test_case "clean clflush charges no write-back" `Quick
           test_clean_clflush_charges_no_writeback;
       ] );
@@ -325,5 +369,8 @@ let suite =
         Alcotest.test_case "crash refinement counts pinned" `Quick test_crash_refine_counts_pinned;
         Alcotest.test_case "read-miss driver counts pinned" `Quick
           test_read_miss_sweep_counts_pinned;
+        Alcotest.test_case "cleaner driver counts pinned" `Quick test_cleaner_sweep_counts_pinned;
+        Alcotest.test_case "group cleaner driver counts pinned" `Quick
+          test_group_cleaner_sweep_counts_pinned;
       ] );
   ]

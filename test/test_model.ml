@@ -2,7 +2,7 @@
    transactions, direct writes, reads, aborts, flushes and recoveries are
    checked against a trivial reference model (a map from disk block to
    last committed content).  Evictions, COW, ring wraparound and the
-   background flusher all churn underneath while the observable contract
+   cleaner all churn underneath while the observable contract
    must hold exactly. *)
 open Tinca_core
 open Tinca_sim
