@@ -181,8 +181,20 @@ let run_trace stack_name shards scheme trace_file synth_ops read_pct nblocks cra
      recovered stack, whose counters start from zero. *)
   if crash_at <> None then begin
     Tinca_pmem.Pmem.crash env.Stacks.pmem;
-    let stack = Stacks.tinca_recover env in
-    let fs = Fs.mount ~config:fs_config stack.Stacks.backend in
+    (* Recovery's simulated time, split into its two parts, with the NVM
+       lines and disk blocks each part read. *)
+    let part name f =
+      let snap = Metrics.snapshot env.Stacks.metrics in
+      let t0 = Clock.now_ns env.Stacks.clock in
+      let r = f () in
+      Printf.printf "%-17s %10.1f sim-us  %6d NVM lines read  %6d disk blocks read\n" name
+        ((Clock.now_ns env.Stacks.clock -. t0) /. 1e3)
+        (Metrics.since env.Stacks.metrics snap "pmem.read_lines")
+        (Metrics.since env.Stacks.metrics snap "disk.reads");
+      r
+    in
+    let stack = part "cache recovery" (fun () -> Stacks.tinca_recover env) in
+    let fs = part "fs mount" (fun () -> Fs.mount ~config:fs_config stack.Stacks.backend) in
     let stats = Trace.run ~block_size:4096 after_crash (Ops.of_fs ~compute:(Clock.advance env.Stacks.clock) fs) in
     let kv = stack.Stacks.proc_stats () in
     let count k = float_of_string (List.assoc k kv) in
@@ -249,8 +261,10 @@ let trace_cmd =
   in
   let crash_at =
     Arg.(value & opt (some int) None & info [ "crash-at" ] ~docv:"N"
-           ~doc:"Crash after the first $(docv) reads and writes, recover, replay the rest of the \
-                 trace and report its read hit ratio (tinca stack only).")
+           ~doc:"Crash after the first $(docv) reads and writes, recover (reporting the \
+                 simulated time, NVM lines and disk blocks of cache recovery and of the fs \
+                 mount), replay the rest of the trace and report its read hit ratio (tinca \
+                 stack only).")
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log recovery/commit activity.") in
   Cmd.v (Cmd.info "trace" ~doc)

@@ -509,10 +509,28 @@ let recover_region ?(flight_replay = true) ~base ~mem_bytes ~pmem ~disk ~clock ~
   let in_ring = Hashtbl.create 16 in
   List.iter (fun b -> Hashtbl.replace in_ring b ()) (Ring.pending_blknos t.ring);
   Trace.end_span "tinca.recover.ring_scan";
-  (* Rebuild the DRAM index from the persistent entry table. *)
+  (* Rebuild the DRAM index from the persistent entry table, read in one
+     piece so that each 64 B line is charged once. *)
   Trace.begin_span ~clock "tinca.recover.entry_scan";
-  for i = 0 to layout.Layout.nblocks - 1 do
-    let e = entry_at t i in
+  let nblocks = layout.Layout.nblocks in
+  let table = Pmem.read pmem ~off:layout.Layout.entries_off ~len:(nblocks * Entry.size) in
+  (* Every frame number comes from media: bound it and refuse a second
+     claim before the frame cache sees it.  Slots are the scan index, so
+     each is claimed once by construction. *)
+  let claimed = Bytes.make nblocks '\000' in
+  let claim i f =
+    if f < 0 || f >= nblocks then
+      raise
+        (Corrupt
+           (Printf.sprintf "Tinca.Cache.recover: entry %d names frame %d, not in [0, %d)" i f
+              nblocks));
+    if Bytes.get claimed f <> '\000' then
+      raise
+        (Corrupt (Printf.sprintf "Tinca.Cache.recover: entry %d names frame %d twice over" i f));
+    Bytes.set claimed f '\001'
+  in
+  for i = 0 to nblocks - 1 do
+    let e = Entry.decode_at table (i * Entry.size) in
     if e.Entry.valid then begin
       if Fc.mem t.fc e.Entry.disk_blkno then
         raise (Corrupt "Tinca.Cache.recover: duplicate valid entry for a disk block");
@@ -521,6 +539,8 @@ let recover_region ?(flight_replay = true) ~base ~mem_bytes ~pmem ~disk ~clock ~
       (* prev is meaningful (and pins NVM space) only for in-flight
          blocks; other buffer-role entries carry a stale prev. *)
       let prev = if in_flight then e.Entry.prev else None in
+      claim i e.Entry.cur;
+      (match prev with Some p -> claim i p | None -> ());
       Fc.claim_slot t.fc i;
       Fc.claim_frame t.fc e.Entry.cur;
       (match prev with Some p -> Fc.claim_frame t.fc p | None -> ());

@@ -31,18 +31,22 @@ let encode t =
   Codec.set_u32 b 12 t.cur;
   b
 
-let decode b =
-  if Bytes.length b <> size then invalid_arg "Entry.decode: need 16 bytes";
-  let flags = Codec.get_u8 b 0 in
-  let prev_raw = Codec.get_u32 b 8 in
+let decode_at b off =
+  if off < 0 || off + size > Bytes.length b then invalid_arg "Entry.decode_at: need 16 bytes";
+  let flags = Codec.get_u8 b off in
+  let prev_raw = Codec.get_u32 b (off + 8) in
   {
     valid = flags land flag_valid <> 0;
     role = (if flags land flag_log <> 0 then Log else Buffer);
     modified = flags land flag_modified <> 0;
-    disk_blkno = Codec.get_u56 b 1;
+    disk_blkno = Codec.get_u56 b (off + 1);
     prev = (if prev_raw = fresh then None else Some prev_raw);
-    cur = Codec.get_u32 b 12;
+    cur = Codec.get_u32 b (off + 12);
   }
+
+let decode b =
+  if Bytes.length b <> size then invalid_arg "Entry.decode: need 16 bytes";
+  decode_at b 0
 
 let invalid_bytes () = Bytes.make size '\000'
 

@@ -35,6 +35,12 @@ val encode : t -> bytes
     decodes with [valid = false]. *)
 val decode : bytes -> t
 
+(** [decode_at b off] decodes the entry stored at [b.[off .. off+15]],
+    so a scan can decode a whole table read in one piece without a
+    16-byte copy per entry.  Raises [Invalid_argument] when the range
+    does not fit [b]. *)
+val decode_at : bytes -> int -> t
+
 (** A zeroed, invalid slot. *)
 val invalid_bytes : unit -> bytes
 

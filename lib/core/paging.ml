@@ -174,19 +174,21 @@ let encode_entry e =
   Codec.set_u32 b 12 e.e_epoch;
   b
 
-let decode_entry b =
-  let flags = Codec.get_u8 b 0 in
+(* Decode the entry at [b.[off ..]]: recovery decodes its whole table
+   from one read, in place. *)
+let decode_entry_at b off =
+  let flags = Codec.get_u8 b off in
   {
     e_valid = flags land 1 <> 0;
     e_has_old = flags land 2 <> 0;
-    e_frame_a = get_u24 b 1;
-    e_frame_b = get_u24 b 4;
-    e_blkno = Codec.get_u32 b 8;
-    e_epoch = Codec.get_u32 b 12;
+    e_frame_a = get_u24 b (off + 1);
+    e_frame_b = get_u24 b (off + 4);
+    e_blkno = Codec.get_u32 b (off + 8);
+    e_epoch = Codec.get_u32 b (off + 12);
   }
 
-let entry_is_zero b =
-  let rec go i = i >= entry_size || (Bytes.get b i = '\000' && go (i + 1)) in
+let entry_is_zero_at b off =
+  let rec go i = i >= entry_size || (Bytes.get b (off + i) = '\000' && go (i + 1)) in
   go 0
 
 (* The committed normal form: no old side, the live frame on side B, at
@@ -773,7 +775,7 @@ let flush_all t =
 
 (* --- recovery ------------------------------------------------------------ *)
 
-let read_entry t g slot = decode_entry (Pmem.read t.pmem ~off:(entry_off g slot) ~len:entry_size)
+let read_entry t g slot = decode_entry_at (Pmem.read t.pmem ~off:(entry_off g slot) ~len:entry_size) 0
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
 
@@ -792,7 +794,12 @@ let read_super pmem ~base =
 let recover_shard t ~shard_id ~roll_forward =
   let s = t.shards.(shard_id) in
   let g = s.geom in
-  let epoch = Pmem.read_u64_int t.pmem ~off:(g.base + g.epoch_off) in
+  let epoch =
+    let w = Pmem.read_u64 t.pmem ~off:(g.base + g.epoch_off) in
+    if Int64.compare w 0L < 0 || Int64.compare w (Int64.of_int max_int) > 0 then
+      corrupt "paging: shard %d epoch word %Lx beyond the int range" shard_id w;
+    Int64.to_int w
+  in
   (* Flight scan before recovery writes anything; the cursor resumes
      after the highest surviving sequence number. *)
   (match s.flight with
@@ -805,12 +812,15 @@ let recover_shard t ~shard_id ~roll_forward =
   let seen_blkno = Hashtbl.create 64 in
   let staged = ref [] in
   let live = ref [] in
+  (* The whole table in one read, so each line is charged once. *)
+  let table = Pmem.read t.pmem ~off:(entry_off g 0) ~len:(g.nframes * entry_size) in
   for slot = 0 to g.nframes - 1 do
-    let raw = Pmem.read t.pmem ~off:(entry_off g slot) ~len:entry_size in
-    if not (entry_is_zero raw) then begin
-      let e = decode_entry raw in
+    let off = slot * entry_size in
+    if not (entry_is_zero_at table off) then begin
+      let e = decode_entry_at table off in
       if not e.e_valid then corrupt "paging: slot %d nonzero but invalid (torn swing?)" slot;
-      if Codec.get_u8 raw 7 <> 0 then corrupt "paging: slot %d reserved byte nonzero (torn swing?)" slot;
+      if Codec.get_u8 table (off + 7) <> 0 then
+        corrupt "paging: slot %d reserved byte nonzero (torn swing?)" slot;
       if e.e_frame_b >= g.nframes then corrupt "paging: slot %d frame_b %d out of range" slot e.e_frame_b;
       if e.e_has_old && (e.e_frame_a >= g.nframes || e.e_frame_a = e.e_frame_b) then
         corrupt "paging: slot %d frame_a %d invalid" slot e.e_frame_a;

@@ -141,19 +141,26 @@ let rewind_head t =
   write_ptr t ~off:t.layout.Layout.head_off t.head
 
 (* Head and Tail come from media: bound them before the scan allocates
-   one list cell per slot in between. *)
+   one list cell per slot in between.  [Tail, Head) is at most two runs
+   of adjacent slots (to the ring's end, then from its start), and each
+   run is read in one piece, so a 64 B line of eight slots is charged
+   once. *)
 let pending_blknos t =
   if not (0 <= t.tail && t.tail <= t.head && t.head <= t.tail + slots t) then
     raise
       (Corrupt
          (Printf.sprintf "Tinca.Ring: Head %d and Tail %d are not 0 <= Tail <= Head <= Tail + %d"
             t.head t.tail (slots t)));
-  let acc = ref [] in
-  for c = t.head - 1 downto t.tail do
-    let off = Layout.ring_slot_off t.layout c in
-    acc := Pmem.read_u64_int t.pmem ~off :: !acc
-  done;
-  !acc
+  let n = in_flight t in
+  let first = t.tail mod slots t in
+  let run = min n (slots t - first) in
+  let read c count = Pmem.read t.pmem ~off:(Layout.ring_slot_off t.layout c) ~len:(count * 8) in
+  let a = read t.tail run and b = read (t.tail + run) (n - run) in
+  List.init n (fun k ->
+      let v = if k < run then Bytes.get_int64_le a (k * 8) else Bytes.get_int64_le b ((k - run) * 8) in
+      if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
+        raise (Corrupt (Printf.sprintf "Tinca.Ring: slot %d holds %Ld, not a block number" (t.tail + k) v));
+      Int64.to_int v)
 
 let reload t =
   t.head <- read_ptr t.pmem ~off:t.layout.Layout.head_off;

@@ -10,7 +10,7 @@
 
 type t
 
-(** The persistent pointers are out of bounds (see {!pending_blknos}).
+(** The persistent pointers or slots are out of bounds (see {!pending_blknos}).
     [Cache.Corrupt] is this exception. *)
 exception Corrupt of string
 
@@ -75,7 +75,9 @@ val rewind_head : t -> unit
 
 (** Disk block numbers in [Tail, Head), oldest first (recovery scan).
     Raises {!Corrupt} unless [0 <= Tail <= Head <= Tail + slots], checked
-    before anything is read or allocated. *)
+    before anything is read or allocated, and when a slot holds a word
+    beyond the int range.  The range is read in at most two pieces (it
+    may wrap), so each slot line is charged once. *)
 val pending_blknos : t -> int list
 
 (** Re-read Head/Tail from media (after a crash). *)

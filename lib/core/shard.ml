@@ -276,10 +276,16 @@ let roll_forward ~pmem ~nshards ~span ~mask ~clock =
           ranges := (off, Layout.flight_record_size) :: !ranges
         end
       in
+      (* The entry table in one read (each line charged once); the loop
+         only rewrites the entry it has just decoded, so the copy stays
+         current for every entry still to come. *)
+      let table =
+        Pmem.read pmem ~off:layout.Layout.entries_off ~len:(layout.Layout.nblocks * Entry.size)
+      in
       for idx = 0 to layout.Layout.nblocks - 1 do
-        let off = Layout.entry_off layout idx in
-        let e = Entry.decode (Pmem.read pmem ~off ~len:Entry.size) in
+        let e = Entry.decode_at table (idx * Entry.size) in
         if e.Entry.valid && e.Entry.role = Entry.Log then begin
+          let off = Layout.entry_off layout idx in
           Pmem.atomic_write16 pmem ~off (Entry.encode { e with Entry.role = Entry.Buffer });
           ranges := (off, Entry.size) :: !ranges;
           flight_decision e.Entry.disk_blkno

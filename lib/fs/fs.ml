@@ -439,17 +439,39 @@ let mount ~config backend =
     let b = backend.Backend.read_block (geo.bitmap_start + i) in
     Bytes.blit b 0 t.bitmap (i * bs) bs
   done;
+  (* The scans below read each inode-table, pointer and directory block
+     once, and stage nothing: a fresh mount has nothing to commit. *)
+  let blocks = Hashtbl.create 16 in
+  let read_once blkno =
+    match Hashtbl.find_opt blocks blkno with
+    | Some b -> b
+    | None ->
+        let b = read_blk t blkno in
+        Hashtbl.replace blocks blkno b;
+        b
+  in
   (* Free inode list. *)
   for ino = config.ninodes - 1 downto 1 do
-    let free = inode_peek t ino (fun b off -> get_kind b off = kind_free) in
-    if free then t.free_inodes <- ino :: t.free_inodes
+    if get_kind (read_once (inode_block t ino)) (inode_off ino) = kind_free then
+      t.free_inodes <- ino :: t.free_inodes
   done;
-  (* Directory scan: name cache + free dirent slots. *)
-  let nents = inode_peek t root_ino (fun b off -> get_size b off) / dirent_size in
+  (* Directory scan: name cache + free dirent slots.  [bmap] without
+     allocation or staging, over the root inode. *)
+  let root = read_once (inode_block t root_ino) and off = inode_off root_ino in
+  let slot container idx = if container = 0 then 0 else Codec.get_u32 (read_once container) (idx * 4) in
+  let dir_block fbi =
+    if fbi < ndirect then get_direct root off fbi
+    else if fbi < ndirect + ptrs_per_block then slot (get_ind root off) (fbi - ndirect)
+    else
+      let rel = fbi - ndirect - ptrs_per_block in
+      slot (slot (get_dind root off) (rel / ptrs_per_block)) (rel mod ptrs_per_block)
+  in
+  let nents = get_size root off / dirent_size in
   for idx = nents - 1 downto 0 do
-    match read_dirent_block t idx ~alloc:false with
-    | None -> t.free_dirents <- idx :: t.free_dirents
-    | Some (_, b) ->
+    match dir_block (idx / dirents_per_block) with
+    | 0 -> t.free_dirents <- idx :: t.free_dirents
+    | blkno ->
+        let b = read_once blkno in
         let off = idx mod dirents_per_block * dirent_size in
         let name_len = Codec.get_u8 b (off + 5) in
         if name_len = 0 then t.free_dirents <- idx :: t.free_dirents

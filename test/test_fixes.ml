@@ -186,9 +186,154 @@ let test_head_bit_flip_is_corrupt () =
     done
   done
 
+(* The slot and decoded entry of cached block [blkno]. *)
+let entry_of env cache blkno =
+  let layout = Cache.layout cache in
+  let rec find i =
+    if i >= layout.Tinca_core.Layout.nblocks then Alcotest.failf "no entry for block %d" blkno
+    else
+      let off = Tinca_core.Layout.entry_off layout i in
+      let e = Tinca_core.Entry.decode (Pmem.read env.pmem ~off ~len:Tinca_core.Entry.size) in
+      if e.Tinca_core.Entry.valid && e.Tinca_core.Entry.disk_blkno = blkno then (off, e) else find (i + 1)
+  in
+  find 0
+
+(* Overwrite the u32 at [off] durably. *)
+let poke_u32 env ~off v =
+  let b = Bytes.create 4 in
+  Tinca_util.Codec.set_u32 b 0 v;
+  Pmem.write env.pmem ~off b;
+  Pmem.persist env.pmem ~off ~len:4
+
+(* Recovery through the facade on mutated media: [Error] or [Ok], never
+   an exception; [`Error] demands the typed corruption result. *)
+let facade_recover env ~expect what =
+  match Tinca.recover ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics with
+  | Error (Tinca.Unformatted _) -> ()
+  | Error e -> Alcotest.failf "%s: unexpected error %s" what (Tinca.error_message e)
+  | Ok _ when expect = `Any -> ()
+  | Ok _ -> Alcotest.failf "%s: recovery accepted corrupt media" what
+  | exception e -> Alcotest.failf "%s: recovery raised %s" what (Printexc.to_string e)
+
+(* A committed buffer-role entry (blocks 1-3), then an in-flight COW
+   entry of block 7 in log role with a previous version.  [f] gets the
+   fresh media, the cache and both entries' offsets and decodings. *)
+let with_entry_media f =
+  let env = mk_env () in
+  let cache = mk_cache env in
+  for i = 1 to 3 do
+    Cache.write_direct cache i (Bytes.make 4096 'c')
+  done;
+  Cache.write_direct cache 7 (Bytes.make 4096 'a');
+  let h = Cache.Txn.init cache in
+  Cache.Txn.add h 7 (Bytes.make 4096 'b');
+  Cache.Txn.commit_prefix h 1;
+  let committed = entry_of env cache 2 and in_flight = entry_of env cache 7 in
+  f env cache ~committed ~in_flight
+
+(* A flipped bit in an entry's frame fields used to reach the frame
+   cache's free monitors and raise Invalid_argument ("index out of
+   range", "mark_used: already used"); recovery now bounds every frame
+   number, refuses a frame claimed twice and returns the typed error. *)
+let test_entry_frame_flips_are_corrupt () =
+  let module E = Tinca_core.Entry in
+  let nblocks =
+    with_entry_media (fun _ cache ~committed:_ ~in_flight:(_, e) ->
+        Alcotest.(check bool) "in-flight entry is log role" true (e.E.role = E.Log);
+        Alcotest.(check bool) "in-flight entry has a previous version" true (e.E.prev <> None);
+        (Cache.layout cache).Tinca_core.Layout.nblocks)
+  in
+  (* Bits at or above the frame count's top bit always leave the range. *)
+  let rec width n = if n = 0 then 0 else 1 + width (n lsr 1) in
+  for bit = 0 to 31 do
+    let flip field ~entry ~expect =
+      with_entry_media (fun env _ ~committed ~in_flight ->
+          let off, e = if entry = `Committed then committed else in_flight in
+          let field_off, v =
+            match field with
+            | `Cur -> (12, e.E.cur)
+            | `Prev -> (8, match e.E.prev with Some p -> p | None -> E.fresh)
+          in
+          poke_u32 env ~off:(off + field_off) (v lxor (1 lsl bit));
+          facade_recover env ~expect (Printf.sprintf "bit %d" bit))
+    in
+    let expect = if bit >= width nblocks then `Error else `Any in
+    flip `Cur ~entry:`Committed ~expect;
+    flip `Cur ~entry:`In_flight ~expect;
+    flip `Prev ~entry:`In_flight ~expect;
+    (* A committed entry's previous version is stale and never read. *)
+    flip `Prev ~entry:`Committed ~expect:`Any
+  done;
+  (* In-range frames claimed twice: two entries on one frame, and an
+     in-flight entry whose previous version is its current one. *)
+  with_entry_media (fun env _ ~committed:(off, _) ~in_flight:(_, e) ->
+      poke_u32 env ~off:(off + 12) e.E.cur;
+      facade_recover env ~expect:`Error "two entries on one frame");
+  with_entry_media (fun env _ ~committed:_ ~in_flight:(off, e) ->
+      poke_u32 env ~off:(off + 8) e.E.cur;
+      facade_recover env ~expect:`Error "prev = cur")
+
+(* Paging's epoch word beyond the int range used to escape as
+   Pmem.read_u64_int's Invalid_argument.  Every bit of the word is
+   flipped in turn: none may raise, and the top two must be typed. *)
+let test_paging_epoch_flips_are_corrupt () =
+  let module Paging = Tinca_core.Paging in
+  for bit = 0 to 63 do
+    let env = mk_env ~pmem_bytes:(256 * 1024) () in
+    let pg =
+      Paging.format ~nshards:1 ~config:Paging.default_config ~pmem:env.pmem ~disk:env.disk
+        ~clock:env.clock ~metrics:env.metrics
+    in
+    for i = 1 to 3 do
+      Paging.write_direct pg i (Bytes.make 4096 'p')
+    done;
+    let off = (List.hd (Paging.region_layouts pg)).Paging.r_epoch_off in
+    let w = Pmem.read_u64 env.pmem ~off in
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.logxor w (Int64.shift_left 1L bit));
+    Pmem.write env.pmem ~off b;
+    Pmem.persist env.pmem ~off ~len:8;
+    facade_recover env ~expect:(if bit >= 62 then `Error else `Any) (Printf.sprintf "epoch bit %d" bit)
+  done
+
 let test_unformatted_media () =
   let env = mk_env () in
   recover_fails_with env "unformatted"
+
+(* Recovery reads each line of its table scan once.  On a freshly
+   formatted device the ring range is empty, so recovery reads three
+   header lines (superblock, Head and Tail for logging; magic,
+   superblock and epoch word for paging) plus the table, charged as
+   whole lines of four 16 B entries. *)
+let lines_of bytes = (bytes + 63) / 64
+
+let read_lines_during env f =
+  let before = Metrics.get env.metrics "pmem.read_lines" in
+  ignore (f ());
+  Metrics.get env.metrics "pmem.read_lines" - before
+
+let test_logging_recovery_reads_each_line_once () =
+  let env = mk_env () in
+  let cache = mk_cache env in
+  let layout = Cache.layout cache in
+  let table = lines_of (layout.Tinca_core.Layout.nblocks * Tinca_core.Entry.size) in
+  let header = 3 in
+  Alcotest.(check int) "header + table lines" (header + table)
+    (read_lines_during env (fun () ->
+         Cache.recover ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics ()))
+
+let test_paging_recovery_reads_each_line_once () =
+  let module Paging = Tinca_core.Paging in
+  let env = mk_env () in
+  let pg =
+    Paging.format ~nshards:1 ~config:Paging.default_config ~pmem:env.pmem ~disk:env.disk
+      ~clock:env.clock ~metrics:env.metrics
+  in
+  let table = lines_of (List.hd (Paging.region_layouts pg)).Paging.r_table_bytes in
+  let header = 3 in
+  Alcotest.(check int) "header + table lines" (header + table)
+    (read_lines_during env (fun () ->
+         Paging.recover ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics ()))
 
 (* clflush of an already-persisted line: the instruction is issued (and
    counted) but starts no medium write-back, so it must be cheaper than
@@ -351,6 +496,14 @@ let suite =
         Alcotest.test_case "unformatted media" `Quick test_unformatted_media;
         Alcotest.test_case "Head bit flip is typed corruption" `Quick
           test_head_bit_flip_is_corrupt;
+        Alcotest.test_case "entry frame flips are typed corruption" `Quick
+          test_entry_frame_flips_are_corrupt;
+        Alcotest.test_case "paging epoch flips are typed corruption" `Quick
+          test_paging_epoch_flips_are_corrupt;
+        Alcotest.test_case "logging recovery reads each line once" `Quick
+          test_logging_recovery_reads_each_line_once;
+        Alcotest.test_case "paging recovery reads each line once" `Quick
+          test_paging_recovery_reads_each_line_once;
         Alcotest.test_case "clean clflush charges no write-back" `Quick
           test_clean_clflush_charges_no_writeback;
       ] );

@@ -163,6 +163,48 @@ let test_mount_rebuilds (fs_and_stack : Fs.t * Stacks.t) =
     (Bytes.to_string (Fs.pread fs2 "persisted" ~off:0 ~len:10));
   Fs.fsck fs2
 
+(* Mount reads the superblock, the bitmap, each inode-table block and
+   each directory block (and pointer block) once, straight through a
+   counting backend, and stages nothing: the next fsync has nothing to
+   commit.  At 64 inodes that is 1 + 1 + 2 + 1 = 5 reads. *)
+let test_mount_reads_each_block_once () =
+  let check ~ninodes ~files ~expect =
+    let stack = make_stack `Tinca in
+    let config = { fs_config with ninodes } in
+    let fs = Fs.format ~config stack.Stacks.backend in
+    for i = 1 to files do
+      Fs.create fs (Printf.sprintf "f%d" i)
+    done;
+    Fs.delete fs "f2";
+    Fs.fsync fs;
+    let reads = ref 0 in
+    let backend =
+      {
+        stack.Stacks.backend with
+        Tinca_fs.Backend.read_block =
+          (fun blkno ->
+            incr reads;
+            stack.Stacks.backend.Tinca_fs.Backend.read_block blkno);
+      }
+    in
+    let fs2 = Fs.mount ~config backend in
+    let what = Printf.sprintf "%d inodes, %d files" ninodes files in
+    Alcotest.(check int) (what ^ ": backend reads") expect !reads;
+    Alcotest.(check int) (what ^ ": nothing staged") 0 (Fs.dirty_blocks fs2);
+    Alcotest.(check bool) (what ^ ": deleted file gone") false (Fs.exists fs2 "f2");
+    Alcotest.(check bool) (what ^ ": last file found") true (Fs.exists fs2 (Printf.sprintf "f%d" files));
+    Fs.fsck fs2;
+    (* The rebuilt free lists hand out the deleted file's inode and
+       directory entry again. *)
+    Fs.create fs2 "again";
+    Fs.fsck fs2
+  in
+  check ~ninodes:64 ~files:3 ~expect:5;
+  (* 900 entries fill 15 directory blocks, the last 3 behind the
+     indirect block: 1 superblock + 1 bitmap + 32 inode-table blocks +
+     15 directory blocks + 1 indirect block. *)
+  check ~ninodes:1024 ~files:900 ~expect:50
+
 let test_auto_commit_threshold () =
   let stack = make_stack `Tinca in
   let fs =
@@ -286,6 +328,7 @@ let suite =
         on_all "create/delete churn" test_create_delete_churn;
         on_all "errors" test_errors;
         on_all "mount rebuilds caches" test_mount_rebuilds;
+        Alcotest.test_case "mount reads each block once" `Quick test_mount_reads_each_block_once;
         Alcotest.test_case "auto-commit threshold" `Quick test_auto_commit_threshold;
         q prop_fs_random_ops;
       ] );
