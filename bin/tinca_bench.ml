@@ -171,10 +171,18 @@ let run_trace stack_name shards scheme trace_file synth_ops read_pct nblocks cra
   Printf.printf "lines flushed/op  %10.1f\n" (per_op "pmem.clflush_writebacks");
   Printf.printf "lines dirtied/op  %10.1f\n" (per_op "pmem.lines_dirtied");
   Printf.printf "disk writes/op    %10.2f\n" (per_op "disk.writes");
-  (* Dirty blocks the cleaner wrote, and the ones replacement
-     had to write back on the foreground path (both engines). *)
+  (* Dirty blocks the cleaner wrote, the dirty victims replacement wrote
+     back on the foreground path (both engines), and the most device
+     time the cleaners' queued writes left behind them. *)
   Printf.printf "cleaned/op        %10.2f\n" (per_op "tinca.cleaned");
-  Printf.printf "fg write-backs/op %10.2f\n" (per_op "tinca.writebacks" -. per_op "tinca.cleaned");
+  let fsyncs = List.length (List.filter (fun op -> op = Trace.Fsync) before_crash) in
+  Printf.printf "fg write-backs/fsync %7.2f\n"
+    (float_of_int (Metrics.since env.Stacks.metrics snap "cache.fg_writebacks")
+    /. float_of_int (max 1 fsyncs));
+  Printf.printf "peak bg backlog   %10.1f sim-us\n"
+    (match Metrics.hist env.Stacks.metrics "disk.bg_backlog_ns" with
+    | Some h -> Hist.max_value h /. 1e3
+    | None -> 0.0);
   Printf.printf "disk reads/op     %10.2f\n" (per_op "disk.reads");
   Printf.printf "cache write hit   %10.1f%%\n" (100.0 *. stack.Stacks.cache_write_hit_rate ());
   (* Power fails after [crash_at] ops; the rest of the trace runs on the

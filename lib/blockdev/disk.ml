@@ -2,15 +2,17 @@ open Tinca_sim
 
 type t = {
   clock : Clock.t;
+  metrics : Metrics.t;
   c_reads : Metrics.counter;
   c_writes : Metrics.counter;
   c_seq_writes : Metrics.counter;
+  c_throttle_ns : Metrics.counter;
   lat : Latency.disk;
   nblocks : int;
   block_size : int;
   store : (int, bytes) Hashtbl.t;
   mutable head : int; (* last accessed block, for HDD seek distance *)
-  mutable busy_until : float; (* device queue: when the last access completes *)
+  mutable busy_until : float; (* device queue: when the last queued access completes *)
   mutable reads : int;
   mutable writes : int;
 }
@@ -19,9 +21,11 @@ let create ~clock ~metrics ~kind ~nblocks ~block_size =
   if nblocks <= 0 || block_size <= 0 then invalid_arg "Disk.create: bad geometry";
   {
     clock;
+    metrics;
     c_reads = Metrics.counter metrics "disk.reads";
     c_writes = Metrics.counter metrics "disk.writes";
     c_seq_writes = Metrics.counter metrics "disk.seq_writes";
+    c_throttle_ns = Metrics.counter metrics "disk.throttle_ns";
     lat = Latency.disk_of_kind kind;
     nblocks;
     block_size;
@@ -64,15 +68,28 @@ let write_cost t blkno =
   let xfer = if sequential then t.lat.Latency.seq_block_ns else t.lat.Latency.write_block_ns in
   (pos_cost +. xfer, sequential)
 
-(* One queued device access: it starts when both the caller issues it and
-   the device is free, and occupies the device for [cost].  Foreground
-   callers wait for completion; background (cleaner) accesses only
-   reserve device time. *)
+(* One device access issued now, occupying the device for [cost].
+   Background (cleaner) writes queue behind everything issued before
+   them and only reserve device time; the backlog they leave is
+   recorded.  A foreground caller waits for its access to complete.  On
+   an HDD it also waits for the queue (FIFO: a seek cannot be
+   suspended).  An SSD suspends queued background programs for it (NAND
+   program suspend), so it is served as on an idle device and the
+   queued work finishes [cost] later. *)
 let access t ~background cost =
-  let start = Float.max (Clock.now_ns t.clock) t.busy_until in
-  let finish = start +. cost in
-  t.busy_until <- finish;
-  if not background then Clock.advance_to t.clock finish
+  let now = Clock.now_ns t.clock in
+  t.busy_until <- Float.max now t.busy_until +. cost;
+  if background then Metrics.observe t.metrics "disk.bg_backlog_ns" (t.busy_until -. now)
+  else
+    Clock.advance_to t.clock
+      (match t.lat.Latency.kind with Latency.Ssd -> now +. cost | Latency.Hdd -> t.busy_until)
+
+let await_background t =
+  let now = Clock.now_ns t.clock in
+  if t.busy_until > now then begin
+    Metrics.add t.c_throttle_ns (int_of_float (Float.ceil (t.busy_until -. now)));
+    Clock.advance_to t.clock t.busy_until
+  end
 
 let read_block t blkno =
   check t blkno;

@@ -6,7 +6,10 @@
     backing store is sparse so multi-GB simulated datasets cost only the
     blocks actually written.
 
-    Counters: ["disk.reads"], ["disk.writes"], ["disk.seq_writes"]. *)
+    Counters: ["disk.reads"], ["disk.writes"], ["disk.seq_writes"],
+    ["disk.throttle_ns"] (simulated ns cleaners waited in
+    {!await_background}).  Histogram: ["disk.bg_backlog_ns"], the queued
+    device time left behind each background write when it is issued. *)
 
 type t
 
@@ -25,14 +28,24 @@ val nblocks : t -> int
 (** [read_block t blkno] — blocks never written read as zeros. *)
 val read_block : t -> int -> bytes
 
-(** [write_block ?background t blkno data].  The device is a single
-    queue: every access occupies it for the modelled duration.
-    Foreground accesses (the default) block the caller — the clock
-    advances past any queued work.  [~background:true] models an
-    asynchronous cleaner thread: the write consumes device time (and so
-    delays later foreground accesses) without advancing the caller's
-    clock. *)
+(** [write_block ?background t blkno data].  Every access occupies the
+    device for its modelled duration, and background writes queue
+    behind all earlier accesses.  Foreground accesses (the default)
+    block the caller until they complete.  On an HDD the queue is FIFO:
+    a foreground access also waits for the queued work ahead of it.  On
+    an SSD a foreground access suspends queued background writes (NAND
+    program suspend, as for {!write_idle}): it completes as on an idle
+    device, and the queued work completes later by exactly its service
+    time.  [~background:true] models an asynchronous cleaner thread: the
+    write consumes device time without advancing the caller's clock.
+    {!read_block} is foreground and follows the same rule. *)
 val write_block : ?background:bool -> t -> int -> bytes -> unit
+
+(** [await_background t] advances the caller's clock to the end of the
+    queued work, adding the wait to ["disk.throttle_ns"].  A cleaner
+    calls it before it queues a batch, so at most one batch is queued
+    and background work cannot pile up unseen. *)
+val await_background : t -> unit
 
 (** [write_idle t ~not_before blkno data] places a write of [blkno] at
     the start of the device's current idle gap — when its last access

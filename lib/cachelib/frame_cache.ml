@@ -6,6 +6,7 @@ type 'a block = {
   mutable dirty : bool;
   mutable durable_at : int;
   mutable node : 'a block Lru.node option;
+  mutable clean_node : 'a block Lru.node option;
   ext : 'a;
 }
 
@@ -14,6 +15,7 @@ type 'a hooks = { evict : 'a block -> unit }
 type 'a t = {
   index : (int, 'a block) Hashtbl.t;
   lru : 'a block Lru.t;
+  clean : 'a block Lru.t; (* the clean blocks of [lru], in its order *)
   frames : Free_monitor.t;
   slots : Free_monitor.t;
   mutable ndirty : int;
@@ -28,6 +30,7 @@ let create ?policy ~frames ~slots ~index_size () =
   {
     index = Hashtbl.create index_size;
     lru = Lru.create ();
+    clean = Lru.create ();
     frames = Free_monitor.create ?policy ~n:frames ();
     slots = Free_monitor.create ~n:slots ();
     ndirty = 0;
@@ -41,7 +44,13 @@ let create ?policy ~frames ~slots ~index_size () =
 let length t = Hashtbl.length t.index
 let find t key = Hashtbl.find_opt t.index key
 let mem t key = Hashtbl.mem t.index key
-let touch t b = match b.node with Some n -> Lru.touch t.lru n | None -> ()
+
+let touch t b =
+  match b.node with
+  | Some n ->
+      Lru.touch t.lru n;
+      (match b.clean_node with Some c -> Lru.touch t.clean c | None -> ())
+  | None -> ()
 
 let lookup_read t key =
   let r = Hashtbl.find_opt t.index key in
@@ -52,22 +61,56 @@ let lookup_read t key =
   | None -> t.read_misses <- t.read_misses + 1);
   r
 
+(* A block cleaned in place joins the clean list next to the nearest
+   clean block on either side of it in the LRU, found by walking both
+   ways in step; with no clean block left, the clean list is empty.  A
+   cleaner's batch is a run of LRU neighbours, so the walk is short. *)
+let link_clean t b n =
+  let clean_node v = (Lru.value v).clean_node in
+  let rec walk older newer =
+    match (Option.bind newer clean_node, Option.bind older clean_node) with
+    | Some c, _ -> Lru.push_before t.clean c b
+    | None, Some c -> (
+        match Lru.next c with
+        | Some c' -> Lru.push_before t.clean c' b
+        | None -> Lru.push_mru t.clean b)
+    | None, None ->
+        if Option.is_none older && Option.is_none newer then Lru.push_mru t.clean b
+        else walk (Option.bind older Lru.prev) (Option.bind newer Lru.next)
+  in
+  b.clean_node <- Some (walk (Lru.prev n) (Lru.next n))
+
+let unlink_clean t b =
+  match b.clean_node with
+  | Some c ->
+      Lru.remove t.clean c;
+      b.clean_node <- None
+  | None -> ()
+
 let set_dirty t b v =
   if b.dirty <> v then begin
     b.dirty <- v;
-    t.ndirty <- (t.ndirty + if v then 1 else -1)
+    t.ndirty <- (t.ndirty + if v then 1 else -1);
+    match b.node with
+    | _ when v -> unlink_clean t b
+    | Some n -> link_clean t b n
+    | None -> ()
   end
 
 let insert t ~key ~frame ~slot ~dirty ~pinned ext =
-  let b = { key; frame; slot; pinned; dirty = false; durable_at = 0; node = None; ext } in
-  set_dirty t b dirty;
+  let b =
+    { key; frame; slot; pinned; dirty; durable_at = 0; node = None; clean_node = None; ext }
+  in
+  if dirty then t.ndirty <- t.ndirty + 1;
   b.node <- Some (Lru.push_mru t.lru b);
+  if not dirty then b.clean_node <- Some (Lru.push_mru t.clean b);
   Hashtbl.replace t.index key b;
   b
 
 let remove t b =
   (match b.node with Some n -> Lru.remove t.lru n | None -> ());
   b.node <- None;
+  unlink_clean t b;
   Hashtbl.remove t.index b.key;
   set_dirty t b false;
   Free_monitor.free t.frames b.frame;
@@ -86,10 +129,20 @@ let free_frame t f = Free_monitor.free t.frames f
 let free_slot t s = Free_monitor.free t.slots s
 let claim_frame t f = Free_monitor.mark_used t.frames f
 let claim_slot t s = Free_monitor.mark_used t.slots s
-let victim t = Option.map Lru.value (Lru.find_from_lru t.lru ~f:(fun b -> not b.pinned))
 
-let evict t hooks =
-  match victim t with
+(* The LRU-most unpinned block that [ok] accepts, clean first.  Any
+   clean candidate is on the clean list; with none there, the first
+   candidate of the whole LRU is the LRU-most dirty one. *)
+let pick t ok =
+  let candidate b = (not b.pinned) && ok b in
+  match Lru.find_from_lru t.clean ~f:candidate with
+  | Some n -> Some (Lru.value n)
+  | None when t.ndirty = 0 -> None
+  | None -> Option.map Lru.value (Lru.find_from_lru t.lru ~f:candidate)
+
+let victim t = pick t (fun _ -> true)
+
+let evict t hooks = function
   | None -> false
   | Some b ->
       hooks.evict b;
@@ -98,15 +151,16 @@ let evict t hooks =
       true
 
 (* Every eviction frees a frame, so the slot loop never undoes the
-   frame loop: [ok] is the whole verdict. *)
+   frame loop: [ok] is the whole verdict.  The slot loop takes only
+   victims that hold a slot; when none is left, evicting more would
+   free no slot, so it fails without evicting. *)
 let make_room t hooks ~frames ~slots =
   let ok = ref true in
   while !ok && free_frames t < frames do
-    ok := evict t hooks
+    ok := evict t hooks (victim t)
   done;
-  (* Victims without a slot free none; keep evicting until one does. *)
   while !ok && free_slots t < slots do
-    ok := evict t hooks
+    ok := evict t hooks (pick t (fun b -> b.slot >= 0))
   done;
   !ok
 
@@ -128,7 +182,6 @@ module Disk = Tinca_blockdev.Disk
 type 'a cleaner = {
   disk : Disk.t;
   dma_read : 'a block -> bytes;
-  read : 'a block -> bytes;
   cleaned : 'a block list -> unit;
 }
 
@@ -162,7 +215,8 @@ let clean_idle t c =
 (* Above [pressure_dirty] of the frames dirty, the LRU-most unpinned
    dirty blocks down to 7/8 of that level go to disk as one batch in
    queued background device time, elevator-sorted by home block so a run
-   of neighbours transfers at the sequential rate. *)
+   of neighbours transfers at the sequential rate.  The device reads the
+   frames by DMA, as in the idle pass: the caller pays for none of it. *)
 let clean_pressure t c =
   let high = int_of_float (pressure_dirty *. float_of_int (Free_monitor.capacity t.frames)) in
   if t.ndirty <= high then []
@@ -175,9 +229,10 @@ let clean_pressure t c =
         end;
         !budget > 0);
     let sorted = List.sort (fun a b -> compare a.key b.key) !victims in
+    if sorted <> [] then Disk.await_background c.disk;
     List.iter
       (fun b ->
-        let data = c.read b in
+        let data = c.dma_read b in
         Disk.write_block ~background:true c.disk b.key data;
         set_dirty t b false)
       sorted;
@@ -232,6 +287,11 @@ let audit ?(also_holds = fun _ -> -1) t =
   match
     if Lru.length t.lru <> length t then
       fail "LRU length %d <> index size %d" (Lru.length t.lru) (length t);
+    (let clean = List.filter (fun b -> not b.dirty) (Lru.to_list_lru_first t.lru) in
+     let listed = Lru.to_list_lru_first t.clean in
+     if List.compare_lengths clean listed <> 0 || not (List.for_all2 ( == ) clean listed) then
+       fail "clean list (%d blocks) is not the LRU's %d clean blocks in order" (List.length listed)
+         (List.length clean));
     Hashtbl.iter
       (fun key b ->
         if b.key <> key then fail "index key %d holds block %d" key b.key;

@@ -24,6 +24,8 @@ type 'a block = private {
       (** simulated ns by which the current version was durable; 0 for a
           version that was durable before the cache was built *)
   mutable node : 'a block Lru.node option;
+  mutable clean_node : 'a block Lru.node option;
+      (** the block's place on the clean list while it is clean *)
   ext : 'a;  (** engine-specific state *)
 }
 
@@ -80,11 +82,17 @@ val claim_frame : 'a t -> int -> unit
 
 val claim_slot : 'a t -> int -> unit
 
-(** The least-recently-used unpinned block. *)
+(** The least-recently-used unpinned {e clean} block, or the
+    least-recently-used unpinned dirty one when no clean block is
+    unpinned: replacement takes a block it can drop for free before one
+    it must write back to disk on the caller's path. *)
 val victim : 'a t -> 'a block option
 
 (** Evict victims (hook, then {!remove}) until [frames] frames and
-    [slots] slots are free; [false] when the victims run out first. *)
+    [slots] slots are free; [false] when the victims run out first.
+    Frames are freed by {!victim}.  Slots are freed by the same
+    clean-first rule over the blocks that hold a slot; when no unpinned
+    block holds one, it returns [false] without evicting more. *)
 val make_room : 'a t -> 'a hooks -> frames:int -> slots:int -> bool
 
 (** [make_room] for one frame (resp. slot), then allocate it; [None]
@@ -117,11 +125,8 @@ val iter_lru_while : 'a t -> ('a block -> bool) -> unit
 type 'a cleaner = {
   disk : Tinca_blockdev.Disk.t;
   dma_read : 'a block -> bytes;
-      (** an idle write's data: the frame, read by the device (DMA) and
-          charged to nobody *)
-  read : 'a block -> bytes;
-      (** a pressure write's data: the frame, read on the caller's clock
-          like a foreground write-back's *)
+      (** a cleaner write's data: the frame, read by the device (DMA) as
+          part of the background transfer and charged to nobody *)
   cleaned : 'a block list -> unit;
       (** the NVM side for every block just written, in write order:
           persist their clean marks, or drop their metadata slots *)
@@ -152,8 +157,11 @@ val pressure_dirty : float
     frames are dirty.  It takes the LRU-most unpinned dirty blocks
     until 7/8 of that level would remain, and writes them in home-block
     order with queued background writes
-    ([Disk.write_block ~background:true]): the caller does not wait,
-    but later accesses queue behind them.  Every unpinned dirty block is
+    ([Disk.write_block ~background:true]): the caller does not wait for
+    them, except that a batch first waits for the previous batch to
+    drain ({!Tinca_blockdev.Disk.await_background}), so at most one is
+    queued.  On an SSD a foreground access suspends them; on an HDD it
+    queues behind them.  Every unpinned dirty block is
     committed when a commit ends, so no durability stamp is needed. *)
 val clean : 'a t -> 'a cleaner -> after_commit:bool -> int
 
@@ -167,7 +175,8 @@ val write_misses : 'a t -> int
 val evictions : 'a t -> int
 val note_write : 'a t -> hit:bool -> unit
 
-(** Structural check: the LRU and the index hold the same blocks; every
+(** Structural check: the LRU and the index hold the same blocks; the
+    clean list holds the LRU's clean blocks in LRU order; every
     referenced frame and slot is in range, not free and referenced once;
     as many frames and slots are used as are referenced; the dirty count
     equals a recount.  [also_holds b] is one more frame [b] references

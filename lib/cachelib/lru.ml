@@ -21,6 +21,14 @@ let push_mru t v =
   t.len <- t.len + 1;
   node
 
+let push_before t next v =
+  if not next.linked then invalid_arg "Lru.push_before: node not linked";
+  let node = { v; prev = next.prev; next = Some next; linked = true } in
+  (match next.prev with Some p -> p.next <- Some node | None -> t.head <- Some node);
+  next.prev <- Some node;
+  t.len <- t.len + 1;
+  node
+
 let remove t node =
   if not node.linked then invalid_arg "Lru.remove: node not linked";
   (match node.prev with Some p -> p.next <- node.next | None -> t.head <- node.next);
@@ -44,6 +52,8 @@ let touch t node =
       t.len <- t.len + 1
 
 let value node = node.v
+let prev node = node.prev
+let next node = node.next
 let lru t = t.head
 let mru t = t.tail
 

@@ -13,6 +13,10 @@ val length : 'a t -> int
 (** Insert as most-recently-used; returns the handle. *)
 val push_mru : 'a t -> 'a -> 'a node
 
+(** [push_before t next v] inserts [v] just before [next], on its LRU
+    side; returns the handle. *)
+val push_before : 'a t -> 'a node -> 'a -> 'a node
+
 (** Move an existing node to the MRU end. *)
 val touch : 'a t -> 'a node -> unit
 
@@ -21,6 +25,12 @@ val touch : 'a t -> 'a node -> unit
 val remove : 'a t -> 'a node -> unit
 
 val value : 'a node -> 'a
+
+(** The neighbours of a linked node: towards the LRU end, and towards
+    the MRU end. *)
+val prev : 'a node -> 'a node option
+
+val next : 'a node -> 'a node option
 
 (** Least-recently-used node, if any. *)
 val lru : 'a t -> 'a node option

@@ -85,6 +85,7 @@ type info = ext Fc.block
 type counters = {
   c_flight_records : Metrics.counter;
   c_writebacks : Metrics.counter;
+  c_fg_writebacks : Metrics.counter;
   c_evictions : Metrics.counter;
   c_cleaned : Metrics.counter;
   c_revoked : Metrics.counter;
@@ -103,6 +104,7 @@ let counters metrics =
   {
     c_flight_records = c "tinca.flight.records";
     c_writebacks = c "tinca.writebacks";
+    c_fg_writebacks = c "cache.fg_writebacks";
     c_evictions = c "tinca.evictions";
     c_cleaned = c "tinca.cleaned";
     c_revoked = c "tinca.revoked";
@@ -312,7 +314,10 @@ let evict_hooks t =
     Fc.evict =
       (fun info ->
         if info.slot >= 0 then begin
-          if info.dirty then ignore (writeback t info);
+          if info.dirty then begin
+            ignore (writeback t info);
+            Metrics.add t.ctr.c_fg_writebacks 1
+          end;
           Pmem.set_site t.pmem "cache.evict";
           write_entry t info.slot (invalid_entry ())
         end;
@@ -330,10 +335,9 @@ let find_exn t blkno =
   | Some info -> info
   | None -> raise (Invariant_violation (Printf.sprintf "Tinca.Cache: block %d not cached" blkno))
 
-(* The cleaner (Frame_cache.clean): an idle write's frame goes to disk by
-   DMA, uncharged, a pressure write's is read like a foreground
-   write-back's; the clean marks of every block written ride one batched
-   entry update on the caller's clock. *)
+(* The cleaner (Frame_cache.clean): every frame it writes goes to disk by
+   DMA, uncharged; the clean marks of every block written ride one
+   batched entry update on the caller's clock. *)
 let clean ~after_commit t =
   let cleaner =
     {
@@ -343,7 +347,6 @@ let clean ~after_commit t =
           Pmem.dma_read t.pmem
             ~off:(Layout.data_block_off t.layout info.frame)
             ~len:t.cfg.block_size);
-      read = (fun info -> read_data_block t info.frame);
       cleaned =
         (fun written ->
           Trace.begin_span ~clock:t.clock "tinca.bg_clean";

@@ -226,6 +226,7 @@ type t = {
   (* The logging engine's counters, bumped for the same events; stats_kv
      reads write-backs and evictions back from them. *)
   c_writebacks : Metrics.counter;
+  c_fg_writebacks : Metrics.counter;
   c_cleaned : Metrics.counter;
   c_evictions : Metrics.counter;
   nshards : int;
@@ -324,6 +325,7 @@ let mk_t ~cfg ~pmem ~disk ~clock ~metrics ~nshards shards =
     metrics;
     c_flight_records = Metrics.counter metrics "tinca.flight.records";
     c_writebacks = Metrics.counter metrics "tinca.writebacks";
+    c_fg_writebacks = Metrics.counter metrics "cache.fg_writebacks";
     c_cleaned = Metrics.counter metrics "tinca.cleaned";
     c_evictions = Metrics.counter metrics "tinca.evictions";
     nshards;
@@ -415,13 +417,15 @@ let evict_hooks t s =
   {
     Fc.evict =
       (fun p ->
-        if p.slot >= 0 then writeback t s p;
+        if p.slot >= 0 then begin
+          writeback t s p;
+          Metrics.add t.c_fg_writebacks 1
+        end;
         Metrics.add t.c_evictions 1);
   }
 
-(* The cleaner (Frame_cache.clean): an idle write's frame goes to disk by
-   DMA, uncharged, a pressure write's is read like a foreground
-   write-back's.  Every written page's entry is then zeroed and the
+(* The cleaner (Frame_cache.clean): every frame it writes goes to disk by
+   DMA, uncharged.  Every written page's entry is then zeroed and the
    swings persisted under one fence on the caller's clock; the pages
    stay cached as clean volatile fills. *)
 let clean ~after_commit t s =
@@ -430,7 +434,6 @@ let clean ~after_commit t s =
     {
       Fc.disk = t.disk;
       dma_read = (fun p -> Pmem.dma_read t.pmem ~off:(frame p) ~len:s.geom.block_size);
-      read = (fun p -> Pmem.read t.pmem ~off:(frame p) ~len:s.geom.block_size);
       cleaned =
         (fun written ->
           Trace.begin_span ~clock:t.clock "tinca.bg_clean";
@@ -794,12 +797,8 @@ let read_super pmem ~base =
 let recover_shard t ~shard_id ~roll_forward =
   let s = t.shards.(shard_id) in
   let g = s.geom in
-  let epoch =
-    let w = Pmem.read_u64 t.pmem ~off:(g.base + g.epoch_off) in
-    if Int64.compare w 0L < 0 || Int64.compare w (Int64.of_int max_int) > 0 then
-      corrupt "paging: shard %d epoch word %Lx beyond the int range" shard_id w;
-    Int64.to_int w
-  in
+  let epoch = Ring.read_word t.pmem ~off:(g.base + g.epoch_off) in
+  if epoch < 0 then corrupt "paging: shard %d epoch word beyond the int range" shard_id;
   (* Flight scan before recovery writes anything; the cursor resumes
      after the highest surviving sequence number. *)
   (match s.flight with
@@ -906,8 +905,11 @@ let recover ~pmem ~disk ~clock ~metrics () =
     let nshards = Codec.get_u32 hdr 8 in
     if nshards < 2 || nshards > Shard.max_shards then
       corrupt "paging: directory shard count %d invalid" nshards;
-    let seal = Pmem.read_u64_int pmem ~off:dir_seal_off in
+    let seal = Ring.read_word pmem ~off:dir_seal_off in
+    if seal < 0 then corrupt "paging: directory seal word beyond the int range";
     let mask = seal lsr 32 in
+    if mask lsr nshards <> 0 then
+      corrupt "paging: seal mask %#x names shards beyond %d" mask nshards;
     let span = (Pmem.size pmem - header_bytes) / nshards / 64 * 64 in
     let block_size, _, flight_slots = read_super pmem ~base:header_bytes in
     let cfg = { default_config with block_size; flight_slots } in

@@ -17,14 +17,14 @@ type t = {
 
 (* A pointer word beyond OCaml's int range reads as -1, which the
    bounds check before any scan rejects. *)
-let read_ptr pmem ~off =
+let read_word pmem ~off =
   let v = Pmem.read_u64 pmem ~off in
   if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then -1
   else Int64.to_int v
 
 let attach ~pmem ~layout =
-  let head = read_ptr pmem ~off:layout.Layout.head_off in
-  let tail = read_ptr pmem ~off:layout.Layout.tail_off in
+  let head = read_word pmem ~off:layout.Layout.head_off in
+  let tail = read_word pmem ~off:layout.Layout.tail_off in
   { pmem; layout; head; tail; hwm = head - tail; staged = 0 }
 
 let slots t = t.layout.Layout.ring_slots
@@ -163,8 +163,8 @@ let pending_blknos t =
       Int64.to_int v)
 
 let reload t =
-  t.head <- read_ptr t.pmem ~off:t.layout.Layout.head_off;
-  t.tail <- read_ptr t.pmem ~off:t.layout.Layout.tail_off;
+  t.head <- read_word t.pmem ~off:t.layout.Layout.head_off;
+  t.tail <- read_word t.pmem ~off:t.layout.Layout.tail_off;
   t.staged <- 0
 
 let format t =

@@ -17,6 +17,11 @@ exception Corrupt of string
 (** Attach to (already formatted or zeroed) media. *)
 val attach : pmem:Tinca_pmem.Pmem.t -> layout:Layout.t -> t
 
+(** A media word that must hold a non-negative int (a ring pointer, the
+    cross-shard seal): its value, or -1 when a flipped bit put it beyond
+    the int range, for the caller's bounds check to reject. *)
+val read_word : Tinca_pmem.Pmem.t -> off:int -> int
+
 val slots : t -> int
 val head : t -> int
 val tail : t -> int

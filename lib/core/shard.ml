@@ -163,7 +163,12 @@ let set_fault f = fault := f
 let seal_value ~mask ~epoch = (mask lsl 32) lor (epoch land 0xFFFFFFFF)
 let seal_mask v = v lsr 32
 
-let read_seal pmem = Pmem.read_u64_int pmem ~off:seal_off
+let corrupt fmt = Printf.ksprintf (fun m -> raise (Cache.Corrupt ("Tinca.Shard: " ^ m))) fmt
+
+let read_seal pmem =
+  let v = Ring.read_word pmem ~off:seal_off in
+  if v < 0 then corrupt "seal word beyond the int range";
+  v
 
 let persist_seal pmem v =
   Pmem.set_site pmem "shard.seal";
@@ -231,13 +236,30 @@ let format ~nshards ~config ~pmem ~disk ~clock ~metrics =
    retires.  Every step is idempotent, so a crash mid-roll-forward just
    rolls forward again.  Runs on raw media, before any cache attaches. *)
 let roll_forward ~pmem ~nshards ~span ~mask ~clock =
+  (* Every shard the seal names is bounded before anything is written:
+     the mask names only existing shards, and each ring's pointers
+     satisfy 0 <= Tail <= Head <= Tail + slots, so the Tail := Head
+     below cannot publish a Head that a flipped bit moved. *)
+  if mask lsr nshards <> 0 then corrupt "seal mask %#x names shards beyond %d" mask nshards;
+  let sealed =
+    List.filter_map
+      (fun i ->
+        if mask land (1 lsl i) = 0 then None
+        else begin
+          let base = base_of ~span i in
+          let layout = Cache.read_layout ~base ~mem_bytes:(base + span) pmem in
+          let head = Ring.read_word pmem ~off:layout.Layout.head_off
+          and tail = Ring.read_word pmem ~off:layout.Layout.tail_off in
+          if not (0 <= tail && tail <= head && head <= tail + layout.Layout.ring_slots) then
+            corrupt "shard %d: Head %d and Tail %d are not 0 <= Tail <= Head <= Tail + %d" i head
+              tail layout.Layout.ring_slots;
+          Some (i, layout, head, tail)
+        end)
+      (List.init nshards Fun.id)
+  in
   Pmem.set_site pmem "shard.roll_forward";
-  for i = 0 to nshards - 1 do
-    if mask land (1 lsl i) <> 0 then begin
-      let base = base_of ~span i in
-      let layout = Cache.read_layout ~base ~mem_bytes:(base + span) pmem in
-      let head = Pmem.read_u64_int pmem ~off:layout.Layout.head_off in
-      let tail = Pmem.read_u64_int pmem ~off:layout.Layout.tail_off in
+  List.iter
+    (fun (i, layout, head, tail) ->
       let ranges = ref [] in
       (* Flight recorder, raw-media edition: roll-forward runs before any
          cache attaches, so it appends its replay decisions directly —
@@ -300,9 +322,8 @@ let roll_forward ~pmem ~nshards ~span ~mask ~clock =
       if tail <> head then begin
         Pmem.atomic_write8_int pmem ~off:layout.Layout.tail_off head;
         Pmem.persist pmem ~off:layout.Layout.tail_off ~len:8
-      end
-    end
-  done;
+      end)
+    sealed;
   persist_seal pmem 0
 [@@pmem.defer
   "every mutated range is persisted in-loop: role switches are fenced by the guarded \
@@ -317,7 +338,6 @@ let is_sharded_media pmem =
   Pmem.size pmem >= 8 && Pmem.read_u64 pmem ~off:dir_off = magic
 
 let recover_sharded ~flight_replay ~pmem ~disk ~clock ~metrics =
-  let corrupt fmt = Printf.ksprintf (fun m -> raise (Cache.Corrupt ("Tinca.Shard: " ^ m))) fmt in
   if Pmem.size pmem < header_bytes then corrupt "unformatted NVM (device smaller than the shard header)";
   let b = Pmem.read pmem ~off:dir_off ~len:64 in
   let nshards = Codec.get_u32 b 8 in

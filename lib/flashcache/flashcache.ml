@@ -169,11 +169,11 @@ let writeback ?(background = false) t slot =
 
 (* Flashcache's dirty-threshold cleaner: when a set's dirty fraction
    exceeds [dirty_threshold], write its least-recently-used dirty blocks
-   back (using background device time), then persist the affected
-   metadata blocks once each.  Small hysteresis: only the oldest few
-   dirty blocks are cleaned, so hot (recently re-dirtied) blocks keep
-   coalescing writes in the cache like real Flashcache's LRU-order
-   cleaner. *)
+   back (using background device time, once the previous round's has
+   drained), then persist the affected metadata blocks once each.  Small
+   hysteresis: only the oldest few dirty blocks are cleaned, so hot
+   (recently re-dirtied) blocks keep coalescing writes in the cache like
+   real Flashcache's LRU-order cleaner. *)
 let clean_set t set =
   let assoc = t.cfg.associativity in
   let high = int_of_float (t.cfg.dirty_threshold *. float_of_int assoc) in
@@ -201,6 +201,7 @@ let clean_set t set =
     in
     pick (t.dirty_in_set.(set) - low) by_age;
     let in_dbn_order = List.sort (fun a b -> compare t.blkno.(a) t.blkno.(b)) !picked in
+    Disk.await_background t.disk;
     let touched_md = Hashtbl.create 8 in
     List.iter
       (fun s ->

@@ -149,26 +149,75 @@ let test_background_write_does_not_block () =
   Alcotest.(check int) "write counted" 1 (Disk.writes d);
   Alcotest.(check char) "data stored" 'q' (Bytes.get (Disk.read_block d 100) 0)
 
-let test_background_write_occupies_device () =
-  (* A foreground read issued right after a burst of background writes
-     must wait for the queue to drain. *)
-  let burst d n =
-    for i = 0 to n - 1 do
-      Disk.write_block ~background:true d ((i * 37) mod 1024) (block 'b')
-    done
+(* [n] background writes queued at time 0, scattered over the disk. *)
+let burst d n =
+  for i = 0 to n - 1 do
+    Disk.write_block ~background:true d ((i * 37) mod 1024) (block 'b')
+  done
+
+(* When a read of block 512 finishes on an idle [kind] disk, and when a
+   burst of 32 background writes drains with nothing else issued. *)
+let alone kind =
+  let read =
+    let d, clock, _ = mk_disk ~kind () in
+    ignore (Disk.read_block d 512);
+    Clock.now_ns clock
   in
-  let with_burst =
-    let d, clock, _ = mk_disk () in
+  let drain =
+    let d, clock, _ = mk_disk ~kind () in
     burst d 32;
-    ignore (Disk.read_block d 512);
+    Disk.await_background d;
     Clock.now_ns clock
   in
-  let without =
-    let d, clock, _ = mk_disk () in
-    ignore (Disk.read_block d 512);
-    Clock.now_ns clock
-  in
-  Alcotest.(check bool) "queued behind cleaner" true (with_burst > 10.0 *. without)
+  (read, drain)
+
+(* An SSD suspends queued background writes for a foreground read
+   (NAND program suspend): the read finishes exactly as on an idle
+   device, and the burst finishes later by exactly the read's service
+   time. *)
+let test_ssd_read_suspends_background () =
+  let read_alone, drain_alone = alone Latency.Ssd in
+  let d, clock, _ = mk_disk () in
+  burst d 32;
+  ignore (Disk.read_block d 512);
+  Alcotest.(check (float 1e-9)) "read as on an idle device" read_alone (Clock.now_ns clock);
+  Disk.await_background d;
+  Alcotest.(check (float 1e-9)) "burst slides by the read" (drain_alone +. read_alone)
+    (Clock.now_ns clock)
+
+(* An HDD cannot suspend a seek: a foreground read issued behind a burst
+   of background writes waits for the whole queue (FIFO). *)
+let test_hdd_background_write_occupies_device () =
+  let read_alone, drain_alone = alone Latency.Hdd in
+  let d, clock, _ = mk_disk ~kind:Latency.Hdd () in
+  burst d 32;
+  ignore (Disk.read_block d 512);
+  let t = Clock.now_ns clock in
+  Alcotest.(check bool) "queued behind the burst" true (t > drain_alone);
+  Alcotest.(check bool) "far slower than alone" true (t > 10.0 *. read_alone);
+  Disk.await_background d;
+  Alcotest.(check (float 1e-9)) "nothing left queued" t (Clock.now_ns clock)
+
+(* [await_background] moves the caller to the end of the queued work and
+   counts the wait; with nothing queued it does nothing. *)
+let test_await_background () =
+  let d, clock, m = mk_disk () in
+  Disk.await_background d;
+  Alcotest.(check (float 1e-9)) "idle: clock unchanged" 0.0 (Clock.now_ns clock);
+  Alcotest.(check int) "idle: no wait counted" 0 (Metrics.get m "disk.throttle_ns");
+  let _, drain_alone = alone Latency.Ssd in
+  burst d 32;
+  Clock.advance clock 1000.0;
+  Disk.await_background d;
+  Alcotest.(check (float 1e-9)) "at the end of the queue" drain_alone (Clock.now_ns clock);
+  Alcotest.(check int) "wait counted" (int_of_float (Float.ceil (drain_alone -. 1000.0)))
+    (Metrics.get m "disk.throttle_ns");
+  (* Each background write recorded the backlog it left. *)
+  match Metrics.hist m "disk.bg_backlog_ns" with
+  | None -> Alcotest.fail "no backlog samples"
+  | Some h ->
+      Alcotest.(check int) "one sample per write" 32 (Hist.count h);
+      Alcotest.(check (float 1e-9)) "peak is the whole burst" drain_alone (Hist.max_value h)
 
 (* --- idle-time write-back --- *)
 
@@ -252,8 +301,11 @@ let queue_suite =
     ( "blockdev.queue",
       [
         Alcotest.test_case "background write non-blocking" `Quick test_background_write_does_not_block;
-        Alcotest.test_case "background write occupies device" `Quick
-          test_background_write_occupies_device;
+        Alcotest.test_case "background write occupies an HDD (FIFO)" `Quick
+          test_hdd_background_write_occupies_device;
+        Alcotest.test_case "SSD read suspends background writes" `Quick
+          test_ssd_read_suspends_background;
+        Alcotest.test_case "await_background drains the queue" `Quick test_await_background;
         Alcotest.test_case "idle write delays no later read" `Quick test_idle_write_delays_nothing;
         Alcotest.test_case "idle write refuses a short gap" `Quick test_idle_write_refuses_short_gap;
         Alcotest.test_case "idle write honours not_before" `Quick

@@ -369,24 +369,34 @@ let policy_suite =
 
 module Fc = Tinca_cachelib.Frame_cache
 
-(* Reference model: cached blocks in LRU-first order as (key, pinned,
-   holds_slot), plus the free frame and slot counts.  Victim selection
-   is "first unpinned from the LRU end", evaluated on the list. *)
+(* Reference model: cached blocks in LRU-first order, plus the free
+   frame and slot counts.  Victim selection is evaluated on the list:
+   the first unpinned clean block from the LRU end, else the first
+   unpinned dirty one; the slot loop applies the same rule to the
+   blocks that hold a slot. *)
+type mblock = { k : int; pinned : bool; has_slot : bool; dirty : bool }
+
 type model = {
-  mutable lru : (int * bool * bool) list;
+  mutable lru : mblock list;
   mutable free_frames : int;
   mutable free_slots : int;
   mutable victims : int list;  (* newest first *)
 }
 
-let model_evict m =
-  match List.find_opt (fun (_, pinned, _) -> not pinned) m.lru with
+let model_victim ?(slot = false) m =
+  let candidate e = (not e.pinned) && ((not slot) || e.has_slot) in
+  match List.find_opt (fun e -> candidate e && not e.dirty) m.lru with
+  | Some _ as v -> v
+  | None -> List.find_opt candidate m.lru
+
+let model_evict ?slot m =
+  match model_victim ?slot m with
   | None -> false
-  | Some ((k, _, has_slot) as v) ->
-      m.lru <- List.filter (fun e -> e != v) m.lru;
+  | Some v ->
+      m.lru <- List.filter (fun e -> e.k <> v.k) m.lru;
       m.free_frames <- m.free_frames + 1;
-      if has_slot then m.free_slots <- m.free_slots + 1;
-      m.victims <- k :: m.victims;
+      if v.has_slot then m.free_slots <- m.free_slots + 1;
+      m.victims <- v.k :: m.victims;
       true
 
 let model_make_room m ~frames ~slots =
@@ -395,20 +405,23 @@ let model_make_room m ~frames ~slots =
     ok := model_evict m
   done;
   while !ok && m.free_slots < slots do
-    ok := model_evict m
+    ok := model_evict ~slot:true m
   done;
   !ok && m.free_frames >= frames && m.free_slots >= slots
 
-let model_update m k f = m.lru <- List.map (fun ((k', _, _) as e) -> if k' = k then f e else e) m.lru
+let model_update m k f = m.lru <- List.map (fun e -> if e.k = k then f e else e) m.lru
+let model_touch m k =
+  let touched, rest = List.partition (fun e -> e.k = k) m.lru in
+  m.lru <- rest @ touched
 
-(* Random insert / touch / pin / unpin / read / make_room sequences over
-   a small cache, checked after every step against the model: the same
-   victims in the same order, the hook run exactly once per victim,
-   frames and slots conserved (free + referenced = capacity), and the
-   structural audit clean. *)
+(* Random insert / touch / pin / unpin / read / dirty / make_room
+   sequences over a small cache, checked after every step against the
+   model: the same victims in the same order, the hook run exactly once
+   per victim, frames and slots conserved (free + referenced =
+   capacity), and the structural audit clean. *)
 let prop_frame_cache_model =
   QCheck.Test.make ~name:"frame cache agrees with list model" ~count:300
-    QCheck.(triple (int_range 1 8) (int_range 1 8) (list (pair (int_bound 5) (int_bound 11))))
+    QCheck.(triple (int_range 1 8) (int_range 1 8) (list (pair (int_bound 6) (int_bound 11))))
     (fun (nframes, nslots, ops) ->
       let fc = Fc.create ~frames:nframes ~slots:nslots ~index_size:16 () in
       let hooked = ref [] in
@@ -429,31 +442,41 @@ let prop_frame_cache_model =
               let frame = Option.get (Fc.alloc_frame fc) in
               let slot = if want_slot then Option.get (Fc.alloc_slot fc) else -1 in
               let k = !next_key in
+              let dirty = arg land 2 = 2 in
               incr next_key;
-              ignore (Fc.insert fc ~key:k ~frame ~slot ~dirty:(arg land 2 = 2) ~pinned:false ());
-              m.lru <- m.lru @ [ (k, false, want_slot) ];
+              ignore (Fc.insert fc ~key:k ~frame ~slot ~dirty ~pinned:false ());
+              m.lru <- m.lru @ [ { k; pinned = false; has_slot = want_slot; dirty } ];
               m.free_frames <- m.free_frames - 1;
               if want_slot then m.free_slots <- m.free_slots - 1
             end
         | 1 -> (
             match pick arg with
             | None -> ()
-            | Some ((k, _, _) as e) ->
-                Fc.touch fc (block k);
-                m.lru <- List.filter (fun e' -> e' != e) m.lru @ [ e ])
+            | Some e ->
+                Fc.touch fc (block e.k);
+                model_touch m e.k)
         | 2 | 3 -> (
             match pick arg with
             | None -> ()
-            | Some (k, _, _) ->
+            | Some e ->
                 let v = op = 2 in
-                Fc.set_pinned (block k) v;
-                model_update m k (fun (k, _, s) -> (k, v, s)))
+                Fc.set_pinned (block e.k) v;
+                model_update m e.k (fun e -> { e with pinned = v }))
         | 4 -> (
             match pick arg with
             | None -> ignore (Fc.lookup_read fc (-1))
-            | Some ((k, _, _) as e) ->
-                ignore (Fc.lookup_read fc k);
-                m.lru <- List.filter (fun e' -> e' != e) m.lru @ [ e ])
+            | Some e ->
+                ignore (Fc.lookup_read fc e.k);
+                model_touch m e.k)
+        | 5 -> (
+            (* dirty or clean a block in place, as a commit or the
+               cleaner does *)
+            match pick arg with
+            | None -> ()
+            | Some e ->
+                let v = arg land 2 = 2 in
+                Fc.set_dirty fc (block e.k) v;
+                model_update m e.k (fun e -> { e with dirty = v }))
         | _ ->
             let frames = arg mod 4 and slots = arg / 4 in
             if Fc.make_room fc hooks ~frames ~slots <> model_make_room m ~frames ~slots then
@@ -464,15 +487,16 @@ let prop_frame_cache_model =
         Fc.iter_lru (fun b -> keys := b.Fc.key :: !keys) fc;
         let referenced_frames = Fc.length fc in
         let referenced_slots = Fc.fold (fun b n -> if b.Fc.slot >= 0 then n + 1 else n) fc 0 in
-        List.rev !keys = List.map (fun (k, _, _) -> k) m.lru
+        List.rev !keys = List.map (fun e -> e.k) m.lru
         && !hooked = m.victims
         && Fc.evictions fc = List.length m.victims
         && Option.map (fun b -> b.Fc.key) (Fc.victim fc)
-           = Option.map (fun (k, _, _) -> k) (List.find_opt (fun (_, p, _) -> not p) m.lru)
+           = Option.map (fun e -> e.k) (model_victim m)
         && Fc.free_frames fc + referenced_frames = nframes
         && Fc.free_slots fc + referenced_slots = nslots
         && Fc.free_frames fc = m.free_frames
         && Fc.free_slots fc = m.free_slots
+        && Fc.dirty_count fc = List.length (List.filter (fun e -> e.dirty) m.lru)
         && Fc.audit fc = Ok ()
       in
       List.for_all
@@ -480,6 +504,32 @@ let prop_frame_cache_model =
           step op;
           check ())
         ops)
+
+(* Three blocks, LRU first: a dirty block, a clean one behind it and a
+   pinned clean one.  The clean unpinned block goes first; with it gone
+   and the other clean block pinned, the dirty block does; then none is
+   left. *)
+let test_victim_clean_first () =
+  let fc = Fc.create ~frames:3 ~slots:3 ~index_size:4 () in
+  let insert key ~dirty ~pinned =
+    let frame = Option.get (Fc.alloc_frame fc) and slot = Option.get (Fc.alloc_slot fc) in
+    ignore (Fc.insert fc ~key ~frame ~slot ~dirty ~pinned ())
+  in
+  insert 1 ~dirty:true ~pinned:false;
+  insert 2 ~dirty:false ~pinned:false;
+  insert 3 ~dirty:false ~pinned:true;
+  let victim () = Option.map (fun b -> b.Fc.key) (Fc.victim fc) in
+  Alcotest.(check (option int)) "clean block behind a dirty one" (Some 2) (victim ());
+  let hooked = ref [] in
+  let hooks = { Fc.evict = (fun b -> hooked := (b.Fc.key, b.Fc.dirty) :: !hooked) } in
+  Alcotest.(check bool) "room for one" true (Fc.make_room fc hooks ~frames:1 ~slots:1);
+  Alcotest.(check (option int)) "only the dirty block is left" (Some 1) (victim ());
+  Alcotest.(check bool) "room for two" true (Fc.make_room fc hooks ~frames:2 ~slots:2);
+  Alcotest.(check (list (pair int bool))) "clean victim first, then the dirty one"
+    [ (1, true); (2, false) ] !hooked;
+  Alcotest.(check (option int)) "the pinned block is never a victim" None (victim ());
+  Alcotest.(check bool) "no room for three" false (Fc.make_room fc hooks ~frames:3 ~slots:0);
+  Alcotest.(check bool) "audit clean" true (Fc.audit fc = Ok ())
 
 let audit_error fc =
   match Fc.audit fc with Ok () -> Alcotest.fail "audit passed a corrupt cache" | Error m -> m
@@ -528,6 +578,7 @@ let frame_cache_suite =
     ( "cachelib.frame_cache",
       [
         QCheck_alcotest.to_alcotest prop_frame_cache_model;
+        Alcotest.test_case "victim: clean first, pinned never" `Quick test_victim_clean_first;
         Alcotest.test_case "audit: frame free and referenced" `Quick test_audit_free_and_referenced;
         Alcotest.test_case "audit: LRU/index size mismatch" `Quick test_audit_lru_index_mismatch;
         Alcotest.test_case "dirty count and remove" `Quick test_audit_dirty_recount;

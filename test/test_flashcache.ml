@@ -154,11 +154,30 @@ let test_cleaner_disabled_at_one () =
   done;
   Alcotest.(check int) "no cleaning" 0 (Metrics.get e.metrics "flashcache.cleaned")
 
+(* A round waits for the previous round's writes before it queues its
+   own, so the backlog a background write leaves never exceeds one
+   round (at most a set, [associativity] blocks), although the writer
+   dirties blocks faster than the SSD writes them back. *)
+let test_cleaner_rounds_are_throttled () =
+  let cfg = { Fc.default_config with associativity = 8; dirty_threshold = 0.25 } in
+  let e = mk ~cfg () in
+  for i = 0 to 399 do
+    Fc.write e.fc (i * 37 mod 1024) (block 'd')
+  done;
+  Alcotest.(check bool) "a round waited" true (Metrics.get e.metrics "disk.throttle_ns" > 0);
+  let round_ns = 8.0 *. (Latency.disk_of_kind Latency.Ssd).Latency.write_block_ns in
+  match Metrics.hist e.metrics "disk.bg_backlog_ns" with
+  | None -> Alcotest.fail "no background writes"
+  | Some h ->
+      if Hist.max_value h > round_ns then
+        Alcotest.failf "backlog %.0f ns exceeds one round (%.0f ns)" (Hist.max_value h) round_ns
+
 let cleaner_suite =
   [
     ( "flashcache.cleaner",
       [
         Alcotest.test_case "fires at threshold" `Quick test_cleaner_fires_at_threshold;
         Alcotest.test_case "disabled at 1.0" `Quick test_cleaner_disabled_at_one;
+        Alcotest.test_case "rounds are throttled" `Quick test_cleaner_rounds_are_throttled;
       ] );
   ]

@@ -583,6 +583,41 @@ let test_flusher_pressure_bounds_dirty () =
       check_fills name tc 100)
     schemes
 
+(* The pressure pass queues at most one batch: before it queues the
+   next, it waits for the last to finish (disk.throttle_ns).  So the
+   backlog a background write leaves never exceeds one batch, at most
+   [high - high * 7/8 + 1] blocks at the random-write cost, although a
+   streaming writer of scattered blocks issues batches faster than the
+   disk drains them. *)
+let test_flusher_pressure_is_throttled () =
+  List.iter
+    (fun (name, scheme) ->
+      let tc, _, _, _, metrics = cleaner_env scheme in
+      let frames =
+        let kv = Tinca.stats_kv tc in
+        int_of_string
+          (match List.assoc_opt "capacity_blocks" kv with
+          | Some v -> v
+          | None -> List.assoc "pool_frames" kv)
+      in
+      let high = int_of_float (Tinca_cachelib.Frame_cache.pressure_dirty *. float_of_int frames) in
+      for i = 0 to 199 do
+        Tinca.ok_exn (Tinca.write_direct tc (i * 37 mod 250) (block (fill i)))
+      done;
+      Alcotest.(check bool) (name ^ ": the cleaner waited") true
+        (Metrics.get metrics "disk.throttle_ns" > 0);
+      let batch_ns =
+        float_of_int (high - (high * 7 / 8) + 1)
+        *. (Latency.disk_of_kind Latency.Ssd).Latency.write_block_ns
+      in
+      match Metrics.hist metrics "disk.bg_backlog_ns" with
+      | None -> Alcotest.failf "%s: no background writes" name
+      | Some h ->
+          if Hist.max_value h > batch_ns then
+            Alcotest.failf "%s: backlog %.0f ns exceeds one batch (%.0f ns)" name (Hist.max_value h)
+              batch_ns)
+    schemes
+
 (* The cleaner runs at a read while a sealed transaction stands in the
    group window; the sealed blocks stay dirty and the batch still
    drains and reads back. *)
@@ -621,6 +656,8 @@ let flusher_suite =
         Alcotest.test_case "clean bit persisted" `Quick test_flusher_marks_clean_persistently;
         Alcotest.test_case "pressure bounds the dirty share" `Quick
           test_flusher_pressure_bounds_dirty;
+        Alcotest.test_case "pressure batches are throttled" `Quick
+          test_flusher_pressure_is_throttled;
         Alcotest.test_case "runs inside a group window" `Quick test_flusher_inside_group_window;
       ] );
   ]
