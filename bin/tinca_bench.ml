@@ -158,6 +158,7 @@ let run_trace stack_name shards scheme trace_file synth_ops read_pct nblocks cra
   Fs.fsync fs;
   let t0 = Clock.now_ns env.Stacks.clock in
   let snap = Metrics.snapshot env.Stacks.metrics in
+  let meta0 = Fs.meta_reads fs and data0 = Fs.data_reads fs in
   let stats = Trace.run ~block_size:4096 before_crash ops in
   let seconds = (Clock.now_ns env.Stacks.clock -. t0) /. 1e9 in
   let per_op name =
@@ -184,6 +185,24 @@ let run_trace stack_name shards scheme trace_file synth_ops read_pct nblocks cra
     | Some h -> Hist.max_value h /. 1e3
     | None -> 0.0);
   Printf.printf "disk reads/op     %10.2f\n" (per_op "disk.reads");
+  (* The file system's reads of the cache stack, metadata blocks (the
+     DRAM table's misses) apart from file data. *)
+  let fs_reads n0 n = float_of_int (n - n0) /. float_of_int stats.Ops.ops in
+  Printf.printf "fs reads/op       %10.2f  metadata %.2f, data %.2f\n"
+    (fs_reads (meta0 + data0) (Fs.meta_reads fs + Fs.data_reads fs))
+    (fs_reads meta0 (Fs.meta_reads fs))
+    (fs_reads data0 (Fs.data_reads fs));
+  (* Each cleaner pass's disk writes and the share of them at the
+     sequential rate. *)
+  List.iter
+    (fun (pass, writes, seq) ->
+      let w = Metrics.since env.Stacks.metrics snap writes in
+      Printf.printf "%-17s %10.2f writes/op, %5.1f%% sequential\n" pass (per_op writes)
+        (100.0 *. float_of_int (Metrics.since env.Stacks.metrics snap seq) /. float_of_int (max 1 w)))
+    [
+      ("idle pass", "disk.idle_writes", "disk.idle_seq_writes");
+      ("pressure pass", "disk.bg_writes", "disk.bg_seq_writes");
+    ];
   Printf.printf "cache write hit   %10.1f%%\n" (100.0 *. stack.Stacks.cache_write_hit_rate ());
   (* Power fails after [crash_at] ops; the rest of the trace runs on the
      recovered stack, whose counters start from zero. *)

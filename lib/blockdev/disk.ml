@@ -7,6 +7,9 @@ type t = {
   c_writes : Metrics.counter;
   c_seq_writes : Metrics.counter;
   c_throttle_ns : Metrics.counter;
+  (* writes and sequential writes of each cleaner pass *)
+  c_bg : Metrics.counter * Metrics.counter;
+  c_idle : Metrics.counter * Metrics.counter;
   lat : Latency.disk;
   nblocks : int;
   block_size : int;
@@ -26,6 +29,9 @@ let create ~clock ~metrics ~kind ~nblocks ~block_size =
     c_writes = Metrics.counter metrics "disk.writes";
     c_seq_writes = Metrics.counter metrics "disk.seq_writes";
     c_throttle_ns = Metrics.counter metrics "disk.throttle_ns";
+    c_bg = (Metrics.counter metrics "disk.bg_writes", Metrics.counter metrics "disk.bg_seq_writes");
+    c_idle =
+      (Metrics.counter metrics "disk.idle_writes", Metrics.counter metrics "disk.idle_seq_writes");
     lat = Latency.disk_of_kind kind;
     nblocks;
     block_size;
@@ -105,10 +111,15 @@ let read_block t blkno =
   | Some b -> Bytes.copy b
   | None -> Bytes.make t.block_size '\000'
 
-let store_write t blkno data ~sequential =
+let store_write ?pass t blkno data ~sequential =
   t.writes <- t.writes + 1;
   Metrics.add t.c_writes 1;
   if sequential then Metrics.add t.c_seq_writes 1;
+  Option.iter
+    (fun (writes, seq) ->
+      Metrics.add writes 1;
+      if sequential then Metrics.add seq 1)
+    pass;
   Hashtbl.replace t.store blkno (Bytes.copy data)
 
 let check_size t data what =
@@ -120,15 +131,16 @@ let write_block ?(background = false) t blkno data =
   let cost, sequential = write_cost t blkno in
   t.head <- blkno;
   access t ~background cost;
-  store_write t blkno data ~sequential
+  store_write ?pass:(if background then Some t.c_bg else None) t blkno data ~sequential
 
 (* Background write-back in idle time that has already passed (foreground
    I/O pre-empts it, as NAND program suspend lets reads do): the write
    occupies [busy_until, + cost] — the start of the gap — and happens
    only when its data existed by then and the whole write ends by now.
    [busy_until] then stays at or before now, so a later foreground
-   access starts exactly when it would have.  SSD only: an HDD cannot
-   suspend a seek, so it has no idle writes. *)
+   access starts exactly when it would have.  The head moves as for any
+   write, so a run of idle writes to consecutive blocks is sequential.
+   SSD only: an HDD cannot suspend a seek, so it has no idle writes. *)
 let write_idle t ~not_before blkno data =
   check t blkno;
   let cost, sequential = write_cost t blkno in
@@ -139,8 +151,9 @@ let write_idle t ~not_before blkno data =
   else begin
     let data = data () in
     check_size t data "Disk.write_idle";
+    t.head <- blkno;
     t.busy_until <- finish;
-    store_write t blkno data ~sequential;
+    store_write ~pass:t.c_idle t blkno data ~sequential;
     true
   end
 

@@ -8,8 +8,12 @@
 
     Counters: ["disk.reads"], ["disk.writes"], ["disk.seq_writes"],
     ["disk.throttle_ns"] (simulated ns cleaners waited in
-    {!await_background}).  Histogram: ["disk.bg_backlog_ns"], the queued
-    device time left behind each background write when it is issued. *)
+    {!await_background}); per cleaner pass, ["disk.bg_writes"] and
+    ["disk.bg_seq_writes"] (queued background writes, and those at the
+    sequential rate), ["disk.idle_writes"] and ["disk.idle_seq_writes"]
+    (the same for {!write_idle}).  Histogram: ["disk.bg_backlog_ns"], the
+    queued device time left behind each background write when it is
+    issued. *)
 
 type t
 
@@ -51,10 +55,12 @@ val await_background : t -> unit
     the start of the device's current idle gap — when its last access
     completed — if the data existed by then ([not_before], simulated ns)
     and the whole write ends by now.  Returns whether it was written;
-    [data ()] is called only then.  It never advances the clock, moves
-    the head or delays a later access: the model is that foreground I/O
-    pre-empts background write-back, as NAND program suspend lets reads
-    do (Wu & He, FAST '12), and it uses only gaps a whole write fits.
+    [data ()] is called only then.  It never advances the clock or
+    delays a later access: the model is that foreground I/O pre-empts
+    background write-back, as NAND program suspend lets reads do (Wu &
+    He, FAST '12), and it uses only gaps a whole write fits.  It moves
+    the head like any write, so idle writes to consecutive blocks
+    transfer at the sequential rate, and so may a following access.
     An HDD cannot suspend a seek, so on an HDD it always returns
     [false]. *)
 val write_idle : t -> not_before:float -> int -> (unit -> bytes) -> bool

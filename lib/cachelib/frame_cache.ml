@@ -190,45 +190,73 @@ let pressure_dirty = 0.7
 
 (* The walk is bounded by [frontier] unpinned blocks and stops as soon as
    the idle gap is used up; dirty blocks whose version became durable too
-   late for the gap are skipped, not waited for.  Returns the written
-   blocks, oldest write first. *)
+   late for the gap are skipped, not waited for.  Each block written is
+   followed by its dirty unpinned successors ([key + 1], [key + 2], ...)
+   while they fit the gap: the head is on their predecessor, so they
+   transfer at the sequential rate.  Returns the written blocks, oldest
+   write first. *)
 let clean_idle t c =
   if free_frames t >= frontier || not (Disk.idle_fits c.disk) then []
   else begin
     let seen = ref 0 and written = ref [] in
+    let write b =
+      let ok =
+        b.dirty && (not b.pinned)
+        && Disk.write_idle c.disk ~not_before:(float_of_int b.durable_at) b.key (fun () ->
+               c.dma_read b)
+      in
+      if ok then begin
+        set_dirty t b false;
+        written := b :: !written
+      end;
+      ok
+    in
+    let rec run key = match find t key with Some b when write b -> run (key + 1) | _ -> () in
     iter_lru_while t (fun b ->
         if not b.pinned then begin
           incr seen;
-          if
-            b.dirty
-            && Disk.write_idle c.disk ~not_before:(float_of_int b.durable_at) b.key (fun () ->
-                   c.dma_read b)
-          then begin
-            set_dirty t b false;
-            written := b :: !written
-          end
+          if write b then run (b.key + 1)
         end;
         !seen < frontier && Disk.idle_fits c.disk);
     List.rev !written
   end
 
 (* Above [pressure_dirty] of the frames dirty, the LRU-most unpinned
-   dirty blocks down to 7/8 of that level go to disk as one batch in
-   queued background device time, elevator-sorted by home block so a run
-   of neighbours transfers at the sequential rate.  The device reads the
-   frames by DMA, as in the idle pass: the caller pays for none of it. *)
+   dirty blocks, each with the dirty unpinned neighbours on both sides of
+   it up to the first gap, go to disk as one batch until 3/4 of that
+   level would remain.  The batch is written in queued background device
+   time, elevator-sorted by home block so every run of neighbours
+   transfers at the sequential rate.  The device reads the frames by
+   DMA, as in the idle pass: the caller pays for none of it. *)
 let clean_pressure t c =
   let high = int_of_float (pressure_dirty *. float_of_int (Free_monitor.capacity t.frames)) in
   if t.ndirty <= high then []
   else begin
-    let budget = ref (t.ndirty - (high * 7 / 8)) and victims = ref [] in
+    let budget = ref (t.ndirty - (high * 3 / 4)) and batch = Hashtbl.create 64 in
+    let take b =
+      let ok = b.dirty && (not b.pinned) && not (Hashtbl.mem batch b.key) in
+      if ok then begin
+        Hashtbl.replace batch b.key b;
+        decr budget
+      end;
+      ok
+    in
+    let rec extend key step =
+      match find t key with
+      | Some b when b.dirty && not b.pinned ->
+          ignore (take b);
+          extend (key + step) step
+      | _ -> ()
+    in
     iter_lru_while t (fun b ->
-        if b.dirty && not b.pinned then begin
-          victims := b :: !victims;
-          decr budget
+        if take b then begin
+          extend (b.key - 1) (-1);
+          extend (b.key + 1) 1
         end;
         !budget > 0);
-    let sorted = List.sort (fun a b -> compare a.key b.key) !victims in
+    let sorted =
+      List.sort (fun a b -> compare a.key b.key) (Hashtbl.fold (fun _ b acc -> b :: acc) batch [])
+    in
     if sorted <> [] then Disk.await_background c.disk;
     List.iter
       (fun b ->

@@ -151,12 +151,15 @@ val pressure_dirty : float
     LRU-most unpinned blocks and writes each dirty one whose version was
     durable ([durable_at]) before the gap began — so a version reaches
     the disk only after it became durable — stopping once the gap is
-    used up.
+    used up.  Each block it writes is followed by its dirty unpinned
+    successors ([key + 1], [key + 2], ...) under the same rule while
+    they fit the gap, at the sequential rate.
 
     The pressure pass runs when more than {!pressure_dirty} of the
-    frames are dirty.  It takes the LRU-most unpinned dirty blocks
-    until 7/8 of that level would remain, and writes them in home-block
-    order with queued background writes
+    frames are dirty.  It takes the LRU-most unpinned dirty blocks, each
+    with its dirty unpinned neighbours on both sides up to the first
+    gap, until 3/4 of that level would remain, and writes them in
+    home-block order with queued background writes
     ([Disk.write_block ~background:true]): the caller does not wait for
     them, except that a batch first waits for the previous batch to
     drain ({!Tinca_blockdev.Disk.await_background}), so at most one is

@@ -169,11 +169,12 @@ let writeback ?(background = false) t slot =
 
 (* Flashcache's dirty-threshold cleaner: when a set's dirty fraction
    exceeds [dirty_threshold], write its least-recently-used dirty blocks
-   back (using background device time, once the previous round's has
-   drained), then persist the affected metadata blocks once each.  Small
-   hysteresis: only the oldest few dirty blocks are cleaned, so hot
-   (recently re-dirtied) blocks keep coalescing writes in the cache like
-   real Flashcache's LRU-order cleaner. *)
+   back, each with the dirty blocks next to it on disk (in any set) up to
+   the first gap on either side, using background device time once the
+   previous round's has drained; then persist the affected metadata
+   blocks once each.  Small hysteresis: only the oldest few dirty blocks
+   are picked, so hot (recently re-dirtied) blocks keep coalescing writes
+   in the cache like real Flashcache's LRU-order cleaner. *)
 let clean_set t set =
   let assoc = t.cfg.associativity in
   let high = int_of_float (t.cfg.dirty_threshold *. float_of_int assoc) in
@@ -200,7 +201,25 @@ let clean_set t set =
           end
     in
     pick (t.dirty_in_set.(set) - low) by_age;
-    let in_dbn_order = List.sort (fun a b -> compare t.blkno.(a) t.blkno.(b)) !picked in
+    let batch = Hashtbl.create 64 in
+    List.iter (fun s -> Hashtbl.replace batch s ()) !picked;
+    let rec extend blkno step =
+      match lookup t blkno with
+      | Some s when t.dirty.(s) ->
+          Hashtbl.replace batch s ();
+          extend (blkno + step) step
+      | _ -> ()
+    in
+    List.iter
+      (fun s ->
+        extend (t.blkno.(s) - 1) (-1);
+        extend (t.blkno.(s) + 1) 1)
+      !picked;
+    let in_dbn_order =
+      List.sort
+        (fun a b -> compare t.blkno.(a) t.blkno.(b))
+        (Hashtbl.fold (fun s () acc -> s :: acc) batch [])
+    in
     Disk.await_background t.disk;
     let touched_md = Hashtbl.create 8 in
     List.iter

@@ -21,7 +21,16 @@
     DRAM running transaction; {!fsync} (or the [max_dirty_blocks]
     auto-commit threshold, standing in for JBD2's 5 s timer) hands them
     to {!Backend.t.commit_blocks}.  Reads see staged blocks first
-    (read-your-writes). *)
+    (read-your-writes).
+
+    DRAM caches: like Ext4's buffer cache, the file system keeps every
+    committed metadata block it has read or committed (superblock, inode
+    table, bitmap, pointer and directory blocks) in a DRAM table, so the
+    backend serves each metadata block once; {!fsync} refreshes the table
+    from what it commits, and a block committed as file data leaves it.
+    File data is cached only in the optional page cache
+    ([page_cache_pages]).  Both are volatile and rebuilt from media:
+    {!mount} starts them empty. *)
 
 type t
 
@@ -105,6 +114,12 @@ val dirty_blocks : t -> int
 
 (** fsync, then drain the cache to disk. *)
 val shutdown : t -> unit
+
+(** Backend block reads since {!format} or {!mount}: metadata blocks
+    (the table's misses) and file-data blocks (the page cache's). *)
+val meta_reads : t -> int
+
+val data_reads : t -> int
 
 (** {1 Integrity} *)
 

@@ -230,11 +230,7 @@ let ubj ?(ubj_config = Tinca_ubj.Ubj.default_config) env =
 
 (* --- No-journal stack ------------------------------------------------------ *)
 
-let nojournal ?(fc_config = Fc.default_config) env =
-  let fc =
-    Fc.create ~config:fc_config ~pmem:env.pmem ~disk:env.disk ~clock:env.clock
-      ~metrics:env.metrics
-  in
+let nojournal_of env fc =
   let write_blocks blocks = List.iter (fun (blkno, data) -> Fc.write fc blkno data) blocks in
   let backend =
     {
@@ -260,6 +256,16 @@ let nojournal ?(fc_config = Fc.default_config) env =
     proc_stats =
       (fun () -> [ ("fc_write_hit_ratio", Printf.sprintf "%.3f" (Fc.write_hit_rate fc)) ]);
   }
+
+let nojournal ?(fc_config = Fc.default_config) env =
+  nojournal_of env
+    (Fc.create ~config:fc_config ~pmem:env.pmem ~disk:env.disk ~clock:env.clock
+       ~metrics:env.metrics)
+
+let nojournal_recover ?(fc_config = Fc.default_config) env =
+  nojournal_of env
+    (Fc.recover ~config:fc_config ~pmem:env.pmem ~disk:env.disk ~clock:env.clock
+       ~metrics:env.metrics)
 
 (* --- persistence sanitizer wiring ---------------------------------------- *)
 

@@ -87,6 +87,10 @@ val classic_recover :
     figures. *)
 val nojournal : ?fc_config:Tinca_flashcache.Flashcache.config -> env -> t
 
+(** Re-attach a no-journal stack after a crash (rebuild the Flashcache
+    mirror from its persistent metadata). *)
+val nojournal_recover : ?fc_config:Tinca_flashcache.Flashcache.config -> env -> t
+
 (** UBJ-style union of buffer cache and journal (paper §5.4.4
     comparison). *)
 val ubj : ?ubj_config:Tinca_ubj.Ubj.config -> env -> t

@@ -296,6 +296,42 @@ let test_idle_write_ssd_only () =
     (Disk.write_idle d ~not_before:0.0 100 (fun () -> block 'h'));
   Alcotest.(check int) "nothing written" 0 (Disk.writes d)
 
+(* Idle writes move the head like any write.  A gap of one random and
+   one sequential write holds writes to [b] and [b + 1] only if the
+   second is charged the sequential rate, and a foreground read of
+   [b + 2] after them is sequential too.  Counted as the idle pass's. *)
+let test_idle_writes_move_the_head () =
+  let lat = Latency.disk_of_kind Latency.Ssd in
+  let d, clock, m = mk_disk () in
+  ignore (Disk.read_block d 900);
+  Clock.advance clock (ssd_write_ns +. lat.Latency.seq_block_ns);
+  let write blk = Disk.write_idle d ~not_before:0.0 blk (fun () -> block 's') in
+  Alcotest.(check bool) "b (random)" true (write 200);
+  Alcotest.(check bool) "b + 1 (sequential) fits the rest" true (write 201);
+  Alcotest.(check int) "idle writes" 2 (Metrics.get m "disk.idle_writes");
+  Alcotest.(check int) "sequential idle writes" 1 (Metrics.get m "disk.idle_seq_writes");
+  let t0 = Clock.now_ns clock in
+  ignore (Disk.read_block d 202);
+  Alcotest.(check (float 1e-9)) "b + 2 read at the sequential rate" (t0 +. lat.Latency.seq_block_ns)
+    (Clock.now_ns clock)
+
+(* On an HDD an idle write is refused even when it would be sequential,
+   and the head stays where the last foreground access left it. *)
+let test_hdd_idle_write_keeps_the_head () =
+  let lat = Latency.disk_of_kind Latency.Hdd in
+  let d, clock, m = mk_disk ~kind:Latency.Hdd () in
+  ignore (Disk.read_block d 900);
+  Clock.advance clock 1e9;
+  Alcotest.(check bool) "refused" false (Disk.write_idle d ~not_before:0.0 950 (fun () -> block 'h'));
+  Alcotest.(check bool) "sequential one refused" false
+    (Disk.write_idle d ~not_before:0.0 901 (fun () -> block 'h'));
+  Alcotest.(check int) "nothing written" 0 (Disk.writes d);
+  Alcotest.(check int) "no idle write counted" 0 (Metrics.get m "disk.idle_writes");
+  let t0 = Clock.now_ns clock in
+  ignore (Disk.read_block d 901);
+  Alcotest.(check (float 1e-9)) "head still at 900" (t0 +. lat.Latency.seq_block_ns)
+    (Clock.now_ns clock)
+
 let queue_suite =
   [
     ( "blockdev.queue",
@@ -311,5 +347,7 @@ let queue_suite =
         Alcotest.test_case "idle write honours not_before" `Quick
           test_idle_write_honours_not_before;
         Alcotest.test_case "idle write is SSD only" `Quick test_idle_write_ssd_only;
+        Alcotest.test_case "idle writes move the head" `Quick test_idle_writes_move_the_head;
+        Alcotest.test_case "HDD idle write keeps the head" `Quick test_hdd_idle_write_keeps_the_head;
       ] );
   ]

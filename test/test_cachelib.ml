@@ -573,6 +573,79 @@ let test_audit_dirty_recount () =
   Alcotest.(check int) "frame returned" 2 (Fc.free_frames fc);
   Alcotest.(check bool) "empty and clean" true (Fc.audit fc = Ok ())
 
+(* --- the cleaner's clustering --- *)
+
+module Disk = Tinca_blockdev.Disk
+module Latency = Tinca_sim.Latency
+
+let ssd = Latency.disk_of_kind Latency.Ssd
+
+(* A cache of [frames] frames holding [blocks] (key, dirty, pinned) in
+   LRU-first order, over an idle SSD; [clean] runs the cleaner and
+   returns the keys it wrote, in write order. *)
+let cleaner_env ~frames blocks =
+  let clock = Tinca_sim.Clock.create () and metrics = Tinca_sim.Metrics.create () in
+  let disk = Disk.create ~clock ~metrics ~kind:Latency.Ssd ~nblocks:1024 ~block_size:4096 in
+  let fc = Fc.create ~frames ~slots:frames ~index_size:64 () in
+  List.iter
+    (fun (key, dirty, pinned) ->
+      let frame = Option.get (Fc.alloc_frame fc) in
+      ignore (Fc.insert fc ~key ~frame ~slot:(-1) ~dirty ~pinned ()))
+    blocks;
+  let clean ~after_commit =
+    let written = ref [] in
+    let c =
+      {
+        Fc.disk;
+        dma_read = (fun _ -> Bytes.make 4096 'c');
+        cleaned = (fun bs -> written := List.map (fun b -> b.Fc.key) bs);
+      }
+    in
+    ignore (Fc.clean fc c ~after_commit);
+    !written
+  in
+  (fc, clock, metrics, clean)
+
+let is_dirty fc key = (Option.get (Fc.find fc key)).Fc.dirty
+
+(* 15 of 20 frames dirty is above the 70 % mark (14), so the pressure
+   batch cleans down to 3/4 of it (10): five blocks.  The LRU-most
+   victim 10 brings its unpinned neighbours 11 and 12, from the MRU end,
+   but not the pinned 9; then victims 20 and 30 fill the budget, and the
+   batch goes out in key order with 11 and 12 sequential. *)
+let test_pressure_takes_neighbours () =
+  let dirty k = (k, true, false) in
+  let fc, _, metrics, clean =
+    cleaner_env ~frames:20
+      ([ dirty 10; dirty 20; dirty 30; dirty 40; dirty 50 ]
+      @ List.init 7 (fun i -> dirty (200 + (2 * i)))
+      @ [ (9, true, true); dirty 11; dirty 12 ])
+  in
+  Alcotest.(check (list int)) "batch in key order" [ 10; 11; 12; 20; 30 ] (clean ~after_commit:true);
+  Alcotest.(check bool) "pinned neighbour left dirty" true (is_dirty fc 9);
+  Alcotest.(check bool) "victims past the budget left dirty" true (is_dirty fc 40);
+  Alcotest.(check int) "background writes" 5 (Tinca_sim.Metrics.get metrics "disk.bg_writes");
+  Alcotest.(check int) "the run's tail is sequential" 2
+    (Tinca_sim.Metrics.get metrics "disk.bg_seq_writes");
+  Alcotest.(check bool) "audit clean" true (Fc.audit fc = Ok ())
+
+(* An idle gap of three random and two sequential writes holds five
+   writes only if the run after 20 (21, 22: up to the pinned 23) goes at
+   the sequential rate.  The walk then takes 70 and 24. *)
+let test_idle_run_is_sequential () =
+  let dirty k = (k, true, false) in
+  let fc, clock, metrics, clean =
+    cleaner_env ~frames:8 [ dirty 20; dirty 70; dirty 21; dirty 22; (23, true, true); dirty 24 ]
+  in
+  Tinca_sim.Clock.advance clock
+    ((3.0 *. ssd.Latency.write_block_ns) +. (2.0 *. ssd.Latency.seq_block_ns));
+  Alcotest.(check (list int)) "run in ascending keys, then the walk" [ 20; 21; 22; 70; 24 ]
+    (clean ~after_commit:false);
+  Alcotest.(check int) "idle writes" 5 (Tinca_sim.Metrics.get metrics "disk.idle_writes");
+  Alcotest.(check int) "sequential idle writes" 2 (Tinca_sim.Metrics.get metrics "disk.idle_seq_writes");
+  Alcotest.(check bool) "pinned block left dirty" true (is_dirty fc 23);
+  Alcotest.(check bool) "audit clean" true (Fc.audit fc = Ok ())
+
 let frame_cache_suite =
   [
     ( "cachelib.frame_cache",
@@ -582,5 +655,8 @@ let frame_cache_suite =
         Alcotest.test_case "audit: frame free and referenced" `Quick test_audit_free_and_referenced;
         Alcotest.test_case "audit: LRU/index size mismatch" `Quick test_audit_lru_index_mismatch;
         Alcotest.test_case "dirty count and remove" `Quick test_audit_dirty_recount;
+        Alcotest.test_case "pressure batch takes dirty neighbours" `Quick
+          test_pressure_takes_neighbours;
+        Alcotest.test_case "idle run is sequential" `Quick test_idle_run_is_sequential;
       ] );
   ]

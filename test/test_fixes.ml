@@ -531,10 +531,10 @@ let test_cleaner_sweep_counts_pinned () =
   let cfg = Check.read_miss_config in
   let driver = Check.cleaner_driver cfg in
   let pressure, idle = cleaned_by_pass driver cfg in
-  Alcotest.(check int) "blocks cleaned by the pressure pass" 6 pressure;
-  Alcotest.(check int) "blocks cleaned by the idle pass" 7 idle;
+  Alcotest.(check int) "blocks cleaned by the pressure pass" 13 pressure;
+  Alcotest.(check int) "blocks cleaned by the idle pass" 8 idle;
   let r = Check.explore ~driver cfg in
-  check_counts "cleaner driver" r ~span:1612 ~points:1612 ~states:6378 ~deduped:0 ~capped:1583
+  check_counts "cleaner driver" r ~span:1624 ~points:1624 ~states:6426 ~deduped:0 ~capped:1595
     ~torn:834
 
 (* The same with a sealed transaction standing in a group window while

@@ -11,12 +11,21 @@ let disk_blocks = 8192
 
 let fs_config = { Fs.default_config with ninodes = 512; journal_len = 256 }
 
-let make_stack kind =
+let make_stack ?(disk_blocks = disk_blocks) ?(journal_len = fs_config.Fs.journal_len) kind =
   let env = Stacks.make_env ~nvm_bytes ~disk_blocks () in
   match kind with
   | `Tinca -> Stacks.tinca env
-  | `Classic -> Stacks.classic ~journal_len:fs_config.Fs.journal_len env
+  | `Classic -> Stacks.classic ~journal_len env
   | `Nojournal -> Stacks.nojournal env
+  | `Ubj -> Stacks.ubj env
+
+let kind_name = function
+  | `Tinca -> "tinca"
+  | `Classic -> "classic"
+  | `Nojournal -> "nojournal"
+  | `Ubj -> "ubj"
+
+let every_kind = [ `Tinca; `Classic; `Nojournal; `Ubj ]
 
 let mk kind =
   let stack = make_stack kind in
@@ -205,6 +214,138 @@ let test_mount_reads_each_block_once () =
      15 directory blocks + 1 indirect block. *)
   check ~ninodes:1024 ~files:900 ~expect:50
 
+(* A backend that records every block list it is asked to commit or
+   write, newest first. *)
+let recording (backend : Tinca_fs.Backend.t) =
+  let calls = ref [] in
+  let record f blocks =
+    calls := blocks :: !calls;
+    f blocks
+  in
+  ( {
+      backend with
+      Tinca_fs.Backend.commit_blocks = record backend.Tinca_fs.Backend.commit_blocks;
+      write_blocks = record backend.Tinca_fs.Backend.write_blocks;
+    },
+    calls )
+
+(* Reads look blocks up without staging anything, at every level of the
+   block map, so an fsync after preads alone has nothing to commit. *)
+let test_pread_commits_nothing () =
+  List.iter
+    (fun kind ->
+      let name = kind_name kind in
+      let backend, calls = recording (make_stack kind).Stacks.backend in
+      let fs = Fs.format ~config:{ fs_config with journaled = kind <> `Nojournal } backend in
+      Fs.create fs "r";
+      (* A direct, a single-indirect and a double-indirect block. *)
+      List.iter (fun fbi -> Fs.pwrite fs "r" ~off:(fbi * 4096) (pattern 4096 'r')) [ 0; 20; 2000 ];
+      Fs.fsync fs;
+      calls := [];
+      (* Mapped blocks, holes at each level and blocks past EOF. *)
+      List.iter
+        (fun fbi -> ignore (Fs.pread fs "r" ~off:(fbi * 4096) ~len:4096))
+        [ 0; 5; 20; 21; 2000; 2001; 5000 ];
+      Alcotest.(check int) (name ^ ": size") (2001 * 4096) (Fs.size fs "r");
+      Alcotest.(check int) (name ^ ": nothing staged") 0 (Fs.dirty_blocks fs);
+      Fs.fsync fs;
+      Alcotest.(check int) (name ^ ": no backend commit") 0 (List.length !calls))
+    every_kind
+
+(* The metadata table against block reuse.  A file's double-indirect
+   pointer block D is freed (by [delete] or [truncate]) and reallocated
+   as file data, in the same fsync or a later one; the data reads back,
+   fsck passes, and a crash after the fsync (a remount on UBJ, which has
+   no recovery) gives the same contents.  The geometry makes D the
+   lowest free block when the allocator wraps: 512 blocks, 64 of them
+   journal, leave 444 data blocks; the root directory and a filler file
+   (439 data blocks and its indirect block) take the first 441, and the
+   file's D, its level-1 block and its data block the last three. *)
+let test_meta_table_block_reuse () =
+  let cfg = { fs_config with ninodes = 64; journal_len = 64 } in
+  let filler = 439 in
+  let run kind ~free ~same_fsync =
+    let what =
+      Printf.sprintf "%s, %s, %s fsync" (kind_name kind)
+        (match free with `Delete -> "delete" | `Truncate -> "truncate")
+        (if same_fsync then "same" else "later")
+    in
+    let stack = make_stack ~disk_blocks:512 ~journal_len:64 kind in
+    let env = stack.Stacks.env in
+    let backend, calls = recording stack.Stacks.backend in
+    let config = { cfg with journaled = kind <> `Nojournal } in
+    let fs = Fs.format ~config backend in
+    Fs.create fs "filler";
+    (* In chunks that fit the 64-block journal. *)
+    for chunk = 0 to (filler - 1) / 32 do
+      let first = chunk * 32 in
+      let n = min 32 (filler - first) in
+      Fs.pwrite fs "filler" ~off:(first * 4096) (pattern (n * 4096) 'f');
+      Fs.fsync fs
+    done;
+    Fs.create fs "a";
+    Fs.pwrite fs "a" ~off:(1036 * 4096) (pattern 4096 'a');
+    Fs.fsync fs;
+    (* D is the block whose first pointer names the block whose first
+       pointer names the data block. *)
+    let committed = List.hd !calls in
+    let pointing_at target =
+      fst (List.find (fun (_, b) -> Tinca_util.Codec.get_u32 b 0 = target) committed)
+    in
+    let x = fst (List.find (fun (_, b) -> Bytes.equal b (pattern 4096 'a')) committed) in
+    let d = pointing_at (pointing_at x) in
+    let data_file =
+      match free with
+      | `Delete ->
+          Fs.delete fs "a";
+          "b"
+      | `Truncate ->
+          Fs.truncate fs "a" 0;
+          "a"
+    in
+    if not same_fsync then Fs.fsync fs;
+    if not (Fs.exists fs data_file) then Fs.create fs data_file;
+    Fs.pwrite fs data_file ~off:0 (pattern 4096 'b');
+    Fs.fsync fs;
+    Alcotest.(check bool) (what ^ ": D committed as the data") true
+      (List.exists (fun (blkno, b) -> blkno = d && Bytes.equal b (pattern 4096 'b')) (List.hd !calls));
+    let check fs when_ =
+      let what = what ^ when_ in
+      Fs.fsck fs;
+      Alcotest.(check string) (what ^ ": data") (String.make 4096 'b')
+        (Bytes.to_string (Fs.pread fs data_file ~off:0 ~len:4096));
+      Alcotest.(check int) (what ^ ": size") 4096 (Fs.size fs data_file);
+      Alcotest.(check bool) (what ^ ": a gone") (free = `Delete) (not (Fs.exists fs "a"));
+      List.iter
+        (fun fbi ->
+          Alcotest.(check char) (what ^ ": filler") 'f'
+            (Bytes.get (Fs.pread fs "filler" ~off:(fbi * 4096) ~len:1) 0))
+        [ 0; 12; filler - 1 ]
+    in
+    check fs "";
+    let crash () = Pmem.crash ~seed:7 ~survival:0.5 env.Stacks.pmem in
+    let remounted =
+      match kind with
+      | `Ubj -> stack
+      | `Tinca ->
+          crash ();
+          Stacks.tinca_recover env
+      | `Classic ->
+          crash ();
+          Stacks.classic_recover ~journal_len:64 env
+      | `Nojournal ->
+          crash ();
+          Stacks.nojournal_recover env
+    in
+    check (Fs.mount ~config remounted.Stacks.backend) " after the crash"
+  in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun free -> List.iter (fun same_fsync -> run kind ~free ~same_fsync) [ true; false ])
+        [ `Delete; `Truncate ])
+    every_kind
+
 let test_auto_commit_threshold () =
   let stack = make_stack `Tinca in
   let fs =
@@ -329,6 +470,8 @@ let suite =
         on_all "errors" test_errors;
         on_all "mount rebuilds caches" test_mount_rebuilds;
         Alcotest.test_case "mount reads each block once" `Quick test_mount_reads_each_block_once;
+        Alcotest.test_case "preads commit nothing" `Quick test_pread_commits_nothing;
+        Alcotest.test_case "metadata table survives block reuse" `Quick test_meta_table_block_reuse;
         Alcotest.test_case "auto-commit threshold" `Quick test_auto_commit_threshold;
         q prop_fs_random_ops;
       ] );
