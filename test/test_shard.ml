@@ -3,7 +3,9 @@
    plain unsharded cache, multi-shard commit round-trips, and the
    cross-shard all-or-nothing guarantee under a systematic crash sweep
    of a two-shard commit — including crashes between the per-shard Head
-   advances and on either side of the seal. *)
+   advances and on either side of the seal — and one fixed script whose
+   media digest, fence count and simulated time are pinned for both
+   engines at N = 1, 2 and 4. *)
 
 open Tinca_core
 open Tinca_sim
@@ -236,6 +238,137 @@ let test_xshard_crash_sweep () =
   Alcotest.(check bool) "some crashes rolled back" true (!rolled_back > 0);
   Alcotest.(check bool) "some crashes rolled forward" true (!rolled_forward > 0)
 
+(* --- pinned media, fences and time for both engines ----------------------- *)
+
+(* One fixed script through the facade: single-block commits, two
+   multi-block commits that stripe across shards, an eviction-driving
+   pass (96 distinct one-block commits and a read sweep over a 256 KB
+   device), then a crash inside a final multi-block commit, recovery, a
+   read-back and one more commit.  At N >= 2 the crash lands on the first
+   event after the cross-shard seal's fence, so recovery must roll the
+   sealed commit forward; at N = 1 (no seal) it lands after the commit's
+   first fence and rolls back. *)
+let pin_nblocks = 128
+let pin_final = [ 0; 1; 2; 3; 5; 8; 13; 21 ]
+
+let pin_script ~scheme ~nshards ~crash_at =
+  let clock = Clock.create () in
+  let metrics = Metrics.create () in
+  let pmem = Pmem.create ~clock ~metrics ~tech:Latency.Pcm ~size:pmem_bytes () in
+  let disk =
+    Disk.create ~clock ~metrics ~kind:Latency.Ssd ~nblocks:pin_nblocks ~block_size:4096
+  in
+  let config =
+    {
+      Tinca.Config.default with
+      Tinca.Config.nvm_bytes = pmem_bytes;
+      ring_slots = 64;
+      nshards;
+      commit_scheme = scheme;
+    }
+  in
+  let tc = Tinca.ok_exn (Tinca.format ~config ~pmem ~disk ~clock ~metrics) in
+  let commit tc blocks v =
+    let h = Tinca.init_txn tc in
+    List.iter (fun b -> Tinca.ok_exn (Tinca.write h b (payload v))) blocks;
+    Tinca.ok_exn (Tinca.commit h)
+  in
+  for b = 0 to 5 do
+    commit tc [ b ] 's'
+  done;
+  commit tc [ 0; 1; 2; 3; 4; 5; 6; 7 ] 'm';
+  commit tc [ 3; 9; 14; 20 ] 'n';
+  for b = 32 to 127 do
+    commit tc [ b ] 'e'
+  done;
+  for k = 0 to 42 do
+    ignore (Tinca.ok_exn (Tinca.read tc (k * 3)))
+  done;
+  if Metrics.get metrics "tinca.evictions" = 0 then Alcotest.failf "N=%d: nothing evicted" nshards;
+  (* The final commit: located (observer) or crashed (countdown). *)
+  let start = Pmem.event_count pmem in
+  let sealed = ref false and fences = ref 0 and found = ref None in
+  (match crash_at with
+  | Some k -> Pmem.set_crash_countdown pmem (Some k)
+  | None ->
+      Pmem.set_observer pmem
+        (Some
+           (function
+           | Pmem.Atomic_write { off = 64; _ } when nshards > 1 -> sealed := true
+           | Pmem.Sfence ->
+               incr fences;
+               if !found = None && (!sealed || (nshards = 1 && !fences = 1)) then
+                 found := Some (Pmem.event_count pmem - start + 1)
+           | _ -> ())));
+  match commit tc pin_final 'f' with
+  | () ->
+      Pmem.set_observer pmem None;
+      Pmem.set_crash_countdown pmem None;
+      `Located !found
+  | exception Pmem.Crash_point ->
+      Pmem.set_crash_countdown pmem None;
+      Pmem.crash ~seed:7 ~survival:0.5 pmem;
+      let tc = Tinca.ok_exn (Tinca.recover ~pmem ~disk ~clock ~metrics) in
+      Tinca.check_invariants tc;
+      let before b =
+        if List.mem b [ 3; 9; 14; 20 ] then 'n' else if b <= 7 then 'm' else '\000'
+      in
+      let got = List.map (fun b -> Bytes.get (Tinca.ok_exn (Tinca.read tc b)) 0) pin_final in
+      let forward = List.for_all (( = ) 'f') got in
+      if not (forward || got = List.map before pin_final) then
+        Alcotest.failf "N=%d: the final commit recovered partially" nshards;
+      if nshards > 1 && not forward then
+        Alcotest.failf "N=%d: the sealed commit was not rolled forward" nshards;
+      commit tc [ 4; 30 ] 'p';
+      `Crashed
+        ( Digest.to_hex (Pmem.media_digest pmem),
+          Metrics.get metrics "pmem.sfence",
+          Clock.now_ns clock )
+
+(* Recorded before the shard layer took over both engines; every refactor
+   of that layer must leave them untouched. *)
+let pins =
+  [
+    ("logging", 1, "3dc0032eea6d44526fefc17a6fdd065e", 614, 0x1.40a118p+22);
+    ("logging", 2, "3074a89c287eb205ecc9e7a4e76315c9", 647, 0x1.47c664p+22);
+    ("logging", 4, "4403bb429bf2fc7b1c1a02b73fdc300e", 711, 0x1.d01dd4p+22);
+    ("paging", 1, "52987cb06d58ba84cd5c0d5feba97e63", 220, 0x1.2bd684p+22);
+    ("paging", 2, "496700f7bfbe01c4404b938aa85736dd", 231, 0x1.2e2fbp+22);
+    ("paging", 4, "fd4fa3f4f87752a336bc393bf6683d9d", 245, 0x1.a4f654p+22);
+  ]
+
+let test_pinned_script () =
+  let results =
+    List.map
+      (fun (name, nshards, _, _, _) ->
+      let scheme =
+        match Tinca.Config.scheme_of_string name with Ok s -> s | Error m -> Alcotest.fail m
+      in
+      let crash_at =
+        match pin_script ~scheme ~nshards ~crash_at:None with
+        | `Located (Some k) -> k
+        | `Located None -> Alcotest.failf "%s N=%d: no crash point found" name nshards
+        | `Crashed _ -> assert false
+      in
+      match pin_script ~scheme ~nshards ~crash_at:(Some crash_at) with
+      | `Located _ -> Alcotest.failf "%s N=%d: the countdown did not fire" name nshards
+      | `Crashed r -> r)
+      pins
+  in
+  (* A mismatch prints the whole table as measured, in source form. *)
+  if List.exists2 (fun (_, _, d, sf, t) r -> (d, sf, t) <> r) pins results then
+    List.iter2
+      (fun (name, nshards, _, _, _) (d, sf, t) ->
+        Printf.printf "    (%S, %d, %S, %d, %h);\n" name nshards d sf t)
+      pins results;
+  List.iter2
+    (fun (name, nshards, digest, sfences, ns) (d, sf, t) ->
+      let label = Printf.sprintf "%s N=%d" name nshards in
+      Alcotest.(check string) (label ^ ": media digest") digest d;
+      Alcotest.(check int) (label ^ ": sfences") sfences sf;
+      Alcotest.(check (float 0.0)) (label ^ ": simulated ns") ns t)
+    pins results
+
 let suite =
   [
     ( "shard",
@@ -244,5 +377,6 @@ let suite =
         Alcotest.test_case "N=1 media and cost equal the plain cache" `Quick test_n1_equivalence;
         Alcotest.test_case "multi-shard commit round-trip" `Quick test_multi_shard_commit;
         Alcotest.test_case "cross-shard all-or-nothing crash sweep" `Slow test_xshard_crash_sweep;
+        Alcotest.test_case "both engines pinned at N=1, 2 and 4" `Quick test_pinned_script;
       ] );
   ]
