@@ -311,7 +311,10 @@ let bench_read_miss_fill engine =
         let config = { Cache.default_config with Cache.ring_slots = 64 } in
         Cache.read (Cache.format ~config ~pmem ~disk ~clock ~metrics)
     | `Paging ->
-        Paging.read (Paging.format ~nshards:1 ~config:Paging.default_config ~pmem ~disk ~clock ~metrics)
+        let module Shard = Tinca_core.Shard in
+        Shard.read
+          (Shard.format ~nshards:1 ~config:(Shard.Paging Paging.default_config) ~pmem ~disk ~clock
+             ~metrics)
   in
   let n = ref 0 in
   let next () =

@@ -535,6 +535,12 @@ let recover_region ?(flight_replay = true) ~base ~mem_bytes ~pmem ~disk ~clock ~
   for i = 0 to nblocks - 1 do
     let e = Entry.decode_at table (i * Entry.size) in
     if e.Entry.valid then begin
+      (* A block beyond the disk would only fail at its first write-back. *)
+      if e.Entry.disk_blkno >= Disk.nblocks disk then
+        raise
+          (Corrupt
+             (Printf.sprintf "Tinca.Cache.recover: entry %d names disk block %d beyond the disk" i
+                e.Entry.disk_blkno));
       if Fc.mem t.fc e.Entry.disk_blkno then
         raise (Corrupt "Tinca.Cache.recover: duplicate valid entry for a disk block");
       let role_log = e.Entry.role = Entry.Log in

@@ -1,5 +1,5 @@
 (* Paging commit scheme (ISSUE 10): the "other side" of the logging vs.
-   paging ablation (Dulong et al., PAPERS.md).
+   paging ablation (Dulong et al., PAPERS.md), one region at a time.
 
    Where the logging scheme (Cache/Ring) commits by appending slots to a
    persistent ring and switching entry roles, the paging scheme commits
@@ -7,18 +7,24 @@
 
    - every transactional write is COWed into a free NVM page frame;
    - each touched page gets ONE 16 B atomic swing of its indirection-
-     table entry, staged under the shard's next epoch;
-   - the commit point is a single 8 B atomic swing of the shard's
+     table entry, staged under the region's next epoch;
+   - the commit point is a single 8 B atomic swing of the region's
      persistent epoch word — no ring, no role switch, no Tail;
    - multi-page atomicity comes for free from the epoch word (staged
      entries carry epoch E+1 and stay invisible until the word says
-     E+1); multi-shard commits are sealed by the same cross-shard
-     mask<<32|epoch seal word the striped logging scheduler uses;
+     E+1);
    - recovery = rebuild the volatile index from the table: entries at or
      below the durable epoch are live on their new side, entries above
-     it roll back to their old side (or vanish, for misses).
+     it roll back to their old side (or vanish, for misses), or forward
+     when a durable cross-shard seal directs it.
 
-   Per-shard media layout (all offsets relative to the shard base):
+   {!Shard} owns everything above one region for both engines: the
+   directory, striping, the cross-shard seal, grouping a transaction's
+   writes by region and the order of the commit steps.  The steps here
+   return the flush ranges they leave unfenced, and Shard fences their
+   union once.
+
+   Region media layout (all offsets relative to the region base):
 
      [ superblock | epoch word | flight ring | indirection table | page pool ]
          64 B          64 B      slots*64 B       slots*16 B        n*block
@@ -53,21 +59,17 @@ type config = {
 
 let default_config = { block_size = 4096; flight_slots = 0; headroom = 0 }
 
-(* One-shard media magic ("TINCAPG1") and the multi-shard directory
-   magic ("TINCAPGD"), both distinct from the logging superblock and
-   shard-directory magics so recovery can discriminate the scheme from
-   the first 8 bytes of the medium. *)
+(* The region superblock magic ("TINCAPG1", at byte 0 of one-shard
+   media) and the multi-shard directory magic ("TINCAPGD", written by
+   Shard), both distinct from the logging superblock and shard-directory
+   magics so recovery can discriminate the scheme from the first 8 bytes
+   of the medium. *)
 let super_magic = 0x3147_5041_434E_4954L
 let dir_magic = 0x4447_5041_434E_4954L
 
-(* Shard directory geometry shared with the logging scheme: a 128 B
-   header (magic line + seal line at +64) in front of equal spans. *)
-let dir_seal_off = 64
-let header_bytes = 128
-
 let entry_size = 16
 
-(* --- per-shard geometry -------------------------------------------------- *)
+(* --- region geometry ------------------------------------------------------ *)
 
 type geom = {
   base : int;
@@ -78,7 +80,7 @@ type geom = {
   flight_off : int;
   table_off : int;
   pool_off : int;
-  span : int;  (** bytes of the shard region *)
+  span : int;  (** bytes of the region *)
 }
 
 (* Largest pool that fits the span: each frame costs one page plus one
@@ -147,7 +149,7 @@ let region_layout_of_geom g =
    bytes 4-6   frame_b (u24) — the NEW frame of the entry's last swing
    byte 7      reserved, must be 0 (torn-swing detector)
    bytes 8-11  disk_blkno (u32)
-   bytes 12-15 epoch (u32) — live on side B iff epoch <= the shard's
+   bytes 12-15 epoch (u32) — live on side B iff epoch <= the region's
                durable epoch word, else staged (side A, or nothing) *)
 
 type pentry = {
@@ -192,21 +194,32 @@ let entry_is_zero_at b off =
   go 0
 
 (* The committed normal form: no old side, the live frame on side B, at
-   or below the shard's durable epoch. *)
+   or below the region's durable epoch. *)
 let committed_entry ~blkno ~frame ~epoch =
   { e_valid = true; e_has_old = false; e_frame_a = 0; e_frame_b = frame; e_blkno = blkno; e_epoch = epoch }
 
 (* --- volatile state ------------------------------------------------------ *)
 
-(* DRAM bookkeeping for one cached disk block lives in the shard's
+(* DRAM bookkeeping for one cached disk block lives in the region's
    frame cache: [slot >= 0] iff the block is dirty (has a table entry);
    clean cached blocks are volatile only.  A block is pinned while it is
-   staged in the in-flight publish. *)
+   staged in the in-flight commit. *)
 type pinfo = unit Fc.block
 
-type shard_state = {
-  id : int;
+type region = {
+  id : int;  (* shard index, stamped on flight records *)
+  cfg : config;
   geom : geom;
+  pmem : Pmem.t;
+  disk : Disk.t;
+  clock : Clock.t;
+  c_flight_records : Metrics.counter;
+  (* The logging engine's counters, bumped for the same events; the
+     stats rows read write-backs and evictions back from them. *)
+  c_writebacks : Metrics.counter;
+  c_fg_writebacks : Metrics.counter;
+  c_cleaned : Metrics.counter;
+  c_evictions : Metrics.counter;
   mutable epoch : int;  (* DRAM mirror of the durable epoch word *)
   fc : unit Fc.t;
   flight : Flight.cursor option;
@@ -216,36 +229,8 @@ type shard_state = {
   mutable epoch_bumps : int;
 }
 
-type t = {
-  cfg : config;
-  pmem : Pmem.t;
-  disk : Disk.t;
-  clock : Clock.t;
-  metrics : Metrics.t;
-  c_flight_records : Metrics.counter;
-  (* The logging engine's counters, bumped for the same events; stats_kv
-     reads write-backs and evictions back from them. *)
-  c_writebacks : Metrics.counter;
-  c_fg_writebacks : Metrics.counter;
-  c_cleaned : Metrics.counter;
-  c_evictions : Metrics.counter;
-  nshards : int;
-  shards : shard_state array;
-  mutable multi_commits : int;
-  mutable seals : int;
-  mutable roll_forwards : int;
-  mutable committing : bool;
-}
-
-exception Corrupt = Cache.Corrupt
-exception Transaction_too_large = Cache.Transaction_too_large
-exception Invariant_violation = Cache.Invariant_violation
-
-let nshards t = t.nshards
-let block_size t = t.cfg.block_size
-let stripe = Shard.stripe
-let shard_of t blkno = stripe ~nshards:t.nshards blkno
-let region_layouts t = Array.to_list (Array.map (fun s -> region_layout_of_geom s.geom) t.shards)
+let block_size r = r.cfg.block_size
+let layout r = region_layout_of_geom r.geom
 
 (* Test-only fault injection: [`Torn_swing] replaces the one 16 B atomic
    table swing with two 8 B halves and makes the first half durable on
@@ -259,56 +244,57 @@ let set_fault f = fault := f
 (* Same contract as the logging scheme's recorder: a record is a
    volatile 64 B store whose line is parked in [flight_dirty] and folded
    into the commit path's next existing flush+fence — zero added fences. *)
-let flight_note t s ?(batch = -1) ?(cause = Flight.Sync) ?(a = 0) ?(b = 0) ?(c = 0) ?(d = 0) kind =
-  match s.flight with
+let flight_note r ?(batch = -1) ?(cause = Flight.Sync) ?(a = 0) ?(b = 0) ?(c = 0) ?(d = 0) kind =
+  match r.flight with
   | None -> ()
   | Some cur ->
-      let site = Pmem.site t.pmem in
-      Pmem.set_site t.pmem "flight.record";
+      let site = Pmem.site r.pmem in
+      Pmem.set_site r.pmem "flight.record";
       let ev =
-        { Flight.kind; shard = s.id; cause; a; b; c; d; batch;
-          t_ns = int_of_float (Clock.now_ns t.clock) }
+        { Flight.kind; shard = r.id; cause; a; b; c; d; batch;
+          t_ns = int_of_float (Clock.now_ns r.clock) }
       in
-      let off = flight_slot_off s.geom (Flight.slot_of cur) in
-      Pmem.write t.pmem ~off (Flight.encode ~seq:cur.Flight.seq ev);
+      let off = flight_slot_off r.geom (Flight.slot_of cur) in
+      Pmem.write r.pmem ~off (Flight.encode ~seq:cur.Flight.seq ev);
       cur.Flight.seq <- cur.Flight.seq + 1;
-      s.flight_dirty <- (off, Flight.record_size) :: s.flight_dirty;
-      Metrics.add t.c_flight_records 1;
-      Pmem.set_site t.pmem site
+      r.flight_dirty <- (off, Flight.record_size) :: r.flight_dirty;
+      Metrics.add r.c_flight_records 1;
+      Pmem.set_site r.pmem site
 [@@pmem.defer
   "a flight record is deliberately left unflushed: the dirtied line is parked in flight_dirty \
    until the paging commit path folds it into its next existing flush+fence (zero added \
    fences); a record torn by a crash fails its CRC and is dropped by Flight.scan"]
 
-let flight_take s =
-  let ranges = s.flight_dirty in
-  s.flight_dirty <- [];
+let flight_take r =
+  let ranges = r.flight_dirty in
+  r.flight_dirty <- [];
   ranges
 
-let flight_scans t =
-  Array.map (fun s -> match s.flight_scan with Some r -> r | None -> ([], 0)) t.shards
+let flight_scan r = Option.value r.flight_scan ~default:([], 0)
 
-(* --- formatting ---------------------------------------------------------- *)
+(* --- construction and formatting ----------------------------------------- *)
 
-let write_super t g =
-  let b = Bytes.make 64 '\000' in
-  Codec.set_u64 b 0 super_magic;
-  Codec.set_u32 b 8 g.block_size;
-  Codec.set_u32 b 12 g.nframes;
-  Codec.set_u32 b 16 g.flight_slots;
-  Pmem.set_site t.pmem "paging.format";
-  Pmem.write t.pmem ~off:g.base b
-[@@pmem.defer
-  "format-time superblock store: format folds every shard's superblock, epoch, flight and \
-   table lines into ONE flush_ranges + sfence before returning the handle, so the media is \
-   fully durable before any commit can run"]
+let check_geometry ~span ~block_size ~flight_slots =
+  match compute_geom ~base:0 ~span ~block_size ~flight_slots with
+  | _ -> Ok ()
+  | exception Invalid_argument m -> Error m
 
-let mk_shard_state (cfg : config) id (g : geom) =
+let make ~id ~cfg ~geom ~pmem ~disk ~clock ~metrics =
+  let c = Metrics.counter metrics in
   {
     id;
-    geom = g;
+    cfg;
+    geom;
+    pmem;
+    disk;
+    clock;
+    c_flight_records = c "tinca.flight.records";
+    c_writebacks = c "tinca.writebacks";
+    c_fg_writebacks = c "cache.fg_writebacks";
+    c_cleaned = c "tinca.cleaned";
+    c_evictions = c "tinca.evictions";
     epoch = 0;
-    fc = Fc.create ~frames:g.nframes ~slots:g.nframes ~index_size:256 ();
+    fc = Fc.create ~frames:geom.nframes ~slots:geom.nframes ~index_size:256 ();
     flight = (if cfg.flight_slots > 0 then Some (Flight.cursor ~slots:cfg.flight_slots) else None);
     flight_dirty = [];
     flight_scan = None;
@@ -316,74 +302,32 @@ let mk_shard_state (cfg : config) id (g : geom) =
     epoch_bumps = 0;
   }
 
-let mk_t ~cfg ~pmem ~disk ~clock ~metrics ~nshards shards =
-  {
-    cfg;
-    pmem;
-    disk;
-    clock;
-    metrics;
-    c_flight_records = Metrics.counter metrics "tinca.flight.records";
-    c_writebacks = Metrics.counter metrics "tinca.writebacks";
-    c_fg_writebacks = Metrics.counter metrics "cache.fg_writebacks";
-    c_cleaned = Metrics.counter metrics "tinca.cleaned";
-    c_evictions = Metrics.counter metrics "tinca.evictions";
-    nshards;
-    shards;
-    multi_commits = 0;
-    seals = 0;
-    roll_forwards = 0;
-    committing = false;
-  }
-
-let shard_geoms ~nshards ~pmem_bytes ~block_size ~flight_slots =
-  if nshards < 1 || nshards > Shard.max_shards then
-    invalid_arg (Printf.sprintf "Paging: nshards %d not in [1, %d]" nshards Shard.max_shards);
-  if nshards = 1 then
-    [| compute_geom ~base:0 ~span:pmem_bytes ~block_size ~flight_slots |]
-  else begin
-    let span = (pmem_bytes - header_bytes) / nshards / 64 * 64 in
-    Array.init nshards (fun i ->
-        compute_geom ~base:(header_bytes + (i * span)) ~span ~block_size ~flight_slots)
-  end
-
-let check_geometry ~nshards ~pmem_bytes ~block_size ~flight_slots =
-  match shard_geoms ~nshards ~pmem_bytes ~block_size ~flight_slots with
-  | _ -> Ok ()
-  | exception Invalid_argument m -> Error m
-
-let format ~nshards ~config:cfg ~pmem ~disk ~clock ~metrics =
+let create ~id ~base ~span ~config:cfg ~pmem ~disk ~clock ~metrics =
   if cfg.headroom < 0 then invalid_arg "Paging: headroom must be non-negative";
-  let geoms =
-    shard_geoms ~nshards ~pmem_bytes:(Pmem.size pmem) ~block_size:cfg.block_size
-      ~flight_slots:cfg.flight_slots
+  let geom =
+    compute_geom ~base ~span ~block_size:cfg.block_size ~flight_slots:cfg.flight_slots
   in
-  let shards = Array.mapi (mk_shard_state cfg) geoms in
-  let t = mk_t ~cfg ~pmem ~disk ~clock ~metrics ~nshards shards in
-  Pmem.set_site pmem "paging.format";
-  let ranges = ref [] in
-  if nshards > 1 then begin
-    let hdr = Bytes.make header_bytes '\000' in
-    Codec.set_u64 hdr 0 dir_magic;
-    Codec.set_u32 hdr 8 nshards;
-    Pmem.write pmem ~off:0 hdr;
-    ranges := (0, header_bytes) :: !ranges
-  end;
-  Array.iter
-    (fun s ->
-      let g = s.geom in
-      write_super t g;
-      Pmem.atomic_write8 pmem ~off:(g.base + g.epoch_off) 0L;
-      (* The table (and flight ring) must be durably zero: a stale
-         nonzero slot would decode as a live mapping after recovery. *)
-      let zero_len = g.pool_off - g.flight_off in
-      Pmem.fill pmem ~off:(g.base + g.flight_off) ~len:zero_len '\000';
-      ranges :=
-        (g.base, 64) :: (g.base + g.epoch_off, 8) :: (g.base + g.flight_off, zero_len) :: !ranges)
-    shards;
-  Pmem.flush_ranges pmem !ranges;
-  Pmem.sfence pmem;
-  t
+  make ~id ~cfg ~geom ~pmem ~disk ~clock ~metrics
+
+let format r =
+  let g = r.geom in
+  let b = Bytes.make 64 '\000' in
+  Codec.set_u64 b 0 super_magic;
+  Codec.set_u32 b 8 g.block_size;
+  Codec.set_u32 b 12 g.nframes;
+  Codec.set_u32 b 16 g.flight_slots;
+  Pmem.set_site r.pmem "paging.format";
+  Pmem.write r.pmem ~off:g.base b;
+  Pmem.atomic_write8 r.pmem ~off:(g.base + g.epoch_off) 0L;
+  (* The table (and flight ring) must be durably zero: a stale nonzero
+     slot would decode as a live mapping after recovery. *)
+  let zero_len = g.pool_off - g.flight_off in
+  Pmem.fill r.pmem ~off:(g.base + g.flight_off) ~len:zero_len '\000';
+  [ (g.base, 64); (g.base + g.epoch_off, 8); (g.base + g.flight_off, zero_len) ]
+[@@pmem.defer
+  "format-time superblock, epoch and table stores: the returned ranges are folded with every \
+   other region's (and the directory's) into ONE flush_ranges + sfence by Shard.format before \
+   it returns the handle, so the media is fully durable before any commit can run"]
 
 (* --- replacement --------------------------------------------------------- *)
 
@@ -392,97 +336,96 @@ let format ~nshards ~config:cfg ~pmem ~disk ~clock ~metrics =
    to disk first, so a crash on either side of the swing is consistent:
    entry present = the (now clean) NVM copy still wins, entry absent =
    reads fall through to the identical disk copy. *)
-let zero_entry t s (p : pinfo) =
-  Pmem.atomic_write16 t.pmem ~off:(entry_off s.geom p.slot) (Bytes.make entry_size '\000');
-  s.swings <- s.swings + 1;
-  Fc.free_slot s.fc p.slot;
-  Fc.set_dirty s.fc p false;
+let zero_entry r (p : pinfo) =
+  Pmem.atomic_write16 r.pmem ~off:(entry_off r.geom p.slot) (Bytes.make entry_size '\000');
+  r.swings <- r.swings + 1;
+  Fc.free_slot r.fc p.slot;
+  Fc.set_dirty r.fc p false;
   Fc.set_slot p (-1)
 [@@pmem.defer
   "both callers persist the swing before anything else runs: an eviction right after it, the \
    cleaner after zeroing every cleaned page's entry (one flush_ranges + sfence for the batch)"]
 
-let writeback t s (p : pinfo) =
-  let data = Pmem.read t.pmem ~off:(frame_off s.geom p.frame) ~len:s.geom.block_size in
-  Disk.write_block t.disk p.key data;
-  Metrics.add t.c_writebacks 1;
-  Pmem.set_site t.pmem "paging.evict";
-  let off = entry_off s.geom p.slot in
-  zero_entry t s p;
-  Pmem.persist t.pmem ~off ~len:entry_size
+let writeback r (p : pinfo) =
+  let data = Pmem.read r.pmem ~off:(frame_off r.geom p.frame) ~len:r.geom.block_size in
+  Disk.write_block r.disk p.key data;
+  Metrics.add r.c_writebacks 1;
+  Pmem.set_site r.pmem "paging.evict";
+  let off = entry_off r.geom p.slot in
+  zero_entry r p;
+  Pmem.persist r.pmem ~off ~len:entry_size
 
 (* The NVM side of an eviction: clean victims are free (purely
    volatile), dirty ones are written back and their entry dropped. *)
-let evict_hooks t s =
+let evict_hooks r =
   {
     Fc.evict =
       (fun p ->
         if p.slot >= 0 then begin
-          writeback t s p;
-          Metrics.add t.c_fg_writebacks 1
+          writeback r p;
+          Metrics.add r.c_fg_writebacks 1
         end;
-        Metrics.add t.c_evictions 1);
+        Metrics.add r.c_evictions 1);
   }
 
 (* The cleaner (Frame_cache.clean): every frame it writes goes to disk by
    DMA, uncharged.  Every written page's entry is then zeroed and the
    swings persisted under one fence on the caller's clock; the pages
    stay cached as clean volatile fills. *)
-let clean ~after_commit t s =
-  let frame p = frame_off s.geom p.Fc.frame in
+let clean ~after_commit r =
+  let frame p = frame_off r.geom p.Fc.frame in
   let cleaner =
     {
-      Fc.disk = t.disk;
-      dma_read = (fun p -> Pmem.dma_read t.pmem ~off:(frame p) ~len:s.geom.block_size);
+      Fc.disk = r.disk;
+      dma_read = (fun p -> Pmem.dma_read r.pmem ~off:(frame p) ~len:r.geom.block_size);
       cleaned =
         (fun written ->
-          Trace.begin_span ~clock:t.clock "tinca.bg_clean";
-          Pmem.set_site t.pmem "paging.bg_clean";
+          Trace.begin_span ~clock:r.clock "tinca.bg_clean";
+          Pmem.set_site r.pmem "paging.bg_clean";
           let ranges =
             List.map
               (fun (p : pinfo) ->
-                let off = entry_off s.geom p.slot in
-                zero_entry t s p;
+                let off = entry_off r.geom p.slot in
+                zero_entry r p;
                 (off, entry_size))
               written
           in
-          Pmem.flush_ranges t.pmem ranges;
-          Pmem.sfence t.pmem;
+          Pmem.flush_ranges r.pmem ranges;
+          Pmem.sfence r.pmem;
           let n = List.length written in
-          Metrics.add t.c_writebacks n;
-          Metrics.add t.c_cleaned n;
+          Metrics.add r.c_writebacks n;
+          Metrics.add r.c_cleaned n;
           Trace.end_span "tinca.bg_clean");
     }
   in
-  ignore (Fc.clean s.fc cleaner ~after_commit)
+  ignore (Fc.clean r.fc cleaner ~after_commit)
 
-(* Make [n] frames (plus the configured headroom) and [nslots] table
+(* Make [frames] frames (plus the configured headroom) and [slots] table
    slots available, evicting as needed.  Returns false if the demand
    cannot be met (everything else pinned, or the pool is too small). *)
-let make_room t s ~frames ~slots =
-  Fc.make_room s.fc (evict_hooks t s) ~frames:(frames + t.cfg.headroom) ~slots
+let make_room r ~frames ~slots =
+  Fc.make_room r.fc (evict_hooks r) ~frames:(frames + r.cfg.headroom) ~slots
 
 (* --- reads --------------------------------------------------------------- *)
 
-let read_frame t s (p : pinfo) = Pmem.read t.pmem ~off:(frame_off s.geom p.frame) ~len:s.geom.block_size
+let read_frame r (p : pinfo) = Pmem.read r.pmem ~off:(frame_off r.geom p.frame) ~len:r.geom.block_size
 
-let read t blkno =
-  let s = t.shards.(shard_of t blkno) in
-  clean ~after_commit:false t s;
-  match Fc.lookup_read s.fc blkno with
-  | Some p -> read_frame t s p
+let read r blkno =
+  clean ~after_commit:false r;
+  match Fc.lookup_read r.fc blkno with
+  | Some p -> read_frame r p
   | None ->
-      let data = Disk.read_block t.disk blkno in
+      let data = Disk.read_block r.disk blkno in
       (* Clean fill: volatile only — no table entry, no flush, no fence.
          The frame's content is not durable; a crash simply un-caches the
          block (recovery rebuilds from the table, which never saw it). *)
-      if make_room t s ~frames:1 ~slots:0 then begin
-        match Fc.alloc_frame s.fc with
+      if make_room r ~frames:1 ~slots:0 then begin
+        match Fc.alloc_frame r.fc with
         | None -> ()
         | Some frame ->
-            Pmem.set_site t.pmem "paging.fill";
-            Pmem.write t.pmem ~off:(frame_off s.geom frame) data;
-            ignore (Fc.insert s.fc ~key:blkno ~frame ~slot:(-1) ~dirty:false ~pinned:false ())
+            Pmem.set_site r.pmem "paging.fill";
+            Pmem.write r.pmem ~off:(frame_off r.geom frame) data;
+            ignore (Fc.insert r.fc ~key:blkno ~frame ~slot:(-1) ~dirty:false ~pinned:false ())
       end;
       data
 [@@pmem.defer
@@ -490,329 +433,225 @@ let read t blkno =
    stays the disk — a crash simply un-caches the block (recovery rebuilds from the table, \
    which never saw it); flushing the fill would buy nothing"]
 
-let peek t blkno =
-  let s = t.shards.(shard_of t blkno) in
-  match Fc.find s.fc blkno with
-  | Some p -> Some (read_frame t s p)
-  | None -> None
+let peek r blkno = Option.map (read_frame r) (Fc.find r.fc blkno)
+let contains r blkno = Fc.mem r.fc blkno
 
-let contains t blkno = Fc.mem t.shards.(shard_of t blkno).fc blkno
+(* --- the commit steps ---------------------------------------------------- *)
 
-(* --- the commit protocol ------------------------------------------------- *)
-
+(* One COWed write of the in-flight commit. *)
 type staged = {
-  st_shard : int;
   st_blkno : int;
   st_slot : int;
   st_frame : int;  (* the new (B-side) frame *)
-  st_old : pinfo option;  (* existing cached version, pinned during publish *)
+  st_old : pinfo option;  (* existing cached version, pinned during the commit *)
 }
 
-(* Write one staged table entry.  The production path is a single 16 B
-   atomic swing; the planted [`Torn_swing] fault splits it into two 8 B
-   halves and makes the first durable on its own, opening the exact
-   window the checkers must catch. *)
-let write_entry t s ~slot e =
-  let b = encode_entry e in
-  let off = entry_off s.geom slot in
-  (match !fault with
-  | None -> Pmem.atomic_write16 t.pmem ~off b
-  | Some `Torn_swing ->
-      Pmem.atomic_write8 t.pmem ~off (Codec.get_u64 b 0);
-      Pmem.persist t.pmem ~off ~len:8;
-      Pmem.atomic_write8 t.pmem ~off:(off + 8) (Codec.get_u64 b 8));
-  s.swings <- s.swings + 1
-[@@pmem.defer
-  "one 16 B atomic entry swing: every caller folds the entry's lines into its own existing \
-   flush+fence (the commit's stage fence, unstage's and recovery's guarded fences), and the \
-   swing is atomic so an unfenced entry is whole-or-absent, never torn"]
+(* Pin (or unpin) a block's existing version, so admission cannot evict
+   a block the transaction itself is about to remap. *)
+let pin r blkno v = Option.iter (fun p -> Fc.set_pinned p v) (Fc.find r.fc blkno)
 
-(* Roll a failed or aborted staging back: return frames and fresh slots,
-   restore pinned old versions.  Entries already swung to epoch E+1 are
-   re-swung to their committed form (or zeroed) — dead media either way
-   since the epoch word never moved, but fenced here anyway so no table
-   line is left volatile across a later commit point. *)
-let unstage t staged =
-  let ranges = ref [] in
+(* Admission: room for one frame per block and a slot per block that has
+   none yet. *)
+let admit r blknos =
+  let slots =
+    List.length
+      (List.filter
+         (fun blkno -> match Fc.find r.fc blkno with Some p -> p.slot < 0 | None -> true)
+         blknos)
+  in
+  make_room r ~frames:(List.length blknos) ~slots
+
+(* Write one table entry.  The production path is a single 16 B atomic
+   swing; the planted [`Torn_swing] fault splits it into two 8 B halves
+   and makes the first durable on its own, opening the exact window the
+   checkers must catch. *)
+let write_entry r ~slot e =
+  let b = encode_entry e in
+  let off = entry_off r.geom slot in
+  (match !fault with
+  | None -> Pmem.atomic_write16 r.pmem ~off b
+  | Some `Torn_swing ->
+      Pmem.atomic_write8 r.pmem ~off (Codec.get_u64 b 0);
+      Pmem.persist r.pmem ~off ~len:8;
+      Pmem.atomic_write8 r.pmem ~off:(off + 8) (Codec.get_u64 b 8));
+  r.swings <- r.swings + 1
+[@@pmem.defer
+  "one 16 B atomic entry swing: every caller folds the entry's lines into an existing \
+   flush+fence (the commit's stage fence, the unstage fence, recovery's guarded fence), and \
+   the swing is atomic so an unfenced entry is whole-or-absent, never torn"]
+
+let zero_swing r slot =
+  Pmem.atomic_write16 r.pmem ~off:(entry_off r.geom slot) (Bytes.make entry_size '\000');
+  r.swings <- r.swings + 1
+[@@pmem.defer
+  "a zeroing swing of a staged or rolled-back entry: the caller fences the entry's range with \
+   the rest of its batch (Shard's unstage fence, recovery's guarded fence)"]
+
+(* COW [data] into a free frame and swing the block's entry under epoch
+   E+1: durable-but-dead until the epoch word says E+1.  Raises
+   [Transaction_too_large] (holding nothing) when no frame or slot is
+   free. *)
+let stage r blkno data =
+  let frame = match Fc.alloc_frame r.fc with Some f -> f | None -> raise Cache.Transaction_too_large in
+  let old = Fc.find r.fc blkno in
+  let old_slot = match old with Some p when p.slot >= 0 -> Some p | _ -> None in
+  let slot =
+    match old_slot with
+    | Some p -> p.slot
+    | None -> (
+        match Fc.alloc_slot r.fc with
+        | Some sl -> sl
+        | None ->
+            Fc.free_frame r.fc frame;
+            raise Cache.Transaction_too_large)
+  in
+  Pmem.set_site r.pmem "paging.cow";
+  Pmem.write r.pmem ~off:(frame_off r.geom frame) data;
+  Pmem.set_site r.pmem "paging.swing";
+  write_entry r ~slot
+    {
+      e_valid = true;
+      e_has_old = old_slot <> None;
+      e_frame_a = (match old_slot with Some p -> p.frame | None -> 0);
+      e_frame_b = frame;
+      e_blkno = blkno;
+      e_epoch = r.epoch + 1;
+    };
+  { st_blkno = blkno; st_slot = slot; st_frame = frame; st_old = old }
+[@@pmem.defer
+  "the COWed page and its staged entry are dead until the epoch swing: their ranges reach \
+   Shard's one stage fence through stage_ranges, or its unstage fence on a rollback"]
+
+(* Roll one staged write back: return its frame and fresh slot, restore
+   the pinned old version.  An entry already swung to epoch E+1 is
+   re-swung to its committed form (or zeroed) — dead media either way
+   since the epoch word never moved, but the returned range is fenced
+   anyway so no table line is left volatile across a later commit
+   point. *)
+let unstage r st =
+  Fc.free_frame r.fc st.st_frame;
+  let ranges =
+    match st.st_old with
+    | Some p when p.slot >= 0 ->
+        write_entry r ~slot:p.slot (committed_entry ~blkno:p.key ~frame:p.frame ~epoch:r.epoch);
+        [ (entry_off r.geom p.slot, entry_size) ]
+    | Some _ -> []
+    | None ->
+        zero_swing r st.st_slot;
+        Fc.free_slot r.fc st.st_slot;
+        [ (entry_off r.geom st.st_slot, entry_size) ]
+  in
+  Option.iter (fun p -> Fc.set_pinned p false) st.st_old;
+  ranges
+
+(* The stage fence's share of this region: every COWed page and staged
+   entry, plus the Batch_drain flight record. *)
+let stage_ranges r ~cause staged =
+  flight_note r ~cause ~a:(List.length staged) Flight.Batch_drain;
+  Pmem.set_site r.pmem "paging.stage_fence";
+  List.rev_append (flight_take r)
+    (List.concat_map
+       (fun st ->
+         [ (frame_off r.geom st.st_frame, r.geom.block_size); (entry_off r.geom st.st_slot, entry_size) ])
+       staged)
+
+(* The commit point: one atomic swing of the epoch word to E+1 (and the
+   Tail_persist flight record), left for Shard's fence. *)
+let commit_point r ~cause =
+  let off = r.geom.base + r.geom.epoch_off in
+  Pmem.set_site r.pmem "paging.epoch_swing";
+  Pmem.atomic_write8_int r.pmem ~off (r.epoch + 1);
+  r.epoch_bumps <- r.epoch_bumps + 1;
+  flight_note r ~cause ~a:(r.epoch + 1) Flight.Tail_persist;
+  r.epoch <- r.epoch + 1;
+  (off, 8) :: flight_take r
+[@@pmem.defer
+  "the epoch swing is the commit point: Shard fences it (with every other region's swing in a \
+   multi-shard commit) right after this returns"]
+
+(* Durable: fold the new mapping into the volatile state, stamped [now]
+   for the cleaner, then run the cleaner. *)
+let finish r ~now staged =
   List.iter
     (fun st ->
-      let s = t.shards.(st.st_shard) in
-      Fc.free_frame s.fc st.st_frame;
-      (match st.st_old with
-      | Some p when p.slot >= 0 ->
-          write_entry t s ~slot:p.slot (committed_entry ~blkno:p.key ~frame:p.frame ~epoch:s.epoch);
-          ranges := (entry_off s.geom p.slot, entry_size) :: !ranges
-      | Some _ -> ()
-      | None ->
-          Pmem.atomic_write16 t.pmem ~off:(entry_off s.geom st.st_slot)
-            (Bytes.make entry_size '\000');
-          s.swings <- s.swings + 1;
-          Fc.free_slot s.fc st.st_slot;
-          ranges := (entry_off s.geom st.st_slot, entry_size) :: !ranges);
-      match st.st_old with Some p -> Fc.set_pinned p false | None -> ())
+      let p =
+        match st.st_old with
+        | Some p ->
+            Fc.note_write r.fc ~hit:true;
+            (* A clean cached block turns dirty: it now owns a slot. *)
+            Fc.set_dirty r.fc p true;
+            Fc.free_frame r.fc p.frame;
+            Fc.set_frame p st.st_frame;
+            Fc.set_slot p st.st_slot;
+            Fc.set_pinned p false;
+            Fc.touch r.fc p;
+            p
+        | None ->
+            Fc.note_write r.fc ~hit:false;
+            Fc.insert r.fc ~key:st.st_blkno ~frame:st.st_frame ~slot:st.st_slot ~dirty:true
+              ~pinned:false ()
+      in
+      Fc.stamp_durable p now)
     staged;
-  if !ranges <> [] then (
-    Pmem.flush_ranges t.pmem !ranges;
-    Pmem.sfence t.pmem)
-[@@pmem.defer
-  "every rewritten entry line is fenced by the guarded flush_ranges + sfence: the guard \
-   `ranges <> []` is true exactly when an entry was rewritten, which the syntactic dataflow \
-   cannot correlate"]
-
-(* Publish a write-set: COW every page into a free frame, swing every
-   table entry under epoch E+1, fence once, then swing the epoch word(s).
-   [writes] is (blkno, data) with distinct blknos.  Raises
-   [Transaction_too_large] (after full rollback) when the pool cannot
-   host the transaction. *)
-let publish t writes ~cause =
-  match writes with
-  | [] -> ()
-  | writes ->
-      t.committing <- true;
-      Fun.protect ~finally:(fun () -> t.committing <- false) @@ fun () ->
-      let by_shard = Hashtbl.create 8 in
-      List.iter
-        (fun (blkno, data) ->
-          let sh = shard_of t blkno in
-          Hashtbl.replace by_shard sh ((blkno, data) :: (Option.value ~default:[] (Hashtbl.find_opt by_shard sh))))
-        writes;
-      let shard_ids = Hashtbl.fold (fun k _ acc -> k :: acc) by_shard [] |> List.sort compare in
-      (* Pin existing versions first so admission cannot evict a block
-         the transaction itself is about to remap. *)
-      let set_pins v =
-        List.iter
-          (fun (blkno, _) ->
-            match Fc.find t.shards.(shard_of t blkno).fc blkno with
-            | Some p -> Fc.set_pinned p v
-            | None -> ())
-          writes
-      in
-      set_pins true;
-      (* Admission: every shard must be able to host its sub-set. *)
-      let admitted =
-        List.for_all
-          (fun sh ->
-            let sub = Hashtbl.find by_shard sh in
-            let s = t.shards.(sh) in
-            let slots_needed =
-              List.length
-                (List.filter
-                   (fun (blkno, _) ->
-                     match Fc.find s.fc blkno with Some p -> p.slot < 0 | None -> true)
-                   sub)
-            in
-            make_room t s ~frames:(List.length sub) ~slots:slots_needed)
-          shard_ids
-      in
-      if not admitted then begin
-        set_pins false;
-        raise Transaction_too_large
-      end;
-      (* Stage: COW data into fresh frames, swing entries under E+1. *)
-      let staged = ref [] in
-      let ranges = ref [] in
-      (try
-         List.iter
-           (fun (blkno, data) ->
-             let sh = shard_of t blkno in
-             let s = t.shards.(sh) in
-             let frame =
-               match Fc.alloc_frame s.fc with Some f -> f | None -> raise Transaction_too_large
-             in
-             let old = Fc.find s.fc blkno in
-             let slot =
-               match old with
-               | Some p when p.slot >= 0 -> p.slot
-               | _ -> (
-                   match Fc.alloc_slot s.fc with
-                   | Some sl -> sl
-                   | None ->
-                       Fc.free_frame s.fc frame;
-                       raise Transaction_too_large)
-             in
-             Pmem.set_site t.pmem "paging.cow";
-             Pmem.write t.pmem ~off:(frame_off s.geom frame) data;
-             ranges := (frame_off s.geom frame, s.geom.block_size) :: !ranges;
-             let has_old = match old with Some p when p.slot >= 0 -> true | _ -> false in
-             let frame_a = match old with Some p when p.slot >= 0 -> p.frame | _ -> 0 in
-             Pmem.set_site t.pmem "paging.swing";
-             write_entry t s ~slot
-               {
-                 e_valid = true;
-                 e_has_old = has_old;
-                 e_frame_a = frame_a;
-                 e_frame_b = frame;
-                 e_blkno = blkno;
-                 e_epoch = s.epoch + 1;
-               };
-             ranges := (entry_off s.geom slot, entry_size) :: !ranges;
-             staged := { st_shard = sh; st_blkno = blkno; st_slot = slot; st_frame = frame; st_old = old } :: !staged)
-           writes
-       with Transaction_too_large ->
-         unstage t !staged;
-         set_pins false;
-         raise Transaction_too_large);
-      let staged = !staged in
-      let multi = List.length shard_ids > 1 in
-      List.iter
-        (fun sh ->
-          let s = t.shards.(sh) in
-          flight_note t s ~cause ~a:(List.length (Hashtbl.find by_shard sh)) Flight.Batch_drain;
-          ranges := List.rev_append (flight_take s) !ranges)
-        shard_ids;
-      (* Stage fence: all COW pages + staged entries durable, still dead
-         (every staged entry sits above the durable epoch word). *)
-      Pmem.set_site t.pmem "paging.stage_fence";
-      Pmem.flush_ranges t.pmem !ranges;
-      Pmem.sfence t.pmem;
-      (* Commit point.  Single shard: ONE atomic swing of the epoch word.
-         Multi-shard: seal the union mask first (the existing cross-shard
-         epoch mechanism), swing every member epoch, clear the seal. *)
-      if multi then begin
-        let mask = List.fold_left (fun m sh -> m lor (1 lsl sh)) 0 shard_ids in
-        let epoch_global = t.seals + 1 in
-        Pmem.set_site t.pmem "paging.seal";
-        Pmem.atomic_write8_int t.pmem ~off:dir_seal_off ((mask lsl 32) lor epoch_global);
-        Pmem.persist t.pmem ~off:dir_seal_off ~len:8;
-        t.seals <- t.seals + 1
-      end;
-      Pmem.set_site t.pmem "paging.epoch_swing";
-      let epoch_ranges = ref [] in
-      List.iter
-        (fun sh ->
-          let s = t.shards.(sh) in
-          Pmem.atomic_write8_int t.pmem ~off:(s.geom.base + s.geom.epoch_off) (s.epoch + 1);
-          s.epoch_bumps <- s.epoch_bumps + 1;
-          flight_note t s ~cause ~a:(s.epoch + 1) Flight.Tail_persist;
-          epoch_ranges :=
-            (s.geom.base + s.geom.epoch_off, 8) :: List.rev_append (flight_take s) !epoch_ranges)
-        shard_ids;
-      Pmem.flush_ranges t.pmem !epoch_ranges;
-      Pmem.sfence t.pmem;
-      if multi then begin
-        Pmem.set_site t.pmem "paging.seal_clear";
-        Pmem.atomic_write8 t.pmem ~off:dir_seal_off 0L;
-        Pmem.persist t.pmem ~off:dir_seal_off ~len:8;
-        t.multi_commits <- t.multi_commits + 1
-      end;
-      (* Durable: fold the new mapping into the volatile state, stamped
-         for the cleaner, then run the cleaner on every shard touched. *)
-      List.iter (fun sh -> (t.shards.(sh)).epoch <- t.shards.(sh).epoch + 1) shard_ids;
-      let now = Clock.now_ns t.clock in
-      List.iter
-        (fun st ->
-          let s = t.shards.(st.st_shard) in
-          let p =
-            match st.st_old with
-            | Some p ->
-                Fc.note_write s.fc ~hit:true;
-                (* A clean cached block turns dirty: it now owns a slot. *)
-                Fc.set_dirty s.fc p true;
-                Fc.free_frame s.fc p.frame;
-                Fc.set_frame p st.st_frame;
-                Fc.set_slot p st.st_slot;
-                Fc.set_pinned p false;
-                Fc.touch s.fc p;
-                p
-            | None ->
-                Fc.note_write s.fc ~hit:false;
-                Fc.insert s.fc ~key:st.st_blkno ~frame:st.st_frame ~slot:st.st_slot ~dirty:true
-                  ~pinned:false ()
-          in
-          Fc.stamp_durable p now)
-        (List.rev staged);
-      List.iter (fun sh -> clean ~after_commit:true t t.shards.(sh)) shard_ids
-
-(* --- transactions -------------------------------------------------------- *)
-
-module Txn = struct
-  type handle = {
-    ht : t;
-    writes : (int, bytes) Hashtbl.t;
-    mutable order : int list;  (* first-write order, for stable staging *)
-    mutable finished : bool;
-  }
-
-  let init t = { ht = t; writes = Hashtbl.create 8; order = []; finished = false }
-
-  (* Transactional writes buffer volatilely until publish: the paging
-     scheme touches NVM only inside the commit protocol. *)
-  let add h blkno data =
-    if h.finished then invalid_arg "Paging.Txn.add: transaction finished";
-    if Bytes.length data <> h.ht.cfg.block_size then
-      invalid_arg "Paging.Txn.add: wrong block size";
-    if not (Hashtbl.mem h.writes blkno) then h.order <- blkno :: h.order;
-    Hashtbl.replace h.writes blkno (Bytes.copy data)
-
-  let block_count h = Hashtbl.length h.writes
-
-  let shard_count h =
-    let shards = Hashtbl.create 4 in
-    Hashtbl.iter (fun blkno _ -> Hashtbl.replace shards (shard_of h.ht blkno) ()) h.writes;
-    Hashtbl.length shards
-
-  let commit ?(cause = Flight.Sync) h =
-    if h.finished then invalid_arg "Paging.Txn.commit: transaction finished";
-    h.finished <- true;
-    let writes = List.rev_map (fun b -> (b, Hashtbl.find h.writes b)) h.order in
-    publish h.ht writes ~cause
-
-  let abort h =
-    if h.finished then invalid_arg "Paging.Txn.abort: transaction finished";
-    h.finished <- true;
-    Hashtbl.reset h.writes;
-    h.order <- []
-end
-
-let write_direct t blkno data =
-  let h = Txn.init t in
-  Txn.add h blkno data;
-  Txn.commit ~cause:Flight.Barrier h
+  clean ~after_commit:true r
 
 (* Write every dirty page back to disk and drop its entry
    (decommissioning, like the logging scheme's flush_all). *)
-let flush_all t =
-  Array.iter
-    (fun s -> Fc.iter_lru (fun p -> if p.slot >= 0 then writeback t s p) s.fc)
-    t.shards
+let flush_all r = Fc.iter_lru (fun p -> if p.slot >= 0 then writeback r p) r.fc
 
 (* --- recovery ------------------------------------------------------------ *)
 
-let read_entry t g slot = decode_entry_at (Pmem.read t.pmem ~off:(entry_off g slot) ~len:entry_size) 0
-
-let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
+let corrupt fmt = Printf.ksprintf (fun m -> raise (Cache.Corrupt m)) fmt
 
 let read_super pmem ~base =
   let b = Pmem.read pmem ~off:base ~len:24 in
   if Codec.get_u64 b 0 <> super_magic then corrupt "paging superblock magic missing at %d" base;
-  let block_size = Codec.get_u32 b 8 in
-  let nframes = Codec.get_u32 b 12 in
-  let flight_slots = Codec.get_u32 b 16 in
-  (block_size, nframes, flight_slots)
+  (Codec.get_u32 b 8, Codec.get_u32 b 12, Codec.get_u32 b 16)
 
-(* Recover one shard region: validate the table against itself (frames
-   in range, no duplicate blknos, sane epochs — a torn swing is DETECTED
-   here, not trusted), resolve staged entries by [roll_forward], and
-   rebuild the volatile index and free monitors from the live sides. *)
-let recover_shard t ~shard_id ~roll_forward =
-  let s = t.shards.(shard_id) in
-  let g = s.geom in
-  let epoch = Ring.read_word t.pmem ~off:(g.base + g.epoch_off) in
-  if epoch < 0 then corrupt "paging: shard %d epoch word beyond the int range" shard_id;
+(* Re-attach region [id] from its superblock, without writing anything.
+   Every geometry word comes from media: one that no format could have
+   written is [Corrupt], not a usage error. *)
+let attach ~id ~base ~span ?expect ~pmem ~disk ~clock ~metrics () =
+  let block_size, nframes, flight_slots = read_super pmem ~base in
+  (match expect with
+  | Some (bs, fs) when bs <> block_size || fs <> flight_slots ->
+      corrupt "paging: shard %d superblock disagrees with shard 0" id
+  | _ -> ());
+  if Disk.block_size disk <> block_size then
+    corrupt "paging: shard %d block size %d, the disk's is %d" id block_size (Disk.block_size disk);
+  let geom =
+    match compute_geom ~base ~span ~block_size ~flight_slots with
+    | g -> g
+    | exception Invalid_argument m -> corrupt "paging: shard %d superblock: %s" id m
+  in
+  if geom.nframes <> nframes then
+    corrupt "paging: shard %d frame count %d contradicts the geometry %d" id nframes geom.nframes;
+  let cfg = { default_config with block_size; flight_slots } in
+  make ~id ~cfg ~geom ~pmem ~disk ~clock ~metrics
+
+(* Recover one region: validate the table against itself (frames in
+   range, blocks on the disk and on this shard, no duplicate blknos,
+   sane epochs — a torn swing is DETECTED here, not trusted), resolve
+   staged entries by [roll_forward], and rebuild the volatile index and
+   free monitors from the live sides. *)
+let recover r ~owns ~roll_forward =
+  let g = r.geom in
+  let epoch = Ring.read_word r.pmem ~off:(g.base + g.epoch_off) in
+  if epoch < 0 then corrupt "paging: shard %d epoch word beyond the int range" r.id;
   (* Flight scan before recovery writes anything; the cursor resumes
      after the highest surviving sequence number. *)
-  (match s.flight with
+  (match r.flight with
   | Some cur ->
-      let read i = Pmem.read t.pmem ~off:(flight_slot_off g i) ~len:Flight.record_size in
+      let read i = Pmem.read r.pmem ~off:(flight_slot_off g i) ~len:Flight.record_size in
       let records, torn = Flight.scan ~slots:g.flight_slots ~read in
-      s.flight_scan <- Some (records, torn);
+      r.flight_scan <- Some (records, torn);
       cur.Flight.seq <- (match List.rev records with (seq, _) :: _ -> seq + 1 | [] -> 0)
   | None -> ());
   let seen_blkno = Hashtbl.create 64 in
   let staged = ref [] in
   let live = ref [] in
   (* The whole table in one read, so each line is charged once. *)
-  let table = Pmem.read t.pmem ~off:(entry_off g 0) ~len:(g.nframes * entry_size) in
+  let table = Pmem.read r.pmem ~off:(entry_off g 0) ~len:(g.nframes * entry_size) in
   for slot = 0 to g.nframes - 1 do
     let off = slot * entry_size in
     if not (entry_is_zero_at table off) then begin
@@ -823,9 +662,9 @@ let recover_shard t ~shard_id ~roll_forward =
       if e.e_frame_b >= g.nframes then corrupt "paging: slot %d frame_b %d out of range" slot e.e_frame_b;
       if e.e_has_old && (e.e_frame_a >= g.nframes || e.e_frame_a = e.e_frame_b) then
         corrupt "paging: slot %d frame_a %d invalid" slot e.e_frame_a;
-      if e.e_blkno >= Disk.nblocks t.disk then
+      if e.e_blkno >= Disk.nblocks r.disk then
         corrupt "paging: slot %d blkno %d beyond the device" slot e.e_blkno;
-      if t.nshards > 1 && stripe ~nshards:t.nshards e.e_blkno <> shard_id then
+      if not (owns e.e_blkno) then
         corrupt "paging: slot %d blkno %d striped to the wrong shard" slot e.e_blkno;
       if e.e_epoch > epoch + 1 then
         corrupt "paging: slot %d epoch %d above the durable epoch %d + 1" slot e.e_epoch epoch;
@@ -835,163 +674,80 @@ let recover_shard t ~shard_id ~roll_forward =
       if e.e_epoch > epoch then staged := (slot, e) :: !staged else live := (slot, e) :: !live
     end
   done;
-  flight_note t s ~a:epoch ~c:(match s.flight_scan with Some (r, _) -> List.length r | None -> 0)
-    Flight.Recovery_start;
+  flight_note r ~a:epoch ~c:(List.length (fst (flight_scan r))) Flight.Recovery_start;
   (* Resolve the staged generation. *)
   let ranges = ref [] in
-  let bumped =
-    roll_forward && !staged <> []
-  in
+  let bumped = roll_forward && !staged <> [] in
   if bumped then begin
     (* The seal directs roll-forward: the staged generation was fenced
        durable before the seal, so adopting it is safe and idempotent. *)
-    Pmem.set_site t.pmem "paging.recover";
-    Pmem.atomic_write8_int t.pmem ~off:(g.base + g.epoch_off) (epoch + 1);
+    Pmem.set_site r.pmem "paging.recover";
+    Pmem.atomic_write8_int r.pmem ~off:(g.base + g.epoch_off) (epoch + 1);
     ranges := (g.base + g.epoch_off, 8) :: !ranges;
     live := !staged @ !live;
-    List.iter
-      (fun (_, e) -> flight_note t s ~a:0 ~b:e.e_blkno Flight.Recovery_decision)
-      !staged;
-    t.roll_forwards <- t.roll_forwards + List.length !staged
+    List.iter (fun (_, e) -> flight_note r ~a:0 ~b:e.e_blkno Flight.Recovery_decision) !staged
   end
   else
     List.iter
       (fun (slot, e) ->
         (* Roll back: the old side (if any) is the durable committed
            version; a staged miss vanishes. *)
-        Pmem.set_site t.pmem "paging.recover";
-        (if e.e_has_old then
-           write_entry t s ~slot (committed_entry ~blkno:e.e_blkno ~frame:e.e_frame_a ~epoch)
-         else begin
-           Pmem.atomic_write16 t.pmem ~off:(entry_off g slot) (Bytes.make entry_size '\000');
-           s.swings <- s.swings + 1
-         end);
+        Pmem.set_site r.pmem "paging.recover";
+        if e.e_has_old then
+          write_entry r ~slot (committed_entry ~blkno:e.e_blkno ~frame:e.e_frame_a ~epoch)
+        else zero_swing r slot;
         ranges := (entry_off g slot, entry_size) :: !ranges;
-        flight_note t s ~a:1 ~b:e.e_blkno Flight.Recovery_decision;
-        if e.e_has_old then live := (slot, { e with e_has_old = false; e_frame_a = 0; e_frame_b = e.e_frame_a; e_epoch = epoch }) :: !live)
+        flight_note r ~a:1 ~b:e.e_blkno Flight.Recovery_decision;
+        if e.e_has_old then
+          live :=
+            (slot, { e with e_has_old = false; e_frame_a = 0; e_frame_b = e.e_frame_a; e_epoch = epoch })
+            :: !live)
       !staged;
-  s.epoch <- (if bumped then epoch + 1 else epoch);
+  r.epoch <- (if bumped then epoch + 1 else epoch);
   (* Rebuild the volatile index and free monitors from the live sides. *)
   List.iter
     (fun (slot, e) ->
-      Fc.claim_frame s.fc e.e_frame_b;
-      Fc.claim_slot s.fc slot;
-      ignore (Fc.insert s.fc ~key:e.e_blkno ~frame:e.e_frame_b ~slot ~dirty:true ~pinned:false ()))
+      Fc.claim_frame r.fc e.e_frame_b;
+      Fc.claim_slot r.fc slot;
+      ignore (Fc.insert r.fc ~key:e.e_blkno ~frame:e.e_frame_b ~slot ~dirty:true ~pinned:false ()))
     !live;
-  ranges := List.rev_append (flight_take s) !ranges;
+  ranges := List.rev_append (flight_take r) !ranges;
   if !ranges <> [] then begin
-    Pmem.flush_ranges t.pmem !ranges;
-    Pmem.sfence t.pmem
+    Pmem.flush_ranges r.pmem !ranges;
+    Pmem.sfence r.pmem
   end
 [@@pmem.defer
   "every roll-back/roll-forward entry rewrite and flight record is fenced by the guarded \
    flush_ranges + sfence: the guard `ranges <> []` is true exactly when recovery rewrote \
    media, which the syntactic dataflow cannot correlate"]
 
-let recover ~pmem ~disk ~clock ~metrics () =
-  let metrics_ = metrics in
-  let magic = Codec.get_u64 (Pmem.read pmem ~off:0 ~len:8) 0 in
-  if magic = super_magic then begin
-    let block_size, nframes, flight_slots = read_super pmem ~base:0 in
-    let g = compute_geom ~base:0 ~span:(Pmem.size pmem) ~block_size ~flight_slots in
-    if g.nframes <> nframes then corrupt "paging: superblock frame count %d contradicts the geometry %d" nframes g.nframes;
-    let cfg = { default_config with block_size; flight_slots } in
-    let t = mk_t ~cfg ~pmem ~disk ~clock ~metrics:metrics_ ~nshards:1 [| mk_shard_state cfg 0 g |] in
-    recover_shard t ~shard_id:0 ~roll_forward:false;
-    t
-  end
-  else if magic = dir_magic then begin
-    let hdr = Pmem.read pmem ~off:0 ~len:16 in
-    let nshards = Codec.get_u32 hdr 8 in
-    if nshards < 2 || nshards > Shard.max_shards then
-      corrupt "paging: directory shard count %d invalid" nshards;
-    let seal = Ring.read_word pmem ~off:dir_seal_off in
-    if seal < 0 then corrupt "paging: directory seal word beyond the int range";
-    let mask = seal lsr 32 in
-    if mask lsr nshards <> 0 then
-      corrupt "paging: seal mask %#x names shards beyond %d" mask nshards;
-    let span = (Pmem.size pmem - header_bytes) / nshards / 64 * 64 in
-    let block_size, _, flight_slots = read_super pmem ~base:header_bytes in
-    let cfg = { default_config with block_size; flight_slots } in
-    let geoms =
-      Array.init nshards (fun i ->
-          let base = header_bytes + (i * span) in
-          let bs, nf, fs = read_super pmem ~base in
-          if bs <> block_size || fs <> flight_slots then
-            corrupt "paging: shard %d superblock disagrees with shard 0" i;
-          let g = compute_geom ~base ~span ~block_size ~flight_slots in
-          if g.nframes <> nf then corrupt "paging: shard %d frame count contradicts geometry" i;
-          g)
-    in
-    let t =
-      mk_t ~cfg ~pmem ~disk ~clock ~metrics:metrics_ ~nshards
-        (Array.mapi (mk_shard_state cfg) geoms)
-    in
-    for i = 0 to nshards - 1 do
-      recover_shard t ~shard_id:i ~roll_forward:(mask land (1 lsl i) <> 0)
-    done;
-    if seal <> 0 then begin
-      (* The sealed commit is now fully adopted: retire the seal. *)
-      Pmem.set_site pmem "paging.recover";
-      Pmem.atomic_write8 pmem ~off:dir_seal_off 0L;
-      Pmem.persist pmem ~off:dir_seal_off ~len:8
-    end;
-    t
-  end
-  else corrupt "no paging media (magic %Lx)" magic
-
 (* --- stats / wear / invariants ------------------------------------------ *)
 
-let sum f t = Array.fold_left (fun acc s -> acc + f s) 0 t.shards
-let total_frames = sum (fun s -> s.geom.nframes)
-let free_frames = sum (fun s -> Fc.free_frames s.fc)
-let write_hit_rate t =
-  let hits = sum (fun s -> Fc.write_hits s.fc) t in
-  let total = hits + sum (fun s -> Fc.write_misses s.fc) t in
-  if total = 0 then 0.0 else float_of_int hits /. float_of_int total
-
-(* Paging-native stats surface.  Deliberately NO ring_high_water, no
-   role-switch and no ring rows: those are logging-only concepts and
-   their absence (rather than a misleading zero) is pinned by test. *)
-let stats_kv t =
-  let occupancy =
-    let total = total_frames t in
-    if total = 0 then 0.0
-    else 100.0 *. float_of_int (total - free_frames t) /. float_of_int total
-  in
+(* The region's summable stats rows, in the order the shard layer
+   reports them. *)
+let counts r =
+  let dirty = Fc.dirty_count r.fc in
   [
-    ("scheme", "paging");
-    ("nshards", string_of_int t.nshards);
-    ("block_size", string_of_int t.cfg.block_size);
-    ("pool_frames", string_of_int (total_frames t));
-    ("pool_frames_free", string_of_int (free_frames t));
-    ("pool_occupancy_pct", Printf.sprintf "%.1f" occupancy);
-    ("table_slots", string_of_int (total_frames t));
-    ("table_swings", string_of_int (sum (fun s -> s.swings) t));
-    ("epoch_swings", string_of_int (sum (fun s -> s.epoch_bumps) t));
-    ("dirty_pages", string_of_int (sum (fun s -> Fc.dirty_count s.fc) t));
+    ("pool_frames", r.geom.nframes);
+    ("pool_frames_free", Fc.free_frames r.fc);
+    ("table_swings", r.swings);
+    ("epoch_swings", r.epoch_bumps);
+    ("dirty_pages", dirty);
     (* Cached blocks are dirty (holding a slot) or clean; the audit pins
        the dirty count to a recount. *)
-    ("clean_cached", string_of_int (sum (fun s -> Fc.length s.fc - Fc.dirty_count s.fc) t));
-    ("read_hits", string_of_int (sum (fun s -> Fc.read_hits s.fc) t));
-    ("read_misses", string_of_int (sum (fun s -> Fc.read_misses s.fc) t));
-    ("write_hits", string_of_int (sum (fun s -> Fc.write_hits s.fc) t));
-    ("write_misses", string_of_int (sum (fun s -> Fc.write_misses s.fc) t));
-    ("evictions", string_of_int (Metrics.get t.metrics "tinca.evictions"));
-    ("writebacks", string_of_int (Metrics.get t.metrics "tinca.writebacks"));
-    ("multi_shard_commits", string_of_int t.multi_commits);
-    ("cross_shard_seals", string_of_int t.seals);
-    ("seal_roll_forwards", string_of_int t.roll_forwards);
+    ("clean_cached", Fc.length r.fc - dirty);
+    ("read_hits", Fc.read_hits r.fc);
+    ("read_misses", Fc.read_misses r.fc);
+    ("write_hits", Fc.write_hits r.fc);
+    ("write_misses", Fc.write_misses r.fc);
   ]
-  @ List.concat
-      (List.mapi
-         (fun i s -> if t.nshards = 1 then [] else [ (Printf.sprintf "s%d.epoch" i, string_of_int s.epoch) ])
-         (Array.to_list t.shards))
 
-let shard_region_wear t s =
-  let g = s.geom in
+let epoch r = r.epoch
+
+let region_wear r =
+  let g = r.geom in
   let row name ~off ~len =
-    (name, Pmem.wear_sum_in t.pmem ~off ~len, Pmem.wear_max_in t.pmem ~off ~len)
+    (name, Pmem.wear_sum_in r.pmem ~off ~len, Pmem.wear_max_in r.pmem ~off ~len)
   in
   [
     row "super" ~off:g.base ~len:64;
@@ -1001,37 +757,23 @@ let shard_region_wear t s =
     row "pool" ~off:(g.base + g.pool_off) ~len:(g.nframes * g.block_size);
   ]
 
-let region_wear t =
-  Shard.sharded_wear t.pmem (List.map (shard_region_wear t) (Array.to_list t.shards))
-
-let fail_inv fmt = Printf.ksprintf (fun m -> raise (Invariant_violation m)) fmt
-
-let check_invariants t =
-  if t.nshards > 1 && not t.committing then begin
-    let seal = Pmem.read_u64_int t.pmem ~off:dir_seal_off in
-    if seal <> 0 then fail_inv "paging: cross-shard seal %x durable outside a commit" seal
-  end;
-  Array.iteri
-    (fun i s ->
-      let g = s.geom in
-      let durable_epoch = Pmem.read_u64_int t.pmem ~off:(g.base + g.epoch_off) in
-      if durable_epoch <> s.epoch then
-        fail_inv "paging shard %d: volatile epoch %d != durable %d" i s.epoch durable_epoch;
-      (match Fc.audit s.fc with Ok () -> () | Error m -> fail_inv "paging shard %d: %s" i m);
-      Fc.fold
-        (fun (p : pinfo) () ->
-          let blkno = p.key in
-          if p.dirty <> (p.slot >= 0) then
-            fail_inv "paging shard %d: blkno %d dirty %b but slot %d" i blkno p.dirty p.slot;
-          if p.slot >= 0 then begin
-            let e = read_entry t g p.slot in
-            if not e.e_valid then fail_inv "paging shard %d: blkno %d slot %d invalid on media" i blkno p.slot;
-            if e.e_blkno <> blkno then
-              fail_inv "paging shard %d: slot %d maps blkno %d, index says %d" i p.slot e.e_blkno blkno;
-            if e.e_epoch > s.epoch then
-              fail_inv "paging shard %d: slot %d staged (epoch %d > %d) outside a commit" i p.slot e.e_epoch s.epoch;
-            if e.e_frame_b <> p.frame then
-              fail_inv "paging shard %d: slot %d live frame %d, index says %d" i p.slot e.e_frame_b p.frame
-          end)
-        s.fc ())
-    t.shards
+let check_invariants r =
+  let fail fmt = Printf.ksprintf (fun m -> raise (Cache.Invariant_violation m)) ("paging shard %d: " ^^ fmt) r.id in
+  let g = r.geom in
+  let durable_epoch = Pmem.read_u64_int r.pmem ~off:(g.base + g.epoch_off) in
+  if durable_epoch <> r.epoch then fail "volatile epoch %d != durable %d" r.epoch durable_epoch;
+  (match Fc.audit r.fc with Ok () -> () | Error m -> fail "%s" m);
+  Fc.fold
+    (fun (p : pinfo) () ->
+      let blkno = p.key in
+      if p.dirty <> (p.slot >= 0) then fail "blkno %d dirty %b but slot %d" blkno p.dirty p.slot;
+      if p.slot >= 0 then begin
+        let e = decode_entry_at (Pmem.read r.pmem ~off:(entry_off g p.slot) ~len:entry_size) 0 in
+        if not e.e_valid then fail "blkno %d slot %d invalid on media" blkno p.slot;
+        if e.e_blkno <> blkno then fail "slot %d maps blkno %d, index says %d" p.slot e.e_blkno blkno;
+        if e.e_epoch > r.epoch then
+          fail "slot %d staged (epoch %d > %d) outside a commit" p.slot e.e_epoch r.epoch;
+        if e.e_frame_b <> p.frame then
+          fail "slot %d live frame %d, index says %d" p.slot e.e_frame_b p.frame
+      end)
+    r.fc ()

@@ -1,23 +1,26 @@
-(** Paging commit scheme (ISSUE 10): COW page remapping through a
-    persistent indirection table, the ablation counterpart of the
-    logging (ring) scheme.
+(** Paging commit scheme (ISSUE 10), one region: COW page remapping
+    through a persistent indirection table, the ablation counterpart of
+    the logging (ring) scheme.
 
     Every transactional write is COWed into a free NVM page frame and
     staged by one 16 B atomic swing of the page's indirection-table
-    entry under the shard's next epoch; the commit point is a single
-    8 B atomic swing of the shard's persistent epoch word.  No ring, no
+    entry under the region's next epoch; the commit point is a single
+    8 B atomic swing of the region's persistent epoch word.  No ring, no
     role switch: 2 sfences per single-shard commit of any size.
-    Multi-shard commits are sealed by the same [mask<<32|epoch] seal
-    word the striped logging scheduler uses.  Recovery rebuilds the
-    volatile index from the table, rolling staged entries back (or, when
-    a durable seal directs it, forward).
+    Recovery rebuilds the volatile index from the table, rolling staged
+    entries back (or, when a durable seal directs it, forward).
 
-    Per-shard media layout:
+    {!Shard} owns everything above one region for both engines:
+    striping, the directory, the cross-shard seal, grouping writes by
+    region and the order of the commit steps below.  Each step returns
+    the flush ranges it leaves unfenced; Shard fences their union once.
+
+    Region media layout:
     [superblock | epoch word | flight ring | indirection table | page pool].
     The table only holds dirty pages; clean cached blocks are volatile
     only. *)
 
-type t
+type region
 
 type config = {
   block_size : int;  (** page size; positive multiple of 64 *)
@@ -29,96 +32,133 @@ type config = {
 
 val default_config : config
 
-(** Media magics: the single-shard superblock and the multi-shard
-    directory, distinct from the logging scheme's so recovery can
-    discriminate the scheme from byte 0. *)
+(** Media magics: the region superblock (at byte 0 of one-shard media)
+    and the multi-shard directory {!Shard} writes, distinct from the
+    logging scheme's so recovery can discriminate the scheme from
+    byte 0. *)
 val super_magic : int64
 
 val dir_magic : int64
 
-exception Corrupt of string
-exception Transaction_too_large
-exception Invariant_violation of string
+(** Would a [span]-byte region host a paging layout?  The validation
+    {!create} performs, without touching media (for [Config.validate]). *)
+val check_geometry : span:int -> block_size:int -> flight_slots:int -> (unit, string) result
 
-(** Would this device host a paging format?  The validation
-    {!format} performs, without touching media (for [Config.validate]). *)
-val check_geometry :
-  nshards:int -> pmem_bytes:int -> block_size:int -> flight_slots:int -> (unit, string) result
+(** {1 Construction} *)
 
-(** [format ~nshards ~config ~pmem ~disk ~clock ~metrics] initializes
-    the whole device for paging: directory header (when [nshards > 1]),
-    per-shard superblock, zero epoch, durably zeroed table and flight
-    ring.  Raises [Invalid_argument] on bad geometry. *)
-val format :
-  nshards:int ->
+(** [create ~id ~base ~span ~config ...] lays out region [id] over
+    [[base, base + span)] without touching media.  Raises
+    [Invalid_argument] on bad geometry. *)
+val create :
+  id:int ->
+  base:int ->
+  span:int ->
   config:config ->
   pmem:Tinca_pmem.Pmem.t ->
   disk:Tinca_blockdev.Disk.t ->
   clock:Tinca_sim.Clock.t ->
   metrics:Tinca_sim.Metrics.t ->
-  t
+  region
 
-(** [recover ~pmem ~disk ~clock ~metrics ()] discriminates the media by
-    magic, validates the indirection table against itself (frame bounds,
-    duplicate mappings, epoch sanity — a torn swing is detected, not
-    trusted; raises [Corrupt]), resolves the staged generation and
-    rebuilds the volatile index. *)
-val recover :
+(** Store the superblock, a zero epoch and a zeroed table and flight
+    ring; returns the ranges to fence (the caller fences every region's
+    under one fence). *)
+val format : region -> (int * int) list
+
+(** The 24-byte superblock at [base]: [(block_size, nframes,
+    flight_slots)].  Raises [Corrupt] when the magic is missing. *)
+val read_super : Tinca_pmem.Pmem.t -> base:int -> int * int * int
+
+(** Re-attach region [id] from its superblock without writing anything;
+    [expect] is the [(block_size, flight_slots)] every region must agree
+    on.  Raises [Corrupt] on a missing magic or any geometry word no
+    format could have written. *)
+val attach :
+  id:int ->
+  base:int ->
+  span:int ->
+  ?expect:int * int ->
   pmem:Tinca_pmem.Pmem.t ->
   disk:Tinca_blockdev.Disk.t ->
   clock:Tinca_sim.Clock.t ->
   metrics:Tinca_sim.Metrics.t ->
   unit ->
-  t
+  region
 
-val nshards : t -> int
-val block_size : t -> int
+(** Validate the indirection table against itself (frame bounds, block
+    bounds, [owns] for the striping, duplicate mappings, epoch sanity —
+    a torn swing is detected, not trusted; raises [Corrupt]), resolve
+    the staged generation (forward iff [roll_forward]) and rebuild the
+    volatile index.  Fences its own rewrites. *)
+val recover : region -> owns:(int -> bool) -> roll_forward:bool -> unit
 
-(** Same pure striping function as the logging scheduler. *)
-val stripe : nshards:int -> int -> int
+val block_size : region -> int
 
-module Txn : sig
-  type handle
+(** {1 Block I/O} *)
 
-  val init : t -> handle
+val read : region -> int -> bytes
 
-  (** Buffer one whole-block write (volatile until commit).  Last write
-      to a block wins. *)
-  val add : handle -> int -> bytes -> unit
+(** The cached content of a block, if cached. *)
+val peek : region -> int -> bytes option
 
-  val block_count : handle -> int
-  val shard_count : handle -> int
-
-  (** Publish the write-set: COW pages + entry swings, one stage fence,
-      then the epoch swing(s).  Raises [Transaction_too_large] (after
-      full rollback) when the pool cannot host the transaction. *)
-  val commit : ?cause:Tinca_obs.Flight.cause -> handle -> unit
-
-  val abort : handle -> unit
-end
-
-val read : t -> int -> bytes
-val write_direct : t -> int -> bytes -> unit
-
-(** Post-recovery / test probe: the cached content of a block, if cached. *)
-val peek : t -> int -> bytes option
-
-val contains : t -> int -> bool
+val contains : region -> int -> bool
 
 (** Write every dirty page back to disk and durably drop its entry. *)
-val flush_all : t -> unit
+val flush_all : region -> unit
 
-val stats_kv : t -> (string * string) list
-val write_hit_rate : t -> float
+(** {1 Commit steps}
 
-(** Per-region (name, wear_sum, wear_max) rows: super / epoch / flight /
-    table / pool, prefixed [s<i>.] on sharded media. *)
-val region_wear : t -> (string * int * int) list
+    One commit, as {!Shard} drives it: {!pin} every written block's
+    existing version, {!admit} each region's share (all-or-nothing),
+    {!stage} every write in first-write order (or {!unstage} them all on
+    [Transaction_too_large]), fence every region's {!stage_ranges}, swing
+    every {!commit_point} and fence those, then {!finish}. *)
+
+(** One COWed write of the in-flight commit. *)
+type staged
+
+val pin : region -> int -> bool -> unit
+
+(** Make room for one frame per block and a slot per block that has no
+    table slot yet; [false] if the pool cannot. *)
+val admit : region -> int list -> bool
+
+(** COW the block into a free frame and swing its entry under epoch
+    E+1.  Raises [Transaction_too_large] holding nothing. *)
+val stage : region -> int -> bytes -> staged
+
+(** Roll one staged write back; returns the rewritten entry ranges. *)
+val unstage : region -> staged -> (int * int) list
+
+(** The stage fence's share: every COWed page and staged entry plus the
+    [Batch_drain] flight record. *)
+val stage_ranges : region -> cause:Tinca_obs.Flight.cause -> staged list -> (int * int) list
+
+(** Swing the epoch word to E+1 (the commit point); returns its range
+    and the [Tail_persist] flight record's. *)
+val commit_point : region -> cause:Tinca_obs.Flight.cause -> (int * int) list
+
+(** After the commit point is durable: fold the staged writes into the
+    volatile index, stamped [now], and run the cleaner. *)
+val finish : region -> now:float -> staged list -> unit
+
+(** {1 Introspection} *)
+
+(** Summable stats rows: pool frames (free), table and epoch swings,
+    dirty and clean cached blocks, read and write hits and misses. *)
+val counts : region -> (string * int) list
+
+(** The volatile epoch. *)
+val epoch : region -> int
+
+(** (name, wear_sum, wear_max) rows: super / epoch / flight / table /
+    pool. *)
+val region_wear : region -> (string * int * int) list
 
 (** DRAM/NVM cross-checks; raises [Invariant_violation]. *)
-val check_invariants : t -> unit
+val check_invariants : region -> unit
 
-(** psan's region classifier input: absolute offsets of one shard's
+(** psan's region classifier input: absolute offsets of one region's
     epoch line, flight ring, indirection table and page pool. *)
 type region_layout = {
   r_base : int;
@@ -132,11 +172,12 @@ type region_layout = {
   r_total : int;
 }
 
-val region_layouts : t -> region_layout list
+val layout : region -> region_layout
 
-(** Post-crash flight-recorder scans per shard (records, torn count),
-    shaped for {!Tinca_obs.Forensics.build}. *)
-val flight_scans : t -> ((int * Tinca_obs.Flight.event) list * int) array
+(** The flight-recorder scan from the last {!recover} ([([], 0)] when
+    none ran or the region has no ring), shaped for
+    {!Tinca_obs.Forensics.build}. *)
+val flight_scan : region -> (int * Tinca_obs.Flight.event) list * int
 
 (** Test-only: [`Torn_swing] splits the 16 B table swing into two 8 B
     halves with the first made durable alone — the planted bug class the

@@ -12,24 +12,25 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* Two reserved cache lines in front of the shard regions:
 
-   line 0  shard directory — magic, shard count and the per-shard
-           geometry parameters, written once at format time;
+   line 0  shard directory — magic and shard count (logging adds the
+           per-shard geometry parameters), written once at format time;
    line 1  cross-shard commit record ("seal") — a single 8-byte value,
            0 when no multi-shard transaction is in its publish window,
            else (shard mask << 32) | epoch.  One atomic write, so a
            crash observes either no seal or a whole one.
 
    Everything from byte 128 on is divided into [nshards] equal spans,
-   each holding one full Cache layout (superblock included).
+   each holding one full region: a Cache layout (logging) or a paging
+   region (superblock, epoch word, table, pool).
 
    With ONE shard there is no header at all: the media is the plain
-   unsharded Cache layout at byte 0, byte for byte — which is what lets
-   N=1 reproduce the single-ring commit-point numbers exactly (the
-   header would shift the data region and change the fitted block
-   count).  A seal is never needed there either: the cross-shard commit
-   record only exists for transactions spanning >= 2 shards.  Recovery
-   discriminates by the magic at offset 0 (the shard directory's
-   "TINCASHD" vs the Cache superblock's own tag). *)
+   region layout at byte 0, byte for byte — which is what lets N=1
+   reproduce the unsharded commit-point numbers exactly (the header
+   would shift the data region and change the fitted block count).  A
+   seal is never needed there either: the cross-shard commit record only
+   exists for transactions spanning >= 2 shards.  Recovery discriminates
+   by the magic at offset 0: each engine's directory magic ("TINCASHD",
+   "TINCAPGD") against its region superblock's. *)
 
 let dir_off = 0
 let seal_off = 64
@@ -40,8 +41,16 @@ let magic = 0x44485341434E4954L (* "TINCASHD" *)
    (mask << 32) inside OCaml's 63-bit int. *)
 let max_shards = 30
 
-let span_of ~pmem ~nshards = (Pmem.size pmem - header_bytes) / nshards / 64 * 64
-let base_of ~span i = header_bytes + (i * span)
+(* Region [i]'s (base, span) on a [pmem_bytes] device. *)
+let span_of ~pmem_bytes ~nshards =
+  if nshards = 1 then pmem_bytes else (pmem_bytes - header_bytes) / nshards / 64 * 64
+
+let base_of ~nshards ~span i = if nshards = 1 then 0 else header_bytes + (i * span)
+
+(* The two engines, a closed set.  Every region of one device runs the
+   same engine. *)
+type regions = Log of Cache.t array | Page of Paging.region array
+type engine = Logging of Cache.config | Paging of Paging.config
 
 (* The per-operation counters, resolved once at construction. *)
 type counters = {
@@ -58,7 +67,8 @@ type t = {
   clock : Clock.t;
   metrics : Metrics.t;
   ctr : counters;
-  caches : Cache.t array;
+  nshards : int;
+  regions : regions;
   lanes : float array;
       (* Per-shard virtual completion times for the parallel-throughput
          model: shard work runs serially on the one simulated clock, and
@@ -68,10 +78,11 @@ type t = {
   mutable epoch : int; (* seal epochs issued since attach *)
 }
 
-let nshards t = Array.length t.caches
+let nshards t = t.nshards
 
-let make ~pmem ~clock ~metrics caches =
+let make ~pmem ~clock ~metrics regions =
   let c = Metrics.counter metrics in
+  let nshards = match regions with Log a -> Array.length a | Page a -> Array.length a in
   {
     pmem;
     clock;
@@ -85,13 +96,37 @@ let make ~pmem ~clock ~metrics caches =
         c_group_commits = c "tinca.shard.group_commits";
         c_group_commit_txns = c "tinca.shard.group_commit.txns";
       };
-    caches;
-    lanes = Array.make (Array.length caches) 0.0;
+    nshards;
+    regions;
+    lanes = Array.make nshards 0.0;
     epoch = 0;
   }
 
-let cache t i = t.caches.(i)
-let caches t = Array.copy t.caches
+let scheme_name t = match t.regions with Log _ -> "logging" | Page _ -> "paging"
+
+(* Surfaces below the commit scheme (per-shard caches, ring geometry,
+   group commit) exist only for logging; asking on paging media is a
+   usage error, not a zero. *)
+let log_caches ~who t =
+  match t.regions with
+  | Log caches -> caches
+  | Page _ -> invalid_arg (Printf.sprintf "%s: logging-scheme-only (this cache is paging)" who)
+
+let require_logging ~who t =
+  ignore (log_caches ~who t);
+  t
+
+let caches t = Array.copy (log_caches ~who:"Tinca.Shard.caches" t)
+
+let page_layouts t =
+  match t.regions with
+  | Page regions -> Array.to_list (Array.map Paging.layout regions)
+  | Log _ -> invalid_arg "Tinca.Shard.page_layouts: paging-scheme-only (this cache is logging)"
+
+let block_size t =
+  match t.regions with
+  | Log caches -> (Cache.config caches.(0)).Cache.block_size
+  | Page regions -> Paging.block_size regions.(0)
 
 (* --- striping ----------------------------------------------------------- *)
 
@@ -106,10 +141,11 @@ let stripe ~nshards blkno =
     let h = blkno * 0x9E3779B97F4A7C1 in
     (h lxor (h lsr 29)) land max_int mod nshards
 
-let shard_of t blkno = stripe ~nshards:(nshards t) blkno
+let shard_of t blkno = stripe ~nshards:t.nshards blkno
 
 (* --- lane accounting ---------------------------------------------------- *)
 
+(* Lanes read the clock and never advance it. *)
 let exec t i f =
   let t0 = Clock.now_ns t.clock in
   let r = f () in
@@ -122,7 +158,8 @@ let barrier t =
   let m = Array.fold_left max 0.0 t.lanes in
   Array.fill t.lanes 0 (Array.length t.lanes) m
 
-(* Coordinator work (the seal writes): all lanes wait for it. *)
+(* Coordinator work (the seal writes, union fences): all lanes wait for
+   it. *)
 let exec_global t f =
   barrier t;
   let t0 = Clock.now_ns t.clock in
@@ -133,8 +170,22 @@ let exec_global t f =
   done;
   r
 
+(* One fence over the union of several regions' flushes: after a
+   barrier, each lane is charged the share of it that its ranges' bytes
+   make up, since each region could issue its own flushes in parallel. *)
+let exec_shared t per_region f =
+  barrier t;
+  let t0 = Clock.now_ns t.clock in
+  let r = f () in
+  let dt = Clock.now_ns t.clock -. t0 in
+  let bytes ranges = float_of_int (List.fold_left (fun acc (_, len) -> acc + len) 0 ranges) in
+  let total = List.fold_left (fun acc (_, ranges) -> acc +. bytes ranges) 0.0 per_region in
+  List.iter
+    (fun (i, ranges) -> t.lanes.(i) <- t.lanes.(i) +. (dt *. bytes ranges /. total))
+    per_region;
+  r
+
 let makespan_ns t = Array.fold_left max 0.0 t.lanes
-let lane_ns t = Array.copy t.lanes
 let reset_lanes t = Array.fill t.lanes 0 (Array.length t.lanes) 0.0
 
 (* --- fault injection (harness self-tests) -------------------------------- *)
@@ -178,75 +229,111 @@ let persist_seal pmem v =
 let write_seal t mask =
   if !fault <> Some `Skip_seal then begin
     t.epoch <- t.epoch + 1;
-    (* Seal-epoch flight record on the lowest shard in the mask; its
-       finalize step (role-switch fence) follows immediately and flushes
-       the record's line, so the seal itself stays one persist. *)
-    (let rec lowest i = if mask land (1 lsl i) <> 0 then i else lowest (i + 1) in
-     if mask <> 0 then
-       Cache.flight_note t.caches.(lowest 0) Flight.Seal_epoch ~a:t.epoch ~b:mask);
+    (* Logging: a seal-epoch flight record on the lowest shard in the
+       mask; its finalize step (role-switch fence) follows immediately
+       and flushes the record's line, so the seal itself stays one
+       persist. *)
+    (match t.regions with
+    | Log caches when mask <> 0 ->
+        let rec lowest i = if mask land (1 lsl i) <> 0 then i else lowest (i + 1) in
+        Cache.flight_note caches.(lowest 0) Flight.Seal_epoch ~a:t.epoch ~b:mask
+    | Log _ | Page _ -> ());
     persist_seal t.pmem (seal_value ~mask ~epoch:t.epoch);
     Metrics.add t.ctr.c_seals 1
   end
 
 let clear_seal t = persist_seal t.pmem 0
 
-(* --- format / recover --------------------------------------------------- *)
+(* The union of the flush ranges a commit step left unfenced, under one
+   fence (logging's steps fence internally and leave none). *)
+let fence pmem = function
+  | [] -> ()
+  | ranges ->
+      Pmem.flush_ranges pmem ranges;
+      Pmem.sfence pmem
+
+(* --- format ------------------------------------------------------------- *)
 
 let format ~nshards ~config ~pmem ~disk ~clock ~metrics =
   if nshards < 1 || nshards > max_shards then
     invalid_arg
       (Printf.sprintf "Tinca.Shard.format: nshards %d not in [1, %d]" nshards max_shards);
-  if nshards = 1 then
-    (* Plain unsharded layout, no header: byte-identical media and
-       commit path to the pre-sharding cache. *)
-    let c = Cache.format ~config ~pmem ~disk ~clock ~metrics in
-    make ~pmem ~clock ~metrics [| c |]
-  else begin
-    let span = span_of ~pmem ~nshards in
-    if span < 64 then invalid_arg "Tinca.Shard.format: pmem too small for this shard count";
-    Pmem.set_site pmem "shard.format";
-    let b = Bytes.make 64 '\000' in
-    Bytes.set_int64_le b 0 magic;
-    Codec.set_u32 b 8 nshards;
-    Codec.set_u32 b 12 config.Cache.block_size;
-    Codec.set_u32 b 16 config.Cache.ring_slots;
-    Pmem.write pmem ~off:dir_off b;
-    Pmem.persist pmem ~off:dir_off ~len:64;
-    persist_seal pmem 0;
-    let caches =
-      Array.init nshards (fun i ->
-          let base = base_of ~span i in
-          let c =
-            Cache.format_region ~base ~mem_bytes:(base + span) ~config ~pmem ~disk ~clock ~metrics
-          in
-          Cache.set_flight_shard c i;
-          c)
-    in
-    make ~pmem ~clock ~metrics caches
-  end
+  let span = span_of ~pmem_bytes:(Pmem.size pmem) ~nshards in
+  if span < 64 then invalid_arg "Tinca.Shard.format: pmem too small for this shard count";
+  let base = base_of ~nshards ~span in
+  match config with
+  | Logging config ->
+      (* The directory is persisted before any region is formatted. *)
+      if nshards > 1 then begin
+        Pmem.set_site pmem "shard.format";
+        let b = Bytes.make 64 '\000' in
+        Bytes.set_int64_le b 0 magic;
+        Codec.set_u32 b 8 nshards;
+        Codec.set_u32 b 12 config.Cache.block_size;
+        Codec.set_u32 b 16 config.Cache.ring_slots;
+        Pmem.write pmem ~off:dir_off b;
+        Pmem.persist pmem ~off:dir_off ~len:64;
+        persist_seal pmem 0
+      end;
+      let caches =
+        Array.init nshards (fun i ->
+            let c =
+              Cache.format_region ~base:(base i) ~mem_bytes:(base i + span) ~config ~pmem ~disk
+                ~clock ~metrics
+            in
+            Cache.set_flight_shard c i;
+            c)
+      in
+      make ~pmem ~clock ~metrics (Log caches)
+  | Paging config ->
+      (* Every region's geometry is checked before anything is written;
+         the directory and every region are then made durable under one
+         fence. *)
+      let regions =
+        Array.init nshards (fun i ->
+            Paging.create ~id:i ~base:(base i) ~span ~config ~pmem ~disk ~clock ~metrics)
+      in
+      let dir =
+        if nshards = 1 then []
+        else begin
+          let hdr = Bytes.make header_bytes '\000' in
+          Codec.set_u64 hdr 0 Paging.dir_magic;
+          Codec.set_u32 hdr 8 nshards;
+          Pmem.set_site pmem "paging.format";
+          Pmem.write pmem ~off:dir_off hdr;
+          [ (dir_off, header_bytes) ]
+        end
+      in
+      fence pmem (dir @ List.concat_map Paging.format (Array.to_list regions));
+      make ~pmem ~clock ~metrics (Page regions)
+[@@pmem.defer
+  "paging's directory store is folded with every region's format ranges into the one \
+   flush_ranges + sfence below it (the list is never empty: each region returns three ranges)"]
 
-(* Seal-directed roll-forward (recovery's all-or-nothing rule, forward
-   direction).  A durable seal proves that every shard in the mask had
-   staged its sub-commit (data, entries, ring slots fenced durable) and
-   advanced its Head before the crash — the seal write is ordered after
-   all of them.  So the transaction is re-committed, not revoked: each
-   shard's remaining log-role entries are flipped to buffer role (the
-   interrupted step-4 role switch, batched under one fence) and its Tail
-   moved to Head (the step-5 commit point), after which the seal
-   retires.  Every step is idempotent, so a crash mid-roll-forward just
-   rolls forward again.  Runs on raw media, before any cache attaches. *)
+(* --- recovery ----------------------------------------------------------- *)
+
+(* Seal-directed roll-forward for logging (recovery's all-or-nothing
+   rule, forward direction).  A durable seal proves that every shard in
+   the mask had staged its sub-commit (data, entries, ring slots fenced
+   durable) and advanced its Head before the crash — the seal write is
+   ordered after all of them.  So the transaction is re-committed, not
+   revoked: each shard's remaining log-role entries are flipped to
+   buffer role (the interrupted step-4 role switch, batched under one
+   fence) and its Tail moved to Head (the step-5 commit point), after
+   which the seal retires.  Every step is idempotent, so a crash
+   mid-roll-forward just rolls forward again.  Runs on raw media, before
+   any cache attaches. *)
 let roll_forward ~pmem ~nshards ~span ~mask ~clock =
   (* Every shard the seal names is bounded before anything is written:
-     the mask names only existing shards, and each ring's pointers
-     satisfy 0 <= Tail <= Head <= Tail + slots, so the Tail := Head
-     below cannot publish a Head that a flipped bit moved. *)
-  if mask lsr nshards <> 0 then corrupt "seal mask %#x names shards beyond %d" mask nshards;
+     each ring's pointers satisfy 0 <= Tail <= Head <= Tail + slots, so
+     the Tail := Head below cannot publish a Head that a flipped bit
+     moved. *)
   let sealed =
     List.filter_map
       (fun i ->
         if mask land (1 lsl i) = 0 then None
         else begin
-          let base = base_of ~span i in
+          let base = base_of ~nshards ~span i in
           let layout = Cache.read_layout ~base ~mem_bytes:(base + span) pmem in
           let head = Ring.read_word pmem ~off:layout.Layout.head_off
           and tail = Ring.read_word pmem ~off:layout.Layout.tail_off in
@@ -315,10 +402,7 @@ let roll_forward ~pmem ~nshards ~span ~mask ~clock =
       done;
       (* Role switches fenced durable strictly before the Tail advance,
          exactly as in the live commit path. *)
-      if !ranges <> [] then begin
-        Pmem.flush_ranges pmem !ranges;
-        Pmem.sfence pmem
-      end;
+      fence pmem !ranges;
       if tail <> head then begin
         Pmem.atomic_write8_int pmem ~off:layout.Layout.tail_off head;
         Pmem.persist pmem ~off:layout.Layout.tail_off ~len:8
@@ -326,69 +410,127 @@ let roll_forward ~pmem ~nshards ~span ~mask ~clock =
     sealed;
   persist_seal pmem 0
 [@@pmem.defer
-  "every mutated range is persisted in-loop: role switches are fenced by the guarded \
-   flush_ranges+sfence (the guard `ranges <> []` is true exactly when a switch was written, which \
-   the syntactic dataflow cannot correlate), the Tail advance by its own persist, and the seal \
-   retirement by persist_seal"]
+  "every mutated range is persisted in-loop: role switches are fenced by [fence], which skips \
+   only an empty range list, the Tail advance by its own persist, and the seal retirement by \
+   persist_seal"]
 
-(* Media without the shard directory magic is a plain unsharded Cache
-   (the N=1 format above, or pre-sharding media): recover it as one
-   shard.  Media with the magic carries the directory's shard count. *)
-let is_sharded_media pmem =
-  Pmem.size pmem >= 8 && Pmem.read_u64 pmem ~off:dir_off = magic
-
-let recover_sharded ~flight_replay ~pmem ~disk ~clock ~metrics =
-  if Pmem.size pmem < header_bytes then corrupt "unformatted NVM (device smaller than the shard header)";
-  let b = Pmem.read pmem ~off:dir_off ~len:64 in
-  let nshards = Codec.get_u32 b 8 in
+(* The directory line: its shard count, then the seal word.  A mask
+   naming a shard that does not exist is corruption, for both engines. *)
+let read_directory ~metrics pmem =
+  if Pmem.size pmem < header_bytes then
+    corrupt "unformatted NVM (device smaller than the shard header)";
+  let nshards = Codec.get_u32 (Pmem.read pmem ~off:dir_off ~len:16) 8 in
   if nshards < 2 || nshards > max_shards then
     corrupt "corrupt shard directory (nshards %d)" nshards;
-  let span = span_of ~pmem ~nshards in
-  Trace.begin_span ~clock "tinca.shard.recover";
-  (* The cross-shard decision precedes every per-shard recovery: seal
-     durable => roll the sealed transaction forward on all its shards;
-     no seal => each shard rolls its own sub-commit back (Cache.recover's
-     ring-range ∪ log-role revocation), so nothing of the transaction
-     survives on any shard.  Either way, no partially committed
-     multi-shard transaction can be observed after recovery. *)
   let seal = read_seal pmem in
+  if seal_mask seal lsr nshards <> 0 then
+    corrupt "seal mask %#x names shards beyond %d" (seal_mask seal) nshards;
   if seal <> 0 then begin
-    Log.info (fun m -> m "sealed multi-shard transaction found (mask %#x): rolling forward" (seal_mask seal));
-    Metrics.incr metrics "tinca.shard.roll_forwards" ~by:1;
-    roll_forward ~pmem ~nshards ~span ~mask:(seal_mask seal) ~clock
+    Log.info (fun m ->
+        m "sealed multi-shard transaction found (mask %#x): rolling forward" (seal_mask seal));
+    Metrics.incr metrics "tinca.shard.roll_forwards" ~by:1
   end;
-  let caches =
-    Array.init nshards (fun i ->
-        let base = base_of ~span i in
-        let c =
-          Cache.recover_region ~flight_replay ~base ~mem_bytes:(base + span) ~pmem ~disk ~clock
-            ~metrics ()
-        in
-        Cache.set_flight_shard c i;
-        c)
-  in
-  Trace.end_span "tinca.shard.recover";
-  make ~pmem ~clock ~metrics caches
+  (nshards, seal)
 
+let media_magic pmem = Codec.get_u64 (Pmem.read pmem ~off:0 ~len:8) 0
+
+(* Logging media: the shard directory's cross-shard decision precedes
+   every per-shard recovery — seal durable => roll the sealed
+   transaction forward on all its shards; no seal => each shard rolls
+   its own sub-commit back (Cache.recover's ring-range ∪ log-role
+   revocation).  Either way no partially committed multi-shard
+   transaction can be observed after recovery.  Media without the
+   directory magic is one plain Cache region (or garbage, which
+   Cache.recover rejects). *)
+let recover_logging ~flight_replay ~pmem ~disk ~clock ~metrics =
+  if media_magic pmem <> magic then Log [| Cache.recover ~flight_replay ~pmem ~disk ~clock ~metrics () |]
+  else begin
+    let nshards, seal = read_directory ~metrics pmem in
+    let span = span_of ~pmem_bytes:(Pmem.size pmem) ~nshards in
+    Trace.begin_span ~clock "tinca.shard.recover";
+    if seal <> 0 then roll_forward ~pmem ~nshards ~span ~mask:(seal_mask seal) ~clock;
+    let caches =
+      Array.init nshards (fun i ->
+          let base = base_of ~nshards ~span i in
+          let c =
+            Cache.recover_region ~flight_replay ~base ~mem_bytes:(base + span) ~pmem ~disk ~clock
+              ~metrics ()
+          in
+          Cache.set_flight_shard c i;
+          c)
+    in
+    Trace.end_span "tinca.shard.recover";
+    Log caches
+  end
+
+(* Paging media: every region attaches (geometry checked against shard
+   0's superblock) before any recovers; a region the seal names rolls
+   its staged generation forward, every other rolls back; the seal
+   retires only after every region has adopted it. *)
+let recover_paging ~pmem ~disk ~clock ~metrics =
+  let magic = media_magic pmem in
+  let nshards, seal =
+    if magic = Paging.super_magic then (1, 0)
+    else if magic = Paging.dir_magic then read_directory ~metrics pmem
+    else corrupt "no paging media (magic %Lx)" magic
+  in
+  let span = span_of ~pmem_bytes:(Pmem.size pmem) ~nshards in
+  let base = base_of ~nshards ~span in
+  let expect =
+    if nshards = 1 then None
+    else
+      let block_size, _, flight_slots = Paging.read_super pmem ~base:(base 0) in
+      Some (block_size, flight_slots)
+  in
+  let regions =
+    Array.init nshards (fun i ->
+        Paging.attach ~id:i ~base:(base i) ~span ?expect ~pmem ~disk ~clock ~metrics ())
+  in
+  Array.iteri
+    (fun i r ->
+      Paging.recover r
+        ~owns:(fun blkno -> stripe ~nshards blkno = i)
+        ~roll_forward:(seal_mask seal land (1 lsl i) <> 0))
+    regions;
+  if seal <> 0 then persist_seal pmem 0;
+  Page regions
+
+(* Recovery reads the magic twice: once to pick the engine, then once
+   more as that engine's own layout check.  The second read is one
+   charged line that every pinned recovery time includes. *)
 let recover ?(flight_replay = true) ~pmem ~disk ~clock ~metrics () =
-  if is_sharded_media pmem then recover_sharded ~flight_replay ~pmem ~disk ~clock ~metrics
-  else
-    let c = Cache.recover ~flight_replay ~pmem ~disk ~clock ~metrics () in
-    make ~pmem ~clock ~metrics [| c |]
+  let m = media_magic pmem in
+  let regions =
+    if m = Paging.super_magic || m = Paging.dir_magic then recover_paging ~pmem ~disk ~clock ~metrics
+    else recover_logging ~flight_replay ~pmem ~disk ~clock ~metrics
+  in
+  make ~pmem ~clock ~metrics regions
 
 (* --- block I/O ---------------------------------------------------------- *)
 
 let read t blkno =
   let i = shard_of t blkno in
-  exec t i (fun () -> Cache.read t.caches.(i) blkno)
+  exec t i (fun () ->
+      match t.regions with
+      | Log caches -> Cache.read caches.(i) blkno
+      | Page regions -> Paging.read regions.(i) blkno)
 
-let write_direct t blkno data =
+let contains t blkno =
   let i = shard_of t blkno in
-  exec t i (fun () -> Cache.write_direct t.caches.(i) blkno data)
+  match t.regions with
+  | Log caches -> Cache.contains caches.(i) blkno
+  | Page regions -> Paging.contains regions.(i) blkno
 
-let contains t blkno = Cache.contains t.caches.(shard_of t blkno) blkno
+let peek t blkno =
+  let i = shard_of t blkno in
+  match t.regions with
+  | Log caches -> Cache.peek caches.(i) blkno
+  | Page regions -> Paging.peek regions.(i) blkno
 
-let peek t blkno = Cache.peek t.caches.(shard_of t blkno) blkno
+let flush_all t =
+  match t.regions with
+  | Log caches -> Array.iter Cache.flush_all caches
+  | Page regions -> Array.iter Paging.flush_all regions
 
 (* --- the striped commit scheduler --------------------------------------- *)
 
@@ -397,123 +539,233 @@ module Txn = struct
 
   type handle = {
     s : t;
-    mutable subs : (int * Cache.Txn.handle) list; (* reversed creation order *)
+    mutable subs : (int * Cache.Txn.handle) list;
+        (* logging: one sub-transaction per shard touched, reversed
+           creation order; each write is applied to it as it is added *)
+    writes : (int, bytes) Hashtbl.t;  (* paging: buffered until commit, last write wins *)
+    mutable order : int list;  (* paging: blocks in reversed first-write order *)
     mutable state : state;
   }
 
   let init s =
     Trace.instant ~clock:s.clock "tinca.shard.txn.init";
-    { s; subs = []; state = Running }
+    { s; subs = []; writes = Hashtbl.create 8; order = []; state = Running }
 
-  let sub_for h i =
+  let sub_for h caches i =
     match List.assoc_opt i h.subs with
     | Some sub -> sub
     | None ->
-        let sub = Cache.Txn.init h.s.caches.(i) in
+        let sub = Cache.Txn.init caches.(i) in
         h.subs <- (i, sub) :: h.subs;
         sub
 
   let add h blkno data =
     if h.state <> Running then invalid_arg "Tinca.Shard.Txn.add: transaction not running";
     let i = shard_of h.s blkno in
-    let sub = sub_for h i in
-    exec h.s i (fun () -> Cache.Txn.add sub blkno data)
+    match h.s.regions with
+    | Log caches ->
+        let sub = sub_for h caches i in
+        exec h.s i (fun () -> Cache.Txn.add sub blkno data)
+    | Page regions ->
+        if Bytes.length data <> Paging.block_size regions.(i) then
+          invalid_arg "Tinca.Shard.Txn.add: wrong block size";
+        if not (Hashtbl.mem h.writes blkno) then h.order <- blkno :: h.order;
+        Hashtbl.replace h.writes blkno (Bytes.copy data)
 
   let block_count h =
-    List.fold_left (fun acc (_, sub) -> acc + Cache.Txn.block_count sub) 0 h.subs
+    List.fold_left (fun acc (_, sub) -> acc + Cache.Txn.block_count sub) (Hashtbl.length h.writes) h.subs
 
-  let shard_count h = List.length h.subs
+  (* The shards a paging write-set touches, ascending, each with its
+     blocks in first-write order. *)
+  let groups s blocks =
+    let by = Array.make s.nshards [] in
+    List.iter (fun b -> by.(shard_of s b) <- b :: by.(shard_of s b)) (List.rev blocks);
+    List.filter_map
+      (fun i -> if by.(i) = [] then None else Some (i, by.(i)))
+      (List.init s.nshards Fun.id)
 
-  (* Two-phase publish for a transaction spanning several shards:
+  (* One region's share of a commit, as [commit_regions] drives it. *)
+  type part = Log_part of Cache.Txn.handle | Page_part of Paging.region * Paging.staged list
 
-     Phase 1  every shard stages its sub-commit (§4.4 steps 1–2 plus
-              ring-slot staging; Cache.Txn.stage) — data, entries and
-              slots are fenced durable everywhere, but no Head has
-              moved, so a crash now revokes everything shard-locally.
-     Phase 2  every shard advances its Head (Cache.Txn.publish).  A
-              crash anywhere in this window — including between two
-              Head advances — finds no seal, and recovery rolls every
-              shard back: the published shards via their ring ranges,
-              the rest via the log-role entry scan.
-     Seal     one atomic cross-shard commit record, persisted after all
-              Heads: from here the transaction is committed, and
-              recovery rolls it forward instead.
-     Phase 3  every shard finalizes (role switch fenced before its Tail
-              advance), then the seal retires.
+  (* Every commit that is not logging's single-shard fast path runs these
+     steps, in this order, over its regions (logging: first-touch order;
+     paging: ascending):
 
-     A capacity rejection during phase 1 aborts the already-staged
-     sub-commits (their slots are unpublished, so Cache.Txn.abort's
-     staged-block revocation applies) and re-raises — all-or-nothing in
-     the failure direction too. *)
-  let commit_multi h subs =
-    let s = h.s in
-    let mask = List.fold_left (fun m (i, _) -> m lor (1 lsl i)) 0 subs in
-    Trace.begin_span ~clock:s.clock "tinca.xcommit";
-    Trace.attr "shards" (string_of_int (List.length subs));
+     stage    every region stages its share.  Logging (Cache.Txn.stage,
+              §4.4 steps 1–2 plus ring-slot staging) fences data, entries
+              and slots itself; paging's COW pages and staged entries
+              were written by [commit_pages], and their ranges are fenced
+              here as one union.  Nothing is committed yet: a crash
+              revokes everything region-locally.
+     publish  logging: every region advances its Head.  A crash in this
+              window — including between two Head advances — finds no
+              seal, and recovery rolls every shard back: the published
+              shards via their ring ranges, the rest via the log-role
+              entry scan.
+     seal     (multi-shard only) one atomic cross-shard commit record,
+              persisted after all the above: from here the transaction is
+              committed, and recovery rolls it forward instead.
+     commit point  logging: every region finalizes (role switch fenced
+              before its Tail advance).  Paging: every epoch word swings,
+              and the union is fenced once.
+     retire   the seal clears; paging folds the commit into each
+              region's volatile state and runs its cleaner.
+
+     A single-shard commit runs on its shard's lane; a multi-shard one
+     puts each region's step on that region's lane and the cross-shard
+     steps (seal, union fences) on every lane.  A capacity rejection at
+     logging's stage aborts the other sub-commits (staged-but-unpublished
+     ones are revoked by Cache.Txn.abort) and re-raises — all-or-nothing
+     in the failure direction too. *)
+  let commit_regions s ~cause parts =
+    let multi = List.length parts > 1 in
+    let on_lane i f = if multi then exec s i f else f () in
+    let step name (i, part) f =
+      if multi then begin
+        Trace.begin_span ~clock:s.clock name;
+        Trace.attr "shard" (string_of_int i)
+      end;
+      let r = on_lane i (fun () -> f part) in
+      if multi then Trace.end_span name;
+      r
+    in
+    let cross_shard name f =
+      if multi then begin
+        Trace.begin_span ~clock:s.clock name;
+        exec_global s f;
+        Trace.end_span name
+      end
+    in
+    let fence_union per_region =
+      match List.concat_map snd per_region with
+      | [] -> ()
+      | ranges when multi -> exec_shared s per_region (fun () -> fence s.pmem ranges)
+      | ranges -> fence s.pmem ranges
+    in
+    let mask = List.fold_left (fun m (i, _) -> m lor (1 lsl i)) 0 parts in
+    if multi then begin
+      Trace.begin_span ~clock:s.clock "tinca.xcommit";
+      Trace.attr "shards" (string_of_int (List.length parts))
+    end;
     let staged = ref 0 in
+    let ranges =
+      try
+        List.map
+          (fun ((i, _) as p) ->
+            let r =
+              step "tinca.xcommit.stage" p (function
+                | Log_part sub ->
+                    Cache.Txn.stage sub;
+                    []
+                | Page_part (r, staged) -> Paging.stage_ranges r ~cause staged)
+            in
+            incr staged;
+            (i, r))
+          parts
+      with Cache.Transaction_too_large ->
+        if multi then Trace.end_span "tinca.xcommit.stage";
+        (* The rejecting sub-handle finished itself; earlier ones are
+           staged-but-unpublished (abort revokes them), later ones still
+           running (abort just drops them). *)
+        List.iteri
+          (fun k (i, part) ->
+            match part with
+            | Log_part sub when k <> !staged -> exec s i (fun () -> Cache.Txn.abort sub)
+            | Log_part _ | Page_part _ -> ())
+          parts;
+        if multi then Trace.end_span "tinca.xcommit";
+        raise Cache.Transaction_too_large
+    in
+    fence_union ranges;
+    if multi then barrier s;
+    List.iter
+      (fun p ->
+        step "tinca.xcommit.publish" p (function
+          | Log_part sub -> Cache.Txn.publish sub
+          | Page_part _ -> ()))
+      parts;
+    cross_shard "tinca.xcommit.seal" (fun () -> write_seal s mask);
+    let ranges =
+      List.map
+        (fun ((i, _) as p) ->
+          ( i,
+            step "tinca.xcommit.finalize" p (function
+              | Log_part sub ->
+                  Cache.Txn.finalize sub;
+                  []
+              | Page_part (r, _) -> Paging.commit_point r ~cause) ))
+        parts
+    in
+    fence_union ranges;
+    cross_shard "tinca.xcommit.retire" (fun () -> clear_seal s);
+    let now = Clock.now_ns s.clock in
+    List.iter
+      (fun (i, part) ->
+        match part with
+        | Page_part (r, staged) -> on_lane i (fun () -> Paging.finish r ~now staged)
+        | Log_part _ -> ())
+      parts;
+    if multi then begin
+      Metrics.add s.ctr.c_multi_commits 1;
+      Metrics.add s.ctr.c_multi_commit_shards (List.length parts);
+      Trace.end_span "tinca.xcommit"
+    end
+
+  (* Paging's write-set is applied at commit: pin every existing
+     version (so admission cannot evict a block the transaction itself
+     remaps), admit every region's share all-or-nothing, then COW every
+     write in first-write order across regions.  A rejection unwinds all
+     of it under one fence. *)
+  let commit_pages s ~cause regions writes =
+    let groups = groups s (List.map fst writes) in
+    let multi = List.length groups > 1 in
+    let on_lane i f = if multi then exec s i f else f () in
+    let pins v = List.iter (fun (b, _) -> Paging.pin regions.(shard_of s b) b v) writes in
+    pins true;
+    if not (List.for_all (fun (i, blocks) -> on_lane i (fun () -> Paging.admit regions.(i) blocks)) groups)
+    then begin
+      pins false;
+      raise Cache.Transaction_too_large
+    end;
+    let staged = ref [] in
     (try
        List.iter
-         (fun (i, sub) ->
-           Trace.begin_span ~clock:s.clock "tinca.xcommit.stage";
-           Trace.attr "shard" (string_of_int i);
-           exec s i (fun () -> Cache.Txn.stage sub);
-           Trace.end_span "tinca.xcommit.stage";
-           incr staged)
-         subs
+         (fun (b, data) ->
+           let i = shard_of s b in
+           staged := (i, on_lane i (fun () -> Paging.stage regions.(i) b data)) :: !staged)
+         writes
      with Cache.Transaction_too_large ->
-       Trace.end_span "tinca.xcommit.stage";
-       (* The rejecting sub-handle finished itself; earlier ones are
-          staged-but-unpublished (abort revokes them), later ones still
-          running (abort just drops them). *)
-       List.iteri
-         (fun k (i, sub) -> if k <> !staged then exec s i (fun () -> Cache.Txn.abort sub))
-         subs;
-       h.state <- Finished;
-       Trace.end_span "tinca.xcommit";
+       fence s.pmem (List.concat_map (fun (i, st) -> Paging.unstage regions.(i) st) !staged);
+       pins false;
        raise Cache.Transaction_too_large);
-    barrier s;
-    List.iter
-      (fun (i, sub) ->
-        Trace.begin_span ~clock:s.clock "tinca.xcommit.publish";
-        Trace.attr "shard" (string_of_int i);
-        exec s i (fun () -> Cache.Txn.publish sub);
-        Trace.end_span "tinca.xcommit.publish")
-      subs;
-    Trace.begin_span ~clock:s.clock "tinca.xcommit.seal";
-    exec_global s (fun () -> write_seal s mask);
-    Trace.end_span "tinca.xcommit.seal";
-    List.iter
-      (fun (i, sub) ->
-        Trace.begin_span ~clock:s.clock "tinca.xcommit.finalize";
-        Trace.attr "shard" (string_of_int i);
-        exec s i (fun () -> Cache.Txn.finalize sub);
-        Trace.end_span "tinca.xcommit.finalize")
-      subs;
-    Trace.begin_span ~clock:s.clock "tinca.xcommit.retire";
-    exec_global s (fun () -> clear_seal s);
-    Trace.end_span "tinca.xcommit.retire";
-    h.state <- Finished;
-    Metrics.add s.ctr.c_multi_commits 1;
-    Metrics.add s.ctr.c_multi_commit_shards (List.length subs);
-    Trace.end_span "tinca.xcommit"
+    commit_regions s ~cause
+      (List.map
+         (fun (i, _) ->
+           ( i,
+             Page_part
+               (regions.(i), List.rev (List.filter_map (fun (j, st) -> if j = i then Some st else None) !staged)) ))
+         groups)
 
-  let commit h =
+  let commit ?(cause = Flight.Sync) h =
     if h.state <> Running then invalid_arg "Tinca.Shard.Txn.commit: transaction not running";
-    let subs = List.rev h.subs in
-    match subs with
-    | [] ->
-        h.state <- Finished;
-        Metrics.add h.s.ctr.c_commits 1
-    | [ (i, sub) ] -> (
-        (* Single-shard fast path: the plain §4.4 commit, operation for
-           operation the unsharded cache — no seal, no extra fences.
-           This is what makes N=1 reproduce single-ring numbers exactly. *)
-        match exec h.s i (fun () -> Cache.Txn.commit sub) with
-        | () -> h.state <- Finished
-        | exception e ->
-            h.state <- Finished;
-            raise e)
-    | subs -> commit_multi h subs
+    h.state <- Finished;
+    match h.s.regions with
+    | Log _ -> (
+        match List.rev h.subs with
+        | [] -> Metrics.add h.s.ctr.c_commits 1
+        | [ (i, sub) ] ->
+            (* Single-shard fast path: the plain §4.4 commit, operation
+               for operation the unsharded cache — no seal, no extra
+               fences.  This is what makes N=1 reproduce single-ring
+               numbers exactly. *)
+            exec h.s i (fun () -> Cache.Txn.commit sub)
+        | subs -> commit_regions h.s ~cause (List.map (fun (i, sub) -> (i, Log_part sub)) subs))
+    | Page regions -> (
+        let writes = List.rev_map (fun b -> (b, Hashtbl.find h.writes b)) h.order in
+        match groups h.s (List.map fst writes) with
+        | [] -> ()
+        | [ (i, _) ] -> exec h.s i (fun () -> commit_pages h.s ~cause regions writes)
+        | _ -> commit_pages h.s ~cause regions writes)
 
   let abort h =
     match h.state with
@@ -521,9 +773,11 @@ module Txn = struct
     | Sealed -> invalid_arg "Tinca.Shard.Txn.abort: transaction already sealed"
     | Running ->
         List.iter (fun (i, sub) -> exec h.s i (fun () -> Cache.Txn.abort sub)) h.subs;
+        Hashtbl.reset h.writes;
+        h.order <- [];
         h.state <- Finished
 
-  (* --- group commit (async commit, ISSUE 8) ----------------------------- *)
+  (* --- group commit (async commit, ISSUE 8; logging only) -------------- *)
 
   (* [seal h] volatilely applies the whole transaction on every shard it
      touches (Cache.Txn.seal: admission, COW data stores, entry swings,
@@ -535,6 +789,7 @@ module Txn = struct
      transactions one at a time) and aborts the not-yet-sealed ones —
      all-or-nothing in the failure direction. *)
   let seal h =
+    ignore (log_caches ~who:"Tinca.Shard.Txn.seal" h.s);
     if h.state <> Running then invalid_arg "Tinca.Shard.Txn.seal: transaction not running";
     let subs = List.rev h.subs in
     if subs = [] then invalid_arg "Tinca.Shard.Txn.seal: empty transaction";
@@ -566,8 +821,18 @@ module Txn = struct
     List.iter (fun (_, sub) -> Cache.Txn.set_flight_ticket sub id) h.subs
 end
 
+let write_direct t blkno data =
+  match t.regions with
+  | Log caches ->
+      let i = shard_of t blkno in
+      exec t i (fun () -> Cache.write_direct caches.(i) blkno data)
+  | Page _ ->
+      let h = Txn.init t in
+      Txn.add h blkno data;
+      Txn.commit ~cause:Flight.Barrier h
+
 (* One durability sequence for a whole batch of sealed transactions —
-   the group-commit analogue of [Txn.commit_multi]:
+   the group-commit analogue of [Txn.commit_regions] (logging only):
 
    Flush    each touched shard runs stages A–B plus its single Head
             advance over ALL its member sub-commits
@@ -652,32 +917,79 @@ type stats = {
   roll_forwards : int;
 }
 
-let stats t =
+let multi_commits t = Metrics.get t.metrics "tinca.shard.multi_commits"
+let seals t = Metrics.get t.metrics "tinca.shard.seals"
+let roll_forwards t = Metrics.get t.metrics "tinca.shard.roll_forwards"
+
+let stats (t : t) =
+  let caches = log_caches ~who:"Tinca.Shard.stats" t in
   {
-    nshards = nshards t;
-    agg = Cache.stats_of t.caches;
-    ring_high_water_per_shard = Array.map (fun c -> (Cache.stats c).Cache.ring_high_water) t.caches;
-    multi_commits = Metrics.get t.metrics "tinca.shard.multi_commits";
-    seals = Metrics.get t.metrics "tinca.shard.seals";
-    roll_forwards = Metrics.get t.metrics "tinca.shard.roll_forwards";
+    nshards = t.nshards;
+    agg = Cache.stats_of caches;
+    ring_high_water_per_shard = Array.map (fun c -> (Cache.stats c).Cache.ring_high_water) caches;
+    multi_commits = multi_commits t;
+    seals = seals t;
+    roll_forwards = roll_forwards t;
   }
 
-let stats_kv st =
-  let base =
-    List.map
-      (fun (k, v) -> if k = "ring_high_water" then ("ring_high_water_max", v) else (k, v))
-      (Cache.stats_kv st.agg)
-  in
-  (("nshards", string_of_int st.nshards) :: base)
-  @ Array.to_list
-      (Array.mapi
-         (fun i v -> (Printf.sprintf "ring_high_water_shard%d" i, string_of_int v))
-         st.ring_high_water_per_shard)
-  @ [
-      ("multi_shard_commits", string_of_int st.multi_commits);
-      ("cross_shard_seals", string_of_int st.seals);
-      ("seal_roll_forwards", string_of_int st.roll_forwards);
-    ]
+let counter_rows t =
+  [
+    ("multi_shard_commits", string_of_int (multi_commits t));
+    ("cross_shard_seals", string_of_int (seals t));
+    ("seal_roll_forwards", string_of_int (roll_forwards t));
+  ]
+
+(* Each engine reports its own vocabulary: under paging the logging-only
+   rows (ring high water, role switches) are absent rather than
+   zero-and-misleading, and vice versa. *)
+let stats_kv (t : t) =
+  match t.regions with
+  | Log _ ->
+      let st = stats t in
+      (("nshards", string_of_int st.nshards)
+       :: List.map
+            (fun (k, v) -> if k = "ring_high_water" then ("ring_high_water_max", v) else (k, v))
+            (Cache.stats_kv st.agg))
+      @ Array.to_list
+          (Array.mapi
+             (fun i v -> (Printf.sprintf "ring_high_water_shard%d" i, string_of_int v))
+             st.ring_high_water_per_shard)
+      @ counter_rows t
+  | Page regions ->
+      let rows =
+        List.map
+          (fun (k, _) ->
+            (k, Array.fold_left (fun acc r -> acc + List.assoc k (Paging.counts r)) 0 regions))
+          (Paging.counts regions.(0))
+      in
+      let total = List.assoc "pool_frames" rows and free = List.assoc "pool_frames_free" rows in
+      let occupancy =
+        if total = 0 then 0.0 else 100.0 *. float_of_int (total - free) /. float_of_int total
+      in
+      [ ("scheme", "paging"); ("nshards", string_of_int t.nshards); ("block_size", string_of_int (block_size t)) ]
+      @ List.concat_map
+          (fun (k, v) ->
+            (k, string_of_int v)
+            ::
+            (if k <> "pool_frames_free" then []
+             else [ ("pool_occupancy_pct", Printf.sprintf "%.1f" occupancy); ("table_slots", string_of_int total) ]))
+          rows
+      @ [
+          ("evictions", string_of_int (Metrics.get t.metrics "tinca.evictions"));
+          ("writebacks", string_of_int (Metrics.get t.metrics "tinca.writebacks"));
+        ]
+      @ counter_rows t
+      @
+      if t.nshards = 1 then []
+      else
+        Array.to_list
+          (Array.mapi (fun i r -> (Printf.sprintf "s%d.epoch" i, string_of_int (Paging.epoch r))) regions)
+
+let write_hit_rate t =
+  let kv = stats_kv t in
+  let hits = int_of_string (List.assoc "write_hits" kv)
+  and misses = int_of_string (List.assoc "write_misses" kv) in
+  if hits + misses = 0 then 0.0 else float_of_int hits /. float_of_int (hits + misses)
 
 (* --- flight recorder / forensics surface --------------------------------- *)
 
@@ -685,31 +997,37 @@ let stats_kv st =
    [Tinca_obs.Forensics.build].  Shards recovered without a flight ring
    (or before any recovery) contribute an empty track. *)
 let flight_scans t =
-  Array.map
-    (fun c -> match Cache.flight_scan_result c with Some r -> r | None -> ([], 0))
-    t.caches
+  match t.regions with
+  | Log caches ->
+      Array.map (fun c -> Option.value (Cache.flight_scan_result c) ~default:([], 0)) caches
+  | Page regions -> Array.map Paging.flight_scan regions
 
 (* Region-attributed NVM wear.  N=1: the plain per-region table.  N>1:
    the shard header (directory + seal lines) plus every shard's regions,
    names prefixed "s<i>.". *)
-let sharded_wear pmem = function
-  | [ rows ] -> rows
-  | per_shard ->
-      ( "header",
-        Pmem.wear_sum_in pmem ~off:0 ~len:header_bytes,
-        Pmem.wear_max_in pmem ~off:0 ~len:header_bytes )
-      :: List.concat
-           (List.mapi
-              (fun i rows -> List.map (fun (n, s, m) -> (Printf.sprintf "s%d.%s" i n, s, m)) rows)
-              per_shard)
-
-let region_wear t = sharded_wear t.pmem (List.map Cache.region_wear (Array.to_list t.caches))
+let region_wear (t : t) =
+  let per_shard =
+    match t.regions with
+    | Log caches -> Array.map Cache.region_wear caches
+    | Page regions -> Array.map Paging.region_wear regions
+  in
+  if t.nshards = 1 then per_shard.(0)
+  else
+    ( "header",
+      Pmem.wear_sum_in t.pmem ~off:0 ~len:header_bytes,
+      Pmem.wear_max_in t.pmem ~off:0 ~len:header_bytes )
+    :: List.concat
+         (List.mapi
+            (fun i rows -> List.map (fun (n, s, m) -> (Printf.sprintf "s%d.%s" i n, s, m)) rows)
+            (Array.to_list per_shard))
 
 (* --- invariant audit ----------------------------------------------------- *)
 
-let check_invariants t =
+let check_invariants (t : t) =
   (* One-shard media has no header, hence no seal word to audit. *)
-  if Array.length t.caches > 1 && read_seal t.pmem <> 0 then
+  if t.nshards > 1 && read_seal t.pmem <> 0 then
     raise
       (Cache.Invariant_violation "Tinca.Shard invariant: cross-shard seal set outside a commit");
-  Array.iter Cache.check_invariants t.caches
+  match t.regions with
+  | Log caches -> Array.iter Cache.check_invariants caches
+  | Page regions -> Array.iter Paging.check_invariants regions

@@ -1,33 +1,40 @@
-(** Sharded Tinca: N independent caches on one NVM device, with a
-    striped commit scheduler (ISSUE 5 tentpole).
+(** Sharded Tinca: N independent regions on one NVM device, with a
+    striped commit scheduler, for both commit engines.
 
     The device is partitioned as
 
     {v
-    [ shard dir | seal | shard 0 (full Cache layout) | shard 1 | ... ]
+    [ shard dir | seal | region 0 | region 1 | ... ]
         64 B      64 B
     v}
 
-    Each shard is a complete {!Cache} — its own superblock, Head/Tail,
-    ring, entry table, data region, free monitors and LRU — confined to
-    its span via {!Cache.format_region}.  Disk block numbers are striped
-    across shards by a stable Fibonacci hash, so independent
-    transactions on different shards pay no shared-ring serialization.
+    Every region runs the same engine: a complete logging {!Cache} (its
+    own superblock, Head/Tail, ring, entry table, data region, free
+    monitors and LRU) or a {!Paging} region (superblock, epoch word,
+    indirection table, page pool).  Disk block numbers are striped
+    across regions by a stable Fibonacci hash, so independent
+    transactions on different regions pay no shared serialization.
 
-    A transaction touching several shards commits through a two-phase
-    publish: every shard stages its sub-commit (nothing in any ring
-    range), then every shard advances its Head, then one atomic
-    {e cross-shard commit record} (the "seal") is persisted, then each
-    shard finalizes and the seal retires.  Recovery is all-or-nothing
-    across shards: a durable seal rolls the transaction {e forward}
-    (completing role switches and Tail advances idempotently); an absent
-    seal rolls every shard {e back} via the normal per-shard revocation.
-    In particular, a crash between per-shard Head advances never exposes
-    a partially committed multi-shard transaction.
+    This layer owns, once for both engines: the geometry, the directory
+    (each engine keeps its own magic and header bytes), the cross-shard
+    seal and its roll-forward under a mask, grouping a transaction's
+    writes by region, the order of the commit steps, the lane model, and
+    the per-shard stats, wear and invariant loops.
 
-    With one shard the scheduler degenerates to the plain {!Cache}
-    commit (no seal, no extra fences), so N=1 reproduces the single-ring
-    numbers exactly. *)
+    A transaction touching several regions commits through a two-phase
+    publish: every region stages its share (nothing committed anywhere),
+    then (logging) every region advances its Head, then one atomic
+    {e cross-shard commit record} (the "seal") is persisted, then every
+    region passes its commit point and the seal retires.  Each region
+    step returns the flush ranges it leaves unfenced and the layer fences
+    their union once; logging's steps fence internally and return none.
+    Recovery is all-or-nothing across regions: a durable seal rolls the
+    transaction {e forward} on every region in its mask; an absent seal
+    rolls every region {e back}.
+
+    With one shard the scheduler degenerates to the plain region commit
+    (no header, no seal, no extra fences), so N=1 reproduces the
+    unsharded numbers exactly. *)
 
 type t
 
@@ -35,35 +42,43 @@ type t
     32-bit epoch in one 63-bit atomic word). *)
 val max_shards : int
 
+(** Bytes per region for [nshards] regions on a [pmem_bytes] device (the
+    whole device for one shard). *)
+val span_of : pmem_bytes:int -> nshards:int -> int
+
+(** The engine every region runs, with its per-region configuration. *)
+type engine = Logging of Cache.config | Paging of Paging.config
+
 (** [format ~nshards ~config ~pmem ~disk ~clock ~metrics] partitions the
-    device and formats every shard.  [config] applies per shard (each
-    shard gets its own ring of [config.ring_slots] slots).  With
+    device and formats every region.  [config] applies per region
+    (logging: each shard gets its own ring of [ring_slots] slots).  With
     [nshards = 1] no shard header is written: the media is the plain
-    unsharded {!Cache.format} layout, byte for byte, so a one-shard
-    cache is indistinguishable from (and numerically identical to) the
-    pre-sharding cache.  Raises [Invalid_argument] if [nshards] is
-    outside [1, max_shards] or the device is too small. *)
+    unsharded region layout, byte for byte.  Raises [Invalid_argument] if
+    [nshards] is outside [1, max_shards] or the device is too small. *)
 val format :
   nshards:int ->
-  config:Cache.config ->
+  config:engine ->
   pmem:Tinca_pmem.Pmem.t ->
   disk:Tinca_blockdev.Disk.t ->
   clock:Tinca_sim.Clock.t ->
   metrics:Tinca_sim.Metrics.t ->
   t
 
-(** Re-attach after a crash.  Media carrying the shard directory magic:
-    applies the cross-shard decision (seal durable => roll the sealed
-    transaction forward on every shard in its mask; else => nothing),
-    then runs the normal per-shard {!Cache.recover_region}.  Media
-    without the magic (a one-shard format, or any pre-sharding device)
-    recovers as a single plain {!Cache.recover}.  Raises [Failure] on
-    unformatted media.
+(** Re-attach after a crash; the engine and the shard count are read
+    back from the media's magic.  Directory media: reads the shard count
+    and the seal (a mask naming a shard that does not exist is
+    [Cache.Corrupt]); a durable seal rolls the sealed transaction
+    forward on every region in its mask (logging: on raw media before
+    any cache attaches, bounding every sealed ring first; paging: while
+    each region recovers), then retires.  Media without a directory
+    recovers as one plain region.  Raises [Cache.Corrupt] on unformatted
+    or corrupt media.
 
-    [flight_replay] is forwarded to each shard's {!Cache.recover_region}
-    (default [true]); the roll-forward pass additionally appends
-    raw-media [Recovery_decision] flight records for every entry it
-    replays, riding its existing role-switch fence. *)
+    [flight_replay] is forwarded to each logging region's
+    {!Cache.recover_region} (default [true]); logging's roll-forward
+    pass additionally appends raw-media [Recovery_decision] flight
+    records for every entry it replays, riding its existing role-switch
+    fence. *)
 val recover :
   ?flight_replay:bool ->
   pmem:Tinca_pmem.Pmem.t ->
@@ -75,18 +90,29 @@ val recover :
 
 val nshards : t -> int
 
-(** The shard a disk block number is striped to: stable, total,
-    balanced. *)
-val shard_of : t -> int -> int
+(** ["logging"] or ["paging"]. *)
+val scheme_name : t -> string
 
-(** [stripe ~nshards blkno] — the pure striping function behind
-    {!shard_of}, exposed for the property tests. *)
+val block_size : t -> int
+
+(** [stripe ~nshards blkno] — the shard a disk block number is striped
+    to: stable, total, balanced. *)
 val stripe : nshards:int -> int -> int
 
-(** Direct access to shard [i]'s cache (tests, per-shard stats). *)
-val cache : t -> int -> Cache.t
+(** {1 Logging-only surfaces}
+
+    Each raises [Invalid_argument] on paging media: a usage error, not a
+    zero. *)
+
+(** [t] itself on logging media; [Invalid_argument] naming [who] on
+    paging media. *)
+val require_logging : who:string -> t -> t
 
 val caches : t -> Cache.t array
+
+(** One region layout per shard of paging media, for psan's paging
+    region classifier.  Raises [Invalid_argument] on logging media. *)
+val page_layouts : t -> Paging.region_layout list
 
 (** {1 Block I/O} *)
 
@@ -95,6 +121,9 @@ val write_direct : t -> int -> bytes -> unit
 val contains : t -> int -> bool
 val peek : t -> int -> bytes option
 
+(** Write every dirty block back to disk (decommissioning). *)
+val flush_all : t -> unit
+
 (** {1 Transactions} *)
 
 module Txn : sig
@@ -102,20 +131,21 @@ module Txn : sig
 
   val init : t -> handle
 
-  (** Stage a block into its shard's sub-transaction. *)
+  (** Stage a block into the transaction: logging applies it to its
+      shard's sub-transaction at once; paging buffers it until commit
+      (last write to a block wins). *)
   val add : handle -> int -> bytes -> unit
 
   val block_count : handle -> int
 
-  (** Number of distinct shards this transaction touches. *)
-  val shard_count : handle -> int
-
-  (** Commit: single-shard transactions take the plain {!Cache.Txn.commit}
-      fast path; multi-shard ones run the two-phase publish with the
-      cross-shard seal.  Raises {!Cache.Transaction_too_large} if any
-      shard rejects its sub-commit — already-staged shards are revoked,
-      so the failure is all-or-nothing too. *)
-  val commit : handle -> unit
+  (** Commit.  Logging single-shard transactions take the plain
+      {!Cache.Txn.commit} fast path; everything else runs the two-phase
+      publish, with the cross-shard seal when several shards are
+      touched.  Raises {!Cache.Transaction_too_large} if any region
+      rejects its share — everything already staged is rolled back, so
+      the failure is all-or-nothing too.  [cause] (default [Sync])
+      labels paging's flight records. *)
+  val commit : ?cause:Tinca_obs.Flight.cause -> handle -> unit
 
   val abort : handle -> unit
 
@@ -126,7 +156,7 @@ module Txn : sig
       survive a crash before then.  Raises {!Cache.Transaction_too_large}
       if any shard rejects its sub-commit (already-sealed shards are
       unwound, so the failure is all-or-nothing) and [Invalid_argument]
-      on an empty or non-running transaction. *)
+      on an empty or non-running transaction, or on paging media. *)
   val seal : handle -> unit
 
   (** Tag every sub-handle with the facade's durable-notification
@@ -135,15 +165,15 @@ module Txn : sig
 end
 
 (** [commit_group s handles] — one durability sequence for a whole batch
-    of sealed transactions (the async group commit, ISSUE 8): per
-    touched shard, ONE stage-A flush+fence and ONE slot flush+fence over
-    all member sub-commits followed by a single Head advance; when the
-    batch spans >= 2 shards, one cross-shard seal over the union mask
-    (all-or-nothing across the {e whole batch} at crash); then per shard
-    one batched role switch and one Tail persist.  [handles] must all be
-    sealed and belong to [s]; they are finished on return.  A batch is
-    atomic under crash: recovery yields either none of its transactions
-    or all of them.
+    of sealed transactions (the async group commit, ISSUE 8; logging
+    only): per touched shard, ONE stage-A flush+fence and ONE slot
+    flush+fence over all member sub-commits followed by a single Head
+    advance; when the batch spans >= 2 shards, one cross-shard seal over
+    the union mask (all-or-nothing across the {e whole batch} at crash);
+    then per shard one batched role switch and one Tail persist.
+    [handles] must all be sealed and belong to [s]; they are finished on
+    return.  A batch is atomic under crash: recovery yields either none
+    of its transactions or all of them.
 
     [cause] (default [Barrier]) labels the drain in each touched shard's
     flight recorder; it does not affect the commit protocol. *)
@@ -153,14 +183,12 @@ val commit_group : ?cause:Tinca_obs.Flight.cause -> t -> Txn.handle list -> unit
 
     Shard work executes serially on the one simulated clock; every delta
     is attributed to the owning shard's {e lane}, and cross-shard sync
-    points (the phases of a multi-shard commit) equalize lanes.  The
-    {e makespan} — the maximum lane — is the wall-clock a per-shard-
-    threaded execution would take; with N=1 it equals the serial clock
-    time spent in shard operations. *)
+    points (the seal, the union fences) equalize lanes.  Lanes read the
+    clock and never advance it.  The {e makespan} — the maximum lane —
+    is the wall-clock a per-shard-threaded execution would take; with
+    N=1 it equals the serial clock time spent in shard operations. *)
 
 val makespan_ns : t -> float
-
-val lane_ns : t -> float array
 
 val reset_lanes : t -> unit
 
@@ -177,12 +205,20 @@ type stats = {
   roll_forwards : int;
 }
 
+(** Logging only. *)
 val stats : t -> stats
 
-(** Ordered [(key, value)] pairs for {!Tinca_obs.Procfs}: the aggregate
-    surface with [ring_high_water_max] plus one [ring_high_water_shard<i>]
-    per shard, and the cross-shard commit counters. *)
-val stats_kv : stats -> (string * string) list
+(** Ordered [(key, value)] pairs for {!Tinca_obs.Procfs}, in the
+    engine's own vocabulary.  Logging: the aggregate surface with
+    [ring_high_water_max] plus one [ring_high_water_shard<i>] per shard.
+    Paging: pool, table and epoch rows (the logging-only rows absent,
+    not zero) plus one [s<i>.epoch] per shard on sharded media.  Both
+    end with the cross-shard counters [multi_shard_commits],
+    [cross_shard_seals] and [seal_roll_forwards] (sealed recoveries),
+    read from the same {!Tinca_sim.Metrics} counters. *)
+val stats_kv : t -> (string * string) list
+
+val write_hit_rate : t -> float
 
 (** {1 Flight recorder / forensics}
 
@@ -194,18 +230,13 @@ val stats_kv : stats -> (string * string) list
 val flight_scans : t -> ((int * Tinca_obs.Flight.event) list * int) array
 
 (** Region-attributed NVM wear: [(region, total write-backs, max on one
-    line)].  One shard: {!Cache.region_wear} verbatim.  Sharded media:
-    a ["header"] row (shard directory + seal lines) followed by every
+    line)].  One shard: the region's rows verbatim.  Sharded media: a
+    ["header"] row (shard directory + seal lines) followed by every
     shard's regions as ["s<i>.<region>"]. *)
 val region_wear : t -> (string * int * int) list
 
-(** The same shape from one row list per shard (the paging engine's
-    regions included): the single list verbatim, or the header row then
-    every shard's rows prefixed ["s<i>."]. *)
-val sharded_wear : Tinca_pmem.Pmem.t -> (string * int * int) list list -> (string * int * int) list
-
-(** Per-shard {!Cache.check_invariants} plus: the seal must be clear
-    outside a commit. *)
+(** Per-region invariant checks plus: the seal must be clear outside a
+    commit. *)
 val check_invariants : t -> unit
 
 (** {1 Fault injection (harness self-tests only)}

@@ -2,11 +2,12 @@
 
    Two tables:
 
-   1. Commit-throughput and fence-count scaling at N = 1/2/4/8 shards
-      under the multi-queue driver (K concurrent streams round-robin).
-      Throughput is commits per second of *makespan* — the lane-model
-      parallel wall-clock (max per-shard lane, cross-shard sync points
-      equalized); the serial column is the same run on one thread.
+   1. Commit-throughput and fence-count scaling at N = 1/2/4/8 shards,
+      for both commit schemes, under the multi-queue driver (K
+      concurrent streams round-robin).  Throughput is commits per
+      second of *makespan* — the lane-model parallel wall-clock (max
+      per-shard lane, cross-shard sync points equalized); the serial
+      column is the same run on one thread.
 
    2. The N=1 equivalence pin: the exact single-ring commit
       micro-benchmark behind BENCH_commit.json (Exp_commit.micro's
@@ -210,12 +211,22 @@ let pin ~json_path =
 
 let shard_counts = [ 1; 2; 4; 8 ]
 
-let run_scale ~nshards =
+let schemes = [ Tinca.Config.Logging Cache.Batched; Tinca.Config.Paging Tinca.Config.default_page_cfg ]
+
+let run_scale ~scheme ~nshards =
   let clock = Clock.create () in
   let metrics = Metrics.create () in
   let pmem = Pmem.create ~clock ~metrics ~tech:Latency.Pcm ~size:nvm_bytes () in
   let disk = Disk.create ~clock ~metrics ~kind:Latency.Ssd ~nblocks:4096 ~block_size:4096 in
-  let config = { Tinca.Config.default with Tinca.Config.nvm_bytes; ring_slots = 4096; nshards } in
+  let config =
+    {
+      Tinca.Config.default with
+      Tinca.Config.nvm_bytes;
+      ring_slots = 4096;
+      nshards;
+      commit_scheme = scheme;
+    }
+  in
   let tc = Tinca.ok_exn (Tinca.format ~config ~pmem ~disk ~clock ~metrics) in
   let cfg = Mq_driver.default in
   (* Warm the working set (COW write hits, LRU population) outside the
@@ -232,16 +243,17 @@ let scaling_table results =
            Mq_driver.default.Mq_driver.streams Mq_driver.default.Mq_driver.txns_per_stream
            Mq_driver.default.Mq_driver.txn_blocks)
       [
-        "shards"; "commits"; "multi-shard"; "sfences/commit"; "serial ns/commit";
+        "scheme"; "shards"; "commits"; "multi-shard"; "sfences/commit"; "serial ns/commit";
         "makespan ns/commit"; "commits/s"; "speedup";
       ]
   in
-  let base = List.assoc 1 results in
   List.iter
-    (fun (nshards, r) ->
+    (fun ((scheme, nshards), r) ->
+      let base = List.assoc (scheme, 1) results in
       let per x = x /. float_of_int r.Mq_driver.commits in
       Tabular.add_row table
         [
+          Tinca.Config.scheme_name scheme;
           Tabular.cell_i nshards;
           Tabular.cell_i r.Mq_driver.commits;
           Printf.sprintf "%d (%.0f%%)" r.Mq_driver.multi_shard_commits
@@ -258,7 +270,11 @@ let scaling_table results =
     results;
   table
 
-let scale_all () = List.map (fun n -> (n, run_scale ~nshards:n)) shard_counts
+let scale_all () =
+  List.concat_map
+    (fun scheme ->
+      List.map (fun n -> ((scheme, n), run_scale ~scheme ~nshards:n)) shard_counts)
+    schemes
 
 let default_json_path = "BENCH_commit.json"
 
@@ -270,8 +286,9 @@ let fig_shard () =
   else tables
 
 (* The shard gate's artifact properties: the pin must hold exactly, and
-   sharding must actually buy parallel wall-clock (the makespan at N=4
-   strictly below N=1 — deterministic in the simulation). *)
+   sharding must actually buy parallel wall-clock under both schemes
+   (the makespan at N=4 strictly below N=1 — deterministic in the
+   simulation). *)
 let properties ~json_path =
   [
     Gate.property "N=1 equivalence pin vs single-ring artifact" (fun () ->
@@ -279,7 +296,14 @@ let properties ~json_path =
         | _, [] -> (Printf.sprintf "every commit point of %s matches" json_path, true)
         | _, bad -> ("MISMATCH at " ^ String.concat ", " bad, false));
     Gate.property "scaling sanity (N=4 makespan < N=1)" (fun () ->
-        let mk n = (run_scale ~nshards:n).Mq_driver.makespan_ns in
-        let m1 = mk 1 and m4 = mk 4 in
-        (Printf.sprintf "%.0f ns vs %.0f ns" m4 m1, m4 < m1));
+        let rows =
+          List.map
+            (fun scheme ->
+              let mk n = (run_scale ~scheme ~nshards:n).Mq_driver.makespan_ns in
+              (Tinca.Config.scheme_name scheme, mk 4, mk 1))
+            schemes
+        in
+        ( String.concat ", "
+            (List.map (fun (name, m4, m1) -> Printf.sprintf "%s %.0f ns vs %.0f ns" name m4 m1) rows),
+          List.for_all (fun (_, m4, m1) -> m4 < m1) rows ));
   ]

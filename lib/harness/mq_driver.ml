@@ -4,10 +4,10 @@
    The simulation is single-threaded, so "concurrent" means: the streams
    interleave their transactions round-robin on the shared simulated
    clock, and the parallelism a per-shard-threaded execution would buy
-   is modelled by the sharded layer's lane accounting — each sub-
-   commit's clock delta is attributed to its shard's lane, cross-shard
-   sync points equalize lanes, and the makespan (max lane) is the
-   parallel wall-clock.  [serial_ns] is the plain single-threaded clock
+   is modelled by the shard layer's lane accounting (either commit
+   scheme) — each region step's clock delta is attributed to its
+   shard's lane, cross-shard sync points equalize lanes, and the
+   makespan (max lane) is the parallel wall-clock.  [serial_ns] is the plain single-threaded clock
    time of the same run, so serial_ns / makespan_ns is the modelled
    speedup. *)
 
@@ -60,13 +60,12 @@ let block_picker cfg k rng =
 
 let run ~clock ~metrics cfg tc =
   if cfg.streams < 1 then invalid_arg "Mq_driver.run: streams must be >= 1";
-  let shard = Tinca.shard tc in
   let nshards = Tinca.nshards tc in
   let payload = Bytes.make (Tinca.block_size tc) 'm' in
   let pick =
     Array.init cfg.streams (fun k -> block_picker cfg k (Rng.create (cfg.seed + (31 * k))))
   in
-  Shard.reset_lanes shard;
+  Tinca.reset_lanes tc;
   let sf0 = Metrics.get metrics "pmem.sfence" in
   let ha0 = Metrics.get metrics "tinca.head_advance" in
   let gb0 = Metrics.get metrics "tinca.shard.group_commits" in
@@ -114,5 +113,5 @@ let run ~clock ~metrics cfg tc =
     head_advances = Metrics.get metrics "tinca.head_advance" - ha0;
     group_batches = Metrics.get metrics "tinca.shard.group_commits" - gb0;
     serial_ns = Clock.now_ns clock -. t0;
-    makespan_ns = Shard.makespan_ns shard;
+    makespan_ns = Tinca.makespan_ns tc;
   }

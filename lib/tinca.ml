@@ -103,7 +103,8 @@ module Config = struct
             err "page_headroom %d must be non-negative" pcfg.page_headroom
           else (
             match
-              Paging.check_geometry ~nshards:c.nshards ~pmem_bytes:c.nvm_bytes
+              Paging.check_geometry
+                ~span:(Shard.span_of ~pmem_bytes:c.nvm_bytes ~nshards:c.nshards)
                 ~block_size:c.block_size ~flight_slots:c.flight_slots
             with
             | Ok () -> Ok c
@@ -212,10 +213,6 @@ let of_exn = function
 
 let ok_exn = function Ok v -> v | Error e -> raise (to_exn e)
 
-(* The two commit schemes, a closed set: every entry point below is one
-   two-arm match that calls the engine directly. *)
-type engine = Logging_engine of Shard.t | Paging_engine of Paging.t
-
 (* A transaction acknowledged by [commit_async] but not yet drained by
    the group committer.  [ph] is the sealed shard-level handle the
    drain will commit; [ticket] is the caller-visible durability token. *)
@@ -232,7 +229,7 @@ type ticket = {
 and pending = { ph : Shard.Txn.handle; ticket : ticket }
 
 and t = {
-  engine : engine;
+  shard : Shard.t; (* both engines: the shard layer owns the region variant *)
   nblocks : int; (* disk blocks, for the range check *)
   block_size : int;
   txn_sizes : Histogram.t;
@@ -260,14 +257,11 @@ and group = {
   drains_by_cause : (string, int) Hashtbl.t; (* cause name -> drains *)
 }
 
-let of_engine ~disk ~clock ~metrics ~window_ns ~max_batch engine =
+let of_shard ~disk ~clock ~metrics ~window_ns ~max_batch shard =
   {
-    engine;
+    shard;
     nblocks = Disk.nblocks disk;
-    block_size =
-      (match engine with
-      | Logging_engine shard -> (Cache.config (Shard.cache shard 0)).Cache.block_size
-      | Paging_engine pg -> Paging.block_size pg);
+    block_size = Shard.block_size shard;
     txn_sizes = Histogram.create ();
     clock;
     metrics;
@@ -285,53 +279,35 @@ let format ~config ~pmem ~disk ~clock ~metrics =
   match Config.validate config with
   | Error m -> Error (Invalid_config m)
   | Ok config -> (
-      let nshards = config.Config.nshards in
-      match
+      let engine =
         match config.Config.commit_scheme with
-        | Config.Logging pipeline ->
-            Logging_engine
-              (Shard.format ~nshards ~config:(Config.to_cache_config config pipeline) ~pmem ~disk
-                 ~clock ~metrics)
-        | Config.Paging pcfg ->
-            Paging_engine
-              (Paging.format ~nshards ~config:(Config.to_page_config config pcfg) ~pmem ~disk
-                 ~clock ~metrics)
+        | Config.Logging pipeline -> Shard.Logging (Config.to_cache_config config pipeline)
+        | Config.Paging pcfg -> Shard.Paging (Config.to_page_config config pcfg)
+      in
+      match
+        Shard.format ~nshards:config.Config.nshards ~config:engine ~pmem ~disk ~clock ~metrics
       with
-      | engine ->
+      | shard ->
           Ok
-            (of_engine ~disk ~clock ~metrics ~window_ns:config.Config.group_window_ns
-               ~max_batch:config.Config.group_max_batch engine)
+            (of_shard ~disk ~clock ~metrics ~window_ns:config.Config.group_window_ns
+               ~max_batch:config.Config.group_max_batch shard)
       | exception Invalid_argument m -> Error (Invalid_config m))
 
-let peek t blkno =
-  match t.engine with
-  | Logging_engine shard -> Shard.peek shard blkno
-  | Paging_engine pg -> Paging.peek pg blkno
+let peek t blkno = Shard.peek t.shard blkno
 
 let recover ~pmem ~disk ~clock ~metrics =
-  (* Crashed media carries its scheme in its first 8 bytes: the paging
-     magics dispatch to Paging.recover, anything else (the logging
-     superblock, the shard directory, or garbage) to Shard.recover,
-     which does its own validation. *)
-  let magic = Tinca_util.Codec.get_u64 (Tinca_pmem.Pmem.read pmem ~off:0 ~len:8) 0 in
-  match
-    if magic = Paging.super_magic || magic = Paging.dir_magic then
-      Paging_engine (Paging.recover ~pmem ~disk ~clock ~metrics ())
-    else Logging_engine (Shard.recover ~pmem ~disk ~clock ~metrics ())
-  with
-  | engine ->
+  (* Crashed media carries its scheme and shard count in its first
+     bytes; Shard.recover reads both back. *)
+  match Shard.recover ~pmem ~disk ~clock ~metrics () with
+  | shard ->
       let t =
-        of_engine ~disk ~clock ~metrics ~window_ns:0
-          ~max_batch:Config.default.Config.group_max_batch engine
+        of_shard ~disk ~clock ~metrics ~window_ns:0
+          ~max_batch:Config.default.Config.group_max_batch shard
       in
       (* Post-crash dossier: reconcile recorder-acked commits against the
          just-recovered cache state.  The probe answers "does this block
          now carry the payload sealed into the dead batch?" by CRC. *)
-      let scans =
-        match engine with
-        | Logging_engine shard -> Shard.flight_scans shard
-        | Paging_engine pg -> Paging.flight_scans pg
-      in
+      let scans = Shard.flight_scans shard in
       if Array.exists (fun (recs, torn) -> recs <> [] || torn > 0) scans then begin
         let probe ~shard:_ ~blkno ~crc =
           match peek t blkno with
@@ -352,81 +328,52 @@ let last_crash_report t = !(t.forensics)
 
 (* --- introspection ------------------------------------------------------ *)
 
-let scheme_name t =
-  match t.engine with Logging_engine _ -> "logging" | Paging_engine _ -> "paging"
+let scheme_name t = Shard.scheme_name t.shard
 
 (* Logging-only escape hatches: callers that reach below the commit
-   scheme (per-shard stats, ring layouts, group commit) must be on the
-   logging engine; asking on paging media is a usage error, not a zero. *)
-let log_shard ~who t =
-  match t.engine with
-  | Logging_engine shard -> shard
-  | Paging_engine _ ->
-      invalid_arg (Printf.sprintf "Tinca.%s: logging-scheme-only (this cache is paging)" who)
-
-let shard t = log_shard ~who:"shard" t
-
-let nshards t =
-  match t.engine with
-  | Logging_engine shard -> Shard.nshards shard
-  | Paging_engine pg -> Paging.nshards pg
-
+   scheme (per-shard stats, ring layouts) must be on the logging engine;
+   asking on paging media is a usage error, not a zero. *)
+let shard t = Shard.require_logging ~who:"Tinca.shard" t.shard
+let nshards t = Shard.nshards t.shard
 let block_size t = t.block_size
-let layouts t = Array.to_list (Array.map Cache.layout (Shard.caches (log_shard ~who:"layouts" t)))
 
-let page_layouts t =
-  match t.engine with
-  | Paging_engine pg -> Paging.region_layouts pg
-  | Logging_engine _ ->
-      invalid_arg "Tinca.page_layouts: paging-scheme-only (this cache is logging)"
+let layouts t =
+  Array.to_list
+    (Array.map Cache.layout (Shard.caches (Shard.require_logging ~who:"Tinca.layouts" t.shard)))
 
-let stats t = Shard.stats (log_shard ~who:"stats" t)
+let page_layouts t = Shard.page_layouts t.shard
+let stats t = Shard.stats (Shard.require_logging ~who:"Tinca.stats" t.shard)
 
-(* Scheme-aware stats: each engine reports its own vocabulary — under
-   paging the logging-only rows (ring high water, role switches) are
-   absent rather than zero-and-misleading, and vice versa.  The group
-   rows describe the facade's committer, which only exists over the
-   logging engine. *)
+(* Scheme-aware stats: each engine reports its own vocabulary.  The
+   group rows describe the facade's committer, which only exists over
+   the logging engine. *)
 let stats_kv t =
-  match t.engine with
-  | Paging_engine pg -> Paging.stats_kv pg
-  | Logging_engine shard ->
-      Shard.stats_kv (Shard.stats shard)
-      @ [
-          ("group_batches", string_of_int t.group.batches);
-          ("group_pending", string_of_int (List.length t.group.pending));
-          ("group_pending_high_water", string_of_int t.group.pending_high_water);
-        ]
-      @ (Hashtbl.fold
-           (fun k v acc -> (("group_drains_" ^ k), string_of_int v) :: acc)
-           t.group.drains_by_cause []
-        |> List.sort compare)
+  Shard.stats_kv t.shard
+  @
+  if Shard.scheme_name t.shard <> "logging" then []
+  else
+    [
+      ("group_batches", string_of_int t.group.batches);
+      ("group_pending", string_of_int (List.length t.group.pending));
+      ("group_pending_high_water", string_of_int t.group.pending_high_water);
+    ]
+    @ (Hashtbl.fold
+         (fun k v acc -> (("group_drains_" ^ k), string_of_int v) :: acc)
+         t.group.drains_by_cause []
+      |> List.sort compare)
 
-let region_wear t =
-  match t.engine with
-  | Logging_engine shard -> Shard.region_wear shard
-  | Paging_engine pg -> Paging.region_wear pg
-
-let check_invariants t =
-  match t.engine with
-  | Logging_engine shard -> Shard.check_invariants shard
-  | Paging_engine pg -> Paging.check_invariants pg
-
+let region_wear t = Shard.region_wear t.shard
+let check_invariants t = Shard.check_invariants t.shard
 let txn_size_histogram t = t.txn_sizes
-
-let contains t blkno =
-  match t.engine with
-  | Logging_engine shard -> Shard.contains shard blkno
-  | Paging_engine pg -> Paging.contains pg blkno
-
-let write_hit_rate t =
-  match t.engine with
-  | Logging_engine shard -> (Shard.stats shard).Shard.agg.Cache.write_hit_ratio
-  | Paging_engine pg -> Paging.write_hit_rate pg
+let contains t blkno = Shard.contains t.shard blkno
+let write_hit_rate t = Shard.write_hit_rate t.shard
 
 let peak_cow_blocks t =
-  let s = Shard.stats (log_shard ~who:"peak_cow_blocks" t) in
-  s.Shard.agg.Cache.peak_cow
+  (Shard.stats (Shard.require_logging ~who:"Tinca.peak_cow_blocks" t.shard)).Shard.agg
+    .Cache.peak_cow
+
+let makespan_ns t = Shard.makespan_ns t.shard
+let reset_lanes t = Shard.reset_lanes t.shard
 
 (* --- the group committer (async commit, ISSUE 8) ------------------------ *)
 
@@ -436,8 +383,7 @@ let peak_cow_blocks t =
    crash (commit_group's contract), so the spec's crash candidates are
    exactly {without the batch, with the whole batch}.  The batch is only
    ever populated over the logging engine (validate rejects a group
-   window under paging), so the empty-batch early return keeps this path
-   scheme-safe. *)
+   window under paging). *)
 let flush_pending ?(cause = Flight.Barrier) t =
   match t.group.pending with
   | [] -> ()
@@ -456,7 +402,7 @@ let flush_pending ?(cause = Flight.Barrier) t =
       Trace.attr "blocks"
         (string_of_int (List.fold_left (fun acc p -> acc + p.ticket.tk_blocks) 0 batch));
       let sf0 = Metrics.get t.metrics "pmem.sfence" in
-      Shard.commit_group ~cause (log_shard ~who:"group_commit" t) (List.map (fun p -> p.ph) batch);
+      Shard.commit_group ~cause t.shard (List.map (fun p -> p.ph) batch);
       Trace.attr "sfences" (string_of_int (Metrics.get t.metrics "pmem.sfence" - sf0));
       Trace.end_span "tinca.group_commit";
       let now = Clock.now_ns t.clock in
@@ -490,22 +436,14 @@ let group_drains_by_cause t =
 
 (* --- the paper's primitives -------------------------------------------- *)
 
-type txn_handle = Log_txn of Shard.Txn.handle | Page_txn of Paging.Txn.handle
-
 type txn = {
   owner : t;
-  h : txn_handle;
+  h : Shard.Txn.handle;
   mutable live : bool;
   mutable blocks : int list; (* staged block numbers, for conflict checks *)
 }
 
-let init_txn t =
-  let h =
-    match t.engine with
-    | Logging_engine shard -> Log_txn (Shard.Txn.init shard)
-    | Paging_engine pg -> Page_txn (Paging.Txn.init pg)
-  in
-  { owner = t; h; live = true; blocks = [] }
+let init_txn t = { owner = t; h = Shard.Txn.init t.shard; live = true; blocks = [] }
 
 let check_block t blkno = blkno >= 0 && blkno < t.nblocks
 
@@ -516,10 +454,7 @@ let write txn blkno data =
   else if not (check_block txn.owner blkno) then Error (Block_out_of_range blkno)
   else begin
     txn.blocks <- blkno :: txn.blocks;
-    Ok
-      (match txn.h with
-      | Log_txn h -> Shard.Txn.add h blkno data
-      | Page_txn h -> Paging.Txn.add h blkno data)
+    Ok (Shard.Txn.add txn.h blkno data)
   end
 
 let durable_ticket t n =
@@ -565,55 +500,50 @@ let commit_async txn =
   if not txn.live then Error Txn_not_running
   else begin
     txn.live <- false;
-    let t = txn.owner in
-    match txn.h with
-    | Page_txn ph -> commit_sync t (Paging.Txn.block_count ph) (fun () -> Paging.Txn.commit ph)
-    | Log_txn lh ->
-        let n = Shard.Txn.block_count lh in
-        (* Empty transactions carry no durability obligation. *)
-        if t.window_ns <= 0 || n = 0 then commit_sync t n (fun () -> Shard.Txn.commit lh)
-        else begin
-          if Clock.now_ns t.clock >= t.group.batch_deadline then
-            flush_pending ~cause:Flight.Deadline t;
-          if List.exists (fun b -> Hashtbl.mem t.group.pending_blocks b) txn.blocks then
-            flush_pending ~cause:Flight.Conflict t;
-          (* Ring slots per shard: the conservative batch-capacity bound. *)
-          let ring_slots =
-            (Cache.config (Shard.cache (log_shard ~who:"commit_async" t) 0)).Cache.ring_slots
+    let t = txn.owner and lh = txn.h in
+    let n = Shard.Txn.block_count lh in
+    (* Empty transactions carry no durability obligation. *)
+    if t.window_ns <= 0 || n = 0 then commit_sync t n (fun () -> Shard.Txn.commit lh)
+    else begin
+      if Clock.now_ns t.clock >= t.group.batch_deadline then
+        flush_pending ~cause:Flight.Deadline t;
+      if List.exists (fun b -> Hashtbl.mem t.group.pending_blocks b) txn.blocks then
+        flush_pending ~cause:Flight.Conflict t;
+      (* Ring slots per shard: the conservative batch-capacity bound. *)
+      let ring_slots = (Cache.config (Shard.caches t.shard).(0)).Cache.ring_slots in
+      if t.group.pending_slots + n > ring_slots then
+        flush_pending ~cause:Flight.Ring_pressure t;
+      let id = t.group.next_ticket in
+      Shard.Txn.set_flight_ticket lh id;
+      match Shard.Txn.seal lh with
+      | () ->
+          t.group.next_ticket <- id + 1;
+          let tk =
+            {
+              t_owner = t;
+              tk_id = id;
+              tk_blocks = n;
+              sealed_at = Clock.now_ns t.clock;
+              durable = false;
+              durable_at = 0.0;
+              callbacks = [];
+            }
           in
-          if t.group.pending_slots + n > ring_slots then
-            flush_pending ~cause:Flight.Ring_pressure t;
-          let id = t.group.next_ticket in
-          Shard.Txn.set_flight_ticket lh id;
-          match Shard.Txn.seal lh with
-          | () ->
-              t.group.next_ticket <- id + 1;
-              let tk =
-                {
-                  t_owner = t;
-                  tk_id = id;
-                  tk_blocks = n;
-                  sealed_at = Clock.now_ns t.clock;
-                  durable = false;
-                  durable_at = 0.0;
-                  callbacks = [];
-                }
-              in
-              Trace.begin_span ~clock:t.clock "tinca.commit_async";
-              Trace.attr "ticket" (string_of_int id);
-              Trace.attr "blocks" (string_of_int n);
-              if t.group.pending = [] then
-                t.group.batch_deadline <- Clock.now_ns t.clock +. float_of_int t.window_ns;
-              t.group.pending <- { ph = lh; ticket = tk } :: t.group.pending;
-              List.iter (fun b -> Hashtbl.replace t.group.pending_blocks b ()) txn.blocks;
-              t.group.pending_slots <- t.group.pending_slots + n;
-              t.group.pending_high_water <-
-                max t.group.pending_high_water (List.length t.group.pending);
-              if List.length t.group.pending >= t.max_batch then
-                flush_pending ~cause:Flight.Max_batch t;
-              Ok tk
-          | exception Cache.Transaction_too_large -> Error Transaction_too_large
-        end
+          Trace.begin_span ~clock:t.clock "tinca.commit_async";
+          Trace.attr "ticket" (string_of_int id);
+          Trace.attr "blocks" (string_of_int n);
+          if t.group.pending = [] then
+            t.group.batch_deadline <- Clock.now_ns t.clock +. float_of_int t.window_ns;
+          t.group.pending <- { ph = lh; ticket = tk } :: t.group.pending;
+          List.iter (fun b -> Hashtbl.replace t.group.pending_blocks b ()) txn.blocks;
+          t.group.pending_slots <- t.group.pending_slots + n;
+          t.group.pending_high_water <-
+            max t.group.pending_high_water (List.length t.group.pending);
+          if List.length t.group.pending >= t.max_batch then
+            flush_pending ~cause:Flight.Max_batch t;
+          Ok tk
+      | exception Cache.Transaction_too_large -> Error Transaction_too_large
+    end
   end
 
 let await tk =
@@ -636,16 +566,12 @@ let abort txn =
   if not txn.live then Error Txn_not_running
   else begin
     txn.live <- false;
-    Ok (match txn.h with Log_txn h -> Shard.Txn.abort h | Page_txn h -> Paging.Txn.abort h)
+    Ok (Shard.Txn.abort txn.h)
   end
 
 let read t blkno =
   if not (check_block t blkno) then Error (Block_out_of_range blkno)
-  else
-    Ok
-      (match t.engine with
-      | Logging_engine shard -> Shard.read shard blkno
-      | Paging_engine pg -> Paging.read pg blkno)
+  else Ok (Shard.read t.shard blkno)
 
 let write_direct t blkno data =
   if Bytes.length data <> t.block_size then
@@ -655,11 +581,7 @@ let write_direct t blkno data =
     (* The direct write commits synchronously through the scheme;
        drain the batch first so its staged slots stay newest. *)
     flush_pending ~cause:Flight.Sync t;
-    match
-      match t.engine with
-      | Logging_engine shard -> Shard.write_direct shard blkno data
-      | Paging_engine pg -> Paging.write_direct pg blkno data
-    with
+    match Shard.write_direct t.shard blkno data with
     | () ->
         Histogram.add t.txn_sizes 1.0;
         Ok ()
@@ -668,6 +590,4 @@ let write_direct t blkno data =
 
 let sync t =
   flush_pending ~cause:Flight.Sync t;
-  match t.engine with
-  | Logging_engine shard -> Array.iter Cache.flush_all (Shard.caches shard)
-  | Paging_engine pg -> Paging.flush_all pg
+  Shard.flush_all t.shard

@@ -7,11 +7,9 @@
     program against; {!Tinca_core.Cache} keeps its exception-based
     interface underneath (the {!to_exn} bridge maps each [error]
     constructor to exactly one of the old exceptions).  The handle wraps
-    one of the two commit engines and every entry point dispatches on
-    it directly: the logging scheme's {!Tinca_core.Shard}
-    — one cache for [nshards = 1], the striped multi-ring layer
-    otherwise — or the paging scheme's {!Tinca_core.Paging}
-    indirection-table engine. *)
+    one {!Tinca_core.Shard}, which runs either commit engine — logging
+    caches or {!Tinca_core.Paging} regions — over one region for
+    [nshards = 1] and a striped multi-region layer otherwise. *)
 
 (** Re-exported from {!Tinca_core.Cache} with a type equation, so both
     APIs share constructors. *)
@@ -310,6 +308,14 @@ val contains : t -> int -> bool
 (** The underlying sharded logging layer — escape hatch for the
     harness.  Raises [Invalid_argument] on a paging handle. *)
 val shard : t -> Tinca_core.Shard.t
+
+(** The shard layer's lane-model makespan ({!Tinca_core.Shard.makespan_ns}),
+    under either scheme. *)
+val makespan_ns : t -> float
+
+(** Zero every lane ({!Tinca_core.Shard.reset_lanes}), under either
+    scheme. *)
+val reset_lanes : t -> unit
 
 (** One layout per shard, for the persistence sanitizer's region
     classifier.  Logging scheme only (raises [Invalid_argument] on a

@@ -278,16 +278,17 @@ let test_entry_frame_flips_are_corrupt () =
    flipped in turn: none may raise, and the top two must be typed. *)
 let test_paging_epoch_flips_are_corrupt () =
   let module Paging = Tinca_core.Paging in
+  let module Shard = Tinca_core.Shard in
   for bit = 0 to 63 do
     let env = mk_env ~pmem_bytes:(256 * 1024) () in
     let pg =
-      Paging.format ~nshards:1 ~config:Paging.default_config ~pmem:env.pmem ~disk:env.disk
-        ~clock:env.clock ~metrics:env.metrics
+      Shard.format ~nshards:1 ~config:(Shard.Paging Paging.default_config) ~pmem:env.pmem
+        ~disk:env.disk ~clock:env.clock ~metrics:env.metrics
     in
     for i = 1 to 3 do
-      Paging.write_direct pg i (Bytes.make 4096 'p')
+      Shard.write_direct pg i (Bytes.make 4096 'p')
     done;
-    let off = (List.hd (Paging.region_layouts pg)).Paging.r_epoch_off in
+    let off = (List.hd (Shard.page_layouts pg)).Paging.r_epoch_off in
     let w = Pmem.read_u64 env.pmem ~off in
     let b = Bytes.create 8 in
     Bytes.set_int64_le b 0 (Int64.logxor w (Int64.shift_left 1L bit));
@@ -359,15 +360,113 @@ let test_sharded_recovery_word_flips () =
       List.iter (fun (what, off) -> flip what ~off ~error_from:32) pointers)
     [ ("logging", 2); ("logging", 4); ("paging", 2); ("paging", 4) ]
 
+(* A facade over [scheme] at [nshards] with ten one-block commits, and
+   the image after them. *)
+let committed_media ~scheme ~nshards ~blocks =
+  let env = mk_env ~pmem_bytes:(256 * 1024) () in
+  let config =
+    match Tinca.Config.of_args ~scheme ~shards:nshards ~ring_slots:64 () with
+    | Ok c -> c
+    | Error m -> Alcotest.fail m
+  in
+  let tc =
+    Tinca.ok_exn
+      (Tinca.format ~config ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics)
+  in
+  for blk = 1 to blocks do
+    Tinca.ok_exn (Tinca.write_direct tc blk (Bytes.make 4096 (Char.chr (0x40 + blk))))
+  done;
+  (env, tc, Pmem.snapshot env.pmem)
+
+(* Paging's geometry words — the superblock's block size, frame count
+   and flight-slot count, and the directory's shard count — used to
+   reach the layout arithmetic unchecked and escape as Invalid_argument
+   ("region too small", "block_size must be a positive multiple of
+   64").  Every bit of them is flipped in turn, at N = 1 and at N = 2
+   (shard 0's superblock): recovery returns [Ok] or a typed
+   [Unformatted], never raises. *)
+let test_paging_geometry_flips_are_typed () =
+  List.iter
+    (fun (nshards, words) ->
+      let env, _, image = committed_media ~scheme:"paging" ~nshards ~blocks:10 in
+      let typed = ref 0 in
+      List.iter
+        (fun (what, off, bits) ->
+          for bit = 0 to bits - 1 do
+            Pmem.restore env.pmem image;
+            flip_u64 env ~off bit;
+            match
+              Tinca.recover ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics
+            with
+            | Error (Tinca.Unformatted _) -> incr typed
+            | Error e -> Alcotest.failf "N=%d %s bit %d: %s" nshards what bit (Tinca.error_message e)
+            | Ok _ -> ()
+            | exception e ->
+                Alcotest.failf "N=%d %s bit %d: recovery raised %s" nshards what bit
+                  (Printexc.to_string e)
+          done)
+        words;
+      Alcotest.(check bool) (Printf.sprintf "N=%d: flips are refused" nshards) true (!typed > 0))
+    [
+      (1, [ ("block size + frame count", 8, 64); ("flight slots", 16, 32) ]);
+      ( 2,
+        [
+          ("shard count", 8, 32);
+          ("shard 0 block size + frame count", 136, 64);
+          ("shard 0 flight slots", 144, 32);
+        ] );
+    ]
+
+(* Logging's entries name their disk block in bytes 1-7.  A flipped bit
+   there used to recover [Ok] and raise Invalid_argument ("Disk: block
+   ... out of range") at the first write-back.  Every bit of those bytes
+   of every valid entry is flipped in turn: recovery returns a typed
+   [Unformatted], or [Ok] with a write-back ([Tinca.sync]) that does not
+   raise. *)
+let test_entry_blkno_flips_are_typed () =
+  let env, tc, image = committed_media ~scheme:"logging" ~nshards:1 ~blocks:16 in
+  let layout = List.hd (Tinca.layouts tc) in
+  let entries =
+    List.filter
+      (fun i ->
+        let off = Tinca_core.Layout.entry_off layout i in
+        (Tinca_core.Entry.decode (Pmem.read env.pmem ~off ~len:Tinca_core.Entry.size))
+          .Tinca_core.Entry.valid)
+      (List.init layout.Tinca_core.Layout.nblocks Fun.id)
+  in
+  Alcotest.(check int) "valid entries" 16 (List.length entries);
+  let typed = ref 0 in
+  List.iter
+    (fun i ->
+      let off = Tinca_core.Layout.entry_off layout i in
+      for bit = 8 to 63 do
+        Pmem.restore env.pmem image;
+        flip_u64 env ~off bit;
+        match
+          Tinca.recover ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics
+        with
+        | Error (Tinca.Unformatted _) -> incr typed
+        | Error e -> Alcotest.failf "entry %d bit %d: %s" i bit (Tinca.error_message e)
+        | Ok tc -> (
+            match Tinca.sync tc with
+            | () -> ()
+            | exception e ->
+                Alcotest.failf "entry %d bit %d: write-back raised %s" i bit (Printexc.to_string e))
+        | exception e ->
+            Alcotest.failf "entry %d bit %d: recovery raised %s" i bit (Printexc.to_string e)
+      done)
+    entries;
+  Alcotest.(check bool) "flips beyond the disk are refused" true (!typed >= 16 * 48)
+
 let test_unformatted_media () =
   let env = mk_env () in
   recover_fails_with env "unformatted"
 
 (* Recovery reads each line of its table scan once.  On a freshly
-   formatted device the ring range is empty, so recovery reads three
-   header lines (superblock, Head and Tail for logging; magic,
-   superblock and epoch word for paging) plus the table, charged as
-   whole lines of four 16 B entries. *)
+   formatted device the ring range is empty, so recovery reads its
+   header lines (superblock, Head and Tail for a logging cache;
+   superblock and epoch word for a paging region) plus the table,
+   charged as whole lines of four 16 B entries. *)
 let lines_of bytes = (bytes + 63) / 64
 
 let read_lines_during env f =
@@ -385,18 +484,28 @@ let test_logging_recovery_reads_each_line_once () =
     (read_lines_during env (fun () ->
          Cache.recover ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics ()))
 
+(* One region's recovery: its superblock, its epoch word and each table
+   line once (the media sniff belongs to Shard.recover). *)
 let test_paging_recovery_reads_each_line_once () =
   let module Paging = Tinca_core.Paging in
   let env = mk_env () in
+  let span = Pmem.size env.pmem in
   let pg =
-    Paging.format ~nshards:1 ~config:Paging.default_config ~pmem:env.pmem ~disk:env.disk
+    Paging.create ~id:0 ~base:0 ~span ~config:Paging.default_config ~pmem:env.pmem ~disk:env.disk
       ~clock:env.clock ~metrics:env.metrics
   in
-  let table = lines_of (List.hd (Paging.region_layouts pg)).Paging.r_table_bytes in
-  let header = 3 in
+  let ranges = Paging.format pg in
+  Pmem.flush_ranges env.pmem ranges;
+  Pmem.sfence env.pmem;
+  let table = lines_of (Paging.layout pg).Paging.r_table_bytes in
+  let header = 2 in
   Alcotest.(check int) "header + table lines" (header + table)
     (read_lines_during env (fun () ->
-         Paging.recover ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics ()))
+         let r =
+           Paging.attach ~id:0 ~base:0 ~span ~pmem:env.pmem ~disk:env.disk ~clock:env.clock
+             ~metrics:env.metrics ()
+         in
+         Paging.recover r ~owns:(fun _ -> true) ~roll_forward:false))
 
 (* clflush of an already-persisted line: the instruction is issued (and
    counted) but starts no medium write-back, so it must be cheaper than
@@ -578,6 +687,10 @@ let suite =
           test_paging_epoch_flips_are_corrupt;
         Alcotest.test_case "sharded recovery word flips are typed" `Quick
           test_sharded_recovery_word_flips;
+        Alcotest.test_case "paging geometry flips are typed" `Quick
+          test_paging_geometry_flips_are_typed;
+        Alcotest.test_case "entry block-number flips are typed" `Quick
+          test_entry_blkno_flips_are_typed;
         Alcotest.test_case "logging recovery reads each line once" `Quick
           test_logging_recovery_reads_each_line_once;
         Alcotest.test_case "paging recovery reads each line once" `Quick

@@ -274,7 +274,7 @@ let test_invariant_violation_is_typed () =
   let disk = Disk.create ~clock ~metrics ~kind:Latency.Ssd ~nblocks:64 ~block_size:4096 in
   let shard =
     Shard.format ~nshards:2
-      ~config:{ Cache.default_config with Cache.ring_slots = 16 }
+      ~config:(Shard.Logging { Cache.default_config with Cache.ring_slots = 16 })
       ~pmem ~disk ~clock ~metrics
   in
   Shard.check_invariants shard;

@@ -2,9 +2,9 @@
    logging ring and the COW paging engine.
 
    - each scheme through the facade is media- and cost-identical to
-     driving its engine (Shard or Paging) directly (digest, fence count
-     and simulated time pinned at every tested transaction size, both
-     logging pipelines and paging, N=1 and N=4);
+     driving the shard layer directly (digest, fence count and simulated
+     time pinned at every tested transaction size, both logging
+     pipelines and paging, N=1 and N=4);
    - paging round-trips and survives recovery, with the scheme sniffed
      from the media magic;
    - scheme-aware stats: logging-only rows are absent (not zero) under
@@ -65,11 +65,10 @@ let commit_blocks tc blocks v =
 (* --- the facade costs nothing over either engine ------------------------ *)
 
 (* The same mixed-size commit stream (Exp_commit.measured_size, the
-   stream every figure uses) through each engine directly (Shard or
-   Paging) and through the facade's scheme dispatch: media digest,
-   sfence count and simulated end time must all agree — the facade
-   costs nothing, at every transaction size, on both logging pipelines
-   and on paging, sharded and not. *)
+   stream every figure uses) through the shard layer directly and
+   through the facade: media digest, sfence count and simulated end time
+   must all agree — the facade costs nothing, at every transaction
+   size, on both logging pipelines and on paging, sharded and not. *)
 let test_media_cost_identity () =
   let universe = 48 in
   (* [begin_txn ()] opens a transaction and returns its add and commit. *)
@@ -101,26 +100,18 @@ let test_media_cost_identity () =
       | Ok c -> c
       | Error m -> Alcotest.fail m
     in
-    let begin_txn =
+    let config =
       match scheme with
-      | Tinca.Config.Logging pipeline ->
-          let s =
-            Shard.format ~nshards ~config:(Tinca.Config.to_cache_config fc pipeline)
-              ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics
-          in
-          fun () ->
-            let h = Shard.Txn.init s in
-            (Shard.Txn.add h, fun () -> Shard.Txn.commit h)
-      | Tinca.Config.Paging pcfg ->
-          let pg =
-            Paging.format ~nshards ~config:(Tinca.Config.to_page_config fc pcfg) ~pmem:env.pmem
-              ~disk:env.disk ~clock:env.clock ~metrics:env.metrics
-          in
-          fun () ->
-            let h = Paging.Txn.init pg in
-            (Paging.Txn.add h, fun () -> Paging.Txn.commit h)
+      | Tinca.Config.Logging pipeline -> Shard.Logging (Tinca.Config.to_cache_config fc pipeline)
+      | Tinca.Config.Paging pcfg -> Shard.Paging (Tinca.Config.to_page_config fc pcfg)
     in
-    run_stream env ~n begin_txn
+    let s =
+      Shard.format ~nshards ~config ~pmem:env.pmem ~disk:env.disk ~clock:env.clock
+        ~metrics:env.metrics
+    in
+    run_stream env ~n (fun () ->
+        let h = Shard.Txn.init s in
+        (Shard.Txn.add h, fun () -> Shard.Txn.commit h))
   in
   let run_facade ~scheme ~nshards ~n =
     let env = mk_env () in

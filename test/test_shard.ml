@@ -27,7 +27,7 @@ let mk_env () =
 let config = { Cache.default_config with ring_slots = 64 }
 
 let mk_shard ~nshards env =
-  Shard.format ~nshards ~config ~pmem:env.pmem ~disk:env.disk ~clock:env.clock
+  Shard.format ~nshards ~config:(Shard.Logging config) ~pmem:env.pmem ~disk:env.disk ~clock:env.clock
     ~metrics:env.metrics
 
 let payload v = Bytes.make 4096 v
