@@ -1,44 +1,27 @@
-(* Paging commit scheme (ISSUE 10): the "other side" of the logging vs.
-   paging ablation (Dulong et al., PAPERS.md), one region at a time.
+(* Paging commit scheme, one region: the "other side" of the
+   logging vs. paging ablation (Dulong et al., PAPERS.md).  Where logging
+   commits by appending ring slots and switching entry roles, paging
+   REMAPS whole NVM pages through a persistent indirection table:
 
-   Where the logging scheme (Cache/Ring) commits by appending slots to a
-   persistent ring and switching entry roles, the paging scheme commits
-   by REMAPPING whole NVM pages through a persistent indirection table:
-
-   - every transactional write is COWed into a free NVM page frame;
-   - each touched page gets ONE 16 B atomic swing of its indirection-
-     table entry, staged under the region's next epoch;
-   - the commit point is a single 8 B atomic swing of the region's
-     persistent epoch word — no ring, no role switch, no Tail;
-   - multi-page atomicity comes for free from the epoch word (staged
-     entries carry epoch E+1 and stay invisible until the word says
-     E+1);
-   - recovery = rebuild the volatile index from the table: entries at or
+   - every transactional write is COWed into a free page frame, and its
+     table entry gets ONE 16 B atomic swing staged under epoch E+1;
+   - the commit point is one 8 B atomic swing of the region's epoch word
+     to E+1 — no ring, no role switch, no Tail;
+   - recovery rebuilds the volatile index from the table: entries at or
      below the durable epoch are live on their new side, entries above
      it roll back to their old side (or vanish, for misses), or forward
      when a durable cross-shard seal directs it.
 
-   {!Shard} owns everything above one region for both engines: the
-   directory, striping, the cross-shard seal, grouping a transaction's
-   writes by region and the order of the commit steps.  The steps here
-   return the flush ranges they leave unfenced, and Shard fences their
-   union once.
-
-   Region media layout (all offsets relative to the region base):
+   Region media layout (offsets relative to the region base):
 
      [ superblock | epoch word | flight ring | indirection table | page pool ]
          64 B          64 B      slots*64 B       slots*16 B        n*block
 
-   The table only ever holds DIRTY pages (content differing from disk):
-   clean cached blocks live purely in the volatile index, never touch
-   the table, and cost no fences to cache or drop.  A dirty page's old
-   frame is durable by construction (it was committed), so it is a safe
-   rollback target; a staged miss has no old side and rolls back to
-   "not cached" (the disk copy).
-
-   Commit cost: 2 sfences for any single-shard transaction of any size
-   (stage fence + epoch persist), 4 for a multi-shard one (stage, seal,
-   epoch bumps, seal clear) — against the logging pipeline's 5. *)
+   The table only holds DIRTY pages: clean cached blocks live purely in
+   the volatile index.  A dirty page's old frame is durable by
+   construction (it was committed), so it is a safe rollback target.
+   Commit cost: 2 sfences for a single-shard transaction of any size, 4
+   for a multi-shard one (Shard adds the seal and its clear). *)
 
 open Tinca_sim
 module Pmem = Tinca_pmem.Pmem
@@ -51,21 +34,14 @@ module Trace = Tinca_obs.Trace
 type config = {
   block_size : int;  (** page size; positive multiple of 64 *)
   flight_slots : int;  (** 64 B flight records per shard; 0 disables *)
-  headroom : int;
-      (** free frames the admission pass keeps in reserve beyond the
-          transaction's own need, so replacement never runs the pool
-          fully dry; >= 0 *)
+  headroom : int;  (** free frames admission keeps in reserve; >= 0 *)
 }
 
 let default_config = { block_size = 4096; flight_slots = 0; headroom = 0 }
 
-(* The region superblock magic ("TINCAPG1", at byte 0 of one-shard
-   media) and the multi-shard directory magic ("TINCAPGD", written by
-   Shard), both distinct from the logging superblock and shard-directory
-   magics so recovery can discriminate the scheme from the first 8 bytes
-   of the medium. *)
+(* "TINCAPG1", distinct from every logging and directory magic so
+   recovery tells the schemes apart from byte 0. *)
 let super_magic = 0x3147_5041_434E_4954L
-let dir_magic = 0x4447_5041_434E_4954L
 
 let entry_size = 16
 

@@ -1,24 +1,16 @@
-(** Paging commit scheme (ISSUE 10), one region: COW page remapping
+(** Paging commit scheme, one region: COW page remapping
     through a persistent indirection table, the ablation counterpart of
-    the logging (ring) scheme.
+    the logging (ring) scheme.  Every write is COWed into a free page
+    frame and staged by one 16 B atomic swing of its table entry under
+    the region's next epoch; the commit point is one 8 B atomic swing of
+    the region's epoch word.  Recovery rebuilds the volatile index from
+    the table, rolling staged entries back (or, under a durable seal,
+    forward).
 
-    Every transactional write is COWed into a free NVM page frame and
-    staged by one 16 B atomic swing of the page's indirection-table
-    entry under the region's next epoch; the commit point is a single
-    8 B atomic swing of the region's persistent epoch word.  No ring, no
-    role switch: 2 sfences per single-shard commit of any size.
-    Recovery rebuilds the volatile index from the table, rolling staged
-    entries back (or, when a durable seal directs it, forward).
-
-    {!Shard} owns everything above one region for both engines:
-    striping, the directory, the cross-shard seal, grouping writes by
-    region and the order of the commit steps below.  Each step returns
-    the flush ranges it leaves unfenced; Shard fences their union once.
-
-    Region media layout:
-    [superblock | epoch word | flight ring | indirection table | page pool].
-    The table only holds dirty pages; clean cached blocks are volatile
-    only. *)
+    {!Shard} owns everything above one region: striping, the directory,
+    the cross-shard seal, grouping writes by region and the order of the
+    commit steps below, each of which returns the flush ranges it leaves
+    unfenced for Shard to fence as one union. *)
 
 type region
 
@@ -32,23 +24,14 @@ type config = {
 
 val default_config : config
 
-(** Media magics: the region superblock (at byte 0 of one-shard media)
-    and the multi-shard directory {!Shard} writes, distinct from the
-    logging scheme's so recovery can discriminate the scheme from
-    byte 0. *)
+(** The region superblock's magic (byte 0 of one-shard media). *)
 val super_magic : int64
 
-val dir_magic : int64
-
-(** Would a [span]-byte region host a paging layout?  The validation
-    {!create} performs, without touching media (for [Config.validate]). *)
+(** Would a [span]-byte region host a paging layout ({!create}'s check)? *)
 val check_geometry : span:int -> block_size:int -> flight_slots:int -> (unit, string) result
 
-(** {1 Construction} *)
-
-(** [create ~id ~base ~span ~config ...] lays out region [id] over
-    [[base, base + span)] without touching media.  Raises
-    [Invalid_argument] on bad geometry. *)
+(** Lay out region [id] over [[base, base + span)] without touching
+    media.  Raises [Invalid_argument] on bad geometry. *)
 val create :
   id:int ->
   base:int ->
@@ -61,18 +44,17 @@ val create :
   region
 
 (** Store the superblock, a zero epoch and a zeroed table and flight
-    ring; returns the ranges to fence (the caller fences every region's
-    under one fence). *)
+    ring; returns the ranges to fence. *)
 val format : region -> (int * int) list
 
-(** The 24-byte superblock at [base]: [(block_size, nframes,
-    flight_slots)].  Raises [Corrupt] when the magic is missing. *)
+(** The superblock at [base]: [(block_size, nframes, flight_slots)].
+    Raises [Cache.Corrupt] when the magic is missing. *)
 val read_super : Tinca_pmem.Pmem.t -> base:int -> int * int * int
 
 (** Re-attach region [id] from its superblock without writing anything;
     [expect] is the [(block_size, flight_slots)] every region must agree
-    on.  Raises [Corrupt] on a missing magic or any geometry word no
-    format could have written. *)
+    on.  Raises [Cache.Corrupt] on any geometry word no format could
+    have written. *)
 val attach :
   id:int ->
   base:int ->
@@ -85,20 +67,16 @@ val attach :
   unit ->
   region
 
-(** Validate the indirection table against itself (frame bounds, block
-    bounds, [owns] for the striping, duplicate mappings, epoch sanity —
-    a torn swing is detected, not trusted; raises [Corrupt]), resolve
-    the staged generation (forward iff [roll_forward]) and rebuild the
-    volatile index.  Fences its own rewrites. *)
+(** Validate the table against itself (frame and block bounds, [owns]
+    for the striping, duplicate mappings, epoch sanity — a torn swing is
+    detected, not trusted; raises [Cache.Corrupt]), resolve the staged
+    generation (forward iff [roll_forward]) and rebuild the volatile
+    index.  Fences its own rewrites. *)
 val recover : region -> owns:(int -> bool) -> roll_forward:bool -> unit
 
 val block_size : region -> int
 
-(** {1 Block I/O} *)
-
 val read : region -> int -> bytes
-
-(** The cached content of a block, if cached. *)
 val peek : region -> int -> bytes option
 
 val contains : region -> int -> bool
@@ -108,23 +86,22 @@ val flush_all : region -> unit
 
 (** {1 Commit steps}
 
-    One commit, as {!Shard} drives it: {!pin} every written block's
-    existing version, {!admit} each region's share (all-or-nothing),
-    {!stage} every write in first-write order (or {!unstage} them all on
-    [Transaction_too_large]), fence every region's {!stage_ranges}, swing
-    every {!commit_point} and fence those, then {!finish}. *)
+    As {!Shard} drives them: {!pin} every written block's existing
+    version, {!admit} each region's share, {!stage} every write in
+    first-write order (or {!unstage} them all), fence every region's
+    {!stage_ranges}, fence every {!commit_point}, then {!finish}. *)
 
 (** One COWed write of the in-flight commit. *)
 type staged
 
 val pin : region -> int -> bool -> unit
 
-(** Make room for one frame per block and a slot per block that has no
-    table slot yet; [false] if the pool cannot. *)
+(** Room for one frame per block and a slot per block without one;
+    [false] if the pool cannot make it. *)
 val admit : region -> int list -> bool
 
 (** COW the block into a free frame and swing its entry under epoch
-    E+1.  Raises [Transaction_too_large] holding nothing. *)
+    E+1.  Raises [Cache.Transaction_too_large] holding nothing. *)
 val stage : region -> int -> bytes -> staged
 
 (** Roll one staged write back; returns the rewritten entry ranges. *)
@@ -138,7 +115,7 @@ val stage_ranges : region -> cause:Tinca_obs.Flight.cause -> staged list -> (int
     and the [Tail_persist] flight record's. *)
 val commit_point : region -> cause:Tinca_obs.Flight.cause -> (int * int) list
 
-(** After the commit point is durable: fold the staged writes into the
+(** Once the commit point is durable: fold the staged writes into the
     volatile index, stamped [now], and run the cleaner. *)
 val finish : region -> now:float -> staged list -> unit
 
@@ -151,11 +128,10 @@ val counts : region -> (string * int) list
 (** The volatile epoch. *)
 val epoch : region -> int
 
-(** (name, wear_sum, wear_max) rows: super / epoch / flight / table /
-    pool. *)
+(** (name, wear_sum, wear_max): super / epoch / flight / table / pool. *)
 val region_wear : region -> (string * int * int) list
 
-(** DRAM/NVM cross-checks; raises [Invariant_violation]. *)
+(** DRAM/NVM cross-checks; raises [Cache.Invariant_violation]. *)
 val check_invariants : region -> unit
 
 (** psan's region classifier input: absolute offsets of one region's
@@ -174,9 +150,7 @@ type region_layout = {
 
 val layout : region -> region_layout
 
-(** The flight-recorder scan from the last {!recover} ([([], 0)] when
-    none ran or the region has no ring), shaped for
-    {!Tinca_obs.Forensics.build}. *)
+(** The flight-recorder scan from the last {!recover}, or [([], 0)]. *)
 val flight_scan : region -> (int * Tinca_obs.Flight.event) list * int
 
 (** Test-only: [`Torn_swing] splits the 16 B table swing into two 8 B

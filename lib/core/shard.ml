@@ -10,38 +10,25 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* --- media header ------------------------------------------------------- *)
 
-(* Two reserved cache lines in front of the shard regions:
-
-   line 0  shard directory — magic and shard count (logging adds the
-           per-shard geometry parameters), written once at format time;
-   line 1  cross-shard commit record ("seal") — a single 8-byte value,
-           0 when no multi-shard transaction is in its publish window,
-           else (shard mask << 32) | epoch.  One atomic write, so a
-           crash observes either no seal or a whole one.
-
-   Everything from byte 128 on is divided into [nshards] equal spans,
-   each holding one full region: a Cache layout (logging) or a paging
-   region (superblock, epoch word, table, pool).
-
-   With ONE shard there is no header at all: the media is the plain
-   region layout at byte 0, byte for byte — which is what lets N=1
-   reproduce the unsharded commit-point numbers exactly (the header
-   would shift the data region and change the fitted block count).  A
-   seal is never needed there either: the cross-shard commit record only
-   exists for transactions spanning >= 2 shards.  Recovery discriminates
-   by the magic at offset 0: each engine's directory magic ("TINCASHD",
-   "TINCAPGD") against its region superblock's. *)
+(* Two reserved cache lines in front of the regions: line 0 is the shard
+   directory (each engine's magic and the shard count; logging adds its
+   geometry), line 1 the cross-shard commit record ("seal"): 0, or
+   (shard mask << 32) | epoch in one atomic 8-byte write.  Everything
+   from byte 128 on is [nshards] equal spans, one region each.  With ONE
+   shard there is no header: the plain region layout sits at byte 0, so
+   N=1 reproduces the unsharded numbers exactly and never needs a seal. *)
 
 let dir_off = 0
 let seal_off = 64
 let header_bytes = 128
-let magic = 0x44485341434E4954L (* "TINCASHD" *)
+(* Each engine's directory magic: "TINCASHD" (logging), "TINCAPGD". *)
+let log_dir_magic = 0x44485341434E4954L
+let page_dir_magic = 0x4447_5041_434E_4954L
 
 (* The seal packs the shard mask above a 32-bit epoch; 30 shards keep
    (mask << 32) inside OCaml's 63-bit int. *)
 let max_shards = 30
 
-(* Region [i]'s (base, span) on a [pmem_bytes] device. *)
 let span_of ~pmem_bytes ~nshards =
   if nshards = 1 then pmem_bytes else (pmem_bytes - header_bytes) / nshards / 64 * 64
 
@@ -244,8 +231,7 @@ let write_seal t mask =
 
 let clear_seal t = persist_seal t.pmem 0
 
-(* The union of the flush ranges a commit step left unfenced, under one
-   fence (logging's steps fence internally and leave none). *)
+(* One fence over the ranges a step left unfenced; no ranges, no fence. *)
 let fence pmem = function
   | [] -> ()
   | ranges ->
@@ -267,7 +253,7 @@ let format ~nshards ~config ~pmem ~disk ~clock ~metrics =
       if nshards > 1 then begin
         Pmem.set_site pmem "shard.format";
         let b = Bytes.make 64 '\000' in
-        Bytes.set_int64_le b 0 magic;
+        Bytes.set_int64_le b 0 log_dir_magic;
         Codec.set_u32 b 8 nshards;
         Codec.set_u32 b 12 config.Cache.block_size;
         Codec.set_u32 b 16 config.Cache.ring_slots;
@@ -286,9 +272,8 @@ let format ~nshards ~config ~pmem ~disk ~clock ~metrics =
       in
       make ~pmem ~clock ~metrics (Log caches)
   | Paging config ->
-      (* Every region's geometry is checked before anything is written;
-         the directory and every region are then made durable under one
-         fence. *)
+      (* Every region's geometry is checked before anything is written,
+         then the directory and every region are fenced at once. *)
       let regions =
         Array.init nshards (fun i ->
             Paging.create ~id:i ~base:(base i) ~span ~config ~pmem ~disk ~clock ~metrics)
@@ -297,7 +282,7 @@ let format ~nshards ~config ~pmem ~disk ~clock ~metrics =
         if nshards = 1 then []
         else begin
           let hdr = Bytes.make header_bytes '\000' in
-          Codec.set_u64 hdr 0 Paging.dir_magic;
+          Codec.set_u64 hdr 0 page_dir_magic;
           Codec.set_u32 hdr 8 nshards;
           Pmem.set_site pmem "paging.format";
           Pmem.write pmem ~off:dir_off hdr;
@@ -414,9 +399,9 @@ let roll_forward ~pmem ~nshards ~span ~mask ~clock =
    only an empty range list, the Tail advance by its own persist, and the seal retirement by \
    persist_seal"]
 
-(* The directory line: its shard count, then the seal word.  A mask
-   naming a shard that does not exist is corruption, for both engines. *)
-let read_directory ~metrics pmem =
+(* The directory's shard count, then the seal word; a mask naming a
+   shard that does not exist is corruption. *)
+let read_directory pmem =
   if Pmem.size pmem < header_bytes then
     corrupt "unformatted NVM (device smaller than the shard header)";
   let nshards = Codec.get_u32 (Pmem.read pmem ~off:dir_off ~len:16) 8 in
@@ -425,84 +410,70 @@ let read_directory ~metrics pmem =
   let seal = read_seal pmem in
   if seal_mask seal lsr nshards <> 0 then
     corrupt "seal mask %#x names shards beyond %d" (seal_mask seal) nshards;
+  (nshards, seal)
+
+let media_magic pmem = Codec.get_u64 (Pmem.read pmem ~off:0 ~len:8) 0
+
+(* A directory's seal is the cross-shard decision: durable => the sealed
+   transaction rolls forward on every region in its mask; absent => every
+   region rolls its own share back, so no partial multi-shard transaction
+   survives.  Logging rolls forward on raw media before any cache
+   attaches; paging attaches every region (checked against shard 0's
+   superblock) before any recovers, and retires the seal once all have
+   adopted it.  Media without a directory is one plain region; garbage
+   fails the logging superblock check.
+
+   The magic is read twice, once to pick the engine and once to pick its
+   layout: one charged line that every pinned recovery time includes. *)
+let recover ?(flight_replay = true) ~pmem ~disk ~clock ~metrics () =
+  let paging = List.mem (media_magic pmem) [ Paging.super_magic; page_dir_magic ] in
+  let nshards, seal =
+    let m = media_magic pmem in
+    if m = log_dir_magic || m = page_dir_magic then read_directory pmem else (1, 0)
+  in
   if seal <> 0 then begin
     Log.info (fun m ->
         m "sealed multi-shard transaction found (mask %#x): rolling forward" (seal_mask seal));
     Metrics.incr metrics "tinca.shard.roll_forwards" ~by:1
   end;
-  (nshards, seal)
-
-let media_magic pmem = Codec.get_u64 (Pmem.read pmem ~off:0 ~len:8) 0
-
-(* Logging media: the shard directory's cross-shard decision precedes
-   every per-shard recovery — seal durable => roll the sealed
-   transaction forward on all its shards; no seal => each shard rolls
-   its own sub-commit back (Cache.recover's ring-range ∪ log-role
-   revocation).  Either way no partially committed multi-shard
-   transaction can be observed after recovery.  Media without the
-   directory magic is one plain Cache region (or garbage, which
-   Cache.recover rejects). *)
-let recover_logging ~flight_replay ~pmem ~disk ~clock ~metrics =
-  if media_magic pmem <> magic then Log [| Cache.recover ~flight_replay ~pmem ~disk ~clock ~metrics () |]
-  else begin
-    let nshards, seal = read_directory ~metrics pmem in
-    let span = span_of ~pmem_bytes:(Pmem.size pmem) ~nshards in
-    Trace.begin_span ~clock "tinca.shard.recover";
-    if seal <> 0 then roll_forward ~pmem ~nshards ~span ~mask:(seal_mask seal) ~clock;
-    let caches =
-      Array.init nshards (fun i ->
-          let base = base_of ~nshards ~span i in
-          let c =
-            Cache.recover_region ~flight_replay ~base ~mem_bytes:(base + span) ~pmem ~disk ~clock
-              ~metrics ()
-          in
-          Cache.set_flight_shard c i;
-          c)
-    in
-    Trace.end_span "tinca.shard.recover";
-    Log caches
-  end
-
-(* Paging media: every region attaches (geometry checked against shard
-   0's superblock) before any recovers; a region the seal names rolls
-   its staged generation forward, every other rolls back; the seal
-   retires only after every region has adopted it. *)
-let recover_paging ~pmem ~disk ~clock ~metrics =
-  let magic = media_magic pmem in
-  let nshards, seal =
-    if magic = Paging.super_magic then (1, 0)
-    else if magic = Paging.dir_magic then read_directory ~metrics pmem
-    else corrupt "no paging media (magic %Lx)" magic
-  in
   let span = span_of ~pmem_bytes:(Pmem.size pmem) ~nshards in
-  let base = base_of ~nshards ~span in
-  let expect =
-    if nshards = 1 then None
-    else
-      let block_size, _, flight_slots = Paging.read_super pmem ~base:(base 0) in
-      Some (block_size, flight_slots)
-  in
+  let base = base_of ~nshards ~span and mask = seal_mask seal in
   let regions =
-    Array.init nshards (fun i ->
-        Paging.attach ~id:i ~base:(base i) ~span ?expect ~pmem ~disk ~clock ~metrics ())
-  in
-  Array.iteri
-    (fun i r ->
-      Paging.recover r
-        ~owns:(fun blkno -> stripe ~nshards blkno = i)
-        ~roll_forward:(seal_mask seal land (1 lsl i) <> 0))
-    regions;
-  if seal <> 0 then persist_seal pmem 0;
-  Page regions
-
-(* Recovery reads the magic twice: once to pick the engine, then once
-   more as that engine's own layout check.  The second read is one
-   charged line that every pinned recovery time includes. *)
-let recover ?(flight_replay = true) ~pmem ~disk ~clock ~metrics () =
-  let m = media_magic pmem in
-  let regions =
-    if m = Paging.super_magic || m = Paging.dir_magic then recover_paging ~pmem ~disk ~clock ~metrics
-    else recover_logging ~flight_replay ~pmem ~disk ~clock ~metrics
+    if not paging then begin
+      if nshards > 1 then Trace.begin_span ~clock "tinca.shard.recover";
+      if seal <> 0 then roll_forward ~pmem ~nshards ~span ~mask ~clock;
+      let caches =
+        Array.init nshards (fun i ->
+            let c =
+              Cache.recover_region ~flight_replay ~base:(base i) ~mem_bytes:(base i + span) ~pmem
+                ~disk ~clock ~metrics ()
+            in
+            Cache.set_flight_shard c i;
+            c)
+      in
+      if nshards > 1 then Trace.end_span "tinca.shard.recover";
+      Log caches
+    end
+    else begin
+      let expect =
+        if nshards = 1 then None
+        else
+          let block_size, _, flight_slots = Paging.read_super pmem ~base:(base 0) in
+          Some (block_size, flight_slots)
+      in
+      let regions =
+        Array.init nshards (fun i ->
+            Paging.attach ~id:i ~base:(base i) ~span ?expect ~pmem ~disk ~clock ~metrics ())
+      in
+      Array.iteri
+        (fun i r ->
+          Paging.recover r
+            ~owns:(fun blkno -> stripe ~nshards blkno = i)
+            ~roll_forward:(mask land (1 lsl i) <> 0))
+        regions;
+      if seal <> 0 then persist_seal pmem 0;
+      Page regions
+    end
   in
   make ~pmem ~clock ~metrics regions
 
@@ -587,36 +558,23 @@ module Txn = struct
   (* One region's share of a commit, as [commit_regions] drives it. *)
   type part = Log_part of Cache.Txn.handle | Page_part of Paging.region * Paging.staged list
 
-  (* Every commit that is not logging's single-shard fast path runs these
-     steps, in this order, over its regions (logging: first-touch order;
-     paging: ascending):
+  (* Every commit but logging's single-shard fast path runs these steps
+     over its regions (logging in first-touch order, paging ascending):
 
-     stage    every region stages its share.  Logging (Cache.Txn.stage,
-              §4.4 steps 1–2 plus ring-slot staging) fences data, entries
-              and slots itself; paging's COW pages and staged entries
-              were written by [commit_pages], and their ranges are fenced
-              here as one union.  Nothing is committed yet: a crash
-              revokes everything region-locally.
-     publish  logging: every region advances its Head.  A crash in this
-              window — including between two Head advances — finds no
-              seal, and recovery rolls every shard back: the published
-              shards via their ring ranges, the rest via the log-role
-              entry scan.
-     seal     (multi-shard only) one atomic cross-shard commit record,
-              persisted after all the above: from here the transaction is
-              committed, and recovery rolls it forward instead.
-     commit point  logging: every region finalizes (role switch fenced
-              before its Tail advance).  Paging: every epoch word swings,
-              and the union is fenced once.
+     stage    logging stages and fences its share (Cache.Txn.stage);
+              paging's COW pages and entries, written by [commit_pages],
+              are fenced as one union.  A crash revokes it all.
+     publish  logging advances every Head.  A crash here finds no seal,
+              so every shard rolls back, by ring range or log-role scan.
+     seal     (multi-shard only) from here recovery rolls forward.
+     commit   logging finalizes (role switch, then Tail); paging swings
+              every epoch word, fenced as one union.
      retire   the seal clears; paging folds the commit into each
               region's volatile state and runs its cleaner.
 
-     A single-shard commit runs on its shard's lane; a multi-shard one
-     puts each region's step on that region's lane and the cross-shard
-     steps (seal, union fences) on every lane.  A capacity rejection at
-     logging's stage aborts the other sub-commits (staged-but-unpublished
-     ones are revoked by Cache.Txn.abort) and re-raises — all-or-nothing
-     in the failure direction too. *)
+     Multi-shard commits put each step on its region's lane and the seal
+     and union fences on every lane.  A capacity rejection at logging's
+     stage aborts every sub-commit and re-raises. *)
   let commit_regions s ~cause parts =
     let multi = List.length parts > 1 in
     let on_lane i f = if multi then exec s i f else f () in
@@ -711,11 +669,10 @@ module Txn = struct
       Trace.end_span "tinca.xcommit"
     end
 
-  (* Paging's write-set is applied at commit: pin every existing
-     version (so admission cannot evict a block the transaction itself
-     remaps), admit every region's share all-or-nothing, then COW every
-     write in first-write order across regions.  A rejection unwinds all
-     of it under one fence. *)
+  (* Paging applies its write-set at commit: pin every existing version
+     (admission must not evict a block the transaction remaps), admit
+     every region's share all-or-nothing, COW every write in first-write
+     order, or unwind it all under one fence. *)
   let commit_pages s ~cause regions writes =
     let groups = groups s (List.map fst writes) in
     let multi = List.length groups > 1 in
@@ -777,7 +734,7 @@ module Txn = struct
         h.order <- [];
         h.state <- Finished
 
-  (* --- group commit (async commit, ISSUE 8; logging only) -------------- *)
+  (* --- group commit (async commit; logging only) ------------------------ *)
 
   (* [seal h] volatilely applies the whole transaction on every shard it
      touches (Cache.Txn.seal: admission, COW data stores, entry swings,

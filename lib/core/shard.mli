@@ -1,19 +1,8 @@
-(** Sharded Tinca: N independent regions on one NVM device, with a
-    striped commit scheduler, for both commit engines.
-
-    The device is partitioned as
-
-    {v
-    [ shard dir | seal | region 0 | region 1 | ... ]
-        64 B      64 B
-    v}
-
-    Every region runs the same engine: a complete logging {!Cache} (its
-    own superblock, Head/Tail, ring, entry table, data region, free
-    monitors and LRU) or a {!Paging} region (superblock, epoch word,
-    indirection table, page pool).  Disk block numbers are striped
-    across regions by a stable Fibonacci hash, so independent
-    transactions on different regions pay no shared serialization.
+(** Sharded Tinca: N independent regions on one NVM device
+    ([[ shard dir | seal | region 0 | region 1 | ... ]]) with a striped
+    commit scheduler, for both commit engines.  Every region runs the
+    same engine: a complete logging {!Cache} or a {!Paging} region.  Disk
+    block numbers are striped across regions by a stable Fibonacci hash.
 
     This layer owns, once for both engines: the geometry, the directory
     (each engine keeps its own magic and header bytes), the cross-shard
@@ -21,20 +10,17 @@
     writes by region, the order of the commit steps, the lane model, and
     the per-shard stats, wear and invariant loops.
 
-    A transaction touching several regions commits through a two-phase
-    publish: every region stages its share (nothing committed anywhere),
-    then (logging) every region advances its Head, then one atomic
-    {e cross-shard commit record} (the "seal") is persisted, then every
+    A transaction touching several regions commits in two phases: every
+    region stages its share, (logging) advances its Head, then one
+    atomic {e cross-shard commit record} (the "seal") is persisted, every
     region passes its commit point and the seal retires.  Each region
-    step returns the flush ranges it leaves unfenced and the layer fences
-    their union once; logging's steps fence internally and return none.
-    Recovery is all-or-nothing across regions: a durable seal rolls the
-    transaction {e forward} on every region in its mask; an absent seal
-    rolls every region {e back}.
-
-    With one shard the scheduler degenerates to the plain region commit
-    (no header, no seal, no extra fences), so N=1 reproduces the
-    unsharded numbers exactly. *)
+    step returns the flush ranges it leaves unfenced and this layer
+    fences their union once; logging's steps fence internally.  Recovery
+    is all-or-nothing across regions: a durable seal rolls the
+    transaction {e forward} on every region in its mask, an absent one
+    rolls every region {e back}.  With one shard there is no header, no
+    seal and no extra fence: N=1 reproduces the unsharded numbers
+    exactly. *)
 
 type t
 
@@ -49,12 +35,9 @@ val span_of : pmem_bytes:int -> nshards:int -> int
 (** The engine every region runs, with its per-region configuration. *)
 type engine = Logging of Cache.config | Paging of Paging.config
 
-(** [format ~nshards ~config ~pmem ~disk ~clock ~metrics] partitions the
-    device and formats every region.  [config] applies per region
-    (logging: each shard gets its own ring of [ring_slots] slots).  With
-    [nshards = 1] no shard header is written: the media is the plain
-    unsharded region layout, byte for byte.  Raises [Invalid_argument] if
-    [nshards] is outside [1, max_shards] or the device is too small. *)
+(** Partition the device and format every region ([config] applies per
+    region).  Raises [Invalid_argument] if [nshards] is outside
+    [1, max_shards] or the device is too small. *)
 val format :
   nshards:int ->
   config:engine ->
@@ -65,20 +48,12 @@ val format :
   t
 
 (** Re-attach after a crash; the engine and the shard count are read
-    back from the media's magic.  Directory media: reads the shard count
-    and the seal (a mask naming a shard that does not exist is
-    [Cache.Corrupt]); a durable seal rolls the sealed transaction
-    forward on every region in its mask (logging: on raw media before
-    any cache attaches, bounding every sealed ring first; paging: while
-    each region recovers), then retires.  Media without a directory
-    recovers as one plain region.  Raises [Cache.Corrupt] on unformatted
-    or corrupt media.
-
-    [flight_replay] is forwarded to each logging region's
-    {!Cache.recover_region} (default [true]); logging's roll-forward
-    pass additionally appends raw-media [Recovery_decision] flight
-    records for every entry it replays, riding its existing role-switch
-    fence. *)
+    back from the media.  A durable seal rolls the sealed transaction
+    forward on every region in its mask (logging bounds every sealed
+    ring first and appends raw-media [Recovery_decision] flight records),
+    then retires.  Raises [Cache.Corrupt] on unformatted or corrupt
+    media, including a seal mask naming a shard that does not exist.
+    [flight_replay] is forwarded to {!Cache.recover_region}. *)
 val recover :
   ?flight_replay:bool ->
   pmem:Tinca_pmem.Pmem.t ->
@@ -99,19 +74,14 @@ val block_size : t -> int
     to: stable, total, balanced. *)
 val stripe : nshards:int -> int -> int
 
-(** {1 Logging-only surfaces}
-
-    Each raises [Invalid_argument] on paging media: a usage error, not a
-    zero. *)
-
 (** [t] itself on logging media; [Invalid_argument] naming [who] on
-    paging media. *)
+    paging media, where logging-only surfaces are a usage error. *)
 val require_logging : who:string -> t -> t
 
+(** Logging only. *)
 val caches : t -> Cache.t array
 
-(** One region layout per shard of paging media, for psan's paging
-    region classifier.  Raises [Invalid_argument] on logging media. *)
+(** One region layout per shard, for psan.  Paging only. *)
 val page_layouts : t -> Paging.region_layout list
 
 (** {1 Block I/O} *)
@@ -138,25 +108,21 @@ module Txn : sig
 
   val block_count : handle -> int
 
-  (** Commit.  Logging single-shard transactions take the plain
-      {!Cache.Txn.commit} fast path; everything else runs the two-phase
-      publish, with the cross-shard seal when several shards are
-      touched.  Raises {!Cache.Transaction_too_large} if any region
-      rejects its share — everything already staged is rolled back, so
-      the failure is all-or-nothing too.  [cause] (default [Sync])
-      labels paging's flight records. *)
+  (** Commit: logging's single-shard fast path ({!Cache.Txn.commit}), or
+      the two-phase publish, sealed when several shards are touched.
+      Raises {!Cache.Transaction_too_large}, all-or-nothing, if any
+      region rejects its share.  [cause] (default [Sync]) labels
+      paging's flight records. *)
   val commit : ?cause:Tinca_obs.Flight.cause -> handle -> unit
 
   val abort : handle -> unit
 
   (** Volatilely seal the whole transaction on every shard it touches
-      ({!Cache.Txn.seal} per sub-commit: admission, COW stores, entry
-      swings, slot staging — no flush, no fence).  A sealed transaction
-      waits for {!commit_group} to make it durable; nothing of it can
-      survive a crash before then.  Raises {!Cache.Transaction_too_large}
-      if any shard rejects its sub-commit (already-sealed shards are
-      unwound, so the failure is all-or-nothing) and [Invalid_argument]
-      on an empty or non-running transaction, or on paging media. *)
+      ({!Cache.Txn.seal}: no flush, no fence) for {!commit_group};
+      nothing of it survives a crash before then.  Raises
+      {!Cache.Transaction_too_large} (all-or-nothing) and
+      [Invalid_argument] on an empty or non-running transaction, or on
+      paging media. *)
   val seal : handle -> unit
 
   (** Tag every sub-handle with the facade's durable-notification
@@ -164,29 +130,22 @@ module Txn : sig
   val set_flight_ticket : handle -> int -> unit
 end
 
-(** [commit_group s handles] — one durability sequence for a whole batch
-    of sealed transactions (the async group commit, ISSUE 8; logging
-    only): per touched shard, ONE stage-A flush+fence and ONE slot
-    flush+fence over all member sub-commits followed by a single Head
-    advance; when the batch spans >= 2 shards, one cross-shard seal over
-    the union mask (all-or-nothing across the {e whole batch} at crash);
-    then per shard one batched role switch and one Tail persist.
-    [handles] must all be sealed and belong to [s]; they are finished on
-    return.  A batch is atomic under crash: recovery yields either none
-    of its transactions or all of them.
-
-    [cause] (default [Barrier]) labels the drain in each touched shard's
-    flight recorder; it does not affect the commit protocol. *)
+(** One durability sequence for a whole batch of sealed transactions
+    (the async group commit; logging only): per touched shard
+    one stage-A and one slot flush+fence and a single Head advance, one
+    seal over the union mask when the batch spans >= 2 shards, then per
+    shard one batched role switch and one Tail persist.  A batch is
+    atomic under crash.  [cause] (default [Barrier]) labels the drain in
+    the flight recorder. *)
 val commit_group : ?cause:Tinca_obs.Flight.cause -> t -> Txn.handle list -> unit
 
 (** {1 Parallel-throughput model}
 
-    Shard work executes serially on the one simulated clock; every delta
-    is attributed to the owning shard's {e lane}, and cross-shard sync
-    points (the seal, the union fences) equalize lanes.  Lanes read the
-    clock and never advance it.  The {e makespan} — the maximum lane —
-    is the wall-clock a per-shard-threaded execution would take; with
-    N=1 it equals the serial clock time spent in shard operations. *)
+    Shard work runs serially on the one simulated clock; every delta is
+    attributed to its shard's {e lane}, cross-shard sync points (the
+    seal, the union fences) equalize lanes, and lanes never advance the
+    clock.  The {e makespan} (maximum lane) is the wall-clock a
+    per-shard-threaded execution would take. *)
 
 val makespan_ns : t -> float
 
@@ -208,31 +167,21 @@ type stats = {
 (** Logging only. *)
 val stats : t -> stats
 
-(** Ordered [(key, value)] pairs for {!Tinca_obs.Procfs}, in the
-    engine's own vocabulary.  Logging: the aggregate surface with
-    [ring_high_water_max] plus one [ring_high_water_shard<i>] per shard.
-    Paging: pool, table and epoch rows (the logging-only rows absent,
-    not zero) plus one [s<i>.epoch] per shard on sharded media.  Both
-    end with the cross-shard counters [multi_shard_commits],
-    [cross_shard_seals] and [seal_roll_forwards] (sealed recoveries),
-    read from the same {!Tinca_sim.Metrics} counters. *)
+(** Ordered [(key, value)] pairs in the engine's own vocabulary
+    (logging: ring high water per shard and max; paging: pool, table and
+    per-shard epoch rows), both with the cross-shard counters
+    [multi_shard_commits], [cross_shard_seals] and [seal_roll_forwards]
+    (sealed recoveries) from the same {!Tinca_sim.Metrics} counters. *)
 val stats_kv : t -> (string * string) list
 
 val write_hit_rate : t -> float
 
-(** {1 Flight recorder / forensics}
-
-    See {!Cache.flight_note} and {!Tinca_obs.Forensics}. *)
-
-(** Per-shard survivor scans from the last recovery — [(records, torn)]
-    per shard, shaped for [Tinca_obs.Forensics.build].  Shards without a
-    ring (or attached by [format]) contribute [([], 0)]. *)
+(** Per-shard flight-recorder scans from the last recovery —
+    [(records, torn)], or [([], 0)] — for [Tinca_obs.Forensics.build]. *)
 val flight_scans : t -> ((int * Tinca_obs.Flight.event) list * int) array
 
-(** Region-attributed NVM wear: [(region, total write-backs, max on one
-    line)].  One shard: the region's rows verbatim.  Sharded media: a
-    ["header"] row (shard directory + seal lines) followed by every
-    shard's regions as ["s<i>.<region>"]. *)
+(** [(region, total write-backs, max on one line)]: one shard's rows
+    verbatim, or a ["header"] row and every shard's as ["s<i>.<region>"]. *)
 val region_wear : t -> (string * int * int) list
 
 (** Per-region invariant checks plus: the seal must be clear outside a
