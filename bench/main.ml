@@ -247,8 +247,10 @@ let bench_group_seal ~flight_slots =
          if !n mod 32 = 0 then begin
            let batch = List.rev !sealed in
            sealed := [];
-           Cache.Txn.flush_sealed batch;
-           Cache.Txn.finalize_sealed batch
+           Cache.Txn.drain batch;
+           Cache.Txn.advance_head batch;
+           Cache.Txn.commit_point batch;
+           Cache.Txn.retire ~now:(Clock.now_ns clock) batch
          end))
 
 (* fig13: transaction-size accounting (multi-block commit). *)

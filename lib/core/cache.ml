@@ -633,23 +633,34 @@ let read t blkno =
       let data = Disk.read_block t.disk blkno in
       insert_clean t blkno data;
       data
+[@@pmem.defer
+  "a read miss fills the cache volatilely (insert_clean): the fill has no entry, so its durable \
+   home stays the disk"]
 
 (* --- transactions (§4.3–§4.4) ------------------------------------------ *)
 
 module Txn = struct
   type state = Running | Committing | Finished
 
+  (* The hit/miss classification the allocation pass records per block.
+     Pinning makes it stable for the rest of the commit — a pinned hit
+     cannot be evicted and nothing inserts missing blocks mid-commit — so
+     the store pass branches on the record instead of re-probing the
+     index (which would need an unreachable-by-construction failure
+     arm). *)
+  type staged_alloc = Hit of info | Miss of int  (* fresh entry slot *)
+
   type handle = {
     cache : t;
     staged : (int, bytes) Hashtbl.t;
     mutable order : int list; (* reversed insertion order *)
     mutable state : state;
-    (* Volatile seal bookkeeping ([seal]): the dirtied data+entry byte
-       ranges and staged ring-slot ranges of this transaction, waiting for
-       the group committer to flush them in one batch ([flush_sealed]). *)
-    mutable sealed_ranges : (int * int) list;
-    mutable slot_ranges : (int * int) list;
-    mutable sealed_slots : int;
+    (* The data and entry ranges [seal]'s stores dirtied, until [drain]
+       fences them. *)
+    mutable ranges : (int * int) list;
+    (* Sealed by a synchronous commit, whose seal opened the drain: its
+       Batch_drain record is already stored. *)
+    mutable sync : bool;
     (* Facade ticket id for the flight recorder's Txn_seal record; -1
        when the transaction has no ticket (sync path). *)
     mutable flight_ticket : int;
@@ -657,8 +668,8 @@ module Txn = struct
 
   let init cache =
     Trace.instant ~clock:cache.clock "tinca.txn.init";
-    { cache; staged = Hashtbl.create 16; order = []; state = Running;
-      sealed_ranges = []; slot_ranges = []; sealed_slots = 0; flight_ticket = -1 }
+    { cache; staged = Hashtbl.create 16; order = []; state = Running; ranges = []; sync = false;
+      flight_ticket = -1 }
 
   let set_flight_ticket h id = h.flight_ticket <- id
 
@@ -670,7 +681,8 @@ module Txn = struct
     if not (Hashtbl.mem h.staged blkno) then h.order <- blkno :: h.order;
     Hashtbl.replace h.staged blkno (Bytes.copy data)
 
-  let block_count h = Hashtbl.length h.staged
+  let block_count h = List.length h.order
+  let blocks h = List.rev h.order
 
   (* Point a cached block at its COW copy [new_blk], keeping the old
      version as [prev] and pinning the block in log role (§4.3). *)
@@ -741,39 +753,18 @@ module Txn = struct
     Ring.record t.ring blkno;
     Metrics.add t.ctr.c_head_advance 1
 
-  (* Group commit, stages A–B (§4.4 steps 1–3, fence-coalesced), built
-     from two passes shared with the volatile [seal] path below.
-
-     Stage A = pass 2's dirtied lines flushed once + one fence, however
-     many blocks.  Stage B: stage all ring slots ([Ring.record_batch]:
-     atomic slot writes, one flush pass, one fence) — Head still
-     excludes them; the caller advances it with [Ring.publish] (one
-     persist).  Entries and slots are durable strictly before Head
-     covers them — the invariant recovery's union scan (ring range ∪
-     log-role entries) relies on.  The split lets the sharded scheduler
-     stage every shard's sub-commit before any Head moves. *)
-
-  (* The hit/miss classification pass 1 records per block.  Pinning
-     makes it stable for the rest of the commit — a pinned hit cannot be
-     evicted and nothing inserts missing blocks mid-commit — so pass 2
-     branches on the record instead of re-probing the index (which would
-     need an unreachable-by-construction failure arm). *)
-  type staged_alloc = Hit of info | Miss of int  (* fresh entry slot *)
-
-  (* Pass 1 (volatile): pin every staged cached block, then allocate all
-     COW data blocks and fresh entry slots up front, so replacement —
-     including its persistent entry invalidations — runs to completion
-     before the first staged store.  A failure here is rolled back
-     completely (every allocation freed, every pin dropped) and
-     re-raised with the cache exactly as before the call; nothing has
-     been written, the ring is untouched. *)
+  (* Allocation pass (volatile): pin every staged cached block, then
+     allocate all COW data blocks and fresh entry slots up front, so
+     replacement — including its persistent entry invalidations — runs to
+     completion before the first staged store.  A failure here is rolled
+     back completely and re-raised with the cache exactly as before the
+     call; nothing has been written, the ring is untouched. *)
   let alloc_group t blocks =
     List.iter
       (fun blkno ->
         drop_fill t blkno;
         match Fc.find t.fc blkno with Some info -> Fc.set_pinned info true | None -> ())
       blocks;
-    (* (disk blkno, COW data block, classification), reversed *)
     let allocs = ref [] in
     Trace.begin_span ~clock:t.clock "tinca.commit.alloc";
     (try
@@ -810,63 +801,43 @@ module Txn = struct
     Trace.end_span "tinca.commit.alloc";
     List.rev !allocs
 
-  (* Pass 2 (cannot fail): write all COW data blocks (vectored), swing
-     all entries with 16 B atomic writes, and return every dirtied byte
-     range — the caller decides when (and with how many peer transactions)
-     the lines are flushed.  The relative durability order of data vs.
-     entry lines within the stage is irrelevant: until Head covers the
-     blocks, recovery revokes whatever subset became durable. *)
-  let store_group t staged allocs =
+  (* Store pass (cannot fail): write all COW data blocks (vectored), swing
+     all entries with 16 B atomic writes, and keep every dirtied byte
+     range for [drain]'s stage-A fence.  The relative durability order of
+     data vs. entry lines within the stage is irrelevant: until Head
+     covers the blocks, recovery revokes whatever subset became durable. *)
+  let store h allocs =
+    let t = h.cache in
     Pmem.set_site t.pmem "commit.data";
     Pmem.writev t.pmem
       (List.map
          (fun (blkno, data_blk, _) ->
-           (Layout.data_block_off t.layout data_blk, Hashtbl.find staged blkno))
+           (Layout.data_block_off t.layout data_blk, Hashtbl.find h.staged blkno))
          allocs);
     Pmem.set_site t.pmem "commit.entry";
     let ranges = ref [] in
-    let note_range off len = ranges := (off, len) :: !ranges in
+    let swing off info =
+      Pmem.atomic_write16 t.pmem ~off (Entry.encode (entry_of_info ~role:Entry.Log info));
+      ranges := (off, Entry.size) :: !ranges
+    in
     List.iter
       (fun (blkno, new_blk, kind) ->
-        note_range (Layout.data_block_off t.layout new_blk) t.cfg.block_size;
+        ranges := (Layout.data_block_off t.layout new_blk, t.cfg.block_size) :: !ranges;
         match kind with
         | Hit info ->
             (* Write hit: COW block write (§4.3). *)
             cow_hit t info new_blk;
-            let off = Layout.entry_off t.layout info.slot in
-            Pmem.atomic_write16 t.pmem ~off (Entry.encode (entry_of_info ~role:Entry.Log info));
-            note_range off Entry.size
+            swing (Layout.entry_off t.layout info.slot) info
         | Miss entry_idx ->
             (* Write miss: fresh entry, previous version = FRESH. *)
-            let info = cow_miss t blkno new_blk entry_idx in
-            let off = Layout.entry_off t.layout entry_idx in
-            Pmem.atomic_write16 t.pmem ~off (Entry.encode (entry_of_info ~role:Entry.Log info));
-            note_range off Entry.size)
+            swing (Layout.entry_off t.layout entry_idx) (cow_miss t blkno new_blk entry_idx))
       allocs;
-    !ranges
+    h.ranges <- !ranges
   [@@pmem.defer
-    "group-commit stage A deliberately returns its dirtied ranges unflushed: the caller folds \
-     every batched transaction's data + entry lines into ONE flush_ranges + sfence (the point of \
-     the fence amortization), and until Head covers the blocks recovery revokes any subset that \
-     became durable"]
-
-  let stage_group t staged blocks =
-    match blocks with
-    | [] -> ()
-    | blocks ->
-        let allocs = alloc_group t blocks in
-        Trace.begin_span ~clock:t.clock "tinca.commit.stage_a";
-        let ranges = store_group t staged allocs in
-        (* Stage A fence: every dirtied data and entry line, flushed once.
-           Pending flight-record lines ride the same flush burst. *)
-        Pmem.set_site t.pmem "commit.flush";
-        Pmem.flush_ranges t.pmem (List.rev_append (flight_take t) ranges);
-        Pmem.sfence t.pmem;
-        Trace.end_span "tinca.commit.stage_a";
-        (* Stage B: slots durable (one fence); Head moves in the caller. *)
-        Trace.begin_span ~clock:t.clock "tinca.commit.stage_b";
-        Ring.record_batch t.ring blocks;
-        Trace.end_span "tinca.commit.stage_b"
+    "the store pass deliberately leaves its dirtied ranges unflushed: drain folds every member \
+     transaction's data + entry lines into ONE flush_ranges + sfence (the point of the fence \
+     amortization), and until Head covers the blocks recovery revokes any subset that became \
+     durable"]
 
   let revoke_partial h blocks_done =
     let t = h.cache in
@@ -903,75 +874,175 @@ module Txn = struct
     if n > Fc.free_frames t.fc + evictable then reject ();
     if misses > Fc.free_slots t.fc + evictable then reject ()
 
-  (* §4.4 steps 1–2 (+ slot staging) in the pipeline's shape.  Batched:
-     stages A–B under two fences, Head unmoved.  Per_block: the paper's
-     literal protocol (~4 fences per block), whose Head advances as it
-     goes — [publish_staged] is then a no-op.  On a capacity failure the
-     partial work is fully revoked, the handle finished, and
-     [Transaction_too_large] raised with the cache as before. *)
-  let run_stage h blocks =
-    let t = h.cache in
-    match t.cfg.commit_pipeline with
-    | Batched -> (
-        try stage_group t h.staged blocks
-        with Cache_exhausted ->
-          t.committing <- false;
-          h.state <- Finished;
-          raise Transaction_too_large)
-    | Per_block ->
-        let committed = ref [] in
-        (try
-           List.iter
-             (fun blkno ->
-               commit_block t blkno (Hashtbl.find h.staged blkno);
-               committed := blkno :: !committed)
-             blocks
-         with e ->
-           revoke_partial h !committed;
-           h.state <- Finished;
-           (* The admission check is exact for the states normal
-              operation produces, but if replacement still runs out of
-              victims mid-commit, surface the one documented exception
-              type — the partial commit has been fully rolled back. *)
-           (match e with Cache_exhausted -> raise Transaction_too_large | e -> raise e))
+  (* --- the region contract: seal, drain, retire ---------------------------
+     Every commit, of one transaction or of a group-commit batch, runs
 
-  (* §4.4 step 3 for the batched pipeline: one Head persist covering
-     every staged slot.  Per_block already published eagerly. *)
-  let publish_staged h blocks =
+       seal h          per transaction: admission, allocation, the COW
+                       data and entry stores — no flush, no fence;
+       drain hs        stage A: every member's stores flushed once, one
+                       fence; stage B: every member's ring slots stored
+                       from Head on and fenced;
+       advance_head hs one Head persist over every slot (§4.4 step 3);
+       commit_point hs one batched role switch, then Tail := Head;
+       retire ~now hs  volatile bookkeeping, write-through, the cleaner.
+
+     {!Shard} puts the cross-shard seal word between [advance_head] and
+     [commit_point].  Until Head moves a crash revokes the batch through
+     the log-role entry scan; after it the ring range names the whole
+     batch.  A synchronous commit is a drain of one whose seal opens the
+     drain.  [Per_block] seals only admit, and its drain runs the
+     paper's per-block protocol (~4 fences per block) for each member,
+     Head advancing as it goes. *)
+
+  (* Number the next drain and store its Batch_drain record, which rides
+     the stage-A flush. *)
+  let open_drain t ~cause n =
+    t.flight_cur_batch <- t.flight_batch;
+    t.flight_batch <- t.flight_batch + 1;
+    flight_note t Flight.Batch_drain ~cause ~a:n ~batch:t.flight_cur_batch
+  [@@pmem.defer
+    "the Batch_drain record waits in flight_dirty for the drain's stage-A flush + fence (zero \
+     added fences)"]
+
+  (* A seal applies the transaction volatilely: the DRAM index serves
+     reads from the new versions at once, but nothing is durable and its
+     ring slots are only reserved, so a crash before its drain's Head
+     persist rolls it back.  Raises [Transaction_too_large] with the
+     handle finished and the cache as before the call. *)
+  let seal ?(sync = false) h =
+    if h.state <> Running then invalid_arg "Tinca.Txn.seal: transaction not running";
     let t = h.cache in
-    match t.cfg.commit_pipeline with
-    | Batched ->
+    let blocks = blocks h in
+    let n = List.length blocks in
+    if n = 0 then invalid_arg "Tinca.Txn.seal: empty transaction";
+    admit h blocks n;
+    h.state <- Committing;
+    t.committing <- true;
+    charge_op t;
+    h.sync <- sync;
+    if sync then open_drain t ~cause:Flight.Sync 1;
+    if t.cfg.commit_pipeline = Batched then begin
+      (* A synchronous commit's seal is its stage A's first half. *)
+      let span = if sync then "tinca.commit.stage_a" else "tinca.commit.seal" in
+      Trace.begin_span ~clock:t.clock span;
+      (match alloc_group t blocks with
+      | allocs -> store h allocs
+      | exception Cache_exhausted ->
+          Trace.end_span span;
+          (* Earlier sealed transactions keep the commit window open. *)
+          if Ring.reserved t.ring = 0 then t.committing <- false;
+          h.state <- Finished;
+          raise Transaction_too_large);
+      Ring.reserve t.ring n;
+      (* Seal record: volatile like the seal itself — it becomes durable
+         with the batch's stage-A flush, naming the ticket, the footprint
+         and the first block's payload checksum for the dossier's
+         acked-vs-survived probe.  Without a flight ring nobody reads the
+         checksum, so it is not computed. *)
+      (match (t.flight, blocks) with
+      | Some _, first :: _ when not sync ->
+          let data = Hashtbl.find h.staged first in
+          let crc = Tinca_util.Codec.crc32 data ~pos:0 ~len:(Bytes.length data) in
+          flight_note t Flight.Txn_seal ~a:(h.flight_ticket + 1) ~b:n ~c:first
+            ~d:(Int32.to_int crc land 0xFFFF_FFFF) ~batch:t.flight_batch
+      | _ -> ());
+      Trace.end_span span
+    end
+  [@@pmem.defer
+    "a seal is volatile by contract: its stores and records reach the stage-A flush + fence of \
+     the drain that covers it, and until that drain's Head persist recovery revokes whatever \
+     subset became durable"]
+
+  (* Drop a sealed, undrained transaction: revoke its blocks (all in log
+     role, with exact pre-images in DRAM) and release its slot
+     reservation. *)
+  let unseal h =
+    if h.state <> Committing then invalid_arg "Tinca.Txn.unseal: transaction not sealed";
+    let t = h.cache in
+    List.iter (fun blkno -> revoke_block t blkno) (blocks h);
+    if t.cfg.commit_pipeline = Batched then Ring.release t.ring (block_count h);
+    if Ring.reserved t.ring = 0 && Ring.in_flight t.ring = 0 then t.committing <- false;
+    h.state <- Finished;
+    Metrics.add t.ctr.c_aborts 1
+
+  (* The paper's literal protocol for one sealed transaction.  On a
+     capacity failure the partial work is fully revoked, the handle
+     finished, and [Transaction_too_large] raised with the cache as
+     before: admission is exact for the states normal operation
+     produces, but replacement may still run out of victims mid-commit. *)
+  let per_block h =
+    let t = h.cache in
+    let committed = ref [] in
+    try
+      List.iter
+        (fun blkno ->
+          commit_block t blkno (Hashtbl.find h.staged blkno);
+          committed := blkno :: !committed)
+        (blocks h)
+    with e ->
+      revoke_partial h !committed;
+      h.state <- Finished;
+      raise (match e with Cache_exhausted -> Transaction_too_large | e -> e)
+
+  let drain ?(cause = Flight.Barrier) hs =
+    match hs with
+    | [] -> ()
+    | h0 :: _ -> (
+        let t = h0.cache in
+        List.iter
+          (fun h ->
+            if h.state <> Committing then invalid_arg "Tinca.Txn.drain: transaction not sealed";
+            if h.cache != t then invalid_arg "Tinca.Txn.drain: mixed caches")
+          hs;
+        match t.cfg.commit_pipeline with
+        | Per_block -> List.iter per_block hs
+        | Batched ->
+            if not h0.sync then open_drain t ~cause (List.length hs);
+            (* Stage A: every dirtied data and entry line, flushed once,
+               with the pending flight-record lines, under one fence. *)
+            Trace.begin_span ~clock:t.clock "tinca.commit.stage_a";
+            Pmem.set_site t.pmem "commit.flush";
+            Pmem.flush_ranges t.pmem
+              (List.rev_append (flight_take t) (List.concat_map (fun h -> h.ranges) hs));
+            Pmem.sfence t.pmem;
+            Trace.end_span "tinca.commit.stage_a";
+            (* Stage B: every slot stored and fenced; Head still excludes
+               them. *)
+            Trace.begin_span ~clock:t.clock "tinca.commit.stage_b";
+            Ring.record_batch t.ring (List.concat_map blocks hs);
+            Trace.end_span "tinca.commit.stage_b")
+
+  let advance_head hs =
+    match hs with
+    | h0 :: _ when h0.cache.cfg.commit_pipeline = Batched ->
+        let t = h0.cache in
+        let n = List.fold_left (fun acc h -> acc + block_count h) 0 hs in
         Trace.begin_span ~clock:t.clock "tinca.commit.head";
-        flight_note t Flight.Head_advance ~a:(List.length blocks) ~batch:t.flight_cur_batch;
+        flight_note t Flight.Head_advance ~a:n ~batch:t.flight_cur_batch;
         flight_flush_into_fence t;
-        Ring.publish t.ring (List.length blocks);
+        Ring.publish t.ring n;
         Metrics.add t.ctr.c_head_advance 1;
         Trace.end_span "tinca.commit.head"
-    | Per_block -> ()
+    | _ -> ()
 
-  (* §4.4 steps 4–5 plus in-DRAM post-commit work, over a whole batch of
-     transactions: batched role switch (one fence covering every
-     transaction's blocks, strictly before Tail), Tail := Head (the
-     durable commit point for them all), previous-version reclamation,
-     LRU promotion, stats, and the write-through propagation when
-     configured.  A single synchronous commit is the one-element case. *)
-  let finish_commit_group pairs =
-    match pairs with
+  let infos hs = List.concat_map (fun h -> List.map (find_exn h.cache) (blocks h)) hs
+
+  (* §4.4 steps 4–5 over the batch: the role switches under one fence,
+     which must complete BEFORE the Tail update so a crash cannot
+     surface a half-switched committed transaction, then Tail := Head —
+     the durable commit point for every member.  The batch's
+     Tail_persist record — the durability evidence the crash dossier
+     reconciles against — flushes under that very fence, so it is
+     durable exactly when the batch is. *)
+  let commit_point hs =
+    match hs with
     | [] -> ()
-    | (h0, _, _) :: _ ->
+    | h0 :: _ ->
         let t = h0.cache in
-        (* §4.4 step 4: role switches for every block, batched under a
-           single fence, which must complete BEFORE the Tail update so a
-           crash cannot surface a half-switched committed transaction. *)
-        let per_txn =
-          List.map
-            (fun (h, blocks, n) -> (h, List.map (find_exn t) blocks, n))
-            pairs
-        in
-        let all_infos = List.concat_map (fun (_, infos, _) -> infos) per_txn in
+        let infos = infos hs in
         Pmem.set_site t.pmem "commit.role_switch";
         Trace.begin_span ~clock:t.clock "tinca.commit.role_switch";
-        flight_note t Flight.Role_switch ~a:(List.length all_infos) ~batch:t.flight_cur_batch;
+        flight_note t Flight.Role_switch ~a:(List.length infos) ~batch:t.flight_cur_batch;
         flight_flush_into_fence t;
         write_entries_batched t
           (List.map
@@ -980,20 +1051,25 @@ module Txn = struct
                Fc.set_pinned info false;
                t.pinned <- t.pinned - 1;
                (info.slot, entry_of_info ~role:Entry.Buffer info))
-             all_infos);
+             infos);
         Trace.end_span "tinca.commit.role_switch";
-        (* §4.4 step 5: Tail := Head — the durable commit point.  The
-           batch's Tail_persist record — the durability evidence the
-           crash dossier reconciles against — flushes under this very
-           fence, so it is durable exactly when the batch is. *)
         Trace.begin_span ~clock:t.clock "tinca.commit.tail";
-        flight_note t Flight.Tail_persist ~a:(List.length pairs) ~batch:t.flight_cur_batch;
+        flight_note t Flight.Tail_persist ~a:(List.length hs) ~batch:t.flight_cur_batch;
         flight_flush_into_fence t;
         Ring.commit_point t.ring;
-        Trace.end_span "tinca.commit.tail";
-        (* Reclaim previous versions, stamp the versions just made
-           durable for the cleaner, and promote to MRU (§4.6 rule 2b). *)
-        let now = Clock.now_ns t.clock in
+        Trace.end_span "tinca.commit.tail"
+
+  (* After the commit point: reclaim previous versions, stamp the
+     versions made durable at [now] for the cleaner, promote to MRU
+     (§4.6 rule 2b), count the commits, propagate to disk under
+     write-through (kept for the ablation study; the clean marks ride one
+     batched entry update), then run the cleaner. *)
+  let retire ~now hs =
+    match hs with
+    | [] -> ()
+    | h0 :: _ ->
+        let t = h0.cache in
+        let infos = infos hs in
         List.iter
           (fun (info : info) ->
             Fc.stamp_durable info now;
@@ -1004,232 +1080,46 @@ module Txn = struct
                 t.cow_pinned <- t.cow_pinned - 1
             | None -> ());
             Fc.touch t.fc info)
-          all_infos;
+          infos;
         t.committing <- false;
         List.iter
-          (fun (h, _, n) ->
+          (fun h ->
+            let n = block_count h in
             h.state <- Finished;
             Log.debug (fun m ->
                 m "committed transaction of %d blocks (ring head %d)" n (Ring.head t.ring));
             Metrics.add t.ctr.c_commits 1;
             Metrics.add t.ctr.c_commit_blocks n)
-          per_txn;
-        (* Write-through: propagate to disk immediately (kept for the
-           ablation study; write-back is the paper's default).  The clean
-           marks ride one batched entry update — one fence, not one per
-           block. *)
+          hs;
         if t.cfg.mode = Write_through then begin
           Pmem.set_site t.pmem "cache.writeback";
           Trace.begin_span ~clock:t.clock "tinca.commit.writeback";
-          write_entries_batched t (List.map (writeback t) all_infos);
+          write_entries_batched t (List.map (writeback t) infos);
           Trace.end_span "tinca.commit.writeback"
-        end
-
-  let finish_commit h blocks n = finish_commit_group [ (h, blocks, n) ]
+        end;
+        clean ~after_commit:true t
 
   let commit h =
     if h.state <> Running then invalid_arg "Tinca.Txn.commit: transaction not running";
     let t = h.cache in
-    let blocks = List.rev h.order in
-    let n = List.length blocks in
-    if n = 0 then begin
+    if h.order = [] then begin
       h.state <- Finished;
       Metrics.add t.ctr.c_commits 1
     end
     else begin
-      admit h blocks n;
-      h.state <- Committing;
-      t.committing <- true;
-      charge_op t;
       Trace.begin_span ~clock:t.clock "tinca.commit";
-      Trace.attr "blocks" (string_of_int n);
-      (* A synchronous commit is a drain of a one-transaction batch; its
-         drain record rides the stage-A flush burst. *)
-      t.flight_cur_batch <- t.flight_batch;
-      t.flight_batch <- t.flight_batch + 1;
-      flight_note t Flight.Batch_drain ~cause:Flight.Sync ~a:1 ~batch:t.flight_cur_batch;
+      Trace.attr "blocks" (string_of_int (block_count h));
       (try
-         run_stage h blocks;
-         publish_staged h blocks
+         seal ~sync:true h;
+         drain [ h ];
+         advance_head [ h ];
+         commit_point [ h ]
        with e ->
          Trace.end_span "tinca.commit";
          raise e);
-      finish_commit h blocks n;
       Trace.end_span "tinca.commit";
-      (* The cleaner runs outside the commit span: it is deferred
-         maintenance the commit merely triggers. *)
-      clean ~after_commit:true t
+      retire ~now:(Clock.now_ns t.clock) [ h ]
     end
-
-  (* --- split commit for the sharded scheduler (see Shard) --------------
-     [stage] runs admission control plus §4.4 steps 1–2 and slot staging;
-     [publish] advances this cache's Head over the staged slots; [finalize]
-     performs the role switch, Tail advance and post-commit bookkeeping.
-     [commit] ≡ [stage]; [publish]; [finalize] with identical operation,
-     fence and latency sequence (modulo trace spans).  Between [stage] and
-     [finalize] the sub-commit can be abandoned with [abort], which revokes
-     staged blocks whether or not Head has moved. *)
-
-  let stage h =
-    if h.state <> Running then invalid_arg "Tinca.Txn.stage: transaction not running";
-    let t = h.cache in
-    let blocks = List.rev h.order in
-    let n = List.length blocks in
-    if n = 0 then invalid_arg "Tinca.Txn.stage: empty transaction";
-    admit h blocks n;
-    h.state <- Committing;
-    t.committing <- true;
-    charge_op t;
-    run_stage h blocks
-
-  let publish h =
-    if h.state <> Committing then invalid_arg "Tinca.Txn.publish: transaction not staged";
-    publish_staged h (List.rev h.order)
-
-  let finalize h =
-    if h.state <> Committing then invalid_arg "Tinca.Txn.finalize: transaction not staged";
-    let blocks = List.rev h.order in
-    finish_commit h blocks (List.length blocks);
-    clean ~after_commit:true h.cache
-
-  (* --- group commit across transactions (async commit, ISSUE 8) --------
-     [seal] volatilely applies a whole transaction — admission, pass-1
-     allocation, COW data + entry stores, ring-slot staging — without a
-     single flush or fence: the DRAM index already serves reads from the
-     new versions, but nothing is durable and Head excludes the staged
-     slots, so a crash at any point rolls the transaction back (surviving
-     log-role entry lines are revoked by recovery's entry scan; staged
-     slots are invisible to the ring range).  [flush_sealed] then makes a
-     whole batch of sealed transactions durable with ONE stage-A
-     flush+fence, ONE slot flush+fence and ONE Head persist covering all
-     their slots, and [finalize_sealed] retires them with one batched
-     role switch and one Tail persist — the per-commit fence bill drops
-     from ~5 to ~5/K at batch size K. *)
-
-  let seal_group t h blocks =
-    let allocs = alloc_group t blocks in
-    let ranges = store_group t h.staged allocs in
-    let slot_ranges = Ring.stage_batch t.ring blocks in
-    h.sealed_ranges <- ranges;
-    h.slot_ranges <- slot_ranges;
-    h.sealed_slots <- List.length blocks
-
-  let seal h =
-    if h.state <> Running then invalid_arg "Tinca.Txn.seal: transaction not running";
-    let t = h.cache in
-    if t.cfg.commit_pipeline <> Batched then
-      invalid_arg "Tinca.Txn.seal: group commit requires the Batched pipeline";
-    let blocks = List.rev h.order in
-    let n = List.length blocks in
-    if n = 0 then invalid_arg "Tinca.Txn.seal: empty transaction";
-    admit h blocks n;
-    h.state <- Committing;
-    t.committing <- true;
-    charge_op t;
-    Trace.begin_span ~clock:t.clock "tinca.commit.seal";
-    (try seal_group t h blocks
-     with Cache_exhausted ->
-       Trace.end_span "tinca.commit.seal";
-       (* Pass-1 rollback left the cache untouched; earlier sealed
-          transactions (staged ring slots) keep the commit window open. *)
-       if Ring.staged t.ring = 0 then t.committing <- false;
-       h.state <- Finished;
-       raise Transaction_too_large);
-    (* Seal record: volatile like the seal itself — it becomes durable
-       with the batch's stage-A flush, naming the ticket, the footprint
-       and the first block's payload checksum for the dossier's
-       acked-vs-survived probe.  Without a flight ring nobody reads the
-       checksum, so it is not computed. *)
-    (match (t.flight, blocks) with
-    | Some _, first :: _ ->
-        let data = Hashtbl.find h.staged first in
-        let crc = Tinca_util.Codec.crc32 data ~pos:0 ~len:(Bytes.length data) in
-        flight_note t Flight.Txn_seal ~a:(h.flight_ticket + 1) ~b:n ~c:first
-          ~d:(Int32.to_int crc land 0xFFFF_FFFF) ~batch:t.flight_batch
-    | _ -> ());
-    Trace.end_span "tinca.commit.seal"
-
-  (* Drop a sealed-but-unflushed transaction: revoke its blocks (all in
-     log role, with exact pre-images in DRAM) and un-stage its ring
-     slots.  Only valid while the transaction's slots are the newest
-     staged ones on this cache — the sharded scheduler unwinds a
-     partially sealed multi-shard transaction immediately, before any
-     later seal. *)
-  let unseal h =
-    if h.state <> Committing then invalid_arg "Tinca.Txn.unseal: transaction not sealed";
-    let t = h.cache in
-    List.iter (fun blkno -> revoke_block t blkno) (List.rev h.order);
-    Ring.unstage t.ring h.sealed_slots;
-    h.sealed_ranges <- [];
-    h.slot_ranges <- [];
-    h.sealed_slots <- 0;
-    if Ring.staged t.ring = 0 && Ring.in_flight t.ring = 0 then t.committing <- false;
-    h.state <- Finished;
-    Metrics.add t.ctr.c_aborts 1
-
-  (* Stages A–B + Head advance for a whole batch of sealed transactions
-     on one cache.  All-or-nothing under crash: until the single Head
-     persist lands, every transaction of the batch rolls back; after it,
-     the batch is named by the ring range in its entirety (and committed
-     by the Tail persist of [finalize_sealed], or revoked as one unit by
-     recovery if the crash lands in between). *)
-  let flush_sealed ?(cause = Flight.Barrier) handles =
-    match handles with
-    | [] -> ()
-    | h0 :: _ ->
-        let t = h0.cache in
-        List.iter
-          (fun h ->
-            if h.state <> Committing then
-              invalid_arg "Tinca.Txn.flush_sealed: transaction not sealed";
-            if h.cache != t then invalid_arg "Tinca.Txn.flush_sealed: mixed caches")
-          handles;
-        (* Drain record: this cache's next batch id, the drain cause and
-           the batch population, flushed under the stage-A fence together
-           with any pending seal records. *)
-        t.flight_cur_batch <- t.flight_batch;
-        t.flight_batch <- t.flight_batch + 1;
-        flight_note t Flight.Batch_drain ~cause ~a:(List.length handles)
-          ~batch:t.flight_cur_batch;
-        Trace.begin_span ~clock:t.clock "tinca.commit.stage_a";
-        Pmem.set_site t.pmem "commit.flush";
-        Pmem.flush_ranges t.pmem
-          (List.rev_append (flight_take t) (List.concat_map (fun h -> h.sealed_ranges) handles));
-        Pmem.sfence t.pmem;
-        Trace.end_span "tinca.commit.stage_a";
-        Trace.begin_span ~clock:t.clock "tinca.commit.stage_b";
-        Pmem.set_site t.pmem "ring.record";
-        Pmem.flush_ranges t.pmem (List.concat_map (fun h -> h.slot_ranges) handles);
-        Pmem.sfence t.pmem;
-        Trace.end_span "tinca.commit.stage_b";
-        Trace.begin_span ~clock:t.clock "tinca.commit.head";
-        flight_note t Flight.Head_advance
-          ~a:(List.fold_left (fun acc h -> acc + h.sealed_slots) 0 handles)
-          ~batch:t.flight_cur_batch;
-        flight_flush_into_fence t;
-        Ring.publish t.ring (List.fold_left (fun acc h -> acc + h.sealed_slots) 0 handles);
-        Metrics.add t.ctr.c_head_advance 1;
-        Trace.end_span "tinca.commit.head"
-
-  (* Steps 4–5 for the whole batch: one batched role switch, one Tail
-     persist, then per-transaction post-commit bookkeeping. *)
-  let finalize_sealed handles =
-    match handles with
-    | [] -> ()
-    | h0 :: _ ->
-        finish_commit_group
-          (List.map
-             (fun h ->
-               let blocks = List.rev h.order in
-               (h, blocks, List.length blocks))
-             handles);
-        List.iter
-          (fun h ->
-            h.sealed_ranges <- [];
-            h.slot_ranges <- [];
-            h.sealed_slots <- 0)
-          handles;
-        clean ~after_commit:true h0.cache
 
   (* Failure injection for tests and the crash-space checker: run the
      commit protocol for the first [k] staged blocks and stop, as an
@@ -1238,18 +1128,20 @@ module Txn = struct
   let commit_prefix h k =
     if h.state <> Running then invalid_arg "Tinca.Txn.commit_prefix: transaction not running";
     let t = h.cache in
-    let blocks = List.rev h.order in
+    let blocks = blocks h in
     if k < 0 || k > List.length blocks then invalid_arg "Tinca.Txn.commit_prefix: bad prefix";
     h.state <- Committing;
     t.committing <- true;
     let prefix = List.filteri (fun i _ -> i < k) blocks in
     match t.cfg.commit_pipeline with
-    | Batched ->
-        stage_group t h.staged prefix;
-        if prefix <> [] then begin
-          Ring.publish t.ring (List.length prefix);
-          Metrics.add t.ctr.c_head_advance 1
-        end
+    | Batched when k > 0 ->
+        (* The prefix stands in for the transaction; abort revokes by
+           [order], and the blocks after the prefix were never touched. *)
+        h.order <- List.rev prefix;
+        store h (alloc_group t prefix);
+        drain [ h ];
+        advance_head [ h ]
+    | Batched -> ()
     | Per_block ->
         List.iter (fun blkno -> commit_block t blkno (Hashtbl.find h.staged blkno)) prefix
 
@@ -1261,14 +1153,13 @@ module Txn = struct
         h.state <- Finished;
         Metrics.add t.ctr.c_aborts 1
     | Committing ->
-        (* Mid-commit abort: revoke what the ring has recorded, plus any
-           staged-but-unpublished blocks (a [stage]d sub-commit whose Head
-           has not moved — its slots are invisible to [pending_blknos]).
-           [revoke_block] is role-guarded, so blocks already revoked via
-           the ring pass (or never staged) are untouched. *)
+        (* Mid-commit abort: revoke what the ring has recorded, plus the
+           transaction's own blocks.  [revoke_block] is role-guarded, so
+           blocks already revoked via the ring pass (or never staged) are
+           untouched. *)
         let pending = Ring.pending_blknos t.ring in
         List.iter (fun blkno -> revoke_block t blkno) pending;
-        List.iter (fun blkno -> revoke_block t blkno) (List.rev h.order);
+        List.iter (fun blkno -> revoke_block t blkno) (blocks h);
         Ring.rewind_head t.ring;
         t.committing <- false;
         h.state <- Finished;

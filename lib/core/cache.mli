@@ -189,7 +189,7 @@ module Txn : sig
       group commit with a constant fence count (≤ 6 for any transaction
       size, vs ~4n+2 per-block): (A) all COW data blocks written
       (vectored) and all entries swung atomically, every dirtied line
-      flushed once, one fence; (B) all ring slots staged and fenced, then
+      flushed once, one fence; (B) all ring slots stored and fenced, then
       Head advanced once with a single persist — entries and slots are
       durable strictly before Head covers them; (C) batched role switch,
       fenced before (D) the Tail persist.  Crash atomicity is unchanged:
@@ -199,61 +199,20 @@ module Txn : sig
   val commit : handle -> unit
 
   (** [tinca_abort]: drop a running transaction, or revoke a partially
-      committed one (including a [stage]d sub-commit whose Head has not
-      moved) to its pre-transaction state. *)
+      committed one ({!commit_prefix}) to its pre-transaction state. *)
   val abort : handle -> unit
 
-  (** {2 Split commit (the sharded scheduler's building blocks)}
+  (** {2 The region contract}
 
-      [commit h] ≡ [stage h; publish h; finalize h] with an identical
-      operation, fence and latency sequence.  {!Shard} uses the split to
-      run a multi-shard transaction as a two-phase publish: every
-      shard's sub-commit is [stage]d first (nothing in any ring range),
-      then every Head advances, then a cross-shard commit record seals
-      the transaction, and only then does each shard [finalize]. *)
-
-  (** Admission control plus §4.4 steps 1–2 and ring-slot staging: after
-      [stage], data and entries are durable and the slots are staged,
-      but Head still excludes them — a crash now rolls the sub-commit
-      back.  Raises {!Transaction_too_large} exactly as {!commit} does
-      (the handle finished, the cache untouched); [Invalid_argument] on
-      an empty transaction. *)
-  val stage : handle -> unit
-
-  (** Advance this cache's Head over the staged slots (one persist under
-      the [Batched] pipeline; no-op for [Per_block], which publishes
-      eagerly).  Call exactly once after {!stage}. *)
-  val publish : handle -> unit
-
-  (** §4.4 steps 4–5 and post-commit bookkeeping: batched role switch
-      (fenced before Tail), Tail := Head, previous-version reclamation,
-      stats, optional write-through propagation, then the cleaner
-      ([Frame_cache.clean]). *)
-  val finalize : handle -> unit
-
-  (** {2 Group commit across transactions (async commit)}
-
-      The fence bill of a commit is constant but still per-transaction;
-      the group-commit path amortizes it over a whole batch.  [seal]
-      applies a transaction {e volatilely} — admission control, pass-1
-      allocation, all COW data and entry stores, ring-slot staging —
-      with no flush and no fence: reads already see the new versions
-      (the DRAM index points at them) but nothing is durable and Head
-      excludes the staged slots, so a crash rolls the transaction back
-      completely (surviving log-role entry lines are revoked by
-      recovery's entry scan).  [flush_sealed] then makes a whole batch
-      durable with one stage-A flush+fence, one slot flush+fence and a
-      single Head persist covering every transaction's slots, and
-      [finalize_sealed] retires the batch with one batched role switch
-      and one Tail persist — ~5 fences per {e batch} instead of per
-      commit.  Crash atomicity is batch-granular: before the Head
-      persist the whole batch rolls back, after it the ring range names
-      the whole batch.
-
-      Sealed handles must all be flushed together (in seal order) by
-      the group committer that owns the cache; {!abort} must not be
-      called on one (its Head rewind would drop peer transactions'
-      staged slots) — use {!unseal} instead. *)
+      [commit h] ≡ [seal ~sync:true h; drain [h]; advance_head [h];
+      commit_point [h]; retire ~now [h]].  {!Shard} runs the same steps
+      for one transaction or a group-commit batch of many, on one shard
+      or many, putting the cross-shard seal word between {!advance_head}
+      and {!commit_point}.  A batch is atomic under crash: before its
+      Head persist every member rolls back (recovery's log-role entry
+      scan), after it the ring range names the whole batch.  A drain
+      covers one cache's members, in seal order; the [Batched] fence
+      bill is ~5 per {e drain}, however many transactions it holds. *)
 
   (** Tag the handle with the facade's durable-notification ticket id
       before {!seal}, so the flight recorder's [Txn_seal] record (and
@@ -261,30 +220,45 @@ module Txn : sig
       -1 (the initial value) means "no ticket". *)
   val set_flight_ticket : handle -> int -> unit
 
-  (** Volatilely apply the transaction as described above.  Raises
+  (** Admission control, the allocation pass and the COW data and entry
+      stores, with no flush and no fence; the ring slots are only
+      reserved.  Reads see the new versions at once (the DRAM index
+      points at them), but a crash before the drain's Head persist rolls
+      the transaction back.  [~sync:true] (a synchronous commit) opens
+      the drain instead — its [Batch_drain] flight record is stored
+      before allocation — and leaves the stores to {!drain}'s stage A.
+      Under [Per_block] a seal only admits.  Raises
       {!Transaction_too_large} exactly as {!commit} does (handle
       finished, cache untouched, peer sealed transactions undisturbed);
-      [Invalid_argument] on an empty transaction or under the
-      [Per_block] pipeline. *)
-  val seal : handle -> unit
+      [Invalid_argument] on an empty or non-running transaction. *)
+  val seal : ?sync:bool -> handle -> unit
 
-  (** Drop a sealed-but-unflushed transaction: revoke its blocks and
-      un-stage its ring slots.  Only valid while its slots are the
-      newest staged ones (the scheduler unwinds a partially sealed
-      multi-shard transaction immediately, before any later seal). *)
+  (** Drop a sealed, undrained transaction: return its allocations,
+      revoke its stored blocks and release its slot reservation. *)
   val unseal : handle -> unit
 
-  (** One stage-A flush+fence, one slot flush+fence and one Head
-      persist covering every sealed handle in the list (seal order).
-      All handles must be sealed on the same cache.  [cause] (default
-      [Barrier]) labels this drain in the flight recorder's
-      [Batch_drain] record; it has no effect on the commit protocol. *)
-  val flush_sealed : ?cause:Tinca_obs.Flight.cause -> handle list -> unit
+  (** Stage A (every member's stores, flushed once with pending flight
+      records, one fence) and stage B (every member's ring slots stored
+      from Head on, one fence) for sealed handles of one cache, in seal
+      order; [Per_block] runs the per-block protocol per member instead.
+      [cause] (default [Barrier]) labels the drain's [Batch_drain]
+      record; a synchronous seal already stored it.  Raises
+      {!Transaction_too_large} only under [Per_block], with the failing
+      member revoked and finished. *)
+  val drain : ?cause:Tinca_obs.Flight.cause -> handle list -> unit
 
-  (** One batched role switch and one Tail persist retiring the whole
-      flushed batch, then per-transaction post-commit bookkeeping and
-      the cleaner. *)
-  val finalize_sealed : handle list -> unit
+  (** One Head persist covering every drained slot ([Per_block]: Head
+      has already moved). *)
+  val advance_head : handle list -> unit
+
+  (** One batched role switch, fenced, then Tail := Head: the durable
+      commit point of every member. *)
+  val commit_point : handle list -> unit
+
+  (** Previous-version reclamation, durability stamps ([now]) and LRU
+      promotion, commit counters, write-through propagation when
+      configured, then the cleaner ([Frame_cache.clean]). *)
+  val retire : now:float -> handle list -> unit
 
   (** {2 Failure injection (tests and the crash-space checker)} *)
 

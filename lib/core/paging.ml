@@ -496,7 +496,7 @@ let stage r blkno data =
   { st_blkno = blkno; st_slot = slot; st_frame = frame; st_old = old }
 [@@pmem.defer
   "the COWed page and its staged entry are dead until the epoch swing: their ranges reach \
-   Shard's one stage fence through stage_ranges, or its unstage fence on a rollback"]
+   Shard's one stage fence through drain, or its unstage fence on a rollback"]
 
 (* Roll one staged write back: return its frame and fresh slot, restore
    the pinned old version.  An entry already swung to epoch E+1 is
@@ -519,10 +519,14 @@ let unstage r st =
   in
   Option.iter (fun p -> Fc.set_pinned p false) st.st_old;
   ranges
+[@@pmem.defer
+  "the rewritten entry ranges are returned: Shard fences every unstaged write's ranges as one \
+   batch"]
 
-(* The stage fence's share of this region: every COWed page and staged
-   entry, plus the Batch_drain flight record. *)
-let stage_ranges r ~cause staged =
+(* The region's drain: its share of the stage fence, every COWed page
+   and staged entry plus the Batch_drain flight record, for Shard to
+   fence as one union. *)
+let drain r ~cause staged =
   flight_note r ~cause ~a:(List.length staged) Flight.Batch_drain;
   Pmem.set_site r.pmem "paging.stage_fence";
   List.rev_append (flight_take r)
@@ -530,6 +534,8 @@ let stage_ranges r ~cause staged =
        (fun st ->
          [ (frame_off r.geom st.st_frame, r.geom.block_size); (entry_off r.geom st.st_slot, entry_size) ])
        staged)
+[@@pmem.defer
+  "the region's stage ranges and its Batch_drain record are returned for Shard's one union fence"]
 
 (* The commit point: one atomic swing of the epoch word to E+1 (and the
    Tail_persist flight record), left for Shard's fence. *)
@@ -545,9 +551,9 @@ let commit_point r ~cause =
   "the epoch swing is the commit point: Shard fences it (with every other region's swing in a \
    multi-shard commit) right after this returns"]
 
-(* Durable: fold the new mapping into the volatile state, stamped [now]
-   for the cleaner, then run the cleaner. *)
-let finish r ~now staged =
+(* Retire a durable commit: fold the new mapping into the volatile state,
+   stamped [now] for the cleaner, then run the cleaner. *)
+let retire r ~now staged =
   List.iter
     (fun st ->
       let p =
@@ -624,6 +630,16 @@ let recover r ~owns ~roll_forward =
       cur.Flight.seq <- (match List.rev records with (seq, _) :: _ -> seq + 1 | [] -> 0)
   | None -> ());
   let seen_blkno = Hashtbl.create 64 in
+  (* Every frame recovery may keep — each valid slot's new side, and a
+     staged slot's old side — is claimed once: a second claim is refused
+     here, before recovery writes anything, not by the frame cache after
+     roll-forward has written.  A live slot's old side is stale (freed at
+     its commit, perhaps reused since) and claims nothing. *)
+  let claimed = Bytes.make g.nframes '\000' in
+  let claim slot f =
+    if Bytes.get claimed f <> '\000' then corrupt "paging: slot %d names frame %d twice over" slot f;
+    Bytes.set claimed f '\001'
+  in
   let staged = ref [] in
   let live = ref [] in
   (* The whole table in one read, so each line is charged once. *)
@@ -638,6 +654,8 @@ let recover r ~owns ~roll_forward =
       if e.e_frame_b >= g.nframes then corrupt "paging: slot %d frame_b %d out of range" slot e.e_frame_b;
       if e.e_has_old && (e.e_frame_a >= g.nframes || e.e_frame_a = e.e_frame_b) then
         corrupt "paging: slot %d frame_a %d invalid" slot e.e_frame_a;
+      claim slot e.e_frame_b;
+      if e.e_has_old && e.e_epoch > epoch then claim slot e.e_frame_a;
       if e.e_blkno >= Disk.nblocks r.disk then
         corrupt "paging: slot %d blkno %d beyond the device" slot e.e_blkno;
       if not (owns e.e_blkno) then

@@ -84,12 +84,13 @@ val contains : region -> int -> bool
 (** Write every dirty page back to disk and durably drop its entry. *)
 val flush_all : region -> unit
 
-(** {1 Commit steps}
+(** {1 The region contract}
 
-    As {!Shard} drives them: {!pin} every written block's existing
-    version, {!admit} each region's share, {!stage} every write in
-    first-write order (or {!unstage} them all), fence every region's
-    {!stage_ranges}, fence every {!commit_point}, then {!finish}. *)
+    As {!Shard} drives it.  The seal: {!pin} every written block's
+    existing version, {!admit} each region's share, {!stage} every write
+    in first-write order (or {!unstage} them all).  Then Shard fences
+    every region's {!drain} as one union, swings every {!commit_point}
+    and fences those as one union, and calls {!retire}. *)
 
 (** One COWed write of the in-flight commit. *)
 type staged
@@ -107,9 +108,9 @@ val stage : region -> int -> bytes -> staged
 (** Roll one staged write back; returns the rewritten entry ranges. *)
 val unstage : region -> staged -> (int * int) list
 
-(** The stage fence's share: every COWed page and staged entry plus the
-    [Batch_drain] flight record. *)
-val stage_ranges : region -> cause:Tinca_obs.Flight.cause -> staged list -> (int * int) list
+(** The region's share of the stage fence: every COWed page and staged
+    entry plus the [Batch_drain] flight record. *)
+val drain : region -> cause:Tinca_obs.Flight.cause -> staged list -> (int * int) list
 
 (** Swing the epoch word to E+1 (the commit point); returns its range
     and the [Tail_persist] flight record's. *)
@@ -117,7 +118,7 @@ val commit_point : region -> cause:Tinca_obs.Flight.cause -> (int * int) list
 
 (** Once the commit point is durable: fold the staged writes into the
     volatile index, stamped [now], and run the cleaner. *)
-val finish : region -> now:float -> staged list -> unit
+val retire : region -> now:float -> staged list -> unit
 
 (** {1 Introspection} *)
 

@@ -10,9 +10,9 @@ type t = {
   mutable tail : int;
   (* Peak in-flight occupancy since attach/format (volatile stat). *)
   mutable hwm : int;
-  (* Slots written past Head by [stage_batch] but not yet covered by a
-     [publish] — volatile state of the group committer's pending batch. *)
-  mutable staged : int;
+  (* Slots reserved by sealed transactions and not yet covered by a
+     [publish]: the volatile capacity claim of the pending batch. *)
+  mutable reserved : int;
 }
 
 (* A pointer word beyond OCaml's int range reads as -1, which the
@@ -25,13 +25,13 @@ let read_word pmem ~off =
 let attach ~pmem ~layout =
   let head = read_word pmem ~off:layout.Layout.head_off in
   let tail = read_word pmem ~off:layout.Layout.tail_off in
-  { pmem; layout; head; tail; hwm = head - tail; staged = 0 }
+  { pmem; layout; head; tail; hwm = head - tail; reserved = 0 }
 
 let slots t = t.layout.Layout.ring_slots
 let head t = t.head
 let tail t = t.tail
 let in_flight t = t.head - t.tail
-let staged t = t.staged
+let reserved t = t.reserved
 let high_water t = t.hwm
 
 let bump_hwm t = if in_flight t > t.hwm then t.hwm <- in_flight t
@@ -50,24 +50,23 @@ let record t blkno =
   write_ptr t ~off:t.layout.Layout.head_off t.head;
   bump_hwm t
 
-(* Batched variant of [record] (group commit): stage every slot of the
-   transaction, flush each dirtied slot line once and fence — the slots
-   are durable but Head still excludes them, so they are invisible to
+(* Batched variant of [record]: store one slot per block starting at
+   Head, flush each dirtied slot line once and fence.  The slots are
+   durable but Head still excludes them, so they are invisible to
    [pending_blknos] and to recovery until [publish].  Eight slots share a
-   64 B line, so an n-block transaction dirties ceil(n/8) lines instead
-   of paying n separate persists. *)
+   64 B line, so an n-block batch dirties ceil(n/8) lines instead of
+   paying n separate persists. *)
 let record_batch t blknos =
   match blknos with
   | [] -> ()
   | blknos ->
-      let n = List.length blknos in
-      if in_flight t + t.staged + n > slots t then
+      if in_flight t + List.length blknos > slots t then
         invalid_arg "Ring.record_batch: ring buffer full";
       Pmem.set_site t.pmem "ring.record";
       let ranges =
         List.mapi
           (fun i blkno ->
-            let off = Layout.ring_slot_off t.layout (t.head + t.staged + i) in
+            let off = Layout.ring_slot_off t.layout (t.head + i) in
             Pmem.atomic_write8_int t.pmem ~off blkno;
             (off, 8))
           blknos
@@ -75,56 +74,27 @@ let record_batch t blknos =
       Pmem.flush_ranges t.pmem ranges;
       Pmem.sfence t.pmem
 
-(* Volatile half of [record_batch] for the group committer: stage one
-   slot per block past any previously staged slots, without flushing or
-   fencing, and return the dirtied slot ranges so the caller can fold
-   many transactions' slots into one [Pmem.flush_ranges] + fence.  The
-   atomic slot writes cannot tear, so an unflushed staged slot either
-   survives a crash with its full value or reverts — and Head excludes
-   it either way. *)
-let stage_batch t blknos =
-  match blknos with
-  | [] -> []
-  | blknos ->
-      let n = List.length blknos in
-      if in_flight t + t.staged + n > slots t then
-        invalid_arg "Ring.stage_batch: ring buffer full";
-      Pmem.set_site t.pmem "ring.record";
-      let ranges =
-        List.mapi
-          (fun i blkno ->
-            let off = Layout.ring_slot_off t.layout (t.head + t.staged + i) in
-            Pmem.atomic_write8_int t.pmem ~off blkno;
-            (off, 8))
-          blknos
-      in
-      t.staged <- t.staged + n;
-      ranges
-[@@pmem.defer
-  "volatile half of record_batch: the staged slots are deliberately left unflushed so the group \
-   committer can fold many transactions' slots into one flush_ranges + fence; the 8 B atomic slot \
-   writes cannot tear, and Head excludes staged slots until publish, so an unflushed slot is \
-   invisible to recovery either way"]
+(* Sealed transactions reserve their slots volatilely; the slots are
+   stored only when the batch drains. *)
+let reserve t n =
+  if n < 0 || in_flight t + t.reserved + n > slots t then invalid_arg "Ring.reserve: ring buffer full";
+  t.reserved <- t.reserved + n
 
-(* Drop the newest [n] staged (unpublished) slots — the unwinding path
-   when a multi-shard seal fails partway.  Purely volatile: the slot
-   bytes stay in the cache-line layer but Head never covers them, and a
-   later [stage_batch] simply overwrites them. *)
-let unstage t n =
-  if n < 0 || n > t.staged then invalid_arg "Ring.unstage: bad slot count";
-  t.staged <- t.staged - n
+let release t n =
+  if n < 0 || n > t.reserved then invalid_arg "Ring.release: bad slot count";
+  t.reserved <- t.reserved - n
 
-(* Advance Head over [n] slots staged by [record_batch] with a single
-   persist, making them part of the in-flight range.  The slots were
-   fenced durable by [record_batch], so the paper's ordering — entry and
-   slot durable strictly before Head covers them — holds for the whole
-   batch at the cost of one fence. *)
+(* Advance Head over [n] slots stored by [record_batch] with a single
+   persist, making them part of the in-flight range and releasing their
+   reservation.  The slots were fenced durable by [record_batch], so the
+   paper's ordering — entry and slot durable strictly before Head covers
+   them — holds for the whole batch at the cost of one fence. *)
 let publish t n =
   if n < 0 || in_flight t + n > slots t then invalid_arg "Ring.publish: bad slot count";
   if n > 0 then begin
     Pmem.set_site t.pmem "ring.record";
     t.head <- t.head + n;
-    t.staged <- max 0 (t.staged - n);
+    t.reserved <- max 0 (t.reserved - n);
     write_ptr t ~off:t.layout.Layout.head_off t.head;
     bump_hwm t
   end
@@ -137,7 +107,7 @@ let commit_point t =
 let rewind_head t =
   Pmem.set_site t.pmem "ring.rewind";
   t.head <- t.tail;
-  t.staged <- 0;
+  t.reserved <- 0;
   write_ptr t ~off:t.layout.Layout.head_off t.head
 
 (* Head and Tail come from media: bound them before the scan allocates
@@ -165,13 +135,13 @@ let pending_blknos t =
 let reload t =
   t.head <- read_word t.pmem ~off:t.layout.Layout.head_off;
   t.tail <- read_word t.pmem ~off:t.layout.Layout.tail_off;
-  t.staged <- 0
+  t.reserved <- 0
 
 let format t =
   Pmem.set_site t.pmem "ring.format";
   t.head <- 0;
   t.tail <- 0;
   t.hwm <- 0;
-  t.staged <- 0;
+  t.reserved <- 0;
   write_ptr t ~off:t.layout.Layout.head_off 0;
   write_ptr t ~off:t.layout.Layout.tail_off 0

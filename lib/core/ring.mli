@@ -39,37 +39,32 @@ val high_water : t -> int
     the commit protocol.  Raises [Invalid_argument] if the ring is full. *)
 val record : t -> int -> unit
 
-(** [record_batch t blknos] — group-commit variant of {!record}, step 2
-    for a whole transaction: stage one slot per block starting at Head
+(** [record_batch t blknos] — the batched variant of {!record}, step 2
+    for a whole drained batch: store one slot per block starting at Head
     (atomic 8 B writes), flush each dirtied slot line once, fence.  The
     slots are durable but Head does not cover them yet, so they stay
     invisible to {!pending_blknos} and to recovery until {!publish}.
     Raises [Invalid_argument] if the batch does not fit. *)
 val record_batch : t -> int list -> unit
 
-(** [stage_batch t blknos] — the volatile half of {!record_batch} for
-    the multi-transaction group committer: stage one slot per block past
-    Head and any previously staged slots (atomic 8 B writes, {e no}
-    flush, {e no} fence) and return the stored [(off, 8)] slot ranges.
-    The caller folds many transactions' slots into one
-    [Pmem.flush_ranges] + fence before a single {!publish} covering them all.  Staged-but-
-    unpublished slots are volatile batch state: {!publish} consumes
-    them, {!rewind_head}/{!reload}/{!format} discard them, and the
-    fullness checks account for them.  Raises [Invalid_argument] if the
-    batch does not fit. *)
-val stage_batch : t -> int list -> (int * int) list
+(** [reserve t n] claims [n] slots for a sealed transaction, volatilely:
+    nothing is stored until its batch drains.  {!publish} consumes
+    reservations, {!rewind_head}/{!reload}/{!format} discard them.
+    Raises [Invalid_argument] if the in-flight and reserved slots would
+    overrun the ring. *)
+val reserve : t -> int -> unit
 
-(** Slots written by {!stage_batch} but not yet covered by {!publish}. *)
-val staged : t -> int
+(** Drop [n] reserved slots (an unsealed transaction's).  Raises
+    [Invalid_argument] when [n] exceeds the reserved count. *)
+val release : t -> int -> unit
 
-(** [unstage t n] drops the newest [n] staged slots (volatile; the seal
-    unwinding path).  Raises [Invalid_argument] when [n] exceeds the
-    staged count. *)
-val unstage : t -> int -> unit
+(** Slots reserved by sealed transactions and not yet published. *)
+val reserved : t -> int
 
-(** [publish t n] — advance Head over [n] staged slots with a single
-    atomic write + persist (step 3 for the whole batch).  Must follow a
-    {!record_batch} of at least [n] slots; no-op when [n = 0]. *)
+(** [publish t n] — advance Head over [n] stored slots with a single
+    atomic write + persist (step 3 for the whole batch), releasing up to
+    [n] reserved slots.  Must follow a {!record_batch} of at least [n]
+    slots; no-op when [n = 0]. *)
 val publish : t -> int -> unit
 
 (** Persistently set Tail := Head (the commit point, step 5). *)

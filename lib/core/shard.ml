@@ -238,6 +238,16 @@ let fence pmem = function
       Pmem.flush_ranges pmem ranges;
       Pmem.sfence pmem
 
+(* The union of several regions' unfenced ranges under one fence: shared
+   by their lanes, each charged its ranges' share, when there are
+   several. *)
+let fence_union s ~multi per_region =
+  match (List.concat_map snd per_region, per_region) with
+  | ranges, (i, _) :: _ when ranges <> [] ->
+      if multi then exec_shared s per_region (fun () -> fence s.pmem ranges)
+      else exec s i (fun () -> fence s.pmem ranges)
+  | _ -> ()
+
 (* --- format ------------------------------------------------------------- *)
 
 let format ~nshards ~config ~pmem ~disk ~clock ~metrics =
@@ -291,9 +301,6 @@ let format ~nshards ~config ~pmem ~disk ~clock ~metrics =
       in
       fence pmem (dir @ List.concat_map Paging.format (Array.to_list regions));
       make ~pmem ~clock ~metrics (Page regions)
-[@@pmem.defer
-  "paging's directory store is folded with every region's format ranges into the one \
-   flush_ranges + sfence below it (the list is never empty: each region returns three ranges)"]
 
 (* --- recovery ----------------------------------------------------------- *)
 
@@ -394,10 +401,6 @@ let roll_forward ~pmem ~nshards ~span ~mask ~clock =
       end)
     sealed;
   persist_seal pmem 0
-[@@pmem.defer
-  "every mutated range is persisted in-loop: role switches are fenced by [fence], which skips \
-   only an empty range list, the Tail advance by its own persist, and the seal retirement by \
-   persist_seal"]
 
 (* The directory's shard count, then the seal word; a mask naming a
    shard that does not exist is corruption. *)
@@ -476,6 +479,9 @@ let recover ?(flight_replay = true) ~pmem ~disk ~clock ~metrics () =
     end
   in
   make ~pmem ~clock ~metrics regions
+[@@pmem.defer
+  "paging recovery fences its own rewrites behind a guard the dataflow cannot correlate (see \
+   Paging.recover); logging's ends in its own commit point"]
 
 (* --- block I/O ---------------------------------------------------------- *)
 
@@ -485,6 +491,7 @@ let read t blkno =
       match t.regions with
       | Log caches -> Cache.read caches.(i) blkno
       | Page regions -> Paging.read regions.(i) blkno)
+[@@pmem.defer "a read miss fills the cache volatilely (Cache.read, Paging.read)"]
 
 let contains t blkno =
   let i = shard_of t blkno in
@@ -503,7 +510,7 @@ let flush_all t =
   | Log caches -> Array.iter Cache.flush_all caches
   | Page regions -> Array.iter Paging.flush_all regions
 
-(* --- the striped commit scheduler --------------------------------------- *)
+(* --- the commit driver ---------------------------------------------------- *)
 
 module Txn = struct
   type state = Running | Sealed | Finished
@@ -515,12 +522,14 @@ module Txn = struct
            creation order; each write is applied to it as it is added *)
     writes : (int, bytes) Hashtbl.t;  (* paging: buffered until commit, last write wins *)
     mutable order : int list;  (* paging: blocks in reversed first-write order *)
+    mutable pages : (int * Paging.staged list) list;
+        (* paging, once sealed: each region's writes, regions ascending *)
     mutable state : state;
   }
 
   let init s =
     Trace.instant ~clock:s.clock "tinca.shard.txn.init";
-    { s; subs = []; writes = Hashtbl.create 8; order = []; state = Running }
+    { s; subs = []; writes = Hashtbl.create 8; order = []; pages = []; state = Running }
 
   let sub_for h caches i =
     match List.assoc_opt i h.subs with
@@ -555,174 +564,259 @@ module Txn = struct
       (fun i -> if by.(i) = [] then None else Some (i, by.(i)))
       (List.init s.nshards Fun.id)
 
-  (* One region's share of a commit, as [commit_regions] drives it. *)
-  type part = Log_part of Cache.Txn.handle | Page_part of Paging.region * Paging.staged list
 
-  (* Every commit but logging's single-shard fast path runs these steps
-     over its regions (logging in first-touch order, paging ascending):
+  (* Seal the whole transaction, all or nothing: a group member, or a
+     synchronous paging commit (a synchronous logging commit seals each
+     shard's share as the first half of its drain, in the same order).
+     Logging seals every shard's sub-transaction in first-touch order; a
+     capacity rejection on any shard unseals the ones before it and
+     drops the ones after.
+     Paging pins every written block's existing version (so admission
+     cannot evict a block the transaction remaps), admits every region's
+     share, then COWs every write in first-write order, or unwinds it
+     all under one fence. *)
+  let seal_all h =
+    let s = h.s in
+    (match s.regions with
+    | Log _ ->
+        let subs = List.rev h.subs in
+        let nsealed = ref 0 in
+        (try
+           List.iter
+             (fun (i, sub) ->
+               exec s i (fun () -> Cache.Txn.seal sub);
+               incr nsealed)
+             subs
+         with Cache.Transaction_too_large ->
+           (* The rejecting sub-handle finished itself. *)
+           List.iteri
+             (fun k (i, sub) ->
+               if k < !nsealed then exec s i (fun () -> Cache.Txn.unseal sub)
+               else if k > !nsealed then exec s i (fun () -> Cache.Txn.abort sub))
+             subs;
+           h.state <- Finished;
+           raise Cache.Transaction_too_large)
+    | Page regions ->
+        let writes = List.rev_map (fun b -> (b, Hashtbl.find h.writes b)) h.order in
+        let groups = groups s (List.map fst writes) in
+        let reject () =
+          h.state <- Finished;
+          raise Cache.Transaction_too_large
+        in
+        let pins v = List.iter (fun (b, _) -> Paging.pin regions.(shard_of s b) b v) writes in
+        pins true;
+        if
+          not
+            (List.for_all
+               (fun (i, blocks) -> exec s i (fun () -> Paging.admit regions.(i) blocks))
+               groups)
+        then begin
+          pins false;
+          reject ()
+        end;
+        let staged = ref [] in
+        (try
+           List.iter
+             (fun (b, data) ->
+               let i = shard_of s b in
+               staged := (i, exec s i (fun () -> Paging.stage regions.(i) b data)) :: !staged)
+             writes
+         with Cache.Transaction_too_large ->
+           fence s.pmem (List.concat_map (fun (i, st) -> Paging.unstage regions.(i) st) !staged);
+           pins false;
+           reject ());
+        h.pages <-
+          List.map
+            (fun (i, _) ->
+              (i, List.rev (List.filter_map (fun (j, st) -> if j = i then Some st else None) !staged)))
+            groups);
+    h.state <- Sealed
+  [@@pmem.defer
+    "a seal is volatile by contract (Cache.Txn.seal, Paging.stage): the drain that covers it \
+     fences its stores"]
 
-     stage    logging stages and fences its share (Cache.Txn.stage);
-              paging's COW pages and entries, written by [commit_pages],
-              are fenced as one union.  A crash revokes it all.
+  (* One region's share of a drained batch, and the region contract's
+     steps on it.  Logging fences its own stage and commit point and
+     returns no ranges; paging returns its ranges for one union fence. *)
+  type share = Log_share of Cache.Txn.handle list | Page_share of Paging.region * Paging.staged list
+
+  let drain_share ~cause ~seal = function
+    | Log_share subs ->
+        if seal then List.iter (fun sub -> Cache.Txn.seal ~sync:true sub) subs;
+        Cache.Txn.drain ~cause subs;
+        []
+    | Page_share (r, staged) -> Paging.drain r ~cause staged
+  [@@pmem.defer "paging's stage ranges are returned for the driver's union fence"]
+
+  let publish_share = function
+    | Log_share subs -> Cache.Txn.advance_head subs
+    | Page_share _ -> ()
+
+  let commit_share ~cause = function
+    | Log_share subs ->
+        Cache.Txn.commit_point subs;
+        []
+    | Page_share (r, _) -> Paging.commit_point r ~cause
+  [@@pmem.defer "paging's epoch swing is returned for the driver's union fence"]
+
+  let retire_share ~now = function
+    | Log_share subs -> Cache.Txn.retire ~now subs
+    | Page_share (r, staged) -> Paging.retire r ~now staged
+
+  (* Undo a logging share whose batch failed to drain: a drained one is
+     revoked and its Head rewound, an unsealed one dropped. *)
+  let abandon_share = function
+    | Log_share subs -> List.iter Cache.Txn.abort subs
+    | Page_share _ -> ()
+
+  (* The batch's shares, one per region in the order its members touch
+     them, each with every member's part in seal order. *)
+  let shares s handles =
+    let merge parts =
+      List.rev_map
+        (fun (i, xs) -> (i, List.rev xs))
+        (List.fold_left
+           (fun acc (i, x) ->
+             if List.mem_assoc i acc then
+               List.map (fun (j, xs) -> if j = i then (j, x :: xs) else (j, xs)) acc
+             else (i, [ x ]) :: acc)
+           [] parts)
+    in
+    match s.regions with
+    | Log _ ->
+        List.map
+          (fun (i, subs) -> (i, Log_share subs))
+          (merge (List.concat_map (fun h -> List.rev h.subs) handles))
+    | Page regions ->
+        List.map
+          (fun (i, staged) -> (i, Page_share (regions.(i), List.concat staged)))
+          (merge (List.concat_map (fun h -> h.pages) handles))
+
+  (* Step span names: a synchronous multi-shard commit's, a group
+     drain's. *)
+  type names = { stage : string; publish : string; seal : string; commit : string; clear : string }
+
+  let xcommit =
+    { stage = "tinca.xcommit.stage"; publish = "tinca.xcommit.publish"; seal = "tinca.xcommit.seal";
+      commit = "tinca.xcommit.finalize"; clear = "tinca.xcommit.retire" }
+
+  let gcommit =
+    { stage = "tinca.gcommit.flush"; publish = "tinca.gcommit.flush"; seal = "tinca.gcommit.seal";
+      commit = "tinca.gcommit.finalize"; clear = "tinca.gcommit.retire" }
+
+  (* The one commit driver, for a synchronous commit (a drain of one,
+     sealed here) or a group-commit batch sealed earlier, on one shard or
+     many:
+
+     stage    each region's drain: logging stages and fences its share
+              (sealing it first in a synchronous commit); paging, whose
+              synchronous seal admits every region's share before any
+              is staged, returns its ranges for one union fence.  A
+              crash revokes it all.
      publish  logging advances every Head.  A crash here finds no seal,
               so every shard rolls back, by ring range or log-role scan.
      seal     (multi-shard only) from here recovery rolls forward.
-     commit   logging finalizes (role switch, then Tail); paging swings
-              every epoch word, fenced as one union.
-     retire   the seal clears; paging folds the commit into each
-              region's volatile state and runs its cleaner.
+     commit   logging switches roles, moves Tail and retires at once;
+              paging swings every epoch word, fenced as one union.
+     clear    the seal retires.
+     retire   every paging region folds the commit into its volatile
+              state and runs its cleaner.
 
-     Multi-shard commits put each step on its region's lane and the seal
-     and union fences on every lane.  A capacity rejection at logging's
-     stage aborts every sub-commit and re-raises. *)
-  let commit_regions s ~cause parts =
-    let multi = List.length parts > 1 in
-    let on_lane i f = if multi then exec s i f else f () in
-    let step name (i, part) f =
-      if multi then begin
+     Multi-shard batches put each step on its region's lane and the seal
+     and union fences on every lane.  Under the planted
+     [`Drop_durable_notify] a group batch is published but neither
+     sealed nor committed — the lost-ack bug the crash sweep must catch
+     (the caller still acknowledges durability). *)
+  let drive ~cause ~group handles =
+    let s = (List.hd handles).s in
+    (match s.regions with Page _ when not group -> seal_all (List.hd handles) | Log _ | Page _ -> ());
+    let shares = shares s handles in
+    let multi = List.length shares > 1 in
+    let whole = if group then None else Some (if multi then "tinca.xcommit" else "tinca.commit") in
+    let close_whole () = Option.iter Trace.end_span whole in
+    Option.iter
+      (fun name ->
+        Trace.begin_span ~clock:s.clock name;
+        if multi then Trace.attr "shards" (string_of_int (List.length shares))
+        else Trace.attr "blocks" (string_of_int (block_count (List.hd handles))))
+      whole;
+    let names = if group then gcommit else xcommit and spans = group || multi in
+    let step name (i, share) f =
+      if spans then begin
         Trace.begin_span ~clock:s.clock name;
         Trace.attr "shard" (string_of_int i)
       end;
-      let r = on_lane i (fun () -> f part) in
-      if multi then Trace.end_span name;
+      let r = exec s i (fun () -> f share) in
+      if spans then Trace.end_span name;
       r
     in
-    let cross_shard name f =
-      if multi then begin
-        Trace.begin_span ~clock:s.clock name;
-        exec_global s f;
-        Trace.end_span name
-      end
+    let cross_shard label f =
+      Trace.begin_span ~clock:s.clock label;
+      exec_global s f;
+      Trace.end_span label
     in
-    let fence_union per_region =
-      match List.concat_map snd per_region with
-      | [] -> ()
-      | ranges when multi -> exec_shared s per_region (fun () -> fence s.pmem ranges)
-      | ranges -> fence s.pmem ranges
-    in
-    let mask = List.fold_left (fun m (i, _) -> m lor (1 lsl i)) 0 parts in
-    if multi then begin
-      Trace.begin_span ~clock:s.clock "tinca.xcommit";
-      Trace.attr "shards" (string_of_int (List.length parts))
-    end;
-    let staged = ref 0 in
+    let mask = List.fold_left (fun m (i, _) -> m lor (1 lsl i)) 0 shares in
+    let drained = ref 0 in
     let ranges =
       try
         List.map
           (fun ((i, _) as p) ->
-            let r =
-              step "tinca.xcommit.stage" p (function
-                | Log_part sub ->
-                    Cache.Txn.stage sub;
-                    []
-                | Page_part (r, staged) -> Paging.stage_ranges r ~cause staged)
-            in
-            incr staged;
+            let r = step names.stage p (drain_share ~cause ~seal:(not group)) in
+            incr drained;
             (i, r))
-          parts
+          shares
       with Cache.Transaction_too_large ->
-        if multi then Trace.end_span "tinca.xcommit.stage";
-        (* The rejecting sub-handle finished itself; earlier ones are
-           staged-but-unpublished (abort revokes them), later ones still
-           running (abort just drops them). *)
+        (* A logging seal or per-block drain rejected its share, which
+           finished itself. *)
         List.iteri
-          (fun k (i, part) ->
-            match part with
-            | Log_part sub when k <> !staged -> exec s i (fun () -> Cache.Txn.abort sub)
-            | Log_part _ | Page_part _ -> ())
-          parts;
-        if multi then Trace.end_span "tinca.xcommit";
+          (fun k (i, share) -> if k <> !drained then exec s i (fun () -> abandon_share share))
+          shares;
+        List.iter (fun h -> h.state <- Finished) handles;
+        close_whole ();
         raise Cache.Transaction_too_large
     in
-    fence_union ranges;
+    fence_union s ~multi ranges;
     if multi then barrier s;
-    List.iter
-      (fun p ->
-        step "tinca.xcommit.publish" p (function
-          | Log_part sub -> Cache.Txn.publish sub
-          | Page_part _ -> ()))
-      parts;
-    cross_shard "tinca.xcommit.seal" (fun () -> write_seal s mask);
-    let ranges =
-      List.map
-        (fun ((i, _) as p) ->
-          ( i,
-            step "tinca.xcommit.finalize" p (function
-              | Log_part sub ->
-                  Cache.Txn.finalize sub;
-                  []
-              | Page_part (r, _) -> Paging.commit_point r ~cause) ))
-        parts
-    in
-    fence_union ranges;
-    cross_shard "tinca.xcommit.retire" (fun () -> clear_seal s);
-    let now = Clock.now_ns s.clock in
-    List.iter
-      (fun (i, part) ->
-        match part with
-        | Page_part (r, staged) -> on_lane i (fun () -> Paging.finish r ~now staged)
-        | Log_part _ -> ())
-      parts;
-    if multi then begin
-      Metrics.add s.ctr.c_multi_commits 1;
-      Metrics.add s.ctr.c_multi_commit_shards (List.length parts);
-      Trace.end_span "tinca.xcommit"
-    end
-
-  (* Paging applies its write-set at commit: pin every existing version
-     (admission must not evict a block the transaction remaps), admit
-     every region's share all-or-nothing, COW every write in first-write
-     order, or unwind it all under one fence. *)
-  let commit_pages s ~cause regions writes =
-    let groups = groups s (List.map fst writes) in
-    let multi = List.length groups > 1 in
-    let on_lane i f = if multi then exec s i f else f () in
-    let pins v = List.iter (fun (b, _) -> Paging.pin regions.(shard_of s b) b v) writes in
-    pins true;
-    if not (List.for_all (fun (i, blocks) -> on_lane i (fun () -> Paging.admit regions.(i) blocks)) groups)
-    then begin
-      pins false;
-      raise Cache.Transaction_too_large
+    List.iter (fun p -> step names.publish p publish_share) shares;
+    if not (group && !fault = Some `Drop_durable_notify) then begin
+      if multi then cross_shard names.seal (fun () -> write_seal s mask);
+      (* A region whose commit point left nothing to fence (logging) is
+         durable at once and retires in the same step; the others retire
+         after the union fence and the seal clear, at one [now]. *)
+      let unfenced =
+        List.filter_map
+          (fun ((i, _) as p) ->
+            step names.commit p (fun share ->
+                match commit_share ~cause share with
+                | [] ->
+                    retire_share ~now:(Clock.now_ns s.clock) share;
+                    None
+                | ranges -> Some ((i, ranges), p)))
+          shares
+      in
+      fence_union s ~multi (List.map fst unfenced);
+      if multi then cross_shard names.clear (fun () -> clear_seal s);
+      let now = Clock.now_ns s.clock in
+      List.iter (fun (_, p) -> step names.commit p (retire_share ~now)) unfenced;
+      if group then begin
+        Metrics.add s.ctr.c_group_commits 1;
+        Metrics.add s.ctr.c_group_commit_txns (List.length handles)
+      end
+      else if multi then begin
+        Metrics.add s.ctr.c_multi_commits 1;
+        Metrics.add s.ctr.c_multi_commit_shards (List.length shares)
+      end
     end;
-    let staged = ref [] in
-    (try
-       List.iter
-         (fun (b, data) ->
-           let i = shard_of s b in
-           staged := (i, on_lane i (fun () -> Paging.stage regions.(i) b data)) :: !staged)
-         writes
-     with Cache.Transaction_too_large ->
-       fence s.pmem (List.concat_map (fun (i, st) -> Paging.unstage regions.(i) st) !staged);
-       pins false;
-       raise Cache.Transaction_too_large);
-    commit_regions s ~cause
-      (List.map
-         (fun (i, _) ->
-           ( i,
-             Page_part
-               (regions.(i), List.rev (List.filter_map (fun (j, st) -> if j = i then Some st else None) !staged)) ))
-         groups)
+    List.iter (fun h -> h.state <- Finished) handles;
+    close_whole ()
 
   let commit ?(cause = Flight.Sync) h =
     if h.state <> Running then invalid_arg "Tinca.Shard.Txn.commit: transaction not running";
-    h.state <- Finished;
-    match h.s.regions with
-    | Log _ -> (
-        match List.rev h.subs with
-        | [] -> Metrics.add h.s.ctr.c_commits 1
-        | [ (i, sub) ] ->
-            (* Single-shard fast path: the plain §4.4 commit, operation
-               for operation the unsharded cache — no seal, no extra
-               fences.  This is what makes N=1 reproduce single-ring
-               numbers exactly. *)
-            exec h.s i (fun () -> Cache.Txn.commit sub)
-        | subs -> commit_regions h.s ~cause (List.map (fun (i, sub) -> (i, Log_part sub)) subs))
-    | Page regions -> (
-        let writes = List.rev_map (fun b -> (b, Hashtbl.find h.writes b)) h.order in
-        match groups h.s (List.map fst writes) with
-        | [] -> ()
-        | [ (i, _) ] -> exec h.s i (fun () -> commit_pages h.s ~cause regions writes)
-        | _ -> commit_pages h.s ~cause regions writes)
+    if h.subs <> [] || h.order <> [] then drive ~cause ~group:false [ h ]
+    else begin
+      h.state <- Finished;
+      match h.s.regions with Log _ -> Metrics.add h.s.ctr.c_commits 1 | Page _ -> ()
+    end
 
   let abort h =
     match h.state with
@@ -737,40 +831,28 @@ module Txn = struct
   (* --- group commit (async commit; logging only) ------------------------ *)
 
   (* [seal h] volatilely applies the whole transaction on every shard it
-     touches (Cache.Txn.seal: admission, COW data stores, entry swings,
-     ring-slot staging — no flush, no fence).  The facade's group
-     committer later drains many sealed transactions with one
-     [commit_group].  A capacity rejection on any shard unwinds the
-     already-sealed sub-commits ([Cache.Txn.unseal]; their staged slots
-     are the newest on their shards' rings because the facade seals
-     transactions one at a time) and aborts the not-yet-sealed ones —
-     all-or-nothing in the failure direction. *)
+     touches (Cache.Txn.seal: admission, allocation, COW data and entry
+     stores, a slot reservation — no flush, no fence); the facade's group
+     committer later drains many sealed transactions with one [drain].
+     The facade seals transactions one at a time, so an unwound seal's
+     reservations are the newest on their rings. *)
   let seal h =
     ignore (log_caches ~who:"Tinca.Shard.Txn.seal" h.s);
     if h.state <> Running then invalid_arg "Tinca.Shard.Txn.seal: transaction not running";
-    let subs = List.rev h.subs in
-    if subs = [] then invalid_arg "Tinca.Shard.Txn.seal: empty transaction";
-    let nsealed = ref 0 in
-    (try
-       List.iter
-         (fun (i, sub) ->
-           exec h.s i (fun () -> Cache.Txn.seal sub);
-           incr nsealed)
-         subs
-     with Cache.Transaction_too_large ->
-       (* The rejecting sub-handle finished itself; earlier subs are
-          sealed (unseal revokes their volatile staging), later ones
-          still running (abort just drops them). *)
-       List.iteri
-         (fun k (i, sub) ->
-           if k < !nsealed then exec h.s i (fun () -> Cache.Txn.unseal sub)
-           else if k > !nsealed then exec h.s i (fun () -> Cache.Txn.abort sub))
-         subs;
-       h.state <- Finished;
-       raise Cache.Transaction_too_large);
-    h.state <- Sealed
+    if h.subs = [] then invalid_arg "Tinca.Shard.Txn.seal: empty transaction";
+    seal_all h
+  [@@pmem.defer "a seal is volatile by contract; see [seal_all]"]
 
-  let shard_mask h = List.fold_left (fun m (i, _) -> m lor (1 lsl i)) 0 h.subs
+  let drain ?(cause = Flight.Barrier) handles =
+    match handles with
+    | [] -> ()
+    | h0 :: _ ->
+        List.iter
+          (fun h ->
+            if h.state <> Sealed then invalid_arg "Tinca.Shard.Txn.drain: transaction not sealed";
+            if h.s != h0.s then invalid_arg "Tinca.Shard.Txn.drain: mixed shard sets")
+          handles;
+        drive ~cause ~group:true handles
 
   (* Tag every sub-handle with the facade's durable-notification ticket
      id, so each shard's [Txn_seal] flight record names it. *)
@@ -787,81 +869,6 @@ let write_direct t blkno data =
       let h = Txn.init t in
       Txn.add h blkno data;
       Txn.commit ~cause:Flight.Barrier h
-
-(* One durability sequence for a whole batch of sealed transactions —
-   the group-commit analogue of [Txn.commit_regions] (logging only):
-
-   Flush    each touched shard runs stages A–B plus its single Head
-            advance over ALL its member sub-commits
-            (Cache.Txn.flush_sealed): two fences and one Head persist
-            per shard, however many transactions the batch holds.  A
-            crash before a shard's Head advance revokes its
-            sub-commits via the log-role entry scan; after, via the
-            ring range — and with no seal yet, every other shard rolls
-            back too, so the batch disappears as one unit.
-   Seal     when the batch touches >= 2 shards, one cross-shard commit
-            record over the union mask, persisted after all Heads —
-            from here recovery rolls the entire batch forward on every
-            shard instead.  Single-shard batches need no seal: their
-            one Head persist is already the all-or-nothing pivot.
-   Finalize each shard retires its members with one batched role
-            switch and one Tail persist (Cache.Txn.finalize_sealed),
-            then the seal (if any) retires.
-
-   Under the planted [`Drop_durable_notify] fault the batch is
-   published but neither sealed nor finalized — the lost-ack bug the
-   crash sweep must catch (the caller still acknowledges durability). *)
-let commit_group ?(cause = Flight.Barrier) s handles =
-  match handles with
-  | [] -> ()
-  | handles ->
-      List.iter
-        (fun h ->
-          if h.Txn.state <> Txn.Sealed then
-            invalid_arg "Tinca.Shard.commit_group: transaction not sealed";
-          if h.Txn.s != s then invalid_arg "Tinca.Shard.commit_group: mixed shard sets")
-        handles;
-      let groups = Array.make (nshards s) [] in
-      List.iter
-        (fun h ->
-          List.iter (fun (i, sub) -> groups.(i) <- sub :: groups.(i)) (List.rev h.Txn.subs))
-        handles;
-      let group i = List.rev groups.(i) in
-      let touched = List.filter (fun i -> groups.(i) <> []) (List.init (nshards s) Fun.id) in
-      let mask = List.fold_left (fun m h -> m lor Txn.shard_mask h) 0 handles in
-      let multi = List.length touched > 1 in
-      List.iter
-        (fun i ->
-          Trace.begin_span ~clock:s.clock "tinca.gcommit.flush";
-          Trace.attr "shard" (string_of_int i);
-          exec s i (fun () -> Cache.Txn.flush_sealed ~cause (group i));
-          Trace.end_span "tinca.gcommit.flush")
-        touched;
-      barrier s;
-      if !fault = Some `Drop_durable_notify then
-        List.iter (fun h -> h.Txn.state <- Txn.Finished) handles
-      else begin
-        if multi then begin
-          Trace.begin_span ~clock:s.clock "tinca.gcommit.seal";
-          exec_global s (fun () -> write_seal s mask);
-          Trace.end_span "tinca.gcommit.seal"
-        end;
-        List.iter
-          (fun i ->
-            Trace.begin_span ~clock:s.clock "tinca.gcommit.finalize";
-            Trace.attr "shard" (string_of_int i);
-            exec s i (fun () -> Cache.Txn.finalize_sealed (group i));
-            Trace.end_span "tinca.gcommit.finalize")
-          touched;
-        if multi then begin
-          Trace.begin_span ~clock:s.clock "tinca.gcommit.retire";
-          exec_global s (fun () -> clear_seal s);
-          Trace.end_span "tinca.gcommit.retire"
-        end;
-        List.iter (fun h -> h.Txn.state <- Txn.Finished) handles;
-        Metrics.add s.ctr.c_group_commits 1;
-        Metrics.add s.ctr.c_group_commit_txns (List.length handles)
-      end
 
 (* --- stats -------------------------------------------------------------- *)
 

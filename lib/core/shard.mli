@@ -10,12 +10,15 @@
     writes by region, the order of the commit steps, the lane model, and
     the per-shard stats, wear and invariant loops.
 
-    A transaction touching several regions commits in two phases: every
-    region stages its share, (logging) advances its Head, then one
-    atomic {e cross-shard commit record} (the "seal") is persisted, every
-    region passes its commit point and the seal retires.  Each region
-    step returns the flush ranges it leaves unfenced and this layer
-    fences their union once; logging's steps fence internally.  Recovery
+    One driver commits a transaction or a group-commit batch through
+    every region's contract (seal, drain, retire): every region stages
+    its share, (logging) advances its Head, then — when several regions
+    are touched — one atomic {e cross-shard commit record} (the "seal")
+    is persisted, every region passes its commit point, the seal clears
+    and every region retires the commit (logging right after its own
+    commit point).  Each paging step
+    returns the flush ranges it leaves unfenced and this layer fences
+    their union once; logging's steps fence internally.  Recovery
     is all-or-nothing across regions: a durable seal rolls the
     transaction {e forward} on every region in its mask, an absent one
     rolls every region {e back}.  With one shard there is no header, no
@@ -108,36 +111,39 @@ module Txn : sig
 
   val block_count : handle -> int
 
-  (** Commit: logging's single-shard fast path ({!Cache.Txn.commit}), or
-      the two-phase publish, sealed when several shards are touched.
+  (** Commit: a drain of one, sealed here — see {!drain} for the steps;
+      the seal word and its clear only when several shards are touched.
       Raises {!Cache.Transaction_too_large}, all-or-nothing, if any
-      region rejects its share.  [cause] (default [Sync]) labels
-      paging's flight records. *)
+      region rejects its share.  [cause] (default [Sync]) labels paging's
+      flight records. *)
   val commit : ?cause:Tinca_obs.Flight.cause -> handle -> unit
 
   val abort : handle -> unit
 
   (** Volatilely seal the whole transaction on every shard it touches
-      ({!Cache.Txn.seal}: no flush, no fence) for {!commit_group};
-      nothing of it survives a crash before then.  Raises
+      ({!Cache.Txn.seal}: admission, allocation and stores, a slot
+      reservation, no flush, no fence) for a later {!drain}; nothing of
+      it survives a crash before then.  Raises
       {!Cache.Transaction_too_large} (all-or-nothing) and
       [Invalid_argument] on an empty or non-running transaction, or on
       paging media. *)
   val seal : handle -> unit
 
+  (** The one commit driver over a batch of sealed transactions (the
+      async group commit; logging only): every touched region stages and
+      fences its share (one stage-A and one slot fence per shard), then
+      advances its Head once; one seal word over the union mask when the
+      batch spans >= 2 shards; then per shard one batched role switch,
+      one Tail persist and the members' retirement (bookkeeping,
+      cleaner); the seal clears last.  A batch is atomic under crash.
+      [cause] (default [Barrier]) labels the drain in the flight
+      recorder. *)
+  val drain : ?cause:Tinca_obs.Flight.cause -> handle list -> unit
+
   (** Tag every sub-handle with the facade's durable-notification
       ticket id before {!seal} (see {!Cache.Txn.set_flight_ticket}). *)
   val set_flight_ticket : handle -> int -> unit
 end
-
-(** One durability sequence for a whole batch of sealed transactions
-    (the async group commit; logging only): per touched shard
-    one stage-A and one slot flush+fence and a single Head advance, one
-    seal over the union mask when the batch spans >= 2 shards, then per
-    shard one batched role switch and one Tail persist.  A batch is
-    atomic under crash.  [cause] (default [Barrier]) labels the drain in
-    the flight recorder. *)
-val commit_group : ?cause:Tinca_obs.Flight.cause -> t -> Txn.handle list -> unit
 
 (** {1 Parallel-throughput model}
 
@@ -193,7 +199,7 @@ val check_invariants : t -> unit
     [set_fault (Some `Skip_seal)] suppresses the cross-shard commit
     record, recreating the bug class the seal prevents (a crash between
     two shards' finalize steps exposes a partial multi-shard commit).
-    [set_fault (Some `Drop_durable_notify)] makes {!commit_group}
+    [set_fault (Some `Drop_durable_notify)] makes {!Txn.drain}
     publish a batch but skip its seal and finalize steps while the
     facade still acknowledges durability — a crash before the next
     commit point then revokes acknowledged transactions (the lost-ack

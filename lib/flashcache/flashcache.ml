@@ -318,6 +318,9 @@ let write t blkno data =
   touch t slot;
   update_slot_metadata t slot;
   clean_set t (slot / t.cfg.associativity)
+[@@pmem.defer
+  "flush_writes=false deliberately models the paper's crash-unsafe no-flush baseline (§3.2); \
+   with flush_writes=true every path persists"]
 
 let read t blkno =
   charge_op t;
@@ -336,6 +339,9 @@ let read t blkno =
       touch t slot;
       update_slot_metadata t slot;
       data
+[@@pmem.defer
+  "flush_writes=false deliberately models the paper's crash-unsafe no-flush baseline (§3.2); \
+   with flush_writes=true every path persists"]
 
 let flush_all t =
   for slot = 0 to t.nslots - 1 do
@@ -345,6 +351,9 @@ let flush_all t =
       update_slot_metadata t slot
     end
   done
+[@@pmem.defer
+  "flush_writes=false deliberately models the paper's crash-unsafe no-flush baseline (§3.2); \
+   with flush_writes=true every path persists"]
 
 let contains t blkno = lookup t blkno <> None
 

@@ -16,7 +16,7 @@
       write-backs and simulated ns per commit — to the artifact's
       printed precision.  With one shard the scheduler degenerates to
       the plain Cache commit (no seal, no extra fences), so any drift
-      here is a regression in the sharding layer's fast path.
+      here is a regression in the sharding layer's single-shard drain.
 
    `tinca_check gate shard` runs the pin (plus a scaling sanity check)
    after the sharded crash-space sweep and psan. *)

@@ -63,13 +63,22 @@ let run ~root =
   let sources = scan_dir (Filename.concat root "lib") |> List.map (relativize ~root) in
   let ml_files = List.filter (fun f -> Filename.check_suffix f ".ml") sources in
   let mli_files = List.filter (fun f -> Filename.check_suffix f ".mli") sources in
+  let parsed =
+    List.map (fun file -> (file, parse_string ~file (read_file (Filename.concat root file)))) ml_files
+  in
+  let core =
+    Rules.core_summaries
+      (List.filter_map (function file, Ok str -> Some (file, str) | _, Error _ -> None) parsed)
+  in
   let findings, deferred, errors =
     List.fold_left
-      (fun (fs, ds, es) file ->
-        match check_string ~file (read_file (Filename.concat root file)) with
-        | Ok (f, d) -> (fs @ f, ds @ d, es)
+      (fun (fs, ds, es) (file, parsed) ->
+        match parsed with
+        | Ok str ->
+            let f, d = Rules.check_impl ~core ~file str in
+            (fs @ f, ds @ d, es)
         | Error msg -> (fs, ds, es @ [ (file, msg) ]))
-      ([], [], []) ml_files
+      ([], [], []) parsed
   in
   let findings = findings @ Rules.r5 ~ml_files ~mli_files in
   { files = ml_files; findings; deferred; errors }

@@ -279,8 +279,8 @@ let expr_findings ~file str =
 
 (* --- R3: fence discipline ----------------------------------------------- *)
 
-(* Intraprocedural, syntactic: walk each toplevel function body tracking
-   a three-point persistence state —
+(* Syntactic, following calls: walk each toplevel function body
+   tracking a persistence state —
 
      Clean    no unpersisted pmem mutation on this path
      Dirty    a mutation with no subsequent flush
@@ -289,21 +289,33 @@ let expr_findings ~file str =
    joined across branches worst-first (Dirty > Flushed > Clean).
    [Pmem.persist] returns to Clean (its sfence also orders any earlier
    flushes); a lone [sfence] only clears Flushed (it does not write back
-   unflushed lines).  Approximations: a lambda's body is accounted where
-   the lambda appears (right for the [List.iter (fun ...) ...; fence]
-   idiom); loops join {0, 1} executions; a path ending in
-   raise/failwith/invalid_arg is exempt.  A function that exits non-Clean
-   needs [@@pmem.defer "why"], and every such deferral is reported. *)
+   unflushed lines).  A call counts by its callee's summary (see
+   [summarize] and [level1]): calling a function that carries
+   [@@pmem.defer] is a mutation, calling one that persists on every path
+   is a persist.
+   Approximations: a lambda's body is accounted where the lambda appears
+   (right for the [List.iter (fun ...) ...; fence] idiom); loops join
+   {0, 1} executions; a path ending in raise/failwith/invalid_arg is
+   exempt.  A function that exits non-Clean needs [@@pmem.defer "why"],
+   and every such deferral is reported.
 
-type pstate = Clean | Flushed | Dirty
+   Two more states serve the summaries only: [Entered] is "dirty on
+   entry, not yet touched by this body" (a path that leaves it so does
+   nothing to the caller's writes), [Never] a path that does not return
+   (raise), so it constrains nothing. *)
 
-let pstate_name = function Clean -> "clean" | Flushed -> "flushed-unfenced" | Dirty -> "unflushed"
+type pstate = Never | Entered | Clean | Flushed | Dirty
 
-let join a b =
-  match (a, b) with
-  | Dirty, _ | _, Dirty -> Dirty
-  | Flushed, _ | _, Flushed -> Flushed
-  | Clean, Clean -> Clean
+let pstate_name = function
+  | Never | Entered | Clean -> "clean"
+  | Flushed -> "flushed-unfenced"
+  | Dirty -> "unflushed"
+
+let rank = function Never -> 0 | Entered -> 1 | Clean -> 2 | Flushed -> 3 | Dirty -> 4
+let join a b = if rank a >= rank b then a else b
+
+(* What a call does to the caller's state. *)
+type summary = Defers | Persists
 
 let is_raise_path = function
   | [ "raise" ] | [ "raise_notrace" ] | [ "failwith" ] | [ "invalid_arg" ]
@@ -311,82 +323,87 @@ let is_raise_path = function
       true
   | _ -> false
 
-let rec eval st e =
-  match e.pexp_desc with
-  | Pexp_ident _ | Pexp_constant _ | Pexp_extension _ | Pexp_pack _ | Pexp_object _ | Pexp_new _
-  | Pexp_unreachable ->
-      st
-  | Pexp_let (_, vbs, body) ->
-      let st = List.fold_left (fun st vb -> eval st vb.pvb_expr) st vbs in
-      eval st body
-  | Pexp_fun (_, default, _, body) ->
-      let st = match default with Some d -> eval st d | None -> st in
-      eval st body
-  | Pexp_function cases -> eval_cases st cases
-  | Pexp_apply (f, args) ->
-      if (match ident_path f with Some p -> is_raise_path p | None -> false) then Clean
-      else
-        let st = eval st f in
-        let st = List.fold_left (fun st (_, a) -> eval st a) st args in (
-        match ident_path f with
-        | Some p -> (
-            match pmem_op_of_path p with
-            | Some (_, Mutate) -> Dirty
-            | Some (_, Flush) -> ( match st with Dirty -> Flushed | s -> s)
-            | Some (_, Fence) -> ( match st with Flushed -> Clean | s -> s)
-            | Some (_, Persist_op) -> Clean
-            | None -> st)
-        | None -> st)
-  | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) -> eval_cases (eval st scrut) cases
-  | Pexp_tuple es | Pexp_array es -> List.fold_left eval st es
-  | Pexp_construct (_, arg) | Pexp_variant (_, arg) -> (
-      match arg with Some a -> eval st a | None -> st)
-  | Pexp_record (fields, base) ->
-      let st = match base with Some b -> eval st b | None -> st in
-      List.fold_left (fun st (_, fe) -> eval st fe) st fields
-  | Pexp_field (e, _) -> eval st e
-  | Pexp_setfield (a, _, b) -> eval (eval st a) b
-  | Pexp_ifthenelse (c, t, e) ->
-      let st = eval st c in
-      join (eval st t) (match e with Some e -> eval st e | None -> st)
-  | Pexp_sequence (a, b) -> eval (eval st a) b
-  | Pexp_while (c, body) ->
-      let st = eval st c in
-      join st (eval st body)
-  | Pexp_for (_, lo, hi, _, body) ->
-      let st = eval (eval st lo) hi in
-      join st (eval st body)
-  | Pexp_constraint (e, _)
-  | Pexp_coerce (e, _, _)
-  | Pexp_poly (e, _)
-  | Pexp_newtype (_, e)
-  | Pexp_open (_, e)
-  | Pexp_letmodule (_, _, e)
-  | Pexp_letexception (_, e)
-  | Pexp_lazy e
-  | Pexp_send (e, _)
-  | Pexp_setinstvar (_, e) ->
-      eval st e
-  | Pexp_assert e -> (
-      match e.pexp_desc with
-      | Pexp_construct ({ Location.txt = Lident "false"; _ }, None) -> Clean
-      | _ -> eval st e)
-  | Pexp_override fields -> List.fold_left (fun st (_, fe) -> eval st fe) st fields
-  | Pexp_letop { let_; ands; body } ->
-      let st = eval st let_.pbop_exp in
-      let st = List.fold_left (fun st a -> eval st a.pbop_exp) st ands in
-      eval st body
+let eval ~calls st e =
+  let rec eval st e =
+    match e.pexp_desc with
+    | Pexp_ident _ | Pexp_constant _ | Pexp_extension _ | Pexp_pack _ | Pexp_object _ | Pexp_new _
+    | Pexp_unreachable ->
+        st
+    | Pexp_let (_, vbs, body) ->
+        let st = List.fold_left (fun st vb -> eval st vb.pvb_expr) st vbs in
+        eval st body
+    | Pexp_fun (_, default, _, body) ->
+        let st = match default with Some d -> eval st d | None -> st in
+        eval st body
+    | Pexp_function cases -> eval_cases st cases
+    | Pexp_apply (f, args) ->
+        if (match ident_path f with Some p -> is_raise_path p | None -> false) then Never
+        else
+          let st = eval st f in
+          let st = List.fold_left (fun st (_, a) -> eval st a) st args in (
+          match ident_path f with
+          | Some p -> (
+              match pmem_op_of_path p with
+              | Some (_, Mutate) -> Dirty
+              | Some (_, Flush) -> ( match st with Dirty | Entered -> Flushed | s -> s)
+              | Some (_, Fence) -> ( match st with Flushed -> Clean | s -> s)
+              | Some (_, Persist_op) -> Clean
+              | None -> (
+                  match calls p with Some Defers -> Dirty | Some Persists -> Clean | None -> st))
+          | None -> st)
+    | Pexp_match (scrut, cases) -> eval_cases (eval st scrut) cases
+    | Pexp_try (body, cases) ->
+        (* The body's normal exit, or a handler entered at its end. *)
+        let st = eval st body in
+        join st (eval_cases st cases)
+    | Pexp_tuple es | Pexp_array es -> List.fold_left eval st es
+    | Pexp_construct (_, arg) | Pexp_variant (_, arg) -> (
+        match arg with Some a -> eval st a | None -> st)
+    | Pexp_record (fields, base) ->
+        let st = match base with Some b -> eval st b | None -> st in
+        List.fold_left (fun st (_, fe) -> eval st fe) st fields
+    | Pexp_field (e, _) -> eval st e
+    | Pexp_setfield (a, _, b) -> eval (eval st a) b
+    | Pexp_ifthenelse (c, t, e) ->
+        let st = eval st c in
+        join (eval st t) (match e with Some e -> eval st e | None -> st)
+    | Pexp_sequence (a, b) -> eval (eval st a) b
+    | Pexp_while (c, body) ->
+        let st = eval st c in
+        join st (eval st body)
+    | Pexp_for (_, lo, hi, _, body) ->
+        let st = eval (eval st lo) hi in
+        join st (eval st body)
+    | Pexp_constraint (e, _)
+    | Pexp_coerce (e, _, _)
+    | Pexp_poly (e, _)
+    | Pexp_newtype (_, e)
+    | Pexp_open (_, e)
+    | Pexp_letmodule (_, _, e)
+    | Pexp_letexception (_, e)
+    | Pexp_lazy e
+    | Pexp_send (e, _)
+    | Pexp_setinstvar (_, e) ->
+        eval st e
+    | Pexp_assert e -> (
+        match e.pexp_desc with
+        | Pexp_construct ({ Location.txt = Lident "false"; _ }, None) -> Never
+        | _ -> eval st e)
+    | Pexp_override fields -> List.fold_left (fun st (_, fe) -> eval st fe) st fields
+    | Pexp_letop { let_; ands; body } ->
+        let st = eval st let_.pbop_exp in
+        let st = List.fold_left (fun st a -> eval st a.pbop_exp) st ands in
+        eval st body
 
-and eval_cases st cases =
-  match cases with
-  | [] -> st
-  | _ ->
-      List.map
-        (fun c ->
-          let st = match c.pc_guard with Some g -> eval st g | None -> st in
-          eval st c.pc_rhs)
-        cases
-      |> List.fold_left join Clean
+  and eval_cases st cases =
+    List.fold_left
+      (fun acc c ->
+        let st = match c.pc_guard with Some g -> eval st g | None -> st in
+        join acc (eval st c.pc_rhs))
+      (if cases = [] then st else Never)
+      cases
+  in
+  eval st e
 
 let defer_attr attrs =
   List.find_map
@@ -402,17 +419,87 @@ let defer_attr attrs =
       else None)
     attrs
 
-let r3 ~file str =
+(* --- R3's call summaries ------------------------------------------------- *)
+
+(* A binding's summary: [Defers] when it carries [@@pmem.defer];
+   [Persists] when every path that touches pmem, entered with unflushed
+   writes, ends clean — a fence helper's shape. *)
+let summarize ~calls vb =
+  if defer_attr vb.pvb_attributes <> None then Some Defers
+  else if eval ~calls Entered vb.pvb_expr = Clean then Some Persists
+  else None
+
+(* Every toplevel binding with the module path it sits under. *)
+let rec bindings path str =
+  List.concat_map
+    (fun item ->
+      match item.pstr_desc with
+      | Pstr_value (_, vbs) -> List.map (fun vb -> (path, vb)) vbs
+      | Pstr_module { pmb_name = { Location.txt = Some m; _ }; pmb_expr; _ } ->
+          mod_bindings (path @ [ m ]) pmb_expr
+      | Pstr_include { pincl_mod; _ } -> mod_bindings path pincl_mod
+      | _ -> [])
+    str
+
+and mod_bindings path me =
+  match me.pmod_desc with
+  | Pmod_structure s -> bindings path s
+  | Pmod_constraint (me, _) | Pmod_functor (_, me) -> mod_bindings path me
+  | _ -> []
+
+type table = (string list, summary) Hashtbl.t
+type summaries = { core0 : table; core1 : table }
+
+let rec suffixes = function [] -> [] | _ :: tl as l -> l :: suffixes tl
+let lookup tables p = List.find_map (fun t -> Hashtbl.find_opt t p) tables
+
+(* [file]'s summaries, keyed as calls inside the file name a binding (any
+   suffix of its module path) or, [qualified], as other files name a
+   lib/core binding (its module, with or without the library). *)
+let summaries_of ~calls ~qualified ~file str : table =
+  let m = String.capitalize_ascii (Filename.remove_extension (Filename.basename file)) in
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (path, vb) ->
+      match summarize ~calls vb with
+      | None -> ()
+      | Some sm ->
+          let key = path @ [ binding_name vb ] in
+          List.iter
+            (fun k -> Hashtbl.replace tbl k sm)
+            (if qualified then [ m :: key; "Tinca_core" :: m :: key ] else suffixes key))
+    (bindings [] str);
+  tbl
+
+(* Summaries one call level deep: a body's own pmem operations, and its
+   calls by their callees' own operations. *)
+let level1 ~core0 ~qualified ~file str =
+  let own0 = summaries_of ~calls:(fun _ -> None) ~qualified:false ~file str in
+  summaries_of ~calls:(lookup [ own0; core0 ]) ~qualified ~file str
+
+let core_summaries files =
+  let core = List.filter (fun (file, _) -> under "lib/core/" file) files in
+  let merge f =
+    let tbl = Hashtbl.create 256 in
+    List.iter (fun (file, str) -> Hashtbl.replace_seq tbl (Hashtbl.to_seq (f ~file str))) core;
+    tbl
+  in
+  let core0 = merge (summaries_of ~calls:(fun _ -> None) ~qualified:true) in
+  { core0; core1 = merge (level1 ~core0 ~qualified:true) }
+
+let r3 ~core ~file str =
   if not (r3_applies file) then ([], [])
   else begin
+    let own = level1 ~core0:core.core0 ~qualified:false ~file str in
+    let calls = lookup [ own; core.core1 ] in
     let findings = ref [] and deferred = ref [] in
     walk_bindings str ~on_vb:(fun vb ->
         let fn = binding_name vb in
         let line = line_of_loc vb.pvb_loc in
-        let st = eval Clean vb.pvb_expr in
+        let st = match eval ~calls Clean vb.pvb_expr with Never | Entered -> Clean | s -> s in
         match (st, defer_attr vb.pvb_attributes) with
-        | Clean, None -> ()
-        | Clean, Some _ ->
+        | (Never | Entered | Clean), None -> ()
+        | (Never | Entered | Clean), Some _ ->
             findings :=
               {
                 rule = R3;
@@ -482,8 +569,11 @@ let r5 ~ml_files ~mli_files =
 
 (* --- per-file entry point ----------------------------------------------- *)
 
-let check_impl ~file str =
+let check_impl ?core ~file str =
+  let core =
+    match core with Some c -> c | None -> { core0 = Hashtbl.create 1; core1 = Hashtbl.create 1 }
+  in
   let f1 = r1 ~file str in
   let f24 = expr_findings ~file str in
-  let f3, deferred = r3 ~file str in
+  let f3, deferred = r3 ~core ~file str in
   (f1 @ f24 @ f3, deferred)

@@ -16,7 +16,12 @@
     - {b R3 fence discipline} — per toplevel function of a pmem-touching
       module: any path that mutates pmem and falls off the end must
       reach flush + fence (or [persist]); otherwise the binding needs
-      [\[@@pmem.defer "why"\]], and every deferral is reported.
+      [\[@@pmem.defer "why"\]], and every deferral is reported.  Calls
+      count by the callee's summary: calling a function that carries the
+      attribute is a mutation, calling one that persists on every path
+      (a fence helper; judged from its own operations and its own calls'
+      summaries) is a persist — in the same file, and by qualified name
+      for lib/core functions.
     - {b R4 error discipline} — [Obj.magic] and catch-all
       [try ... with _ ->] everywhere; [failwith] / bare [assert false]
       additionally in [lib/core] + [lib/tinca.ml] (result discipline:
@@ -54,10 +59,19 @@ type deferred = {
     (directory prefixes). *)
 val pmem_allowlist : string list
 
+(** R3's call summaries of lib/core functions, by qualified name, from
+    [(repo-relative path, parsed implementation)] pairs; other paths are
+    ignored. *)
+type summaries
+
+val core_summaries : (string * Parsetree.structure) list -> summaries
+
 (** Run R1–R4 on one parsed implementation.  [file] must be the
-    repo-relative path (rule scoping switches on it).  Returns the
+    repo-relative path (rule scoping switches on it); [core] (default
+    empty) summarizes the lib/core functions it may call.  Returns the
     findings plus R3's deferred fence obligations. *)
-val check_impl : file:string -> Parsetree.structure -> finding list * deferred list
+val check_impl :
+  ?core:summaries -> file:string -> Parsetree.structure -> finding list * deferred list
 
 (** R5 over the scanned file lists (both repo-relative). *)
 val r5 : ml_files:string list -> mli_files:string list -> finding list

@@ -321,6 +321,7 @@ let recover ~pmem ~disk ~clock ~metrics =
       end;
       Ok t
   | exception Cache.Corrupt m -> Error (Unformatted m)
+[@@pmem.defer "recovery fences its own rewrites (see Shard.recover)"]
 
 (* The dossier from the last {!recover} on this handle, when the media
    carried a flight ring with any surviving or torn records. *)
@@ -377,10 +378,10 @@ let reset_lanes t = Shard.reset_lanes t.shard
 
 (* --- the group committer (async commit, ISSUE 8) ------------------------ *)
 
-(* Drain the pending batch: ONE Shard.commit_group over every sealed
+(* Drain the pending batch: ONE Shard.Txn.drain over every sealed
    transaction acknowledged since the last drain, then mark their
    tickets durable and fire their callbacks.  The batch is atomic under
-   crash (commit_group's contract), so the spec's crash candidates are
+   crash (the driver's contract), so the spec's crash candidates are
    exactly {without the batch, with the whole batch}.  The batch is only
    ever populated over the logging engine (validate rejects a group
    window under paging). *)
@@ -402,7 +403,7 @@ let flush_pending ?(cause = Flight.Barrier) t =
       Trace.attr "blocks"
         (string_of_int (List.fold_left (fun acc p -> acc + p.ticket.tk_blocks) 0 batch));
       let sf0 = Metrics.get t.metrics "pmem.sfence" in
-      Shard.commit_group ~cause t.shard (List.map (fun p -> p.ph) batch);
+      Shard.Txn.drain ~cause (List.map (fun p -> p.ph) batch);
       Trace.attr "sfences" (string_of_int (Metrics.get t.metrics "pmem.sfence" - sf0));
       Trace.end_span "tinca.group_commit";
       let now = Clock.now_ns t.clock in
@@ -489,7 +490,7 @@ let commit_sync t n publish =
    deadline has passed (checked on the next commit_async), the batch
    hits [group_max_batch], a new transaction conflicts with a pending
    one (same block — the per-block COW chain is one level deep), the
-   staged slots could overrun a ring, or someone awaits / syncs.
+   reserved slots could overrun a ring, or someone awaits / syncs.
 
    With [group_window_ns = 0] this IS the synchronous pipeline — the
    sealed path is never entered, so media traffic, fences and the
@@ -545,6 +546,9 @@ let commit_async txn =
       | exception Cache.Transaction_too_large -> Error Transaction_too_large
     end
   end
+[@@pmem.defer
+  "commit_async seals volatilely (Shard.Txn.seal); the group committer's drain fences the batch \
+   before any ticket is acknowledged durable"]
 
 let await tk =
   if not tk.durable then flush_pending ~cause:Flight.Await tk.t_owner;
@@ -561,6 +565,9 @@ let commit txn =
   match commit_async txn with
   | Error _ as e -> e
   | Ok tk -> await tk
+[@@pmem.defer
+  "await drains the sealed batch through Shard.Txn.drain, whose fences lie deeper than the one \
+   call level the lint follows"]
 
 let abort txn =
   if not txn.live then Error Txn_not_running
@@ -572,6 +579,7 @@ let abort txn =
 let read t blkno =
   if not (check_block t blkno) then Error (Block_out_of_range blkno)
   else Ok (Shard.read t.shard blkno)
+[@@pmem.defer "a read miss fills the cache volatilely (Shard.read)"]
 
 let write_direct t blkno data =
   if Bytes.length data <> t.block_size then
@@ -579,7 +587,7 @@ let write_direct t blkno data =
   else if not (check_block t blkno) then Error (Block_out_of_range blkno)
   else begin
     (* The direct write commits synchronously through the scheme;
-       drain the batch first so its staged slots stay newest. *)
+       drain the batch first so its reserved slots stay newest. *)
     flush_pending ~cause:Flight.Sync t;
     match Shard.write_direct t.shard blkno data with
     | () ->

@@ -451,6 +451,86 @@ let test_group_window0_equivalence () =
   Alcotest.(check (float 0.0)) "simulated cost identical" ns_sync ns_async;
   Alcotest.(check int) "sfence count identical" sf_sync sf_async
 
+(* A drain of one is a synchronous commit: one transaction committed
+   through commit_async under a group window and then awaited, and the
+   same transaction committed synchronously, store, flush and fence the
+   same lines.  So the media, the sfence count and the simulated clock
+   agree, and every crash state of either sweep is judged atomic.  On
+   one shard the order is the same too, so both sweeps explore the same
+   number of states.  On two, the synchronous commit seals and drains
+   shard by shard while a group member is sealed on every shard before
+   its drain, so the sweeps cut the same stores at different points.
+   No flight ring: its records differ by design (a seal record for the
+   ticket). *)
+let test_drain_of_one_is_sync () =
+  let module Check = Tinca_checker.Crash_check in
+  let first = [ 1; 2; 4 ] and txn = [ 1; 3; 4; 6; 9 ] in
+  let seen = List.sort_uniq compare (first @ txn) in
+  (* The three acknowledged images of [seen]: before, after the first
+     commit, after the transaction under test. *)
+  let image k b =
+    if k >= 2 && List.mem b txn then 'b' else if k >= 1 && List.mem b first then 'a' else '\000'
+  in
+  List.iter
+    (fun nshards ->
+      let cfg =
+        {
+          Check.default_config with
+          Check.nshards;
+          pmem_bytes = 512 * 1024;
+          universe = 32;
+          masks = Check.Capped 8;
+          stride = 3;
+        }
+      in
+      let driver ~window =
+        {
+          Check.fresh =
+            (fun env ->
+              let tc =
+                Tinca.ok_exn
+                  (Tinca.format
+                     ~config:{ (Check.tinca_config cfg) with Tinca.Config.group_window_ns = window }
+                     ~pmem:env.Check.pmem ~disk:env.Check.disk ~clock:env.Check.clock
+                     ~metrics:env.Check.metrics)
+              in
+              let staged blocks v =
+                let h = Tinca.init_txn tc in
+                List.iter (fun b -> Tinca.ok_exn (Tinca.write h b (Bytes.make 4096 v))) blocks;
+                h
+              in
+              let workload () =
+                Tinca.ok_exn (Tinca.commit (staged first 'a'));
+                let h = staged txn 'b' in
+                if window = 0 then Tinca.ok_exn (Tinca.commit h)
+                else Tinca.ok_exn (Tinca.await (Tinca.ok_exn (Tinca.commit_async h)))
+              in
+              let judge ~recrash:_ tc =
+                let got = List.map (fun b -> Bytes.get (Tinca.ok_exn (Tinca.read tc b)) 0) seen in
+                if List.exists (fun k -> got = List.map (image k) seen) [ 0; 1; 2 ] then Ok ()
+                else Error "a transaction recovered in part"
+              in
+              (workload, judge));
+        }
+      in
+      let run window =
+        let env = Check.run_crash_free (driver ~window) cfg in
+        let r = Check.explore ~driver:(driver ~window) cfg in
+        Alcotest.(check int) "no violations" 0 (List.length r.Check.violations);
+        ( Digest.to_hex (Pmem.media_digest env.Check.pmem),
+          Metrics.get env.Check.metrics "pmem.sfence",
+          Clock.now_ns env.Check.clock,
+          r.Check.states_checked )
+      in
+      let d_sync, sf_sync, ns_sync, st_sync = run 0 in
+      let d_async, sf_async, ns_async, st_async = run 1_000_000_000 in
+      let label what = Printf.sprintf "N=%d: %s" nshards what in
+      Alcotest.(check string) (label "media identical") d_sync d_async;
+      Alcotest.(check int) (label "sfences identical") sf_sync sf_async;
+      Alcotest.(check (float 0.0)) (label "simulated time identical") ns_sync ns_async;
+      if nshards = 1 then Alcotest.(check int) (label "crash states identical") st_sync st_async)
+    [ 1; 2 ]
+
 let test_writev_validates_before_writing () =
   let env = mk_env ~pmem_bytes:(64 * 1024) () in
   let p = env.pmem in
@@ -503,5 +583,6 @@ let suite =
           test_group_one_head_advance_per_batch;
         Alcotest.test_case "window=0 equals synchronous pipeline" `Quick
           test_group_window0_equivalence;
+        Alcotest.test_case "a drain of one is a synchronous commit" `Quick test_drain_of_one_is_sync;
       ] );
   ]

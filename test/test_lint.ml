@@ -222,6 +222,58 @@ let test_baseline_reconcile () =
   Alcotest.(check int) "fully covered run has no fresh findings" 0 (List.length fresh);
   Alcotest.(check int) "no stale entries when every entry matches" 0 (List.length stale)
 
+(* R3 follows calls one level deep: the commit driver's union fences are
+   calls to a fence helper, and the region steps before them call
+   functions that defer their fence.  On a scratch copy of lib/core,
+   dropping the driver's commit-point union fence must be flagged. *)
+let test_r3_driver_union_fence () =
+  (* From the test's build directory under [dune runtest], or the root. *)
+  let core = if Sys.file_exists "../lib/core/shard.ml" then "../lib/core" else "lib/core" in
+  let sources =
+    List.filter_map
+      (fun f ->
+        if Filename.check_suffix f ".ml" then
+          Some (f, In_channel.with_open_bin (Filename.concat core f) In_channel.input_all)
+        else None)
+      (Array.to_list (Sys.readdir core))
+  in
+  let fence = "      fence_union s ~multi (List.map fst unfenced);\n" in
+  let drop src =
+    let n = String.length fence in
+    let rec at i = if String.sub src i n = fence then i else at (i + 1) in
+    let i = at 0 in
+    String.sub src 0 i ^ String.sub src (i + n) (String.length src - i - n)
+  in
+  let flagged ~mutate =
+    let root = Filename.temp_dir "tinca_lint" "" in
+    let dir = Filename.concat (Filename.concat root "lib") "core" in
+    Sys.mkdir (Filename.concat root "lib") 0o755;
+    Sys.mkdir dir 0o755;
+    let paths =
+      List.map
+        (fun (f, src) ->
+          let path = Filename.concat dir f in
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc (if mutate && f = "shard.ml" then drop src else src));
+          path)
+        sources
+    in
+    let report =
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter Sys.remove paths;
+          Sys.rmdir dir;
+          Sys.rmdir (Filename.concat root "lib");
+          Sys.rmdir root)
+        (fun () -> Lint.run ~root)
+    in
+    List.exists
+      (fun (f : Rules.finding) -> f.rule = Rules.R3 && f.file = "lib/core/shard.ml" && f.token = "drive")
+      report.Lint.findings
+  in
+  Alcotest.(check bool) "the driver as written is clean" false (flagged ~mutate:false);
+  Alcotest.(check bool) "dropping its union fence is flagged" true (flagged ~mutate:true)
+
 (* --- R4 burn-down regressions ------------------------------------------- *)
 
 open Tinca_core
@@ -314,6 +366,7 @@ let suite =
         Alcotest.test_case "R2 planted violations caught" `Quick test_r2_fixture;
         Alcotest.test_case "R3 planted violations caught" `Quick test_r3_fixture;
         Alcotest.test_case "R3 scope exemptions" `Quick test_r3_scope;
+        Alcotest.test_case "R3 sees the driver's union fence" `Quick test_r3_driver_union_fence;
         Alcotest.test_case "R4 planted violations caught" `Quick test_r4_fixture;
         Alcotest.test_case "R5 uncovered module caught" `Quick test_r5_fixture;
       ] );
