@@ -366,7 +366,7 @@ let run_stats stack_name shards scheme flight_slots synth_ops read_pct =
         @ List.map
             (fun (site, n) -> ("redundant." ^ site, string_of_int n))
             r.Psan.redundant_by_site);
-      Procfs.section "latency"
+      Procfs.section "histograms"
         (List.map (fun (name, h) -> (name, Hist.to_string h)) (Metrics.hists env.Stacks.metrics));
       Procfs.section "counters"
         (List.map (fun (k, v) -> (k, string_of_int v)) (Metrics.to_list env.Stacks.metrics));

@@ -1108,7 +1108,7 @@ module Txn = struct
     end
     else begin
       Trace.begin_span ~clock:t.clock "tinca.commit";
-      Trace.attr "blocks" (string_of_int (block_count h));
+      Trace.attr_int "blocks" (block_count h);
       (try
          seal ~sync:true h;
          drain [ h ];

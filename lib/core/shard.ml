@@ -424,14 +424,11 @@ let media_magic pmem = Codec.get_u64 (Pmem.read pmem ~off:0 ~len:8) 0
    attaches; paging attaches every region (checked against shard 0's
    superblock) before any recovers, and retires the seal once all have
    adopted it.  Media without a directory is one plain region; garbage
-   fails the logging superblock check.
-
-   The magic is read twice, once to pick the engine and once to pick its
-   layout: one charged line that every pinned recovery time includes. *)
+   fails the logging superblock check. *)
 let recover ?(flight_replay = true) ~pmem ~disk ~clock ~metrics () =
-  let paging = List.mem (media_magic pmem) [ Paging.super_magic; page_dir_magic ] in
+  let m = media_magic pmem in
+  let paging = m = Paging.super_magic || m = page_dir_magic in
   let nshards, seal =
-    let m = media_magic pmem in
     if m = log_dir_magic || m = page_dir_magic then read_directory pmem else (1, 0)
   in
   if seal <> 0 then begin
@@ -737,14 +734,14 @@ module Txn = struct
     Option.iter
       (fun name ->
         Trace.begin_span ~clock:s.clock name;
-        if multi then Trace.attr "shards" (string_of_int (List.length shares))
-        else Trace.attr "blocks" (string_of_int (block_count (List.hd handles))))
+        if multi then Trace.attr_int "shards" (List.length shares)
+        else Trace.attr_int "blocks" (block_count (List.hd handles)))
       whole;
     let names = if group then gcommit else xcommit and spans = group || multi in
     let step name (i, share) f =
       if spans then begin
         Trace.begin_span ~clock:s.clock name;
-        Trace.attr "shard" (string_of_int i)
+        Trace.attr_int "shard" i
       end;
       let r = exec s i (fun () -> f share) in
       if spans then Trace.end_span name;

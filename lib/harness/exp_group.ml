@@ -18,7 +18,6 @@
 module Pmem = Tinca_pmem.Pmem
 module Disk = Tinca_blockdev.Disk
 module Tabular = Tinca_util.Tabular
-module Histogram = Tinca_util.Histogram
 open Tinca_sim
 
 let nvm_bytes = 8 * 1024 * 1024
@@ -86,8 +85,8 @@ let run_point ~streams ~window =
   let cfg = mq_config ~streams ~async:(window > 0) in
   let t0 = Clock.now_ns clock in
   let r = Mq_driver.run ~clock ~metrics cfg tc in
-  let ack = Tinca.group_ack_to_durable tc in
-  let pctl p = if Histogram.count ack = 0 then 0.0 else Histogram.percentile ack p in
+  let ack = Metrics.histogram metrics "tinca.group.ack_to_durable_ns" in
+  let pctl = Hist.percentile ack in
   {
     streams;
     window_ns = window;

@@ -117,16 +117,18 @@ let run () = [ proc_table (); lat_table (); flame_table () ]
 
 (* A traced 8-block-commit workload: the exported Chrome JSON validates
    against the trace_event schema, the per-span fence attribution meets
-   the persistence budget (stage B = 1 sfence, whole commit <= 6),
-   tracing does not perturb the simulation (identical simulated end
-   time), and the disabled-mode overhead stays under 2% of commit wall
-   time. *)
+   the persistence budget (stage B = 1 sfence, whole commit <= 6), a
+   span's counters are the registry's change over it, tracing does not
+   perturb the simulation (identical simulated end time), and the
+   disabled-mode overhead stays under 2% of commit wall time. *)
 
 let gate_commits = 16
 
 (* The test_budget environment: 1 MB device keeps 16 x 8-block commits
    free of evictions, so the budget is the pipeline's own fences.
-   Returns the simulated end time. *)
+   Traced, each commit runs inside a [gate.commit] span whose counters
+   are checked against the registry's change over it.  Returns the
+   simulated end time and the commits whose span disagreed. *)
 let run_commits ~traced =
   let module Cache = Tinca_core.Cache in
   let clock = Clock.create () in
@@ -135,24 +137,42 @@ let run_commits ~traced =
   let disk = Tinca_blockdev.Disk.create ~clock ~metrics ~kind:Latency.Ssd ~nblocks:256 ~block_size:4096 in
   if traced then begin
     Trace.enable ();
-    Trace.name_track clock "tinca"
+    Trace.name_track clock "tinca";
+    Trace.attach ~clock metrics
   end;
   let cache = Cache.format ~config:{ Cache.default_config with ring_slots = 128 } ~pmem ~disk ~clock ~metrics in
   let payload = Bytes.make 4096 'o' in
-  for c = 0 to gate_commits - 1 do
+  let commit c =
     let h = Cache.Txn.init cache in
     for b = 0 to 7 do
       Cache.Txn.add h ((c * 8) + b) payload
     done;
     Cache.Txn.commit h
+  in
+  let mismatched = ref [] in
+  for c = 0 to gate_commits - 1 do
+    if not traced then commit c
+    else begin
+      let snap = Metrics.snapshot metrics in
+      Trace.begin_span ~clock "gate.commit";
+      commit c;
+      Trace.end_span "gate.commit";
+      let delta =
+        List.filter (fun (k, _) -> List.mem k Trace.watched) (Metrics.diff metrics snap)
+      in
+      match List.rev (Trace.find_spans "gate.commit") with
+      | s :: _ when s.Trace.counters = delta && delta <> [] -> ()
+      | _ -> mismatched := c :: !mismatched
+    end
   done;
-  Clock.now_ns clock
+  (Clock.now_ns clock, List.rev !mismatched)
 
 type traced = {
   ns_untraced : float;
   ns_traced : float;
   stage_b : int list;  (** sfences per stage-B span *)
   commit : int list;  (** sfences per whole-commit span *)
+  mismatched : int list;  (** commits whose span counters differ from the registry's delta *)
   open_spans : int;
   unbalanced : int;
   spans_per_commit : float;
@@ -163,23 +183,25 @@ type traced = {
    private temp file, with tracing disabled and the file removed
    afterwards whatever happens. *)
 let traced_run () =
-  let ns_untraced = run_commits ~traced:false in
+  let ns_untraced, _ = run_commits ~traced:false in
   let path = Filename.temp_file "tinca_gate_obs" ".json" in
   Fun.protect
     ~finally:(fun () ->
       Trace.disable ();
       Sys.remove path)
     (fun () ->
-      let ns_traced = run_commits ~traced:true in
+      let ns_traced, mismatched = run_commits ~traced:true in
       let sfences name = List.map (fun s -> Trace.counter s "pmem.sfence") (Trace.find_spans name) in
       let stage_b = sfences "tinca.commit.stage_b" and commit = sfences "tinca.commit" in
       let open_spans = Trace.open_spans () and unbalanced = Trace.unbalanced () in
       let spans_per_commit =
-        float_of_int (List.length (Trace.completed ())) /. float_of_int gate_commits
+        let own = List.filter (fun s -> s.Trace.name <> "gate.commit") (Trace.completed ()) in
+        float_of_int (List.length own) /. float_of_int gate_commits
       in
       Trace.export_to_file path;
       let export = Tinca_obs.Jsonv.validate_trace_file path in
-      { ns_untraced; ns_traced; stage_b; commit; open_spans; unbalanced; spans_per_commit; export })
+      { ns_untraced; ns_traced; stage_b; commit; mismatched; open_spans; unbalanced;
+        spans_per_commit; export })
 
 (* Wall-clock benchmarks are flaky in CI, so the overhead gate is
    derived: (measured cost of a disabled begin/end pair) x (pairs a
@@ -226,6 +248,11 @@ let properties () =
     Gate.property "whole commit within 6-sfence budget" (fun () ->
         let l = (Lazy.force t).commit in
         (show l, l <> [] && List.for_all (fun n -> n <= 6) l));
+    Gate.property "span counters equal registry deltas" (fun () ->
+        let l = (Lazy.force t).mismatched in
+        ( (if l = [] then Printf.sprintf "%d of %d commits" gate_commits gate_commits
+           else "mismatched commits: " ^ show l),
+          l = [] ));
     Gate.property "all spans closed, none unbalanced" (fun () ->
         let t = Lazy.force t in
         (Printf.sprintf "open=%d unbalanced=%d" t.open_spans t.unbalanced, t.open_spans = 0 && t.unbalanced = 0));

@@ -9,7 +9,8 @@
 module Stacks = Tinca_stacks.Stacks
 module Filebench = Tinca_workloads.Filebench
 module Tabular = Tinca_util.Tabular
-module Histogram = Tinca_util.Histogram
+module Hist = Tinca_sim.Hist
+module Metrics = Tinca_sim.Metrics
 
 let nvm_bytes = 8 * 1024 * 1024
 
@@ -43,17 +44,18 @@ let fig13 () =
     List.map
       (fun p ->
         let m = run p in
-        let hist = Option.get (m.Runner.stack.Stacks.txn_size_histogram ()) in
+        let metrics = m.Runner.stack.Stacks.env.Stacks.metrics in
+        let hist = Option.get (Metrics.hist metrics "tinca.txn_blocks") in
         Tabular.add_row table
           [
             Filebench.personality_name p;
-            Tabular.cell_i (Histogram.count hist);
-            Tabular.cell_f (Histogram.mean hist);
-            Tabular.cell_f (Histogram.percentile hist 50.0);
-            Tabular.cell_f (Histogram.percentile hist 95.0);
-            Tabular.cell_f ~decimals:0 (Histogram.max_value hist);
+            Tabular.cell_i (Hist.count hist);
+            Tabular.cell_f (Hist.mean hist);
+            Tabular.cell_f (Hist.percentile hist 50.0);
+            Tabular.cell_f (Hist.percentile hist 95.0);
+            Tabular.cell_f ~decimals:0 (Hist.max_value hist);
           ];
-        (p, m, Histogram.mean hist))
+        (p, m, Hist.mean hist))
       [ Filebench.Fileserver; Filebench.Webproxy ]
   in
   (match footprints with

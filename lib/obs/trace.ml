@@ -1,4 +1,5 @@
 module Clock = Tinca_sim.Clock
+module Metrics = Tinca_sim.Metrics
 
 type done_span = {
   name : string;
@@ -11,6 +12,21 @@ type done_span = {
   counters : (string * int) list;
 }
 
+(* Sorted by name, so a span's nonzero deltas come out sorted. *)
+let watched =
+  [ "pmem.atomic_writes"; "pmem.clflush"; "pmem.clflush_writebacks"; "pmem.lines_dirtied";
+    "pmem.read_lines"; "pmem.sfence"; "pmem.store_lines" ]
+
+(* One clock's registration: its display name and the watched counter
+   handles of the registry paired with it ([||] when unpaired).  These
+   survive enable/disable: components register their clocks at
+   construction time, which may precede [enable]. *)
+type track = {
+  clock : Clock.t;
+  mutable label : string option;
+  mutable watch : Metrics.counter array;
+}
+
 type open_span = {
   sp_name : string;
   sp_tid : int;
@@ -18,7 +34,8 @@ type open_span = {
   sp_start : float;
   sp_depth : int;
   mutable sp_attrs : (string * string) list; (* reversed *)
-  mutable sp_counts : (string * int) list;
+  sp_watch : Metrics.counter array;
+  sp_base : int array; (* [sp_watch]'s values at open *)
   mutable sp_child_ns : float;
 }
 
@@ -35,14 +52,12 @@ type state = {
   mutable stack : open_span list; (* innermost first *)
   mutable dones : done_span list; (* newest first *)
   mutable unbalanced : int;
-  mutable clocks : (Clock.t * int) list; (* physical clock -> tid *)
+  mutable clocks : (track * int) list; (* clock's track -> tid *)
   mutable tid_names : (int * string) list;
   mutable next_tid : int;
 }
 
-(* Track display names survive enable/disable: components register their
-   clocks at construction time, which may precede [enable]. *)
-let registry : (Clock.t * string) list ref = ref []
+let registry : track list ref = ref []
 
 let st : state option ref = ref None
 
@@ -56,31 +71,29 @@ let enable () = st := Some (fresh ())
 let disable () = st := None
 let reset () = if enabled () then st := Some (fresh ())
 
-let name_track clock name =
-  registry := (clock, name) :: List.filter (fun (c, _) -> c != clock) !registry
+let track_of clock =
+  match List.find_opt (fun tr -> tr.clock == clock) !registry with
+  | Some tr -> tr
+  | None ->
+      let tr = { clock; label = None; watch = [||] } in
+      registry := tr :: !registry;
+      tr
 
-let registered_name clock =
-  let rec find = function
-    | [] -> None
-    | (c, n) :: _ when c == clock -> Some n
-    | _ :: rest -> find rest
-  in
-  find !registry
+let name_track clock name = (track_of clock).label <- Some name
+
+let attach ~clock metrics =
+  (track_of clock).watch <- Array.of_list (List.map (Metrics.counter metrics) watched)
 
 let tid_of s clock =
   let rec find = function
     | [] ->
-        let tid = s.next_tid in
+        let tr = track_of clock and tid = s.next_tid in
         s.next_tid <- tid + 1;
-        s.clocks <- (clock, tid) :: s.clocks;
-        let name =
-          match registered_name clock with
-          | Some n -> n
-          | None -> "track-" ^ string_of_int tid
-        in
+        s.clocks <- (tr, tid) :: s.clocks;
+        let name = match tr.label with Some n -> n | None -> "track-" ^ string_of_int tid in
         s.tid_names <- (tid, name) :: s.tid_names;
-        tid
-    | (c, tid) :: _ when c == clock -> tid
+        (tr, tid)
+    | ((tr, _) as hit) :: _ when tr.clock == clock -> hit
     | _ :: rest -> find rest
   in
   find s.clocks
@@ -92,26 +105,14 @@ let begin_span ~clock name =
   match !st with
   | None -> ()
   | Some s ->
-      let tid = tid_of s clock in
+      let tr, tid = tid_of s clock in
       let ts = Clock.now_ns clock in
       s.events <- { ev_ph = 'B'; ev_name = name; ev_tid = tid; ev_ts = ts; ev_args = [] } :: s.events;
       s.stack <-
         { sp_name = name; sp_tid = tid; sp_clock = clock; sp_start = ts;
-          sp_depth = List.length s.stack; sp_attrs = []; sp_counts = []; sp_child_ns = 0.0 }
+          sp_depth = List.length s.stack; sp_attrs = []; sp_watch = tr.watch;
+          sp_base = Array.map Metrics.value tr.watch; sp_child_ns = 0.0 }
         :: s.stack
-
-let rec bump counts k by =
-  match counts with
-  | [] -> [ (k, by) ]
-  | (k', v) :: rest -> if String.equal k k' then (k', v + by) :: rest else (k', v) :: bump rest k by
-
-let note name ~by =
-  match !st with
-  | None -> ()
-  | Some s -> (
-      match s.stack with
-      | [] -> ()
-      | sp :: _ -> sp.sp_counts <- bump sp.sp_counts name by)
 
 let attr k v =
   match !st with
@@ -119,17 +120,25 @@ let attr k v =
   | Some s -> (
       match s.stack with [] -> () | sp :: _ -> sp.sp_attrs <- (k, v) :: sp.sp_attrs)
 
+let attr_int k v = if enabled () then attr k (string_of_int v)
+
+(* The watched counters' nonzero deltas since [sp] opened, by name. *)
+let deltas sp =
+  let rec go i = function
+    | [] -> []
+    | name :: rest ->
+        let d = Metrics.value sp.sp_watch.(i) - sp.sp_base.(i) in
+        if d <> 0 then (name, d) :: go (i + 1) rest else go (i + 1) rest
+  in
+  if Array.length sp.sp_watch = 0 then [] else go 0 watched
+
 (* Close [sp]; the stack must already be popped past it so the parent
-   (if any) is at the head for counter/self-time folding. *)
+   (if any) is at the head for self-time folding. *)
 let close s sp =
   let ts = Clock.now_ns sp.sp_clock in
   let dur = ts -. sp.sp_start in
-  (match s.stack with
-  | parent :: _ ->
-      parent.sp_child_ns <- parent.sp_child_ns +. dur;
-      List.iter (fun (k, v) -> parent.sp_counts <- bump parent.sp_counts k v) sp.sp_counts
-  | [] -> ());
-  let counters = List.sort (fun (a, _) (b, _) -> String.compare a b) sp.sp_counts in
+  (match s.stack with parent :: _ -> parent.sp_child_ns <- parent.sp_child_ns +. dur | [] -> ());
+  let counters = deltas sp in
   let args =
     List.rev sp.sp_attrs @ List.map (fun (k, v) -> (k, string_of_int v)) counters
   in
@@ -174,7 +183,7 @@ let instant ~clock name =
   match !st with
   | None -> ()
   | Some s ->
-      let tid = tid_of s clock in
+      let _, tid = tid_of s clock in
       s.events <-
         { ev_ph = 'i'; ev_name = name; ev_tid = tid; ev_ts = Clock.now_ns clock; ev_args = [] }
         :: s.events

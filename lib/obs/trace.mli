@@ -11,12 +11,18 @@
     timestamped from the simulated {!Tinca_sim.Clock} of the component
     that owns the span.  Each distinct clock becomes one {e track}
     (Chrome: one [tid]); {!name_track} gives tracks stable display names
-    ("tinca", "node0-classic", ...).  {!note} counters — fed by the
-    {!Tinca_pmem.Pmem} event stream — accumulate on the innermost open
-    span and fold into the parent when it closes, giving per-span
-    fence/write-back attribution: the stage-B span of a Tinca commit
-    carries exactly its own sfence count, and the whole-commit span the
-    protocol's total.
+    ("tinca", "node0-classic", ...).
+
+    A span's counters are registry deltas: {!attach} pairs a clock with
+    a {!Tinca_sim.Metrics} registry, and a span on that clock carries
+    the change of each {!watched} counter between its open and its
+    close.  There is no second counting path: the tracer reads the
+    counters [Pmem] already bumps, so a parent's delta covers its
+    children's, and the stage-B span of a Tinca commit carries exactly
+    its own sfence count and the whole-commit span the protocol's total.
+    A span on a clock with no pairing carries no counters.  [Pmem]
+    bumps a [Pmem.flush_ranges] burst's counters once, after the burst,
+    so a crash countdown firing inside one counts none of it.
 
     Exports: Chrome [trace_event] JSON ([chrome://tracing], Perfetto)
     and a text flame summary aggregated by span name. *)
@@ -38,8 +44,19 @@ val reset : unit -> unit
 
 (** Give the track of [clock] a display name (latest registration wins).
     Works before {!enable}; registrations persist across
-    enable/disable cycles. *)
+    enable/disable cycles, and naming a track keeps its {!attach}
+    pairing. *)
 val name_track : Tinca_sim.Clock.t -> string -> unit
+
+(** The counters a span reads, sorted by name: [pmem.atomic_writes],
+    [pmem.clflush], [pmem.clflush_writebacks], [pmem.lines_dirtied],
+    [pmem.read_lines], [pmem.sfence], [pmem.store_lines]. *)
+val watched : string list
+
+(** [attach ~clock metrics] pairs [clock]'s track with [metrics]: spans
+    on [clock] then carry the deltas of [metrics]' {!watched} counters
+    (latest pairing wins).  Persists like {!name_track}. *)
+val attach : clock:Tinca_sim.Clock.t -> Tinca_sim.Metrics.t -> unit
 
 (** Open a span named [name], timestamped now on [clock]'s track. *)
 val begin_span : clock:Tinca_sim.Clock.t -> string -> unit
@@ -52,9 +69,8 @@ val end_span : string -> unit
 (** Attach a key:value attribute to the innermost open span. *)
 val attr : string -> string -> unit
 
-(** Bump a named counter on the innermost open span (no-op when no span
-    is open).  Counters fold into the parent span on close. *)
-val note : string -> by:int -> unit
+(** {!attr} of an integer, converted only when tracing is enabled. *)
+val attr_int : string -> int -> unit
 
 (** Zero-duration instant event on [clock]'s track (e.g.
     [tinca_init_txn]). *)
@@ -75,7 +91,8 @@ type done_span = {
   self_ns : float;  (** [dur_ns] minus directly-nested child spans *)
   depth : int;  (** nesting depth at open time (0 = top level) *)
   attrs : (string * string) list;
-  counters : (string * int) list;  (** own + children's, sorted by name *)
+  counters : (string * int) list;
+      (** nonzero {!watched} deltas over the span, sorted by name *)
 }
 
 (** Closed spans, in completion order. *)

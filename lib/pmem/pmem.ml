@@ -288,26 +288,11 @@ let lines_of_range off len =
 
 (* Whether anyone consumes the event stream.  When nobody does, the hot
    paths do not even build the event records. *)
-let observed t = Option.is_some t.observer || Tinca_obs.Trace.enabled ()
+let observed t = Option.is_some t.observer
 
-(* Every hardware event fans out to the attached observer (the
-   persistence sanitizer keeps sole ownership of [set_observer]) and,
-   when span tracing is on, to the tracer as per-span counters.
-   Write-back attribution is noted separately at the flush sites, where
-   the dirty-line count is known. *)
-let emit t ev =
-  (match t.observer with Some f -> f ev | None -> ());
-  if Tinca_obs.Trace.enabled () then
-    match ev with
-    | Store { off; len } ->
-        let first, last = lines_of_range off len in
-        Tinca_obs.Trace.note "pmem.store_lines" ~by:(last - first + 1)
-    | Atomic_write _ -> Tinca_obs.Trace.note "pmem.atomic_writes" ~by:1
-    | Clflush { off; len } ->
-        let first, last = lines_of_range off len in
-        Tinca_obs.Trace.note "pmem.clflush" ~by:(last - first + 1)
-    | Sfence -> Tinca_obs.Trace.note "pmem.sfence" ~by:1
-    | Crash -> ()
+(* Every hardware event goes to the attached observer (the persistence
+   sanitizer keeps sole ownership of [set_observer]). *)
+let emit t ev = match t.observer with Some f -> f ev | None -> ()
 
 (* A zero-length store stores nothing: no event, no charge. *)
 let store_range t off len =
@@ -443,7 +428,6 @@ let clflush t ~off ~len =
     Clock.advance t.clock
       (Latency.flush_batch_ns t.flush_instr nlines
       +. (t.lat.write_ns *. float_of_int !dirtied));
-    if !dirtied > 0 then Tinca_obs.Trace.note "pmem.clflush_writebacks" ~by:!dirtied;
     if observed t then emit t (Clflush { off; len })
   end
 
@@ -456,8 +440,9 @@ let clflush t ~off ~len =
    once: a line shared by several ranges is issued the first time only.
    Per-line events are built only for a listener that can tell one line
    from the next: an armed crash countdown or an attached observer.
-   Otherwise the burst counts its events at once, and the span tracer,
-   when on, gets one counter delta for the whole call. *)
+   Otherwise the burst counts its events at once.  The counters are
+   bumped once, after the whole burst, so a countdown firing inside it
+   counts none of it. *)
 let flush_ranges t ranges =
   List.iter (fun (off, len) -> check_range t off len) ranges;
   let spans =
@@ -467,8 +452,8 @@ let flush_ranges t ranges =
          (fun (off, len) -> if len > 0 then Some (lines_of_range off len) else None)
          ranges)
   in
-  let per_line = Option.is_some t.countdown || Option.is_some t.observer in
-  let emits = per_line && observed t in
+  let emits = observed t in
+  let per_line = emits || Option.is_some t.countdown in
   let next = ref 0 and issued = ref 0 and dirtied = ref 0 in
   List.iter
     (fun (first, last) ->
@@ -481,16 +466,12 @@ let flush_ranges t ranges =
       next := max !next (last + 1))
     spans;
   if !issued > 0 then begin
-    if not per_line then begin
-      t.events <- t.events + !issued;
-      Tinca_obs.Trace.note "pmem.clflush" ~by:!issued
-    end;
+    if not per_line then t.events <- t.events + !issued;
     Metrics.add t.ctr.c_clflush !issued;
     Metrics.add t.ctr.c_clflush_writebacks !dirtied;
     Clock.advance t.clock
       (Latency.flush_batch_ns t.flush_instr !issued
-      +. (t.lat.write_ns *. float_of_int !dirtied));
-    if !dirtied > 0 then Tinca_obs.Trace.note "pmem.clflush_writebacks" ~by:!dirtied
+      +. (t.lat.write_ns *. float_of_int !dirtied))
   end
 
 (* Retires exactly the lines flushed since the last fence, walking only

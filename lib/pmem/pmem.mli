@@ -232,15 +232,9 @@ val lines_digest : t -> int list -> Digest.t
     event is emitted per public operation ([write] = one [Store] for the
     whole range; [persist] = [Clflush] then [Sfence]); zero-length
     stores and flushes emit nothing.  When no observer is attached
-    there is no allocation and no behaviour change.
-
-    The same event stream also feeds the span tracer: when
-    {!Tinca_obs.Trace} is enabled, every Store/Clflush/Sfence lands as a
-    counter on the enclosing span ([pmem.store_lines], [pmem.clflush],
-    [pmem.clflush_writebacks], [pmem.sfence]), giving per-span
-    fence/write-back attribution without disturbing the observer.  When
-    the tracer is the only listener, {!flush_ranges} notes its whole
-    burst as one counter delta instead of building one event per line. *)
+    there is no allocation and no behaviour change.  The span tracer
+    does not listen here: a span's counters are deltas of this device's
+    {!Tinca_sim.Metrics} counters. *)
 
 type event =
   | Store of { off : int; len : int }  (** non-atomic store: [write]/[write_sub]/[fill] *)

@@ -4,8 +4,8 @@
     [16] sub-buckets per power of two, so any recorded value is
     reproduced by {!percentile} with at most ~6% relative error while
     the whole histogram is a single small int array (no samples are
-    retained, unlike {!Tinca_util.Histogram}).  Values are simulated
-    nanoseconds by convention, but any non-negative float works. *)
+    retained).  Values are simulated nanoseconds by convention, but any
+    non-negative float works. *)
 
 type t
 

@@ -24,6 +24,7 @@ let add c by =
   c.live <- true
 
 let incr t name ~by = add (counter t name) by
+let value c = c.n
 
 (* An unlisted cell holds 0. *)
 let get t name = match Hashtbl.find_opt t.counters name with Some c -> c.n | None -> 0
@@ -55,18 +56,23 @@ let since t (snap : snapshot) name =
 
 (* --- latency histograms (observability layer) -------------------------- *)
 
-let observe t name v =
+(* Like a counter cell, a histogram outlives [reset], which empties it;
+   an empty histogram is unlisted. *)
+let histogram t name =
   match Hashtbl.find_opt t.hists name with
-  | Some h -> Hist.add h v
+  | Some h -> h
   | None ->
       let h = Hist.create () in
-      Hist.add h v;
-      Hashtbl.add t.hists name h
+      Hashtbl.add t.hists name h;
+      h
 
-let hist t name = Hashtbl.find_opt t.hists name
+let observe t name v = Hist.add (histogram t name) v
+
+let hist t name =
+  match Hashtbl.find_opt t.hists name with Some h when Hist.count h > 0 -> Some h | _ -> None
 
 let hists t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.hists []
+  Hashtbl.fold (fun k h acc -> if Hist.count h > 0 then (k, h) :: acc else acc) t.hists []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset t =
@@ -75,7 +81,7 @@ let reset t =
       c.n <- 0;
       c.live <- false)
     t.counters;
-  Hashtbl.reset t.hists
+  Hashtbl.iter (fun _ h -> Hist.reset h) t.hists
 
 let pp ppf t =
   List.iter (fun (k, v) -> Format.fprintf ppf "%s = %d@." k v) (to_list t);

@@ -33,6 +33,9 @@ val counter : t -> string -> counter
     survives {!reset}: it counts from 0 again. *)
 val add : counter -> int -> unit
 
+(** The counter's current value (0 while unlisted). *)
+val value : counter -> int
+
 (** All counters, sorted by name. *)
 val to_list : t -> (string * int) list
 
@@ -59,13 +62,19 @@ val since : t -> snapshot -> string -> int
     it on first use. *)
 val observe : t -> string -> float -> unit
 
+(** [histogram t name] — the named histogram, for a hot path that
+    records into it directly ({!Hist.add}).  Like a counter handle it
+    is unlisted until its first value. *)
+val histogram : t -> string -> Hist.t
+
+(** The named histogram, if it holds a value. *)
 val hist : t -> string -> Hist.t option
 
-(** All histograms, sorted by name. *)
+(** All histograms that hold a value, sorted by name. *)
 val hists : t -> (string * Hist.t) list
 
-(** Zeroes and unlists every counter (resolved handles stay valid) and
-    drops every histogram. *)
+(** Zeroes and unlists every counter and empties every histogram
+    (resolved handles stay valid). *)
 val reset : t -> unit
 val pp : Format.formatter -> t -> unit
 

@@ -15,6 +15,8 @@ let make_env ?(seed = 42) ?(tech = Latency.Pcm) ?(disk_kind = Latency.Ssd)
   let metrics = Metrics.create () in
   let pmem = Pmem.create ~seed ~flush_instr ~clock ~metrics ~tech ~size:nvm_bytes () in
   let disk = Disk.create ~clock ~metrics ~kind:disk_kind ~nblocks:disk_blocks ~block_size:4096 in
+  (* Spans on this env's clock carry its registry's pmem counters. *)
+  Trace.attach ~clock metrics;
   { clock; metrics; pmem; disk }
 
 type t = {
@@ -27,7 +29,6 @@ type t = {
   page_layouts : Tinca_core.Paging.region_layout list;
       (* Same, for Tinca paging stacks: epoch/table/pool regions. *)
   cache_write_hit_rate : unit -> float;
-  txn_size_histogram : unit -> Tinca_util.Histogram.t option;
   peak_cow_blocks : unit -> int;
   proc_stats : unit -> (string * string) list;
 }
@@ -83,7 +84,6 @@ let tinca_of_facade env tc =
     layouts = (if paging then [] else Tinca.layouts tc);
     page_layouts = (if paging then Tinca.page_layouts tc else []);
     cache_write_hit_rate = (fun () -> Tinca.write_hit_rate tc);
-    txn_size_histogram = (fun () -> Some (Tinca.txn_size_histogram tc));
     peak_cow_blocks = (fun () -> if paging then 0 else Tinca.peak_cow_blocks tc);
     proc_stats =
       (fun () ->
@@ -152,7 +152,6 @@ let classic_of ~label env fc journal =
     layouts = [];
     page_layouts = [];
     cache_write_hit_rate = (fun () -> Fc.write_hit_rate fc);
-    txn_size_histogram = (fun () -> None);
     peak_cow_blocks = (fun () -> 0);
     proc_stats =
       (fun () ->
@@ -223,7 +222,6 @@ let ubj ?(ubj_config = Tinca_ubj.Ubj.default_config) env =
     layouts = [];
     page_layouts = [];
     cache_write_hit_rate = (fun () -> 0.0);
-    txn_size_histogram = (fun () -> None);
     peak_cow_blocks = (fun () -> 0);
     proc_stats = (fun () -> []);
   }
@@ -251,7 +249,6 @@ let nojournal_of env fc =
     layouts = [];
     page_layouts = [];
     cache_write_hit_rate = (fun () -> Fc.write_hit_rate fc);
-    txn_size_histogram = (fun () -> None);
     peak_cow_blocks = (fun () -> 0);
     proc_stats =
       (fun () -> [ ("fc_write_hit_ratio", Printf.sprintf "%.3f" (Fc.write_hit_rate fc)) ]);

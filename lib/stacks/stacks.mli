@@ -44,9 +44,6 @@ type t = {
           layout per shard; [[]] elsewhere. *)
   cache_write_hit_rate : unit -> float;
       (** Write hit rate of the cache layer (paper Fig 12c). *)
-  txn_size_histogram : unit -> Tinca_util.Histogram.t option;
-      (** Blocks-per-transaction histogram where the stack tracks one
-          (Tinca only; Fig 13). *)
   peak_cow_blocks : unit -> int;
       (** Peak NVM blocks pinned as COW previous versions (Tinca only;
           paper §5.4.3); 0 for other stacks. *)

@@ -4,7 +4,6 @@ module Cache = Tinca_core.Cache
 module Shard = Tinca_core.Shard
 module Layout = Tinca_core.Layout
 module Paging = Tinca_core.Paging
-module Histogram = Tinca_util.Histogram
 module Trace = Tinca_obs.Trace
 module Flight = Tinca_obs.Flight
 module Forensics = Tinca_obs.Forensics
@@ -232,14 +231,15 @@ and t = {
   shard : Shard.t; (* both engines: the shard layer owns the region variant *)
   nblocks : int; (* disk blocks, for the range check *)
   block_size : int;
-  txn_sizes : Histogram.t;
-      (* cross-shard blocks-per-commit distribution; the per-shard Cache
-         histograms only see their own sub-commits *)
+  txn_sizes : Hist.t; (* "tinca.txn_blocks": blocks per commit, all shards *)
   clock : Clock.t;
   metrics : Metrics.t;
   window_ns : int; (* Config.group_window_ns, captured at construction *)
   max_batch : int; (* Config.group_max_batch *)
-  ack_to_durable : Histogram.t; (* commit_async return -> batch drain, ns *)
+  ack_to_durable : Hist.t Lazy.t;
+      (* "tinca.group.ack_to_durable_ns": commit_async return -> batch
+         drain; resolved at the first drain, so a synchronous handle
+         allocates none *)
   group : group; (* the standing batch — the only mutable facade state *)
   forensics : Forensics.t option ref; (* dossier built at recover *)
 }
@@ -262,12 +262,12 @@ let of_shard ~disk ~clock ~metrics ~window_ns ~max_batch shard =
     shard;
     nblocks = Disk.nblocks disk;
     block_size = Shard.block_size shard;
-    txn_sizes = Histogram.create ();
+    txn_sizes = Metrics.histogram metrics "tinca.txn_blocks";
     clock;
     metrics;
     window_ns;
     max_batch;
-    ack_to_durable = Histogram.create ();
+    ack_to_durable = lazy (Metrics.histogram metrics "tinca.group.ack_to_durable_ns");
     group =
       { pending = []; pending_blocks = Hashtbl.create 64; pending_slots = 0;
         batch_deadline = 0.0; next_ticket = 0; batches = 0; pending_high_water = 0;
@@ -365,7 +365,6 @@ let stats_kv t =
 
 let region_wear t = Shard.region_wear t.shard
 let check_invariants t = Shard.check_invariants t.shard
-let txn_size_histogram t = t.txn_sizes
 let contains t blkno = Shard.contains t.shard blkno
 let write_hit_rate t = Shard.write_hit_rate t.shard
 
@@ -398,13 +397,10 @@ let flush_pending ?(cause = Flight.Barrier) t =
        Hashtbl.replace t.group.drains_by_cause key
          (1 + Option.value ~default:0 (Hashtbl.find_opt t.group.drains_by_cause key)));
       Trace.begin_span ~clock:t.clock "tinca.group_commit";
-      Trace.attr "txns" (string_of_int (List.length batch));
+      Trace.attr_int "txns" (List.length batch);
       Trace.attr "cause" (Flight.cause_name cause);
-      Trace.attr "blocks"
-        (string_of_int (List.fold_left (fun acc p -> acc + p.ticket.tk_blocks) 0 batch));
-      let sf0 = Metrics.get t.metrics "pmem.sfence" in
+      Trace.attr_int "blocks" (List.fold_left (fun acc p -> acc + p.ticket.tk_blocks) 0 batch);
       Shard.Txn.drain ~cause (List.map (fun p -> p.ph) batch);
-      Trace.attr "sfences" (string_of_int (Metrics.get t.metrics "pmem.sfence" - sf0));
       Trace.end_span "tinca.group_commit";
       let now = Clock.now_ns t.clock in
       List.iter
@@ -412,8 +408,8 @@ let flush_pending ?(cause = Flight.Barrier) t =
           let tk = p.ticket in
           tk.durable <- true;
           tk.durable_at <- now;
-          Histogram.add t.txn_sizes (float_of_int tk.tk_blocks);
-          Histogram.add t.ack_to_durable (now -. tk.sealed_at);
+          Hist.add t.txn_sizes (float_of_int tk.tk_blocks);
+          Hist.add (Lazy.force t.ack_to_durable) (now -. tk.sealed_at);
           let cbs = List.rev tk.callbacks in
           tk.callbacks <- [];
           List.iter (fun f -> f ()) cbs)
@@ -424,7 +420,6 @@ let flush_pending ?(cause = Flight.Barrier) t =
 
 let group_pending t = List.length t.group.pending
 let group_flush t = flush_pending ~cause:Flight.Barrier t
-let group_ack_to_durable t = t.ack_to_durable
 
 (* Group-committer runtime counters (satellite of ISSUE 9): drained
    batches, drains split by cause, and the peak standing-batch size. *)
@@ -479,7 +474,7 @@ let commit_sync t n publish =
   flush_pending ~cause:Flight.Sync t;
   match publish () with
   | () ->
-      Histogram.add t.txn_sizes (float_of_int n);
+      Hist.add t.txn_sizes (float_of_int n);
       Ok (durable_ticket t n)
   | exception Cache.Transaction_too_large -> Error Transaction_too_large
 
@@ -531,8 +526,8 @@ let commit_async txn =
             }
           in
           Trace.begin_span ~clock:t.clock "tinca.commit_async";
-          Trace.attr "ticket" (string_of_int id);
-          Trace.attr "blocks" (string_of_int n);
+          Trace.attr_int "ticket" id;
+          Trace.attr_int "blocks" n;
           if t.group.pending = [] then
             t.group.batch_deadline <- Clock.now_ns t.clock +. float_of_int t.window_ns;
           t.group.pending <- { ph = lh; ticket = tk } :: t.group.pending;
@@ -591,7 +586,7 @@ let write_direct t blkno data =
     flush_pending ~cause:Flight.Sync t;
     match Shard.write_direct t.shard blkno data with
     | () ->
-        Histogram.add t.txn_sizes 1.0;
+        Hist.add t.txn_sizes 1.0;
         Ok ()
     | exception Cache.Transaction_too_large -> Error Transaction_too_large
   end

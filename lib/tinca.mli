@@ -157,7 +157,10 @@ val ok_exn : ('a, error) result -> 'a
 (** Validate the config and format the device for the configured commit
     scheme (logging: partition into [config.nshards] shards and format
     each ring; paging: directory + per-shard indirection table and page
-    pool). *)
+    pool).  The handle records into two histograms of [metrics]:
+    ["tinca.txn_blocks"], the blocks of every commit across shards
+    (paper Fig 13), and ["tinca.group.ack_to_durable_ns"], each drained
+    ticket's {!commit_async}-to-durable latency ([fig_group]'s p50/p99). *)
 val format :
   config:Config.t ->
   pmem:Tinca_pmem.Pmem.t ->
@@ -261,10 +264,6 @@ val group_pending : t -> int
     same-block conflict, ring pressure and [group_max_batch]). *)
 val group_flush : t -> unit
 
-(** Ack-to-durable latency distribution (ns) across all drained
-    tickets — the [fig_group] p50/p99 source. *)
-val group_ack_to_durable : t -> Tinca_util.Histogram.t
-
 (** {2 Group-committer runtime stats}
 
     Batches drained, drains split by cause (deadline / conflict /
@@ -349,8 +348,5 @@ val write_hit_rate : t -> float
 (** Peak COW chain depth — a logging-pipeline concept (raises
     [Invalid_argument] under paging). *)
 val peak_cow_blocks : t -> int
-
-(** Cross-shard blocks-per-commit distribution (paper Fig 13). *)
-val txn_size_histogram : t -> Tinca_util.Histogram.t
 
 val check_invariants : t -> unit

@@ -88,9 +88,9 @@ let test_filebench_commit_cadence () =
   in
   let t = Filebench.prealloc cfg ops in
   ignore (Filebench.run t ops);
-  let hist = Option.get (stack.Stacks.txn_size_histogram ()) in
-  Alcotest.(check bool) "about ops/cadence commits" true
-    (Tinca_util.Histogram.count hist >= 400 / 20)
+  let metrics = stack.Stacks.env.Stacks.metrics in
+  let hist = Option.get (Tinca_sim.Metrics.hist metrics "tinca.txn_blocks") in
+  Alcotest.(check bool) "about ops/cadence commits" true (Tinca_sim.Hist.count hist >= 400 / 20)
 
 let contains s sub =
   let n = String.length sub in

@@ -1,6 +1,6 @@
 (* Tests for the observability layer: span tracer semantics (nesting,
-   counter folding, unbalanced handling, disabled-mode zero allocation),
-   the pmem event -> span attribution, the Chrome trace_event JSON
+   counter deltas, unbalanced handling, disabled-mode zero allocation),
+   the registry pairing and pmem -> span attribution, the Chrome trace_event JSON
    export + validator, the /proc-style renderer, the dotted metric
    naming convention over real workload runs, and the ISSUE acceptance
    pin: a traced 8-block Tinca commit whose stage-B span carries exactly
@@ -27,16 +27,19 @@ let test_nesting_and_folding =
   traced (fun () ->
       Trace.enable ();
       let clock = Clock.create () in
+      let metrics = Metrics.create () in
       Trace.name_track clock "t0";
+      Trace.attach ~clock metrics;
+      let n = Metrics.counter metrics "pmem.sfence" in
       Trace.begin_span ~clock "outer";
       Trace.attr "k" "v";
       Clock.advance clock 100.0;
       Trace.begin_span ~clock "inner";
-      Trace.note "n" ~by:2;
+      Metrics.add n 2;
       Clock.advance clock 50.0;
       Trace.end_span "inner";
       Clock.advance clock 25.0;
-      Trace.note "n" ~by:1;
+      Metrics.add n 1;
       Trace.end_span "outer";
       match Trace.completed () with
       | [ inner; outer ] ->
@@ -49,8 +52,9 @@ let test_nesting_and_folding =
             outer.Trace.self_ns;
           Alcotest.(check int) "inner depth" 1 inner.Trace.depth;
           Alcotest.(check int) "outer depth" 0 outer.Trace.depth;
-          Alcotest.(check int) "inner counter" 2 (Trace.counter inner "n");
-          Alcotest.(check int) "counters fold into parent" 3 (Trace.counter outer "n");
+          Alcotest.(check int) "inner counter" 2 (Trace.counter inner "pmem.sfence");
+          Alcotest.(check int) "the parent's delta covers its child" 3
+            (Trace.counter outer "pmem.sfence");
           Alcotest.(check (list (pair string string))) "attrs" [ ("k", "v") ] outer.Trace.attrs
       | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans))
 
@@ -94,25 +98,25 @@ let test_reset_keeps_tracks =
       | _ -> Alcotest.fail "expected one span")
 
 (* Disabled tracing must be free: no allocation at all across
-   begin/end/note/instant, so it can stay compiled into every hot
+   begin/attr_int/instant/end, so it can stay compiled into every hot
    path.  The budget of 8 words absorbs the boxed float returned by
    [Gc.minor_words] itself. *)
 let test_disabled_zero_alloc () =
   Trace.disable ();
   let clock = Clock.create () in
   Trace.begin_span ~clock "z";
-  Trace.note "c" ~by:1;
+  Trace.attr_int "c" 1;
   Trace.end_span "z";
   let before = Gc.minor_words () in
-  for _ = 1 to 10_000 do
+  for i = 1 to 10_000 do
     Trace.begin_span ~clock "z";
-    Trace.note "c" ~by:1;
+    Trace.attr_int "c" i;
     Trace.instant ~clock "i";
     Trace.end_span "z"
   done;
   let allocated = Gc.minor_words () -. before in
   Alcotest.(check bool)
-    (Printf.sprintf "10k disabled begin/note/instant/end allocate %.0f words" allocated)
+    (Printf.sprintf "10k disabled begin/attr_int/instant/end allocate %.0f words" allocated)
     true (allocated <= 8.0)
 
 let test_disabled_noops () =
@@ -132,6 +136,7 @@ let test_pmem_attribution =
       let clock = Clock.create () in
       let metrics = Metrics.create () in
       let pmem = Pmem.create ~clock ~metrics ~tech:Latency.Pcm ~size:4096 () in
+      Trace.attach ~clock metrics;
       Trace.begin_span ~clock "persist";
       Pmem.write pmem ~off:0 (Bytes.make 128 'x');
       Pmem.clflush pmem ~off:0 ~len:128;
@@ -148,6 +153,126 @@ let test_pmem_attribution =
             (Trace.counter s "pmem.clflush_writebacks");
           Alcotest.(check int) "sfence attributed" 1 (Trace.counter s "pmem.sfence")
       | l -> Alcotest.failf "expected one persist span, got %d" (List.length l))
+
+(* The pairing contract: a span on a clock never paired with a registry
+   carries no counters; naming a paired track keeps its pairing. *)
+let test_pairing_contract =
+  traced (fun () ->
+      Trace.enable ();
+      let persisted_span clock metrics name =
+        let pmem = Pmem.create ~clock ~metrics ~tech:Latency.Pcm ~size:4096 () in
+        Trace.begin_span ~clock name;
+        Pmem.write pmem ~off:0 (Bytes.make 64 'x');
+        Pmem.persist pmem ~off:0 ~len:64;
+        Trace.end_span name;
+        match Trace.find_spans name with
+        | [ s ] -> s
+        | l -> Alcotest.failf "expected one %s span, got %d" name (List.length l)
+      in
+      let unpaired = persisted_span (Clock.create ()) (Metrics.create ()) "unpaired" in
+      Alcotest.(check (list (pair string int))) "unpaired clock: no counters" []
+        unpaired.Trace.counters;
+      let clock = Clock.create () and metrics = Metrics.create () in
+      Trace.attach ~clock metrics;
+      Trace.name_track clock "renamed";
+      let paired = persisted_span clock metrics "paired" in
+      Alcotest.(check string) "the later name shows" "renamed" paired.Trace.track;
+      Alcotest.(check int) "the pairing survives name_track" 1
+        (Trace.counter paired "pmem.sfence"))
+
+(* Random stores, flushes, flush_ranges bursts, fences and reads inside
+   randomly nested spans: every closed span's counters are exactly the
+   registry's change over it, restricted to the watched names, whether
+   an observer makes [Pmem] build per-line events or not. *)
+type span_op =
+  | Store of int * int
+  | Atomic of int
+  | Flush of int * int
+  | Ranges of (int * int) list
+  | Fence
+  | Read of int * int
+  | Open
+  | Close
+
+let gen_span_op =
+  let open QCheck.Gen in
+  let range = pair (int_bound 4000) (int_range 1 300) in
+  frequency
+    [
+      (4, map (fun (o, l) -> Store (o, l)) range);
+      (1, map (fun o -> Atomic (o * 8)) (int_bound 500));
+      (2, map (fun (o, l) -> Flush (o, l)) range);
+      (2, map (fun rs -> Ranges rs) (list_size (int_range 1 4) range));
+      (2, return Fence);
+      (1, map (fun (o, l) -> Read (o, l)) range);
+      (2, return Open);
+      (2, return Close);
+    ]
+
+let show_span_op = function
+  | Store (o, l) -> Printf.sprintf "store %d+%d" o l
+  | Atomic o -> Printf.sprintf "atomic8 %d" o
+  | Flush (o, l) -> Printf.sprintf "clflush %d+%d" o l
+  | Ranges rs ->
+      "flush_ranges " ^ String.concat "," (List.map (fun (o, l) -> Printf.sprintf "%d+%d" o l) rs)
+  | Fence -> "sfence"
+  | Read (o, l) -> Printf.sprintf "read %d+%d" o l
+  | Open -> "open"
+  | Close -> "close"
+
+let prop_span_counters_are_registry_deltas =
+  QCheck.Test.make ~name:"span counters equal registry deltas" ~count:200
+    (QCheck.make
+       ~print:(fun (obs, ops) ->
+         Printf.sprintf "observer=%b [%s]" obs (String.concat "; " (List.map show_span_op ops)))
+       QCheck.Gen.(pair bool (list_size (int_range 1 60) gen_span_op)))
+    (fun (observer, ops) ->
+      Fun.protect ~finally:Trace.disable (fun () ->
+          Trace.enable ();
+          let clock = Clock.create () and metrics = Metrics.create () in
+          Trace.attach ~clock metrics;
+          let pmem = Pmem.create ~clock ~metrics ~tech:Latency.Pcm ~size:4096 () in
+          if observer then Pmem.set_observer pmem (Some ignore);
+          let clip (o, l) = (o mod 4096, min l (4096 - (o mod 4096))) in
+          let opened = ref [] and next = ref 0 and ok = ref true in
+          let close () =
+            match !opened with
+            | [] -> ()
+            | (name, snap) :: rest ->
+                opened := rest;
+                Trace.end_span name;
+                let expected =
+                  List.filter (fun (k, _) -> List.mem k Trace.watched) (Metrics.diff metrics snap)
+                in
+                (match Trace.find_spans name with
+                | [ s ] -> if s.Trace.counters <> expected then ok := false
+                | _ -> ok := false)
+          in
+          List.iter
+            (function
+              | Store (o, l) ->
+                  let o, l = clip (o, l) in
+                  Pmem.write pmem ~off:o (Bytes.make l 's')
+              | Atomic o -> Pmem.atomic_write8 pmem ~off:o 7L
+              | Flush (o, l) ->
+                  let o, l = clip (o, l) in
+                  Pmem.clflush pmem ~off:o ~len:l
+              | Ranges rs -> Pmem.flush_ranges pmem (List.map clip rs)
+              | Fence -> Pmem.sfence pmem
+              | Read (o, l) ->
+                  let o, l = clip (o, l) in
+                  ignore (Pmem.read pmem ~off:o ~len:l)
+              | Open ->
+                  let name = Printf.sprintf "s%d" !next in
+                  incr next;
+                  opened := (name, Metrics.snapshot metrics) :: !opened;
+                  Trace.begin_span ~clock name
+              | Close -> close ())
+            ops;
+          while !opened <> [] do
+            close ()
+          done;
+          !ok))
 
 (* --- acceptance pin: traced 8-block commit ------------------------------- *)
 
@@ -170,6 +295,7 @@ let test_traced_commit_budget =
       let clock, metrics, pmem, disk = mk_cache_env () in
       Trace.enable ();
       Trace.name_track clock "tinca";
+      Trace.attach ~clock metrics;
       let cache =
         Cache.format ~config:{ Cache.default_config with ring_slots = 128 } ~pmem ~disk ~clock
           ~metrics
@@ -343,6 +469,9 @@ let suite =
         Alcotest.test_case "disabled mode allocates nothing" `Quick test_disabled_zero_alloc;
         Alcotest.test_case "disabled mode records nothing" `Quick test_disabled_noops;
         Alcotest.test_case "pmem events land in spans" `Quick test_pmem_attribution;
+        Alcotest.test_case "unpaired clocks count nothing, names keep pairings" `Quick
+          test_pairing_contract;
+        QCheck_alcotest.to_alcotest prop_span_counters_are_registry_deltas;
       ] );
     ( "obs.acceptance",
       [

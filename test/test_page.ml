@@ -215,7 +215,6 @@ let test_stats_rows () =
     (raises (fun () -> Tinca.page_layouts tc_l));
   (* Scheme-independent surfaces work on both. *)
   ignore (Tinca.write_hit_rate tc_p);
-  ignore (Tinca.txn_size_histogram tc_p);
   ignore (Tinca.region_wear tc_p);
   Alcotest.(check bool) "page_layouts nonempty" true (Tinca.page_layouts tc_p <> [])
 

@@ -653,12 +653,13 @@ let test_countdown_inside_flush_ranges () =
   run "flush_ranges, observed" burst ~observer:true;
   run "clflush per line" per_call ~observer:false
 
-(* With the span tracer as the only listener, a burst lands as one
-   counter delta; the span's counters equal the per-line events'. *)
+(* A burst counted at once and one built per line give a span the same
+   counters. *)
 let test_traced_burst_counters () =
   let module Trace = Tinca_obs.Trace in
   let span ~observer =
-    let p, clock, _ = mk ~size:model_size () in
+    let p, clock, metrics = mk ~size:model_size () in
+    Trace.attach ~clock metrics;
     if observer then Pmem.set_observer p (Some ignore);
     Trace.reset ();
     Trace.begin_span ~clock "test.burst";

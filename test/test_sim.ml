@@ -134,6 +134,26 @@ let test_metrics_observe_hist () =
   Alcotest.(check (list string)) "hists sorted by name" [ "lat.z" ]
     (List.map fst (Metrics.hists m))
 
+(* A resolved histogram is the registry's: unlisted until its first
+   value, shared with [observe] by name, and still live after a reset. *)
+let test_metrics_histogram_handle () =
+  let m = Metrics.create () in
+  let h = Metrics.histogram m "h.sizes" in
+  Alcotest.(check bool) "resolved but empty: unlisted" true
+    (Metrics.hists m = [] && Metrics.hist m "h.sizes" = None);
+  Hist.add h 1.0;
+  Metrics.observe m "h.sizes" 2.0;
+  Alcotest.(check bool) "a second resolve is the same histogram" true
+    (Metrics.histogram m "h.sizes" == h);
+  (match Metrics.hist m "h.sizes" with
+  | Some h' -> Alcotest.(check int) "handle and name share one histogram" 2 (Hist.count h')
+  | None -> Alcotest.fail "histogram not listed");
+  Metrics.reset m;
+  Alcotest.(check bool) "reset unlists" true (Metrics.hists m = []);
+  Hist.add h 3.0;
+  Alcotest.(check (list string)) "the handle records after a reset" [ "h.sizes" ]
+    (List.map fst (Metrics.hists m))
+
 (* The snapshot is hashtable-backed: since/diff over a 10k-counter
    registry must be far from the old O(n*m) assoc-list scan.  50 full
    diffs + 10k sinces over 10k counters in well under a second. *)
@@ -208,6 +228,17 @@ let test_hist_empty_and_reset () =
   Hist.reset h;
   Alcotest.(check int) "reset clears" 0 (Hist.count h)
 
+let prop_hist_percentile_monotone =
+  QCheck.Test.make ~name:"histogram percentiles monotone" ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 50) (float_bound_exclusive 1000.0))
+    (fun xs ->
+      let h = Hist.create () in
+      List.iter (Hist.add h) xs;
+      let p25 = Hist.percentile h 25.0
+      and p50 = Hist.percentile h 50.0
+      and p75 = Hist.percentile h 75.0 in
+      p25 <= p50 && p50 <= p75)
+
 let suite =
   [
     ( "sim.clock",
@@ -230,6 +261,7 @@ let suite =
         Alcotest.test_case "counter handles" `Quick test_metrics_handles;
         Alcotest.test_case "pp renders counters + hists" `Quick test_metrics_pp;
         Alcotest.test_case "observe/hist" `Quick test_metrics_observe_hist;
+        Alcotest.test_case "histogram handles" `Quick test_metrics_histogram_handle;
         Alcotest.test_case "snapshot scales to 10k counters" `Quick test_metrics_snapshot_scale;
       ] );
     ( "sim.hist",
@@ -237,6 +269,7 @@ let suite =
         Alcotest.test_case "percentile ladder accuracy" `Quick test_hist_percentiles;
         Alcotest.test_case "merge" `Quick test_hist_merge;
         Alcotest.test_case "empty / clamp / reset" `Quick test_hist_empty_and_reset;
+        QCheck_alcotest.to_alcotest prop_hist_percentile_monotone;
       ] );
   ]
 

@@ -367,9 +367,9 @@ let test_txn_histogram () =
   in
   commit [ (1, block 'a'); (2, block 'b') ];
   commit [ (3, block 'c') ];
-  let hist = Tinca.txn_size_histogram tc in
-  Alcotest.(check int) "two commits sized" 2 (Tinca_util.Histogram.count hist);
-  Alcotest.(check (float 1e-9)) "mean" 1.5 (Tinca_util.Histogram.mean hist)
+  let hist = Option.get (Metrics.hist env.metrics "tinca.txn_blocks") in
+  Alcotest.(check int) "two commits sized" 2 (Hist.count hist);
+  Alcotest.(check (float 1e-9)) "mean" 1.5 (Hist.mean hist)
 
 let test_peak_cow () =
   let env = mk_env () in

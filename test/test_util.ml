@@ -139,25 +139,6 @@ let test_crc32_bad_range () =
         (fun () -> ignore (Codec.crc32 b ~pos ~len)))
     [ (-1, 4); (0, 17); (9, 8); (0, -1) ]
 
-let test_histogram_basic () =
-  let h = Histogram.create () in
-  List.iter (Histogram.add h) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
-  Alcotest.(check int) "count" 5 (Histogram.count h);
-  Alcotest.(check (float 1e-9)) "mean" 3.0 (Histogram.mean h);
-  Alcotest.(check (float 1e-9)) "p50" 3.0 (Histogram.percentile h 50.0);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Histogram.min_value h);
-  Alcotest.(check (float 1e-9)) "max" 5.0 (Histogram.max_value h)
-
-let test_histogram_percentile_interp () =
-  let h = Histogram.create () in
-  List.iter (Histogram.add h) [ 0.0; 10.0 ];
-  Alcotest.(check (float 1e-9)) "p25" 2.5 (Histogram.percentile h 25.0)
-
-let test_histogram_stddev () =
-  let h = Histogram.create () in
-  List.iter (Histogram.add h) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  Alcotest.(check (float 1e-6)) "stddev" 2.0 (Histogram.stddev h)
-
 let test_tabular_render () =
   let t = Tabular.create ~title:"T" [ "a"; "bb" ] in
   Tabular.add_row t [ "1"; "2" ];
@@ -183,17 +164,6 @@ let prop_codec_u32_roundtrip =
       let b = Bytes.make 4 '\000' in
       Tinca_util.Codec.set_u32 b 0 v;
       Tinca_util.Codec.get_u32 b 0 = v)
-
-let prop_histogram_percentile_monotone =
-  QCheck.Test.make ~name:"histogram percentiles monotone" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 50) (float_bound_exclusive 1000.0))
-    (fun xs ->
-      let h = Histogram.create () in
-      List.iter (Histogram.add h) xs;
-      let p25 = Histogram.percentile h 25.0
-      and p50 = Histogram.percentile h 50.0
-      and p75 = Histogram.percentile h 75.0 in
-      p25 <= p50 && p50 <= p75)
 
 let prop_zipf_in_range =
   QCheck.Test.make ~name:"zipf samples in range" ~count:200
@@ -237,13 +207,6 @@ let suite =
         q prop_crc32_matches_bitwise;
         q prop_codec_u56_roundtrip;
         q prop_codec_u32_roundtrip;
-      ] );
-    ( "util.histogram",
-      [
-        Alcotest.test_case "basic stats" `Quick test_histogram_basic;
-        Alcotest.test_case "percentile interpolation" `Quick test_histogram_percentile_interp;
-        Alcotest.test_case "stddev" `Quick test_histogram_stddev;
-        q prop_histogram_percentile_monotone;
       ] );
     ("util.tabular", [ Alcotest.test_case "render + arity" `Quick test_tabular_render ]);
   ]
