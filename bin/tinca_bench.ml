@@ -158,6 +158,8 @@ let run_trace stack_name shards scheme trace_file synth_ops read_pct nblocks cra
   Fs.fsync fs;
   let t0 = Clock.now_ns env.Stacks.clock in
   let snap = Metrics.snapshot env.Stacks.metrics in
+  (* The backlog lines below describe the replay, not the prealloc. *)
+  Option.iter Hist.reset (Metrics.hist env.Stacks.metrics "disk.bg_backlog_ns");
   let meta0 = Fs.meta_reads fs and data0 = Fs.data_reads fs in
   let stats = Trace.run ~block_size:4096 before_crash ops in
   let seconds = (Clock.now_ns env.Stacks.clock -. t0) /. 1e9 in
@@ -173,17 +175,22 @@ let run_trace stack_name shards scheme trace_file synth_ops read_pct nblocks cra
   Printf.printf "lines dirtied/op  %10.1f\n" (per_op "pmem.lines_dirtied");
   Printf.printf "disk writes/op    %10.2f\n" (per_op "disk.writes");
   (* Dirty blocks the cleaner wrote, the dirty victims replacement wrote
-     back on the foreground path (both engines), and the most device
-     time the cleaners' queued writes left behind them. *)
+     back on the foreground path (both engines), the cleaner passes that
+     deferred their batch because the last one was still queued, and
+     the device time the cleaners' queued writes left behind them. *)
   Printf.printf "cleaned/op        %10.2f\n" (per_op "tinca.cleaned");
   let fsyncs = List.length (List.filter (fun op -> op = Trace.Fsync) before_crash) in
   Printf.printf "fg write-backs/fsync %7.2f\n"
     (float_of_int (Metrics.since env.Stacks.metrics snap "cache.fg_writebacks")
     /. float_of_int (max 1 fsyncs));
-  Printf.printf "peak bg backlog   %10.1f sim-us\n"
-    (match Metrics.hist env.Stacks.metrics "disk.bg_backlog_ns" with
-    | Some h -> Hist.max_value h /. 1e3
-    | None -> 0.0);
+  Printf.printf "deferred passes   %10d\n" (Metrics.since env.Stacks.metrics snap "cache.bg_deferred");
+  let backlog stat =
+    match Metrics.hist env.Stacks.metrics "disk.bg_backlog_ns" with
+    | Some h -> stat h /. 1e3
+    | None -> 0.0
+  in
+  Printf.printf "peak bg backlog   %10.1f sim-us\n" (backlog Hist.max_value);
+  Printf.printf "mean bg backlog   %10.1f sim-us\n" (backlog Hist.mean);
   Printf.printf "disk reads/op     %10.2f\n" (per_op "disk.reads");
   (* The file system's reads of the cache stack, metadata blocks (the
      DRAM table's misses) apart from file data. *)

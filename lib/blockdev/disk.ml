@@ -6,7 +6,6 @@ type t = {
   c_reads : Metrics.counter;
   c_writes : Metrics.counter;
   c_seq_writes : Metrics.counter;
-  c_throttle_ns : Metrics.counter;
   (* writes and sequential writes of each cleaner pass *)
   c_bg : Metrics.counter * Metrics.counter;
   c_idle : Metrics.counter * Metrics.counter;
@@ -28,7 +27,6 @@ let create ~clock ~metrics ~kind ~nblocks ~block_size =
     c_reads = Metrics.counter metrics "disk.reads";
     c_writes = Metrics.counter metrics "disk.writes";
     c_seq_writes = Metrics.counter metrics "disk.seq_writes";
-    c_throttle_ns = Metrics.counter metrics "disk.throttle_ns";
     c_bg = (Metrics.counter metrics "disk.bg_writes", Metrics.counter metrics "disk.bg_seq_writes");
     c_idle =
       (Metrics.counter metrics "disk.idle_writes", Metrics.counter metrics "disk.idle_seq_writes");
@@ -90,12 +88,7 @@ let access t ~background cost =
     Clock.advance_to t.clock
       (match t.lat.Latency.kind with Latency.Ssd -> now +. cost | Latency.Hdd -> t.busy_until)
 
-let await_background t =
-  let now = Clock.now_ns t.clock in
-  if t.busy_until > now then begin
-    Metrics.add t.c_throttle_ns (int_of_float (Float.ceil (t.busy_until -. now)));
-    Clock.advance_to t.clock t.busy_until
-  end
+let background_pending t = t.busy_until > Clock.now_ns t.clock
 
 let read_block t blkno =
   check t blkno;

@@ -6,14 +6,12 @@
     backing store is sparse so multi-GB simulated datasets cost only the
     blocks actually written.
 
-    Counters: ["disk.reads"], ["disk.writes"], ["disk.seq_writes"],
-    ["disk.throttle_ns"] (simulated ns cleaners waited in
-    {!await_background}); per cleaner pass, ["disk.bg_writes"] and
-    ["disk.bg_seq_writes"] (queued background writes, and those at the
-    sequential rate), ["disk.idle_writes"] and ["disk.idle_seq_writes"]
-    (the same for {!write_idle}).  Histogram: ["disk.bg_backlog_ns"], the
-    queued device time left behind each background write when it is
-    issued. *)
+    Counters: ["disk.reads"], ["disk.writes"], ["disk.seq_writes"]; per
+    cleaner pass, ["disk.bg_writes"] and ["disk.bg_seq_writes"] (queued
+    background writes, and those at the sequential rate),
+    ["disk.idle_writes"] and ["disk.idle_seq_writes"] (the same for
+    {!write_idle}).  Histogram: ["disk.bg_backlog_ns"], the queued
+    device time left behind each background write when it is issued. *)
 
 type t
 
@@ -45,11 +43,12 @@ val read_block : t -> int -> bytes
     {!read_block} is foreground and follows the same rule. *)
 val write_block : ?background:bool -> t -> int -> bytes -> unit
 
-(** [await_background t] advances the caller's clock to the end of the
-    queued work, adding the wait to ["disk.throttle_ns"].  A cleaner
-    calls it before it queues a batch, so at most one batch is queued
-    and background work cannot pile up unseen. *)
-val await_background : t -> unit
+(** [background_pending t]: queued work has not completed by now.  A
+    pure query: it advances no clock.  A cleaner that finds work still
+    queued defers its batch to a later call, so at most one batch is
+    queued and background work cannot pile up unseen, yet no caller
+    waits for it. *)
+val background_pending : t -> bool
 
 (** [write_idle t ~not_before blkno data] places a write of [blkno] at
     the start of the device's current idle gap — when its last access

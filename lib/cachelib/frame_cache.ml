@@ -183,6 +183,7 @@ type 'a cleaner = {
   disk : Disk.t;
   dma_read : 'a block -> bytes;
   cleaned : 'a block list -> unit;
+  deferred : Tinca_sim.Metrics.counter;
 }
 
 let frontier = 64
@@ -227,10 +228,16 @@ let clean_idle t c =
    level would remain.  The batch is written in queued background device
    time, elevator-sorted by home block so every run of neighbours
    transfers at the sequential rate.  The device reads the frames by
-   DMA, as in the idle pass: the caller pays for none of it. *)
+   DMA, as in the idle pass: the caller pays for none of it.  While the
+   previous batch is still queued the pass defers: the first call after
+   the device drains takes the batch, sized from the dirty level then. *)
 let clean_pressure t c =
   let high = int_of_float (pressure_dirty *. float_of_int (Free_monitor.capacity t.frames)) in
   if t.ndirty <= high then []
+  else if Disk.background_pending c.disk then begin
+    Tinca_sim.Metrics.add c.deferred 1;
+    []
+  end
   else begin
     let budget = ref (t.ndirty - (high * 3 / 4)) and batch = Hashtbl.create 64 in
     let take b =
@@ -257,7 +264,6 @@ let clean_pressure t c =
     let sorted =
       List.sort (fun a b -> compare a.key b.key) (Hashtbl.fold (fun _ b acc -> b :: acc) batch [])
     in
-    if sorted <> [] then Disk.await_background c.disk;
     List.iter
       (fun b ->
         let data = c.dma_read b in

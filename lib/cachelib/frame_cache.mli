@@ -130,6 +130,9 @@ type 'a cleaner = {
   cleaned : 'a block list -> unit;
       (** the NVM side for every block just written, in write order:
           persist their clean marks, or drop their metadata slots *)
+  deferred : Tinca_sim.Metrics.counter;
+      (** bumped by each pressure pass that is due but defers because
+          the previous batch is still queued *)
 }
 
 (** How many unpinned LRU-most blocks one idle pass considers (64), and
@@ -161,11 +164,14 @@ val pressure_dirty : float
     gap, until 3/4 of that level would remain, and writes them in
     home-block order with queued background writes
     ([Disk.write_block ~background:true]): the caller does not wait for
-    them, except that a batch first waits for the previous batch to
-    drain ({!Tinca_blockdev.Disk.await_background}), so at most one is
-    queued.  On an SSD a foreground access suspends them; on an HDD it
-    queues behind them.  Every unpinned dirty block is
-    committed when a commit ends, so no durability stamp is needed. *)
+    them.  A pass that finds the previous batch still queued
+    ({!Tinca_blockdev.Disk.background_pending}) writes nothing and
+    bumps [c.deferred]; the first pass after the device drains takes
+    the batch, sized from the dirty level then.  So at most one batch
+    is queued and no caller's clock advances for it.  On an SSD a
+    foreground access suspends them; on an HDD it queues behind them.
+    Every unpinned dirty block is committed when a commit ends, so no
+    durability stamp is needed. *)
 val clean : 'a t -> 'a cleaner -> after_commit:bool -> int
 
 (** In index (hash table) order. *)

@@ -86,6 +86,7 @@ type counters = {
   c_flight_records : Metrics.counter;
   c_writebacks : Metrics.counter;
   c_fg_writebacks : Metrics.counter;
+  c_bg_deferred : Metrics.counter;
   c_evictions : Metrics.counter;
   c_cleaned : Metrics.counter;
   c_revoked : Metrics.counter;
@@ -105,6 +106,7 @@ let counters metrics =
     c_flight_records = c "tinca.flight.records";
     c_writebacks = c "tinca.writebacks";
     c_fg_writebacks = c "cache.fg_writebacks";
+    c_bg_deferred = c "cache.bg_deferred";
     c_evictions = c "tinca.evictions";
     c_cleaned = c "tinca.cleaned";
     c_revoked = c "tinca.revoked";
@@ -357,6 +359,7 @@ let clean ~after_commit t =
           Metrics.add t.ctr.c_writebacks n;
           Metrics.add t.ctr.c_cleaned n;
           Trace.end_span "tinca.bg_clean");
+      deferred = t.ctr.c_bg_deferred;
     }
   in
   ignore (Fc.clean t.fc cleaner ~after_commit)

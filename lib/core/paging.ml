@@ -194,6 +194,7 @@ type region = {
      stats rows read write-backs and evictions back from them. *)
   c_writebacks : Metrics.counter;
   c_fg_writebacks : Metrics.counter;
+  c_bg_deferred : Metrics.counter;
   c_cleaned : Metrics.counter;
   c_evictions : Metrics.counter;
   mutable epoch : int;  (* DRAM mirror of the durable epoch word *)
@@ -267,6 +268,7 @@ let make ~id ~cfg ~geom ~pmem ~disk ~clock ~metrics =
     c_flight_records = c "tinca.flight.records";
     c_writebacks = c "tinca.writebacks";
     c_fg_writebacks = c "cache.fg_writebacks";
+    c_bg_deferred = c "cache.bg_deferred";
     c_cleaned = c "tinca.cleaned";
     c_evictions = c "tinca.evictions";
     epoch = 0;
@@ -372,6 +374,7 @@ let clean ~after_commit r =
           Metrics.add r.c_writebacks n;
           Metrics.add r.c_cleaned n;
           Trace.end_span "tinca.bg_clean");
+      deferred = r.c_bg_deferred;
     }
   in
   ignore (Fc.clean r.fc cleaner ~after_commit)

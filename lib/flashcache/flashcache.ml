@@ -170,15 +170,20 @@ let writeback ?(background = false) t slot =
 (* Flashcache's dirty-threshold cleaner: when a set's dirty fraction
    exceeds [dirty_threshold], write its least-recently-used dirty blocks
    back, each with the dirty blocks next to it on disk (in any set) up to
-   the first gap on either side, using background device time once the
-   previous round's has drained; then persist the affected metadata
-   blocks once each.  Small hysteresis: only the oldest few dirty blocks
-   are picked, so hot (recently re-dirtied) blocks keep coalescing writes
-   in the cache like real Flashcache's LRU-order cleaner. *)
+   the first gap on either side, in background device time; then
+   persist the affected metadata blocks once each.  While the previous
+   round's writes are still queued the round defers (counted in
+   [cache.bg_deferred]): the set's next cleaning after the device drains
+   takes it, so at most one round is queued and the writer never waits
+   for one.  Small hysteresis: only the oldest few dirty blocks are
+   picked, so hot (recently re-dirtied) blocks keep coalescing writes in
+   the cache like real Flashcache's LRU-order cleaner. *)
 let clean_set t set =
   let assoc = t.cfg.associativity in
   let high = int_of_float (t.cfg.dirty_threshold *. float_of_int assoc) in
-  if t.dirty_in_set.(set) > high then begin
+  if t.dirty_in_set.(set) <= high then ()
+  else if Disk.background_pending t.disk then Metrics.incr t.metrics "cache.bg_deferred" ~by:1
+  else begin
     let low = max 0 (high * 7 / 8) in
     let base = set * assoc in
     let limit = min t.nslots (base + assoc) in
@@ -220,7 +225,6 @@ let clean_set t set =
         (fun a b -> compare t.blkno.(a) t.blkno.(b))
         (Hashtbl.fold (fun s () acc -> s :: acc) batch [])
     in
-    Disk.await_background t.disk;
     let touched_md = Hashtbl.create 8 in
     List.iter
       (fun s ->

@@ -155,6 +155,13 @@ let burst d n =
     Disk.write_block ~background:true d ((i * 37) mod 1024) (block 'b')
   done
 
+(* The device time a burst issued at time 0 leaves queued: the backlog
+   its last write recorded. *)
+let peak_backlog m =
+  match Metrics.hist m "disk.bg_backlog_ns" with
+  | Some h -> Hist.max_value h
+  | None -> Alcotest.fail "no backlog samples"
+
 (* When a read of block 512 finishes on an idle [kind] disk, and when a
    burst of 32 background writes drains with nothing else issued. *)
 let alone kind =
@@ -164,12 +171,20 @@ let alone kind =
     Clock.now_ns clock
   in
   let drain =
-    let d, clock, _ = mk_disk ~kind () in
+    let d, _, m = mk_disk ~kind () in
     burst d 32;
-    Disk.await_background d;
-    Clock.now_ns clock
+    peak_backlog m
   in
   (read, drain)
+
+(* Queued work is pending up to [t_end] and drained from then on; the
+   clock is advanced to [t_end]. *)
+let check_drains_at d clock what t_end =
+  Clock.advance_to clock (t_end -. 1.0);
+  Alcotest.(check bool) (what ^ ": pending just before its end") true
+    (Disk.background_pending d);
+  Clock.advance_to clock t_end;
+  Alcotest.(check bool) (what ^ ": drained at its end") false (Disk.background_pending d)
 
 (* An SSD suspends queued background writes for a foreground read
    (NAND program suspend): the read finishes exactly as on an idle
@@ -181,9 +196,7 @@ let test_ssd_read_suspends_background () =
   burst d 32;
   ignore (Disk.read_block d 512);
   Alcotest.(check (float 1e-9)) "read as on an idle device" read_alone (Clock.now_ns clock);
-  Disk.await_background d;
-  Alcotest.(check (float 1e-9)) "burst slides by the read" (drain_alone +. read_alone)
-    (Clock.now_ns clock)
+  check_drains_at d clock "burst slides by the read" (drain_alone +. read_alone)
 
 (* An HDD cannot suspend a seek: a foreground read issued behind a burst
    of background writes waits for the whole queue (FIFO). *)
@@ -195,29 +208,34 @@ let test_hdd_background_write_occupies_device () =
   let t = Clock.now_ns clock in
   Alcotest.(check bool) "queued behind the burst" true (t > drain_alone);
   Alcotest.(check bool) "far slower than alone" true (t > 10.0 *. read_alone);
-  Disk.await_background d;
-  Alcotest.(check (float 1e-9)) "nothing left queued" t (Clock.now_ns clock)
+  Alcotest.(check bool) "nothing left queued" false (Disk.background_pending d)
 
-(* [await_background] moves the caller to the end of the queued work and
-   counts the wait; with nothing queued it does nothing. *)
-let test_await_background () =
+(* [background_pending] is false on an idle device, true while a burst
+   is queued and false once the clock passes the burst's end, also when
+   an SSD read suspended the burst and so moved that end.  It is a
+   query: the clock never moves for it. *)
+let test_background_pending () =
   let d, clock, m = mk_disk () in
-  Disk.await_background d;
-  Alcotest.(check (float 1e-9)) "idle: clock unchanged" 0.0 (Clock.now_ns clock);
-  Alcotest.(check int) "idle: no wait counted" 0 (Metrics.get m "disk.throttle_ns");
+  Alcotest.(check bool) "idle" false (Disk.background_pending d);
   let _, drain_alone = alone Latency.Ssd in
   burst d 32;
+  Alcotest.(check bool) "burst queued" true (Disk.background_pending d);
   Clock.advance clock 1000.0;
-  Disk.await_background d;
-  Alcotest.(check (float 1e-9)) "at the end of the queue" drain_alone (Clock.now_ns clock);
-  Alcotest.(check int) "wait counted" (int_of_float (Float.ceil (drain_alone -. 1000.0)))
-    (Metrics.get m "disk.throttle_ns");
+  Alcotest.(check bool) "still queued" true (Disk.background_pending d);
+  Alcotest.(check (float 1e-9)) "the query waits for nothing" 1000.0 (Clock.now_ns clock);
   (* Each background write recorded the backlog it left. *)
-  match Metrics.hist m "disk.bg_backlog_ns" with
+  (match Metrics.hist m "disk.bg_backlog_ns" with
   | None -> Alcotest.fail "no backlog samples"
   | Some h ->
       Alcotest.(check int) "one sample per write" 32 (Hist.count h);
-      Alcotest.(check (float 1e-9)) "peak is the whole burst" drain_alone (Hist.max_value h)
+      Alcotest.(check (float 1e-9)) "peak is the whole burst" drain_alone (Hist.max_value h));
+  check_drains_at d clock "alone" drain_alone;
+  (* The same burst, suspended by a foreground read. *)
+  let d, clock, _ = mk_disk () in
+  burst d 32;
+  ignore (Disk.read_block d 512);
+  Alcotest.(check bool) "queued after the read" true (Disk.background_pending d);
+  check_drains_at d clock "after a read" (drain_alone +. Clock.now_ns clock)
 
 (* --- idle-time write-back --- *)
 
@@ -341,7 +359,7 @@ let queue_suite =
           test_hdd_background_write_occupies_device;
         Alcotest.test_case "SSD read suspends background writes" `Quick
           test_ssd_read_suspends_background;
-        Alcotest.test_case "await_background drains the queue" `Quick test_await_background;
+        Alcotest.test_case "background_pending: idle, queued, drained" `Quick test_background_pending;
         Alcotest.test_case "idle write delays no later read" `Quick test_idle_write_delays_nothing;
         Alcotest.test_case "idle write refuses a short gap" `Quick test_idle_write_refuses_short_gap;
         Alcotest.test_case "idle write honours not_before" `Quick

@@ -599,6 +599,7 @@ let cleaner_env ~frames blocks =
         Fc.disk;
         dma_read = (fun _ -> Bytes.make 4096 'c');
         cleaned = (fun bs -> written := List.map (fun b -> b.Fc.key) bs);
+        deferred = Tinca_sim.Metrics.counter metrics "cache.bg_deferred";
       }
     in
     ignore (Fc.clean fc c ~after_commit);

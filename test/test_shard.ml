@@ -326,16 +326,18 @@ let pin_script ~scheme ~nshards ~crash_at =
           Clock.now_ns clock )
 
 (* Recorded before the shard layer took over both engines, less the
-   110 ns line recovery stopped reading twice (the media magic); every
-   refactor of that layer must leave them untouched. *)
+   110 ns line recovery stopped reading twice (the media magic); the
+   N=2 and N=4 rows re-recorded when the pressure pass began deferring
+   a batch while the last one is queued instead of waiting for it.
+   Every refactor of the shard layer must leave them untouched. *)
 let pins =
   [
     ("logging", 1, "3dc0032eea6d44526fefc17a6fdd065e", 614, 0x1.409f6p+22);
-    ("logging", 2, "3074a89c287eb205ecc9e7a4e76315c9", 647, 0x1.47c4acp+22);
-    ("logging", 4, "4403bb429bf2fc7b1c1a02b73fdc300e", 711, 0x1.d01c1cp+22);
+    ("logging", 2, "e4a553b61bdf7f87ef01fab659d09dc6", 638, 0x1.3adcbp+22);
+    ("logging", 4, "57444ffb6affad4c54e62dd2920a1c4c", 691, 0x1.a71bb4p+22);
     ("paging", 1, "52987cb06d58ba84cd5c0d5feba97e63", 220, 0x1.2bd4ccp+22);
-    ("paging", 2, "496700f7bfbe01c4404b938aa85736dd", 231, 0x1.2e2df8p+22);
-    ("paging", 4, "fd4fa3f4f87752a336bc393bf6683d9d", 245, 0x1.a4f49cp+22);
+    ("paging", 2, "572cf9313972c41abc5793b1c7a99038", 235, 0x1.2fd478p+22);
+    ("paging", 4, "025e547cdf1f2e2b79fb22f34cd1d63e", 258, 0x1.8a173p+22);
   ]
 
 let test_pinned_script () =
