@@ -161,6 +161,10 @@ let run_trace stack_name shards scheme trace_file synth_ops read_pct nblocks cra
   (* The backlog lines below describe the replay, not the prealloc. *)
   Option.iter Hist.reset (Metrics.hist env.Stacks.metrics "disk.bg_backlog_ns");
   let meta0 = Fs.meta_reads fs and data0 = Fs.data_reads fs in
+  let commits () =
+    Option.fold ~none:0 ~some:Hist.count (Metrics.hist env.Stacks.metrics "tinca.txn_blocks")
+  in
+  let commits0 = commits () in
   let stats = Trace.run ~block_size:4096 before_crash ops in
   let seconds = (Clock.now_ns env.Stacks.clock -. t0) /. 1e9 in
   let per_op name =
@@ -178,7 +182,7 @@ let run_trace stack_name shards scheme trace_file synth_ops read_pct nblocks cra
      back on the foreground path (both engines), the cleaner passes that
      deferred their batch because the last one was still queued, and
      the device time the cleaners' queued writes left behind them. *)
-  Printf.printf "cleaned/op        %10.2f\n" (per_op "tinca.cleaned");
+  Printf.printf "cleaned/op        %10.2f\n" (per_op "tinca.cleaned" +. per_op "flashcache.cleaned");
   let fsyncs = List.length (List.filter (fun op -> op = Trace.Fsync) before_crash) in
   Printf.printf "fg write-backs/fsync %7.2f\n"
     (float_of_int (Metrics.since env.Stacks.metrics snap "cache.fg_writebacks")
@@ -211,6 +215,15 @@ let run_trace stack_name shards scheme trace_file synth_ops read_pct nblocks cra
       ("pressure pass", "disk.bg_writes", "disk.bg_seq_writes");
     ];
   Printf.printf "cache write hit   %10.1f%%\n" (100.0 *. stack.Stacks.cache_write_hit_rate ());
+  (* Partial COW writes (Tinca): data lines stored per COW-written block,
+     lines a write into a spare frame skipped per commit, and the frames
+     held as spares when the replay ends. *)
+  let since = Metrics.since env.Stacks.metrics snap in
+  Printf.printf "lines/COW block   %10.1f\n"
+    (float_of_int (since "cache.cow_lines") /. float_of_int (max 1 (since "cache.cow_blocks")));
+  Printf.printf "lines skipped/commit %7.1f\n"
+    (float_of_int (since "cache.cow_lines_skipped") /. float_of_int (max 1 (commits () - commits0)));
+  Printf.printf "spares held       %10d\n" (Metrics.get env.Stacks.metrics "cache.spare_frames");
   (* Power fails after [crash_at] ops; the rest of the trace runs on the
      recovered stack, whose counters start from zero. *)
   if crash_at <> None then begin

@@ -1,3 +1,5 @@
+module Metrics = Tinca_sim.Metrics
+
 type 'a block = {
   key : int;
   mutable frame : int;
@@ -7,6 +9,11 @@ type 'a block = {
   mutable durable_at : int;
   mutable node : 'a block Lru.node option;
   mutable clean_node : 'a block Lru.node option;
+  mutable shadow : bytes option;
+  mutable spare : int;
+  mutable spare_mask : int64;
+  mutable spare_node : 'a block Lru.node option;
+  mutable drain_gen : int;
   ext : 'a;
 }
 
@@ -16,9 +23,17 @@ type 'a t = {
   index : (int, 'a block) Hashtbl.t;
   lru : 'a block Lru.t;
   clean : 'a block Lru.t; (* the clean blocks of [lru], in its order *)
+  spares : 'a block Lru.t; (* the blocks holding a spare, in [lru]'s order *)
   frames : Free_monitor.t;
   slots : Free_monitor.t;
   mutable ndirty : int;
+  keep_spares : bool; (* false under [Fifo], which rotates every write *)
+  mutable gen : int; (* drains retired so far *)
+  mutable latest : 'a block list; (* the blocks the latest drain retired *)
+  c_cow_blocks : Metrics.counter;
+  c_cow_lines : Metrics.counter;
+  c_lines_skipped : Metrics.counter;
+  c_spares : Metrics.counter;
   mutable read_hits : int;
   mutable read_misses : int;
   mutable write_hits : int;
@@ -26,14 +41,23 @@ type 'a t = {
   mutable evictions : int;
 }
 
-let create ?policy ~frames ~slots ~index_size () =
+let create ?policy ?(metrics = Metrics.create ()) ~frames ~slots ~index_size () =
+  let c = Metrics.counter metrics in
   {
     index = Hashtbl.create index_size;
     lru = Lru.create ();
     clean = Lru.create ();
+    spares = Lru.create ();
     frames = Free_monitor.create ?policy ~n:frames ();
     slots = Free_monitor.create ~n:slots ();
     ndirty = 0;
+    keep_spares = policy <> Some Free_monitor.Fifo;
+    gen = 0;
+    latest = [];
+    c_cow_blocks = c "cache.cow_blocks";
+    c_cow_lines = c "cache.cow_lines";
+    c_lines_skipped = c "cache.cow_lines_skipped";
+    c_spares = c "cache.spare_frames";
     read_hits = 0;
     read_misses = 0;
     write_hits = 0;
@@ -49,7 +73,8 @@ let touch t b =
   match b.node with
   | Some n ->
       Lru.touch t.lru n;
-      (match b.clean_node with Some c -> Lru.touch t.clean c | None -> ())
+      (match b.clean_node with Some c -> Lru.touch t.clean c | None -> ());
+      (match b.spare_node with Some s -> Lru.touch t.spares s | None -> ())
   | None -> ()
 
 let lookup_read t key =
@@ -99,7 +124,8 @@ let set_dirty t b v =
 
 let insert t ~key ~frame ~slot ~dirty ~pinned ext =
   let b =
-    { key; frame; slot; pinned; dirty; durable_at = 0; node = None; clean_node = None; ext }
+    { key; frame; slot; pinned; dirty; durable_at = 0; node = None; clean_node = None;
+      shadow = None; spare = -1; spare_mask = 0L; spare_node = None; drain_gen = -1; ext }
   in
   if dirty then t.ndirty <- t.ndirty + 1;
   b.node <- Some (Lru.push_mru t.lru b);
@@ -107,10 +133,22 @@ let insert t ~key ~frame ~slot ~dirty ~pinned ext =
   Hashtbl.replace t.index key b;
   b
 
+(* Detach [b]'s spare without freeing its frame; returns the frame. *)
+let detach_spare t b =
+  let s = b.spare in
+  (match b.spare_node with Some n -> Lru.remove t.spares n | None -> ());
+  b.spare_node <- None;
+  b.spare <- -1;
+  b.spare_mask <- 0L;
+  Metrics.add t.c_spares (-1);
+  s
+
 let remove t b =
   (match b.node with Some n -> Lru.remove t.lru n | None -> ());
   b.node <- None;
   unlink_clean t b;
+  if b.spare >= 0 then Free_monitor.free t.frames (detach_spare t b);
+  b.shadow <- None;
   Hashtbl.remove t.index b.key;
   set_dirty t b false;
   Free_monitor.free t.frames b.frame;
@@ -121,9 +159,27 @@ let set_slot b s = b.slot <- s
 let set_pinned b v = b.pinned <- v
 let stamp_durable b now = b.durable_at <- int_of_float (Float.ceil now)
 let dirty_count t = t.ndirty
-let free_frames t = Free_monitor.free_count t.frames
+let spare_count t = Lru.length t.spares
+let free_frames t = Free_monitor.free_count t.frames + spare_count t
 let free_slots t = Free_monitor.free_count t.slots
-let alloc_frame t = Free_monitor.alloc t.frames
+
+(* Free the LRU-most unpinned block's spare; [false] when no such block
+   holds one.  A pinned block is about to be written, and its spare is
+   its COW target.  A shadow outlives its spare only while its block is
+   in the latest drain. *)
+let reclaim_spare t =
+  match Lru.find_from_lru t.spares ~f:(fun b -> not b.pinned) with
+  | None -> false
+  | Some n ->
+      let b = Lru.value n in
+      Free_monitor.free t.frames (detach_spare t b);
+      if b.drain_gen <> t.gen then b.shadow <- None;
+      true
+
+let alloc_frame t =
+  match Free_monitor.alloc t.frames with
+  | Some _ as r -> r
+  | None -> if reclaim_spare t then Free_monitor.alloc t.frames else None
 let alloc_slot t = Free_monitor.alloc t.slots
 let free_frame t f = Free_monitor.free t.frames f
 let free_slot t s = Free_monitor.free t.slots s
@@ -150,14 +206,15 @@ let evict t hooks = function
       t.evictions <- t.evictions + 1;
       true
 
-(* Every eviction frees a frame, so the slot loop never undoes the
-   frame loop: [ok] is the whole verdict.  The slot loop takes only
+(* Spares go first: reclaiming one costs nothing, evicting a block costs
+   its cached copy.  Every eviction frees a frame, so the slot loop never
+   undoes the frame loop: [ok] is the whole verdict.  The slot loop takes only
    victims that hold a slot; when none is left, evicting more would
    free no slot, so it fails without evicting. *)
 let make_room t hooks ~frames ~slots =
   let ok = ref true in
-  while !ok && free_frames t < frames do
-    ok := evict t hooks (victim t)
+  while !ok && Free_monitor.free_count t.frames < frames do
+    ok := reclaim_spare t || evict t hooks (victim t)
   done;
   while !ok && free_slots t < slots do
     ok := evict t hooks (pick t (fun b -> b.slot >= 0))
@@ -176,6 +233,122 @@ let take_slot t hooks = take t.slots t hooks ~frames:0 ~slots:1
 let iter_lru f t = Lru.iter f t.lru
 
 let iter_lru_while t f = ignore (Lru.find_from_lru t.lru ~f:(fun b -> not (f b)))
+
+(* --- shadows and spares ------------------------------------------------ *)
+
+let line = 64
+let max_lines = 64
+let full = -1L
+
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* The lines of [a] and [b] (equal lengths of at most [max_lines]
+   lines) that differ, bit i for line i; [full] when every line does.
+   The words are read unchecked (the length check covers them): the
+   compare runs once per write to a block with a shadow, and the checked
+   reads made it about three times slower. *)
+let changed_lines a b =
+  if Bytes.length a <> Bytes.length b then invalid_arg "Frame_cache.changed_lines: lengths differ";
+  let n = Bytes.length a / line in
+  let m = ref 0L in
+  for i = 0 to n - 1 do
+    let off = i * line in
+    let j = ref 0 in
+    while !j < line && (get64u a (off + !j) : int64) = get64u b (off + !j) do
+      j := !j + 8
+    done;
+    if !j < line then m := Int64.logor !m (Int64.shift_left 1L i)
+  done;
+  if n = max_lines || !m <> Int64.pred (Int64.shift_left 1L n) then !m else full
+
+let mem_line m i = Int64.logand m (Int64.shift_left 1L i) <> 0L
+
+let popcount m =
+  let rec go m n = if m = 0L then n else go (Int64.logand m (Int64.pred m)) (n + 1) in
+  go m 0
+
+type plan = { target : int; lines : int64; mask : int64 }
+
+let plan_write t b data =
+  let nlines = Bytes.length data / line in
+  let mask =
+    match b with
+    | Some { shadow = Some s; _ } when Bytes.length s = Bytes.length data -> changed_lines s data
+    | _ -> full
+  in
+  Metrics.add t.c_cow_blocks 1;
+  match b with
+  | Some b when b.spare >= 0 ->
+      let lines = Int64.logor b.spare_mask mask in
+      let written = if lines = full then nlines else popcount lines in
+      Metrics.add t.c_cow_lines written;
+      Metrics.add t.c_lines_skipped (nlines - written);
+      { target = detach_spare t b; lines; mask }
+  | _ ->
+      Metrics.add t.c_cow_lines nlines;
+      { target = -1; lines = full; mask }
+
+(* Maximal runs of [p.lines] as [(pos, len)] byte ranges of a
+   [block_size]-byte block. *)
+let runs p ~block_size =
+  if p.lines = full then [ (0, block_size) ]
+  else begin
+    let acc = ref [] and i = ref (block_size / line - 1) in
+    while !i >= 0 do
+      if mem_line p.lines !i then begin
+        let last = !i in
+        while !i >= 0 && mem_line p.lines !i do
+          decr i
+        done;
+        acc := ((!i + 1) * line, (last - !i) * line) :: !acc
+      end
+      else decr i
+    done;
+    !acc
+  end
+
+let new_drain t =
+  List.iter (fun b -> if b.spare < 0 then b.shadow <- None) t.latest;
+  t.latest <- [];
+  t.gen <- t.gen + 1
+
+let retire_version t b ~prev ~mask data =
+  if prev >= 0 then
+    if mask <> full && t.keep_spares then begin
+      b.spare <- prev;
+      b.spare_mask <- mask;
+      b.spare_node <- Some (Lru.push_mru t.spares b);
+      Metrics.add t.c_spares 1
+    end
+    else Free_monitor.free t.frames prev;
+  b.shadow <- (if Bytes.length data <= max_lines * line then Some data else None);
+  b.drain_gen <- t.gen;
+  t.latest <- b :: t.latest;
+  touch t b
+
+exception Bad of string
+
+let audit_versions t ~read ~committed =
+  let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+  match
+    Hashtbl.iter
+      (fun key b ->
+        match b.shadow with
+        | None -> if b.spare >= 0 then fail "block %d holds spare %d without a shadow" key b.spare
+        | Some s ->
+            let cur = read (committed b) in
+            if not (Bytes.equal s cur) then
+              fail "block %d: shadow differs from frame %d" key (committed b);
+            if b.spare >= 0 then begin
+              let m = changed_lines (read b.spare) cur in
+              if Int64.logand m (Int64.lognot b.spare_mask) <> 0L then
+                fail "block %d: spare %d differs from frame %d outside its mask" key b.spare
+                  (committed b)
+            end)
+      t.index
+  with
+  | () -> Ok ()
+  | exception Bad m -> Error m
 
 module Disk = Tinca_blockdev.Disk
 
@@ -293,8 +466,6 @@ let evictions t = t.evictions
 let note_write t ~hit =
   if hit then t.write_hits <- t.write_hits + 1 else t.write_misses <- t.write_misses + 1
 
-exception Bad of string
-
 let audit ?(also_holds = fun _ -> -1) t =
   let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
   (* Claim every referenced index of [pool] once, then compare the
@@ -326,11 +497,17 @@ let audit ?(also_holds = fun _ -> -1) t =
      if List.compare_lengths clean listed <> 0 || not (List.for_all2 ( == ) clean listed) then
        fail "clean list (%d blocks) is not the LRU's %d clean blocks in order" (List.length listed)
          (List.length clean));
+    (let holders = List.filter (fun b -> b.spare >= 0) (Lru.to_list_lru_first t.lru) in
+     let listed = Lru.to_list_lru_first t.spares in
+     if List.compare_lengths holders listed <> 0 || not (List.for_all2 ( == ) holders listed) then
+       fail "spare list (%d blocks) is not the LRU's %d spare holders in order" (List.length listed)
+         (List.length holders));
     Hashtbl.iter
       (fun key b ->
         if b.key <> key then fail "index key %d holds block %d" key b.key;
         claim_frame key b.frame;
         if also_holds b >= 0 then claim_frame key (also_holds b);
+        if b.spare >= 0 then claim_frame key b.spare;
         if b.slot >= 0 then claim_slot key b.slot;
         if b.dirty then incr dirty)
       t.index;

@@ -26,6 +26,14 @@ type 'a block = private {
   mutable node : 'a block Lru.node option;
   mutable clean_node : 'a block Lru.node option;
       (** the block's place on the clean list while it is clean *)
+  mutable shadow : bytes option;
+      (** DRAM copy of the committed version, the data its last commit
+          staged; see {!section-versions} *)
+  mutable spare : int;  (** frame holding the version before it, or -1 *)
+  mutable spare_mask : int64;  (** lines where [spare] differs from it *)
+  mutable spare_node : 'a block Lru.node option;
+      (** the block's place on the spare list while it holds a spare *)
+  mutable drain_gen : int;  (** the drain that last retired a version *)
   ext : 'a;  (** engine-specific state *)
 }
 
@@ -36,9 +44,19 @@ type 'a hooks = { evict : 'a block -> unit }
 
 (** Empty cache over [frames] frames and [slots] slots.  [policy] orders
     the frame pool; [index_size] is the index's initial hash-table size,
-    which fixes its iteration order ({!fold}). *)
+    which fixes its iteration order ({!fold}).  Under [Fifo], whose
+    point is to rotate writes through every frame, no frame is kept as
+    a spare ({!retire_version}).  [metrics] (default: a private
+    registry) receives the COW counters of {!plan_write} and the spare
+    count. *)
 val create :
-  ?policy:Free_monitor.policy -> frames:int -> slots:int -> index_size:int -> unit -> 'a t
+  ?policy:Free_monitor.policy ->
+  ?metrics:Tinca_sim.Metrics.t ->
+  frames:int ->
+  slots:int ->
+  index_size:int ->
+  unit ->
+  'a t
 
 val length : 'a t -> int
 val find : 'a t -> int -> 'a block option
@@ -54,7 +72,8 @@ val touch : 'a t -> 'a block -> unit
 val insert :
   'a t -> key:int -> frame:int -> slot:int -> dirty:bool -> pinned:bool -> 'a -> 'a block
 
-(** Unlink from the index and the LRU, and free the frame and slot. *)
+(** Unlink from the index and the LRU, and free the frame, the slot and
+    the spare. *)
 val remove : 'a t -> 'a block -> unit
 
 val set_frame : 'a block -> int -> unit
@@ -66,10 +85,19 @@ val set_pinned : 'a block -> bool -> unit
 val stamp_durable : 'a block -> float -> unit
 val set_dirty : 'a t -> 'a block -> bool -> unit
 val dirty_count : 'a t -> int
+
+(** Free supply: the free pool plus every spare, which replacement
+    reclaims before it evicts a block. *)
 val free_frames : 'a t -> int
+
 val free_slots : 'a t -> int
 
-(** Pool access without eviction; [alloc_*] is [None] when empty. *)
+(** Frames held as spares. *)
+val spare_count : 'a t -> int
+
+(** Pool access without eviction; [alloc_*] is [None] when empty.
+    [alloc_frame] reclaims the LRU-most unpinned block's spare when the
+    pool is. *)
 val alloc_frame : 'a t -> int option
 
 val alloc_slot : 'a t -> int option
@@ -88,9 +116,12 @@ val claim_slot : 'a t -> int -> unit
     it must write back to disk on the caller's path. *)
 val victim : 'a t -> 'a block option
 
-(** Evict victims (hook, then {!remove}) until [frames] frames and
-    [slots] slots are free; [false] when the victims run out first.
-    Frames are freed by {!victim}.  Slots are freed by the same
+(** Reclaim spares, LRU-most first, then evict victims (hook, then
+    {!remove}) until [frames] frames are in the free pool and [slots]
+    slots are free; [false] when the victims run out first.  Frames are
+    freed by reclaiming every unpinned block's spare before {!victim}
+    evicts a block: a pinned block's spare is the target of its coming
+    write.  Slots are freed by the same
     clean-first rule over the blocks that hold a slot; when no unpinned
     block holds one, it returns [false] without evicting more. *)
 val make_room : 'a t -> 'a hooks -> frames:int -> slots:int -> bool
@@ -100,6 +131,67 @@ val make_room : 'a t -> 'a hooks -> frames:int -> slots:int -> bool
 val take_frame : 'a t -> 'a hooks -> int option
 
 val take_slot : 'a t -> 'a hooks -> int option
+
+(** {1:versions Shadows and spares}
+
+    Partial COW writes for both engines.  A commit's staged block is
+    already a DRAM copy; after the commit it stays on the block as its
+    {e shadow}, the content of the committed version.  The next write's
+    staged copy is compared with it line by line (64 B) for a changed-line
+    mask, with no NVM read: a host compare, charged to nobody.  When a commit's mask is not full, the frame
+    of the version it replaced stays with the block as its {e spare},
+    with that mask: the next write COWs into the spare and stores only
+    the lines of (spare mask ∪ new mask), every other line of the spare
+    already holding the same bytes, durable since the commit that wrote
+    them.  A write with no spare takes a fresh frame and stores every
+    line.
+
+    Rules the engines keep: only a frame a commit wrote (a version with
+    a shadow) becomes a spare, never a read-miss fill; a rolled-back
+    COW target is freed, never kept; a shadow mirrors the block's
+    committed frame.  Shadows are held for the blocks of the latest
+    drain and for blocks holding a spare; spares are reclaimed,
+    LRU-most first, before any block is evicted, and freed with their
+    block. *)
+
+(** The every-line mask, bit i for 64 B line i: a write with no shadow
+    to compare with.  Blocks of more than 64 lines keep no shadow, so
+    every write to them takes a fresh frame. *)
+val full : int64
+
+(** Where one COW write goes: [target] is the spare to store into, or
+    -1 for a fresh frame the engine allocates, written whole; [lines]
+    the lines to store ({!full} for a fresh frame); [mask] the lines
+    that differ from the committed version ({!full} when the block has
+    no shadow). *)
+type plan = { target : int; lines : int64; mask : int64 }
+
+(** Plan a COW write of [data] over the block ([None]: a write miss).
+    Detaches the block's spare as the target: the engine then owns that
+    frame and frees it on a roll-back.  Counts [cache.cow_blocks],
+    [cache.cow_lines] (lines stored) and [cache.cow_lines_skipped]. *)
+val plan_write : 'a t -> 'a block option -> bytes -> plan
+
+(** The plan's lines as maximal [(pos, len)] byte runs of a block. *)
+val runs : plan -> block_size:int -> (int * int) list
+
+(** Start retiring a drain: the previous drain's blocks that hold no
+    spare drop their shadows. *)
+val new_drain : 'a t -> unit
+
+(** [retire_version t b ~prev ~mask data]: the commit that staged
+    [data] with changed-line [mask] is durable, and [prev] (or -1) is
+    the frame of the version it replaced.  [prev] becomes the block's
+    spare when [mask] is not {!full} (and the pool is not [Fifo]), and
+    is freed otherwise; [data]
+    becomes the shadow; the block is promoted to MRU. *)
+val retire_version : 'a t -> 'a block -> prev:int -> mask:int64 -> bytes -> unit
+
+(** Every shadow equals its block's committed frame ([read] of
+    [committed b]), every spare differs from it only inside its mask,
+    and every spare holder has a shadow.  [read] should charge nobody. *)
+val audit_versions :
+  'a t -> read:(int -> bytes) -> committed:('a block -> int) -> (unit, string) result
 
 (** LRU to MRU; [iter_lru_while] stops after [f] returns [false]. *)
 val iter_lru : ('a block -> unit) -> 'a t -> unit
@@ -187,7 +279,8 @@ val note_write : 'a t -> hit:bool -> unit
 (** Structural check: the LRU and the index hold the same blocks; the
     clean list holds the LRU's clean blocks in LRU order; every
     referenced frame and slot is in range, not free and referenced once;
-    as many frames and slots are used as are referenced; the dirty count
-    equals a recount.  [also_holds b] is one more frame [b] references
+    as many frames and slots are used as are referenced (spares
+    included); the spare list holds the LRU's spare holders in LRU
+    order; the dirty count equals a recount.  [also_holds b] is one more frame [b] references
     (a logging block's previous version), or -1. *)
 val audit : ?also_holds:('a block -> int) -> 'a t -> (unit, string) result

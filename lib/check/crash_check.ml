@@ -284,6 +284,14 @@ let read_miss_workload cfg _env tc oracle pending =
 let read_miss_config =
   { default_config with masks = Capped 4; pmem_bytes = 64 * 1024; universe = 24 }
 
+(* Every disk block starts with its own fill byte, [blk + 1]. *)
+let write_own_fills env cfg record =
+  for blk = 0 to cfg.universe - 1 do
+    let v = Char.chr (blk + 1) in
+    Disk.write_block env.disk blk (Bytes.make 4096 v);
+    record blk v
+  done
+
 (* A driver whose disk blocks start with their own fill bytes, judged
    by the prefix oracle. *)
 let own_fills_driver ?group_window_ns workload cfg =
@@ -291,11 +299,7 @@ let own_fills_driver ?group_window_ns workload cfg =
     fresh =
       (fun env ->
         let oracle = Hashtbl.create 64 and pending = Hashtbl.create 8 in
-        for blk = 0 to cfg.universe - 1 do
-          let v = Char.chr (blk + 1) in
-          Disk.write_block env.disk blk (Bytes.make 4096 v);
-          Hashtbl.replace oracle blk v
-        done;
+        write_own_fills env cfg (Hashtbl.replace oracle);
         let tc = mk_tinca ?group_window_ns cfg env in
         ((fun () -> workload cfg env tc oracle pending), prefix_judge env cfg oracle pending));
   }
@@ -373,6 +377,106 @@ let group_cleaner_workload cfg env tc oracle pending =
   commit_fills tc oracle pending [ (3, 'd'); (0, 'd') ]
 
 let group_cleaner_driver = own_fills_driver ~group_window_ns:1_000_000_000 group_cleaner_workload
+
+(* --- partial writes ----------------------------------------------------- *)
+
+(* Prefix consistency over whole-block contents: [oracle] maps every
+   block of the universe to its bytes as of the last acknowledged commit,
+   [pending] the in-flight transaction's blocks. *)
+let bytes_judge env cfg oracle pending ~recrash:_ recovered =
+  let peek = Tinca.peek recovered in
+  let first_bad table =
+    let rec go blk =
+      if blk >= cfg.universe then None
+      else if Bytes.equal (logical_block peek env.disk blk) (Hashtbl.find table blk) then go (blk + 1)
+      else Some blk
+    in
+    go 0
+  in
+  match first_bad oracle with
+  | None -> Ok ()
+  | Some _ when Hashtbl.length pending > 0 && first_bad (with_pending oracle pending) = None -> Ok ()
+  | Some blk ->
+      let got = logical_block peek env.disk blk and want = Hashtbl.find oracle blk in
+      let line = ref 0 in
+      while Bytes.sub got (!line * 64) 64 = Bytes.sub want (!line * 64) 64 do
+        incr line
+      done;
+      Error
+        (Printf.sprintf
+           "prefix consistency: block %d line %d is %C (expected %C pre-txn) — recovered state \
+            matches neither the last acknowledged commit nor the in-flight commit fully applied"
+           blk !line
+           (Bytes.get got (!line * 64))
+           (Bytes.get want (!line * 64)))
+
+(* [blk]'s acknowledged bytes with each of [lines] filled with [v]. *)
+let edited oracle blk lines v =
+  let b = Bytes.copy (Hashtbl.find oracle blk) in
+  List.iter (fun i -> Bytes.fill b (i * 64) 64 v) lines;
+  b
+
+let every_line = List.init 64 Fun.id
+
+(* Few lines of the same blocks rewritten across commits, so write hits
+   find a shadow and COW into spare frames: one line, two, none (an
+   identical rewrite) and every line.  Under logging an aborted
+   transaction stores a line into a block's spare (commit_prefix, then
+   abort); read pressure then reclaims spares and evicts their blocks.
+   With [group] each commit is one group-commit batch of one transaction
+   per block, drained at once.  [ncommits] is ignored. *)
+let partial_workload ~group cfg tc oracle pending =
+  let commit edits =
+    Hashtbl.reset pending;
+    let write h (blk, lines, v) =
+      let b = edited oracle blk lines v in
+      Tinca.ok_exn (Tinca.write h blk b);
+      Hashtbl.replace pending blk b
+    in
+    if group then begin
+      List.iter
+        (fun edit ->
+          let h = Tinca.init_txn tc in
+          write h edit;
+          ignore (Tinca.ok_exn (Tinca.commit_async h)))
+        edits;
+      Tinca.group_flush tc
+    end
+    else begin
+      let h = Tinca.init_txn tc in
+      List.iter (write h) edits;
+      Tinca.ok_exn (Tinca.commit h)
+    end;
+    Hashtbl.iter (fun blk b -> Hashtbl.replace oracle blk b) pending;
+    Hashtbl.reset pending
+  in
+  commit [ (0, every_line, 'a'); (1, every_line, 'a') ];
+  commit [ (0, [ 3 ], 'b'); (1, [ 5; 6 ], 'b') ];
+  commit [ (0, [ 7 ], 'c'); (2, every_line, 'c') ];
+  commit [ (0, [], 'd'); (1, [ 5 ], 'd') ];
+  (match cfg.scheme with
+  | Tinca.Config.Logging _ ->
+      let module Cache = Tinca_core.Cache in
+      let h = Cache.Txn.init (Tinca_core.Shard.caches (Tinca.shard tc)).(0) in
+      Cache.Txn.add h 0 (edited oracle 0 [ 20 ] 'x');
+      Cache.Txn.commit_prefix h 1;
+      Cache.Txn.abort h
+  | Tinca.Config.Paging _ -> ());
+  commit [ (0, [ 9 ], 'e'); (1, every_line, 'f') ];
+  for blk = 8 to cfg.universe - 1 do
+    ignore (Tinca.read tc blk)
+  done;
+  commit [ (0, [ 3 ], 'g'); (1, [ 1 ], 'g') ]
+
+let partial_driver ?(group = false) cfg =
+  {
+    fresh =
+      (fun env ->
+        let oracle = Hashtbl.create 64 and pending = Hashtbl.create 8 in
+        write_own_fills env cfg (fun blk v -> Hashtbl.replace oracle blk (Bytes.make 4096 v));
+        let tc = mk_tinca ?group_window_ns:(if group then Some 1_000_000_000 else None) cfg env in
+        ((fun () -> partial_workload ~group cfg tc oracle pending), bytes_judge env cfg oracle pending));
+  }
 
 (* Run the three gates on the current (post-crash) medium.  Recovery goes
    through the facade, which sniffs the scheme from the media magic. *)

@@ -135,6 +135,17 @@ val cleaner_driver : config -> driver
     256. *)
 val group_cleaner_driver : config -> driver
 
+(** Partial COW writes under prefix consistency over whole-block
+    contents: commits rewrite one, two, no or every 64 B line of the
+    same blocks, so write hits COW into spare frames; under logging a
+    transaction that stored a line into a spare is aborted
+    ([Cache.Txn.commit_prefix], then [abort]); read pressure reclaims
+    spares and evicts their blocks.  [group] (default [false]) sends
+    every commit through a group-commit window (logging, Batched).  Same
+    geometry as {!read_miss_config}, one shard; needs [universe] of at
+    least 9 blocks and below 256; ignores [ncommits]. *)
+val partial_driver : ?group:bool -> config -> driver
+
 (** Run [driver]'s workload once without a crash and return its world,
     whose counters the caller can read.  [before] (default: nothing)
     sees the world after formatting, before the workload starts. *)

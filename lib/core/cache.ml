@@ -77,6 +77,9 @@ type ext = {
          the block spuriously dirty.  Post-crash recovery cannot read it
          back from media (the entry's M bit was overwritten by the COW
          update), so recovered infos conservatively set it to [true]. *)
+  mutable mask : int64;
+      (* lines where the in-flight version differs from [prev]'s
+         (Frame_cache.plan_write); [Fc.full] when unknown *)
 }
 
 type info = ext Fc.block
@@ -131,6 +134,7 @@ type t = {
   cpu : Latency.cpu;
   ring : Ring.t;
   fc : ext Fc.t;
+  cleaner : ext Fc.cleaner Lazy.t;
   mutable pinned : int; (* infos currently in log role *)
   mutable cow_pinned : int; (* NVM blocks held as previous versions *)
   mutable peak_cow : int;
@@ -337,62 +341,68 @@ let find_exn t blkno =
   | Some info -> info
   | None -> raise (Invariant_violation (Printf.sprintf "Tinca.Cache: block %d not cached" blkno))
 
-(* The cleaner (Frame_cache.clean): every frame it writes goes to disk by
-   DMA, uncharged; the clean marks of every block written ride one
-   batched entry update on the caller's clock. *)
-let clean ~after_commit t =
-  let cleaner =
-    {
-      Fc.disk = t.disk;
-      dma_read =
-        (fun (info : info) ->
-          Pmem.dma_read t.pmem
-            ~off:(Layout.data_block_off t.layout info.frame)
-            ~len:t.cfg.block_size);
-      cleaned =
-        (fun written ->
-          Trace.begin_span ~clock:t.clock "tinca.bg_clean";
-          Pmem.set_site t.pmem "cache.bg_clean";
-          write_entries_batched t
-            (List.map (fun (info : info) -> (info.slot, entry_of_info ~role:Entry.Buffer info)) written);
-          let n = List.length written in
-          Metrics.add t.ctr.c_writebacks n;
-          Metrics.add t.ctr.c_cleaned n;
-          Trace.end_span "tinca.bg_clean");
-      deferred = t.ctr.c_bg_deferred;
-    }
-  in
-  ignore (Fc.clean t.fc cleaner ~after_commit)
+(* The cleaner (Frame_cache.clean), built once per cache: every frame it
+   writes goes to disk by DMA, uncharged; the clean marks of every block
+   written ride one batched entry update on the caller's clock. *)
+let make_cleaner t =
+  {
+    Fc.disk = t.disk;
+    dma_read =
+      (fun (info : info) ->
+        Pmem.dma_read t.pmem ~off:(Layout.data_block_off t.layout info.frame) ~len:t.cfg.block_size);
+    cleaned =
+      (fun written ->
+        Trace.begin_span ~clock:t.clock "tinca.bg_clean";
+        Pmem.set_site t.pmem "cache.bg_clean";
+        write_entries_batched t
+          (List.map (fun (info : info) -> (info.slot, entry_of_info ~role:Entry.Buffer info)) written);
+        let n = List.length written in
+        Metrics.add t.ctr.c_writebacks n;
+        Metrics.add t.ctr.c_cleaned n;
+        Trace.end_span "tinca.bg_clean");
+    deferred = t.ctr.c_bg_deferred;
+  }
+
+let clean ~after_commit t = ignore (Fc.clean t.fc (Lazy.force t.cleaner) ~after_commit)
 
 (* --- construction ------------------------------------------------------ *)
 
 let make_t ~config:cfg ~layout ~pmem ~disk ~clock ~metrics =
-  {
-    cfg;
-    layout;
-    pmem;
-    disk;
-    clock;
-    metrics;
-    ctr = counters metrics;
-    cpu = Latency.default_cpu;
-    ring = Ring.attach ~pmem ~layout;
-    fc =
-      Fc.create ~policy:cfg.alloc_policy ~frames:layout.Layout.nblocks
-        ~slots:layout.Layout.nblocks ~index_size:4096 ();
-    pinned = 0;
-    cow_pinned = 0;
-    peak_cow = 0;
-    committing = false;
-    flight =
-      (if layout.Layout.flight_slots > 0 then Some (Flight.cursor ~slots:layout.Layout.flight_slots)
-       else None);
-    flight_dirty = [];
-    flight_batch = 0;
-    flight_cur_batch = -1;
-    flight_shard = 0;
-    flight_scan = None;
-  }
+  let ring = Ring.attach ~pmem ~layout in
+  let fc =
+    Fc.create ~policy:cfg.alloc_policy ~metrics ~frames:layout.Layout.nblocks
+      ~slots:layout.Layout.nblocks ~index_size:4096 ()
+  in
+  let flight =
+    if layout.Layout.flight_slots > 0 then Some (Flight.cursor ~slots:layout.Layout.flight_slots)
+    else None
+  in
+  let rec t =
+    {
+      cfg;
+      layout;
+      pmem;
+      disk;
+      clock;
+      metrics;
+      ctr = counters metrics;
+      cpu = Latency.default_cpu;
+      ring;
+      fc;
+      cleaner = lazy (make_cleaner t);
+      pinned = 0;
+      cow_pinned = 0;
+      peak_cow = 0;
+      committing = false;
+      flight;
+      flight_dirty = [];
+      flight_batch = 0;
+      flight_cur_batch = -1;
+      flight_shard = 0;
+      flight_scan = None;
+    }
+  in
+  t
 
 let format_region ~base ~mem_bytes ~config:cfg ~pmem ~disk ~clock ~metrics =
   let layout =
@@ -558,7 +568,7 @@ let recover_region ?(flight_replay = true) ~base ~mem_bytes ~pmem ~disk ~clock ~
       (match prev with Some p -> Fc.claim_frame t.fc p | None -> ());
       ignore
         (Fc.insert t.fc ~key:e.Entry.disk_blkno ~frame:e.Entry.cur ~slot:i ~dirty:e.Entry.modified
-           ~pinned:role_log { prev; role_log; pre_dirty = true });
+           ~pinned:role_log { prev; role_log; pre_dirty = true; mask = Fc.full });
       if role_log then t.pinned <- t.pinned + 1;
       if prev <> None then t.cow_pinned <- t.cow_pinned + 1
     end
@@ -604,7 +614,7 @@ let read_layout ~base ~mem_bytes pmem = read_super ~base ~mem_bytes pmem
 let charge_op t = Clock.advance t.clock t.cpu.Latency.op_overhead_ns
 let charge_lookup t = Clock.advance t.clock t.cpu.Latency.hash_lookup_ns
 
-let fresh_ext ~role_log = { prev = None; role_log; pre_dirty = false }
+let fresh_ext ~role_log = { prev = None; role_log; pre_dirty = false; mask = Fc.full }
 
 (* Read-miss fill: a frame but no entry slot, no flush, no fence.  When
    every cached block is pinned there is no victim: the block is served
@@ -653,6 +663,16 @@ module Txn = struct
      arm). *)
   type staged_alloc = Hit of info | Miss of int  (* fresh entry slot *)
 
+  (* One block of the allocation pass: its COW frame, hit or miss, its
+     write plan, and the store chunks with their flush ranges. *)
+  type alloc = {
+    a_blkno : int;
+    a_frame : int;
+    a_kind : staged_alloc;
+    a_plan : Fc.plan;
+    a_chunks : ((int * bytes) * (int * int)) list;
+  }
+
   type handle = {
     cache : t;
     staged : (int, bytes) Hashtbl.t;
@@ -689,10 +709,11 @@ module Txn = struct
 
   (* Point a cached block at its COW copy [new_blk], keeping the old
      version as [prev] and pinning the block in log role (§4.3). *)
-  let cow_hit t (info : info) new_blk =
+  let cow_hit t (info : info) new_blk (plan : Fc.plan) =
     let x = info.ext in
     Fc.note_write t.fc ~hit:true;
     Metrics.add t.ctr.c_write_hits 1;
+    x.mask <- plan.Fc.mask;
     x.pre_dirty <- info.dirty;
     x.prev <- Some info.frame;
     Fc.set_frame info new_blk;
@@ -722,21 +743,38 @@ module Txn = struct
     | Some info when info.slot < 0 -> Fc.remove t.fc info
     | _ -> ()
 
+  (* Where a write's COW copy goes: the block's spare, written on the
+     plan's lines, or a fresh frame written whole.  Raises
+     [Cache_exhausted] holding nothing. *)
+  let cow_frame t blkno data =
+    let plan = Fc.plan_write t.fc (Fc.find t.fc blkno) data in
+    ((if plan.Fc.target >= 0 then plan.Fc.target else alloc_data t), plan)
+
+  (* The plan's lines of [data] as store chunks and flush ranges of the
+     frame at [off]; a fresh frame is one chunk, the whole block. *)
+  let cow_chunks t off data plan =
+    List.map
+      (fun (pos, len) ->
+        ((off + pos, if len = Bytes.length data then data else Bytes.sub data pos len), (off + pos, len)))
+      (Fc.runs plan ~block_size:t.cfg.block_size)
+
   (* Commit one block: paper §4.4 steps 1–3 (write data COW; swing the
      entry atomically; record the block number in the ring and advance
      Head). *)
   let commit_block t blkno data =
     drop_fill t blkno;
-    let new_blk = alloc_data t in
+    let new_blk, plan = cow_frame t blkno data in
     Pmem.set_site t.pmem "commit.data";
     let off = Layout.data_block_off t.layout new_blk in
-    Pmem.write t.pmem ~off data;
-    Pmem.persist t.pmem ~off ~len:t.cfg.block_size;
+    let chunks = cow_chunks t off data plan in
+    List.iter (fun ((off, b), _) -> Pmem.write t.pmem ~off b) chunks;
+    List.iter (fun (_, (off, len)) -> Pmem.clflush t.pmem ~off ~len) chunks;
+    if chunks <> [] then Pmem.sfence t.pmem;
     Pmem.set_site t.pmem "commit.entry";
     (match Fc.find t.fc blkno with
     | Some info ->
         (* Write hit: COW block write (§4.3). *)
-        cow_hit t info new_blk;
+        cow_hit t info new_blk plan;
         write_entry t info.slot (entry_of_info ~role:Entry.Log info)
     | None ->
         (* Write miss: fresh entry, previous version = FRESH.  If the
@@ -759,37 +797,55 @@ module Txn = struct
   (* Allocation pass (volatile): pin every staged cached block, then
      allocate all COW data blocks and fresh entry slots up front, so
      replacement — including its persistent entry invalidations — runs to
-     completion before the first staged store.  A failure here is rolled
+     completion before the first staged store.  Every block's spare is
+     taken as its target before any fresh frame is allocated, so
+     replacement reclaims other blocks' spares, or evicts, exactly where
+     it would have found those frames free.  A failure here is rolled
      back completely and re-raised with the cache exactly as before the
-     call; nothing has been written, the ring is untouched. *)
-  let alloc_group t blocks =
+     call (a taken spare is freed); nothing has been written, the ring is
+     untouched. *)
+  let alloc_group t staged blocks =
     List.iter
       (fun blkno ->
         drop_fill t blkno;
         match Fc.find t.fc blkno with Some info -> Fc.set_pinned info true | None -> ())
       blocks;
-    let allocs = ref [] in
+    let plans =
+      List.map
+        (fun blkno ->
+          let data = Hashtbl.find staged blkno in
+          (blkno, data, Fc.plan_write t.fc (Fc.find t.fc blkno) data))
+        blocks
+    in
+    let allocs = ref [] and unallocated = ref plans in
     Trace.begin_span ~clock:t.clock "tinca.commit.alloc";
     (try
        List.iter
-         (fun blkno ->
-           let new_blk = alloc_data t in
-           match Fc.find t.fc blkno with
-           | Some info -> allocs := (blkno, new_blk, Hit info) :: !allocs
-           | None ->
-               let entry_idx =
-                 try alloc_entry t
+         (fun (blkno, data, plan) ->
+           unallocated := List.tl !unallocated;
+           let frame = if plan.Fc.target >= 0 then plan.Fc.target else alloc_data t in
+           let kind =
+             match Fc.find t.fc blkno with
+             | Some info -> Hit info
+             | None -> (
+                 try Miss (alloc_entry t)
                  with e ->
-                   Fc.free_frame t.fc new_blk;
-                   raise e
-               in
-               allocs := (blkno, new_blk, Miss entry_idx) :: !allocs)
-         blocks
+                   Fc.free_frame t.fc frame;
+                   raise e)
+           in
+           let chunks = cow_chunks t (Layout.data_block_off t.layout frame) data plan in
+           allocs :=
+             { a_blkno = blkno; a_frame = frame; a_kind = kind; a_plan = plan; a_chunks = chunks }
+             :: !allocs)
+         plans
      with e ->
        List.iter
-         (fun (_, data_blk, kind) ->
-           Fc.free_frame t.fc data_blk;
-           match kind with
+         (fun (_, _, plan) -> if plan.Fc.target >= 0 then Fc.free_frame t.fc plan.Fc.target)
+         !unallocated;
+       List.iter
+         (fun a ->
+           Fc.free_frame t.fc a.a_frame;
+           match a.a_kind with
            | Miss i -> Fc.free_slot t.fc i
            | Hit _ -> ())
          !allocs;
@@ -812,11 +868,7 @@ module Txn = struct
   let store h allocs =
     let t = h.cache in
     Pmem.set_site t.pmem "commit.data";
-    Pmem.writev t.pmem
-      (List.map
-         (fun (blkno, data_blk, _) ->
-           (Layout.data_block_off t.layout data_blk, Hashtbl.find h.staged blkno))
-         allocs);
+    Pmem.writev t.pmem (List.concat_map (fun a -> List.map fst a.a_chunks) allocs);
     Pmem.set_site t.pmem "commit.entry";
     let ranges = ref [] in
     let swing off info =
@@ -824,16 +876,16 @@ module Txn = struct
       ranges := (off, Entry.size) :: !ranges
     in
     List.iter
-      (fun (blkno, new_blk, kind) ->
-        ranges := (Layout.data_block_off t.layout new_blk, t.cfg.block_size) :: !ranges;
-        match kind with
+      (fun a ->
+        List.iter (fun (_, r) -> ranges := r :: !ranges) a.a_chunks;
+        match a.a_kind with
         | Hit info ->
             (* Write hit: COW block write (§4.3). *)
-            cow_hit t info new_blk;
+            cow_hit t info a.a_frame a.a_plan;
             swing (Layout.entry_off t.layout info.slot) info
         | Miss entry_idx ->
             (* Write miss: fresh entry, previous version = FRESH. *)
-            swing (Layout.entry_off t.layout entry_idx) (cow_miss t blkno new_blk entry_idx))
+            swing (Layout.entry_off t.layout entry_idx) (cow_miss t a.a_blkno a.a_frame entry_idx))
       allocs;
     h.ranges <- !ranges
   [@@pmem.defer
@@ -842,10 +894,15 @@ module Txn = struct
      amortization), and until Head covers the blocks recovery revokes any subset that became \
      durable"]
 
+  (* Head is rewound before any entry is: a revoked entry names no
+     previous version, so while the ring still named its block a crash
+     would make recovery delete it as a write miss.  With Head rewound
+     first, every entry not yet revoked is still in log role and
+     recovery's log-role scan revokes it to its [prev]. *)
   let revoke_partial h blocks_done =
     let t = h.cache in
-    List.iter (fun blkno -> revoke_block t blkno) blocks_done;
     Ring.rewind_head t.ring;
+    List.iter (fun blkno -> revoke_block t blkno) blocks_done;
     t.committing <- false
 
   (* Admission control.  A rejected transaction is terminal (the handle
@@ -928,7 +985,7 @@ module Txn = struct
       (* A synchronous commit's seal is its stage A's first half. *)
       let span = if sync then "tinca.commit.stage_a" else "tinca.commit.seal" in
       Trace.begin_span ~clock:t.clock span;
-      (match alloc_group t blocks with
+      (match alloc_group t h.staged blocks with
       | allocs -> store h allocs
       | exception Cache_exhausted ->
           Trace.end_span span;
@@ -1062,28 +1119,35 @@ module Txn = struct
         Ring.commit_point t.ring;
         Trace.end_span "tinca.commit.tail"
 
-  (* After the commit point: reclaim previous versions, stamp the
-     versions made durable at [now] for the cleaner, promote to MRU
-     (§4.6 rule 2b), count the commits, propagate to disk under
-     write-through (kept for the ablation study; the clean marks ride one
-     batched entry update), then run the cleaner. *)
+  (* After the commit point: stamp the versions made durable at [now] for
+     the cleaner, keep each staged copy as its block's shadow and each
+     previous version as a spare or free it (Frame_cache.retire_version),
+     promote to MRU (§4.6 rule 2b), count the commits, propagate to disk
+     under write-through (kept for the ablation study; the clean marks
+     ride one batched entry update), then run the cleaner. *)
   let retire ~now hs =
     match hs with
     | [] -> ()
     | h0 :: _ ->
         let t = h0.cache in
-        let infos = infos hs in
+        Fc.new_drain t.fc;
         List.iter
-          (fun (info : info) ->
-            Fc.stamp_durable info now;
-            (match info.ext.prev with
-            | Some p ->
-                Fc.free_frame t.fc p;
-                info.ext.prev <- None;
-                t.cow_pinned <- t.cow_pinned - 1
-            | None -> ());
-            Fc.touch t.fc info)
-          infos;
+          (fun h ->
+            List.iter
+              (fun blkno ->
+                let info = find_exn t blkno in
+                Fc.stamp_durable info now;
+                let prev =
+                  match info.ext.prev with
+                  | Some p ->
+                      info.ext.prev <- None;
+                      t.cow_pinned <- t.cow_pinned - 1;
+                      p
+                  | None -> -1
+                in
+                Fc.retire_version t.fc info ~prev ~mask:info.ext.mask (Hashtbl.find h.staged blkno))
+              (blocks h))
+          hs;
         t.committing <- false;
         List.iter
           (fun h ->
@@ -1097,7 +1161,7 @@ module Txn = struct
         if t.cfg.mode = Write_through then begin
           Pmem.set_site t.pmem "cache.writeback";
           Trace.begin_span ~clock:t.clock "tinca.commit.writeback";
-          write_entries_batched t (List.map (writeback t) infos);
+          write_entries_batched t (List.map (writeback t) (infos hs));
           Trace.end_span "tinca.commit.writeback"
         end;
         clean ~after_commit:true t
@@ -1141,7 +1205,7 @@ module Txn = struct
         (* The prefix stands in for the transaction; abort revokes by
            [order], and the blocks after the prefix were never touched. *)
         h.order <- List.rev prefix;
-        store h (alloc_group t prefix);
+        store h (alloc_group t h.staged prefix);
         drain [ h ];
         advance_head [ h ]
     | Batched -> ()
@@ -1157,13 +1221,14 @@ module Txn = struct
         Metrics.add t.ctr.c_aborts 1
     | Committing ->
         (* Mid-commit abort: revoke what the ring has recorded, plus the
-           transaction's own blocks.  [revoke_block] is role-guarded, so
-           blocks already revoked via the ring pass (or never staged) are
+           transaction's own blocks, after rewinding Head (see
+           [revoke_partial]).  [revoke_block] is role-guarded, so blocks
+           already revoked via the ring pass (or never staged) are
            untouched. *)
         let pending = Ring.pending_blknos t.ring in
+        Ring.rewind_head t.ring;
         List.iter (fun blkno -> revoke_block t blkno) pending;
         List.iter (fun blkno -> revoke_block t blkno) (blocks h);
-        Ring.rewind_head t.ring;
         t.committing <- false;
         h.state <- Finished;
         Metrics.add t.ctr.c_aborts 1
@@ -1212,6 +1277,7 @@ type stats = {
   pinned : int;
   cow_pinned : int;
   peak_cow : int;
+  spares : int;
   read_hits : int;
   read_misses : int;
   read_hit_ratio : float;
@@ -1252,6 +1318,7 @@ let stats_of caches =
     pinned = sum (fun c -> c.pinned);
     cow_pinned = sum (fun c -> c.cow_pinned);
     peak_cow = sum (fun c -> c.peak_cow);
+    spares = sum (fun c -> Fc.spare_count c.fc);
     read_hits;
     read_misses;
     read_hit_ratio = ratio read_hits read_misses;
@@ -1285,6 +1352,7 @@ let stats_kv s =
     ("pinned_entries", i s.pinned);
     ("cow_pinned_blocks", i s.cow_pinned);
     ("peak_cow_blocks", i s.peak_cow);
+    ("spare_frames", i s.spares);
     ("read_hits", i s.read_hits);
     ("read_misses", i s.read_misses);
     ("read_hit_ratio", f s.read_hit_ratio);
@@ -1328,6 +1396,16 @@ let check_invariants t =
     Printf.ksprintf (fun m -> raise (Invariant_violation m)) ("Tinca.Cache invariant: " ^^ fmt)
   in
   (match Fc.audit ~also_holds:(fun info -> Option.value ~default:(-1) info.ext.prev) t.fc with
+  | Ok () -> ()
+  | Error m -> fail "%s" m);
+  (* Shadows mirror the committed version: [prev] while a block is in
+     flight.  Read by DMA, so the audit charges nothing. *)
+  (match
+     Fc.audit_versions t.fc
+       ~read:(fun f ->
+         Pmem.dma_read t.pmem ~off:(Layout.data_block_off t.layout f) ~len:t.cfg.block_size)
+       ~committed:(fun info -> Option.value ~default:info.frame info.ext.prev)
+   with
   | Ok () -> ()
   | Error m -> fail "%s" m);
   if (not t.committing) && Ring.head t.ring <> Ring.tail t.ring then

@@ -314,6 +314,7 @@ type stats = {
   pinned : int;  (** entries in log role (in-flight transaction) *)
   cow_pinned : int;  (** NVM blocks held as COW previous versions *)
   peak_cow : int;
+  spares : int;  (** frames held as spares ({!Tinca_cachelib.Frame_cache}) *)
   read_hits : int;
   read_misses : int;
   read_hit_ratio : float;

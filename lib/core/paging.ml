@@ -199,6 +199,7 @@ type region = {
   c_evictions : Metrics.counter;
   mutable epoch : int;  (* DRAM mirror of the durable epoch word *)
   fc : unit Fc.t;
+  cleaner : unit Fc.cleaner Lazy.t;
   flight : Flight.cursor option;
   mutable flight_dirty : (int * int) list;  (* record ranges awaiting a fence *)
   mutable flight_scan : ((int * Flight.event) list * int) option;
@@ -249,6 +250,52 @@ let flight_take r =
 
 let flight_scan r = Option.value r.flight_scan ~default:([], 0)
 
+(* --- replacement --------------------------------------------------------- *)
+
+(* Drop a dirty block's table entry (one atomic zero swing), then free
+   its slot; the caller persists the swing.  The write-back itself went
+   to disk first, so a crash on either side of the swing is consistent:
+   entry present = the (now clean) NVM copy still wins, entry absent =
+   reads fall through to the identical disk copy. *)
+let zero_entry r (p : pinfo) =
+  Pmem.atomic_write16 r.pmem ~off:(entry_off r.geom p.slot) (Bytes.make entry_size '\000');
+  r.swings <- r.swings + 1;
+  Fc.free_slot r.fc p.slot;
+  Fc.set_dirty r.fc p false;
+  Fc.set_slot p (-1)
+[@@pmem.defer
+  "both callers persist the swing before anything else runs: an eviction right after it, the \
+   cleaner after zeroing every cleaned page's entry (one flush_ranges + sfence for the batch)"]
+
+(* The cleaner (Frame_cache.clean), built once per region: every frame
+   it writes goes to disk by DMA, uncharged.  Every written page's entry
+   is then zeroed and the swings persisted under one fence on the
+   caller's clock; the pages stay cached as clean volatile fills. *)
+let make_cleaner r =
+  {
+    Fc.disk = r.disk;
+    dma_read = (fun p -> Pmem.dma_read r.pmem ~off:(frame_off r.geom p.Fc.frame) ~len:r.geom.block_size);
+    cleaned =
+      (fun written ->
+        Trace.begin_span ~clock:r.clock "tinca.bg_clean";
+        Pmem.set_site r.pmem "paging.bg_clean";
+        let ranges =
+          List.map
+            (fun (p : pinfo) ->
+              let off = entry_off r.geom p.slot in
+              zero_entry r p;
+              (off, entry_size))
+            written
+        in
+        Pmem.flush_ranges r.pmem ranges;
+        Pmem.sfence r.pmem;
+        let n = List.length written in
+        Metrics.add r.c_writebacks n;
+        Metrics.add r.c_cleaned n;
+        Trace.end_span "tinca.bg_clean");
+    deferred = r.c_bg_deferred;
+  }
+
 (* --- construction and formatting ----------------------------------------- *)
 
 let check_geometry ~span ~block_size ~flight_slots =
@@ -258,27 +305,31 @@ let check_geometry ~span ~block_size ~flight_slots =
 
 let make ~id ~cfg ~geom ~pmem ~disk ~clock ~metrics =
   let c = Metrics.counter metrics in
-  {
-    id;
-    cfg;
-    geom;
-    pmem;
-    disk;
-    clock;
-    c_flight_records = c "tinca.flight.records";
-    c_writebacks = c "tinca.writebacks";
-    c_fg_writebacks = c "cache.fg_writebacks";
-    c_bg_deferred = c "cache.bg_deferred";
-    c_cleaned = c "tinca.cleaned";
-    c_evictions = c "tinca.evictions";
-    epoch = 0;
-    fc = Fc.create ~frames:geom.nframes ~slots:geom.nframes ~index_size:256 ();
-    flight = (if cfg.flight_slots > 0 then Some (Flight.cursor ~slots:cfg.flight_slots) else None);
-    flight_dirty = [];
-    flight_scan = None;
-    swings = 0;
-    epoch_bumps = 0;
-  }
+  let rec r =
+    {
+      id;
+      cfg;
+      geom;
+      pmem;
+      disk;
+      clock;
+      c_flight_records = c "tinca.flight.records";
+      c_writebacks = c "tinca.writebacks";
+      c_fg_writebacks = c "cache.fg_writebacks";
+      c_bg_deferred = c "cache.bg_deferred";
+      c_cleaned = c "tinca.cleaned";
+      c_evictions = c "tinca.evictions";
+      epoch = 0;
+      fc = Fc.create ~metrics ~frames:geom.nframes ~slots:geom.nframes ~index_size:256 ();
+      cleaner = lazy (make_cleaner r);
+      flight = (if cfg.flight_slots > 0 then Some (Flight.cursor ~slots:cfg.flight_slots) else None);
+      flight_dirty = [];
+      flight_scan = None;
+      swings = 0;
+      epoch_bumps = 0;
+    }
+  in
+  r
 
 let create ~id ~base ~span ~config:cfg ~pmem ~disk ~clock ~metrics =
   if cfg.headroom < 0 then invalid_arg "Paging: headroom must be non-negative";
@@ -307,22 +358,7 @@ let format r =
    other region's (and the directory's) into ONE flush_ranges + sfence by Shard.format before \
    it returns the handle, so the media is fully durable before any commit can run"]
 
-(* --- replacement --------------------------------------------------------- *)
-
-(* Drop a dirty block's table entry (one atomic zero swing), then free
-   its slot; the caller persists the swing.  The write-back itself went
-   to disk first, so a crash on either side of the swing is consistent:
-   entry present = the (now clean) NVM copy still wins, entry absent =
-   reads fall through to the identical disk copy. *)
-let zero_entry r (p : pinfo) =
-  Pmem.atomic_write16 r.pmem ~off:(entry_off r.geom p.slot) (Bytes.make entry_size '\000');
-  r.swings <- r.swings + 1;
-  Fc.free_slot r.fc p.slot;
-  Fc.set_dirty r.fc p false;
-  Fc.set_slot p (-1)
-[@@pmem.defer
-  "both callers persist the swing before anything else runs: an eviction right after it, the \
-   cleaner after zeroing every cleaned page's entry (one flush_ranges + sfence for the batch)"]
+(* --- eviction ------------------------------------------------------------- *)
 
 let writeback r (p : pinfo) =
   let data = Pmem.read r.pmem ~off:(frame_off r.geom p.frame) ~len:r.geom.block_size in
@@ -346,38 +382,7 @@ let evict_hooks r =
         Metrics.add r.c_evictions 1);
   }
 
-(* The cleaner (Frame_cache.clean): every frame it writes goes to disk by
-   DMA, uncharged.  Every written page's entry is then zeroed and the
-   swings persisted under one fence on the caller's clock; the pages
-   stay cached as clean volatile fills. *)
-let clean ~after_commit r =
-  let frame p = frame_off r.geom p.Fc.frame in
-  let cleaner =
-    {
-      Fc.disk = r.disk;
-      dma_read = (fun p -> Pmem.dma_read r.pmem ~off:(frame p) ~len:r.geom.block_size);
-      cleaned =
-        (fun written ->
-          Trace.begin_span ~clock:r.clock "tinca.bg_clean";
-          Pmem.set_site r.pmem "paging.bg_clean";
-          let ranges =
-            List.map
-              (fun (p : pinfo) ->
-                let off = entry_off r.geom p.slot in
-                zero_entry r p;
-                (off, entry_size))
-              written
-          in
-          Pmem.flush_ranges r.pmem ranges;
-          Pmem.sfence r.pmem;
-          let n = List.length written in
-          Metrics.add r.c_writebacks n;
-          Metrics.add r.c_cleaned n;
-          Trace.end_span "tinca.bg_clean");
-      deferred = r.c_bg_deferred;
-    }
-  in
-  ignore (Fc.clean r.fc cleaner ~after_commit)
+let clean ~after_commit r = ignore (Fc.clean r.fc (Lazy.force r.cleaner) ~after_commit)
 
 (* Make [frames] frames (plus the configured headroom) and [slots] table
    slots available, evicting as needed.  Returns false if the demand
@@ -421,24 +426,25 @@ let contains r blkno = Fc.mem r.fc blkno
 type staged = {
   st_blkno : int;
   st_slot : int;
-  st_frame : int;  (* the new (B-side) frame *)
+  st_frame : int;  (* the new (B-side) frame: the block's spare, or a fresh one *)
   st_old : pinfo option;  (* existing cached version, pinned during the commit *)
+  st_data : bytes;  (* the staged copy, the block's shadow once committed *)
+  st_mask : int64;  (* lines changed against the old version (Frame_cache.plan) *)
+  st_ranges : (int * int) list;  (* the lines stored into [st_frame] *)
 }
 
 (* Pin (or unpin) a block's existing version, so admission cannot evict
    a block the transaction itself is about to remap. *)
 let pin r blkno v = Option.iter (fun p -> Fc.set_pinned p v) (Fc.find r.fc blkno)
 
-(* Admission: room for one frame per block and a slot per block that has
-   none yet. *)
+(* Admission: room for a fresh frame per block without a spare (a
+   pinned block's spare is its own target, never reclaimed) and a slot
+   per block that has none yet. *)
 let admit r blknos =
-  let slots =
-    List.length
-      (List.filter
-         (fun blkno -> match Fc.find r.fc blkno with Some p -> p.slot < 0 | None -> true)
-         blknos)
-  in
-  make_room r ~frames:(List.length blknos) ~slots
+  let count f = List.length (List.filter (fun blkno -> f (Fc.find r.fc blkno)) blknos) in
+  make_room r
+    ~frames:(count (function Some p -> p.Fc.spare < 0 | None -> true))
+    ~slots:(count (function Some p -> p.slot < 0 | None -> true))
 
 (* Write one table entry.  The production path is a single 16 B atomic
    swing; the planted [`Torn_swing] fault splits it into two 8 B halves
@@ -471,8 +477,12 @@ let zero_swing r slot =
    [Transaction_too_large] (holding nothing) when no frame or slot is
    free. *)
 let stage r blkno data =
-  let frame = match Fc.alloc_frame r.fc with Some f -> f | None -> raise Cache.Transaction_too_large in
   let old = Fc.find r.fc blkno in
+  let plan = Fc.plan_write r.fc old data in
+  let frame =
+    if plan.Fc.target >= 0 then plan.Fc.target
+    else match Fc.alloc_frame r.fc with Some f -> f | None -> raise Cache.Transaction_too_large
+  in
   let old_slot = match old with Some p when p.slot >= 0 -> Some p | _ -> None in
   let slot =
     match old_slot with
@@ -485,7 +495,9 @@ let stage r blkno data =
             raise Cache.Transaction_too_large)
   in
   Pmem.set_site r.pmem "paging.cow";
-  Pmem.write r.pmem ~off:(frame_off r.geom frame) data;
+  let off = frame_off r.geom frame in
+  let runs = Fc.runs plan ~block_size:r.geom.block_size in
+  List.iter (fun (pos, len) -> Pmem.write_sub r.pmem ~off:(off + pos) data ~pos ~len) runs;
   Pmem.set_site r.pmem "paging.swing";
   write_entry r ~slot
     {
@@ -496,7 +508,8 @@ let stage r blkno data =
       e_blkno = blkno;
       e_epoch = r.epoch + 1;
     };
-  { st_blkno = blkno; st_slot = slot; st_frame = frame; st_old = old }
+  { st_blkno = blkno; st_slot = slot; st_frame = frame; st_old = old; st_data = data;
+    st_mask = plan.Fc.mask; st_ranges = List.map (fun (pos, len) -> (off + pos, len)) runs }
 [@@pmem.defer
   "the COWed page and its staged entry are dead until the epoch swing: their ranges reach \
    Shard's one stage fence through drain, or its unstage fence on a rollback"]
@@ -533,10 +546,7 @@ let drain r ~cause staged =
   flight_note r ~cause ~a:(List.length staged) Flight.Batch_drain;
   Pmem.set_site r.pmem "paging.stage_fence";
   List.rev_append (flight_take r)
-    (List.concat_map
-       (fun st ->
-         [ (frame_off r.geom st.st_frame, r.geom.block_size); (entry_off r.geom st.st_slot, entry_size) ])
-       staged)
+    (List.concat_map (fun st -> st.st_ranges @ [ (entry_off r.geom st.st_slot, entry_size) ]) staged)
 [@@pmem.defer
   "the region's stage ranges and its Batch_drain record are returned for Shard's one union fence"]
 
@@ -555,27 +565,31 @@ let commit_point r ~cause =
    multi-shard commit) right after this returns"]
 
 (* Retire a durable commit: fold the new mapping into the volatile state,
-   stamped [now] for the cleaner, then run the cleaner. *)
+   stamped [now] for the cleaner, keeping each staged copy as the shadow
+   and each old frame as a spare or freeing it
+   (Frame_cache.retire_version), then run the cleaner. *)
 let retire r ~now staged =
+  Fc.new_drain r.fc;
   List.iter
     (fun st ->
-      let p =
+      let p, prev =
         match st.st_old with
         | Some p ->
             Fc.note_write r.fc ~hit:true;
             (* A clean cached block turns dirty: it now owns a slot. *)
             Fc.set_dirty r.fc p true;
-            Fc.free_frame r.fc p.frame;
+            let prev = p.frame in
             Fc.set_frame p st.st_frame;
             Fc.set_slot p st.st_slot;
             Fc.set_pinned p false;
-            Fc.touch r.fc p;
-            p
+            (p, prev)
         | None ->
             Fc.note_write r.fc ~hit:false;
-            Fc.insert r.fc ~key:st.st_blkno ~frame:st.st_frame ~slot:st.st_slot ~dirty:true
-              ~pinned:false ()
+            ( Fc.insert r.fc ~key:st.st_blkno ~frame:st.st_frame ~slot:st.st_slot ~dirty:true
+                ~pinned:false (),
+              -1 )
       in
+      Fc.retire_version r.fc p ~prev ~mask:st.st_mask st.st_data;
       Fc.stamp_durable p now)
     staged;
   clean ~after_commit:true r
@@ -727,6 +741,7 @@ let counts r =
   [
     ("pool_frames", r.geom.nframes);
     ("pool_frames_free", Fc.free_frames r.fc);
+    ("spare_frames", Fc.spare_count r.fc);
     ("table_swings", r.swings);
     ("epoch_swings", r.epoch_bumps);
     ("dirty_pages", dirty);
@@ -760,6 +775,13 @@ let check_invariants r =
   let durable_epoch = Pmem.read_u64_int r.pmem ~off:(g.base + g.epoch_off) in
   if durable_epoch <> r.epoch then fail "volatile epoch %d != durable %d" r.epoch durable_epoch;
   (match Fc.audit r.fc with Ok () -> () | Error m -> fail "%s" m);
+  (match
+     Fc.audit_versions r.fc
+       ~read:(fun f -> Pmem.dma_read r.pmem ~off:(frame_off g f) ~len:g.block_size)
+       ~committed:(fun p -> p.frame)
+   with
+  | Ok () -> ()
+  | Error m -> fail "%s" m);
   Fc.fold
     (fun (p : pinfo) () ->
       let blkno = p.key in

@@ -284,7 +284,10 @@ let allocate_slot t new_blkno =
   let set = set_of_blkno t new_blkno in
   let slot = victim_in_set t set in
   if t.valid.(slot) then begin
-    if t.dirty.(slot) then writeback t slot;
+    if t.dirty.(slot) then begin
+      writeback t slot;
+      Metrics.incr t.metrics "cache.fg_writebacks" ~by:1
+    end;
     Hashtbl.remove t.set_index.(set) t.blkno.(slot);
     Metrics.incr t.metrics "flashcache.evictions" ~by:1
   end;

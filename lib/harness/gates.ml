@@ -320,15 +320,17 @@ let commit_paths =
     ("paging", Tinca.Config.Paging Tinca.Config.default_page_cfg);
   ]
 
-(* A cleaner workload; its crash-free run must clean something, or the
-   sweep would say nothing about the cleaner. *)
-let cleaner_property label cfg driver =
-  Gate.property ("cleaner sweep (" ^ label ^ ", cap 4)") (fun () ->
+(* A sweep of a workload that exists to drive one mechanism: its
+   crash-free run must bump [counter], or the sweep would say nothing
+   about the mechanism. *)
+let exercised ~sweep ~counter ~noun label cfg driver =
+  Gate.property (sweep ^ " sweep (" ^ label ^ ", cap 4)") (fun () ->
       let env = Check.run_crash_free driver cfg in
-      let cleaned = Tinca_sim.Metrics.get env.Check.metrics "tinca.cleaned" in
+      let n = Tinca_sim.Metrics.get env.Check.metrics counter in
       let r = Check.explore ~driver cfg in
-      ( Printf.sprintf "%d blocks cleaned; %s" cleaned (Check.summary r),
-        cleaned > 0 && r.Check.violations = [] ))
+      (Printf.sprintf "%d %s; %s" n noun (Check.summary r), n > 0 && r.Check.violations = []))
+
+let cleaner_property = exercised ~sweep:"cleaner" ~counter:"tinca.cleaned" ~noun:"blocks cleaned"
 
 let cleaner_sweep (label, scheme) =
   let cfg = { Check.read_miss_config with Check.scheme } in
@@ -339,17 +341,32 @@ let group_cleaner_sweep =
   let cfg = Check.read_miss_config in
   cleaner_property "group window" cfg (Check.group_cleaner_driver cfg)
 
+(* Partial COW writes: the crash-free run must write into spares. *)
+let partial_property =
+  exercised ~sweep:"partial-write" ~counter:"cache.cow_lines_skipped" ~noun:"lines skipped"
+
+let partial_sweep (label, scheme) =
+  let cfg = { Check.read_miss_config with Check.scheme } in
+  partial_property label cfg (Check.partial_driver cfg)
+
+let group_partial_sweep =
+  let cfg = Check.read_miss_config in
+  partial_property "group window" cfg (Check.partial_driver ~group:true cfg)
+
 let crash_budget =
   gate "crash-budget"
     "budgeted crash-space sweep: 3 commits, 64-subset cap; read fills, eviction, writes to \
-     fills and the cleaner under all three commit paths and in a group-commit window"
+     fills, the cleaner and partial writes into spare frames under all three commit paths and \
+     in a group-commit window"
     ([
        sweep "crash sweep (3 commits, cap 64)"
          { Check.default_config with Check.ncommits = 3; masks = Check.Capped 64 };
      ]
     @ List.map read_miss_sweep commit_paths
     @ List.map cleaner_sweep commit_paths
-    @ [ group_cleaner_sweep ])
+    @ [ group_cleaner_sweep ]
+    @ List.map partial_sweep commit_paths
+    @ [ group_partial_sweep ])
 
 let spec =
   gate "spec"

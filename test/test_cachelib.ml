@@ -373,14 +373,26 @@ module Fc = Tinca_cachelib.Frame_cache
    frame and slot counts.  Victim selection is evaluated on the list:
    the first unpinned clean block from the LRU end, else the first
    unpinned dirty one; the slot loop applies the same rule to the
-   blocks that hold a slot. *)
-type mblock = { k : int; pinned : bool; has_slot : bool; dirty : bool }
+   blocks that hold a slot.  A block may hold a spare frame and a
+   shadow: room is made by reclaiming the first unpinned spare holder's
+   spare before any block is evicted, an evicted block frees its spare
+   too, and a shadow is kept while its block holds a spare or was
+   written by the latest drain. *)
+type mblock = {
+  k : int;
+  pinned : bool;
+  has_slot : bool;
+  dirty : bool;
+  spare : bool;
+  shadow : bool;
+}
 
 type model = {
   mutable lru : mblock list;
-  mutable free_frames : int;
+  mutable free_frames : int;  (* the free pool, spares apart *)
   mutable free_slots : int;
   mutable victims : int list;  (* newest first *)
+  mutable latest : int option;  (* the block the latest drain wrote *)
 }
 
 let model_victim ?(slot = false) m =
@@ -394,39 +406,98 @@ let model_evict ?slot m =
   | None -> false
   | Some v ->
       m.lru <- List.filter (fun e -> e.k <> v.k) m.lru;
-      m.free_frames <- m.free_frames + 1;
+      m.free_frames <- m.free_frames + (if v.spare then 2 else 1);
       if v.has_slot then m.free_slots <- m.free_slots + 1;
       m.victims <- v.k :: m.victims;
+      true
+
+let model_update m k f = m.lru <- List.map (fun e -> if e.k = k then f e else e) m.lru
+
+let model_reclaim m =
+  match List.find_opt (fun e -> e.spare && not e.pinned) m.lru with
+  | None -> false
+  | Some v ->
+      model_update m v.k (fun e -> { e with spare = false; shadow = m.latest = Some e.k });
+      m.free_frames <- m.free_frames + 1;
       true
 
 let model_make_room m ~frames ~slots =
   let ok = ref true in
   while !ok && m.free_frames < frames do
-    ok := model_evict m
+    ok := model_reclaim m || model_evict m
   done;
   while !ok && m.free_slots < slots do
     ok := model_evict ~slot:true m
   done;
   !ok && m.free_frames >= frames && m.free_slots >= slots
 
-let model_update m k f = m.lru <- List.map (fun e -> if e.k = k then f e else e) m.lru
 let model_touch m k =
   let touched, rest = List.partition (fun e -> e.k = k) m.lru in
   m.lru <- rest @ touched
 
-(* Random insert / touch / pin / unpin / read / dirty / make_room
-   sequences over a small cache, checked after every step against the
-   model: the same victims in the same order, the hook run exactly once
-   per victim, frames and slots conserved (free + referenced =
+(* A committed write of [blk], as an engine drives one: pin the block,
+   plan the COW (its spare is the target, else a fresh frame after
+   making room), retire the drain.  [partial] changes one of the
+   block's two lines, else both.  [false] when no frame could be had. *)
+let write_version fc hooks (blk : unit Fc.block) ~partial =
+  let old = match blk.Fc.shadow with Some s -> s | None -> Bytes.make 128 '\000' in
+  let data = Bytes.copy old in
+  Bytes.set data 0 (Char.chr ((Char.code (Bytes.get old 0) + 1) land 255));
+  if not partial then Bytes.set data 64 (Char.chr ((Char.code (Bytes.get old 64) + 1) land 255));
+  let was_pinned = blk.Fc.pinned in
+  Fc.set_pinned blk true;
+  let plan = Fc.plan_write fc (Some blk) data in
+  let frame =
+    if plan.Fc.target >= 0 then Some plan.Fc.target
+    else if Fc.make_room fc hooks ~frames:1 ~slots:0 then Fc.alloc_frame fc
+    else None
+  in
+  (match frame with
+  | Some f ->
+      Fc.new_drain fc;
+      let prev = blk.Fc.frame in
+      Fc.set_frame blk f;
+      Fc.retire_version fc blk ~prev ~mask:plan.Fc.mask data
+  | None -> ());
+  Fc.set_pinned blk was_pinned;
+  frame <> None
+
+let model_write m e ~partial =
+  let keep_spare = partial && e.shadow in
+  model_update m e.k (fun e -> { e with pinned = true });
+  let ok =
+    e.spare
+    || model_make_room m ~frames:1 ~slots:0
+       && begin
+            m.free_frames <- m.free_frames - 1;
+            true
+          end
+  in
+  model_update m e.k (fun x -> { x with pinned = e.pinned });
+  if ok then begin
+    (* The previous drain's blocks keep a shadow only with a spare. *)
+    m.lru <- List.map (fun x -> if x.spare then x else { x with shadow = false }) m.lru;
+    if not keep_spare then m.free_frames <- m.free_frames + 1;
+    model_update m e.k (fun x -> { x with spare = keep_spare; shadow = true });
+    m.latest <- Some e.k;
+    model_touch m e.k
+  end;
+  ok
+
+(* Random insert / touch / pin / unpin / read / dirty / make_room /
+   partial or full write sequences over a small cache, checked after
+   every step against the model: the same victims in the same order,
+   the hook run exactly once per victim, the same spare holders and
+   shadows, frames and slots conserved (free + referenced + spares =
    capacity), and the structural audit clean. *)
 let prop_frame_cache_model =
   QCheck.Test.make ~name:"frame cache agrees with list model" ~count:300
-    QCheck.(triple (int_range 1 8) (int_range 1 8) (list (pair (int_bound 6) (int_bound 11))))
+    QCheck.(triple (int_range 1 8) (int_range 1 8) (list (pair (int_bound 8) (int_bound 11))))
     (fun (nframes, nslots, ops) ->
       let fc = Fc.create ~frames:nframes ~slots:nslots ~index_size:16 () in
       let hooked = ref [] in
       let hooks = { Fc.evict = (fun b -> hooked := b.Fc.key :: !hooked) } in
-      let m = { lru = []; free_frames = nframes; free_slots = nslots; victims = [] } in
+      let m = { lru = []; free_frames = nframes; free_slots = nslots; victims = []; latest = None } in
       let next_key = ref 0 in
       let pick arg = match m.lru with [] -> None | l -> Some (List.nth l (arg mod List.length l)) in
       let block k = Option.get (Fc.find fc k) in
@@ -445,7 +516,8 @@ let prop_frame_cache_model =
               let dirty = arg land 2 = 2 in
               incr next_key;
               ignore (Fc.insert fc ~key:k ~frame ~slot ~dirty ~pinned:false ());
-              m.lru <- m.lru @ [ { k; pinned = false; has_slot = want_slot; dirty } ];
+              m.lru <-
+                m.lru @ [ { k; pinned = false; has_slot = want_slot; dirty; spare = false; shadow = false } ];
               m.free_frames <- m.free_frames - 1;
               if want_slot then m.free_slots <- m.free_slots - 1
             end
@@ -477,6 +549,13 @@ let prop_frame_cache_model =
                 let v = arg land 2 = 2 in
                 Fc.set_dirty fc (block e.k) v;
                 model_update m e.k (fun e -> { e with dirty = v }))
+        | 7 | 8 -> (
+            match pick arg with
+            | None -> ()
+            | Some e ->
+                let partial = op = 7 in
+                if write_version fc hooks (block e.k) ~partial <> model_write m e ~partial then
+                  failwith "write verdict differs")
         | _ ->
             let frames = arg mod 4 and slots = arg / 4 in
             if Fc.make_room fc hooks ~frames ~slots <> model_make_room m ~frames ~slots then
@@ -487,14 +566,18 @@ let prop_frame_cache_model =
         Fc.iter_lru (fun b -> keys := b.Fc.key :: !keys) fc;
         let referenced_frames = Fc.length fc in
         let referenced_slots = Fc.fold (fun b n -> if b.Fc.slot >= 0 then n + 1 else n) fc 0 in
+        let spares = List.length (List.filter (fun e -> e.spare) m.lru) in
+        let state b = (b.Fc.spare >= 0, b.Fc.shadow <> None) in
         List.rev !keys = List.map (fun e -> e.k) m.lru
+        && List.for_all (fun e -> state (block e.k) = (e.spare, e.shadow)) m.lru
+        && Fc.spare_count fc = spares
         && !hooked = m.victims
         && Fc.evictions fc = List.length m.victims
         && Option.map (fun b -> b.Fc.key) (Fc.victim fc)
            = Option.map (fun e -> e.k) (model_victim m)
         && Fc.free_frames fc + referenced_frames = nframes
         && Fc.free_slots fc + referenced_slots = nslots
-        && Fc.free_frames fc = m.free_frames
+        && Fc.free_frames fc = m.free_frames + spares
         && Fc.free_slots fc = m.free_slots
         && Fc.dirty_count fc = List.length (List.filter (fun e -> e.dirty) m.lru)
         && Fc.audit fc = Ok ()
@@ -504,6 +587,61 @@ let prop_frame_cache_model =
           step op;
           check ())
         ops)
+
+(* One block of four 64 B lines over a frame store: a first commit
+   leaves a shadow, the second (one line changed) a spare, and the third
+   (another line) COWs into the spare, storing only the two lines of the
+   masks' union.  The version audit passes, and fails once a line of the
+   spare outside its mask, or of the current frame, is corrupted. *)
+let test_audit_versions () =
+  let fc = Fc.create ~frames:4 ~slots:4 ~index_size:4 () in
+  let store = Array.init 4 (fun _ -> Bytes.make 256 '\000') in
+  let stored = ref 0 in
+  let b = Fc.insert fc ~key:1 ~frame:(Option.get (Fc.alloc_frame fc)) ~slot:(-1) ~dirty:false ~pinned:false () in
+  let commit data =
+    let plan = Fc.plan_write fc (Some b) data in
+    let f = if plan.Fc.target >= 0 then plan.Fc.target else Option.get (Fc.alloc_frame fc) in
+    List.iter
+      (fun (pos, len) ->
+        Bytes.blit data pos store.(f) pos len;
+        stored := !stored + (len / 64))
+      (Fc.runs plan ~block_size:256);
+    Fc.new_drain fc;
+    let prev = b.Fc.frame in
+    Fc.set_frame b f;
+    Fc.retire_version fc b ~prev ~mask:plan.Fc.mask data
+  in
+  let edit v line c =
+    let v = Bytes.copy v in
+    Bytes.fill v (line * 64) 64 c;
+    v
+  in
+  let v1 = Bytes.make 256 'a' in
+  let v2 = edit v1 0 'b' in
+  let v3 = edit v2 2 'c' in
+  commit v1;
+  commit v2;
+  Alcotest.(check int) "the replaced frame is a spare" 1 (Fc.spare_count fc);
+  Alcotest.(check int64) "with the changed line" 1L b.Fc.spare_mask;
+  stored := 0;
+  commit v3;
+  Alcotest.(check int) "the spare took only the union's lines" 2 !stored;
+  Alcotest.(check bytes) "current frame holds the new version" v3 store.(b.Fc.frame);
+  Alcotest.(check int64) "the new spare's mask" 4L b.Fc.spare_mask;
+  let audit () =
+    Fc.audit_versions fc ~read:(fun f -> Bytes.copy store.(f)) ~committed:(fun b -> b.Fc.frame)
+  in
+  Alcotest.(check bool) "audit passes" true (audit () = Ok ());
+  let corrupt f line =
+    let saved = Bytes.copy store.(f) in
+    Bytes.set store.(f) (line * 64) 'z';
+    let r = audit () in
+    store.(f) <- saved;
+    Result.is_error r
+  in
+  Alcotest.(check bool) "spare line outside the mask" true (corrupt b.Fc.spare 3);
+  Alcotest.(check bool) "spare line inside the mask is allowed" false (corrupt b.Fc.spare 2);
+  Alcotest.(check bool) "current frame" true (corrupt b.Fc.frame 1)
 
 (* Three blocks, LRU first: a dirty block, a clean one behind it and a
    pinned clean one.  The clean unpinned block goes first; with it gone
@@ -652,6 +790,7 @@ let frame_cache_suite =
     ( "cachelib.frame_cache",
       [
         QCheck_alcotest.to_alcotest prop_frame_cache_model;
+        Alcotest.test_case "version audit: shadows and spares" `Quick test_audit_versions;
         Alcotest.test_case "victim: clean first, pinned never" `Quick test_victim_clean_first;
         Alcotest.test_case "audit: frame free and referenced" `Quick test_audit_free_and_referenced;
         Alcotest.test_case "audit: LRU/index size mismatch" `Quick test_audit_lru_index_mismatch;

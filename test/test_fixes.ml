@@ -704,6 +704,66 @@ let test_group_cleaner_sweep_counts_pinned () =
   check_counts "group cleaner driver" r ~span:712 ~points:712 ~states:2778 ~deduped:0 ~capped:683
     ~torn:833
 
+(* A block rewritten a line at a time: the second commit keeps the
+   replaced frame as a spare, the third COWs into it and stores only the
+   two changed lines, and every version reads back whole.  The shadow
+   audit in [check_invariants] passes, and fails once a line no commit
+   changed is corrupted in every data frame.  A crash drops the spares:
+   recovery serves the last commit from the entry table alone. *)
+let test_partial_writes () =
+  let env = mk_env () in
+  let cache = mk_cache env in
+  let edit v line c =
+    let v = Bytes.copy v in
+    Bytes.fill v (line * 64) 64 c;
+    v
+  in
+  let v0 = Bytes.make 4096 'a' in
+  let v1 = edit v0 5 'b' in
+  let v2 = edit v1 9 'c' in
+  let stored f =
+    let n0 = Metrics.get env.metrics "pmem.store_lines" in
+    f ();
+    Metrics.get env.metrics "pmem.store_lines" - n0
+  in
+  Cache.write_direct cache 3 v0;
+  let whole = stored (fun () -> Cache.write_direct cache 3 v1) in
+  Alcotest.(check int) "one spare" 1 (Cache.stats cache).Cache.spares;
+  let partial = stored (fun () -> Cache.write_direct cache 3 v2) in
+  Alcotest.(check int) "lines skipped" 62 (Metrics.get env.metrics "cache.cow_lines_skipped");
+  Alcotest.(check int) "lines stored: 62 fewer than a whole block" 62 (whole - partial);
+  Alcotest.(check (option bytes)) "reads the new version" (Some v2) (Cache.peek cache 3);
+  Cache.check_invariants cache;
+  let snap = Pmem.snapshot env.pmem in
+  let l = Cache.layout cache in
+  for f = 0 to l.Tinca_core.Layout.nblocks - 1 do
+    Pmem.write env.pmem ~off:(l.Tinca_core.Layout.data_off + (f * 4096) + (30 * 64)) (Bytes.make 1 'z')
+  done;
+  Alcotest.(check bool) "a corrupted frame fails the audit" true
+    (try
+       Cache.check_invariants cache;
+       false
+     with Cache.Invariant_violation _ -> true);
+  Pmem.restore env.pmem snap;
+  Cache.check_invariants cache;
+  Pmem.crash env.pmem;
+  let r = Cache.recover ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics () in
+  Alcotest.(check (option bytes)) "recovered version" (Some v2) (Cache.peek r 3);
+  Alcotest.(check int) "no spare after recovery" 0 (Cache.stats r).Cache.spares;
+  Cache.check_invariants r
+
+(* Partial COW writes: the crash-free run writes into spares (lines
+   skipped), and the per-block sweep, which also covers a mid-commit
+   abort, is pinned like the others. *)
+let test_partial_sweep_counts_pinned () =
+  let cfg = { Check.read_miss_config with Check.scheme = Tinca.Config.Logging Tinca.Per_block } in
+  let driver = Check.partial_driver cfg in
+  let env = Check.run_crash_free driver cfg in
+  Alcotest.(check int) "lines skipped" 250 (Metrics.get env.Check.metrics "cache.cow_lines_skipped");
+  let r = Check.explore ~driver cfg in
+  check_counts "partial-write driver" r ~span:222 ~points:222 ~states:505 ~deduped:0 ~capped:58
+    ~torn:768
+
 let test_crash_refine_counts_pinned () =
   let module L = Tinca_checker.Lockstep in
   let g = { L.default_geometry with L.nshards = 2 } in
@@ -720,6 +780,7 @@ let suite =
           test_revocation_restores_clean_bit;
         Alcotest.test_case "revocation uncaches a read fill" `Quick test_revocation_uncaches_fill;
         Alcotest.test_case "revocation keeps dirty bit" `Quick test_revocation_keeps_dirty_bit;
+        Alcotest.test_case "partial writes into a spare frame" `Quick test_partial_writes;
         Alcotest.test_case "corrupt superblock: zero block size" `Quick
           test_corrupt_superblock_block_size;
         Alcotest.test_case "corrupt superblock: oversized ring" `Quick
@@ -763,5 +824,7 @@ let suite =
         Alcotest.test_case "cleaner driver counts pinned" `Quick test_cleaner_sweep_counts_pinned;
         Alcotest.test_case "group cleaner driver counts pinned" `Quick
           test_group_cleaner_sweep_counts_pinned;
+        Alcotest.test_case "partial-write driver counts pinned" `Quick
+          test_partial_sweep_counts_pinned;
       ] );
   ]
