@@ -30,10 +30,11 @@
       magic, so the same sweep covers both schemes;
    2. Tinca.check_invariants holds on the recovered engine (per-cache
       audit plus: the cross-shard seal must be clear);
-   3. the prefix-consistency oracle: the recovered logical state
-      (cache overlaying disk, full block content) equals the state as of
-      the last acknowledged commit, or that state with the in-flight
-      transaction fully applied — never a partial mix.
+   3. the judge: the recovered logical state (cache overlaying disk,
+      full block content) equals one of the images the driver's Spec
+      model allows — the durable state, the standing batch drained
+      whole, or the in-flight transaction applied — never a partial
+      mix.
 
    With [nshards > 1] the workload's multi-block transactions stripe
    across shards, so the sweep covers every crash point of the striped
@@ -101,19 +102,78 @@ type report = {
   violations : violation list;
 }
 
-(* --- deterministic workload -------------------------------------------- *)
+(* --- the model and the judge ------------------------------------------- *)
 
 type env = { pmem : Pmem.t; disk : Disk.t; clock : Clock.t; metrics : Metrics.t }
+
+(* What a driver has acknowledged, as a Spec, plus the image of the
+   facade call now running when that call can make a transaction
+   durable. *)
+type model = { mutable spec : Spec.t; mutable in_flight : Spec.t option }
+
+let durably m post call =
+  m.in_flight <- post;
+  let r = call () in
+  m.in_flight <- None;
+  r
+
+(* Logical content of [blk] after recovery: cache version if cached, else
+   the disk's. *)
+let logical_block peek disk blk =
+  match peek blk with Some data -> data | None -> Disk.read_block disk blk
+
+(* The images a crash may leave: the sealed queue lost, the batch
+   drained whole, or the running call's transaction applied. *)
+let candidates m =
+  ("durable", Spec.drop_sealed m.spec)
+  :: ("drained", Spec.flush_sealed m.spec)
+  :: (match m.in_flight with Some s -> [ ("in-flight", s) ] | None -> [])
+
+(* The first (block, byte offset) where [image] and [s] differ. *)
+let first_diff image s =
+  let rec go blk =
+    if blk >= Spec.nblocks s then None
+    else
+      let got = image.(blk) and want = Spec.block s blk in
+      if Bytes.equal got want then go (blk + 1)
+      else
+        let rec off i =
+          if i < Bytes.length got && i < Bytes.length want && Bytes.get got i = Bytes.get want i
+          then off (i + 1)
+          else i
+        in
+        Some (blk, off 0)
+  in
+  go 0
+
+let judge m image =
+  let image = Array.init (Spec.nblocks m.spec) image in
+  let cands = candidates m in
+  if List.exists (fun (_, s) -> first_diff image s = None) cands then Ok ()
+  else
+    (* Name the line where the candidate that agrees longest stops. *)
+    let blk, off =
+      List.fold_left (fun acc (_, s) -> max acc (Option.get (first_diff image s))) (0, 0) cands
+    in
+    let byte b = if off < Bytes.length b then Printf.sprintf "%C" (Bytes.get b off) else "none" in
+    Error
+      (Printf.sprintf "block %d line %d is %s (%s): the recovered image matches no candidate" blk
+         (off / 64) (byte image.(blk))
+         (String.concat ", "
+            (List.map (fun (name, s) -> name ^ " " ^ byte (Spec.block s blk)) cands)))
+
+(* The judge of every driver here: the recovered facade's image. *)
+let model_judge env m ~recrash:_ recovered = judge m (logical_block (Tinca.peek recovered) env.disk)
+
+(* --- deterministic workloads -------------------------------------------- *)
 
 (* A pluggable workload + oracle.  [fresh env] formats the media and
    returns the workload thunk (run until it finishes or the armed crash
    countdown fires) and the judge applied to every recovered facade.
    [recrash ()] puts the same crashed medium back, for a judge that
-   recovers it a second way.  The default driver below is the original
-   fill-byte workload with the prefix-consistency oracle; Lockstep
-   supplies a command-sequence workload whose judge is full spec
-   refinement, Flight_check a group-commit workload whose judge also
-   reads the forensic dossier. *)
+   recovers it a second way.  The drivers below judge by [model_judge];
+   Lockstep supplies a command-sequence workload, Flight_check a
+   group-commit workload whose judge also reads the forensic dossier. *)
 type driver = {
   fresh : env -> (unit -> unit) * (recrash:(unit -> unit) -> Tinca.t -> (unit, string) result);
 }
@@ -138,28 +198,52 @@ let tinca_config cfg =
     commit_scheme = cfg.scheme;
   }
 
-(* One transaction writing [(blk, fill byte)] pairs, in order.  Its
-   writes wait in [pending] until commit returns, then fold into
-   [oracle]. *)
-let commit_fills tc oracle pending writes =
-  let h = Tinca.init_txn tc in
-  Hashtbl.reset pending;
-  List.iter
-    (fun (blk, v) ->
-      Tinca.ok_exn (Tinca.write h blk (Bytes.make 4096 v));
-      Hashtbl.replace pending blk v)
-    writes;
-  Tinca.ok_exn (Tinca.commit h);
-  Hashtbl.iter (fun blk v -> Hashtbl.replace oracle blk v) pending;
-  Hashtbl.reset pending
+let mk_tinca ?(group_window_ns = 0) cfg env =
+  Tinca.ok_exn
+    (Tinca.format
+       ~config:{ (tinca_config cfg) with Tinca.Config.group_window_ns }
+       ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics)
 
-(* The workload of test_crash.ml: [ncommits] transactions of 1..4 blocks
-   with repeated block choices (exercising COW write hits) and occasional
-   reads mixed in.  [oracle] maps a disk block to the fill byte of its
-   last acknowledged committed write; [pending] holds the in-flight
-   transaction's writes (folded into [oracle] only once commit returns,
-   i.e. once the transaction is acknowledged). *)
-let run_workload cfg tc oracle pending =
+(* One transaction staging [(blk, bytes)] pairs, in order, on the facade
+   and in the spec. *)
+let stage tc m writes =
+  let h = Tinca.init_txn tc in
+  let stxn =
+    List.fold_left
+      (fun stxn (blk, data) ->
+        Tinca.ok_exn (Tinca.write h blk data);
+        Result.get_ok (Spec.write m.spec stxn blk data))
+      (Spec.init_txn m.spec) writes
+  in
+  (h, stxn)
+
+(* A synchronous commit, acknowledged once [Tinca.commit] returns. *)
+let commit tc m writes =
+  let h, stxn = stage tc m writes in
+  let post, _ = Result.get_ok (Spec.commit m.spec stxn) in
+  durably m (Some post) (fun () -> Tinca.ok_exn (Tinca.commit h));
+  m.spec <- post
+
+let reconcile tc m = m.spec <- Spec.flush_sealed ~keep:(Tinca.group_pending tc) m.spec
+
+(* A group-commit transaction, sealed once [Tinca.commit_async] returns;
+   a drain inside the call can make it durable with the batch. *)
+let commit_async tc m writes =
+  let h, stxn = stage tc m writes in
+  let sealed, _ = Result.get_ok (Spec.seal m.spec stxn) in
+  let tk =
+    durably m (Some (Spec.flush_sealed sealed)) (fun () -> Tinca.ok_exn (Tinca.commit_async h))
+  in
+  m.spec <- sealed;
+  reconcile tc m;
+  tk
+
+let fills = List.map (fun (blk, v) -> (blk, Bytes.make 4096 v))
+let commit_fills tc m writes = commit tc m (fills writes)
+
+(* [ncommits] transactions of 1..4 fill-byte blocks with repeated block
+   choices (exercising COW write hits) and occasional reads mixed in. *)
+let run_workload cfg tc m =
   let rng = Tinca_util.Rng.create cfg.seed in
   for _txn = 1 to cfg.ncommits do
     let n = 1 + Tinca_util.Rng.int rng 4 in
@@ -171,14 +255,11 @@ let run_workload cfg tc oracle pending =
     (* Staging a write touches no NVM, so this read may come first. *)
     if Tinca_util.Rng.chance rng 0.3 then
       ignore (Tinca.read tc (Tinca_util.Rng.int rng cfg.universe));
-    commit_fills tc oracle pending writes
+    commit_fills tc m writes
   done
 
-let mk_tinca ?(group_window_ns = 0) cfg env =
-  Tinca.ok_exn
-    (Tinca.format
-       ~config:{ (tinca_config cfg) with Tinca.Config.group_window_ns }
-       ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics)
+let empty_model cfg =
+  { spec = Spec.create ~nblocks:cfg.universe ~block_size:4096; in_flight = None }
 
 (* A crash-free run; [before] sees the world once the media is
    formatted, before the workload starts. *)
@@ -197,116 +278,58 @@ let total_events driver cfg =
   let env = run_crash_free ~before:(fun env -> before := Pmem.event_count env.pmem) driver cfg in
   Pmem.event_count env.pmem - !before
 
-(* --- the prefix-consistency oracle ------------------------------------- *)
-
-(* Logical content of [blk] after recovery: cache version if cached, else
-   the disk's.  Full 4 KB compared, so a torn data block that recovery
-   wrongly exposes is caught even when its first byte happens to match. *)
-let logical_block peek disk blk =
-  match peek blk with Some data -> data | None -> Disk.read_block disk blk
-
-let first_mismatch peek disk universe expect_of_blk =
-  let bad = ref None in
-  let blk = ref 0 in
-  while !bad = None && !blk < universe do
-    let expect = expect_of_blk !blk in
-    let data = logical_block peek disk !blk in
-    (try Bytes.iter (fun c -> if c <> expect then raise Exit) data
-     with Exit -> bad := Some (!blk, expect, data));
-    incr blk
-  done;
-  !bad
-
-let fill_of table blk = match Hashtbl.find_opt table blk with Some v -> v | None -> '\000'
-let matches peek disk universe table = first_mismatch peek disk universe (fill_of table) = None
-
-let with_pending oracle pending =
-  let o = Hashtbl.copy oracle in
-  Hashtbl.iter (fun blk v -> Hashtbl.replace o blk v) pending;
-  o
-
-(* The default judge: prefix consistency over the fill-byte oracle
-   tables the default workload maintains. *)
-let prefix_judge env cfg oracle pending ~recrash:_ recovered =
-  let peek = Tinca.peek recovered in
-  let ok_old = matches peek env.disk cfg.universe oracle in
-  let ok_new =
-    (not (Hashtbl.length pending = 0))
-    && matches peek env.disk cfg.universe (with_pending oracle pending)
-  in
-  if ok_old || ok_new then Ok ()
-  else
-    Error
-      (match first_mismatch peek env.disk cfg.universe (fill_of oracle) with
-      | Some (blk, expect, data) ->
-          Printf.sprintf
-            "prefix consistency: block %d is %C (expected %C pre-txn%s) — recovered \
-             state matches neither the last acknowledged commit nor the in-flight \
-             commit fully applied"
-            blk (Bytes.get data 0) expect
-            (match Hashtbl.find_opt pending blk with
-            | Some v -> Printf.sprintf ", %C post-txn" v
-            | None -> "")
-      | None -> "prefix consistency: post-txn image is a partial mix")
-
 let default_driver cfg =
   {
     fresh =
       (fun env ->
-        let tc = mk_tinca cfg env in
-        let oracle = Hashtbl.create 64 and pending = Hashtbl.create 8 in
-        ( (fun () -> run_workload cfg tc oracle pending),
-          prefix_judge env cfg oracle pending ));
+        let tc = mk_tinca cfg env and m = empty_model cfg in
+        ((fun () -> run_workload cfg tc m), model_judge env m));
+  }
+
+(* A driver whose disk blocks start with their own fill bytes, [blk + 1],
+   which seed the spec. *)
+let own_fills_driver ?group_window_ns workload cfg =
+  {
+    fresh =
+      (fun env ->
+        let m = empty_model cfg in
+        for blk = 0 to cfg.universe - 1 do
+          let data = Bytes.make 4096 (Char.chr (blk + 1)) in
+          Disk.write_block env.disk blk data;
+          m.spec <- Result.get_ok (Spec.write_direct m.spec blk data)
+        done;
+        let tc = mk_tinca ?group_window_ns cfg env in
+        ((fun () -> workload cfg env tc m), model_judge env m));
   }
 
 (* Read fills are volatile: a fill stores its frame and writes no entry,
    a crash un-caches it, and a write to a filled block takes the miss
    path.  Every disk block starts with its own fill byte, so a recovered
-   block that exposes an unflushed frame cannot match the oracle.
+   block that exposes an unflushed frame cannot match the spec.
    Reads fill blocks; read pressure then evicts fills and committed
    blocks alike; transactions then write blocks cached only as fills,
    and finally a COW hit beside a fill.  [ncommits] is ignored. *)
-let read_miss_workload cfg _env tc oracle pending =
+let read_miss_workload cfg _env tc m =
   let read blk = ignore (Tinca.read tc blk) and last = cfg.universe - 1 in
   for blk = 0 to 5 do
     read blk
   done;
-  commit_fills tc oracle pending [ (0, 'a'); (6, 'a') ];
+  commit_fills tc m [ (0, 'a'); (6, 'a') ];
   for blk = 8 to last do
     read blk
   done;
   read 1;
   read 2;
-  commit_fills tc oracle pending [ (1, 'b'); (2, 'b'); (last, 'b') ];
+  commit_fills tc m [ (1, 'b'); (2, 'b'); (last, 'b') ];
   read 3;
-  commit_fills tc oracle pending [ (last, 'c'); (3, 'c') ]
+  commit_fills tc m [ (last, 'c'); (3, 'c') ]
 
 let read_miss_config =
   { default_config with masks = Capped 4; pmem_bytes = 64 * 1024; universe = 24 }
 
-(* Every disk block starts with its own fill byte, [blk + 1]. *)
-let write_own_fills env cfg record =
-  for blk = 0 to cfg.universe - 1 do
-    let v = Char.chr (blk + 1) in
-    Disk.write_block env.disk blk (Bytes.make 4096 v);
-    record blk v
-  done
-
-(* A driver whose disk blocks start with their own fill bytes, judged
-   by the prefix oracle. *)
-let own_fills_driver ?group_window_ns workload cfg =
-  {
-    fresh =
-      (fun env ->
-        let oracle = Hashtbl.create 64 and pending = Hashtbl.create 8 in
-        write_own_fills env cfg (Hashtbl.replace oracle);
-        let tc = mk_tinca ?group_window_ns cfg env in
-        ((fun () -> workload cfg env tc oracle pending), prefix_judge env cfg oracle pending));
-  }
-
 let read_miss_driver = own_fills_driver read_miss_workload
 
-(* The cleaner under the same oracle.  Its idle pass runs when fewer
+(* The cleaner under the same judge.  Its idle pass runs when fewer
    frames are free than its frontier (always, on this device) and the
    disk has been idle since after a version became durable, so the
    workload reads a missing block after its commits (a disk access) and
@@ -317,26 +340,26 @@ let read_miss_driver = own_fills_driver read_miss_workload
    frames dirty, so the pressure pass writes a batch, and reads evict
    the batch's blocks, whose next version is then read from disk.
    [ncommits] is ignored. *)
-let cleaner_workload cfg env tc oracle pending =
+let cleaner_workload cfg env tc m =
   let read blk = ignore (Tinca.read tc blk) and last = cfg.universe - 1 in
   let idle () = Clock.advance env.clock 1e6 in
-  commit_fills tc oracle pending [ (0, 'a'); (1, 'a') ];
-  commit_fills tc oracle pending [ (2, 'a') ];
+  commit_fills tc m [ (0, 'a'); (1, 'a') ];
+  commit_fills tc m [ (2, 'a') ];
   read 8;
   idle ();
   read 9;
-  commit_fills tc oracle pending [ (1, 'b'); (3, 'b') ];
+  commit_fills tc m [ (1, 'b'); (3, 'b') ];
   for blk = 10 to 15 do
     read blk
   done;
   idle ();
-  commit_fills tc oracle pending [ (2, 'c'); (4, 'c') ];
+  commit_fills tc m [ (2, 'c'); (4, 'c') ];
   for blk = 16 to last do
     read blk
   done;
-  commit_fills tc oracle pending [ (0, 'd'); (3, 'd') ];
-  commit_fills tc oracle pending (List.init 6 (fun i -> (9 + i, 'e')));
-  commit_fills tc oracle pending (List.init 6 (fun i -> (15 + i, 'f')));
+  commit_fills tc m [ (0, 'd'); (3, 'd') ];
+  commit_fills tc m (List.init 6 (fun i -> (9 + i, 'e')));
+  commit_fills tc m (List.init 6 (fun i -> (15 + i, 'f')));
   for blk = 0 to 8 do
     read blk
   done
@@ -349,72 +372,35 @@ let cleaner_driver = own_fills_driver cleaner_workload
    their clean marks; the batch then drains, and after a disk access
    and idle time the next commit's cleaner writes the drained blocks
    back.  The window never expires on its own. *)
-let group_cleaner_workload cfg env tc oracle pending =
+let group_cleaner_workload cfg env tc m =
   let read blk = ignore (Tinca.read tc blk) and last = cfg.universe - 1 in
   let idle () = Clock.advance env.clock 1e6 in
-  commit_fills tc oracle pending [ (0, 'a'); (1, 'a') ];
-  commit_fills tc oracle pending [ (2, 'a') ];
+  commit_fills tc m [ (0, 'a'); (1, 'a') ];
+  commit_fills tc m [ (2, 'a') ];
   read 8;
   idle ();
-  let h = Tinca.init_txn tc in
-  List.iter
-    (fun (blk, v) ->
-      Tinca.ok_exn (Tinca.write h blk (Bytes.make 4096 v));
-      Hashtbl.replace pending blk v)
-    [ (3, 'b'); (4, 'b') ];
-  ignore (Tinca.ok_exn (Tinca.commit_async h));
+  ignore (commit_async tc m (fills [ (3, 'b'); (4, 'b') ]));
   idle ();
   read 9;
   Tinca.group_flush tc;
-  Hashtbl.iter (fun blk v -> Hashtbl.replace oracle blk v) pending;
-  Hashtbl.reset pending;
+  reconcile tc m;
   read 10;
   idle ();
-  commit_fills tc oracle pending [ (1, 'c'); (5, 'c') ];
+  commit_fills tc m [ (1, 'c'); (5, 'c') ];
   for blk = 11 to last do
     read blk
   done;
-  commit_fills tc oracle pending [ (3, 'd'); (0, 'd') ]
+  commit_fills tc m [ (3, 'd'); (0, 'd') ]
 
 let group_cleaner_driver = own_fills_driver ~group_window_ns:1_000_000_000 group_cleaner_workload
 
 (* --- partial writes ----------------------------------------------------- *)
 
-(* Prefix consistency over whole-block contents: [oracle] maps every
-   block of the universe to its bytes as of the last acknowledged commit,
-   [pending] the in-flight transaction's blocks. *)
-let bytes_judge env cfg oracle pending ~recrash:_ recovered =
-  let peek = Tinca.peek recovered in
-  let first_bad table =
-    let rec go blk =
-      if blk >= cfg.universe then None
-      else if Bytes.equal (logical_block peek env.disk blk) (Hashtbl.find table blk) then go (blk + 1)
-      else Some blk
-    in
-    go 0
-  in
-  match first_bad oracle with
-  | None -> Ok ()
-  | Some _ when Hashtbl.length pending > 0 && first_bad (with_pending oracle pending) = None -> Ok ()
-  | Some blk ->
-      let got = logical_block peek env.disk blk and want = Hashtbl.find oracle blk in
-      let line = ref 0 in
-      while Bytes.sub got (!line * 64) 64 = Bytes.sub want (!line * 64) 64 do
-        incr line
-      done;
-      Error
-        (Printf.sprintf
-           "prefix consistency: block %d line %d is %C (expected %C pre-txn) — recovered state \
-            matches neither the last acknowledged commit nor the in-flight commit fully applied"
-           blk !line
-           (Bytes.get got (!line * 64))
-           (Bytes.get want (!line * 64)))
-
 (* [blk]'s acknowledged bytes with each of [lines] filled with [v]. *)
-let edited oracle blk lines v =
-  let b = Bytes.copy (Hashtbl.find oracle blk) in
+let edited m blk lines v =
+  let b = Spec.block m.spec blk in
   List.iter (fun i -> Bytes.fill b (i * 64) 64 v) lines;
-  b
+  (blk, b)
 
 let every_line = List.init 64 Fun.id
 
@@ -425,30 +411,15 @@ let every_line = List.init 64 Fun.id
    abort); read pressure then reclaims spares and evicts their blocks.
    With [group] each commit is one group-commit batch of one transaction
    per block, drained at once.  [ncommits] is ignored. *)
-let partial_workload ~group cfg tc oracle pending =
+let partial_workload ~group cfg _env tc m =
   let commit edits =
-    Hashtbl.reset pending;
-    let write h (blk, lines, v) =
-      let b = edited oracle blk lines v in
-      Tinca.ok_exn (Tinca.write h blk b);
-      Hashtbl.replace pending blk b
-    in
+    let writes = List.map (fun (blk, lines, v) -> edited m blk lines v) edits in
     if group then begin
-      List.iter
-        (fun edit ->
-          let h = Tinca.init_txn tc in
-          write h edit;
-          ignore (Tinca.ok_exn (Tinca.commit_async h)))
-        edits;
-      Tinca.group_flush tc
+      List.iter (fun w -> ignore (commit_async tc m [ w ])) writes;
+      Tinca.group_flush tc;
+      reconcile tc m
     end
-    else begin
-      let h = Tinca.init_txn tc in
-      List.iter (write h) edits;
-      Tinca.ok_exn (Tinca.commit h)
-    end;
-    Hashtbl.iter (fun blk b -> Hashtbl.replace oracle blk b) pending;
-    Hashtbl.reset pending
+    else commit tc m writes
   in
   commit [ (0, every_line, 'a'); (1, every_line, 'a') ];
   commit [ (0, [ 3 ], 'b'); (1, [ 5; 6 ], 'b') ];
@@ -458,7 +429,7 @@ let partial_workload ~group cfg tc oracle pending =
   | Tinca.Config.Logging _ ->
       let module Cache = Tinca_core.Cache in
       let h = Cache.Txn.init (Tinca_core.Shard.caches (Tinca.shard tc)).(0) in
-      Cache.Txn.add h 0 (edited oracle 0 [ 20 ] 'x');
+      Cache.Txn.add h 0 (snd (edited m 0 [ 20 ] 'x'));
       Cache.Txn.commit_prefix h 1;
       Cache.Txn.abort h
   | Tinca.Config.Paging _ -> ());
@@ -469,14 +440,9 @@ let partial_workload ~group cfg tc oracle pending =
   commit [ (0, [ 3 ], 'g'); (1, [ 1 ], 'g') ]
 
 let partial_driver ?(group = false) cfg =
-  {
-    fresh =
-      (fun env ->
-        let oracle = Hashtbl.create 64 and pending = Hashtbl.create 8 in
-        write_own_fills env cfg (fun blk v -> Hashtbl.replace oracle blk (Bytes.make 4096 v));
-        let tc = mk_tinca ?group_window_ns:(if group then Some 1_000_000_000 else None) cfg env in
-        ((fun () -> partial_workload ~group cfg tc oracle pending), bytes_judge env cfg oracle pending));
-  }
+  own_fills_driver
+    ?group_window_ns:(if group then Some 1_000_000_000 else None)
+    (partial_workload ~group) cfg
 
 (* Run the three gates on the current (post-crash) medium.  Recovery goes
    through the facade, which sniffs the scheme from the media magic. *)

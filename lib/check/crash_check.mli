@@ -12,16 +12,16 @@
 
     - {!Tinca.check_invariants} on the recovered engine (per-cache audit
       plus the cross-shard seal);
-    - prefix consistency: the recovered logical state equals the state
-      as of the last acknowledged commit, or that state with the
-      in-flight commit fully applied (full 4 KB block compare) — never a
+    - {!judge}: the recovered image equals, in full, one of the images
+      the {!Spec} model allows — the durable state, the standing batch
+      drained whole, or the in-flight transaction applied — never a
       partial mix.
 
     With [nshards > 1] the same sweep covers the striped commit
     scheduler: transactions stripe across shards, so crash points fall
     between per-shard Head advances and on either side of the
-    cross-shard seal, and the prefix oracle doubles as the all-or-
-    nothing check for multi-shard transactions.
+    cross-shard seal, and the judge doubles as the all-or-nothing
+    check for multi-shard transactions.
 
     The workload drives the {!Tinca} facade and recovery goes through
     {!Tinca.recover}, which discriminates the commit scheme from the
@@ -89,6 +89,38 @@ val tinca_config : config -> Tinca.Config.t
     has one, else the disk's. *)
 val logical_block : (int -> bytes option) -> Tinca_blockdev.Disk.t -> int -> bytes
 
+(** {1 The model and the judge}
+
+    Every sweep judges a recovered image the same way.  A driver keeps
+    what the facade has acknowledged as a {!Spec.t}: synchronous commits
+    applied, group-commit transactions sealed, the sealed queue folded
+    down to {!Tinca.group_pending} after each call.  While a facade call
+    that can make a transaction durable runs, [in_flight] holds the spec
+    with that transaction applied. *)
+
+type model = { mutable spec : Spec.t; mutable in_flight : Spec.t option }
+
+(** [durably m post call] runs [call] with [in_flight = post] and clears
+    it when [call] returns (not when it raises: a crash inside the call
+    leaves [post] a candidate). *)
+val durably : model -> Spec.t option -> (unit -> 'a) -> 'a
+
+(** [judge m image] accepts the recovered [image] (block -> 4 KB) only
+    when every block of the spec's universe equals one candidate in
+    full: {!Spec.drop_sealed} (the durable image), {!Spec.flush_sealed}
+    (the standing batch drained whole) or [in_flight].  The error names
+    the block and 64 B line where the longest-agreeing candidate stops,
+    the recovered byte there and each candidate's. *)
+val judge : model -> (int -> bytes) -> (unit, string) result
+
+(** A driver's judge: {!judge} over the recovered facade's image. *)
+val model_judge : env -> model -> recrash:(unit -> unit) -> Tinca.t -> (unit, string) result
+
+(** One transaction of [(block, bytes)] writes through
+    {!Tinca.commit_async}, tracked in the model as {!judge} expects.
+    Returns the ticket. *)
+val commit_async : Tinca.t -> model -> (int * bytes) list -> Tinca.ticket
+
 (** A pluggable workload + oracle pair.  [fresh env] formats the media
     (so crash points fall inside the workload only) and returns the
     workload thunk together with the judge run on every recovered
@@ -101,14 +133,13 @@ type driver = {
     env -> (unit -> unit) * (recrash:(unit -> unit) -> Tinca.t -> (unit, string) result);
 }
 
-(** The original deterministic fill-byte workload with the
-    prefix-consistency oracle. *)
+(** The original deterministic fill-byte workload. *)
 val default_driver : config -> driver
 
-(** The read-miss path under the same oracle: every disk block starts
-    with its own fill byte; reads fill blocks, read pressure evicts
-    fills and committed blocks, and transactions write blocks cached
-    only as volatile fills.  Needs [universe] of at least 9 blocks and
+(** The read-miss path: every disk block starts with its own fill
+    byte; reads fill blocks, read pressure evicts fills and committed
+    blocks, and transactions write blocks cached only as volatile
+    fills.  Needs [universe] of at least 9 blocks and
     below 256; ignores [ncommits]. *)
 val read_miss_driver : config -> driver
 
@@ -117,14 +148,14 @@ val read_miss_driver : config -> driver
     crash point holds the unflushed lines of every cached fill. *)
 val read_miss_config : config
 
-(** The cleaner under the same oracle, on the same geometry as
-    {!read_miss_config}: commits, a disk access, idle time, then a read
-    at whose start the idle pass writes the committed blocks back; a
-    cleaned block is overwritten, read pressure evicts the oldest
-    blocks, and after more idle time the idle pass runs after a commit.
+(** The cleaner, on the same geometry as {!read_miss_config}: commits,
+    a disk access, idle time, then a read at whose start the idle pass
+    writes the committed blocks back; a cleaned block is overwritten,
+    read pressure evicts the oldest blocks, and after more idle time
+    the idle pass runs after a commit.
     Two 6-block commits without idle time then make the pressure pass
-    write a batch, and reads evict its blocks.  Needs [universe] of at least 21 blocks and below
-    256; ignores [ncommits]. *)
+    write a batch, and reads evict its blocks.  Needs [universe] of at
+    least 21 blocks and below 256; ignores [ncommits]. *)
 val cleaner_driver : config -> driver
 
 (** {!cleaner_driver}'s group-commit counterpart (logging, Batched
@@ -135,9 +166,8 @@ val cleaner_driver : config -> driver
     256. *)
 val group_cleaner_driver : config -> driver
 
-(** Partial COW writes under prefix consistency over whole-block
-    contents: commits rewrite one, two, no or every 64 B line of the
-    same blocks, so write hits COW into spare frames; under logging a
+(** Partial COW writes: commits rewrite one, two, no or every 64 B
+    line of the same blocks, so write hits COW into spare frames; under logging a
     transaction that stored a line into a spare is aborted
     ([Cache.Txn.commit_prefix], then [abort]); read pressure reclaims
     spares and evicts their blocks.  [group] (default [false]) sends
@@ -172,8 +202,7 @@ type report = {
 (** [explore cfg] runs the sweep.  [progress crash_at span] is invoked
     before each crash point (for CLI progress display).  [driver]
     (default {!default_driver}) supplies the workload and the oracle —
-    {!Lockstep} passes a command-sequence driver whose judge is full
-    spec refinement.  Raises only on misconfiguration
+    {!Lockstep} passes a command-sequence driver.  Raises only on misconfiguration
     ([Invalid_argument]: [stride < 1], [first_event < 1], or
     [first_event] past the workload's span, so a sweep never passes
     having checked nothing) or an internal checker error; protocol bugs

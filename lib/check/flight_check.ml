@@ -12,14 +12,14 @@
       on the logical state, not the medium digest.
 
    2. Dossier-vs-judge agreement — the dossier's acked-vs-survived
-      verdict must match an independent oracle that tracked which
-      transactions were acknowledged durable before the crash.  With
-      the production committer the dossier must be Clean at every crash
-      state (the serial-drain inference has no false positives: batch
-      B+1's drain record only reaches the medium after batch B's Tail
-      fence).  With the planted [`Drop_durable_notify] fault the
-      dossier alone — no model checker, no oracle — must name the
-      acked tickets that died ([drop_notify_scenario]).
+      verdict must agree with Crash_check.judge over the model of what
+      was acknowledged before the crash.  With the production committer
+      the dossier must be Clean at every crash state (the serial-drain
+      inference has no false positives: batch B+1's drain record only
+      reaches the medium after batch B's Tail fence).  With the planted
+      [`Drop_durable_notify] fault the dossier alone — no model checker,
+      no oracle — must name the acked tickets that died
+      ([drop_notify_scenario]).
 
    The sweep itself is Crash_check.explore: this module supplies the
    group-commit workload and the judge, and [budget] picks the survival
@@ -59,23 +59,6 @@ let format cfg env =
          }
        ~pmem:env.Check.pmem ~disk:env.Check.disk ~clock:env.Check.clock ~metrics:env.Check.metrics)
 
-let fill table blk = match Hashtbl.find_opt table blk with Some v -> v | None -> '\000'
-
-(* The blocks whose recovered content is not [table]'s fill byte, shown
-   as expected and first byte ('?' for a block of mixed bytes, which the
-   fill-byte workload never legitimately makes). *)
-let mismatches peek disk universe table =
-  List.filter_map
-    (fun blk ->
-      let expect = fill table blk in
-      let data = Check.logical_block peek disk blk in
-      if Bytes.for_all (Char.equal expect) data then None
-      else
-        let first = Bytes.get data 0 in
-        let got = if Bytes.for_all (Char.equal first) data then Char.code first else Char.code '?' in
-        Some (Printf.sprintf "blk %d exp %d got %d" blk (Char.code expect) got))
-    (List.init universe Fun.id)
-
 (* One digest over every block's recovered logical content — the value
    the recorder on/off pin compares. *)
 let logical_digest peek disk universe =
@@ -85,29 +68,14 @@ let logical_digest peek disk universe =
   done;
   Digest.string (Buffer.contents buf)
 
-(* Judge one recovered medium: batch atomicity against the three
-   candidate images, the dossier's verdict, then the same medium
-   recovered with replay off.  [durable], [sealed] and [current] are the
-   workload's oracle (see [driver]). *)
-let judge cfg counts env ~durable ~sealed ~current ~recrash t_on =
+(* Judge one recovered medium: the image against the model, the
+   dossier's verdict, then the same medium recovered with replay off. *)
+let judge cfg counts env m ~recrash t_on =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
   let peek_on = Tinca.peek t_on and disk = env.Check.disk and universe = cfg.Check.universe in
   let d_on = logical_digest peek_on disk universe in
-  let with_current () =
-    let t = Hashtbl.copy sealed in
-    List.iter (fun (b, v) -> Hashtbl.replace t b v) current;
-    t
-  in
-  let off table = mismatches peek_on disk universe table in
-  if not (List.exists (fun t -> off t = []) [ durable; sealed ] || off (with_current ()) = [])
-  then
-    err
-      "recovered state matches no candidate image: vs acked (%s); vs acked+batch (%s); vs \
-       acked+batch+in-flight (%s)"
-      (String.concat "; " (off durable))
-      (String.concat "; " (off sealed))
-      (String.concat "; " (off (with_current ())));
+  (match Check.judge m (Check.logical_block peek_on disk) with Ok () -> () | Error e -> err "%s" e);
   (* No fault planted: the committer never acked without durability, so
      a Dead_acked verdict would be a false conviction — and it must agree
      with the judge, which just checked that every acked write survived. *)
@@ -134,43 +102,33 @@ let judge cfg counts env ~durable ~sealed ~current ~recrash t_on =
         err "replay on/off recovered DIFFERENT logical states (recorder is not a pure observer)");
   match List.rev !errs with [] -> Ok () | es -> Error (String.concat "; " es)
 
-(* The deterministic group-commit workload plus its oracle: [durable]
-   maps a block to the fill byte of its last ACKNOWLEDGED-DURABLE write
-   (folded in from the on_durable callback, i.e. exactly when the facade
-   acks); [sealed] additionally folds writes whose commit_async
-   returned; [current] holds the in-flight transaction's writes from
-   just before its commit_async until the call returns — a drain
-   triggered INSIDE that call (max-batch, ring pressure) seals and
-   commits the transaction before the workload can fold it, so a crash
-   mid-call may recover its writes.  At any crash the recovered state
-   must match [durable] (standing batch lost), [sealed] (standing batch
-   committed whole) or [sealed]+[current] (committed including the
-   mid-call transaction) — batch atomicity admits no other image. *)
+(* The deterministic group-commit workload, tracked in a Crash_check
+   model: each transaction is sealed in the spec once its commit_async
+   returns, and the spec's sealed queue follows the facade's pending
+   batch, so at any crash the recovered state must be the durable image
+   (standing batch lost), the batch drained whole, or (mid-call, when a
+   drain triggered inside commit_async — max-batch, ring pressure —
+   covers the new transaction) everything drained including it. *)
 let driver cfg =
   let counts = { dossiers_built = 0; records_replayed = 0 } in
   let fresh env =
     let t = format cfg env in
-    let durable = Hashtbl.create 64 and sealed = Hashtbl.create 64 in
-    let current = ref [] in
+    let m =
+      { Check.spec = Spec.create ~nblocks:cfg.Check.universe ~block_size:4096; in_flight = None }
+    in
     let workload () =
       let rng = Rng.create cfg.Check.seed in
       for _ = 1 to cfg.Check.ncommits do
         let n = 1 + Rng.int rng 3 in
-        let txn = Tinca.init_txn t in
         let writes =
-          List.init n (fun _ -> (Rng.int rng cfg.Check.universe, Char.chr (1 + Rng.int rng 255)))
+          List.init n (fun _ ->
+              (Rng.int rng cfg.Check.universe, Bytes.make 4096 (Char.chr (1 + Rng.int rng 255))))
         in
-        List.iter (fun (b, v) -> Tinca.ok_exn (Tinca.write txn b (Bytes.make 4096 v))) writes;
-        current := writes;
-        let tk = Tinca.ok_exn (Tinca.commit_async txn) in
-        current := [];
-        List.iter (fun (b, v) -> Hashtbl.replace sealed b v) writes;
-        Tinca.on_durable tk (fun () ->
-            List.iter (fun (b, v) -> Hashtbl.replace durable b v) writes)
+        ignore (Check.commit_async t m writes)
       done;
       Tinca.group_flush t
     in
-    (workload, fun ~recrash t_on -> judge cfg counts env ~durable ~sealed ~current:!current ~recrash t_on)
+    (workload, judge cfg counts env m)
   in
   ({ Check.fresh }, counts)
 

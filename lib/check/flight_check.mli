@@ -7,9 +7,9 @@
       with flight replay on and off must produce bit-identical
       {e logical} cache state — the recorder is a pure observer;
     + {b dossier-vs-judge agreement}: the post-crash dossier's verdict
-      ({!Tinca_obs.Forensics.verdict}) must match an independent oracle
-      that tracked acked-durable transactions — [`Clean] at every crash
-      point of the correct committer, and [`Dead_acked] naming the
+      ({!Tinca_obs.Forensics.verdict}) must agree with
+      {!Crash_check.judge} over the workload's model — [`Clean] at every
+      crash point of the correct committer, and [`Dead_acked] naming the
       acked tickets when {!drop_notify_scenario} plants the
       [`Drop_durable_notify] fault.
 

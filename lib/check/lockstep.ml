@@ -208,17 +208,28 @@ let fill v = Bytes.make 4096 (Char.chr (v land 0xFF))
 
 type state = {
   tc : Tinca.t;
-  mutable spec : Spec.t;
+  m : Check.model; (* acknowledged spec + the running call's image *)
   mutable cur : (Tinca.txn * Spec.txn) option;
   mutable tickets : Tinca.ticket list; (* outstanding, oldest first *)
 }
+
+let fresh_state g env =
+  {
+    tc = mk_tinca g env;
+    m = { Check.spec = Spec.create ~nblocks:g.universe ~block_size:4096; in_flight = None };
+    cur = None;
+    tickets = [];
+  }
 
 (* The group committer drains oldest-first and always drains the whole
    standing batch, so after any command the spec's sealed queue need
    only be folded down to the real [group_pending] count — whatever
    trigger fired (window expiry, conflict, capacity, max-batch, await)
    is thereby modeled without re-implementing the trigger policy. *)
-let reconcile st = st.spec <- Spec.flush_sealed ~keep:(Tinca.group_pending st.tc) st.spec
+let reconcile st = st.m.spec <- Spec.flush_sealed ~keep:(Tinca.group_pending st.tc) st.m.spec
+
+(* The state a call that [Spec] predicts succeeds can make durable. *)
+let post f r = Result.to_option (Result.map f r)
 
 (* Execute one command on both systems; Error reason on divergence.
    [Transaction_too_large] is the one real outcome the spec cannot
@@ -232,13 +243,13 @@ let exec_cmd ?mutate st cmd =
   in
   match cmd with
   | Begin ->
-      st.cur <- Some (Tinca.init_txn st.tc, Spec.init_txn st.spec);
+      st.cur <- Some (Tinca.init_txn st.tc, Spec.init_txn st.m.spec);
       Ok ()
   | (Write _ | Bad_size_write _ | Commit | Commit_async | Abort) when st.cur = None -> Ok ()
   | Write (b, v) ->
       let rtxn, stxn = Option.get st.cur in
       let data = fill v in
-      let spec = Spec.write st.spec stxn b data in
+      let spec = Spec.write st.m.spec stxn b data in
       (* Lose_writes only swallows writes that would have succeeded —
          error paths stay honest, so the divergence it plants is the
          durability loss itself, not a masked validation error. *)
@@ -255,18 +266,20 @@ let exec_cmd ?mutate st cmd =
   | Bad_size_write b -> (
       let rtxn, stxn = Option.get st.cur in
       let data = Bytes.make 100 'x' in
-      match (Tinca.write rtxn b data, Spec.write st.spec stxn b data) with
+      match (Tinca.write rtxn b data, Spec.write st.m.spec stxn b data) with
       | Error e, Error e' when e = e' -> Ok ()
       | real, spec -> mismatch (Printf.sprintf "bad-size write %d" b) real spec)
   | Commit -> (
       let rtxn, stxn = Option.get st.cur in
+      let spec = Spec.commit st.m.spec stxn in
       let real =
-        if mutate = Some Abort_commits && Spec.live stxn then Tinca.abort rtxn
-        else Tinca.commit rtxn
+        Check.durably st.m (post fst spec) (fun () ->
+            if mutate = Some Abort_commits && Spec.live stxn then Tinca.abort rtxn
+            else Tinca.commit rtxn)
       in
-      match (real, Spec.commit st.spec stxn) with
+      match (real, spec) with
       | Ok (), Ok (spec', stxn') ->
-          st.spec <- spec';
+          st.m.spec <- spec';
           st.cur <- Some (rtxn, stxn');
           Ok ()
       | Error Tinca.Transaction_too_large, Ok _ ->
@@ -276,15 +289,15 @@ let exec_cmd ?mutate st cmd =
       | real, spec -> mismatch "commit" real spec)
   | Abort -> (
       let rtxn, stxn = Option.get st.cur in
-      match (Tinca.abort rtxn, Spec.abort st.spec stxn) with
+      match (Tinca.abort rtxn, Spec.abort st.m.spec stxn) with
       | Ok (), Ok (spec', stxn') ->
-          st.spec <- spec';
+          st.m.spec <- spec';
           st.cur <- Some (rtxn, stxn');
           Ok ()
       | Error e, Error e' when e = e' -> Ok ()
       | real, spec -> mismatch "abort" real spec)
   | Read b -> (
-      match (Tinca.read st.tc b, Spec.read st.spec b) with
+      match (Tinca.read st.tc b, Spec.read st.m.spec b) with
       | Ok d, Ok d' when Bytes.equal d d' -> Ok ()
       | (Ok _ as real), (Ok _ as spec) ->
           mismatch (Printf.sprintf "read %d: content differs —" b) real spec
@@ -292,18 +305,25 @@ let exec_cmd ?mutate st cmd =
       | real, spec -> mismatch (Printf.sprintf "read %d" b) real spec)
   | Write_direct (b, v) -> (
       let data = fill v in
-      match (Tinca.write_direct st.tc b data, Spec.write_direct st.spec b data) with
+      let spec = Spec.write_direct st.m.spec b data in
+      let real =
+        Check.durably st.m (post Fun.id spec) (fun () -> Tinca.write_direct st.tc b data)
+      in
+      match (real, spec) with
       | Ok (), Ok spec' ->
-          st.spec <- spec';
+          st.m.spec <- spec';
           Ok ()
       | Error Tinca.Transaction_too_large, Ok _ -> Ok ()
       | Error e, Error e' when e = e' -> Ok ()
       | real, spec -> mismatch (Printf.sprintf "write_direct %d" b) real spec)
   | Commit_async -> (
       let rtxn, stxn = Option.get st.cur in
-      match (Tinca.commit_async rtxn, Spec.seal st.spec stxn) with
+      let spec = Spec.seal st.m.spec stxn in
+      (* A drain inside the call can make the transaction durable. *)
+      let drained = post (fun (s, _) -> Spec.flush_sealed s) spec in
+      match (Check.durably st.m drained (fun () -> Tinca.commit_async rtxn), spec) with
       | Ok tk, Ok (spec', stxn') ->
-          st.spec <- spec';
+          st.m.spec <- spec';
           st.cur <- Some (rtxn, stxn');
           if not (Tinca.ticket_durable tk) then st.tickets <- st.tickets @ [ tk ];
           Ok ()
@@ -330,7 +350,7 @@ let sweep g st =
   let rec go blk =
     if blk >= g.universe then Ok g.universe
     else
-      match (Tinca.read st.tc blk, Spec.read st.spec blk) with
+      match (Tinca.read st.tc blk, Spec.read st.m.spec blk) with
       | Ok d, Ok d' when Bytes.equal d d' -> go (blk + 1)
       | Ok d, Ok d' ->
           Error
@@ -347,15 +367,7 @@ let sweep g st =
 
 let run ?mutate g cmds =
   with_fault mutate @@ fun () ->
-  let env = mk_env g in
-  let st =
-    {
-      tc = mk_tinca g env;
-      spec = Spec.create ~nblocks:g.universe ~block_size:4096;
-      cur = None;
-      tickets = [];
-    }
-  in
+  let st = fresh_state g (mk_env g) in
   let stats = ref { ops = 0; sweeps = 0; blocks_compared = 0 } in
   let diverged = ref None in
   (try
@@ -414,149 +426,24 @@ let shrink ~fails cmds =
 
 (* --- crash-space integration --------------------------------------------- *)
 
-(* Crash_check driver: run the command sequence against a fresh facade,
-   tracking a spec whose sealed queue mirrors the real standing batch
-   (reconciled against [Tinca.group_pending] after every command) plus
-   (around every commit window) the in-flight image.  The judge then
-   demands that a recovered state equal one of
-
-   - the durable image (sealed queue dropped — an undrained batch and
-     any sealed-unacked transactions legitimately roll back),
-   - the durable image with the WHOLE batch drained (a crash during or
-     after the drain: the batch is all-or-nothing, so acked-durable
-     transactions must survive together and partial batches are a
-     violation),
-   - the in-flight image (a synchronous commit window, fully applied —
-     the batch drained and the committing transaction applied on top),
-
-   at every recovered state of every survival subset of every crash
-   point.  Command outcomes are not compared here (the plain lockstep
-   run covers that); geometry rejections just leave the spec alone. *)
+(* Crash_check driver: the command sequence through [exec_cmd], whose
+   model (reconciled with [Tinca.group_pending] after every command,
+   the in-flight image set around every call that can make a
+   transaction durable) [Check.judge] holds every recovered state to.
+   Command outcomes are not compared here (the plain lockstep run
+   covers that). *)
 let crash_driver g cmds =
   {
     Check.fresh =
-      (fun (env : Check.env) ->
-        let tc = mk_tinca g env in
-        let spec = ref (Spec.create ~nblocks:g.universe ~block_size:4096) in
-        let in_flight = ref None in
-        let cur = ref None in
-        let tickets = ref [] in
-        let reconcile () = spec := Spec.flush_sealed ~keep:(Tinca.group_pending tc) !spec in
-        let exec cmd =
-          (match cmd with
-          | Begin -> cur := Some (Tinca.init_txn tc, Spec.init_txn !spec)
-          | Write (b, v) -> (
-              match !cur with
-              | None -> ()
-              | Some (rtxn, stxn) -> (
-                  let data = fill v in
-                  ignore (Tinca.write rtxn b data);
-                  match Spec.write !spec stxn b data with
-                  | Ok stxn' -> cur := Some (rtxn, stxn')
-                  | Error _ -> ()))
-          | Bad_size_write b -> (
-              match !cur with
-              | None -> ()
-              | Some (rtxn, _) -> ignore (Tinca.write rtxn b (Bytes.make 100 'x')))
-          | Commit -> (
-              match !cur with
-              | None -> ()
-              | Some (rtxn, stxn) when Spec.live stxn -> (
-                  let post = Spec.apply_pending (Spec.flush_sealed !spec) stxn in
-                  in_flight := Some post;
-                  cur := Some (rtxn, Spec.reject stxn);
-                  match Tinca.commit rtxn with
-                  | Ok () ->
-                      spec := post;
-                      in_flight := None
-                  | Error _ -> in_flight := None)
-              | Some (rtxn, _) -> ignore (Tinca.commit rtxn))
-          | Commit_async -> (
-              match !cur with
-              | None -> ()
-              | Some (rtxn, stxn) when Spec.live stxn -> (
-                  (* A drain triggered inside commit_async (window,
-                     conflict, capacity, max-batch) can cover the new
-                     transaction too, so the in-flight candidate is
-                     "everything drained, this transaction included". *)
-                  in_flight := Some (Spec.apply_pending (Spec.flush_sealed !spec) stxn);
-                  match Tinca.commit_async rtxn with
-                  | Ok tk -> (
-                      in_flight := None;
-                      if not (Tinca.ticket_durable tk) then tickets := !tickets @ [ tk ];
-                      match Spec.seal !spec stxn with
-                      | Ok (spec', stxn') ->
-                          spec := spec';
-                          cur := Some (rtxn, stxn')
-                      | Error _ -> cur := Some (rtxn, Spec.reject stxn))
-                  | Error _ ->
-                      in_flight := None;
-                      cur := Some (rtxn, Spec.reject stxn))
-              | Some (rtxn, _) -> ignore (Tinca.commit_async rtxn))
-          | Await -> (
-              match !tickets with
-              | [] -> ()
-              | tk :: rest ->
-                  tickets := rest;
-                  ignore (Tinca.await tk))
-          | Abort -> (
-              match !cur with
-              | None -> ()
-              | Some (rtxn, stxn) ->
-                  ignore (Tinca.abort rtxn);
-                  cur := Some (rtxn, Spec.reject stxn))
-          | Read b -> ignore (Tinca.read tc b)
-          | Write_direct (b, v) -> (
-              let data = fill v in
-              match Spec.write_direct !spec b data with
-              | Error _ -> ignore (Tinca.write_direct tc b data)
-              | Ok post -> (
-                  in_flight := Some post;
-                  match Tinca.write_direct tc b data with
-                  | Ok () ->
-                      spec := post;
-                      in_flight := None
-                  | Error _ -> in_flight := None)));
-          reconcile ()
-        in
-        let workload () = Array.iter exec cmds in
-        let judge ~recrash:_ recovered =
-          let logical = Check.logical_block (Tinca.peek recovered) env.Check.disk in
-          let matches spec =
-            let rec go blk =
-              blk >= g.universe
-              || (Bytes.equal (logical blk) (Spec.block spec blk) && go (blk + 1))
-            in
-            go 0
-          in
-          let durable = Spec.drop_sealed !spec in
-          let drained = Spec.flush_sealed !spec in
-          if matches durable then Ok ()
-          else if matches drained then Ok ()
-          else
-            match !in_flight with
-            | Some post when matches post -> Ok ()
-            | _ ->
-                let rec first blk =
-                  if blk >= g.universe then "unreachable"
-                  else
-                    let d = logical blk and e = Spec.block durable blk in
-                    if Bytes.equal d e then first (blk + 1)
-                    else
-                      Printf.sprintf
-                        "spec refinement: block %d is %C (durable spec %C, batch-drained %C%s) — \
-                         recovered state matches neither the durable image, nor the whole \
-                         batch drained, nor the in-flight commit fully applied"
-                        blk (Bytes.get d 0) (Bytes.get e 0)
-                        (Bytes.get (Spec.block drained blk) 0)
-                        (match !in_flight with
-                        | Some post ->
-                            Printf.sprintf ", in-flight %C" (Bytes.get (Spec.block post blk) 0)
-                        | None -> "")
-                in
-                Error (first 0)
-        in
-        (workload, judge));
+      (fun env ->
+        let st = fresh_state g env in
+        ( (fun () ->
+            Array.iter
+              (fun cmd ->
+                ignore (exec_cmd st cmd);
+                reconcile st)
+              cmds),
+          Check.model_judge env st.m ));
   }
 
 let crash_refine ?mutate ?(cap = 48) ?(stride = 1) ?progress g cmds =

@@ -11,12 +11,11 @@
     - {!shrink} — delta-debug a failing sequence to a 1-minimal
       reproducer, printable as a replayable OCaml value ({!pp_cmds});
     - {!crash_refine} — the crash-space integration: run the sequence
-      under {!Crash_check.explore} with a driver whose judge is full
-      spec refinement, i.e. {e every} recovered state of every survival
-      subset of every crash point must equal the spec as of the last
-      acknowledged commit, or that state with the in-flight commit fully
-      applied.  This upgrades the checker's fill-byte prefix oracle to
-      arbitrary workloads and full functional correctness.
+      through the same executor under {!Crash_check.explore}, so {e
+      every} recovered state of every survival subset of every crash
+      point faces {!Crash_check.judge} over the executor's spec: the
+      durable image, the standing batch drained whole, or the in-flight
+      commit fully applied.
 
     The harness validates itself with planted {!mutation}s: a mutated
     run must diverge, and the shrunk reproducer stays small (the

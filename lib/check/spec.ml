@@ -37,11 +37,6 @@ let block t blk =
   | Some data -> Bytes.copy data
   | None -> zeros t
 
-let durable_block t blk =
-  match M.find_opt blk t.committed with
-  | Some data -> Bytes.copy data
-  | None -> zeros t
-
 let in_range t blk = blk >= 0 && blk < t.nblocks
 
 let read t blk =
@@ -127,9 +122,6 @@ let write_direct t blk data =
 
 let pending txn = M.bindings txn.writes
 
-let apply_pending t txn =
-  { t with committed = apply t.committed txn.writes }
-
 (* Structural equality up to the zero-block default: a block explicitly
    written to zeros equals an absent one.  Compares the {e visible}
    image — two states with different sealed-queue factorizations of the
@@ -141,14 +133,3 @@ let equal a b =
     blk >= a.nblocks || (Bytes.equal (block a blk) (block b blk) && all (blk + 1))
   in
   all 0
-
-let pp_diff ppf (a, b) =
-  let rec first blk =
-    if blk >= a.nblocks then Format.fprintf ppf "states equal"
-    else
-      let da = block a blk and db = block b blk in
-      if Bytes.equal da db then first (blk + 1)
-      else
-        Format.fprintf ppf "block %d: %C vs %C" blk (Bytes.get da 0) (Bytes.get db 0)
-  in
-  first 0

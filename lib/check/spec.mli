@@ -9,7 +9,8 @@
     implementation.
 
     Obligations encoded here, checked against the real {!Tinca} facade by
-    {!Lockstep}:
+    {!Lockstep} and, after every crash of a sweep, by
+    {!Crash_check.judge}:
 
     - [read] returns exactly the committed map;
     - [commit] applies the whole buffer at once (all-or-nothing — for a
@@ -45,11 +46,7 @@ val block : t -> int -> bytes
 (** {e Visible} content of a block — the committed map overlaid by the
     sealed queue, newest seal winning (fresh copy; zeros if never
     written).  Total on [0, nblocks); used by the crash-refinement
-    judge. *)
-
-val durable_block : t -> int -> bytes
-(** Committed (durable) content only — what survives a crash that drops
-    the whole sealed queue. *)
+    judge ({!Crash_check.judge}). *)
 
 val read : t -> int -> (bytes, Tinca.error) result
 (** The spec of [Tinca.read]. *)
@@ -117,11 +114,5 @@ val write_direct : t -> int -> bytes -> (t, Tinca.error) result
 val pending : txn -> (int * bytes) list
 (** The buffer, as (block, data) pairs in ascending block order. *)
 
-val apply_pending : t -> txn -> t
-(** The committed map with the buffer fully applied — the "in-flight
-    commit fully applied" side of the crash-consistency oracle. *)
-
 val equal : t -> t -> bool
 
-val pp_diff : Format.formatter -> t * t -> unit
-(** First differing block of two states, for divergence messages. *)

@@ -436,21 +436,19 @@ let format ~config ~pmem ~disk ~clock ~metrics =
 (* --- revocation (shared by abort and recovery, §4.5) -------------------- *)
 
 (* Undo one block of the in-flight transaction using the DRAM info (which
-   mirrors the media entry).
+   mirrors the media entry); a block not in log role is left alone.
 
-   [force] distinguishes the two revocation sources of §4.5: blocks named
-   in the ring range [Tail, Head) are revoked unconditionally — the Head
-   advance that put them in range is persisted strictly after their new
-   entry, so whatever entry we see (log, or buffer when a role-switch
-   flush happened to complete before the crash) is the in-flight
-   transaction's version.  Blocks found only by the full entry scan are
-   revoked when still in log role. *)
-let revoke_block ?(force = false) t blkno =
+   Recovery puts the blocks named in the ring range [Tail, Head) in log
+   role whatever their entry's role: the Head advance that put them in
+   range is persisted strictly after their new entry, so whatever entry
+   it sees (log, or buffer when a role-switch flush happened to complete
+   before the crash) is the in-flight transaction's version. *)
+let revoke_block t blkno =
   match Fc.find t.fc blkno with
   | None -> () (* entry write never became durable: nothing to undo *)
   | Some info ->
       let x = info.ext in
-      if force || x.role_log then begin
+      if x.role_log then begin
         Fc.set_pinned info false;
         Pmem.set_site t.pmem "cache.revoke";
         (match x.prev with
@@ -534,6 +532,7 @@ let recover_region ?(flight_replay = true) ~base ~mem_bytes ~pmem ~disk ~clock ~
      claim before the frame cache sees it.  Slots are the scan index, so
      each is claimed once by construction. *)
   let claimed = Bytes.make nblocks '\000' in
+  let leaked = ref [] in
   let claim i f =
     if f < 0 || f >= nblocks then
       raise
@@ -556,19 +555,20 @@ let recover_region ?(flight_replay = true) ~base ~mem_bytes ~pmem ~disk ~clock ~
                 e.Entry.disk_blkno));
       if Fc.mem t.fc e.Entry.disk_blkno then
         raise (Corrupt "Tinca.Cache.recover: duplicate valid entry for a disk block");
-      let role_log = e.Entry.role = Entry.Log in
-      let in_flight = role_log || Hashtbl.mem in_ring e.Entry.disk_blkno in
+      let role_log = e.Entry.role = Entry.Log || Hashtbl.mem in_ring e.Entry.disk_blkno in
       (* prev is meaningful (and pins NVM space) only for in-flight
          blocks; other buffer-role entries carry a stale prev. *)
-      let prev = if in_flight then e.Entry.prev else None in
+      let prev = if role_log then e.Entry.prev else None in
       claim i e.Entry.cur;
       (match prev with Some p -> claim i p | None -> ());
       Fc.claim_slot t.fc i;
       Fc.claim_frame t.fc e.Entry.cur;
       (match prev with Some p -> Fc.claim_frame t.fc p | None -> ());
-      ignore
-        (Fc.insert t.fc ~key:e.Entry.disk_blkno ~frame:e.Entry.cur ~slot:i ~dirty:e.Entry.modified
-           ~pinned:role_log { prev; role_log; pre_dirty = true; mask = Fc.full });
+      let info =
+        Fc.insert t.fc ~key:e.Entry.disk_blkno ~frame:e.Entry.cur ~slot:i ~dirty:e.Entry.modified
+          ~pinned:role_log { prev; role_log; pre_dirty = true; mask = Fc.full }
+      in
+      if role_log && e.Entry.role = Entry.Buffer then leaked := info :: !leaked;
       if role_log then t.pinned <- t.pinned + 1;
       if prev <> None then t.cow_pinned <- t.cow_pinned + 1
     end
@@ -576,24 +576,28 @@ let recover_region ?(flight_replay = true) ~base ~mem_bytes ~pmem ~disk ~clock ~
   Trace.end_span "tinca.recover.entry_scan";
   (* Revoke set = ring range [Tail, Head) ∪ all log-role entries.  The
      union is required: an entry can be persisted before its ring slot
-     (commit step 1 precedes step 2), and a role-switched (buffer)
-     entry of the in-flight transaction is only named by the ring. *)
+     (commit step 1 precedes step 2), and a role-switched (buffer) entry
+     of the in-flight transaction is only named by the ring.  So such an
+     entry first goes back to log role, and Tail moves, before anything
+     is revoked: from then on the log-role scan alone names the in-flight
+     blocks, and a second crash mid-revocation cannot mistake a revoked
+     hit (buffer role, no prev) for a write miss the ring still names. *)
   let before = Metrics.get t.metrics "tinca.revoked" in
   Trace.begin_span ~clock "tinca.recover.revoke";
-  let revoke_logged blkno =
-    let n0 = Metrics.get t.metrics "tinca.revoked" in
-    revoke_block ~force:true t blkno;
-    (* Each effective revocation is a recovery decision worth keeping:
-       the record line rides the revocation's own entry fence. *)
-    if Metrics.get t.metrics "tinca.revoked" > n0 then
-      flight_note t Flight.Recovery_decision ~a:1 ~b:blkno
-  in
-  Hashtbl.iter (fun blkno () -> revoke_logged blkno) in_ring;
-  List.iter
-    (fun (info : info) -> if info.ext.role_log then revoke_logged info.key)
-    (List.rev (Fc.fold List.cons t.fc []));
+  write_entries_batched t
+    (List.map (fun (info : info) -> (info.slot, entry_of_info ~role:Entry.Log info)) !leaked);
   flight_flush_into_fence t;
   Ring.commit_point t.ring;
+  List.iter
+    (fun (info : info) ->
+      if info.ext.role_log then begin
+        (* Each revocation is a recovery decision worth keeping: the
+           record line rides the revocation's own entry fence. *)
+        flight_note t Flight.Recovery_decision ~a:1 ~b:info.key;
+        flight_flush_into_fence t;
+        revoke_block t info.key
+      end)
+    (List.rev (Fc.fold List.cons t.fc []));
   Trace.end_span "tinca.recover.revoke";
   Trace.end_span "tinca.recover";
   Metrics.incr t.metrics "tinca.recoveries" ~by:1;

@@ -4,16 +4,18 @@
    against the cache while a countdown hook injects a crash at the k-th
    pmem event; resolve the crash with several survival policies (0 = all
    unflushed lines lost, 1 = all survive, 0.5 = adversarial mix); recover;
-   then compare the logical state (cache overlaying disk) against an
-   oracle.  The recovered state must equal the state as of the last
-   acknowledged commit — or, exactly at the commit point, the state with
-   the in-flight transaction fully applied.  Partial application is a
-   failure. *)
+   then judge the logical state (cache overlaying disk, whole blocks)
+   with the crash checker's judge: the recovered state must equal the
+   state as of the last acknowledged commit — or, exactly at the commit
+   point, the state with the in-flight transaction fully applied.
+   Partial application is a failure. *)
 
 open Tinca_core
 open Tinca_sim
 module Pmem = Tinca_pmem.Pmem
 module Disk = Tinca_blockdev.Disk
+module Check = Tinca_checker.Crash_check
+module Spec = Tinca_checker.Spec
 
 let universe = 48 (* disk blocks exercised *)
 let pmem_bytes = 160 * 1024 (* ~30 data blocks: forces evictions *)
@@ -31,46 +33,29 @@ let config = { Cache.default_config with ring_slots = 64 }
 
 (* The deterministic workload: [ncommits] transactions of 1..4 blocks with
    skewed block choice (to exercise COW write hits) and occasional reads.
-   Returns the oracle per committed transaction. *)
-let run_workload ~seed ~ncommits cache oracle pending =
+   [m] follows it: its spec is the last acknowledged commit, its
+   in-flight image the transaction being committed. *)
+let run_workload ~seed ~ncommits cache (m : Check.model) =
   let rng = Tinca_util.Rng.create seed in
   for _txn = 1 to ncommits do
     let n = 1 + Tinca_util.Rng.int rng 4 in
     let h = Cache.Txn.init cache in
-    Hashtbl.reset pending;
+    let stxn = ref (Spec.init_txn m.spec) in
     for _ = 1 to n do
       let blk = Tinca_util.Rng.int rng universe in
-      let v = Char.chr (Tinca_util.Rng.int rng 256) in
-      Cache.Txn.add h blk (Bytes.make 4096 v);
-      Hashtbl.replace pending blk v
+      let data = Bytes.make 4096 (Char.chr (Tinca_util.Rng.int rng 256)) in
+      Cache.Txn.add h blk data;
+      stxn := Result.get_ok (Spec.write m.spec !stxn blk data)
     done;
     (* Sprinkle reads between transactions to mix clean fills in. *)
     if Tinca_util.Rng.chance rng 0.3 then ignore (Cache.read cache (Tinca_util.Rng.int rng universe));
-    Cache.Txn.commit h;
-    (* Acknowledged: fold into the oracle. *)
-    Hashtbl.iter (fun blk v -> Hashtbl.replace oracle blk v) pending;
-    Hashtbl.reset pending
+    let post, _ = Result.get_ok (Spec.commit m.spec !stxn) in
+    Check.durably m (Some post) (fun () -> Cache.Txn.commit h);
+    m.spec <- post
   done
 
-(* Logical content of a disk block after recovery: cache version if
-   cached, else the disk's. *)
-let logical cache disk blk =
-  match Cache.peek cache blk with
-  | Some data -> Bytes.get data 0
-  | None -> Bytes.get (Disk.read_block disk blk) 0
-
-let matches cache disk oracle =
-  let ok = ref true in
-  for blk = 0 to universe - 1 do
-    let expect = match Hashtbl.find_opt oracle blk with Some v -> v | None -> '\000' in
-    if logical cache disk blk <> expect then ok := false
-  done;
-  !ok
-
-let with_pending oracle pending =
-  let o = Hashtbl.copy oracle in
-  Hashtbl.iter (fun blk v -> Hashtbl.replace o blk v) pending;
-  o
+let empty_model () =
+  { Check.spec = Spec.create ~nblocks:universe ~block_size:4096; in_flight = None }
 
 (* One torture run: crash at event [crash_at]; returns `Completed if the
    workload finished without reaching the countdown. *)
@@ -79,10 +64,9 @@ let torture ~seed ~ncommits ~crash_at ~survival ~survival_seed =
   let cache =
     Cache.format ~config ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics
   in
-  let oracle = Hashtbl.create 64 in
-  let pending = Hashtbl.create 8 in
+  let m = empty_model () in
   Pmem.set_crash_countdown env.pmem (Some crash_at);
-  match run_workload ~seed ~ncommits cache oracle pending with
+  match run_workload ~seed ~ncommits cache m with
   | () ->
       Pmem.set_crash_countdown env.pmem None;
       `Completed
@@ -92,13 +76,10 @@ let torture ~seed ~ncommits ~crash_at ~survival ~survival_seed =
         Cache.recover ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics ()
       in
       Cache.check_invariants recovered;
-      let ok_old = matches recovered env.disk oracle in
-      let ok_new = matches recovered env.disk (with_pending oracle pending) in
-      if not (ok_old || ok_new) then
-        Alcotest.failf
-          "crash at event %d (survival %.1f, seed %d): recovered state matches neither the \
-           pre-transaction nor the post-transaction oracle"
-          crash_at survival seed;
+      (match Check.judge m (Check.logical_block (Cache.peek recovered) env.disk) with
+      | Ok () -> ()
+      | Error e ->
+          Alcotest.failf "crash at event %d (survival %.1f, seed %d): %s" crash_at survival seed e);
       `Crashed
 
 (* Count the events of a crash-free run so sweeps cover the whole span. *)
@@ -107,9 +88,8 @@ let total_events ~seed ~ncommits =
   let cache =
     Cache.format ~config ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics
   in
-  let oracle = Hashtbl.create 64 and pending = Hashtbl.create 8 in
   let before = Pmem.event_count env.pmem in
-  run_workload ~seed ~ncommits cache oracle pending;
+  run_workload ~seed ~ncommits cache (empty_model ());
   Pmem.event_count env.pmem - before
 
 let test_systematic_sweep () =
@@ -200,12 +180,12 @@ let test_double_recovery_idempotent () =
   Pmem.crash ~seed:7 ~survival:0.5 env.pmem;
   let r1 = Cache.recover ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics () in
   Cache.check_invariants r1;
-  let state1 = List.init universe (fun b -> Cache.peek r1 b |> Option.map (fun d -> Bytes.get d 0)) in
+  let state1 = List.init universe (Cache.peek r1) in
   (* Crash again with nothing dirty; recover again: same state. *)
   Pmem.crash ~seed:8 ~survival:0.0 env.pmem;
   let r2 = Cache.recover ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics () in
   Cache.check_invariants r2;
-  let state2 = List.init universe (fun b -> Cache.peek r2 b |> Option.map (fun d -> Bytes.get d 0)) in
+  let state2 = List.init universe (Cache.peek r2) in
   Alcotest.(check bool) "idempotent" true (state1 = state2)
 
 let test_recover_unformatted_rejected () =

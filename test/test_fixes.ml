@@ -124,6 +124,47 @@ let test_revocation_keeps_dirty_bit () =
   Alcotest.(check bytes) "disk carries the committed version" (Bytes.make 4096 'a')
     (Disk.read_block env.disk 3)
 
+(* A power failure inside recovery must not lose a committed version.
+   Block 3 is committed, then rewritten by a transaction that reached
+   the ring (commit_prefix) when power fails, so recovery revokes the
+   rewrite.  Recovery is crashed at each of its pmem events in turn
+   (all unflushed lines lost); the next recovery must still serve the
+   committed version. *)
+let test_crash_inside_recovery () =
+  let env = mk_env () in
+  let cache = mk_cache env in
+  let committed = Bytes.make 4096 'a' in
+  Cache.write_direct cache 3 committed;
+  let h = Cache.Txn.init cache in
+  Cache.Txn.add h 3 (Bytes.make 4096 'b');
+  Cache.Txn.commit_prefix h 1;
+  Pmem.crash ~survival:0.0 env.pmem;
+  let crashed = Pmem.snapshot env.pmem in
+  let recover () =
+    Cache.recover ~pmem:env.pmem ~disk:env.disk ~clock:env.clock ~metrics:env.metrics ()
+  in
+  let n0 = Pmem.event_count env.pmem in
+  Alcotest.(check (option bytes)) "one recovery" (Some committed) (Cache.peek (recover ()) 3);
+  let span = Pmem.event_count env.pmem - n0 in
+  Alcotest.(check bool) "recovery makes pmem events" true (span > 0);
+  for k = 1 to span do
+    Pmem.restore env.pmem crashed;
+    Pmem.set_crash_countdown env.pmem (Some k);
+    (match recover () with
+    | _ -> Alcotest.failf "countdown %d did not fire within recovery's %d events" k span
+    | exception Pmem.Crash_point -> ());
+    Pmem.crash ~survival:0.0 env.pmem;
+    let r = recover () in
+    Cache.check_invariants r;
+    match Cache.peek r 3 with
+    | Some d when Bytes.equal d committed -> ()
+    | got ->
+        let got =
+          match got with None -> "from disk" | Some d -> Printf.sprintf "%C" (Bytes.get d 0)
+        in
+        Alcotest.failf "recovery crashed at event %d of %d: block 3 then reads %s" k span got
+  done
+
 let contains_substring msg fragment =
   let n = String.length msg and m = String.length fragment in
   let rec at i = i + m <= n && (String.sub msg i m = fragment || at (i + 1)) in
@@ -780,6 +821,8 @@ let suite =
           test_revocation_restores_clean_bit;
         Alcotest.test_case "revocation uncaches a read fill" `Quick test_revocation_uncaches_fill;
         Alcotest.test_case "revocation keeps dirty bit" `Quick test_revocation_keeps_dirty_bit;
+        Alcotest.test_case "crash inside recovery keeps the committed version" `Quick
+          test_crash_inside_recovery;
         Alcotest.test_case "partial writes into a spare frame" `Quick test_partial_writes;
         Alcotest.test_case "corrupt superblock: zero block size" `Quick
           test_corrupt_superblock_block_size;

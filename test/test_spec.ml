@@ -146,6 +146,60 @@ let test_shrink_pure_predicate () =
   let small = L.shrink ~fails cmds in
   Alcotest.(check bool) "exact 2-command core" true (small = [| L.Read 1; L.Read 2 |])
 
+(* --- the crash judge -------------------------------------------------- *)
+
+module Check = Tinca_checker.Crash_check
+
+(* Block 1 committed, block 2 sealed in a standing batch, and a call
+   running that would apply blocks 3 and 5: the durable, drained and
+   in-flight candidates all differ. *)
+let judge_model () =
+  let s = ok (Spec.write_direct (mk ()) 1 (blk 10)) in
+  let s, _ = ok (Spec.seal s (ok (Spec.write s (Spec.init_txn s) 2 (blk 20)))) in
+  let t = ok (Spec.write s (Spec.init_txn s) 3 (blk 30)) in
+  let post, _ = ok (Spec.commit s (ok (Spec.write s t 5 (blk 50)))) in
+  ({ Check.spec = s; in_flight = Some post }, post)
+
+let image_of s edits b =
+  let d = Spec.block s b in
+  List.iter (fun (b', off, c) -> if b = b' then Bytes.set d off c) edits;
+  d
+
+let rejected what m image ~names =
+  match Check.judge m image with
+  | Ok () -> Alcotest.failf "%s accepted" what
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %S" what e names)
+        true
+        (let n = String.length names in
+         let rec at i = i + n <= String.length e && (String.sub e i n = names || at (i + 1)) in
+         at 0)
+
+let test_judge_candidates () =
+  let m, post = judge_model () in
+  List.iter
+    (fun (what, s) ->
+      match Check.judge m (Spec.block s) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s image rejected: %s" what e)
+    [ ("durable", Spec.drop_sealed m.Check.spec); ("drained", Spec.flush_sealed m.Check.spec);
+      ("in-flight", post) ];
+  rejected "in-flight image once the call returned" { m with Check.in_flight = None }
+    (Spec.block post) ~names:"block 3 line 0"
+
+let test_judge_rejects_mixes () =
+  let m, post = judge_model () in
+  (* Block 3 new, block 5 old. *)
+  rejected "a mix of in-flight and drained" m
+    (fun b -> if b = 5 then blk 0 else Spec.block post b)
+    ~names:"block 5 line 0 is '\\000' (durable '\\000', drained '\\000', in-flight '2')";
+  rejected "one line of block 5 old" m
+    (image_of post (List.init 64 (fun i -> (5, (7 * 64) + i, '\000'))))
+    ~names:"block 5 line 7";
+  rejected "the last byte of block 5 changed" m (image_of post [ (5, 4095, 'x') ])
+    ~names:"block 5 line 63 is 'x'"
+
 (* --- lockstep equivalence (quick pin; make check-spec is the full gate) --- *)
 
 let test_lockstep_clean () =
@@ -166,6 +220,11 @@ let suite =
         Alcotest.test_case "reject = abort semantics" `Quick test_spec_reject_is_abort;
         Alcotest.test_case "last write wins inside a txn" `Quick test_spec_last_write_wins;
         Alcotest.test_case "validation mirrors the facade" `Quick test_spec_validation;
+      ] );
+    ( "check.judge",
+      [
+        Alcotest.test_case "accepts exactly the three candidates" `Quick test_judge_candidates;
+        Alcotest.test_case "rejects mixes and names the line" `Quick test_judge_rejects_mixes;
       ] );
     ( "check.lockstep",
       [
