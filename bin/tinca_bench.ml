@@ -2,7 +2,8 @@
 
    tinca_bench list           - show every experiment id
    tinca_bench run <id> ...   - run one or more experiments
-   tinca_bench run all        - run everything *)
+   tinca_bench run all        - run everything
+   tinca_bench host           - host time and allocation of the commit path *)
 
 open Cmdliner
 module Registry = Tinca_harness.Registry
@@ -537,6 +538,14 @@ let run_forensics shards commits seed crash_frac timeline_out =
               close_out oc;
               Printf.printf "\nwrote %s (open in chrome://tracing or ui.perfetto.dev)\n" path))
 
+let host_cmd =
+  let doc =
+    "Host cost of the commit path: ns per 4 KB block of Pmem COW write + flush_ranges + sfence, \
+     and host us and minor/major words per facade commit (best of 5)."
+  in
+  Cmd.v (Cmd.info "host" ~doc)
+    Term.(const (fun () -> print_string (Tinca_harness.Host_meter.report ())) $ const ())
+
 let forensics_cmd =
   let doc =
     "Crash a recorder-enabled workload mid-flight and print the post-crash forensic dossier \
@@ -565,4 +574,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; trace_cmd; fio_cmd; bench_json_cmd; stats_cmd; forensics_cmd ]))
+          [ list_cmd; run_cmd; trace_cmd; fio_cmd; bench_json_cmd; stats_cmd; forensics_cmd; host_cmd ]))

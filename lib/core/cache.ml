@@ -668,13 +668,14 @@ module Txn = struct
   type staged_alloc = Hit of info | Miss of int  (* fresh entry slot *)
 
   (* One block of the allocation pass: its COW frame, hit or miss, its
-     write plan, and the store chunks with their flush ranges. *)
+     write plan, its store chunks and their flush ranges. *)
   type alloc = {
     a_blkno : int;
     a_frame : int;
     a_kind : staged_alloc;
     a_plan : Fc.plan;
-    a_chunks : ((int * bytes) * (int * int)) list;
+    a_stores : (int * bytes) list;
+    a_ranges : (int * int) list;
   }
 
   type handle = {
@@ -754,13 +755,16 @@ module Txn = struct
     let plan = Fc.plan_write t.fc (Fc.find t.fc blkno) data in
     ((if plan.Fc.target >= 0 then plan.Fc.target else alloc_data t), plan)
 
-  (* The plan's lines of [data] as store chunks and flush ranges of the
-     frame at [off]; a fresh frame is one chunk, the whole block. *)
+  (* The plan's lines of [data] as store chunks, and their flush ranges,
+     of the frame at [off]; a fresh frame is one chunk, the whole
+     block. *)
   let cow_chunks t off data plan =
-    List.map
-      (fun (pos, len) ->
-        ((off + pos, if len = Bytes.length data then data else Bytes.sub data pos len), (off + pos, len)))
-      (Fc.runs plan ~block_size:t.cfg.block_size)
+    let runs = Fc.runs plan ~block_size:t.cfg.block_size in
+    ( List.map
+        (fun (pos, len) ->
+          (off + pos, if len = Bytes.length data then data else Bytes.sub data pos len))
+        runs,
+      List.map (fun (pos, len) -> (off + pos, len)) runs )
 
   (* Commit one block: paper §4.4 steps 1–3 (write data COW; swing the
      entry atomically; record the block number in the ring and advance
@@ -770,10 +774,10 @@ module Txn = struct
     let new_blk, plan = cow_frame t blkno data in
     Pmem.set_site t.pmem "commit.data";
     let off = Layout.data_block_off t.layout new_blk in
-    let chunks = cow_chunks t off data plan in
-    List.iter (fun ((off, b), _) -> Pmem.write t.pmem ~off b) chunks;
-    List.iter (fun (_, (off, len)) -> Pmem.clflush t.pmem ~off ~len) chunks;
-    if chunks <> [] then Pmem.sfence t.pmem;
+    let stores, ranges = cow_chunks t off data plan in
+    List.iter (fun (off, b) -> Pmem.write t.pmem ~off b) stores;
+    List.iter (fun (off, len) -> Pmem.clflush t.pmem ~off ~len) ranges;
+    if ranges <> [] then Pmem.sfence t.pmem;
     Pmem.set_site t.pmem "commit.entry";
     (match Fc.find t.fc blkno with
     | Some info ->
@@ -837,9 +841,16 @@ module Txn = struct
                    Fc.free_frame t.fc frame;
                    raise e)
            in
-           let chunks = cow_chunks t (Layout.data_block_off t.layout frame) data plan in
+           let stores, ranges = cow_chunks t (Layout.data_block_off t.layout frame) data plan in
            allocs :=
-             { a_blkno = blkno; a_frame = frame; a_kind = kind; a_plan = plan; a_chunks = chunks }
+             {
+               a_blkno = blkno;
+               a_frame = frame;
+               a_kind = kind;
+               a_plan = plan;
+               a_stores = stores;
+               a_ranges = ranges;
+             }
              :: !allocs)
          plans
      with e ->
@@ -864,15 +875,16 @@ module Txn = struct
     Trace.end_span "tinca.commit.alloc";
     List.rev !allocs
 
-  (* Store pass (cannot fail): write all COW data blocks (vectored), swing
-     all entries with 16 B atomic writes, and keep every dirtied byte
-     range for [drain]'s stage-A fence.  The relative durability order of
-     data vs. entry lines within the stage is irrelevant: until Head
-     covers the blocks, recovery revokes whatever subset became durable. *)
+  (* Store pass (cannot fail): write all COW data blocks (one vectored
+     write per block), swing all entries with 16 B atomic writes, and
+     keep every dirtied byte range for [drain]'s stage-A fence.  The
+     relative durability order of data vs. entry lines within the stage
+     is irrelevant: until Head covers the blocks, recovery revokes
+     whatever subset became durable. *)
   let store h allocs =
     let t = h.cache in
     Pmem.set_site t.pmem "commit.data";
-    Pmem.writev t.pmem (List.concat_map (fun a -> List.map fst a.a_chunks) allocs);
+    List.iter (fun a -> Pmem.writev t.pmem a.a_stores) allocs;
     Pmem.set_site t.pmem "commit.entry";
     let ranges = ref [] in
     let swing off info =
@@ -881,7 +893,7 @@ module Txn = struct
     in
     List.iter
       (fun a ->
-        List.iter (fun (_, r) -> ranges := r :: !ranges) a.a_chunks;
+        List.iter (fun r -> ranges := r :: !ranges) a.a_ranges;
         match a.a_kind with
         | Hit info ->
             (* Write hit: COW block write (§4.3). *)

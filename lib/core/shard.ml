@@ -517,7 +517,9 @@ module Txn = struct
     mutable subs : (int * Cache.Txn.handle) list;
         (* logging: one sub-transaction per shard touched, reversed
            creation order; each write is applied to it as it is added *)
-    writes : (int, bytes) Hashtbl.t;  (* paging: buffered until commit, last write wins *)
+    mutable writes : (int, bytes) Hashtbl.t option;
+        (* paging: buffered until commit, last write wins; made by the
+           first write *)
     mutable order : int list;  (* paging: blocks in reversed first-write order *)
     mutable pages : (int * Paging.staged list) list;
         (* paging, once sealed: each region's writes, regions ascending *)
@@ -526,7 +528,7 @@ module Txn = struct
 
   let init s =
     Trace.instant ~clock:s.clock "tinca.shard.txn.init";
-    { s; subs = []; writes = Hashtbl.create 8; order = []; pages = []; state = Running }
+    { s; subs = []; writes = None; order = []; pages = []; state = Running }
 
   let sub_for h caches i =
     match List.assoc_opt i h.subs with
@@ -546,11 +548,22 @@ module Txn = struct
     | Page regions ->
         if Bytes.length data <> Paging.block_size regions.(i) then
           invalid_arg "Tinca.Shard.Txn.add: wrong block size";
-        if not (Hashtbl.mem h.writes blkno) then h.order <- blkno :: h.order;
-        Hashtbl.replace h.writes blkno (Bytes.copy data)
+        let writes =
+          match h.writes with
+          | Some w -> w
+          | None ->
+              let w = Hashtbl.create 8 in
+              h.writes <- Some w;
+              w
+        in
+        if not (Hashtbl.mem writes blkno) then h.order <- blkno :: h.order;
+        Hashtbl.replace writes blkno (Bytes.copy data)
 
   let block_count h =
-    List.fold_left (fun acc (_, sub) -> acc + Cache.Txn.block_count sub) (Hashtbl.length h.writes) h.subs
+    List.fold_left
+      (fun acc (_, sub) -> acc + Cache.Txn.block_count sub)
+      (match h.writes with Some w -> Hashtbl.length w | None -> 0)
+      h.subs
 
   (* The shards a paging write-set touches, ascending, each with its
      blocks in first-write order. *)
@@ -594,7 +607,11 @@ module Txn = struct
            h.state <- Finished;
            raise Cache.Transaction_too_large)
     | Page regions ->
-        let writes = List.rev_map (fun b -> (b, Hashtbl.find h.writes b)) h.order in
+        let writes =
+          match h.writes with
+          | Some w -> List.rev_map (fun b -> (b, Hashtbl.find w b)) h.order
+          | None -> []
+        in
         let groups = groups s (List.map fst writes) in
         let reject () =
           h.state <- Finished;
@@ -821,7 +838,7 @@ module Txn = struct
     | Sealed -> invalid_arg "Tinca.Shard.Txn.abort: transaction already sealed"
     | Running ->
         List.iter (fun (i, sub) -> exec h.s i (fun () -> Cache.Txn.abort sub)) h.subs;
-        Hashtbl.reset h.writes;
+        h.writes <- None;
         h.order <- [];
         h.state <- Finished
 

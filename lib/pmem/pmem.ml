@@ -82,12 +82,14 @@ type t = {
      history of inserts: it doubles when an insert leaves more than twice
      as many entries as buckets, and only [clear_lines] resets it. *)
   mutable nbuckets : int;
-  (* Stack of the lines made flush-pending since the last fence, the
-     newest in [flushed.(nflushed - 1)]: the only lines the next
-     [sfence] can retire.  May hold duplicates and lines a later store
-     re-dirtied; [sfence] skips both. *)
+  (* Stack of the runs of lines a flush made flush-pending since the last
+     fence, run [r] being lines [flushed.(2r), flushed.(2r + 1)] and the
+     newest run on top: the only lines the next [sfence] can retire.
+     Runs may overlap and hold lines that were not made pending, or that
+     a later store re-dirtied; [sfence] skips every line not pending. *)
   mutable flushed : int array;
-  mutable nflushed : int;
+  mutable nflushed : int; (* runs *)
+  mutable spans : int array; (* [flush_ranges]' scratch: its spans, keyed *)
   clock : Clock.t;
   ctr : counters;
   tech : Latency.nvm_tech;
@@ -120,6 +122,7 @@ let create ?(seed = 42) ?(flush_instr = Latency.Clflush) ~clock ~metrics ~tech ~
     nbuckets = initial_buckets;
     flushed = [||];
     nflushed = 0;
+    spans = [||];
     clock;
     ctr =
       (let c = Metrics.counter metrics in
@@ -191,8 +194,11 @@ let blit_pre t s dst dst_off =
 let set_pre t s src src_off =
   Bytes.blit src src_off t.chunks.(s lsr chunk_bits).pre ((s land chunk_mask) * line_size) line_size
 
-(* Drops the chunks past the last slot handed out, so a layer that once
-   held many lines does not keep its peak footprint once emptied. *)
+(* Drops the chunks past the last slot handed out.  Only [clear_lines]
+   trims: a fence that empties the layer keeps the chunks, so epochs
+   of over [chunk_slots] lines do not reallocate them each time; they
+   hold at most the largest epoch's slots since the layer was last
+   cleared. *)
 let trim t =
   let keep = max 1 ((t.next + chunk_mask) lsr chunk_bits) in
   if Array.length t.chunks > keep then t.chunks <- Array.sub t.chunks 0 keep
@@ -216,6 +222,24 @@ let renumber t =
   List.iteri (fun i s -> set_cell t s ~stamp:i (owner t s)) owned;
   t.seq <- List.length owned
 
+(* Makes sure slot [s] has a chunk. *)
+let ensure_chunk t s =
+  while s lsr chunk_bits >= Array.length t.chunks do
+    t.chunks <-
+      Array.append t.chunks
+        [| { cell = Array.make chunk_slots 0; pre = Bytes.create (chunk_slots * line_size) } |]
+  done
+
+(* [n] more lines own a slot.  One insert at a time, the emulated table
+   doubles whenever an insert leaves more than twice as many entries as
+   buckets, so after the last it is the smallest doubling that holds
+   them all. *)
+let add_live t n =
+  t.live <- t.live + n;
+  while t.live > 2 * t.nbuckets do
+    t.nbuckets <- 2 * t.nbuckets
+  done
+
 (* Line [idx] leaves [clean] as [state] with the pre-image at [src_off]
    in [src]: it takes the most recently given-back slot, or else the
    next one never handed out, stamped with the next sequence number. *)
@@ -227,12 +251,7 @@ let take_slot t idx state src src_off =
     end
     else begin
       let s = t.next in
-      if s lsr chunk_bits = Array.length t.chunks then
-        t.chunks <-
-          Array.append t.chunks
-            [|
-              { cell = Array.make chunk_slots 0; pre = Bytes.create (chunk_slots * line_size) };
-            |];
+      ensure_chunk t s;
       t.next <- s + 1;
       s
     end
@@ -240,10 +259,37 @@ let take_slot t idx state src src_off =
   if t.seq > max_stamp then renumber t;
   set_cell t s ~stamp:t.seq idx;
   t.seq <- t.seq + 1;
-  Bytes.blit src src_off t.chunks.(s lsr chunk_bits).pre ((s land chunk_mask) * line_size) line_size;
+  set_pre t s src src_off;
   set_word t idx ((s lsl state_bits) lor state);
-  t.live <- t.live + 1;
-  if t.live > 2 * t.nbuckets then t.nbuckets <- 2 * t.nbuckets
+  add_live t 1
+
+(* The clean lines [first, first + n) leave [clean] as [dirty] together,
+   with the free stack empty and stamps to spare: they take the fresh
+   slots [next, next + n) in line order, stamped as [n] calls of
+   [take_slot] would stamp them, and their pre-images are copied from
+   the medium with one blit per chunk. *)
+let take_run t first n =
+  let s0 = t.next in
+  ensure_chunk t (s0 + n - 1);
+  for i = 0 to n - 1 do
+    let s = s0 + i in
+    set_cell t s ~stamp:(t.seq + i) (first + i);
+    set_word t (first + i) ((s lsl state_bits) lor dirty)
+  done;
+  let s = ref s0 in
+  while !s < s0 + n do
+    let c = !s lsr chunk_bits in
+    let upto = min (s0 + n) ((c + 1) lsl chunk_bits) in
+    Bytes.blit t.media
+      ((first + !s - s0) * line_size)
+      t.chunks.(c).pre
+      ((!s land chunk_mask) * line_size)
+      ((upto - !s) * line_size);
+    s := upto
+  done;
+  t.next <- s0 + n;
+  t.seq <- t.seq + n;
+  add_live t n
 
 (* A full stack of [n] elements, copied into one with room to grow. *)
 let grow stack n =
@@ -256,35 +302,12 @@ let give_back t s =
   t.free.(t.nfree) <- s;
   t.nfree <- t.nfree + 1
 
-let push_flushed t idx =
-  if t.nflushed = Array.length t.flushed then t.flushed <- grow t.flushed t.nflushed;
-  t.flushed.(t.nflushed) <- idx;
+let push_flushed t first last =
+  let n = 2 * t.nflushed in
+  if n = Array.length t.flushed then t.flushed <- grow t.flushed n;
+  t.flushed.(n) <- first;
+  t.flushed.(n + 1) <- last;
   t.nflushed <- t.nflushed + 1
-
-(* Before a store mutates line [idx], keep its durable content as
-   rollback state.  A store into a flush-pending line resolves the
-   in-flight write-back adversarially: it may or may not have reached the
-   medium.  Returns whether the line entered [dirty] (from clean or
-   flush-pending): each such entry owes the medium one more write. *)
-let dirty_line t idx =
-  let w = word t idx in
-  let s = w land state_mask in
-  if s = clean then begin
-    take_slot t idx dirty t.media (idx * line_size);
-    true
-  end
-  else if s = pending then begin
-    if Tinca_util.Rng.bool t.rng then set_pre t (slot_of w) t.media (idx * line_size);
-    set_word t idx (with_state w dirty);
-    t.npending <- t.npending - 1;
-    true
-  end
-  else false
-
-let lines_of_range off len =
-  let first = off / line_size in
-  let last = (off + len - 1) / line_size in
-  (first, last)
 
 (* Whether anyone consumes the event stream.  When nobody does, the hot
    paths do not even build the event records. *)
@@ -294,37 +317,104 @@ let observed t = Option.is_some t.observer
    sanitizer keeps sole ownership of [set_observer]). *)
 let emit t ev = match t.observer with Some f -> f ev | None -> ()
 
+let is_clean t idx = word t idx land state_mask = clean
+
+(* Before a store mutates lines [first, last], keep each one's durable
+   content as rollback state, in ascending line order.  A clean line
+   takes a slot holding its medium content.  A run of clean lines takes
+   given-back slots one at a time while there are any, then the rest
+   as one [take_run], unless its stamps would pass [max_stamp].  A
+   store into a flush-pending line resolves the in-flight write-back
+   adversarially: it may or may not have reached the medium.  Only
+   those lines draw from the RNG, so the draws are those of a
+   line-by-line loop.  Returns how many lines entered [dirty] (from
+   clean or flush-pending): each such entry owes the medium one more
+   write. *)
+let dirty_lines t first last =
+  let entered = ref 0 and idx = ref first in
+  while !idx <= last do
+    let i = !idx in
+    let w = word t i in
+    let state = w land state_mask in
+    if state = clean then begin
+      let j = ref (i + 1) in
+      while !j <= last && is_clean t !j do
+        incr j
+      done;
+      let k = ref i in
+      while !k < !j && t.nfree > 0 do
+        take_slot t !k dirty t.media (!k * line_size);
+        incr k
+      done;
+      let n = !j - !k in
+      if n > 0 then
+        if t.seq + n - 1 <= max_stamp then take_run t !k n
+        else
+          for l = !k to !j - 1 do
+            take_slot t l dirty t.media (l * line_size)
+          done;
+      entered := !entered + (!j - i);
+      idx := !j
+    end
+    else begin
+      if state = pending then begin
+        if Tinca_util.Rng.bool t.rng then set_pre t (slot_of w) t.media (i * line_size);
+        set_word t i (with_state w dirty);
+        t.npending <- t.npending - 1;
+        incr entered
+      end;
+      incr idx
+    end
+  done;
+  !entered
+
 (* A zero-length store stores nothing: no event, no charge. *)
 let store_range t off len =
   if len > 0 then begin
     event t;
-    let first, last = lines_of_range off len in
-    let entered = ref 0 in
-    for idx = first to last do
-      if dirty_line t idx then incr entered
-    done;
+    let first = off / line_size and last = (off + len - 1) / line_size in
+    let entered = dirty_lines t first last in
     let nlines = last - first + 1 in
     Clock.advance t.clock (t.lat.store_ns *. float_of_int nlines);
     Metrics.add t.ctr.c_stores 1;
     Metrics.add t.ctr.c_store_lines nlines;
-    Metrics.add t.ctr.c_lines_dirtied !entered
+    Metrics.add t.ctr.c_lines_dirtied entered
   end
+
+(* A store of [len] bytes of [src] at [pos] into the checked range at
+   [off]. *)
+let store_bytes t ~off src ~pos ~len =
+  store_range t off len;
+  Bytes.blit src pos t.media off len;
+  if len > 0 && observed t then emit t (Store { off; len })
 
 let write_sub t ~off src ~pos ~len =
   check_range t off len;
   if pos < 0 || len < 0 || pos + len > Bytes.length src then
     invalid_arg "Pmem.write_sub: bad source range";
-  store_range t off len;
-  Bytes.blit src pos t.media off len;
-  if len > 0 && observed t then emit t (Store { off; len })
+  store_bytes t ~off src ~pos ~len
 
-let write t ~off src = write_sub t ~off src ~pos:0 ~len:(Bytes.length src)
+let write t ~off src =
+  check_range t off (Bytes.length src);
+  store_bytes t ~off src ~pos:0 ~len:(Bytes.length src)
+
+let rec check_chunks t = function
+  | [] -> ()
+  | (off, src) :: rest ->
+      check_range t off (Bytes.length src);
+      check_chunks t rest
+
+let rec store_chunks t = function
+  | [] -> ()
+  | (off, src) :: rest ->
+      store_bytes t ~off src ~pos:0 ~len:(Bytes.length src);
+      store_chunks t rest
 
 (* Vectored write: all ranges are validated before any byte is stored, so
    a bad chunk cannot leave a partial scatter behind. *)
 let writev t chunks =
-  List.iter (fun (off, src) -> check_range t off (Bytes.length src)) chunks;
-  List.iter (fun (off, src) -> write t ~off src) chunks
+  check_chunks t chunks;
+  store_chunks t chunks
 
 let fill t ~off ~len c =
   check_range t off len;
@@ -355,7 +445,7 @@ let atomic_write16 t ~off v =
 
 let charge_read t off len =
   if len > 0 then begin
-    let first, last = lines_of_range off len in
+    let first = off / line_size and last = (off + len - 1) / line_size in
     let nlines = last - first + 1 in
     Clock.advance t.clock (t.lat.read_ns *. float_of_int nlines);
     Metrics.add t.ctr.c_read_lines nlines
@@ -402,33 +492,82 @@ let flush_line t idx =
   if w land state_mask = dirty then begin
     set_word t idx (with_state w pending);
     t.npending <- t.npending + 1;
-    push_flushed t idx;
+    push_flushed t idx idx;
     true
   end
   else false
+
+(* [flush_line] over lines [first, last] with no event between them:
+   the lines it makes pending are queued as one run, from the lowest to
+   the highest of them.  Returns how many write-backs started. *)
+let flush_span t first last =
+  let lo = ref (-1) and hi = ref (-1) and started = ref 0 in
+  for idx = first to last do
+    let w = word t idx in
+    if w land state_mask = dirty then begin
+      set_word t idx (with_state w pending);
+      if !lo < 0 then lo := idx;
+      hi := idx;
+      incr started
+    end
+  done;
+  if !started > 0 then begin
+    t.npending <- t.npending + !started;
+    push_flushed t !lo !hi
+  end;
+  !started
 
 let clflush t ~off ~len =
   check_range t off len;
   if len > 0 then begin
     event t;
-    let first, last = lines_of_range off len in
+    let first = off / line_size and last = (off + len - 1) / line_size in
     (* A flush of a clean (or already flush-pending) line is issued but
        initiates no medium write-back, so it must not be charged the
        medium's write latency — only the dirty lines whose write-back
        this flush actually starts pay [write_ns]. *)
-    let dirtied = ref 0 in
-    for idx = first to last do
-      if flush_line t idx then incr dirtied
-    done;
+    let dirtied = flush_span t first last in
     let nlines = last - first + 1 in
     Metrics.add t.ctr.c_clflush nlines;
-    Metrics.add t.ctr.c_clflush_writebacks !dirtied;
+    Metrics.add t.ctr.c_clflush_writebacks dirtied;
     (* One call = one back-to-back flush burst over the range: clflush
        serializes (full latency per line), clflushopt/clwb pipeline. *)
     Clock.advance t.clock
       (Latency.flush_batch_ns t.flush_instr nlines
-      +. (t.lat.write_ns *. float_of_int !dirtied));
+      +. (t.lat.write_ns *. float_of_int dirtied));
     if observed t then emit t (Clflush { off; len })
+  end
+
+(* Validates every [(off, len)] range and keys each non-empty one in
+   [t.spans.(n ..)] by its first line, above its last: sorting the keys
+   sorts the spans by first line.  Returns the new span count. *)
+let rec collect_spans t n = function
+  | [] -> n
+  | (off, len) :: rest ->
+      check_range t off len;
+      if len = 0 then collect_spans t n rest
+      else begin
+        if n = Array.length t.spans then t.spans <- grow t.spans n;
+        t.spans.(n) <- ((off / line_size) lsl owner_bits) lor ((off + len - 1) / line_size);
+        collect_spans t (n + 1) rest
+      end
+
+(* Sorts [a.(0)] .. [a.(n - 1)] ascending, in place while short. *)
+let sort_prefix (a : int array) n =
+  if n <= 64 then
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let sorted = Array.sub a 0 n in
+    Array.sort Int.compare sorted;
+    Array.blit sorted 0 a 0 n
   end
 
 (* Scatter-gather flush: one back-to-back burst of per-line flushes over
@@ -440,31 +579,31 @@ let clflush t ~off ~len =
    once: a line shared by several ranges is issued the first time only.
    Per-line events are built only for a listener that can tell one line
    from the next: an armed crash countdown or an attached observer.
-   Otherwise the burst counts its events at once.  The counters are
-   bumped once, after the whole burst, so a countdown firing inside it
-   counts none of it. *)
+   Otherwise the burst counts its events at once and queues each span
+   as one run ([flush_span]).  The counters are bumped once, after the
+   whole burst, so a countdown firing inside it counts none of it. *)
 let flush_ranges t ranges =
-  List.iter (fun (off, len) -> check_range t off len) ranges;
-  let spans =
-    List.sort
-      (fun (a, _) (b, _) -> Int.compare a b)
-      (List.filter_map
-         (fun (off, len) -> if len > 0 then Some (lines_of_range off len) else None)
-         ranges)
-  in
+  let n = collect_spans t 0 ranges in
+  sort_prefix t.spans n;
   let emits = observed t in
   let per_line = emits || Option.is_some t.countdown in
   let next = ref 0 and issued = ref 0 and dirtied = ref 0 in
-  List.iter
-    (fun (first, last) ->
-      for idx = max first !next to last do
-        if per_line then event t;
-        incr issued;
-        if flush_line t idx then incr dirtied;
-        if emits then emit t (Clflush { off = idx * line_size; len = line_size })
-      done;
-      next := max !next (last + 1))
-    spans;
+  for i = 0 to n - 1 do
+    let key = t.spans.(i) in
+    let first = max (key lsr owner_bits) !next and last = key land (max_lines - 1) in
+    if per_line then
+        for idx = first to last do
+          event t;
+          incr issued;
+          if flush_line t idx then incr dirtied;
+          if emits then emit t (Clflush { off = idx * line_size; len = line_size })
+        done
+      else if first <= last then begin
+        issued := !issued + (last - first + 1);
+        dirtied := !dirtied + flush_span t first last
+      end;
+    next := max !next (last + 1)
+  done;
   if !issued > 0 then begin
     if not per_line then t.events <- t.events + !issued;
     Metrics.add t.ctr.c_clflush !issued;
@@ -475,11 +614,12 @@ let flush_ranges t ranges =
   end
 
 (* Retires exactly the lines flushed since the last fence, walking only
-   [t.flushed] — not every non-durable line, which includes every line
-   stored but never flushed.  A retired line gives its slot back; a fence
-   that retires every non-clean line instead forgets all slots at once.
-   Slots keep their stamps, so the order lines are retired in cannot
-   change the order [crash] draws in. *)
+   [t.flushed]'s runs, newest first and each from its high line down —
+   not every non-durable line, which includes every line stored but
+   never flushed.  A retired line gives its slot back; a fence that
+   retires every non-clean line instead forgets all slots at once, and
+   keeps their chunks.  Slots keep their stamps, so the order lines are
+   retired in cannot change the order [crash] draws in. *)
 let sfence t =
   event t;
   Metrics.add t.ctr.c_sfence 1;
@@ -488,16 +628,17 @@ let sfence t =
      all [npending] of them. *)
   let persisted = t.npending in
   let all = persisted = t.live in
-  for i = t.nflushed - 1 downto 0 do
-    let idx = t.flushed.(i) in
-    (* Skips a line re-dirtied by a later store, and a duplicate entry
-       already retired. *)
-    let w = word t idx in
-    if w land state_mask = pending then begin
-      set_word t idx clean;
-      bump_wear t idx;
-      if not all then give_back t (slot_of w)
-    end
+  for r = t.nflushed - 1 downto 0 do
+    for idx = t.flushed.((2 * r) + 1) downto t.flushed.(2 * r) do
+      (* Skips a line re-dirtied by a later store, one already retired
+         through a newer run, and one the flush found not dirty. *)
+      let w = word t idx in
+      if w land state_mask = pending then begin
+        set_word t idx clean;
+        bump_wear t idx;
+        if not all then give_back t (slot_of w)
+      end
+    done
   done;
   t.nflushed <- 0;
   t.npending <- 0;
@@ -506,8 +647,7 @@ let sfence t =
     t.live <- t.live - persisted;
     if all then begin
       t.next <- 0;
-      t.nfree <- 0;
-      trim t
+      t.nfree <- 0
     end
   end;
   emit t Sfence
@@ -618,7 +758,7 @@ let restore t s =
     s.snap_lines;
   (* The first pending line in the snapshot ends on top of the stack. *)
   List.iter
-    (fun (idx, _, is_pending) -> if is_pending then push_flushed t idx)
+    (fun (idx, _, is_pending) -> if is_pending then push_flushed t idx idx)
     (List.rev s.snap_lines);
   Bytes.blit s.snap_wear 0 t.wear 0 (Bytes.length t.wear);
   t.countdown <- None

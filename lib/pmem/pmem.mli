@@ -25,8 +25,11 @@
     one, or a fresh one) stamped with a global sequence number; a store
     into a flush-pending line finds its slot from the word; a fence frees
     the slots of the lines it retires, or forgets every slot at once when
-    it retires every non-clean line.  No store, flush or fence hashes,
-    scans or sorts.  A crash draws its per-line outcomes in the order a
+    it retires every non-clean line.  A store's run of clean lines takes
+    consecutive fresh slots at once, and a flush queues one run of
+    lines per range, so the per-line work is a word update; the stamps,
+    counters and draws are those of a line-by-line loop.  No store,
+    flush or fence hashes, scans or sorts lines.  A crash draws its per-line outcomes in the order a
     stdlib hash table keyed by line index would fold them in, had it seen
     one insertion per line leaving clean and one removal per retirement,
     so every seeded outcome depends only on the history of operations.

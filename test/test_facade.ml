@@ -273,6 +273,18 @@ let test_pinned_read_miss scheme () =
   done;
   Tinca.check_invariants tc
 
+(* Allocation is deterministic, so it pins what a commit copies.  After
+   warm-up, a 32-block commit allocates in the major heap each block's
+   4 KB caller buffer and staged copy (513 words each) and little else:
+   no pre-image chunk of Pmem's line layer (9 216 words each), which an
+   epoch of more than 1 024 lines used to reallocate. *)
+let test_commit_major_words () =
+  let blocks = 32 in
+  let r = Tinca_harness.Host_meter.commits ~blocks in
+  let bound = (2 * blocks * ((4096 / 8) + 1)) + 1024 in
+  if r.Tinca_harness.Host_meter.major_words > float_of_int bound then
+    Alcotest.failf "%.0f major words per %d-block commit, bound %d" r.major_words blocks bound
+
 let suite =
   [
     ( "facade",
@@ -286,5 +298,7 @@ let suite =
           (test_pinned_read_miss (Tinca.Config.Logging Tinca.Batched));
         Alcotest.test_case "read miss under write pressure (paging)" `Quick
           (test_pinned_read_miss (Tinca.Config.Paging Tinca.Config.default_page_cfg));
+        Alcotest.test_case "32-block commits allocate no pre-image chunk" `Quick
+          test_commit_major_words;
       ] );
   ]

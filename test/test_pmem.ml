@@ -423,6 +423,7 @@ type op =
   | Flush_ranges of (int * int) list (* off, len *)
   | Sfence
   | Persist of int * int
+  | Persist_all (* one [flush_ranges] over the device, then a fence *)
   | Snap_restore (* snapshot, diverge (crash + store), restore *)
   | Crash_select of int (* lines with [idx mod 3 = k] survive *)
 
@@ -441,15 +442,18 @@ let show_op = function
       "Flush_ranges[" ^ String.concat ";" (List.map (fun (o, l) -> Printf.sprintf "(%d,%d)" o l) r) ^ "]"
   | Sfence -> "Sfence"
   | Persist (o, l) -> Printf.sprintf "Persist(%d,%d)" o l
+  | Persist_all -> "Persist_all"
   | Snap_restore -> "Snap_restore"
   | Crash_select k -> Printf.sprintf "Crash_select %d" k
 
+(* Ranges of up to 16 lines, and [Persist_all] to empty the layer, so
+   stores take runs of fresh slots as well as given-back ones. *)
 let gen_op =
   let open QCheck.Gen in
   let range =
     map2
       (fun off len -> (off, min len (model_size - off)))
-      (int_bound (model_size - 1)) (int_range 1 160)
+      (int_bound (model_size - 1)) (int_range 1 (16 * 64))
   in
   frequency
     [
@@ -461,6 +465,7 @@ let gen_op =
       (4, map (fun r -> Flush_ranges r) (list_size (int_range 0 4) range));
       (2, return Sfence);
       (1, map (fun (o, l) -> Persist (o, l)) range);
+      (1, return Persist_all);
       (1, return Snap_restore);
       (1, map (fun k -> Crash_select k) (int_bound 2));
     ]
@@ -482,6 +487,9 @@ let apply p step = function
   | Flush_ranges r -> Pmem.flush_ranges p r
   | Sfence -> Pmem.sfence p
   | Persist (off, len) -> Pmem.persist p ~off ~len
+  | Persist_all ->
+      Pmem.flush_ranges p [ (0, model_size) ];
+      Pmem.sfence p
   | Snap_restore ->
       let snap = Pmem.snapshot p in
       Pmem.crash_select p ~survive:(fun _ -> false);
@@ -542,6 +550,9 @@ let run_against_model ops =
       | Persist (off, len) ->
           flush (range_lines off len);
           fenced what device
+      | Persist_all ->
+          flush (range_lines 0 model_size);
+          fenced what device
       | Snap_restore -> device ()
       | Crash_select _ ->
           device ();
@@ -577,6 +588,24 @@ let test_model_edge_cases () =
       Snap_restore;
       Sfence;
       Persist (800, 8);
+    ]
+
+(* Run-level stores against the model: a store over clean and pending
+   lines after the layer was emptied, and one that takes given-back
+   slots before fresh ones. *)
+let test_model_runs () =
+  run_against_model
+    [
+      Write (0, 1024);
+      Persist_all;
+      Write (0, 256);
+      Clflush (128, 64);
+      Write (64, 512);
+      Persist (0, 64);
+      Write (0, 1024);
+      Crash_select 1;
+      Write (320, 320);
+      Persist_all;
     ]
 
 let prop_model =
@@ -935,6 +964,64 @@ let test_order_slot_reuse () =
       O_burst 100;
     ]
 
+(* A run of fresh slots across the first chunk boundary (slot 1 024),
+   before and after a fence that empties the layer keeps the chunks. *)
+let test_order_run_across_chunks () =
+  let line n = n * 64 in
+  run_against_order
+    [
+      O_write (line 5000, line 1000);
+      O_write (line 100, line 100);
+      O_crash 1;
+      O_write (line 0, line 1500);
+      O_flush_ranges [ (0, line 1500) ];
+      O_sfence;
+      O_write (line 3000, line 1100);
+      O_write (line 2990, line 20);
+      O_snap_restore;
+      O_crash 2;
+    ]
+
+(* A store over clean lines while the free stack holds fewer slots than
+   the run: the first lines take the given-back slots, newest first, the
+   rest one run of fresh slots, and a pending line in the middle draws. *)
+let test_order_run_after_free_stack () =
+  let line n = n * 64 in
+  run_against_order
+    [
+      O_write (line 0, line 100);
+      O_flush_ranges [ (line 10, line 10); (line 50, line 3) ];
+      O_sfence;
+      O_flush_ranges [ (line 90, line 2) ];
+      O_write (line 85, line 20);
+      O_write (line 200, line 40);
+      O_crash 5;
+    ]
+
+(* A run's stamps continue the sequence: the take after a run is
+   stamped after the run's last line.  Were the two stamps equal, the
+   crash order would fall back to slot order, and a given-back slot
+   below the run's would put its line first.  That shows only when the
+   two lines share a bucket of the 4 096-bucket table, so the second
+   line is picked to. *)
+let test_order_stamp_after_run () =
+  let line n = n * 64 in
+  let bucket idx = Hashtbl.hash idx land 4095 in
+  let rec same_bucket x = if bucket x = bucket 103 then x else same_bucket (x + 1) in
+  run_against_order
+    [
+      O_write (line 0, line 10);
+      O_flush_ranges [ (line 0, line 5) ];
+      O_sfence;
+      (* Lines 20-24 take the five given-back slots. *)
+      O_write (line 20, line 5);
+      O_write (line 100, line 4);
+      O_flush_ranges [ (line 20, line 1) ];
+      O_sfence;
+      O_write (line (same_bucket 200), 8);
+      O_crash 1;
+    ]
+
 let prop_crash_order =
   QCheck.Test.make ~name:"crash draw order matches a stdlib hash table" ~count:100
     (QCheck.make
@@ -1013,6 +1100,7 @@ let suite =
     ( "pmem.model",
       [
         Alcotest.test_case "pending-list edge cases" `Quick test_model_edge_cases;
+        Alcotest.test_case "run-level stores" `Quick test_model_runs;
         q prop_model;
         q prop_counted_events;
         Alcotest.test_case "countdown inside a flush burst" `Quick
@@ -1021,6 +1109,10 @@ let suite =
         Alcotest.test_case "seeded crash digest pinned" `Quick test_crash_digest_pinned;
         Alcotest.test_case "crash order at resize boundaries" `Quick test_order_boundaries;
         Alcotest.test_case "crash order under slot reuse" `Quick test_order_slot_reuse;
+        Alcotest.test_case "crash order, run across a chunk" `Quick test_order_run_across_chunks;
+        Alcotest.test_case "crash order, run after given-back slots" `Quick
+          test_order_run_after_free_stack;
+        Alcotest.test_case "crash order, stamp after a run" `Quick test_order_stamp_after_run;
         q prop_crash_order;
       ] );
     ( "pmem.observer",
