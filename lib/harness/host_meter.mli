@@ -8,18 +8,19 @@
     device. *)
 val pmem_ns_per_block : blocks_per_fence:int -> float
 
-type commit_cost = {
-  host_us : float;  (** host µs per commit, best of five runs *)
+type commit_words = {
   minor_words : float;  (** [Gc.quick_stat] minor words per commit *)
   major_words : float;  (** major words per commit, promotions included *)
 }
 
-(** [commits ~blocks] — the cost of one synchronous facade commit of
-    [blocks] distinct blocks (Batched logging, PCM, 16 MiB, SSD), after
-    a warm-up, over a 1 024-block working set that fits the cache.
-    Every write passes a fresh 4 KB buffer. *)
-val commits : blocks:int -> commit_cost
+(** [commit_words ~blocks] — the words one synchronous facade commit of
+    [blocks] distinct blocks (Batched logging, PCM, 16 MiB, SSD)
+    allocates, after a warm-up, over a 1 024-block working set that fits
+    the cache.  Every write passes a fresh 4 KB buffer.  It runs no
+    timed pass. *)
+val commit_words : blocks:int -> commit_words
 
 (** The table [tinca_bench host] prints: [pmem_ns_per_block] at 1, 8
-    and 32 blocks per fence, and [commits] at 1, 8, 16 and 32 blocks. *)
+    and 32 blocks per fence, and the host µs (best of five runs) and
+    [commit_words] of a facade commit at 1, 8, 16 and 32 blocks. *)
 val report : unit -> string

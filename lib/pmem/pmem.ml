@@ -37,6 +37,10 @@ let chunk_mask = chunk_slots - 1
 
 type chunk = { cell : int array; pre : Bytes.t }
 
+(* A fence that empties the layer trims its chunks every
+   [trim_epochs]th time, to what the largest of those epochs used. *)
+let trim_epochs = 64
+
 (* The largest stamp a cell holds (2^33 - 1). *)
 let max_stamp = max_int lsr owner_bits
 
@@ -73,6 +77,8 @@ type t = {
      and gives it back when a fence retires it. *)
   mutable chunks : chunk array;
   mutable next : int; (* slots [0, next) have been handed out since the layer was last empty *)
+  mutable peak : int; (* the most slots an epoch used since the last trim *)
+  mutable emptied : int; (* fences that emptied the layer since the last trim *)
   mutable free : int array; (* stack of given-back slots below [next] *)
   mutable nfree : int;
   mutable seq : int; (* the next stamp: slots taken later get larger stamps *)
@@ -114,6 +120,8 @@ let create ?(seed = 42) ?(flush_instr = Latency.Clflush) ~clock ~metrics ~tech ~
     lines = Bytes.make (4 * nlines) '\000';
     chunks = [||];
     next = 0;
+    peak = 0;
+    emptied = 0;
     free = [||];
     nfree = 0;
     seq = 0;
@@ -194,14 +202,13 @@ let blit_pre t s dst dst_off =
 let set_pre t s src src_off =
   Bytes.blit src src_off t.chunks.(s lsr chunk_bits).pre ((s land chunk_mask) * line_size) line_size
 
-(* Drops the chunks past the last slot handed out.  Only [clear_lines]
-   trims: a fence that empties the layer keeps the chunks, so epochs
-   of over [chunk_slots] lines do not reallocate them each time; they
-   hold at most the largest epoch's slots since the layer was last
-   cleared. *)
-let trim t =
-  let keep = max 1 ((t.next + chunk_mask) lsr chunk_bits) in
-  if Array.length t.chunks > keep then t.chunks <- Array.sub t.chunks 0 keep
+(* Drops the chunks past the first [slots] slots, keeping at least one,
+   and starts a new trim window. *)
+let trim t slots =
+  let keep = max 1 ((slots + chunk_mask) lsr chunk_bits) in
+  if Array.length t.chunks > keep then t.chunks <- Array.sub t.chunks 0 keep;
+  t.peak <- 0;
+  t.emptied <- 0
 
 (* The slots owned by a non-clean line, ascending.  A given-back slot
    still names its last owner, but that line is now clean or owns
@@ -323,10 +330,11 @@ let is_clean t idx = word t idx land state_mask = clean
    content as rollback state, in ascending line order.  A clean line
    takes a slot holding its medium content.  A run of clean lines takes
    given-back slots one at a time while there are any, then the rest
-   as one [take_run], unless its stamps would pass [max_stamp].  A
-   store into a flush-pending line resolves the in-flight write-back
-   adversarially: it may or may not have reached the medium.  Only
-   those lines draw from the RNG, so the draws are those of a
+   as one [take_run], renumbering first if its stamps would pass
+   [max_stamp] (which keeps the order of every stamp, all [fold_order]
+   reads).  A store into a flush-pending line resolves the in-flight
+   write-back adversarially: it may or may not have reached the medium.
+   Only those lines draw from the RNG, so the draws are those of a
    line-by-line loop.  Returns how many lines entered [dirty] (from
    clean or flush-pending): each such entry owes the medium one more
    write. *)
@@ -347,12 +355,10 @@ let dirty_lines t first last =
         incr k
       done;
       let n = !j - !k in
-      if n > 0 then
-        if t.seq + n - 1 <= max_stamp then take_run t !k n
-        else
-          for l = !k to !j - 1 do
-            take_slot t l dirty t.media (l * line_size)
-          done;
+      if n > 0 then begin
+        if t.seq + n - 1 > max_stamp then renumber t;
+        take_run t !k n
+      end;
       entered := !entered + (!j - i);
       idx := !j
     end
@@ -618,8 +624,9 @@ let flush_ranges t ranges =
    not every non-durable line, which includes every line stored but
    never flushed.  A retired line gives its slot back; a fence that
    retires every non-clean line instead forgets all slots at once, and
-   keeps their chunks.  Slots keep their stamps, so the order lines are
-   retired in cannot change the order [crash] draws in. *)
+   every [trim_epochs]th such fence trims the chunks.  Slots keep their
+   stamps, so the order lines are retired in cannot change the order
+   [crash] draws in. *)
 let sfence t =
   event t;
   Metrics.add t.ctr.c_sfence 1;
@@ -646,6 +653,13 @@ let sfence t =
     Metrics.add t.ctr.c_lines_persisted persisted;
     t.live <- t.live - persisted;
     if all then begin
+      (* A commit's small epochs follow its large one, so trimming to
+         the epoch just emptied would reallocate the large one's chunks
+         every commit; a window keeps them while they are in use and
+         still drops a one-off large epoch's. *)
+      t.peak <- max t.peak t.next;
+      t.emptied <- t.emptied + 1;
+      if t.emptied = trim_epochs then trim t t.peak;
       t.next <- 0;
       t.nfree <- 0
     end
@@ -690,7 +704,7 @@ let clear_lines t =
   t.npending <- 0;
   t.nbuckets <- initial_buckets;
   t.nflushed <- 0;
-  trim t
+  trim t 0
 
 (* The owned slots as [(line, slot)] pairs, in the reverse of the order a
    stdlib [Hashtbl.create 4096] would fold them in had it seen one [add]

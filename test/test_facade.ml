@@ -280,7 +280,7 @@ let test_pinned_read_miss scheme () =
    epoch of more than 1 024 lines used to reallocate. *)
 let test_commit_major_words () =
   let blocks = 32 in
-  let r = Tinca_harness.Host_meter.commits ~blocks in
+  let r = Tinca_harness.Host_meter.commit_words ~blocks in
   let bound = (2 * blocks * ((4096 / 8) + 1)) + 1024 in
   if r.Tinca_harness.Host_meter.major_words > float_of_int bound then
     Alcotest.failf "%.0f major words per %d-block commit, bound %d" r.major_words blocks bound

@@ -1022,6 +1022,41 @@ let test_order_stamp_after_run () =
       O_crash 1;
     ]
 
+(* A fence that empties the layer keeps the pre-image chunks an epoch in
+   its trim window used, and every 64th such fence drops the rest.  A
+   chunk is 1 024 int cells and 64 KB of pre-images (9 218 words), made
+   in the major heap, so major words tell whether a large epoch found
+   its chunks kept. *)
+let test_chunk_retention () =
+  let p, _, _ = mk ~size:(4096 * 64) () in
+  let big = Bytes.make (2048 * 64) 'b' and small = Bytes.make 64 's' in
+  let epoch data =
+    Pmem.write p ~off:0 data;
+    Pmem.persist p ~off:0 ~len:(Bytes.length data)
+  in
+  let smalls n =
+    for _ = 1 to n do
+      epoch small
+    done
+  in
+  (* A minor collection brings the major-word count up to date. *)
+  let major_words f =
+    Gc.minor ();
+    let w0 = (Gc.quick_stat ()).Gc.major_words in
+    f ();
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.major_words -. w0
+  in
+  (* The first window holds one 2 048-line epoch: its trim keeps both chunks. *)
+  epoch big;
+  smalls 63;
+  let kept = major_words (fun () -> epoch big) in
+  if kept > 4096. then Alcotest.failf "a kept chunk was made again (%.0f major words)" kept;
+  (* A window of small epochs only trims back to one chunk. *)
+  smalls (63 + 64);
+  let regrown = major_words (fun () -> epoch big) in
+  if regrown < 9218. then Alcotest.failf "the second chunk was kept (%.0f major words)" regrown
+
 let prop_crash_order =
   QCheck.Test.make ~name:"crash draw order matches a stdlib hash table" ~count:100
     (QCheck.make
@@ -1113,6 +1148,7 @@ let suite =
         Alcotest.test_case "crash order, run after given-back slots" `Quick
           test_order_run_after_free_stack;
         Alcotest.test_case "crash order, stamp after a run" `Quick test_order_stamp_after_run;
+        Alcotest.test_case "emptying fences trim chunks in windows" `Quick test_chunk_retention;
         q prop_crash_order;
       ] );
     ( "pmem.observer",
